@@ -24,11 +24,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 #: Codec function names the coverage check keys on (see ANALYSIS.md):
-#: the flat v1 encoder/decoder pair and the interning v2 pair.
+#: the flat v1 encoder/decoder pair, and the v2 sets — the tagged value
+#: pair plus the DGC column block's field-wise definitions (the encoder
+#: method that writes them, the function that reads them back).
 ENCODE_V1_FN = "_encode_value"
-ENCODE_V2_METHOD = "value"
+ENCODE_V2_METHODS = ("value", "_define_dgc")
 DECODE_V1_FN = "_decode_value"
-DECODE_V2_FN = "_decode_value_v2"
+DECODE_V2_FNS = ("_decode_value_v2", "_decode_definition")
 
 
 @dataclass(frozen=True)
@@ -74,9 +76,9 @@ class CodecFacts:
     def function_sets(self) -> Dict[str, Set[str]]:
         return {
             ENCODE_V1_FN: self.encode_v1,
-            f"{ENCODE_V2_METHOD} (v2 encoder)": self.encode_v2,
+            f"{'/'.join(ENCODE_V2_METHODS)} (v2 encoder)": self.encode_v2,
             DECODE_V1_FN: self.decode_v1,
-            DECODE_V2_FN: self.decode_v2,
+            "/".join(DECODE_V2_FNS): self.decode_v2,
         }
 
 
@@ -357,7 +359,7 @@ def _collect_codec(sf, facts: ProjectFacts) -> None:
             for item in node.body:
                 if (
                     isinstance(item, ast.FunctionDef)
-                    and item.name == ENCODE_V2_METHOD
+                    and item.name in ENCODE_V2_METHODS
                 ):
                     codec.encode_v2 |= _branch_classes(item)
         elif isinstance(node, ast.FunctionDef):
@@ -365,7 +367,7 @@ def _collect_codec(sf, facts: ProjectFacts) -> None:
                 codec.encode_v1 |= _branch_classes(node)
             elif node.name == DECODE_V1_FN:
                 codec.decode_v1 |= _constructed_classes(node)
-            elif node.name == DECODE_V2_FN:
+            elif node.name in DECODE_V2_FNS:
                 codec.decode_v2 |= _constructed_classes(node)
     facts.codec = codec
 

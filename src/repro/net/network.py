@@ -260,13 +260,20 @@ class Network:
         #: that merged into an already-staged aggregate entry.
         self.aggregated_message_count = 0
         #: Shard-boundary egress (:meth:`configure_shard_egress`): the
-        #: set of topology nodes owned by *other* shards, the staging
-        #: buffer the coordinator round drains into wire frames, and the
-        #: ingress stand-in channel for injected remote entries.
+        #: set of topology nodes owned by *other* shards, the runs the
+        #: coordinator round drains into wire frames, and the ingress
+        #: stand-in channel for injected remote runs.  Shard-remote
+        #: sends are staged as columns from the start: one run ``(kind,
+        #: delivery, dest, items, payloads)`` per ``(kind, delivery,
+        #: dest)`` key, in first-send order (the dict's), each send
+        #: appended to its run's columns — so the frame packer and the
+        #: receiving pulse get the traffic already grouped.
         self._egress_nodes: Optional[frozenset] = None
-        self.egress_buffer: List[tuple] = []
+        self._egress: Dict[tuple, tuple] = {}
         self.egress_message_count = 0
         self._ingress = _IngressChannel()
+        #: Pulse entries staged by :meth:`inject_remote_runs` — the
+        #: wire-row count: a DGC run is one entry whatever its length.
         self.injected_entry_count = 0
         #: Kernel events created *by injection* — pulse instants that
         #: exist only because a cross-shard frame landed there.  The
@@ -350,48 +357,65 @@ class Network:
         send time* exactly as local traffic (the directed
         :class:`FifoChannel` lives wholly on the sender's shard, so the
         FIFO clamp and the accountant see the send here and only here),
-        but instead of entering the local pulse the
-        ``(delivery_time, dest, kind, item, payload)`` columns land in
-        :attr:`egress_buffer` — the literal content of the next wire
-        frame (:mod:`repro.net.wire`).  Requires the batched pulse core;
-        the per-event envelope path raises on shard-remote destinations
-        (see :meth:`send`)."""
+        but instead of entering the local pulse it joins the egress run
+        of its ``(kind, delivery_time, dest)`` — the literal content of
+        the next wire frame (:mod:`repro.net.wire`).  Requires the
+        batched pulse core; the per-event envelope path raises on
+        shard-remote destinations (see :meth:`send`)."""
         self._egress_nodes = frozenset(self._topology.nodes) - frozenset(
             local_nodes
         )
         self._routes.clear()
 
     def drain_egress(self) -> List[tuple]:
-        """Detach and return the staged cross-shard entries (the frame
-        body for this round), oldest first."""
-        drained = self.egress_buffer
-        self.egress_buffer = []
-        return drained
+        """Detach and return the staged cross-shard runs (the frame
+        body for this round) in first-send order."""
+        runs = list(self._egress.values())
+        self._egress.clear()
+        return runs
 
-    def inject_remote_entries(self, entries) -> None:
-        """Stage decoded cross-shard entries into the local pulse.
+    def inject_remote_runs(self, runs) -> None:
+        """Stage decoded cross-shard runs into the local pulse.
 
         Called between kernel advances (single-threaded), with every
-        entry's delivery time at or after the granted horizon — the
+        run's delivery time at or after the granted horizon — the
         coordinator's lookahead guarantee; an earlier delivery would
         mean the conservative-horizon proof was violated, so it raises
-        rather than silently reordering.  No accounting happens here:
-        the sending shard already charged the traffic (the merged
-        accountant is the sum over shards).
+        rather than silently reordering.  A DGC run becomes **one**
+        aggregate pulse entry carrying its columns as they came off the
+        wire (the per-entry core, which has no batch sinks, gets one
+        entry per message instead); every other run one entry per item.
+        No accounting happens here: the sending shard already charged
+        the traffic (the merged accountant is the sum over shards).
         """
         kernel = self._kernel
         now = kernel._now if self._fast_clock else kernel.now
         ingress = self._ingress
         stage = self._stage
+        pulses = self._pulses
+        columnar = self.aggregate_site_pairs
         pulses_before = self.pulse_event_count
-        for delivery, dest, kind, item, payload in entries:
+        rows = 0
+        for kind, delivery, dest, items, payloads in runs:
             if delivery < now:
                 raise NetworkError(
-                    f"late cross-shard entry: delivery {delivery} is "
+                    f"late cross-shard {kind} run: delivery {delivery} is "
                     f"before local time {now} (lookahead violated)"
                 )
-            stage(delivery, (ingress, None, dest, kind, item, payload))
-            self.injected_entry_count += 1
+            if columnar and kind in AGGREGATE_KINDS:
+                entry = (
+                    ingress, None, dest, AGGREGATE_KINDS[kind], items, payloads
+                )
+                if delivery in pulses:
+                    pulses[delivery].append(entry)
+                else:
+                    stage(delivery, entry)
+                rows += 1
+                continue
+            for item, payload in zip(items, payloads):
+                stage(delivery, (ingress, None, dest, kind, item, payload))
+            rows += len(items)
+        self.injected_entry_count += rows
         self.ingress_pulse_event_count += (
             self.pulse_event_count - pulses_before
         )
@@ -444,13 +468,19 @@ class Network:
         if route[0] is None:
             # Shard-remote destination: the sender-side channel reserves
             # the FIFO slot and the accountant charges the send exactly
-            # as for a local staging; the entry columns then ride the
-            # next wire frame instead of the local pulse.
+            # as for a local staging; the send then rides the next wire
+            # frame instead of the local pulse.
             delivery_time = channel.stage_send()
             self.accountant.observe_sized(kind, size_bytes, channel.pair)
-            self.egress_buffer.append(
-                (delivery_time, dest, kind, item, payload)
-            )
+            key = (kind, delivery_time, dest)
+            run = self._egress.get(key)
+            if run is None:
+                self._egress[key] = (
+                    kind, delivery_time, dest, [item], [payload]
+                )
+            else:
+                run[3].append(item)
+                run[4].append(payload)
             self.egress_message_count += 1
             return
         if channel is None:
@@ -555,11 +585,12 @@ class Network:
         ):
             self.send_typed(source, dest, kind, size_bytes, item, payload)
             return
-        if relaxed:
+        if relaxed and route[0] is not None:
             # Relaxed tier: join the per-(channel, kind) stream
             # accumulator; FIFO reservation and accounting happen at
             # flush time (totals are bit-identical — same messages,
-            # same sizes, same counts).
+            # same sizes, same counts).  Shard-remote sends are never
+            # deferred: they stage for the next frame right away.
             acc = self._relaxed_acc
             box = acc.get((channel, kind))
             if box is None:
@@ -602,6 +633,21 @@ class Network:
         if box is None:
             channel.acct_box = box = acct.pair_box(channel.pair)
         box[0] += size_bytes
+        if route[0] is None:
+            # Shard-remote: the message joins the egress run of its
+            # (kind, instant, destination) — the frame's column block —
+            # instead of the local pulse.
+            egress = self._egress
+            key = (kind, delivery_time, dest)
+            if key in egress:
+                run = egress[key]
+                run[3].append(item)
+                run[4].append(payload)
+                self.aggregated_message_count += 1
+            else:
+                egress[key] = (kind, delivery_time, dest, [item], [payload])
+            self.egress_message_count += 1
+            return
         if delivery_time == self._last_pulse_time:
             entries = self._last_pulse
         else:
@@ -695,16 +741,23 @@ class Network:
         )
         if route[0] is None:
             # Shard-remote run: one FIFO reservation, one accounting
-            # call, one *aggregate* frame entry — the receiving shard's
+            # call, and the columns join (or open) the egress run of
+            # their (kind, instant, destination) — the receiving shard's
             # batch sink unwraps the flat columns, so the columnar win
             # survives the process boundary.
             delivery_time = channel.stage_send_n(count)
             self.accountant.observe_run(kind, size_bytes, channel.pair, count)
-            self.egress_buffer.append(
-                (delivery_time, dest, agg_kind, targets, messages)
-            )
+            egress = self._egress
+            key = (kind, delivery_time, dest)
+            if key in egress:
+                run = egress[key]
+                run[3].extend(targets)
+                run[4].extend(messages)
+                self.aggregated_message_count += count
+            else:
+                egress[key] = (kind, delivery_time, dest, targets, messages)
+                self.aggregated_message_count += count - 1
             self.egress_message_count += count
-            self.aggregated_message_count += count - 1
             return
         relaxed = self.relaxed_aggregation
         if (
@@ -1192,10 +1245,10 @@ class Network:
             if egress_nodes is not None and dest in egress_nodes:
                 # Shard-remote destination: no sink (the node lives in
                 # another process), a real sender-side channel (FIFO
-                # clamp + accounting happen here), never dgc_fast (the
-                # fused lane's tail-merge targets the local pulse; runs
-                # take the dedicated egress branch instead).
-                route = (None, self._channel(source, dest), False)
+                # clamp + accounting happen here), and dgc_fast — the
+                # fused DGC lane clamps and accounts inline, then stages
+                # into the egress runs instead of the local pulse.
+                route = (None, self._channel(source, dest), True)
                 self._routes.setdefault(source, {})[dest] = route
                 return route
             raise UnknownDestinationError(f"node {dest!r} is not registered")

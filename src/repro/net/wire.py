@@ -31,60 +31,65 @@ Two frame formats share the header struct and are told apart by magic:
 pays a fixed 11-byte head (f64 delivery, u16 dest, u8 kind) and every
 value is encoded in full at every occurrence.
 
-**v2** (magic ``0x5D58``, the default) is the compact encoding.  Layout
-after the shared header:
+**v2** (magic ``0x5D58``, the default) is the compact, columnar
+encoding.  Both formats carry *runs* — ``(kind, delivery, dest, items,
+payloads)``, the shape the network's shard egress stages and the
+receiving pulse wants — and v2 keeps a run a run from send to sink.
+Layout after the shared header:
 
-* entries are grouped into *runs* of adjacent same-kind entries:
-  ``varint run_length, varint kind_index`` then the run's entries —
-  per-entry kind bytes collapse into one column header per run;
-* each entry is ``delivery value, varint dest_index, item value,
-  payload value``;
-* values use the v1 tag set plus ``_T_BACKREF``: strings, floats and
-  the frozen fabric composites (``ActivityClock``, ``RemoteRef``,
-  ``ReplyAddress``, ``DgcMessage``, ``DgcResponse``) are *interned* in
-  a per-frame table in encode order, so every repeat — a beat's one
-  ``DgcMessage`` fanned out across dozens of targets, an activity id
-  recurring through a frame, a constant ``sender_ttb`` — costs a two-
-  or three-byte backref instead of a re-encoding.  Backrefs also
-  restore *sharing* on decode: the fan-out targets get the same
-  message object, exactly as in-process delivery would;
-* integers ride zigzag varints (``_T_BIGINT`` keeps the >64-bit
-  escape); delivery instants are ordinary float values, which the
-  intern table collapses because staged deliveries are quantized to
-  beat-bucket + channel-latency instants — the delta coding is against
-  the table, not the previous entry, so bit-identity is structural;
+* ``varint table_size`` — the encoder's intern-table size when it began
+  the frame; the decoder compares it with its own table before reading
+  anything else (see *Channel persistence*);
+* then records.  A record opening with ``_DEFINE`` appends one entry to
+  the intern table; any other record is a run: ``_RUN_HEAD`` (kind,
+  destination, item count, delivery instant as its IEEE bits) and a
+  body;
+* the body of a **DGC run** (``dgc.message`` / ``dgc.response``) is a
+  schema-specialised *column block*: the target column and the message
+  column as intern-table indices, all ``2 * count`` written by one
+  ``struct.pack`` (two bytes each until the table outgrows that) and
+  read back by one ``unpack_from``.  Every value a column refers to is
+  defined before the run, once per channel: strings, clocks and refs as
+  tagged values, a message or response *field-wise* — one struct of the
+  table indices of its string, clock and ref fields plus its flags — so
+  neither side recurses per message.  Repeats restore *sharing* on
+  decode: a beat's one ``DgcMessage`` fanned out across dozens of
+  targets comes back as one object;
+* the body of any other run is ``count`` ``(item, payload)`` pairs of
+  tagged values: the v1 tag set plus ``_T_BACKREF`` into the same
+  table (strings, floats, clocks, refs, reply addresses intern in
+  encode order), integers as zigzag varints;
 * decode is zero-copy: one ``memoryview`` over the frame,
-  ``struct.unpack_from`` for fixed fields and direct ``str(view,
-  "utf-8")`` for text — no intermediate ``bytes`` slices.
+  ``struct.unpack_from`` for fixed fields, ``str(view, "utf-8")`` for
+  text.
 
-Both formats stay decodable (:func:`unpack_frame` dispatches on magic)
-and round-trip bit-identically on the same property suite;
-:func:`pack_frame` takes ``version=`` for the harness knob.
+The site-pair aggregate markers (``dgc.message[]``) are in-memory pulse
+shapes and never ride a v2 frame: a DGC run travels under its base
+kind whatever its length.  v1 keeps its entry-at-a-time layout (runs
+are expanded into entries and back) as the A/B oracle; both decode
+through :func:`unpack_frame` and round-trip bit-identically on the same
+property suite.
 
 **Channel persistence.**  The v2 intern table is per-frame by default,
 which makes every frame self-contained — but on a shard channel the
-same activity ids, clocks and messages recur frame after frame, so the
-steady state re-encodes the same strings forever.  A
+same activity ids, clocks and messages recur frame after frame.  A
 :class:`ChannelEncoder` / :class:`ChannelDecoder` pair carries the
-table *across* frames: pass them to :func:`pack_frame` /
-:func:`unpack_frame` and a value interned in frame ``n`` is a backref
-in frame ``n+k``.  This is sound exactly because the shard fabric
-already guarantees per-channel FIFO: frames carry a ``(src_shard,
-seq)`` stamp, the coordinator routes them in stamp order and the
-worker decodes each channel's frames in seq order — the decode table
-replays the encoder's registrations move for move.  Two rules follow:
-
-* a channel pair is **one direction of one (src, dst) shard pair** —
-  never share an encoder between destinations or a decoder between
-  sources, and never skip or reorder a frame;
-* a :class:`WireFormatError` mid-frame leaves the channel state
-  desynced — the channel must be discarded (the worker treats any
-  decode error as fatal, so this is moot in the fabric).
-
-The encoder pins every registered value (a strong reference), so the
-``id()``-keyed identity memo can never alias a dead object's reused
-address across frames.  Stateless calls are unchanged and remain the
-default; v1 has no channel state (passing one raises).
+table *across* frames: a value defined in frame ``n`` is an index in
+frame ``n+k``.  This is sound exactly because the shard fabric
+guarantees per-channel FIFO: frames carry a ``(src_shard, seq)`` stamp,
+the coordinator routes them in stamp order and the worker decodes each
+channel's frames in seq order, so the decode table replays the
+encoder's registrations move for move.  A channel pair is **one
+direction of one (src, dst) shard pair**; a frame dropped, duplicated
+or reordered on it raises (the table-size and ascending-``seq`` checks)
+instead of resolving indices against the wrong table, and any
+:class:`WireFormatError` leaves the channel desynced — discard it (the
+worker treats decode errors as fatal).  The encoder keys its table by
+*value* — a string itself, a composite by the tuple of its primitive
+fields — so probes hash in C, equal-but-distinct objects share one
+slot, and no object identity (which a collected object's reused address
+could alias) is ever trusted.  v1 has no channel state (passing one
+raises).
 
 Naming note (ROADMAP): the DGC *protocol* message types stay in
 :mod:`repro.core.wire` — they are protocol state, not transport.  This
@@ -560,7 +565,7 @@ def _decode_value(reader: _Reader):
 
 
 # ----------------------------------------------------------------------
-# v2 value encoding (per-frame interning + varints)
+# v2 encoding (interning + varints + DGC column blocks)
 # ----------------------------------------------------------------------
 
 #: Sentinel dict keys for the two float zeroes — ``-0.0 == 0.0`` hashes
@@ -575,31 +580,41 @@ def _float_key(value: float):
     return value
 
 
+#: Opens every v2 run: kind index, destination node index, item count,
+#: delivery instant.
+_RUN_HEAD = struct.Struct("!BHId")
+#: First byte of a v2 record that defines an intern-table entry instead
+#: of opening a run; kind indices stay below it.
+_DEFINE = 0xFF
+#: Field-wise definitions: ``_DEFINE``, the value tag, then the fields —
+#: strings, clock and ref as table indices, scalars inline.
+#: (sender, clock, consensus, sender_ref, sender_ttb)
+_DEF_MESSAGE = struct.Struct("!BBIIBId")
+#: (responder, clock, has_parent, consensus_reached, has depth, depth)
+_DEF_RESPONSE = struct.Struct("!BBIIBBBq")
+#: Column indices are two bytes wide while the table fits.
+_NARROW_TABLE = 0x10000
+
+
 class _V2Encoder:
     """One frame's encode state: output buffer plus the intern table.
 
     Interned values get indices in *encode order*, children before the
     composite that contains them (post-order), which is exactly the
     order the decoder appends to its table — no index negotiation on
-    the wire.  The identity memo is the fast path (the fabric reuses
-    message/clock/ref objects heavily); the value memo catches
-    equal-but-distinct objects so e.g. two responders constructing the
-    same clock value still share one table slot.
+    the wire.  The table is keyed by value: a string by itself, a float
+    by :func:`_float_key`, a composite by the tagged tuple of its
+    primitive fields — so every probe hashes in C (no dataclass
+    ``__hash__`` frames) and equal-but-distinct objects, e.g. two
+    responders constructing the same clock value, share one slot.
     """
 
-    __slots__ = ("out", "id_memo", "val_memo", "count", "pins")
+    __slots__ = ("out", "memo", "count")
 
     def __init__(self) -> None:
         self.out = bytearray()
-        self.id_memo: Dict[int, int] = {}
-        self.val_memo: Dict[object, int] = {}
+        self.memo: Dict[object, int] = {}
         self.count = 0
-        # Strong refs to every registered value: the id_memo keys on
-        # id(value), and a collected value's address can be reused by a
-        # new object — harmless within one frame (the entries list pins
-        # everything), fatal for a persistent channel (zero floats key
-        # the value memo through sentinels, so nothing else pins them).
-        self.pins: List[object] = []
 
     def varint(self, value: int) -> None:
         out = self.out
@@ -611,13 +626,11 @@ class _V2Encoder:
     def zigzag(self, value: int) -> None:
         self.varint((value << 1) ^ (value >> 63))
 
-    def _intern(self, value, key) -> bool:
-        """Emit a backref if ``value`` is already in the table (True);
+    def _intern(self, key) -> bool:
+        """Emit a backref if ``key`` is already in the table (True);
         otherwise return False — the caller encodes the value and then
         calls :meth:`_register`."""
-        index = self.id_memo.get(id(value))
-        if index is None:
-            index = self.val_memo.get(key)
+        index = self.memo.get(key)
         if index is None:
             return False
         out = self.out
@@ -631,77 +644,148 @@ class _V2Encoder:
             self.varint(index)
         return True
 
-    def _register(self, value, key) -> None:
-        index = self.count
-        self.count = index + 1
-        self.id_memo[id(value)] = index
-        self.val_memo[key] = index
-        self.pins.append(value)
+    def _register(self, key) -> None:
+        self.memo[key] = self.count
+        self.count += 1
+
+    def _index(self, value, key) -> int:
+        """Table index of a string, clock or ref a field-wise definition
+        refers to — defined on first sight by one ``_DEFINE`` record
+        holding its tagged value."""
+        index = self.memo.get(key)
+        if index is None:
+            self.out.append(_DEFINE)
+            self.value(value)
+            index = self.memo[key]
+        return index
+
+    def dgc_columns(self, is_message: bool, targets: list, messages: list) -> bytes:
+        """The column block of one DGC run: ``targets`` then ``messages``
+        as intern-table indices.  Probes are keyed by field tuples, so a
+        run whose values are all known costs one comprehension and one
+        ``struct.pack`` whatever its length; a miss anywhere defines the
+        run's new values (:meth:`_define_dgc`) and retries."""
+        memo = self.memo
+        try:
+            if is_message:
+                # ``-0.0 == 0.0`` and they hash alike: a zero declared
+                # TTB keys by its repr so the two never share a slot.
+                column = [
+                    memo[(
+                        _T_DGC_MESSAGE, m.sender, m.clock.value, m.clock.owner,
+                        m.consensus, m.sender_ref.activity_id,
+                        m.sender_ref.node, m.sender_ttb or f"{m.sender_ttb!r}",
+                    )]
+                    for m in messages
+                ]
+            else:
+                column = [
+                    memo[(
+                        _T_DGC_RESPONSE, r.responder, r.clock.value,
+                        r.clock.owner, r.has_parent, r.consensus_reached,
+                        r.depth,
+                    )]
+                    for r in messages
+                ]
+            layout = "!%dH" if self.count <= _NARROW_TABLE else "!%dI"
+            return struct.pack(
+                layout % (2 * len(column)),
+                *map(memo.__getitem__, targets), *column,
+            )
+        except (KeyError, AttributeError):
+            self._define_dgc(is_message, targets, messages)
+        return self.dgc_columns(is_message, targets, messages)
+
+    def _define_dgc(self, is_message: bool, targets: list, messages: list) -> None:
+        """Slow path of :meth:`dgc_columns`: append a definition for
+        every value the run's columns need and the table lacks — a
+        message or response once, field-wise, after the strings, clock
+        and ref it refers to."""
+        memo = self.memo
+        index = self._index
+        for target in targets:
+            if target not in memo:
+                if type(target) is not str:
+                    raise WireFormatError(
+                        f"cannot encode {type(target).__name__!r} as a DGC "
+                        f"target"
+                    )
+                index(target, target)
+        for value in messages:
+            if is_message and type(value) is DgcMessage:
+                clock = value.clock
+                ref = value.sender_ref
+                key = (
+                    _T_DGC_MESSAGE, value.sender, clock.value, clock.owner,
+                    value.consensus, ref.activity_id, ref.node,
+                    value.sender_ttb or f"{value.sender_ttb!r}",
+                )
+                if key in memo:
+                    continue
+                record = _DEF_MESSAGE.pack(
+                    _DEFINE, _T_DGC_MESSAGE, index(value.sender, value.sender),
+                    index(clock, (_T_CLOCK, clock.value, clock.owner)),
+                    value.consensus,
+                    index(ref, (_T_REMOTE_REF, ref.activity_id, ref.node)),
+                    value.sender_ttb,
+                )
+            elif not is_message and type(value) is DgcResponse:
+                clock = value.clock
+                depth = value.depth
+                key = (
+                    _T_DGC_RESPONSE, value.responder, clock.value,
+                    clock.owner, value.has_parent, value.consensus_reached,
+                    depth,
+                )
+                if key in memo:
+                    continue
+                record = _DEF_RESPONSE.pack(
+                    _DEFINE, _T_DGC_RESPONSE,
+                    index(value.responder, value.responder),
+                    index(clock, (_T_CLOCK, clock.value, clock.owner)),
+                    value.has_parent, value.consensus_reached,
+                    depth is not None, depth or 0,
+                )
+            else:
+                raise WireFormatError(
+                    f"cannot encode {type(value).__name__!r} in a "
+                    f"{'dgc.message' if is_message else 'dgc.response'} run"
+                )
+            self.out += record
+            self._register(key)
 
     def value(self, value) -> None:
-        # The dispatch chain is frequency-ordered for the sharded
-        # fabric's traffic mix — activity-id strings, then the DGC
-        # message/response payloads and their clock/ref constituents —
-        # because every staged entry funnels through here and the chain
-        # itself shows up in profiles.
+        # The dispatch chain is frequency-ordered for the generic lane's
+        # traffic mix — activity-id strings first, then the interned
+        # composites — because every app/registry field funnels through
+        # here.  DGC messages and responses never do: they are defined
+        # field-wise by :meth:`_define_dgc`.
         out = self.out
         cls = value.__class__
         if cls is str:
-            # Strings skip the identity memo: equal strings hash fast
-            # (CPython caches str hashes), so the value memo alone is
-            # both the fast path and the dedup.
-            memo = self.val_memo
-            index = memo.get(value)
-            if index is not None:
-                out.append(_T_BACKREF)
-                if index < 0x80:
-                    out.append(index)
-                elif index < 0x4000:
-                    out.append((index & 0x7F) | 0x80)
-                    out.append(index >> 7)
-                else:
-                    self.varint(index)
+            if self._intern(value):
                 return
             raw = value.encode("utf-8")
             out.append(_T_STR)
             self.varint(len(raw))
             out += raw
-            memo[value] = self.count
-            self.count += 1
-        elif cls is DgcMessage:
-            if self._intern(value, value):
-                return
-            out.append(_T_DGC_MESSAGE)
-            self.value(value.sender)
-            self.value(value.clock)
-            out.append(1 if value.consensus else 0)
-            self.value(value.sender_ref)
-            self.value(value.sender_ttb)
-            self._register(value, value)
-        elif cls is DgcResponse:
-            if self._intern(value, value):
-                return
-            out.append(_T_DGC_RESPONSE)
-            self.value(value.responder)
-            self.value(value.clock)
-            out.append(1 if value.has_parent else 0)
-            out.append(1 if value.consensus_reached else 0)
-            self.value(value.depth)
-            self._register(value, value)
+            self._register(value)
         elif cls is ActivityClock:
-            if self._intern(value, value):
+            key = (_T_CLOCK, value.value, value.owner)
+            if self._intern(key):
                 return
             out.append(_T_CLOCK)
             self.zigzag(value.value)
             self.value(value.owner)
-            self._register(value, value)
+            self._register(key)
         elif cls is RemoteRef:
-            if self._intern(value, value):
+            key = (_T_REMOTE_REF, value.activity_id, value.node)
+            if self._intern(key):
                 return
             out.append(_T_REMOTE_REF)
             self.value(value.activity_id)
             self.value(value.node)
-            self._register(value, value)
+            self._register(key)
         elif value is None:
             out.append(_T_NONE)
         elif cls is bool:
@@ -719,11 +803,11 @@ class _V2Encoder:
                 out += raw
         elif cls is float:
             key = _float_key(value)
-            if self._intern(value, key):
+            if self._intern(key):
                 return
             out.append(_T_FLOAT)
             out += _F64.pack(value)
-            self._register(value, key)
+            self._register(key)
         elif cls is bytes:
             out.append(_T_BYTES)
             self.varint(len(value))
@@ -745,13 +829,16 @@ class _V2Encoder:
                 self.value(key)
                 self.value(entry)
         elif cls is ReplyAddress:
-            if self._intern(value, value):
+            key = (
+                _T_REPLY_ADDRESS, value.node, value.activity, value.future_id
+            )
+            if self._intern(key):
                 return
             out.append(_T_REPLY_ADDRESS)
             self.value(value.node)
             self.value(value.activity)
             self.zigzag(value.future_id)
-            self._register(value, value)
+            self._register(key)
         elif cls is Request:
             out.append(_T_REQUEST)
             self.value(value.method)
@@ -897,9 +984,8 @@ class _V2Reader:
 
 
 def _decode_value_v2(reader: _V2Reader):
-    # Tag dispatch is frequency-ordered to mirror the encoder: the
-    # sharded fabric's frames are dominated by backrefs, activity-id
-    # strings and the DGC payload types, so those exit the chain first.
+    # Tag dispatch is frequency-ordered to mirror the encoder: backrefs
+    # and activity-id strings exit the chain first.
     pos = reader.pos
     if pos >= reader.end:
         raise WireFormatError(
@@ -929,26 +1015,6 @@ def _decode_value_v2(reader: _V2Reader):
         )
     if tag == _T_STR:
         value = reader.text()
-        reader.table.append(value)
-        return value
-    if tag == _T_DGC_MESSAGE:
-        sender = _decode_value_v2(reader)
-        clock = _decode_value_v2(reader)
-        consensus = reader.u8() != 0
-        sender_ref = _decode_value_v2(reader)
-        sender_ttb = _decode_value_v2(reader)
-        value = DgcMessage(sender, clock, consensus, sender_ref, sender_ttb)
-        reader.table.append(value)
-        return value
-    if tag == _T_DGC_RESPONSE:
-        responder = _decode_value_v2(reader)
-        clock = _decode_value_v2(reader)
-        has_parent = reader.u8() != 0
-        consensus_reached = reader.u8() != 0
-        depth = _decode_value_v2(reader)
-        value = DgcResponse(
-            responder, clock, has_parent, consensus_reached, depth
-        )
         reader.table.append(value)
         return value
     if tag == _T_CLOCK:
@@ -1064,29 +1130,60 @@ def _decode_value_v2(reader: _V2Reader):
     raise WireFormatError(f"unknown value tag 0x{tag:02X}")
 
 
+def _decode_definition(reader: _V2Reader) -> None:
+    """Apply the ``_DEFINE`` record at the cursor: append the value it
+    defines to the intern table — a message or response from its
+    field-wise struct, anything else from its tagged value."""
+    view = reader.buf
+    table = reader.table
+    pos = reader.pos
+    tag = view[pos + 1]
+    if tag == _T_DGC_MESSAGE:
+        _, _, sender, clock, consensus, sender_ref, sender_ttb = (
+            _DEF_MESSAGE.unpack_from(view, pos)
+        )
+        table.append(DgcMessage(
+            table[sender], table[clock], consensus != 0, table[sender_ref],
+            sender_ttb,
+        ))
+        reader.pos = pos + _DEF_MESSAGE.size
+    elif tag == _T_DGC_RESPONSE:
+        _, _, responder, clock, has_parent, reached, has_depth, depth = (
+            _DEF_RESPONSE.unpack_from(view, pos)
+        )
+        table.append(DgcResponse(
+            table[responder], table[clock], has_parent != 0, reached != 0,
+            depth if has_depth else None,
+        ))
+        reader.pos = pos + _DEF_RESPONSE.size
+    else:
+        reader.pos = pos + 1
+        _decode_value_v2(reader)
+
+
 # ----------------------------------------------------------------------
 # Frames
 # ----------------------------------------------------------------------
 
-#: One decoded cross-shard frame: the (shard, seq) stamp that orders it
-#: in the merged log, and the staged entries it carries.
-class Frame:
-    __slots__ = ("src_shard", "seq", "entries")
+#: One staged run: ``(kind, delivery_time, dest_node, items, payloads)``
+#: with parallel columns — for the DGC kinds ``(target_id, message)``.
+Run = Tuple[str, float, str, list, list]
 
-    def __init__(
-        self,
-        src_shard: int,
-        seq: int,
-        entries: List[Tuple[float, str, str, object, object]],
-    ) -> None:
+
+#: One decoded cross-shard frame: the (shard, seq) stamp that orders it
+#: in the merged log, and the runs it carries.
+class Frame:
+    __slots__ = ("src_shard", "seq", "runs")
+
+    def __init__(self, src_shard: int, seq: int, runs: List[Run]) -> None:
         self.src_shard = src_shard
         self.seq = seq
-        self.entries = entries
+        self.runs = runs
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Frame(shard={self.src_shard}, seq={self.seq}, "
-            f"entries={len(self.entries)})"
+            f"runs={len(self.runs)})"
         )
 
 
@@ -1096,8 +1193,8 @@ class ChannelEncoder(_V2Encoder):
     Pass the same instance to every :func:`pack_frame` call on the
     channel (v2 only) and the intern table survives between frames:
     the steady state re-sends recurring ids, clocks and messages as
-    backrefs instead of full encodings.  Sound only if the peer decodes
-    the channel's frames in pack order with a matching
+    table indices instead of definitions.  Sound only if the peer
+    decodes the channel's frames in pack order with a matching
     :class:`ChannelDecoder` — the shard fabric's ``(src_shard, seq)``
     stamps guarantee exactly that.
     """
@@ -1108,12 +1205,15 @@ class ChannelEncoder(_V2Encoder):
 class ChannelDecoder:
     """Decode half of a persistent channel: the cross-frame intern
     table, grown in the paired :class:`ChannelEncoder`'s registration
-    order.  Discard after any decode error — the table is desynced."""
+    order, and the last frame sequence number decoded (a channel's
+    frames must arrive in ascending ``seq``).  Discard after any decode
+    error — the table is desynced."""
 
-    __slots__ = ("table",)
+    __slots__ = ("table", "last_seq")
 
     def __init__(self) -> None:
         self.table: List[object] = []
+        self.last_seq = -1
 
 
 def frame_stamp(buf: bytes) -> Tuple[int, int]:
@@ -1148,29 +1248,39 @@ def frame_version(buf: bytes) -> int:
 def pack_frame(
     src_shard: int,
     seq: int,
-    entries: Sequence[Tuple[float, str, str, object, object]],
+    runs: Sequence[Run],
     node_index: Dict[str, int],
     version: int = DEFAULT_WIRE_VERSION,
     channel: Optional[ChannelEncoder] = None,
 ) -> bytes:
-    """Pack staged pulse entries into one wire frame.
+    """Pack staged runs into one wire frame.
 
-    Each entry is ``(delivery_time, dest_node, kind, item, payload)`` —
+    Each run is ``(kind, delivery_time, dest_node, items, payloads)`` —
+    what :meth:`repro.net.network.Network.drain_egress` hands over, and
     exactly the columns a staged pulse entry carries minus the channel
-    (the receiving shard re-binds its own ingress channel).  ``kind``
-    may be any registered kind or a site-pair aggregate marker, in which
-    case item/payload are the flat target/message columns.  ``version``
+    (the receiving shard re-binds its own ingress channel).  ``kind`` is
+    a registered kind, never a site-pair aggregate marker.  ``version``
     selects the frame format; both decode through :func:`unpack_frame`.
     ``channel`` (v2 only) persists the intern table across the frames
     of one ordered shard channel.
     """
     if version == 2:
-        return _pack_frame_v2(src_shard, seq, entries, node_index, channel)
+        return _pack_frame_v2(src_shard, seq, runs, node_index, channel)
     if version != 1:
         raise WireFormatError(f"unknown wire version {version!r}")
     if channel is not None:
         raise WireFormatError("wire v1 has no channel state")
     index = kind_index()
+    # v1 knows entries, not runs: a DGC run of several messages rides
+    # as one aggregate-marker entry, everything else item by item.
+    entries = []
+    for kind, delivery, dest, items, payloads in runs:
+        aggregate = _kinds.AGGREGATE_KINDS.get(kind)
+        if aggregate is not None and len(items) > 1:
+            entries.append((delivery, dest, aggregate, items, payloads))
+        else:
+            for item, payload in zip(items, payloads):
+                entries.append((delivery, dest, kind, item, payload))
     out = bytearray(
         _HEADER.pack(
             FRAME_MAGIC,
@@ -1202,71 +1312,77 @@ def pack_frame(
 def _pack_frame_v2(
     src_shard: int,
     seq: int,
-    entries: Sequence[Tuple[float, str, str, object, object]],
+    runs: Sequence[Run],
     node_index: Dict[str, int],
     channel: Optional[ChannelEncoder] = None,
 ) -> bytes:
-    # Entries sharing (kind, delivery instant, destination node) are
-    # coalesced into one run that spells those three columns out once —
-    # beat-quantized DGC traffic shares delivery instants heavily, so
-    # the common frame carries several items per run.  Runs appear in
-    # first-occurrence order and items keep their staged order within a
-    # run, so the decoded entry list is a deterministic, order-
-    # normalized permutation of the input (same multiset, bit-identical
-    # values); per-channel FIFO order survives because a channel's
-    # equal-delivery sends land in the same run.  The float key goes
-    # through its IEEE bits so -0.0/0.0 (and NaN payloads) never merge.
-    pack_f64 = _F64.pack
-    groups: Dict[tuple, list] = {}
-    get_group = groups.get
-    for entry in entries:
-        delivery = entry[0]
-        if type(delivery) is not float:
-            # struct "d" coerced ints in v1; keep that contract.
-            delivery = float(delivery)
-        key = (entry[2], pack_f64(delivery), entry[1])
-        bucket = get_group(key)
-        if bucket is None:
-            groups[key] = bucket = [delivery, entry[1], entry[2]]
-        bucket.append(entry[3])
-        bucket.append(entry[4])
+    # The runs arrive grouped — the network's egress buckets sends by
+    # (kind, delivery instant, destination) as they happen — so packing
+    # is one pass: a head per run, then a column block (DGC) or the
+    # tagged item/payload values (everything else).
     index = kind_index()
     if channel is None:
         encoder = _V2Encoder()
     else:
         encoder = channel
-        encoder.out = bytearray()  # fresh frame body, memos persist
-    varint = encoder.varint
+        encoder.out = bytearray()  # fresh frame body, the table persists
+    encoder.varint(encoder.count)
     value = encoder.value
-    for bucket in groups.values():
-        delivery = bucket[0]
-        dest = bucket[1]
-        kind = bucket[2]
-        try:
-            kind_position = index[kind]
-        except KeyError:
-            raise WireFormatError(
-                f"kind {kind!r} is not registered with the fabric"
-            ) from None
-        try:
-            dest_position = node_index[dest]
-        except KeyError:
-            raise WireFormatError(
-                f"destination node {dest!r} is not in the shared "
-                f"topology"
-            ) from None
-        varint((len(bucket) - 3) >> 1)
-        varint(kind_position)
-        value(delivery)
-        varint(dest_position)
-        for field in range(3, len(bucket)):
-            value(bucket[field])
+    rows = 0
+    min_delivery = math.inf
+    try:
+        for kind, delivery, dest, items, payloads in runs:
+            try:
+                kind_position = index[kind]
+            except KeyError:
+                raise WireFormatError(
+                    f"kind {kind!r} is not registered with the fabric"
+                ) from None
+            try:
+                dest_position = node_index[dest]
+            except KeyError:
+                raise WireFormatError(
+                    f"destination node {dest!r} is not in the shared "
+                    f"topology"
+                ) from None
+            count = len(items)
+            if count == 0 or count != len(payloads):
+                raise WireFormatError(
+                    f"run of {count} items and {len(payloads)} payloads: "
+                    f"columns must be parallel and non-empty"
+                )
+            if delivery < min_delivery:
+                min_delivery = delivery
+            is_message = kind == KIND_DGC_MESSAGE
+            is_dgc = is_message or kind == KIND_DGC_RESPONSE
+            if is_dgc:
+                # Definitions of values the table lacks land here, ahead
+                # of the run that refers to them.
+                columns = encoder.dgc_columns(is_message, items, payloads)
+            elif kind not in _kinds.ALL_KINDS:
+                raise WireFormatError(
+                    f"kind {kind!r} is an in-memory aggregate marker: a "
+                    f"DGC run rides the wire under its base kind"
+                )
+            encoder.out += _RUN_HEAD.pack(
+                kind_position, dest_position, count, delivery
+            )
+            if is_dgc:
+                encoder.out += columns
+                rows += 1
+            else:
+                for position in range(count):
+                    value(items[position])
+                    value(payloads[position])
+                rows += count
+    except struct.error as exc:
+        raise WireFormatError(f"field out of range for the wire: {exc}") from None
     return _HEADER.pack(
         FRAME_MAGIC_V2,
         src_shard,
         seq,
-        len(entries),
-        min((entry[0] for entry in entries), default=0.0),
+        rows,
+        min_delivery if rows else 0.0,
     ) + bytes(encoder.out)
 
 
@@ -1280,7 +1396,7 @@ def unpack_frame(
     ``node_names`` is the shared topology's node tuple (both sides
     derive it from the same :class:`~repro.net.topology.Topology`).
     Kinds come back as the canonical interned constants, so identity
-    dispatch in the columnar fire loop works on injected entries.
+    dispatch in the columnar fire loop works on injected runs.
     ``channel`` (v2 only) persists the intern table across the frames
     of one ordered shard channel; it must mirror the packing side's
     :class:`ChannelEncoder` frame for frame.
@@ -1297,8 +1413,11 @@ def unpack_frame(
     if channel is not None:
         raise WireFormatError("wire v1 has no channel state")
     table = kind_table()
+    base_kind = {
+        aggregate: kind for kind, aggregate in _kinds.AGGREGATE_KINDS.items()
+    }
     reader = _Reader(memoryview(buf), _HEADER.size, len(buf))
-    entries: List[Tuple[float, str, str, object, object]] = []
+    runs: List[Run] = []
     for _ in range(count):
         delivery, dest_position, kind_position = _ENTRY_HEAD.unpack(
             reader.take(_ENTRY_HEAD.size)
@@ -1313,17 +1432,19 @@ def unpack_frame(
                 f"kind index {kind_position} out of range "
                 f"({len(table)} kinds)"
             )
+        kind = table[kind_position]
         item = _decode_value(reader)
         payload = _decode_value(reader)
-        entries.append(
-            (delivery, node_names[dest_position], table[kind_position],
-             item, payload)
-        )
+        if kind in base_kind:
+            kind = base_kind[kind]
+        else:
+            item, payload = [item], [payload]
+        runs.append((kind, delivery, node_names[dest_position], item, payload))
     if reader.pos != reader.end:
         raise WireFormatError(
             f"frame has {reader.end - reader.pos} trailing bytes"
         )
-    return Frame(src_shard, seq, entries)
+    return Frame(src_shard, seq, runs)
 
 
 def _unpack_frame_v2(
@@ -1334,50 +1455,86 @@ def _unpack_frame_v2(
     count: int,
     channel: Optional[ChannelDecoder] = None,
 ) -> Frame:
-    table = kind_table()
+    kinds = kind_table()
     node_count = len(node_names)
     reader = _V2Reader(memoryview(buf), _HEADER.size, len(buf))
     if channel is not None:
+        if seq <= channel.last_seq:
+            raise WireFormatError(
+                f"frame (shard {src_shard}, seq {seq}) arrived after seq "
+                f"{channel.last_seq} on the same channel: duplicated or "
+                f"reordered"
+            )
+        channel.last_seq = seq
         reader.table = channel.table
+    table = reader.table
+    expected = reader.varint()
+    if expected != len(table):
+        raise WireFormatError(
+            f"intern table out of step at frame (shard {src_shard}, seq "
+            f"{seq}): the encoder had {expected} entries, this decoder "
+            f"has {len(table)} — a frame was dropped, duplicated or "
+            f"reordered on the channel"
+        )
+    view = reader.buf
     decode = _decode_value_v2
-    varint = reader.varint
-    entries: List[Tuple[float, str, str, object, object]] = []
-    append = entries.append
-    decoded = 0
-    while decoded < count:
-        run_length = varint()
-        if run_length == 0:
-            raise WireFormatError("empty kind run")
-        decoded += run_length
-        if decoded > count:
-            raise WireFormatError(
-                f"kind run of {run_length} overflows entry count {count}"
+    runs: List[Run] = []
+    rows = 0
+    try:
+        while rows < count:
+            pos = reader.pos
+            if view[pos] == _DEFINE:
+                _decode_definition(reader)
+                continue
+            kind_position, dest_position, length, delivery = (
+                _RUN_HEAD.unpack_from(view, pos)
             )
-        kind_position = varint()
-        if kind_position >= len(table):
-            raise WireFormatError(
-                f"kind index {kind_position} out of range "
-                f"({len(table)} kinds)"
+            if kind_position >= len(kinds):
+                raise WireFormatError(
+                    f"kind index {kind_position} out of range "
+                    f"({len(kinds)} kinds)"
+                )
+            if dest_position >= node_count:
+                raise WireFormatError(
+                    f"destination index {dest_position} out of range "
+                    f"({node_count} nodes)"
+                )
+            if length == 0:
+                raise WireFormatError("empty run")
+            kind = kinds[kind_position]
+            pos += _RUN_HEAD.size
+            if kind is KIND_DGC_MESSAGE or kind is KIND_DGC_RESPONSE:
+                wide = len(table) > _NARROW_TABLE
+                columns = struct.unpack_from(
+                    ("!%dI" if wide else "!%dH") % (2 * length), view, pos
+                )
+                reader.pos = pos + length * (8 if wide else 4)
+                items = [table[position] for position in columns[:length]]
+                payloads = [table[position] for position in columns[length:]]
+                rows += 1
+            elif kind in _kinds.ALL_KINDS:
+                reader.pos = pos
+                items = []
+                payloads = []
+                for _ in range(length):
+                    items.append(decode(reader))
+                    payloads.append(decode(reader))
+                rows += length
+            else:
+                raise WireFormatError(
+                    f"aggregate marker {kind!r} cannot ride a v2 frame"
+                )
+            runs.append(
+                (kind, delivery, node_names[dest_position], items, payloads)
             )
-        kind = table[kind_position]
-        delivery = decode(reader)
-        if type(delivery) is not float:
-            raise WireFormatError(
-                f"delivery instant decodes as "
-                f"{type(delivery).__name__}, expected float"
-            )
-        dest_position = varint()
-        if dest_position >= node_count:
-            raise WireFormatError(
-                f"destination index {dest_position} out of range "
-                f"({node_count} nodes)"
-            )
-        dest = node_names[dest_position]
-        for _ in range(run_length):
-            item = decode(reader)
-            append((delivery, dest, kind, item, decode(reader)))
+    except (struct.error, IndexError) as exc:
+        raise WireFormatError(f"truncated or corrupt frame: {exc}") from None
+    if rows != count:
+        raise WireFormatError(
+            f"runs overflow the header's row count {count} (decoded {rows})"
+        )
     if reader.pos != reader.end:
         raise WireFormatError(
             f"frame has {reader.end - reader.pos} trailing bytes"
         )
-    return Frame(src_shard, seq, entries)
+    return Frame(src_shard, seq, runs)

@@ -47,8 +47,8 @@ paper measures on — per-channel horizons beat the single global
 ``H = M + min L``: a shard bordered only by wide channels advances
 through windows the narrowest boundary anywhere in the plan would have
 denied it, cutting barrier rounds.  Workers enforce the invariant
-(:meth:`~repro.net.network.Network.inject_remote_entries` raises on a
-late entry) rather than trusting it.
+(:meth:`~repro.net.network.Network.inject_remote_runs` raises on a
+late run) rather than trusting it.
 
 Because horizons are per shard, worker clocks diverge between rounds.
 Phase transitions still happen at one shared instant: once a phase
@@ -115,10 +115,12 @@ class _Report:
     """One worker's state at a barrier point.
 
     A skipped worker's report stays valid until it is next advanced —
-    the worker has not moved, so every field (including ``eot``) is
-    stale but exact.
+    the worker has not moved, so every field is stale but exact.
     """
 
+    #: The worker's next local event time, which is also the earliest
+    #: instant it could still produce a cross-shard send (``None``: it
+    #: cannot until something is injected).
     next_time: Optional[float]
     live_non_root: int
     counters: Tuple[int, int, int, int]
@@ -126,9 +128,6 @@ class _Report:
     flags: Dict[str, bool]
     #: (dest_shard, has_app, min_delivery, n_entries, frame_bytes) rows.
     frames: List[Tuple[int, bool, float, int, bytes]]
-    #: Earliest instant this worker could still produce a cross-shard
-    #: send (``None``: it cannot until something is injected).
-    eot: Optional[float]
 
 
 @dataclass
@@ -433,7 +432,9 @@ class ShardedWorld:
             # delivery that would wake it.
             bids = []
             for j, report in enumerate(reports):
-                bid = math.inf if report.eot is None else report.eot
+                bid = (
+                    math.inf if report.next_time is None else report.next_time
+                )
                 for _, min_delivery, _ in pending[j]:
                     if min_delivery < bid:
                         bid = min_delivery
@@ -551,7 +552,6 @@ class ShardedWorld:
             all_idle=message[4],
             flags=message[5],
             frames=frames,
-            eot=message[7],
         )
 
     def _recv_result(self, conn) -> Dict[str, Any]:

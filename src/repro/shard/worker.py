@@ -146,63 +146,6 @@ def _unknown_workload(name: str):
     )
 
 
-#: DGC single kinds -> their aggregate (run) kinds, for the egress
-#: coalescer.  Canonical constants: kind identity survives the wire.
-_AGGREGATE_OF: Dict[str, str] = {
-    _kinds.KIND_DGC_MESSAGE: _kinds.AGGREGATE_KINDS[_kinds.KIND_DGC_MESSAGE],
-    _kinds.KIND_DGC_RESPONSE: _kinds.AGGREGATE_KINDS[_kinds.KIND_DGC_RESPONSE],
-}
-
-
-def _coalesce_dgc_singles(entries: List[tuple]) -> List[tuple]:
-    """Merge same-instant, same-destination DGC singles into aggregate
-    run entries before packing.
-
-    Beat-quantized DGC traffic lands many independent senders' singles
-    on one ``(delivery, dest_node)`` pair; each group becomes one
-    ``dgc.*[]`` entry with flat (target, message) columns — the same
-    shape the sender-side site-pair aggregation already ships and the
-    ingress fire loop already unwraps, so the receiver delivers the
-    identical messages at the identical instant, just through the batch
-    lane (one staged entry and one sink call per run instead of per
-    message).  Groups keep first-occurrence order and their items keep
-    send order, matching the wire codec's own run normalization;
-    singletons stay plain singles.  Non-DGC traffic is untouched.
-    """
-    out: List[tuple] = []
-    groups: Dict[tuple, list] = {}
-    for entry in entries:
-        kind = entry[2]
-        aggregate = _AGGREGATE_OF.get(kind)
-        if aggregate is None:
-            out.append(entry)
-            continue
-        key = (entry[0], entry[1], kind)
-        bucket = groups.get(key)
-        if bucket is None:
-            groups[key] = bucket = [
-                entry[0], entry[1], kind, aggregate,
-                [entry[3]], [entry[4]],
-            ]
-            out.append(bucket)  # placeholder, finalized below
-        else:
-            bucket[4].append(entry[3])
-            bucket[5].append(entry[4])
-    if not groups:
-        return out
-    for position, entry in enumerate(out):
-        if type(entry) is list:
-            if len(entry[4]) == 1:
-                out[position] = (
-                    entry[0], entry[1], entry[2], entry[4][0], entry[5][0]
-                )
-            else:
-                out[position] = (
-                    entry[0], entry[1], entry[3], entry[4], entry[5]
-                )
-    return out
-
-
 def _pack_egress(
     world: World, spec: WorkerSpec, node_index: Dict[str, int], seq,
     encoders: Dict[int, ChannelEncoder],
@@ -215,26 +158,43 @@ def _pack_egress(
     frames in flight, while pure heartbeat frames must not stall it),
     ``min_delivery`` feeds the bid the destination's next horizon is
     computed from, and ``n_entries`` feeds the coordinator's
-    bytes-per-entry accounting without decoding the frame (after DGC
-    singles are coalesced into runs, so it counts wire rows).
+    bytes-per-entry accounting without decoding the frame (it counts
+    wire rows, the pulse entries the receiver stages: a DGC run is one
+    row whatever its length, any other item a row of its own).
+
+    The egress arrives as runs already keyed by ``(kind, delivery,
+    dest)``, so this is one pass that only splits them by destination
+    shard; ``has_app`` and ``min_delivery`` fall out of the run keys.
 
     ``encoders`` holds one persistent :class:`ChannelEncoder` per
     destination shard (v2 only): this worker's frames to a given peer
-    form one ordered channel, so recurring ids and messages backref
-    into the channel's cross-frame intern table.
+    form one ordered channel, so recurring ids and messages resolve
+    against the channel's cross-frame intern table.
     """
-    entries = world.network.drain_egress()
-    if not entries:
+    runs = world.network.drain_egress()
+    if not runs:
         return []
-    plan = spec.plan
-    groups: Dict[int, List[tuple]] = {}
-    for entry in entries:
-        groups.setdefault(plan.shard_of(entry[1]), []).append(entry)
+    assignment = spec.plan.assignment
+    dgc_kinds = _kinds.DGC_KINDS
+    #: dest shard -> [has_app, min_delivery, n_entries, runs]
+    outbound: Dict[int, list] = {}
+    for run in runs:
+        dest = assignment[node_index[run[2]]]
+        if dest in outbound:
+            frame = outbound[dest]
+            if run[1] < frame[1]:
+                frame[1] = run[1]
+        else:
+            outbound[dest] = frame = [False, run[1], 0, []]
+        if run[0] in dgc_kinds:
+            frame[2] += 1
+        else:
+            frame[0] = True
+            frame[2] += len(run[3])
+        frame[3].append(run)
     frames = []
-    for dest in sorted(groups):
-        group = _coalesce_dgc_singles(groups[dest])
-        has_app = any(not e[2].startswith("dgc.") for e in group)
-        min_delivery = min(e[0] for e in group)
+    for dest in sorted(outbound):
+        has_app, min_delivery, n_entries, group = outbound[dest]
         channel = encoders.get(dest)
         if channel is None and spec.wire_version == 2:
             encoders[dest] = channel = ChannelEncoder()
@@ -242,7 +202,7 @@ def _pack_egress(
             spec.shard, next(seq), group, node_index,
             version=spec.wire_version, channel=channel,
         )
-        frames.append((dest, has_app, min_delivery, len(group), buf))
+        frames.append((dest, has_app, min_delivery, n_entries, buf))
     return frames
 
 
@@ -256,14 +216,14 @@ def _send_report(
     all_idle = (
         all(a.is_idle() for a in world.live_non_roots()) if needs_idle else True
     )
-    next_time = world.kernel.next_event_time()
-    # Earliest output time: the egress is fully drained into this
-    # report's frames, so any future cross-shard send must be caused by
-    # a local event — the next event time bounds it (None: this shard
-    # cannot produce output until something is injected).
     conn.send((
         "report",
-        next_time,
+        # The next event time doubles as the earliest output time: the
+        # egress is fully drained into this report's frames, so any
+        # future cross-shard send must be caused by a local event
+        # (None: this shard cannot produce output until something is
+        # injected).
+        world.kernel.next_event_time(),
         world.live_non_root_count,
         (world.requests_sent, world.requests_delivered,
          world.replies_sent, world.replies_delivered),
@@ -271,7 +231,6 @@ def _send_report(
         env.flags(),
         [(dest, has_app, min_delivery, n_entries)
          for dest, has_app, min_delivery, n_entries, _ in frames],
-        next_time,
     ))
     for _, _, _, _, buf in frames:
         conn.send_bytes(buf)
@@ -353,8 +312,8 @@ def _serve(conn, spec: WorkerSpec) -> None:
                     channel = decoders.get(src)
                     if channel is None and stateful:
                         decoders[src] = channel = ChannelDecoder()
-                    network.inject_remote_entries(
-                        unpack_frame(buf, node_names, channel).entries
+                    network.inject_remote_runs(
+                        unpack_frame(buf, node_names, channel).runs
                     )
             kernel.advance(horizon)
             _send_report(conn, world, env, spec, node_index, seq, phase,

@@ -211,6 +211,63 @@ def test_nas_sharded_matches_replay():
     assert result.phase_times == sorted(result.phase_times)
 
 
+def three_site_topology() -> Topology:
+    return Topology(
+        [Site(name, 2, intra_rtt_s=0.002) for name in "abc"],
+        {("a", "b"): 0.1, ("b", "c"): 0.1, ("a", "c"): 0.3},
+    )
+
+
+@pytest.mark.parametrize("shards", [2, 3])
+@pytest.mark.parametrize("workload, params, seed", [
+    ("torture", TORTURE_PARAMS, 3),
+    ("nas", dict(kernel="ft", ao_count=6, iterations=3, iter_time_s=0.5,
+                 payload_bytes=1000), 7),
+    ("naming", dict(client_count=6, service_count=3, duration=8.0,
+                    lookup_period=1.0, lookup_burst=2), 5),
+])
+def test_columnar_lane_matches_replay_and_repeats(workload, params, seed, shards):
+    """The cross-shard lane end to end — columnar egress, column-block
+    frames, run injection — on every workload family, over one and two
+    shard boundaries: the outcome is the replay's, and a second run
+    produces the same frame bytes."""
+    topo = three_site_topology()
+    runs = [
+        ShardedWorld(
+            topo, shards, workload=workload, params=params,
+            dgc=small_dgc(), seed=seed,
+        ).run()
+        for _ in range(2)
+    ]
+    _, _, signature = replay_single_process(
+        topo, workload=workload, params=params, dgc=small_dgc(), seed=seed,
+    )
+    assert runs[0].outcome_signature() == signature
+    assert runs[0].safety_violations == 0 and runs[0].dead_letters == 0
+    assert runs[0].frame_count > 0
+    assert runs[1].frame_digest == runs[0].frame_digest
+    assert runs[1].frame_entries == runs[0].frame_entries
+    # Rows are staged pulse entries: a DGC run is one however many
+    # messages it carries, so the wire never has more rows than sends.
+    assert 0 < runs[0].injected_entries <= runs[0].frame_entries
+    assert runs[0].frame_entries <= runs[0].egress_messages
+
+
+def test_per_entry_core_crosses_the_shard_boundary():
+    """The per-entry batched core has no batch sinks: injected DGC runs
+    unwrap into one pulse entry per message instead of an aggregate."""
+    topo = two_site_topology()
+    dgc = DgcConfig(ttb=1.0, tta=3.0, aggregation="per-entry")
+    result = ShardedWorld(
+        topo, 2, workload="torture", params=TORTURE_PARAMS, dgc=dgc, seed=3,
+    ).run()
+    _, _, signature = replay_single_process(
+        topo, workload="torture", params=TORTURE_PARAMS, dgc=dgc, seed=3,
+    )
+    assert result.outcome_signature() == signature
+    assert result.injected_entries >= result.frame_entries > 0
+
+
 def test_single_shard_degenerates_to_one_worker():
     topo = two_site_topology()
     result = ShardedWorld(
@@ -251,6 +308,58 @@ def test_frame_stream_is_deterministic():
     assert first.frames == second.frames
     # And the merged trace streams are identical event-for-event.
     assert first.trace == second.trace
+
+
+def recorded_channel(src: int, dest: int):
+    """One direction of the recorded conversation, in route order."""
+    frames = [
+        buf for frame_src, frame_dest, buf in run_recorded(seed=3).frames
+        if (frame_src, frame_dest) == (src, dest)
+    ]
+    assert len(frames) >= 4
+    return frames
+
+
+def decode_channel(frames, topo=None):
+    from repro.net.wire import ChannelDecoder, unpack_frame
+
+    names = tuple((topo or two_site_topology()).nodes)
+    decoder = ChannelDecoder()
+    sizes = []
+    for buf in frames:
+        unpack_frame(buf, names, channel=decoder)
+        sizes.append(len(decoder.table))
+    return sizes
+
+
+def test_recorded_channel_detects_dropped_duplicated_and_swapped_frames():
+    """A persistent channel's frames only decode in the order they were
+    packed: every frame opens with the encoder's intern-table size, so a
+    frame lost, repeated or swapped on the way raises — naming the frame
+    and both table sizes — instead of resolving indices against the
+    wrong table."""
+    from repro.net.wire import WireFormatError, frame_stamp
+
+    frames = recorded_channel(0, 1)
+    sizes = decode_channel(frames)  # the untouched stream decodes
+    # Pick a frame that defined something, so its loss shifts the table.
+    victim = next(
+        index for index in range(1, len(frames) - 1)
+        if sizes[index] > sizes[index - 1]
+    )
+    shard, seq = frame_stamp(frames[victim + 1])
+    with pytest.raises(WireFormatError) as dropped:
+        decode_channel(frames[:victim] + frames[victim + 1:])
+    message = str(dropped.value)
+    assert f"(shard {shard}, seq {seq})" in message
+    assert f"the encoder had {sizes[victim]} entries" in message
+    assert f"this decoder has {sizes[victim - 1]}" in message
+    with pytest.raises(WireFormatError, match="duplicated or reordered"):
+        decode_channel(frames[:victim + 1] + frames[victim:])
+    swapped = list(frames)
+    swapped[victim], swapped[victim + 1] = swapped[victim + 1], swapped[victim]
+    with pytest.raises(WireFormatError, match="out of step"):
+        decode_channel(swapped)
 
 
 def test_different_seed_changes_frames_not_structure():

@@ -1,31 +1,35 @@
-"""The shard wire codec round-trips staged pulse batches bit-identically.
+"""The shard wire codec round-trips staged runs bit-identically.
 
-The cross-shard frame is the columnar pulse made literal: whatever the
-egress stages must come back from ``unpack_frame(pack_frame(...))``
-field-for-field equal, for every traffic family the fabric routes —
-app requests/replies, DGC singles, registry messages, and the site-pair
-aggregate columns (flat target/message lists) the relaxed tier emits.
-Kinds must come back as the *canonical interned constants* (the columnar
-fire loop dispatches on kind identity).  Truncated or corrupted buffers
-must raise :class:`WireFormatError`, never return garbage.
+The cross-shard frame is the columnar pulse made literal: the runs the
+egress stages — ``(kind, delivery, dest, items, payloads)`` — must come
+back from ``unpack_frame(pack_frame(...))`` field-for-field equal, for
+every traffic family the fabric routes: app requests/replies, registry
+messages, and the DGC runs whose flat target/message columns ride a
+schema-specialised column block.  Kinds must come back as the
+*canonical interned constants* (the columnar fire loop dispatches on
+kind identity).  Truncated or corrupted buffers must raise
+:class:`WireFormatError`, never return garbage.
 
 Both frame formats are under test: every property holds for v1 and v2,
-v1 and v2 packings of the same batch decode to equal entry multisets
-(cross-decode parity), and the v2-specific paths — varints, the intern
-table and its backrefs, coalesced runs — have targeted corruption
+v1 and v2 packings of the same runs decode to the same message
+sequence (cross-decode parity), and the v2-specific paths — varints,
+the intern table and its backrefs, definitions, column blocks, the
+table-size and sequence checks of a persistent channel — have targeted
 coverage.
 
-v1 preserves staged order exactly.  v2 normalizes it: entries sharing
-``(kind, delivery instant, destination)`` coalesce into one run, runs
-appear in first-occurrence order, and items keep their staged order
-within a run — a deterministic permutation with every value still
-bit-identical (the run key uses the delivery's IEEE bits, so -0.0 and
-0.0 never merge).  :func:`v2_normalized` is the reference model of
-that permutation.
+Neither format reorders: v2 keeps the runs it is given, v1 splits them
+into entries and back.  The grouping itself happens where the sends
+are staged (``Network``'s shard egress): sends sharing ``(kind,
+delivery instant, destination)`` share one run, runs appear in
+first-send order, and items keep send order within a run.
+:func:`v2_normalized` is the reference model of that staging, and the
+suite checks that whatever it produces survives the wire unchanged.
 """
 
 from __future__ import annotations
 
+import gc
+import math
 import struct
 
 import pytest
@@ -42,7 +46,7 @@ from repro.net.wire import (
     WireFormatError,
     frame_stamp,
     frame_version,
-    kind_table,
+    kind_index,
     pack_frame,
     unpack_frame,
 )
@@ -65,7 +69,7 @@ NODES = tuple(f"site-{index}" for index in range(6))
 NODE_INDEX = {name: position for position, name in enumerate(NODES)}
 
 AGG_DGC_MESSAGE = kinds.AGGREGATE_KINDS[kinds.KIND_DGC_MESSAGE]
-AGG_DGC_RESPONSE = kinds.AGGREGATE_KINDS[kinds.KIND_DGC_RESPONSE]
+DGC_KINDS = (kinds.KIND_DGC_MESSAGE, kinds.KIND_DGC_RESPONSE)
 
 
 # ----------------------------------------------------------------------
@@ -188,29 +192,43 @@ registry_items = st.one_of(
 deliveries = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
 
-def entry_for(kind):
-    """A staged-entry strategy whose item/payload match ``kind``'s shape."""
+def columns_for(kind):
+    """``(item, payload)`` strategies matching ``kind``'s column shape."""
     if kind is kinds.KIND_DGC_MESSAGE:
-        item, payload = ids, dgc_messages
-    elif kind is kinds.KIND_DGC_RESPONSE:
-        item, payload = ids, dgc_responses
-    elif kind is AGG_DGC_MESSAGE:
-        item = st.lists(ids, min_size=1, max_size=6)
-        payload = st.lists(dgc_messages, min_size=1, max_size=6)
-    elif kind is AGG_DGC_RESPONSE:
-        item = st.lists(ids, min_size=1, max_size=6)
-        payload = st.lists(dgc_responses, min_size=1, max_size=6)
-    elif kind is kinds.KIND_APP_REQUEST:
-        item, payload = requests, st.none()
-    elif kind is kinds.KIND_APP_REPLY:
-        item, payload = replies, st.none()
-    else:
-        item, payload = registry_items, st.none()
+        return ids, dgc_messages
+    if kind is kinds.KIND_DGC_RESPONSE:
+        return ids, dgc_responses
+    if kind is kinds.KIND_APP_REQUEST:
+        return requests, st.none()
+    if kind is kinds.KIND_APP_REPLY:
+        return replies, st.none()
+    return registry_items, st.none()
+
+
+def entry_for(kind):
+    """One staged send: ``(delivery, dest, kind, item, payload)``."""
+    item, payload = columns_for(kind)
     return st.tuples(deliveries, node_names, st.just(kind), item, payload)
 
 
-staged_entries = st.one_of([entry_for(kind) for kind in kind_table()])
+def run_for(kind):
+    """One staged run with parallel, non-empty columns."""
+    item, payload = columns_for(kind)
+    pairs = st.lists(st.tuples(item, payload), min_size=1, max_size=6)
+    return st.builds(
+        lambda delivery, dest, pairs: (
+            kind, delivery, dest,
+            [pair[0] for pair in pairs], [pair[1] for pair in pairs],
+        ),
+        deliveries, node_names, pairs,
+    )
+
+
+staged_entries = st.one_of([entry_for(kind) for kind in kinds.ALL_KINDS])
 staged_batches = st.lists(staged_entries, max_size=12)
+staged_runs = st.lists(
+    st.one_of([run_for(kind) for kind in kinds.ALL_KINDS]), max_size=8
+)
 stamps = st.tuples(
     st.integers(min_value=0, max_value=15),
     st.integers(min_value=0, max_value=1 << 30),
@@ -227,83 +245,134 @@ def _delivery_bits(delivery: float) -> bytes:
 
 
 def v2_normalized(entries):
-    """The v2 order normalization, modelled independently of the codec:
-    group by (kind, delivery IEEE bits, dest) in first-occurrence
-    order, entries keeping staged order within a group."""
+    """The egress staging, modelled independently of the fabric: group
+    sends by (kind, delivery IEEE bits, dest) in first-occurrence order,
+    items keeping send order within a run."""
     groups = {}
-    for entry in entries:
-        delivery = entry[0]
-        if type(delivery) is not float:
-            delivery = float(delivery)
-        key = (entry[2], _delivery_bits(delivery), entry[1])
-        groups.setdefault(key, []).append(
-            (delivery, entry[1], entry[2], entry[3], entry[4])
+    for delivery, dest, kind, item, payload in entries:
+        delivery = float(delivery)
+        run = groups.setdefault(
+            (kind, _delivery_bits(delivery), dest),
+            (kind, delivery, dest, [], []),
         )
-    return [entry for bucket in groups.values() for entry in bucket]
+        run[3].append(item)
+        run[4].append(payload)
+    return list(groups.values())
+
+
+def flattened(runs):
+    """The message sequence a list of runs delivers."""
+    return [
+        (kind, _delivery_bits(delivery), dest, item, payload)
+        for kind, delivery, dest, items, payloads in runs
+        for item, payload in zip(items, payloads)
+    ]
+
+
+def wire_rows(runs):
+    """Pulse entries the receiver stages: one per DGC run, one per item
+    of any other run."""
+    return sum(1 if run[0] in DGC_KINDS else len(run[3]) for run in runs)
+
+
+def frame_rows(buf):
+    return struct.unpack_from("!I", buf, 8)[0]  # the header's count field
+
+
+def assert_same_runs(decoded, expected):
+    assert decoded == expected
+    for left, right in zip(decoded, expected):
+        # Bit identity for the delivery instant (== conflates ±0.0).
+        assert _delivery_bits(left[1]) == _delivery_bits(float(right[1]))
+        # Kind identity, not just equality: the columnar fire loop
+        # dispatches with ``is`` against the canonical constants.
+        assert left[0] is right[0]
 
 
 @pytest.mark.parametrize("version", [1, 2])
 @settings(max_examples=200, deadline=None)
-@given(batch=staged_batches, stamp=stamps)
-def test_roundtrip_bit_identical(version, batch, stamp):
+@given(runs=staged_runs, stamp=stamps)
+def test_roundtrip_bit_identical(version, runs, stamp):
     shard, seq = stamp
-    buf = pack_frame(shard, seq, batch, NODE_INDEX, version=version)
+    buf = pack_frame(shard, seq, runs, NODE_INDEX, version=version)
     assert frame_version(buf) == version
+    assert frame_stamp(buf) == stamp
+    assert frame_rows(buf) == wire_rows(runs)
     frame = unpack_frame(buf, NODES)
     assert isinstance(frame, Frame)
     assert frame.src_shard == shard
     assert frame.seq == seq
-    assert len(frame.entries) == len(batch)
-    expected = batch if version == 1 else v2_normalized(batch)
-    for original, decoded in zip(expected, frame.entries):
-        assert decoded == original
-        # Bit identity for the delivery instant (== conflates ±0.0).
-        assert _delivery_bits(decoded[0]) == _delivery_bits(float(original[0]))
-        # Kind identity, not just equality: the columnar fire loop
-        # dispatches with ``is`` against the canonical constants.
-        assert decoded[2] is original[2]
+    if version == 2:
+        assert_same_runs(frame.runs, runs)
+    else:
+        # v1 carries entries: it splits every non-DGC run item by item.
+        assert flattened(frame.runs) == flattened(runs)
+        for run in frame.runs:
+            assert any(run[0] is kind for kind in kinds.ALL_KINDS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch=staged_batches, stamp=stamps)
+def test_staged_sends_survive_the_wire_as_the_model_groups_them(batch, stamp):
+    """``v2_normalized`` models the egress staging; the frame returns
+    exactly the runs it produces — same grouping, same order."""
+    runs = v2_normalized(batch)
+    assert sorted(map(repr, flattened(runs))) == sorted(
+        repr((kind, _delivery_bits(float(delivery)), dest, item, payload))
+        for delivery, dest, kind, item, payload in batch
+    )
+    frame = unpack_frame(
+        pack_frame(stamp[0], stamp[1], runs, NODE_INDEX, version=2), NODES
+    )
+    assert_same_runs(frame.runs, runs)
 
 
 @settings(max_examples=100, deadline=None)
-@given(batch=staged_batches, stamp=stamps)
-def test_cross_decode_parity(batch, stamp):
-    """v1 and v2 packings of one batch decode to the same entries, v2's
-    in the normalized order."""
+@given(runs=staged_runs, stamp=stamps)
+def test_cross_decode_parity(runs, stamp):
+    """v1 and v2 packings of the same runs deliver the same message
+    sequence, and regrouping v1's entries gives v2's runs."""
     v1 = unpack_frame(
-        pack_frame(stamp[0], stamp[1], batch, NODE_INDEX, version=1), NODES
+        pack_frame(stamp[0], stamp[1], runs, NODE_INDEX, version=1), NODES
     )
     v2 = unpack_frame(
-        pack_frame(stamp[0], stamp[1], batch, NODE_INDEX, version=2), NODES
+        pack_frame(stamp[0], stamp[1], runs, NODE_INDEX, version=2), NODES
     )
-    assert v2_normalized(v1.entries) == v2.entries
-    for left, right in zip(v2_normalized(v1.entries), v2.entries):
-        assert left[2] is right[2]
+    assert flattened(v1.runs) == flattened(v2.runs)
+    assert frame_rows(
+        pack_frame(0, 0, runs, NODE_INDEX, version=1)
+    ) == frame_rows(pack_frame(0, 0, runs, NODE_INDEX, version=2))
 
 
 @pytest.mark.parametrize("version", [1, 2])
 @settings(max_examples=100, deadline=None)
-@given(batch=staged_batches, stamp=stamps)
-def test_truncation_always_raises(version, batch, stamp):
-    buf = pack_frame(stamp[0], stamp[1], batch, NODE_INDEX, version=version)
+@given(runs=staged_runs, stamp=stamps)
+def test_truncation_always_raises(version, runs, stamp):
+    buf = pack_frame(stamp[0], stamp[1], runs, NODE_INDEX, version=version)
     for cut in range(0, len(buf), max(1, len(buf) // 17)):
-        if cut == len(buf):
-            continue
         with pytest.raises(WireFormatError):
             unpack_frame(buf[:cut], NODES)
+
+
+@settings(max_examples=100, deadline=None)
+@given(runs=staged_runs, data=st.data())
+def test_v2_corruption_never_escapes_as_another_exception(runs, data):
+    """A flipped byte either still decodes or raises WireFormatError —
+    never an IndexError, struct.error or the like."""
+    buf = bytearray(pack_frame(0, 0, runs, NODE_INDEX, version=2))
+    position = data.draw(st.integers(min_value=2, max_value=len(buf) - 1))
+    buf[position] ^= data.draw(st.integers(min_value=1, max_value=255))
+    try:
+        unpack_frame(bytes(buf), NODES)
+    except WireFormatError:
+        pass
 
 
 def test_every_kind_has_a_column_shape():
     """The strategy table covers every registered kind — a kind added
     without extending the codec test fails here, not silently."""
-    covered = {
-        kinds.KIND_DGC_MESSAGE,
-        kinds.KIND_DGC_RESPONSE,
-        AGG_DGC_MESSAGE,
-        AGG_DGC_RESPONSE,
-        kinds.KIND_APP_REQUEST,
-        kinds.KIND_APP_REPLY,
-    }
-    for kind in kind_table():
+    covered = set(DGC_KINDS) | {kinds.KIND_APP_REQUEST, kinds.KIND_APP_REPLY}
+    for kind in kinds.ALL_KINDS:
         assert kind in covered or kind.startswith("registry."), kind
 
 
@@ -314,10 +383,16 @@ def test_bad_magic_rejected():
         unpack_frame(corrupt, NODES)
 
 
+def _request_run(target="ao-2:b", count=1):
+    return (
+        kinds.KIND_APP_REQUEST, 1.0, NODES[0],
+        [Request("do_ping", "ao-1:a", target) for _ in range(count)],
+        [None] * count,
+    )
+
+
 def test_unknown_tag_rejected():
-    entry = (1.0, NODES[0], kinds.KIND_APP_REQUEST,
-             Request("do_ping", "ao-1:a", "ao-2:b"), None)
-    buf = pack_frame(0, 0, [entry], NODE_INDEX, version=1)
+    buf = pack_frame(0, 0, [_request_run()], NODE_INDEX, version=1)
     # The first tag byte follows the entry head; stomp it.
     offset = 20 + 11  # header (20) + entry head (11)
     corrupt = buf[:offset] + b"\xff" + buf[offset + 1:]
@@ -326,134 +401,298 @@ def test_unknown_tag_rejected():
 
 
 # ----------------------------------------------------------------------
-# v2-specific paths: varints, intern table, kind runs
+# v2-specific paths: varints, intern table, run heads
 # ----------------------------------------------------------------------
 
-_V2_HEADER_SIZE = 20  # shared !HHIId header
+_V2_BODY = 20  # shared !HHIId header; the body opens with the table size
+_V2_RUN = _V2_BODY + 1  # run head: u8 kind, u16 dest, u32 count, f64 delivery
+_V2_VALUES = _V2_RUN + 15
 
 
-def _v2_single_entry_frame():
-    """A one-entry v2 frame whose run head is exactly two one-byte
-    varints (run length 1, then a kind index < 128), so the first value
-    tag sits at a known offset for surgical corruption."""
-    entry = (1.0, NODES[0], kinds.KIND_APP_REQUEST,
-             Request("do_ping", "ao-1:a", "ao-2:b"), None)
-    buf = pack_frame(0, 0, [entry], NODE_INDEX, version=2)
-    assert buf[_V2_HEADER_SIZE] == 1  # run length
-    assert buf[_V2_HEADER_SIZE + 1] < 0x80  # kind index fits one byte
+def _v2_single_run_frame(count=1):
+    """A one-run v2 frame from a fresh encoder: the table-size varint is
+    one zero byte, so the run head and the first value tag sit at known
+    offsets for surgical corruption."""
+    buf = pack_frame(0, 0, [_request_run(count=count)], NODE_INDEX, version=2)
+    assert buf[_V2_BODY] == 0  # empty intern table
+    assert buf[_V2_RUN] == kind_index()[kinds.KIND_APP_REQUEST]
+    assert struct.unpack_from("!I", buf, _V2_RUN + 3) == (count,)
     return buf
 
 
+def _patched(buf, offset, replacement):
+    return buf[:offset] + replacement + buf[offset + len(replacement):]
+
+
 def test_v2_unknown_tag_rejected():
-    buf = _v2_single_entry_frame()
-    offset = _V2_HEADER_SIZE + 2  # first value tag (the delivery float)
-    corrupt = buf[:offset] + b"\xff" + buf[offset + 1:]
+    corrupt = _patched(_v2_single_run_frame(), _V2_VALUES, b"\xfe")
     with pytest.raises(WireFormatError, match="tag"):
         unpack_frame(corrupt, NODES)
 
 
 def test_v2_backref_out_of_range_rejected():
-    buf = _v2_single_entry_frame()
-    # Replace the delivery float value (tag + 8 bytes) with a backref
-    # into the still-empty intern table.
-    offset = _V2_HEADER_SIZE + 2
-    corrupt = buf[:offset] + b"\x0b\x05" + buf[offset + 9:]
+    # A backref into the still-empty intern table where the request was.
+    corrupt = _patched(_v2_single_run_frame(), _V2_VALUES, b"\x0b\x05")
     with pytest.raises(WireFormatError, match="backref"):
         unpack_frame(corrupt, NODES)
 
 
-def test_v2_non_float_delivery_rejected():
-    buf = _v2_single_entry_frame()
-    # Replace the delivery float (tag + 8 payload bytes) with _T_NONE.
-    offset = _V2_HEADER_SIZE + 2
-    corrupt = buf[:offset] + b"\x00" + buf[offset + 9:]
-    with pytest.raises(WireFormatError, match="delivery"):
+def test_v2_empty_run_rejected():
+    corrupt = _patched(_v2_single_run_frame(), _V2_RUN + 3, b"\0\0\0\0")
+    with pytest.raises(WireFormatError, match="empty run"):
         unpack_frame(corrupt, NODES)
 
 
-def test_v2_empty_run_rejected():
-    buf = _v2_single_entry_frame()
-    corrupt = bytearray(buf)
-    corrupt[_V2_HEADER_SIZE] = 0  # run length 0
-    with pytest.raises(WireFormatError, match="run"):
-        unpack_frame(bytes(corrupt), NODES)
-
-
-def test_v2_run_overflowing_count_rejected():
-    buf = _v2_single_entry_frame()
-    corrupt = bytearray(buf)
-    corrupt[_V2_HEADER_SIZE] = 2  # run claims 2 entries, header says 1
-    with pytest.raises(WireFormatError, match="overflows"):
-        unpack_frame(bytes(corrupt), NODES)
+def test_v2_run_overflowing_row_count_rejected():
+    # The header announces one row, the run carries two.
+    corrupt = _patched(
+        _v2_single_run_frame(count=2), 8, struct.pack("!I", 1)
+    )
+    with pytest.raises(WireFormatError, match="overflow"):
+        unpack_frame(corrupt, NODES)
 
 
 def test_v2_overlong_varint_rejected():
-    buf = _v2_single_entry_frame()
-    # An 11-byte all-continuation varint where the run length belongs.
-    corrupt = (buf[:_V2_HEADER_SIZE] + b"\x80" * 10 + b"\x01"
-               + buf[_V2_HEADER_SIZE + 1:])
+    buf = _v2_single_run_frame()
+    # An 11-byte all-continuation varint where the table size belongs.
+    corrupt = buf[:_V2_BODY] + b"\x80" * 10 + b"\x01" + buf[_V2_BODY + 1:]
     with pytest.raises(WireFormatError, match="varint"):
         unpack_frame(corrupt, NODES)
 
 
 def test_v2_bad_kind_index_rejected():
-    buf = _v2_single_entry_frame()
-    corrupt = bytearray(buf)
-    corrupt[_V2_HEADER_SIZE + 1] = 0x7F  # kind index 127: out of range
+    corrupt = _patched(_v2_single_run_frame(), _V2_RUN, b"\x7f")
     with pytest.raises(WireFormatError, match="kind index"):
-        unpack_frame(bytes(corrupt), NODES)
+        unpack_frame(corrupt, NODES)
 
 
-def test_v2_interning_shares_decoded_objects():
-    """A beat's one DgcMessage fanned out across an aggregate's targets
-    decodes back to *one* shared object — the in-process sharing the
-    fan-out had before it crossed the wire."""
-    clock = ActivityClock(3, "ao-00000001:slave1")
-    message = DgcMessage(
-        sender="ao-00000001:slave1",
-        clock=clock,
-        consensus=True,
-        sender_ref=RemoteRef("ao-00000001:slave1", NODES[1]),
-        sender_ttb=5.0,
+def test_v2_bad_destination_index_rejected():
+    corrupt = _patched(_v2_single_run_frame(), _V2_RUN + 1, b"\xff\xfe")
+    with pytest.raises(WireFormatError, match="destination index"):
+        unpack_frame(corrupt, NODES)
+
+
+def test_v2_aggregate_markers_never_ride_the_wire():
+    """A DGC run is encoded under its base kind whatever its length:
+    the in-memory aggregate markers are rejected on both sides."""
+    run = (AGG_DGC_MESSAGE, 1.0, NODES[0], ["ao-1:a"], [_message(1)])
+    with pytest.raises(WireFormatError, match="aggregate marker"):
+        pack_frame(0, 0, [run], NODE_INDEX, version=2)
+    corrupt = _patched(
+        _v2_single_run_frame(), _V2_RUN,
+        bytes([kind_index()[AGG_DGC_MESSAGE]]),
     )
+    with pytest.raises(WireFormatError, match="aggregate marker"):
+        unpack_frame(corrupt, NODES)
+
+
+# ----------------------------------------------------------------------
+# The DGC column block
+# ----------------------------------------------------------------------
+
+
+def _message(n, *, consensus=True, ttb=5.0):
+    sender = f"ao-{n:08d}:slave{n}"
+    return DgcMessage(
+        sender=sender,
+        clock=ActivityClock(3, sender),
+        consensus=consensus,
+        sender_ref=RemoteRef(sender, NODES[n % len(NODES)]),
+        sender_ttb=ttb,
+    )
+
+
+def _message_run(targets, messages, dest=NODES[0], delivery=7.5):
+    return (kinds.KIND_DGC_MESSAGE, delivery, dest, targets, messages)
+
+
+def test_v2_same_object_repeats_decode_to_one_shared_object():
+    """A beat's one DgcMessage fanned out across a run's targets decodes
+    back to *one* shared object — the in-process sharing the fan-out had
+    before it crossed the wire."""
+    message = _message(1)
     targets = [f"ao-{n:08d}:slave{n}" for n in range(8)]
-    entries = [
-        (7.5, NODES[0], AGG_DGC_MESSAGE, list(targets), [message] * 8),
-        (7.5, NODES[2], AGG_DGC_MESSAGE, list(targets), [message] * 8),
+    runs = [
+        _message_run(list(targets), [message] * 8, dest=NODES[0]),
+        _message_run(list(targets), [message] * 8, dest=NODES[2]),
     ]
     frame = unpack_frame(
-        pack_frame(0, 0, entries, NODE_INDEX, version=2), NODES
+        pack_frame(0, 0, runs, NODE_INDEX, version=2), NODES
     )
-    first = frame.entries[0][4][0]
-    assert first == message
-    for entry in frame.entries:
-        assert all(decoded is first for decoded in entry[4])
+    assert_same_runs(frame.runs, runs)
+    first = frame.runs[0][4][0]
+    for run in frame.runs:
+        assert all(decoded is first for decoded in run[4])
+
+
+def test_v2_equal_but_distinct_objects_share_one_definition():
+    """Two referencers building the same message value (every beat
+    builds a fresh, equal object) cost one definition, and decode to
+    one shared object."""
+    twins = [_message(4), _message(4)]
+    assert twins[0] == twins[1] and twins[0] is not twins[1]
+    once = pack_frame(
+        0, 0, [_message_run(["ao-1:a"], twins[:1])], NODE_INDEX
+    )
+    twice = pack_frame(
+        0, 0, [_message_run(["ao-1:a", "ao-1:a"], twins)], NODE_INDEX
+    )
+    assert len(twice) == len(once) + 4  # two more two-byte indices
+    decoded = unpack_frame(twice, NODES).runs[0][4]
+    assert decoded == twins
+    assert decoded[0] is decoded[1]
+    # Responses, too (their clocks are equal but distinct objects).
+    responses = [
+        DgcResponse("ao-9:z", ActivityClock(2, "ao-9:z"), True, False, depth)
+        for depth in (None, None, 0, 3)
+    ]
+    run = (kinds.KIND_DGC_RESPONSE, 2.0, NODES[1], ["t"] * 4, responses)
+    decoded = unpack_frame(pack_frame(0, 0, [run], NODE_INDEX), NODES).runs[0][4]
+    assert decoded == responses
+    assert decoded[0] is decoded[1]
+    assert decoded[2].depth == 0 and decoded[2] is not decoded[0]
+    assert decoded[0].clock is decoded[3].clock
+
+
+def test_v2_negative_zero_sender_ttb_is_kept_apart():
+    """``-0.0 == 0.0`` and they hash alike, but the round-trip is
+    bit-identical: the two declared TTBs never share a table slot."""
+    plus, minus = _message(1, ttb=0.0), _message(1, ttb=-0.0)
+    assert plus == minus  # which is exactly the trap
+    for order in ([plus, minus, plus], [minus, plus, minus]):
+        run = _message_run(["t1", "t2", "t3"], order)
+        decoded = unpack_frame(
+            pack_frame(0, 0, [run], NODE_INDEX), NODES
+        ).runs[0][4]
+        assert [math.copysign(1.0, m.sender_ttb) for m in decoded] == [
+            math.copysign(1.0, m.sender_ttb) for m in order
+        ]
+        assert decoded[0] is decoded[2] and decoded[0] is not decoded[1]
+
+
+def test_v2_channel_survives_id_reuse_after_gc():
+    """The encoder's table is keyed by value, never by object identity:
+    a collected message whose address a *different* message reuses in a
+    later frame must not alias the old table slot."""
+    encoder, decoder = ChannelEncoder(), ChannelDecoder()
+    seen_ids = set()
+    reused = 0
+    frames = []
+    for seq in range(40):
+        messages = [_message(seq * 3 + offset) for offset in range(3)]
+        reused += sum(id(message) in seen_ids for message in messages)
+        seen_ids.update(id(message) for message in messages)
+        frames.append(pack_frame(
+            0, seq, [_message_run(["t1", "t2", "t3"], messages)],
+            NODE_INDEX, channel=encoder,
+        ))
+        del messages
+        gc.collect()
+    for seq, buf in enumerate(frames):
+        decoded = unpack_frame(buf, NODES, channel=decoder).runs[0][4]
+        assert decoded == [_message(seq * 3 + offset) for offset in range(3)]
+    assert reused, "the allocator never reused an address: test is vacuous"
+
+
+def test_v2_runs_spanning_frames_define_each_value_once():
+    """A heartbeat stream across several frames of one channel: frame
+    one defines the ids, clocks, refs and messages, every later frame is
+    run heads plus index columns, and all frames decode to the *same*
+    objects."""
+    encoder, decoder = ChannelEncoder(), ChannelDecoder()
+    targets = [f"ao-{n:08d}:slave{n}" for n in range(12)]
+    frames = []
+    for seq in range(4):
+        # Fresh, equal objects every beat, as the collector builds them.
+        messages = [_message(n % 3) for n in range(12)]
+        runs = [
+            _message_run(targets[:7], messages[:7], delivery=5.0 * seq),
+            _message_run(targets[7:], messages[7:], dest=NODES[3],
+                         delivery=5.0 * seq),
+        ]
+        buf = pack_frame(2, seq, runs, NODE_INDEX, channel=encoder)
+        frames.append((buf, runs))
+    sizes = [len(buf) for buf, _ in frames]
+    assert sizes[1] == sizes[2] == sizes[3]
+    # header + table size + 2 * (run head + two two-byte columns)
+    assert sizes[1] == 20 + 1 + 2 * 15 + 2 * 2 * 12
+    decoded = []
+    for buf, runs in frames:
+        frame = unpack_frame(buf, NODES, channel=decoder)
+        assert_same_runs(frame.runs, runs)
+        decoded.append(frame.runs)
+    for later in decoded[1:]:
+        for run, first in zip(later, decoded[0]):
+            assert all(a is b for a, b in zip(run[3], first[3]))
+            assert all(a is b for a, b in zip(run[4], first[4]))
+
+
+def test_v2_columns_widen_when_the_table_outgrows_two_bytes():
+    count = 0x10000 + 3
+    targets = [f"ao-{n}" for n in range(count)]
+    message = _message(1)
+    encoder, decoder = ChannelEncoder(), ChannelDecoder()
+    big = _message_run(targets, [message] * count)
+    small = _message_run(targets[-2:], [message] * 2, delivery=8.0)
+    first = pack_frame(0, 0, [big], NODE_INDEX, channel=encoder)
+    second = pack_frame(0, 1, [small], NODE_INDEX, channel=encoder)
+    assert len(second) == 20 + 3 + 15 + 4 * 4  # three-byte table size
+    assert_same_runs(unpack_frame(first, NODES, channel=decoder).runs, [big])
+    assert_same_runs(
+        unpack_frame(second, NODES, channel=decoder).runs, [small]
+    )
+
+
+def test_v2_column_index_out_of_range_rejected():
+    run = _message_run(["ao-1:a", "ao-2:b"], [_message(1)] * 2)
+    buf = pack_frame(0, 0, [run], NODE_INDEX)
+    # The block's four two-byte indices are the frame's last 8 bytes.
+    corrupt = buf[:-2] + b"\xff\xff"
+    with pytest.raises(WireFormatError, match="corrupt"):
+        unpack_frame(corrupt, NODES)
+
+
+def test_v2_definition_field_out_of_range_rejected():
+    run = _message_run(["ao-1:a"], [_message(1)])
+    buf = pack_frame(0, 0, [run], NODE_INDEX)
+    # The message definition is the last record before the run head:
+    # 0xFF, tag, then u32 sender/clock, u8 consensus, u32 ref, f64 ttb.
+    definition = len(buf) - (15 + 4) - 23
+    assert buf[definition] == 0xFF and buf[definition + 1] == 0x15
+    corrupt = _patched(buf, definition + 2, struct.pack("!I", 999))
+    with pytest.raises(WireFormatError, match="corrupt"):
+        unpack_frame(corrupt, NODES)
+
+
+def test_v2_malformed_dgc_runs_rejected_at_pack():
+    response = DgcResponse("ao-9:z", ActivityClock(2, "ao-9:z"), True)
+    for run, match in [
+        (_message_run(["ao-1:a"], [response]), "dgc.message run"),
+        ((kinds.KIND_DGC_RESPONSE, 1.0, NODES[0], ["t"], [_message(1)]),
+         "dgc.response run"),
+        (_message_run([17], [_message(1)]), "DGC target"),
+        (_message_run(["ao-1:a"], [None]), "dgc.message run"),
+        (_message_run(["ao-1:a", "ao-2:b"], [_message(1)]), "parallel"),
+        (_message_run([], []), "non-empty"),
+    ]:
+        with pytest.raises(WireFormatError, match=match):
+            pack_frame(0, 0, [run], NODE_INDEX)
 
 
 def test_v2_shrinks_fanout_traffic():
     """The intern table must collapse repeated messages/ids: a sharing-
-    heavy aggregate batch packs at least 5x smaller in v2 than v1."""
-    clock = ActivityClock(9, "ao-00000042:slave42")
-    message = DgcMessage(
-        sender="ao-00000042:slave42",
-        clock=clock,
-        consensus=False,
-        sender_ref=RemoteRef("ao-00000042:slave42", NODES[3]),
-        sender_ttb=5.0,
-    )
+    heavy batch of runs packs at least 5x smaller in v2 than v1."""
+    message = _message(42, consensus=False)
     targets = [f"ao-{n:08d}:slave{n % 7}" for n in range(32)]
-    entries = [
-        (100.25, NODES[index % len(NODES)], AGG_DGC_MESSAGE,
-         list(targets), [message] * 32)
+    runs = [
+        _message_run(list(targets), [message] * 32,
+                     dest=NODES[index % len(NODES)], delivery=100.25 + index)
         for index in range(16)
     ]
-    v1 = pack_frame(0, 0, entries, NODE_INDEX, version=1)
-    v2 = pack_frame(0, 0, entries, NODE_INDEX, version=2)
+    v1 = pack_frame(0, 0, runs, NODE_INDEX, version=1)
+    v2 = pack_frame(0, 0, runs, NODE_INDEX, version=2)
     assert len(v2) * 5 <= len(v1)
-    assert (
-        v2_normalized(unpack_frame(v1, NODES).entries)
-        == unpack_frame(v2, NODES).entries
-    )
+    assert unpack_frame(v1, NODES).runs == unpack_frame(v2, NODES).runs
 
 
 # ----------------------------------------------------------------------
@@ -462,94 +701,111 @@ def test_v2_shrinks_fanout_traffic():
 
 
 @settings(max_examples=100, deadline=None)
-@given(batches=st.lists(staged_batches, min_size=1, max_size=4))
+@given(batches=st.lists(staged_runs, min_size=1, max_size=4))
 def test_channel_roundtrip_across_frames(batches):
     """A ChannelEncoder/ChannelDecoder pair round-trips a whole frame
-    stream: every frame decodes to its own normalized batch, values
-    bit-identical, regardless of what earlier frames interned."""
+    stream: every frame decodes to its own runs, values bit-identical,
+    regardless of what earlier frames interned."""
     encoder = ChannelEncoder()
     decoder = ChannelDecoder()
-    for seq, batch in enumerate(batches):
-        buf = pack_frame(3, seq, batch, NODE_INDEX, version=2,
+    for seq, runs in enumerate(batches):
+        buf = pack_frame(3, seq, runs, NODE_INDEX, version=2,
                          channel=encoder)
         assert frame_stamp(buf) == (3, seq)
         frame = unpack_frame(buf, NODES, channel=decoder)
-        expected = v2_normalized(batch)
-        assert len(frame.entries) == len(batch)
-        for original, decoded in zip(expected, frame.entries):
-            assert decoded == original
-            assert _delivery_bits(decoded[0]) == _delivery_bits(
-                float(original[0])
-            )
-            assert decoded[2] is original[2]
+        assert_same_runs(frame.runs, runs)
 
 
-def test_channel_backrefs_carry_across_frames():
-    """The second frame of a repetitive stream is almost pure backrefs —
-    and decoding it *without* the channel state proves the dependency
-    (its backrefs point into a table only frame one built)."""
-    clock = ActivityClock(3, "ao-00000001:slave1")
-    message = DgcMessage(
-        sender="ao-00000001:slave1",
-        clock=clock,
-        consensus=True,
-        sender_ref=RemoteRef("ao-00000001:slave1", NODES[1]),
-        sender_ttb=5.0,
-    )
-    batch = [(7.5, NODES[0], kinds.KIND_DGC_MESSAGE,
-              "ao-00000002:slave2", message)]
+def _channel_frames(count=4):
+    """``count`` frames of one channel, each defining something new."""
     encoder = ChannelEncoder()
-    first = pack_frame(0, 0, batch, NODE_INDEX, version=2, channel=encoder)
-    second = pack_frame(0, 1, batch, NODE_INDEX, version=2, channel=encoder)
-    assert len(second) < len(first) - 20  # body shrank to backrefs
+    return [
+        pack_frame(
+            5, seq,
+            [_message_run([f"ao-{seq}:t"], [_message(seq)]),
+             _request_run(target=f"ao-{seq}:t")],
+            NODE_INDEX, channel=encoder,
+        )
+        for seq in range(count)
+    ]
+
+
+def test_channel_indices_carry_across_frames():
+    """The second frame of a repetitive stream is run heads and indices
+    only — and decoding it *without* the channel state proves the
+    dependency (its indices point into a table only frame one built)."""
+    message = _message(1)
+    runs = [_message_run(["ao-00000002:slave2"], [message])]
+    encoder = ChannelEncoder()
+    first = pack_frame(0, 0, runs, NODE_INDEX, version=2, channel=encoder)
+    second = pack_frame(0, 1, runs, NODE_INDEX, version=2, channel=encoder)
+    assert len(second) < len(first) - 20  # body shrank to indices
     decoder = ChannelDecoder()
     one = unpack_frame(first, NODES, channel=decoder)
     two = unpack_frame(second, NODES, channel=decoder)
-    assert one.entries == two.entries
+    assert one.runs == two.runs
     # Cross-frame sharing: both frames decode to the *same* objects.
-    assert one.entries[0][4] is two.entries[0][4]
-    assert one.entries[0][3] is two.entries[0][3]
+    assert one.runs[0][4][0] is two.runs[0][4][0]
+    assert one.runs[0][3][0] is two.runs[0][3][0]
     # Stateless decode of frame two must fail, not fabricate values.
-    with pytest.raises(WireFormatError, match="backref"):
+    with pytest.raises(WireFormatError, match="intern table out of step"):
         unpack_frame(second, NODES)
 
 
-def test_channel_skipped_frame_desyncs_loudly():
-    """Frames must decode in pack order: skipping one leaves backrefs
-    pointing past the decoder's table."""
-    encoder = ChannelEncoder()
-    batch_of = lambda text: [(1.0, NODES[0], kinds.KIND_APP_REQUEST,
-                              Request("do_ping", "ao-1:a", text), None)]
-    pack_frame(0, 0, batch_of("ao-2:b"), NODE_INDEX, version=2,
-               channel=encoder)
-    pack_frame(0, 1, batch_of("ao-3:c"), NODE_INDEX, version=2,
-               channel=encoder)
-    third = pack_frame(0, 2, batch_of("ao-3:c"), NODE_INDEX, version=2,
-                       channel=encoder)
+def test_channel_dropped_frame_detected_before_any_value_decodes():
+    frames = _channel_frames()
     decoder = ChannelDecoder()
-    # Decode frame 0 then frame 2: frame 2's backref to "ao-3:c" points
-    # at an index only frame 1 would have registered.
-    first = pack_frame(0, 0, batch_of("ao-2:b"), NODE_INDEX, version=2)
-    unpack_frame(first, NODES, channel=decoder)
-    with pytest.raises(WireFormatError, match="backref"):
-        unpack_frame(third, NODES, channel=decoder)
+    unpack_frame(frames[0], NODES, channel=decoder)
+    size = len(decoder.table)
+    with pytest.raises(WireFormatError) as failure:
+        unpack_frame(frames[2], NODES, channel=decoder)
+    # The error names the frame and both table sizes.
+    message = str(failure.value)
+    assert "shard 5, seq 2" in message
+    assert f"this decoder has {size}" in message
+    assert "the encoder had" in message
+    assert len(decoder.table) == size  # nothing was decoded into it
+
+
+def test_channel_duplicated_frame_detected():
+    frames = _channel_frames()
+    decoder = ChannelDecoder()
+    unpack_frame(frames[0], NODES, channel=decoder)
+    unpack_frame(frames[1], NODES, channel=decoder)
+    with pytest.raises(WireFormatError, match="duplicated or reordered"):
+        unpack_frame(frames[1], NODES, channel=decoder)
+
+
+def test_channel_swapped_frames_detected():
+    frames = _channel_frames()
+    decoder = ChannelDecoder()
+    unpack_frame(frames[0], NODES, channel=decoder)
+    with pytest.raises(WireFormatError, match="out of step"):
+        unpack_frame(frames[2], NODES, channel=decoder)
+    decoder = ChannelDecoder()
+    unpack_frame(frames[0], NODES, channel=decoder)
+    unpack_frame(frames[1], NODES, channel=decoder)
+    unpack_frame(frames[2], NODES, channel=decoder)
+    with pytest.raises(WireFormatError, match="duplicated or reordered"):
+        unpack_frame(frames[1], NODES, channel=decoder)
 
 
 def test_channel_state_is_v2_only():
-    entry = (0.0, NODES[0], kinds.KIND_APP_REPLY, Reply(1, "ao-1:a"), None)
+    run = (kinds.KIND_APP_REPLY, 0.0, NODES[0], [Reply(1, "ao-1:a")], [None])
     with pytest.raises(WireFormatError, match="channel"):
-        pack_frame(0, 0, [entry], NODE_INDEX, version=1,
+        pack_frame(0, 0, [run], NODE_INDEX, version=1,
                    channel=ChannelEncoder())
-    v1 = pack_frame(0, 0, [entry], NODE_INDEX, version=1)
+    v1 = pack_frame(0, 0, [run], NODE_INDEX, version=1)
     with pytest.raises(WireFormatError, match="channel"):
         unpack_frame(v1, NODES, channel=ChannelDecoder())
 
 
 def test_frame_stamp_matches_header():
-    entry = (2.5, NODES[1], kinds.KIND_APP_REPLY, Reply(4, "ao-9:z"), None)
+    run = (kinds.KIND_APP_REPLY, 2.5, NODES[1], [Reply(4, "ao-9:z")], [None])
     for version in (1, 2):
-        buf = pack_frame(6, 12345, [entry], NODE_INDEX, version=version)
+        buf = pack_frame(6, 12345, [run], NODE_INDEX, version=version)
         assert frame_stamp(buf) == (6, 12345)
+        assert frame_rows(buf) == 1
     with pytest.raises(WireFormatError, match="truncated"):
         frame_stamp(buf[:10])
     with pytest.raises(WireFormatError, match="magic"):
@@ -563,12 +819,14 @@ def test_trailing_garbage_rejected():
 
 
 def test_unknown_destination_rejected_at_pack():
-    entry = (0.0, "mars-0", kinds.KIND_APP_REPLY, Reply(1, "ao-1:a"), None)
-    with pytest.raises(WireFormatError, match="topology"):
-        pack_frame(0, 0, [entry], NODE_INDEX)
+    run = (kinds.KIND_APP_REPLY, 0.0, "mars-0", [Reply(1, "ao-1:a")], [None])
+    for version in (1, 2):
+        with pytest.raises(WireFormatError, match="topology"):
+            pack_frame(0, 0, [run], NODE_INDEX, version=version)
 
 
 def test_unpicklable_item_rejected_at_pack():
-    entry = (0.0, NODES[0], kinds.KIND_APP_REQUEST, object(), None)
-    with pytest.raises(WireFormatError, match="encode"):
-        pack_frame(0, 0, [entry], NODE_INDEX)
+    run = (kinds.KIND_APP_REQUEST, 0.0, NODES[0], [object()], [None])
+    for version in (1, 2):
+        with pytest.raises(WireFormatError, match="encode"):
+            pack_frame(0, 0, [run], NODE_INDEX, version=version)

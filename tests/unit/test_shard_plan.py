@@ -198,10 +198,7 @@ def test_arrival_bounds_fold_left_like_a_real_chain():
 # ----------------------------------------------------------------------
 
 
-def test_late_injection_still_raises():
-    # Per-channel horizons or not, a delivery before the local clock
-    # means the conservative bound was violated somewhere — the worker
-    # refuses it rather than silently reordering.
+def _two_site_worker(shard=0, **dgc):
     from repro.core.config import DgcConfig
     from repro.shard.worker import WorkerSpec, build_shard_world
 
@@ -210,20 +207,98 @@ def test_late_injection_still_raises():
         {("a", "b"): 0.1},
     )
     spec = WorkerSpec(
-        shard=0,
+        shard=shard,
         plan=make_plan(topo, 2),
         topology=topo,
         workload="torture",
         params=dict(slave_count=2, active_duration=1.0),
-        dgc=DgcConfig(ttb=1.0, tta=3.0),
+        dgc=DgcConfig(ttb=1.0, tta=3.0, **dgc),
     )
     world, _ = build_shard_world(spec)
+    return world
+
+
+def test_late_injection_still_raises():
+    # Per-channel horizons or not, a delivery before the local clock
+    # means the conservative bound was violated somewhere — the worker
+    # refuses the whole run rather than silently reordering.
+    world = _two_site_worker()
     world.kernel.advance(5.0)
-    with pytest.raises(NetworkError, match="late cross-shard entry"):
-        world.network.inject_remote_entries(
-            [(4.9, "a-0", "dgc.message", None, "late")]
+    with pytest.raises(NetworkError, match="late cross-shard dgc.message run"):
+        world.network.inject_remote_runs(
+            [("dgc.message", 4.9, "a-0", ["ao-1", "ao-2"], ["late", "late"])]
         )
+    assert world.network.injected_entry_count == 0
     # At or after the clock is fine.
-    world.network.inject_remote_entries(
-        [(5.0, "a-0", "dgc.message", None, "on-time")]
+    world.network.inject_remote_runs(
+        [("dgc.message", 5.0, "a-0", ["ao-1"], ["on-time"])]
     )
+    assert world.network.injected_entry_count == 1
+
+
+@pytest.mark.parametrize("aggregation", ["exact", "per-entry"])
+def test_injection_counts_staged_pulse_entries(aggregation):
+    # injected_entry_count is the wire-row count: a DGC run stages as
+    # one aggregate pulse entry on the columnar core (one per message on
+    # the per-entry core, which has no batch sinks), every other run as
+    # one entry per item; instants opened by injection are counted as
+    # coordination events.
+    from repro.net import kinds
+
+    world = _two_site_worker(aggregation=aggregation)
+    network = world.network
+    pulses_before = network.pulse_event_count
+    targets, messages = ["ao-1", "ao-2", "ao-3"], ["m1", "m2", "m3"]
+    network.inject_remote_runs([
+        (kinds.KIND_DGC_MESSAGE, 7.0, "a-0", targets, messages),
+        (kinds.KIND_DGC_RESPONSE, 7.0, "a-1", ["ao-4"], ["r1"]),
+        (kinds.KIND_APP_REPLY, 7.5, "a-0", ["x", "y"], [None, None]),
+    ])
+    columnar = aggregation == "exact"
+    assert network.injected_entry_count == (4 if columnar else 6)
+    assert network.pulse_event_count - pulses_before == 2
+    assert network.ingress_pulse_event_count == 2
+    staged = network._pulses[7.0]
+    if columnar:
+        aggregate = kinds.AGGREGATE_KINDS[kinds.KIND_DGC_MESSAGE]
+        assert staged[0][2:] == ("a-0", aggregate, targets, messages)
+        # The columns are staged as they came off the wire, not copied.
+        assert staged[0][4] is targets and staged[0][5] is messages
+    else:
+        assert [entry[3:] for entry in staged[:3]] == [
+            (kinds.KIND_DGC_MESSAGE, target, message)
+            for target, message in zip(targets, messages)
+        ]
+
+
+def test_egress_stages_runs_in_first_send_order():
+    # Shard-remote sends are bucketed at send time by (kind, delivery
+    # instant, destination): singles and runs of one key share a run's
+    # columns in send order, and runs drain in first-send order.
+    from repro.net import kinds
+
+    world = _two_site_worker()
+    network = world.network
+    network.drain_egress()  # the workload's own setup traffic
+    sent_before = network.egress_message_count
+    charged_before = network.accountant.messages_for(kinds.KIND_DGC_MESSAGE)
+    single, run = network.send_dgc_single, network.send_dgc_run
+    message, response = kinds.KIND_DGC_MESSAGE, kinds.KIND_DGC_RESPONSE
+    single("a-0", "b-0", message, 10, "t1", "m1")
+    single("a-1", "b-1", message, 10, "t2", "m2")
+    single("a-0", "b-0", response, 10, "t3", "r1")
+    run("a-1", "b-0", message, 10, ["t4", "t5"], ["m3", "m3"])
+    single("a-0", "b-0", message, 10, "t6", "m4")
+    network.send_typed("a-0", "b-1", kinds.KIND_APP_REPLY, 40, "reply")
+    assert network.egress_message_count - sent_before == 7
+    delivery = world.kernel.now + 0.05
+    assert network.drain_egress() == [
+        (message, delivery, "b-0",
+         ["t1", "t4", "t5", "t6"], ["m1", "m3", "m3", "m4"]),
+        (message, delivery, "b-1", ["t2"], ["m2"]),
+        (response, delivery, "b-0", ["t3"], ["r1"]),
+        (kinds.KIND_APP_REPLY, delivery, "b-1", ["reply"], [None]),
+    ]
+    assert network.drain_egress() == []
+    # The sender's shard charged the traffic and clamped FIFO slots.
+    assert network.accountant.messages_for(message) - charged_before == 5
