@@ -4,8 +4,8 @@ The kind registry's invariants span four modules: kinds are *declared*
 in one place (``register_kind`` calls), *priced* in the wire-size
 manifest (``KIND_SIZE_SOURCES`` next to ``WireSizeModel``), *encoded*
 by the shard codec (``KIND_PAYLOAD_TYPES`` plus the tagged
-encode/decode branches) and *dispatched* by the node sink table
-(``_kind_handlers``/``dgc_sinks``).  This pass extracts each module's
+encode/decode branches) and *dispatched* by the node's total
+kind-handler table (``_kind_handlers``).  This pass extracts each module's
 contribution from its AST — detection is content-based (a file counts
 as the registry because it calls ``register_kind``, not because of its
 path), so the same rules run unchanged over the real tree and over the
@@ -84,7 +84,8 @@ class CodecFacts:
 
 @dataclass
 class SinkFacts:
-    """KIND_* references inside the node sink-dispatch module."""
+    """Keys of the node's ``_kind_handlers`` table: KIND_* constant
+    names and kind string literals."""
 
     path: str
     names: Set[str] = field(default_factory=set)
@@ -393,28 +394,31 @@ def _constructed_classes(fn: ast.FunctionDef) -> Set[str]:
 
 
 def _collect_sinks(sf, facts: ProjectFacts) -> None:
-    found = False
+    """Harvest the keys of every ``_kind_handlers`` table literal (a
+    dict display, bare or wrapped in one constructor call): the table is
+    total, so a kind is dispatched iff it is a key."""
     for node in ast.walk(sf.tree):
-        targets = []
         if isinstance(node, ast.Assign):
             targets = node.targets
         elif isinstance(node, ast.AnnAssign):
             targets = [node.target]
-        for target in targets:
-            name = None
-            if isinstance(target, ast.Name):
-                name = target.id
-            elif isinstance(target, ast.Attribute):
-                name = target.attr
-            if name == "_kind_handlers":
-                found = True
-    if not found:
-        return
-    sinks = facts.sinks or SinkFacts(path=sf.rel)
-    for node in ast.walk(sf.tree):
-        if isinstance(node, ast.Name) and node.id.startswith("KIND_"):
-            sinks.names.add(node.id)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if "." in node.value and " " not in node.value:
-                sinks.literals.add(node.value)
-    facts.sinks = sinks
+        else:
+            continue
+        if not any(
+            getattr(target, "attr", getattr(target, "id", None))
+            == "_kind_handlers"
+            for target in targets
+        ):
+            continue
+        table = node.value
+        if isinstance(table, ast.Call) and table.args:
+            table = table.args[0]
+        if not isinstance(table, ast.Dict):
+            continue
+        sinks = facts.sinks or SinkFacts(path=sf.rel)
+        for key in table.keys:
+            if isinstance(key, ast.Name):
+                sinks.names.add(key.id)
+            elif isinstance(key, ast.Constant) and isinstance(key.value, str):
+                sinks.literals.add(key.value)
+        facts.sinks = sinks

@@ -38,9 +38,12 @@ class BandwidthAccountant:
     """Counts cross-node payload bytes per traffic kind.
 
     Per-pair totals live in one-element list *boxes* so hot senders (the
-    fabric's fused DGC lane) can hold a channel's box and bump it in
+    fabric's fused send lanes) can hold a channel's box and bump it in
     place instead of re-probing the dict per message; :meth:`pair_box`
-    lends them out, :meth:`pair_bytes` reads them back.
+    lends them out, :meth:`pair_bytes` reads them back.  Per-kind totals
+    are lent the same way through :meth:`category`.  A network keeps one
+    accountant for its whole life, so a lent box or category never goes
+    stale.
     """
 
     def __init__(self) -> None:
@@ -88,7 +91,7 @@ class BandwidthAccountant:
 
     def category(self, kind: str) -> TrafficCategory:
         """The live per-kind aggregate for ``kind``, created on first
-        use.  Hot senders (the fabric's fused DGC lane) hold onto the
+        use.  Hot senders (the fabric's fused send lanes) hold onto the
         returned object and bump its counters directly — the category is
         the unit of aggregation, so this is observably identical to
         :meth:`observe_sized` at a fraction of the cost."""

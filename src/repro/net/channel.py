@@ -48,6 +48,7 @@ class FifoChannel:
         *,
         base_latency: Optional[float] = None,
         delay_rules: Optional[list] = None,
+        acct_box: Optional[list] = None,
     ) -> None:
         self._kernel = kernel
         self.source = source
@@ -67,10 +68,10 @@ class FifoChannel:
         self._label = f"deliver:{source}->{dest}"
         self.sent_count = 0
         self.delivered_count = 0
-        #: Per-pair byte box lent out by the accountant (the fabric's
-        #: fused DGC lane bumps it directly); reset when the network's
-        #: accountant is replaced.
-        self.acct_box = None
+        #: Per-pair byte box lent out by the accountant when the network
+        #: creates the channel; the fabric's fused send lanes bump it in
+        #: place instead of probing the accountant's pair table.
+        self.acct_box = acct_box
 
     def send(self, envelope: Envelope, sink: Callable[[Envelope], None]) -> float:
         """Schedule delivery of ``envelope`` into ``sink``; return the
@@ -123,13 +124,21 @@ class FifoChannel:
         envelope and staged paths.
 
         The clamp sequence (non-negative latency, non-decreasing
-        delivery time, ``sent_count``) is deliberately duplicated in two
-        hot lanes that cannot afford the callee frames:
-        :meth:`stage_send_n` below and the inlined block in
-        :meth:`repro.net.network.Network.send_dgc_single`.  A change
-        here must be mirrored in both — the bit-identical equivalence
-        across delivery cores depends on all three computing the same
-        delivery times and counters.
+        delivery time, ``sent_count``) is deliberately duplicated in the
+        hot lanes that cannot afford the callee frames.  Every site:
+
+        * this method (behind :meth:`send` and :meth:`stage_send`),
+        * :meth:`stage_send_n`,
+        * the inlined block in
+          :meth:`repro.net.network.Network.send_typed`,
+        * the inlined block in
+          :meth:`repro.net.network.Network.send_dgc_single`.
+
+        A change here must be mirrored in all of them — the
+        bit-identical equivalence across delivery cores depends on every
+        site computing the same delivery times and counters
+        (``tests/unit/test_net_channel.py`` drives one schedule through
+        each and compares).
         """
         if latency < 0:
             latency = 0.0

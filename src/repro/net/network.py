@@ -16,9 +16,11 @@ The fabric carries two message forms over one staged transport:
 
 * **typed** (:meth:`Network.send_typed`) — the primary, allocation-light
   form: ``(kind, item, payload)`` staged directly into the pulse for its
-  delivery instant and dispatched through the destination node's typed
-  sink.  Every traffic kind — app requests, future replies, registry
-  lookups and DGC protocol messages — rides this path; no per-message
+  delivery instant — one frame from the node to the staged entry — and
+  dispatched through the destination node's typed sink, or, on the
+  columnar core, straight through the kind-handler table behind it.
+  Every traffic kind — app requests, future replies, registry lookups
+  and DGC protocol messages — rides this path; no per-message
   :class:`Envelope` is allocated.
 * **envelope** (:meth:`Network.send`) — the per-event baseline and
   compatibility form: one :class:`Envelope` per transmission, one kernel
@@ -83,7 +85,7 @@ from math import floor
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import NetworkError, UnknownDestinationError
-from repro.net.accounting import BandwidthAccountant
+from repro.net.accounting import BandwidthAccountant, TrafficCategory
 from repro.net.channel import FifoChannel
 from repro.net.faults import FaultPlan
 from repro.net.kinds import (
@@ -106,6 +108,11 @@ _AGG_DGC_RESPONSE = AGGREGATE_KINDS[KIND_DGC_RESPONSE]
 # invisible here; tell the registry so register_kind can reject them.
 bind_dispatch_shapes("repro.net.network")
 
+#: A cached route: ``(sink, channel, dgc_fast, typed_fast)``.
+_Route = Tuple[
+    Optional[Callable[[Envelope], None]], Optional[FifoChannel], bool, bool
+]
+
 #: Free-list high-water mark: distinct in-flight delivery instants are
 #: bounded by distinct channel latencies, so a short list suffices; the
 #: cap only guards against pathological churn keeping dead records alive.
@@ -115,6 +122,22 @@ _PULSE_POOL_CAP = 64
 def _drop_payload(payload: Any) -> None:
     """Shared no-op :attr:`Envelope.deliver` for fallback typed envelopes
     (dispatch happens through node sinks)."""
+
+
+class _CategoryMemo(dict):
+    """Accounting memo of the fused send lanes: kind -> the accountant's
+    live :class:`TrafficCategory`, bound on the kind's first cross-node
+    send (never earlier: an unseen kind must stay absent from the
+    accountant's summary) and bumped in place from then on."""
+
+    __slots__ = ("_category",)
+
+    def __init__(self, accountant: BandwidthAccountant) -> None:
+        self._category = accountant.category
+
+    def __missing__(self, kind: str) -> TrafficCategory:
+        category = self[kind] = self._category(kind)
+        return category
 
 
 class _IngressChannel:
@@ -161,7 +184,10 @@ class Network:
     ) -> None:
         self._kernel = kernel
         self._topology = topology
-        self.accountant = accountant if accountant is not None else BandwidthAccountant()
+        self._accountant = accountant if accountant is not None else BandwidthAccountant()
+        #: Per-kind half of the fused lanes' accounting memo; the
+        #: per-pair half is each channel's ``acct_box``.
+        self._categories = _CategoryMemo(self._accountant)
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
         self._sinks: Dict[str, Callable[[Envelope], None]] = {}
         self._channels: Dict[Tuple[str, str], FifoChannel] = {}
@@ -169,6 +195,11 @@ class Network:
         #: the envelope-free receive path of the unified fabric, one sink
         #: per node for *all* traffic kinds.
         self._typed_sinks: Dict[str, Callable[[str, Any, Any], None]] = {}
+        #: Per-node kind-handler tables ``kind -> (item, payload) ->
+        #: None``: what a typed sink dispatches through, lent to the
+        #: fabric so the columnar fire loop calls a cross-node message's
+        #: handler directly instead of via the sink's kind dispatch.
+        self._kind_tables: Dict[str, Dict[str, Callable[[Any, Any], None]]] = {}
         #: Per-node DGC receive lanes of the aggregated core, keyed by
         #: destination: single-message handlers ``(target, message)``
         #: (skipping the typed sink's kind dispatch) and aggregate
@@ -231,12 +262,6 @@ class Network:
         #: matching pulse fires.
         self._last_pulse_time = -1.0
         self._last_pulse: list = []
-        #: Accounting memo for the fused DGC lane: the two live
-        #: per-kind categories, re-fetched whenever ``accountant`` is
-        #: replaced (it is a public attribute).
-        self._acct_owner: Optional[BandwidthAccountant] = None
-        self._acct_msg = None
-        self._acct_resp = None
         #: Clock fast path: the simulation kernel maintains ``_now`` as
         #: a plain attribute (its ``now`` property just reads it); the
         #: live kernel computes ``now`` dynamically and keeps the
@@ -284,16 +309,21 @@ class Network:
         #: attribution of shared instants, not the event total, is the
         #: approximation).
         self.ingress_pulse_event_count = 0
-        #: Hot-path cache: source -> dest -> (sink, channel-or-None).
-        #: ``None`` channel means intra-node delivery.  Two nested
-        #: string-keyed dicts avoid building a key tuple per message.
-        #: Nodes only ever register (there is no unregister), so entries
-        #: never go stale; the cache is cleared on registration anyway
-        #: for hygiene.
-        self._routes: Dict[
-            str,
-            Dict[str, Tuple[Callable[[Envelope], None], Optional[FifoChannel]]],
-        ] = {}
+        #: Hot-path cache: source -> dest -> ``(sink, channel,
+        #: dgc_fast, typed_fast)`` as built by :meth:`_build_route`.  A
+        #: ``None`` sink means a shard-remote destination, a ``None``
+        #: channel intra-node delivery.  Two nested string-keyed dicts
+        #: avoid building a key tuple per message.  Nodes only ever
+        #: register (there is no unregister), so entries never go stale;
+        #: the cache is cleared on registration anyway for hygiene.
+        self._routes: Dict[str, Dict[str, _Route]] = {}
+
+    @property
+    def accountant(self) -> BandwidthAccountant:
+        """The bandwidth accountant, fixed for the network's lifetime:
+        the fused send lanes hold its per-kind categories and the
+        channels its per-pair boxes."""
+        return self._accountant
 
     @property
     def topology(self) -> Topology:
@@ -311,6 +341,7 @@ class Network:
         dgc_sinks: Optional[
             Dict[str, Tuple[Callable[[Any, Any], None], Callable[[list, list], None]]]
         ] = None,
+        kind_handlers: Optional[Dict[str, Callable[[Any, Any], None]]] = None,
     ) -> None:
         """Attach a node's receive dispatchers to the fabric.
 
@@ -320,11 +351,18 @@ class Network:
         ``dgc_sinks`` maps a DGC kind to its ``(single, batch)`` handler
         pair — the aggregated core's direct receive lanes; without them
         DGC traffic for this node rides the typed sink like every other
-        kind.
+        kind.  ``kind_handlers`` is the table ``typed_sink`` dispatches
+        through, total over the kinds the node receives (a miss must
+        raise like the sink would); the columnar fire loop indexes it
+        directly, the other cores keep calling ``typed_sink``.
         """
         self._sinks[node] = sink
         if typed_sink is not None:
             self._typed_sinks[node] = typed_sink
+            if kind_handlers is not None:
+                self._kind_tables[node] = kind_handlers
+            else:
+                self._kind_tables.pop(node, None)
         if dgc_sinks:
             for kind, (single, batch) in dgc_sinks.items():
                 if kind == KIND_DGC_MESSAGE:
@@ -434,15 +472,23 @@ class Network:
         payload: Any = None,
     ) -> None:
         """Route one typed message — the unified, allocation-light send
-        path every traffic kind goes through.
+        path every traffic kind goes through, and the fused lane of
+        app and registry traffic: one frame from the node to the staged
+        pulse entry.
 
         In pulse-batched mode the message is staged for its exact
-        per-envelope delivery instant (computed by the channel itself:
-        constant latency, FIFO clamp, send counter — see
-        :meth:`FifoChannel.stage_send`); all traffic sharing that instant
-        rides one kernel event and no :class:`Envelope` is allocated.
-        Accounting and partition drops match :meth:`send`, so batching
+        per-envelope delivery instant (the channel's constant latency,
+        FIFO clamp and send counter, inlined from
+        :meth:`FifoChannel._reserve_slot`); all traffic sharing that
+        instant rides one kernel event and no :class:`Envelope` is
+        allocated.  Accounting and partition drops match :meth:`send`
+        (the accountant is charged through the memoized per-kind
+        category and the channel's lent pair box — bit-identical totals
+        to :meth:`BandwidthAccountant.observe_sized`), so batching
         changes heap traffic and allocations, never simulation outcomes.
+        A shard-remote destination takes the same lane up to the staging
+        step, where the message joins its egress run instead of the
+        local pulse.
 
         Falls back to the per-envelope path whenever pulse semantics
         cannot hold: batching disabled (the per-event baseline), channels
@@ -456,56 +502,63 @@ class Network:
                          _drop_payload)
             )
             return
-        by_dest = self._routes.get(source)
-        route = by_dest.get(dest) if by_dest is not None else None
-        if route is None:
+        try:
+            route = self._routes[source][dest]
+        except KeyError:
             route = self._build_route(source, dest)
         fault_plan = self.fault_plan
         if fault_plan._partitioned and fault_plan.is_partitioned(source, dest):
             fault_plan.dropped_count += 1
             return
         channel = route[1]
-        if route[0] is None:
-            # Shard-remote destination: the sender-side channel reserves
-            # the FIFO slot and the accountant charges the send exactly
-            # as for a local staging; the send then rides the next wire
-            # frame instead of the local pulse.
-            delivery_time = channel.stage_send()
-            self.accountant.observe_sized(kind, size_bytes, channel.pair)
-            key = (kind, delivery_time, dest)
-            run = self._egress.get(key)
-            if run is None:
-                self._egress[key] = (
-                    kind, delivery_time, dest, [item], [payload]
-                )
-            else:
-                run[3].append(item)
-                run[4].append(payload)
-            self.egress_message_count += 1
-            return
-        if channel is None:
-            # Intra-node: delivered at the current instant, unaccounted.
-            typed_sink = self._typed_sinks.get(dest)
-            if typed_sink is None:
-                self.send(
-                    Envelope(source, dest, kind, size_bytes,
-                             self._envelope_payload(kind, item, payload),
-                             _drop_payload)
-                )
-                return
-            self._stage(
-                self._kernel.now,
-                (None, typed_sink, dest, kind, item, payload),
-            )
-            return
-        if (
-            channel._base_latency is None
-            or (
-                channel._delay_rules
-                and self.fault_plan.may_delay(source, dest, kind)
-            )
-            or dest not in self._typed_sinks
+        kernel = self._kernel
+        now = kernel._now if self._fast_clock else kernel.now
+        if route[3] and not (
+            channel._delay_rules
+            and route[0] is not None
+            and fault_plan.may_delay(source, dest, kind)
         ):
+            # Inlined FifoChannel._reserve_slot: clamp + counter without
+            # a callee frame.
+            latency = channel._base_latency
+            if latency < 0.0:
+                latency = 0.0
+            delivery_time = now + latency
+            if delivery_time < channel._last_delivery_time:
+                delivery_time = channel._last_delivery_time
+            else:
+                channel._last_delivery_time = delivery_time
+            channel.sent_count += 1
+            # Inlined BandwidthAccountant.observe_sized.
+            category = self._categories[kind]
+            category.bytes += size_bytes
+            category.messages += 1
+            channel.acct_box[0] += size_bytes
+            if route[0] is None:
+                # Shard-remote destination: the sender-side channel
+                # reserved the FIFO slot and the accountant charged the
+                # send exactly as for a local staging; the message rides
+                # the next wire frame instead of the local pulse.
+                egress = self._egress
+                key = (kind, delivery_time, dest)
+                if key in egress:
+                    run = egress[key]
+                    run[3].append(item)
+                    run[4].append(payload)
+                else:
+                    egress[key] = (
+                        kind, delivery_time, dest, [item], [payload]
+                    )
+                self.egress_message_count += 1
+                return
+            # Cross-node: resolved again at delivery so a node that
+            # vanishes mid-flight drops the entry (mirrors _dispatch).
+            entry = (channel, None, dest, kind, item, payload)
+        elif channel is None and dest in self._typed_sinks:
+            # Intra-node: delivered at the current instant, unaccounted.
+            delivery_time = now
+            entry = (None, self._typed_sinks[dest], dest, kind, item, payload)
+        else:
             # Variable latency (the pulse cannot share instants
             # meaningfully — only for streams a delay rule could
             # actually match; unmatched kinds keep pulse semantics)
@@ -517,14 +570,29 @@ class Network:
                          _drop_payload)
             )
             return
-        delivery_time = channel.stage_send()
-        self.accountant.observe_sized(kind, size_bytes, channel.pair)
-        # Cross-node: resolved again at delivery so a node that
-        # vanishes mid-flight drops the entry (mirrors _dispatch).
-        self._stage(
-            delivery_time,
-            (channel, None, dest, kind, item, payload),
-        )
+        if delivery_time == self._last_pulse_time:
+            self._last_pulse.append(entry)
+            return
+        pulses = self._pulses
+        if delivery_time in pulses:
+            entries = pulses[delivery_time]
+        else:
+            # First delivery at this instant: open its pulse (inlined
+            # _stage — once per instant, but request/reply traffic
+            # rarely shares one).
+            if self.aggregate_site_pairs:
+                pool = self._pulse_pool
+                entries = pool.pop() if pool else []
+                fire = self._fire_pulse_columnar
+            else:
+                entries = []
+                fire = self._fire_pulse
+            pulses[delivery_time] = entries
+            kernel.schedule_fire_at(delivery_time, fire, (delivery_time,))
+            self.pulse_event_count += 1
+        entries.append(entry)
+        self._last_pulse_time = delivery_time
+        self._last_pulse = entries
 
     def send_dgc_single(
         self,
@@ -618,21 +686,11 @@ class Network:
         # Inlined BandwidthAccountant.observe_sized through the memoized
         # per-kind categories and the channel's lent per-pair byte box
         # (bit-identical totals, no callee frame, no dict probes).
-        acct = self.accountant
-        if acct is not self._acct_owner:
-            self._acct_owner = acct
-            self._acct_msg = acct.category(KIND_DGC_MESSAGE)
-            self._acct_resp = acct.category(KIND_DGC_RESPONSE)
-            for stale in self._channels.values():
-                stale.acct_box = None
-        is_message = kind is KIND_DGC_MESSAGE or kind == KIND_DGC_MESSAGE
-        category = self._acct_msg if is_message else self._acct_resp
+        category = self._categories[kind]
         category.bytes += size_bytes
         category.messages += 1
-        box = channel.acct_box
-        if box is None:
-            channel.acct_box = box = acct.pair_box(channel.pair)
-        box[0] += size_bytes
+        channel.acct_box[0] += size_bytes
+        is_message = kind is KIND_DGC_MESSAGE or kind == KIND_DGC_MESSAGE
         if route[0] is None:
             # Shard-remote: the message joins the egress run of its
             # (kind, instant, destination) — the frame's column block —
@@ -746,7 +804,7 @@ class Network:
             # batch sink unwraps the flat columns, so the columnar win
             # survives the process boundary.
             delivery_time = channel.stage_send_n(count)
-            self.accountant.observe_run(kind, size_bytes, channel.pair, count)
+            self._accountant.observe_run(kind, size_bytes, channel.pair, count)
             egress = self._egress
             key = (kind, delivery_time, dest)
             if key in egress:
@@ -804,7 +862,7 @@ class Network:
                 self.aggregated_message_count += count
             return
         delivery_time = channel.stage_send_n(count)
-        self.accountant.observe_run(kind, size_bytes, channel.pair, count)
+        self._accountant.observe_run(kind, size_bytes, channel.pair, count)
         if delivery_time == self._last_pulse_time:
             entries = self._last_pulse
         else:
@@ -905,7 +963,7 @@ class Network:
                 self._kernel.now, self._deliver_local, (envelope, sink)
             )
             return
-        self.accountant.observe_sized(
+        self._accountant.observe_sized(
             envelope.kind, envelope.size_bytes, channel.pair
         )
         if (
@@ -1021,7 +1079,7 @@ class Network:
             self._flush_relaxed_local(local)
 
     def _flush_relaxed_cross(self, acc: Dict[tuple, list]) -> None:
-        accountant = self.accountant
+        accountant = self._accountant
         fault_plan = self.fault_plan
         groups: Dict[tuple, list] = {}
         for (channel, kind), box in acc.items():
@@ -1117,6 +1175,9 @@ class Network:
         re-resolve the destination at delivery, like ``_dispatch``.
         """
         entries = self._pulses.pop(delivery_time)
+        if delivery_time == self._last_pulse_time:
+            # Detach the staging memo (see _fire_pulse_columnar).
+            self._last_pulse_time = -1.0
         self.staged_entry_count += len(entries)
         permuter = self.pulse_permuter
         if permuter is not None:
@@ -1146,9 +1207,11 @@ class Network:
         One tight loop with every per-entry lookup bound to a local:
         aggregate entries cost one batch-sink call per *run* (the
         destination loops the flat columns itself), plain DGC entries
-        dispatch straight to their single-message lane (no typed-sink
-        kind dispatch), and everything else behaves exactly as the
-        per-entry loop.  Handlers running inside the loop may stage new
+        dispatch straight to their single-message lane, every other
+        cross-node typed entry straight to its handler in the
+        destination's kind table (no typed-sink kind dispatch either
+        way), and everything else behaves exactly as the per-entry
+        loop.  Handlers running inside the loop may stage new
         traffic freely — even for this same instant — because the record
         was detached from ``_pulses`` before the loop and only recycled
         after it.
@@ -1163,6 +1226,7 @@ class Network:
         if permuter is not None:
             entries = permuter(delivery_time, entries)
         typed_get = self._typed_sinks.get
+        kind_tables = self._kind_tables
         msg_batch_get = self._dgc_message_batch_sinks.get
         resp_batch_get = self._dgc_response_batch_sinks.get
         msg_single_get = self._dgc_message_sinks.get
@@ -1214,6 +1278,9 @@ class Network:
                 continue
             else:
                 channel.delivered_count += 1
+            if dest in kind_tables:
+                kind_tables[dest][kind](item, payload)
+                continue
             handler = typed_get(dest)
             if handler is None:
                 fault_plan.dropped_count += 1
@@ -1228,16 +1295,16 @@ class Network:
     # Internals
     # ------------------------------------------------------------------
 
-    def _build_route(
-        self, source: str, dest: str
-    ) -> Tuple[Callable[[Envelope], None], Optional[FifoChannel], bool]:
-        """Resolve and cache ``(sink, channel, dgc_fast)`` for a pair.
+    def _build_route(self, source: str, dest: str) -> _Route:
+        """Resolve and cache ``(sink, channel, dgc_fast, typed_fast)``
+        for a pair.
 
-        ``dgc_fast`` precomputes the fused-DGC-lane eligibility checks
-        that cannot change while the route cache is valid (constant
-        latency, typed and DGC sinks registered); the cache is cleared
-        on every registration.  Fault-plan delay rules are the one live
-        condition and stay checked per send.
+        ``typed_fast`` and ``dgc_fast`` precompute the fused-lane
+        eligibility checks that cannot change while the route cache is
+        valid (cross-node, constant latency, typed sink registered —
+        and, for DGC, both batch sinks); the cache is cleared on every
+        registration.  Fault-plan delay rules are the one live condition
+        and stay checked per send.
         """
         sink = self._sinks.get(dest)
         if sink is None:
@@ -1245,22 +1312,25 @@ class Network:
             if egress_nodes is not None and dest in egress_nodes:
                 # Shard-remote destination: no sink (the node lives in
                 # another process), a real sender-side channel (FIFO
-                # clamp + accounting happen here), and dgc_fast — the
-                # fused DGC lane clamps and accounts inline, then stages
+                # clamp + accounting happen here), and both fast flags —
+                # the fused lanes clamp and account inline, then stage
                 # into the egress runs instead of the local pulse.
-                route = (None, self._channel(source, dest), True)
+                route = (None, self._channel(source, dest), True, True)
                 self._routes.setdefault(source, {})[dest] = route
                 return route
             raise UnknownDestinationError(f"node {dest!r} is not registered")
         channel = None if source == dest else self._channel(source, dest)
-        dgc_fast = (
+        typed_fast = (
             channel is not None
             and channel._base_latency is not None
             and dest in self._typed_sinks
+        )
+        dgc_fast = (
+            typed_fast
             and dest in self._dgc_message_batch_sinks
             and dest in self._dgc_response_batch_sinks
         )
-        route = (sink, channel, dgc_fast)
+        route = (sink, channel, dgc_fast, typed_fast)
         self._routes.setdefault(source, {})[dest] = route
         return route
 
@@ -1291,6 +1361,7 @@ class Network:
                 self._latency,
                 base_latency=self._topology.one_way_latency(source, dest),
                 delay_rules=self.fault_plan._delay_rules,
+                acct_box=self._accountant.pair_box(key),
             )
             self._channels[key] = channel
         return channel

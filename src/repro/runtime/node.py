@@ -51,6 +51,16 @@ from repro.sim.beats import SlotController
 bind_dispatch_shapes("repro.runtime.node")
 
 
+class _KindHandlers(dict):
+    """A node's kind -> handler table; a kind nobody registered a
+    handler for is a modelling error, raised where it is received."""
+
+    __slots__ = ()
+
+    def __missing__(self, kind: str) -> None:
+        raise RuntimeModelError(f"unknown traffic kind {kind!r}")
+
+
 class Node:
     """One address space hosting activities."""
 
@@ -92,18 +102,26 @@ class Node:
         #: collector code runs, and any non-response DGC send flushes the
         #: run first, so the wire order is exactly the unbatched one.
         self._response_run: Optional[list] = None
-        #: Per-kind handlers behind the typed sink.  The four hot kinds
-        #: are dispatched by explicit branches in :meth:`_on_typed`; this
-        #: table serves the rest (registry traffic, future extensions) so
-        #: adding a traffic kind means adding an entry, not a code path.
-        self._kind_handlers: Dict[str, Callable[[Any, Any], None]] = {
+        #: The receive half of the typed fabric: one ``(item, payload)``
+        #: handler per traffic kind, total over the kind registry (the
+        #: analyzer's KIND-sink rule reads the keys), so adding a kind
+        #: means adding an entry, not a code path.  The columnar fire
+        #: loop indexes the table directly; :meth:`_on_typed` dispatches
+        #: through it for the other cores.  The DGC entries are the
+        #: activity-lookup handlers those cores have always used — the
+        #: columnar core's DGC lanes go through ``dgc_sinks`` instead.
+        self._kind_handlers = _KindHandlers({
+            KIND_DGC_MESSAGE: self._on_dgc_message_via_lookup,
+            KIND_DGC_RESPONSE: self._on_dgc_response_via_lookup,
+            KIND_APP_REQUEST: self._on_request,
+            KIND_APP_REPLY: self._on_reply,
             KIND_REGISTRY_LOOKUP: self._on_registry_lookup,
             KIND_REGISTRY_REPLY: self._on_registry_reply,
             KIND_REGISTRY_BIND: self._on_registry_bind,
             KIND_REGISTRY_INVALIDATE: self._on_registry_invalidate,
             KIND_REGISTRY_RENEW: self._on_registry_renew,
             KIND_REGISTRY_PUSH: self._on_registry_push,
-        }
+        })
         self.network.register_node(
             name,
             self._on_envelope,
@@ -114,6 +132,7 @@ class Node:
                     self._on_dgc_response, self._on_dgc_responses,
                 ),
             },
+            kind_handlers=self._kind_handlers,
         )
 
     # ------------------------------------------------------------------
@@ -384,27 +403,13 @@ class Node:
             self._on_typed(envelope.kind, payload, None)
 
     def _on_typed(self, kind: str, item: Any, payload: Any) -> None:
-        """The node's typed sink: one dispatcher for every traffic kind.
+        """The node's typed sink: one dispatcher for every traffic kind
+        — the entry point of the envelope, per-event and per-entry
+        cores and of intra-node deliveries (the columnar fire loop
+        calls the table's handlers itself)."""
+        self._kind_handlers[kind](item, payload)
 
-        DGC traffic outnumbers application traffic by an order of
-        magnitude on large runs, so its branches come first; cold kinds
-        (registry, extensions) go through the handler table.
-        """
-        if kind == KIND_DGC_MESSAGE:
-            self._on_dgc_message_via_lookup(item, payload)
-        elif kind == KIND_DGC_RESPONSE:
-            self._on_dgc_response_via_lookup(item, payload)
-        elif kind == KIND_APP_REQUEST:
-            self._on_request(item)
-        elif kind == KIND_APP_REPLY:
-            self._on_reply(item)
-        else:
-            handler = self._kind_handlers.get(kind)
-            if handler is None:
-                raise RuntimeModelError(f"unknown traffic kind {kind!r}")
-            handler(item, payload)
-
-    def _on_request(self, request: Request) -> None:
+    def _on_request(self, request: Request, payload: Any = None) -> None:
         self.world.note_request_delivered(request)
         activity = self.activities.get(request.target)
         if activity is None or activity.terminated:
@@ -422,7 +427,7 @@ class Node:
         proxies = deserialize_refs(activity, request.refs)
         activity.deliver(request, proxies)
 
-    def _on_reply(self, reply: Reply) -> None:
+    def _on_reply(self, reply: Reply, payload: Any = None) -> None:
         self.world.note_reply_delivered(reply)
         future = self._pending_futures.pop(reply.future_id, None)
         activity = self.activities.get(reply.target_activity)

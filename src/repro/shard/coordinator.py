@@ -166,6 +166,15 @@ class ShardedRunResult:
     events_coordination: int
     egress_messages: int
     injected_entries: int
+    #: The fabric's staging counters and the beat wheel's bucket events
+    #: (``Network.pulse_event_count`` / ``staged_entry_count`` /
+    #: ``aggregated_message_count``, ``BeatWheel.bucket_event_count``),
+    #: summed over shards; the per-shard values stay in
+    #: :attr:`per_shard`.
+    pulses: int
+    staged_entries: int
+    aggregated_messages: int
+    bucket_events: int
     total_bytes: int
     traffic: Dict[str, Tuple[int, int]]
     registry: Dict[str, int]
@@ -627,6 +636,12 @@ class ShardedWorld:
             ),
             egress_messages=sum(r["egress_messages"] for r in results),
             injected_entries=sum(r["injected_entries"] for r in results),
+            pulses=sum(r["pulses"] for r in results),
+            staged_entries=sum(r["staged_entries"] for r in results),
+            aggregated_messages=sum(
+                r["aggregated_messages"] for r in results
+            ),
+            bucket_events=sum(r["bucket_events"] for r in results),
             total_bytes=sum(r["total_bytes"] for r in results),
             traffic=traffic,
             registry=registry,

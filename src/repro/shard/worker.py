@@ -273,6 +273,15 @@ def _final_result(world: World, env: ShardEnv, spec: WorkerSpec) -> Dict[str, An
         "peak_pending": world.kernel.peak_pending_count,
         "egress_messages": world.network.egress_message_count,
         "injected_entries": world.network.injected_entry_count,
+        # The fabric's staging counters and the beat wheel's, as a
+        # single-process world exposes them.  A cross-shard run merges
+        # where it is sent (egress) and is an entry where it is
+        # injected, and an instant two shards deliver at is a pulse in
+        # each — so only entries + merged messages sums to the replay's.
+        "pulses": world.network.pulse_event_count,
+        "staged_entries": world.network.staged_entry_count,
+        "aggregated_messages": world.network.aggregated_message_count,
+        "bucket_events": world.kernel.beat_wheel.bucket_event_count,
         "registry": {
             name: getattr(registry, name, 0) for name in REGISTRY_COUNTERS
         },

@@ -2,11 +2,13 @@
 
 ``fab.lost`` is deliberately missing from the handler table — the
 ``KIND-sink`` finding lands on its registration line in the registry
-fixture, not here.
+fixture, not here.  The module still *names* the constant (on its send
+side): the rule reads the table's keys, not every reference.
 """
 
 from kinds_reg import (
     KIND_FAB_ALIEN,
+    KIND_FAB_LOST,
     KIND_FAB_MUTE,
     KIND_FAB_PAIR,
     KIND_FAB_PING,
@@ -28,3 +30,6 @@ class FabNode:
 
     def _on_item(self, item):
         return item
+
+    def send_lost(self, send):
+        send(KIND_FAB_LOST, None)

@@ -284,6 +284,53 @@ def test_single_shard_degenerates_to_one_worker():
     assert result.frame_bytes == 0
 
 
+FABRIC_COUNTERS = ("pulses", "staged_entries", "aggregated_messages",
+                   "bucket_events")
+
+
+def fabric_counters(world) -> dict:
+    network = world.network
+    return {
+        "pulses": network.pulse_event_count,
+        "staged_entries": network.staged_entry_count,
+        "aggregated_messages": network.aggregated_message_count,
+        "bucket_events": world.kernel.beat_wheel.bucket_event_count,
+    }
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_fabric_counters_are_reported_and_merged(shards):
+    topo = two_site_topology()
+    result = ShardedWorld(
+        topo, shards, workload="torture", params=TORTURE_PARAMS,
+        dgc=small_dgc(), seed=3,
+    ).run()
+    assert len(result.per_shard) == shards
+    for name in FABRIC_COUNTERS:
+        # Merged = sum over shards, and the per-shard values are kept.
+        assert getattr(result, name) == sum(
+            shard[name] for shard in result.per_shard
+        )
+        assert getattr(result, name) > 0
+    world, _, _ = replay_single_process(
+        topo, workload="torture", params=TORTURE_PARAMS,
+        dgc=small_dgc(), seed=3,
+    )
+    replay = fabric_counters(world)
+    if shards == 1:
+        # One worker runs the whole world: the replay's numbers exactly.
+        assert {name: getattr(result, name) for name in FABRIC_COUNTERS} == replay
+    else:
+        # Beat buckets belong to nodes, so they partition with them; and
+        # every delivered message is a pulse entry or merged into one,
+        # however the shard boundary regroups the runs.
+        assert result.bucket_events == replay["bucket_events"]
+        assert (
+            result.staged_entries + result.aggregated_messages
+            == replay["staged_entries"] + replay["aggregated_messages"]
+        )
+
+
 # ----------------------------------------------------------------------
 # Determinism: identical runs produce byte-identical frame streams
 # ----------------------------------------------------------------------
