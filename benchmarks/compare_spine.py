@@ -9,12 +9,14 @@ as Markdown, so PERFORMANCE.md quotes generated text and no number is copied
 by hand::
 
     python3 benchmarks/compare_spine.py PARENT_DIR CHANGE_DIR \
-        [--flip WORKLOAD=DIR:LABEL] > section.md
+        [--steady-state] [--flip WORKLOAD=DIR:LABEL] > section.md
 
 Each directory holds ``<workload>_<seed>.json`` files (``seed`` is ``default``
 or a number), one per run; both sides must have been produced by the same,
 unmodified spine.  ``--flip`` adds a table comparing CHANGE_DIR with a third
-directory in which one library default was flipped (ROADMAP item 1c).
+directory in which one library default was flipped (ROADMAP item 1c);
+``--steady-state`` adds the share of DGC deliveries the change answered on
+the collector's steady-state lane, per workload.
 """
 
 from __future__ import annotations
@@ -179,6 +181,48 @@ def risen_layers(parent: Reports, change: Reports) -> List[str]:
     ]
 
 
+def entered(report: Dict[str, Any], layer: str, sources: Tuple[str, ...]) -> int:
+    """Calls that crossed into ``layer`` from any of ``sources``, summed
+    over the traced rep's processes (the report's ``trace`` rows)."""
+    return sum(
+        row["entered"].get(source, {}).get("calls", 0)
+        for row in report["trace"] if row["layer"] == layer
+        for source in sources
+    )
+
+
+def steady_table(parent: Reports, change: Reports) -> List[str]:
+    """Share of DGC deliveries answered on the steady-state lane.
+
+    The collector is entered from the fabric (``net.network`` for
+    singles, ``runtime.node`` for runs) once per delivered DGC message
+    or response.  At the parent it enters ``core.protocol`` once per
+    delivery that is not to a doomed activity, plus Algorithm 2's calls
+    per tick; at the change only for a delivery with news, plus the same
+    per-tick calls — so the difference counts exactly the deliveries
+    the lane answered without Algorithms 3/4."""
+    lines = [
+        "| workload | DGC deliveries | answered on the steady-state lane |"
+        " share |",
+        "|---|---:|---:|---:|",
+    ]
+    for workload in WORKLOADS:
+        key = (workload, "default")
+        if key not in parent or key not in change:
+            continue
+        fabric = ("net.network", "runtime.node")
+        deliveries = entered(change[key], "core.collector", fabric)
+        steady = (
+            entered(parent[key], "core.protocol", ("core.collector",))
+            - entered(change[key], "core.protocol", ("core.collector",))
+        )
+        if deliveries != entered(parent[key], "core.collector", fabric):
+            raise SystemExit(f"{workload}: DGC deliveries differ between the sides")
+        share = f"{100.0 * steady / deliveries:.1f} %" if deliveries else "-"
+        lines.append(f"| `{workload}` | {deliveries:,} | {steady:,} | {share} |")
+    return lines
+
+
 def timings_table(parent: Reports, change: Reports) -> List[str]:
     lines = [
         "| workload | metric | pairs | parent median (q1-q3) | change median"
@@ -231,6 +275,8 @@ def main(argv: List[str]) -> int:
                         help="calls/op a layer must move to get a row")
     parser.add_argument("--flip", action="append", default=[],
                         metavar="WORKLOAD=DIR:LABEL")
+    parser.add_argument("--steady-state", action="store_true",
+                        help="add the DGC steady-state share per workload")
     args = parser.parse_args(argv)
     parent, change = load(args.parent_dir), load(args.change_dir)
     out: List[str] = []
@@ -247,6 +293,14 @@ def main(argv: List[str]) -> int:
     out += ["**Layers whose calls/op rose, any workload, any seed:** "
             + ("none." if not risen else ""), ""]
     out += [f"- {line}" for line in risen] + ([""] if risen else [])
+    if args.steady_state:
+        out += ["**Steady-state share** (default seed; DGC messages and"
+                " responses delivered to a collector, and how many of them"
+                " the change answered without entering `core/protocol.py`"
+                " — counted as the drop in `core.collector` ->"
+                " `core.protocol` calls, which is exact because the"
+                " per-tick calls are the same on both sides):", ""]
+        out += steady_table(parent, change) + [""]
     out += ["**Timings and memory** (interleaved parent/change pairs, one run"
             " at a time; reported, not claimed):", ""]
     out += timings_table(parent, change) + [""]
@@ -255,7 +309,11 @@ def main(argv: List[str]) -> int:
         directory, _, label = rest.partition(":")
         out += [f"**`{workload}` with {label} flipped in a scratch copy of"
                 " the change:**", ""]
-        flipped = load(directory)
+        # One directory may hold several flipped workloads.
+        flipped = {
+            key: report for key, report in load(directory).items()
+            if key[0] == workload
+        }
         out += flip_table(change, flipped, workload, label or "flipped") + [""]
         out += [f"Layers that moved under the flip (default seed, |delta| >"
                 f" {args.layer_threshold} calls/op; `parent` = default,"

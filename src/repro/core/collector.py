@@ -11,6 +11,7 @@ Ties the pure protocol (:mod:`repro.core.protocol`) to the runtime:
   ``consensus_reached`` so the whole cycle learns the verdict, and
   terminates after TTA.
 """
+# repro: hot-path — every class slotted, no closure allocation in loops (HOT rules)
 
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from repro.core.protocol import (
     process_response,
 )
 from repro.core.wire import DgcMessage, DgcResponse
-from repro.net.message import KIND_DGC_RESPONSE
+from repro.net.message import KIND_DGC_MESSAGE, KIND_DGC_RESPONSE
 from repro.runtime.activeobject import Activity
 from repro.runtime.proxy import Proxy, RemoteRef, StubTag
 from repro.sim.timers import PeriodicTimer
@@ -36,10 +37,23 @@ from repro.sim.timers import PeriodicTimer
 class DgcCollector:
     """One DGC engine attached to one activity."""
 
+    __slots__ = (
+        "activity", "config", "self_ref", "state", "doomed_since",
+        "current_ttb", "messages_sent", "messages_received",
+        "responses_received", "_kernel", "_fast_clock", "_tracer", "_node",
+        "_doomed_response", "_stopped", "_consensus_propagation",
+        "_bfs_parent_election", "_receive_diet", "_net_send_single",
+        "_net_send_run", "_node_name", "_message_bytes", "_response_bytes",
+        "_timer",
+    )
+
     def __init__(self, activity: Activity, config: DgcConfig) -> None:
         self.activity = activity
         self.config = config
         self._kernel = activity.node.kernel
+        #: Same handshake as the fabric's: a kernel that keeps its clock
+        #: in a plain ``_now`` attribute is read without the property.
+        self._fast_clock = hasattr(self._kernel, "_now")
         self._tracer = activity.node.tracer
         self._node = activity.node
         self.self_ref = RemoteRef(activity.id, activity.node.name)
@@ -60,19 +74,22 @@ class DgcCollector:
         # received response add up at scale).
         self._consensus_propagation = config.consensus_propagation
         self._bfs_parent_election = config.bfs_parent_election
-        #: The steady-state receive diet (doomed-response interning,
-        #: field-identical touch-write skip) is part of the aggregated
-        #: columnar core; with ``aggregate_site_pairs`` off the receive
-        #: path stays the previous core's, so the perf A/B measures the
-        #: whole package against it.  The diet is observably neutral —
-        #: outcomes are bit-identical either way.
+        #: The steady-state lane (unchanged heartbeats and responses
+        #: answered in the handler's own frame, doomed-response
+        #: interning, field-identical touch-write skip) is part of the
+        #: aggregated columnar core; with ``aggregate_site_pairs`` off
+        #: every message and response takes Algorithms 3 and 4 as
+        #: written, which keeps the other cores an independent oracle
+        #: for the equivalence suites and the perf A/B.  The lane is
+        #: observably neutral — outcomes are bit-identical either way.
         self._receive_diet = config.aggregate_site_pairs
         self.state.referencers.touch_skip = config.aggregate_site_pairs
-        # Direct response lane (diet only): responses go straight into
-        # the fabric's fused DGC send unless the node has a response run
-        # open (an aggregate unwrap in progress — those must collect).
+        # The fabric's DGC lanes, called directly (they fall back to
+        # ``send_typed`` themselves on the other cores).
         self._net_send_single = self._node.network.send_dgc_single
+        self._net_send_run = self._node.network.send_dgc_run
         self._node_name = self._node.name
+        self._message_bytes = self._node.wire_sizes.dgc_message_bytes
         self._response_bytes = self._node.wire_sizes.dgc_response_bytes
         #: Current beat period; differs from ``config.ttb`` only when the
         #: dynamic-TTB extension (Sec. 7.1) accelerates the beat.
@@ -166,8 +183,11 @@ class DgcCollector:
         if self._stopped:
             return
         self.messages_received += 1
-        now = self._kernel.now
-        if self.doomed:
+        kernel = self._kernel
+        now = kernel._now if self._fast_clock else kernel.now
+        state = self.state
+        response = None
+        if self.doomed_since is not None:
             # Decision already taken: do not adopt clocks or mutate state;
             # just keep propagating the verdict (Sec. 4.3 optimisation).
             # The verdict is immutable while doomed (the clock is frozen:
@@ -177,59 +197,111 @@ class DgcCollector:
             # message — the collapse phase is receive-dominated, so this
             # is the steady state at scale.
             response = self._doomed_response
-            if response is None or response.clock is not self.state.clock:
+            if response is None or response.clock is not state.clock:
                 response = DgcResponse(
-                    responder=self.state.self_id,
-                    clock=self.state.clock,
+                    responder=state.self_id,
+                    clock=state.clock,
                     has_parent=True,
                     consensus_reached=True,
                 )
                 if self._receive_diet:
                     self._doomed_response = response
-        else:
-            response = process_message(self.state, message, now)
+        elif self._receive_diet:
+            # Steady-state heartbeat: the referencer's record already
+            # holds this message's clock *object*, consensus bit and
+            # declared TTB, so Algorithm 3 would move two timestamps and
+            # nothing else.  Skipping its clock comparison is sound
+            # because a clock object already recorded for this
+            # referencer was compared with ours when it was recorded
+            # (and adopted if greater), and our clock only moves
+            # forward: it cannot exceed ours now.
+            record = state.referencers._records.get(message.sender)
+            cached = state.cached_response
+            if (
+                record is not None
+                and record.clock is message.clock
+                and record.consensus == message.consensus
+                and record.sender_ttb == message.sender_ttb
+                and cached is not None
+                and cached.clock is state.clock
+                and not cached.consensus_reached
+            ):
+                # ... and the cached response is re-sent if it still
+                # describes the current (clock, parent, depth).
+                owns_clock = state.clock.owner == state.self_id
+                has_parent = owns_clock or state.parent is not None
+                if cached.has_parent == has_parent and cached.depth == (
+                    0 if owns_clock else state.depth if has_parent else None
+                ):
+                    record.last_message_time = now
+                    state.last_message_timestamp = now
+                    response = cached
+        if response is None:
+            response = process_message(state, message, now)
         sender_ref = message.sender_ref
-        if self._receive_diet and self._node._response_run is None:
+        dest = sender_ref.node
+        run = self._node._response_run
+        if run is None:
             self._net_send_single(
                 self._node_name,
-                sender_ref.node,
+                dest,
                 KIND_DGC_RESPONSE,
                 self._response_bytes,
                 sender_ref.activity_id,
                 response,
             )
-            return
-        self._node.send_dgc_response(sender_ref, response)
+        elif run[0] is None or run[0] == dest:
+            # An aggregate unwrap is in progress: join its open run.
+            run[0] = dest
+            run[1].append(sender_ref.activity_id)
+            run[2].append(response)
+        else:
+            self._node.send_dgc_response(sender_ref, response)
 
     def on_dgc_response(self, response: DgcResponse) -> None:
-        if self._stopped or self.doomed:
+        if self._stopped or self.doomed_since is not None:
             return
         self.responses_received += 1
+        state = self.state
         if (
             response.consensus_reached
             and self._consensus_propagation
-            and response.clock == self.state.clock
+            and response.clock == state.clock
             and self.activity.is_idle()
         ):
             # Our referenced activity is part of an established consensus
             # on our very clock: we belong to the same garbage cycle.
             self._become_doomed(propagated=True)
             return
-        process_response(
-            self.state, response, bfs=self._bfs_parent_election
-        )
+        if self._receive_diet and not self._bfs_parent_election:
+            # Steady-state response: the record already holds this
+            # response *object* and no election is open (we have a
+            # parent, or the clock is ours), so Algorithm 4 would write
+            # nothing — the depth it refreshes for the parent was set
+            # from this very object.  (Breadth-first election may still
+            # switch parents on a known response, hence the bfs test.)
+            record = state.referenced._records.get(response.responder)
+            if (
+                record is not None
+                and record.last_response is response
+                and (
+                    state.parent is not None
+                    or state.clock.owner == state.self_id
+                )
+            ):
+                return
+        process_response(state, response, bfs=self._bfs_parent_election)
 
     # ------------------------------------------------------------------
     # The TTB broadcast (Algorithm 2)
     # ------------------------------------------------------------------
 
     def _tick(self) -> None:
-        if self._stopped:
-            return
-        now = self._kernel.now
-        if self.doomed:
+        if self._stopped or self.doomed_since is not None:
             # Doomed activities no longer beat; termination is scheduled.
             return
+        kernel = self._kernel
+        now = kernel._now if self._fast_clock else kernel.now
         lost = self.state.referencers.expire(
             now,
             self.config.tta,
@@ -273,7 +345,8 @@ class DgcCollector:
         referencers_agree: Optional[bool] = None
         # Messages are immutable and identical for every record with the
         # same consensus flag, so at most two objects are built per tick.
-        by_flag: dict = {}
+        agreeing: Optional[DgcMessage] = None
+        dissenting: Optional[DgcMessage] = None
         # The fan-out is grouped by destination node (first-appearance
         # order, deterministic): records sharing a site become one
         # site-pair run — one fabric call, and in aggregated-columnar
@@ -282,8 +355,12 @@ class DgcCollector:
         # (per-event, per-entry batched, aggregated), so the modes stay
         # bit-identical with each other.  Sends happen after the flag
         # loop; nothing in the loop observes them (delivery is always
-        # deferred to a kernel event, even intra-node).
-        by_node: dict = {}
+        # deferred to a kernel event, even intra-node).  Most sites get
+        # one message: ``first`` holds each site's first ``(target,
+        # message)`` pair, and only a second record for the same site
+        # opens its ``(targets, messages)`` columns in ``runs``.
+        first: dict = {}
+        runs: dict = {}
         sent = 0
         state = self.state
         clock = state.clock
@@ -310,32 +387,54 @@ class DgcCollector:
                     consensus = referencers_agree
                 else:
                     consensus = True
-            message = by_flag.get(consensus)
+            message = agreeing if consensus else dissenting
             if message is None:
-                message = by_flag[consensus] = DgcMessage(
-                    sender=self.state.self_id,
-                    clock=self.state.clock,
+                message = DgcMessage(
+                    sender=state.self_id,
+                    clock=clock,
                     consensus=consensus,
                     sender_ref=self.self_ref,
                     sender_ttb=declared_ttb,
                 )
+                if consensus:
+                    agreeing = message
+                else:
+                    dissenting = message
             ref = record.ref
-            group = by_node.get(ref.node)
-            if group is None:
-                by_node[ref.node] = group = (ref, [], [])
-            group[1].append(ref.activity_id)
-            group[2].append(message)
+            dest = ref.node
+            if dest not in first:
+                first[dest] = (ref.activity_id, message)
+            elif dest in runs:
+                targets, messages = runs[dest]
+                targets.append(ref.activity_id)
+                messages.append(message)
+            else:
+                target, first_message = first[dest]
+                runs[dest] = (
+                    [target, ref.activity_id], [first_message, message]
+                )
             sent += 1
             record.messages_sent += 1
             record.needs_send = False
         if sent:
             self.messages_sent += sent
-            node = self._node
-            for dest_node, (ref, targets, messages) in by_node.items():
-                if len(targets) == 1:
-                    node.send_dgc_message(ref, messages[0])
+            if self._node._response_run is not None:
+                # Beating from inside an aggregate unwrap: release the
+                # buffered responses first so per-channel order is
+                # exactly the unbatched one.
+                self._node._flush_response_run()
+            name = self._node_name
+            size = self._message_bytes
+            for dest, (target, message) in first.items():
+                if dest in runs:
+                    targets, messages = runs[dest]
+                    self._net_send_run(
+                        name, dest, KIND_DGC_MESSAGE, size, targets, messages
+                    )
                 else:
-                    node.send_dgc_messages(dest_node, targets, messages)
+                    self._net_send_single(
+                        name, dest, KIND_DGC_MESSAGE, size, target, message
+                    )
         if self.state.referenced.pop_removable():
             self._remove_referenced(already_popped=True)
         if self.config.dynamic_ttb:

@@ -13,6 +13,7 @@ documented in DESIGN.md Sec. 3):
 * Algorithm 3 — :func:`process_message`
 * Algorithm 4 — :func:`process_response`
 """
+# repro: hot-path — every class slotted, no closure allocation in loops (HOT rules)
 
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from repro.core.wire import DgcMessage, DgcResponse
 from repro.runtime.ids import ActivityId
 
 
-@dataclass
+@dataclass(slots=True)
 class DgcState:
     """The per-activity DGC state the four algorithms read and write.
 
@@ -224,8 +225,11 @@ def process_response(
     With ``bfs`` (Sec. 7.2 extension), a strictly shallower candidate
     replaces the current parent, converging towards a breadth-first
     reverse spanning tree of minimal height.
+
+    Runs once per received response that carries news — the table probe
+    and the ownership test are inlined like :func:`process_message`'s.
     """
-    record = state.referenced.get(response.responder)
+    record = state.referenced._records.get(response.responder)
     if record is None:
         # Stale response: the edge was already removed.
         return False
@@ -238,7 +242,7 @@ def process_response(
     if (
         (response_clock is not clock and response_clock != clock)
         or not response.has_parent
-        or state.owns_clock
+        or clock.owner == state.self_id
     ):
         return False
     candidate_depth = (

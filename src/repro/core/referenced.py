@@ -15,6 +15,7 @@ An entry is *removable* once its tag is dead **and** the mandatory first
 send happened.  Removal is the *loss of a referenced* event (Fig. 6),
 which increments the activity clock.
 """
+# repro: hot-path — every class slotted, no closure allocation in loops (HOT rules)
 
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from repro.runtime.ids import ActivityId
 from repro.runtime.proxy import RemoteRef, StubTag
 
 
-@dataclass
+@dataclass(slots=True)
 class ReferencedRecord:
     """DGC state for one referenced activity."""
 
@@ -45,6 +46,8 @@ class ReferencedRecord:
 
 class ReferencedTable:
     """All activities referenced by one activity."""
+
+    __slots__ = ("_records", "_maybe_removable")
 
     def __init__(self) -> None:
         self._records: Dict[ActivityId, ReferencedRecord] = {}

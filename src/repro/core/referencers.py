@@ -23,6 +23,7 @@ O(referencers) scans; both are now O(1) amortized:
   record cannot have passed its deadline, the scan is skipped entirely
   (deadlines are at least TTA; ``honor_sender_ttb`` only stretches them).
 """
+# repro: hot-path — every class slotted, no closure allocation in loops (HOT rules)
 
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from repro.core.clock import ActivityClock
 from repro.runtime.ids import ActivityId
 
 
-@dataclass
+@dataclass(slots=True)
 class ReferencerRecord:
     """Last-known state of one referencer.
 
@@ -51,6 +52,10 @@ class ReferencerRecord:
 
 class ReferencerTable:
     """All known referencers of one activity."""
+
+    __slots__ = (
+        "_records", "touch_skip", "_agree_clock", "_agree_count", "_lmt_floor",
+    )
 
     def __init__(self) -> None:
         self._records: Dict[ActivityId, ReferencerRecord] = {}

@@ -128,11 +128,11 @@ class FifoChannel:
         hot lanes that cannot afford the callee frames.  Every site:
 
         * this method (behind :meth:`send` and :meth:`stage_send`),
-        * :meth:`stage_send_n`,
-        * the inlined block in
+        * :meth:`stage_send_n` (the relaxed tier's per-stream flush),
+        * the inlined blocks in
           :meth:`repro.net.network.Network.send_typed`,
-        * the inlined block in
-          :meth:`repro.net.network.Network.send_dgc_single`.
+          :meth:`~repro.net.network.Network.send_dgc_single` and
+          :meth:`~repro.net.network.Network.send_dgc_run` (``n >= 2``).
 
         A change here must be mirrored in all of them — the
         bit-identical equivalence across delivery cores depends on every

@@ -41,7 +41,9 @@ Pulse storage comes in two selectable shapes:
   aggregate entry carrying flat parallel ``(target_id, message)``
   columns, which the destination unwraps in one batch-sink call —
   per-message kind dispatch and route re-probing disappear for the whole
-  run.  Runs only ever merge when *adjacent in stage order*, so the
+  run — while a lone DGC entry is handed straight to its target's bound
+  collector handler through the per-activity tables the node lends at
+  registration.  Runs only ever merge when *adjacent in stage order*, so the
   global delivery sequence — and with it per-channel FIFO and every
   fixed-seed outcome — is preserved by construction.  (A
   struct-of-arrays record for *plain* entries was measured slower than
@@ -209,6 +211,12 @@ class Network:
         self._dgc_response_sinks: Dict[str, Callable[[Any, Any], None]] = {}
         self._dgc_message_batch_sinks: Dict[str, Callable[[list, list], None]] = {}
         self._dgc_response_batch_sinks: Dict[str, Callable[[list, list], None]] = {}
+        #: Per-node, per-activity DGC target tables ``target id ->
+        #: (message) -> None`` lent by the node (it keeps them current):
+        #: the columnar fire loop hands a DGC single straight to the
+        #: bound collector handler; a miss falls to the single sink.
+        self._dgc_message_tables: Dict[str, Dict[Any, Callable[[Any], None]]] = {}
+        self._dgc_response_tables: Dict[str, Dict[Any, Callable[[Any], None]]] = {}
         #: When true (the beat wheel is active), *all* deliveries are
         #: pulse-batched: every send staged for the same delivery
         #: instant shares one kernel event, so a beat bucket's whole
@@ -313,9 +321,9 @@ class Network:
         #: dgc_fast, typed_fast)`` as built by :meth:`_build_route`.  A
         #: ``None`` sink means a shard-remote destination, a ``None``
         #: channel intra-node delivery.  Two nested string-keyed dicts
-        #: avoid building a key tuple per message.  Nodes only ever
-        #: register (there is no unregister), so entries never go stale;
-        #: the cache is cleared on registration anyway for hygiene.
+        #: avoid building a key tuple per message.  Cleared on every
+        #: registration: a re-registration replaces the node's lanes,
+        #: and with them the flags a route precomputed.
         self._routes: Dict[str, Dict[str, _Route]] = {}
 
     @property
@@ -342,8 +350,13 @@ class Network:
             Dict[str, Tuple[Callable[[Any, Any], None], Callable[[list, list], None]]]
         ] = None,
         kind_handlers: Optional[Dict[str, Callable[[Any, Any], None]]] = None,
+        dgc_targets: Optional[
+            Dict[str, Dict[Any, Callable[[Any], None]]]
+        ] = None,
     ) -> None:
-        """Attach a node's receive dispatchers to the fabric.
+        """Attach a node's receive dispatchers to the fabric, replacing
+        every lane of an earlier registration of ``node`` (a lane the
+        new registration omits is removed, never inherited).
 
         ``typed_sink`` is the envelope-free entry point for pulse-batched
         traffic of every kind; nodes that do not provide one fall back to
@@ -355,22 +368,31 @@ class Network:
         through, total over the kinds the node receives (a miss must
         raise like the sink would); the columnar fire loop indexes it
         directly, the other cores keep calling ``typed_sink``.
+        ``dgc_targets`` maps a DGC kind to the node's live per-activity
+        table ``target id -> (message) -> None``: the columnar fire loop
+        calls a single's bound handler through it and falls to the
+        kind's single sink on a miss (or when no table was lent).
         """
         self._sinks[node] = sink
-        if typed_sink is not None:
-            self._typed_sinks[node] = typed_sink
-            if kind_handlers is not None:
-                self._kind_tables[node] = kind_handlers
+        dgc_sinks = dgc_sinks or {}
+        dgc_targets = dgc_targets or {}
+        message_sinks = dgc_sinks.get(KIND_DGC_MESSAGE, (None, None))
+        response_sinks = dgc_sinks.get(KIND_DGC_RESPONSE, (None, None))
+        for lanes, lane in (
+            (self._typed_sinks, typed_sink),
+            (self._kind_tables,
+             kind_handlers if typed_sink is not None else None),
+            (self._dgc_message_sinks, message_sinks[0]),
+            (self._dgc_message_batch_sinks, message_sinks[1]),
+            (self._dgc_response_sinks, response_sinks[0]),
+            (self._dgc_response_batch_sinks, response_sinks[1]),
+            (self._dgc_message_tables, dgc_targets.get(KIND_DGC_MESSAGE)),
+            (self._dgc_response_tables, dgc_targets.get(KIND_DGC_RESPONSE)),
+        ):
+            if lane is None:
+                lanes.pop(node, None)
             else:
-                self._kind_tables.pop(node, None)
-        if dgc_sinks:
-            for kind, (single, batch) in dgc_sinks.items():
-                if kind == KIND_DGC_MESSAGE:
-                    self._dgc_message_sinks[node] = single
-                    self._dgc_message_batch_sinks[node] = batch
-                elif kind == KIND_DGC_RESPONSE:
-                    self._dgc_response_sinks[node] = single
-                    self._dgc_response_batch_sinks[node] = batch
+                lanes[node] = lane
         self._routes.clear()
 
     def max_comm(self) -> float:
@@ -617,9 +639,9 @@ class Network:
         if not (self.pulse_batching and self.aggregate_site_pairs):
             self.send_typed(source, dest, kind, size_bytes, item, payload)
             return
-        by_dest = self._routes.get(source)
-        route = by_dest.get(dest) if by_dest is not None else None
-        if route is None:
+        try:
+            route = self._routes[source][dest]
+        except KeyError:
             route = self._build_route(source, dest)
         fault_plan = self.fault_plan
         if fault_plan._partitioned and fault_plan.is_partitioned(source, dest):
@@ -649,7 +671,7 @@ class Network:
             return
         if not route[2] or (
             channel._delay_rules
-            and self.fault_plan.may_delay(source, dest, kind)
+            and fault_plan.may_delay(source, dest, kind)
         ):
             self.send_typed(source, dest, kind, size_bytes, item, payload)
             return
@@ -690,7 +712,6 @@ class Network:
         category.bytes += size_bytes
         category.messages += 1
         channel.acct_box[0] += size_bytes
-        is_message = kind is KIND_DGC_MESSAGE or kind == KIND_DGC_MESSAGE
         if route[0] is None:
             # Shard-remote: the message joins the egress run of its
             # (kind, instant, destination) — the frame's column block —
@@ -710,12 +731,11 @@ class Network:
             entries = self._last_pulse
         else:
             pulses = self._pulses
-            entries = pulses.get(delivery_time)
-            if entries is None:
+            if delivery_time not in pulses:
                 pool = self._pulse_pool
                 entries = pool.pop() if pool else []
                 pulses[delivery_time] = entries
-                self._kernel.schedule_fire_at(
+                kernel.schedule_fire_at(
                     delivery_time, self._fire_pulse_columnar, (delivery_time,)
                 )
                 self.pulse_event_count += 1
@@ -723,12 +743,16 @@ class Network:
                 self._last_pulse = entries
                 entries.append((channel, None, dest, kind, item, payload))
                 return
+            entries = pulses[delivery_time]
             self._last_pulse_time = delivery_time
             self._last_pulse = entries
         last = entries[-1]
         if last[0] is channel:
             last_kind = last[3]
-            agg_kind = _AGG_DGC_MESSAGE if is_message else _AGG_DGC_RESPONSE
+            agg_kind = (
+                _AGG_DGC_MESSAGE if kind == KIND_DGC_MESSAGE
+                else _AGG_DGC_RESPONSE
+            )
             if last_kind is agg_kind:
                 last[4].append(item)
                 last[5].append(payload)
@@ -771,12 +795,11 @@ class Network:
         fault-plan delay rules, or the destination lacks a batch sink.
         """
         count = len(targets)
-        if count == 0:
-            return
-        if count == 1:
-            self.send_dgc_single(
-                source, dest, kind, size_bytes, targets[0], messages[0]
-            )
+        if count < 2:
+            if count:
+                self.send_dgc_single(
+                    source, dest, kind, size_bytes, targets[0], messages[0]
+                )
             return
         if not (self.pulse_batching and self.aggregate_site_pairs):
             for index in range(count):
@@ -785,26 +808,85 @@ class Network:
                     targets[index], messages[index],
                 )
             return
-        by_dest = self._routes.get(source)
-        route = by_dest.get(dest) if by_dest is not None else None
-        if route is None:
+        try:
+            route = self._routes[source][dest]
+        except KeyError:
             route = self._build_route(source, dest)
         fault_plan = self.fault_plan
         if fault_plan._partitioned and fault_plan.is_partitioned(source, dest):
             fault_plan.dropped_count += count
             return
         channel = route[1]
-        agg_kind = (
-            _AGG_DGC_MESSAGE if kind == KIND_DGC_MESSAGE else _AGG_DGC_RESPONSE
-        )
+        if route[0] is not None:
+            relaxed = self.relaxed_aggregation
+            if (
+                relaxed
+                and channel is None
+                and dest in self._dgc_message_batch_sinks
+                and dest in self._dgc_response_batch_sinks
+            ):
+                acc = self._relaxed_local_acc
+                box = acc.get((dest, kind))
+                if box is None:
+                    acc[(dest, kind)] = [targets, messages]
+                    if self._relaxed_beat is None:
+                        self._arm_relaxed_flush()
+                    self.aggregated_message_count += count - 1
+                else:
+                    box[0].extend(targets)
+                    box[1].extend(messages)
+                    self.aggregated_message_count += count
+                return
+            if not route[2] or (
+                channel._delay_rules
+                and fault_plan.may_delay(source, dest, kind)
+            ):
+                # Intra-node, variable-latency or batch-less destination:
+                # per-message semantics, exact same order.
+                for index in range(count):
+                    self.send_typed(
+                        source, dest, kind, size_bytes,
+                        targets[index], messages[index],
+                    )
+                return
+            if relaxed:
+                acc = self._relaxed_acc
+                box = acc.get((channel, kind))
+                if box is None:
+                    acc[(channel, kind)] = [dest, size_bytes, targets, messages]
+                    if self._relaxed_beat is None:
+                        self._arm_relaxed_flush()
+                    self.aggregated_message_count += count - 1
+                else:
+                    box[2].extend(targets)
+                    box[3].extend(messages)
+                    self.aggregated_message_count += count
+                return
+        # Inlined FifoChannel.stage_send_n(count) and
+        # BandwidthAccountant.observe_run, as in send_dgc_single: all
+        # ``count`` messages share one clamp (constant latency, one
+        # instant) and are charged at their modeled size each.
+        latency = channel._base_latency
+        if latency < 0.0:
+            latency = 0.0
+        kernel = self._kernel
+        now = kernel._now if self._fast_clock else kernel.now
+        delivery_time = now + latency
+        if delivery_time < channel._last_delivery_time:
+            delivery_time = channel._last_delivery_time
+        else:
+            channel._last_delivery_time = delivery_time
+        channel.sent_count += count
+        total_bytes = size_bytes * count
+        category = self._categories[kind]
+        category.bytes += total_bytes
+        category.messages += count
+        channel.acct_box[0] += total_bytes
         if route[0] is None:
-            # Shard-remote run: one FIFO reservation, one accounting
-            # call, and the columns join (or open) the egress run of
-            # their (kind, instant, destination) — the receiving shard's
-            # batch sink unwraps the flat columns, so the columnar win
-            # survives the process boundary.
-            delivery_time = channel.stage_send_n(count)
-            self._accountant.observe_run(kind, size_bytes, channel.pair, count)
+            # Shard-remote run: the columns join (or open) the egress
+            # run of their (kind, instant, destination) — the receiving
+            # shard's batch sink unwraps the flat columns, so the
+            # columnar win survives the process boundary.
             egress = self._egress
             key = (kind, delivery_time, dest)
             if key in egress:
@@ -817,62 +899,18 @@ class Network:
                 self.aggregated_message_count += count - 1
             self.egress_message_count += count
             return
-        relaxed = self.relaxed_aggregation
-        if (
-            relaxed
-            and channel is None
-            and dest in self._dgc_message_batch_sinks
-            and dest in self._dgc_response_batch_sinks
-        ):
-            acc = self._relaxed_local_acc
-            box = acc.get((dest, kind))
-            if box is None:
-                acc[(dest, kind)] = [targets, messages]
-                if self._relaxed_beat is None:
-                    self._arm_relaxed_flush()
-                self.aggregated_message_count += count - 1
-            else:
-                box[0].extend(targets)
-                box[1].extend(messages)
-                self.aggregated_message_count += count
-            return
-        if not route[2] or (
-            channel._delay_rules
-            and self.fault_plan.may_delay(source, dest, kind)
-        ):
-            # Intra-node, variable-latency or batch-less destination:
-            # per-message semantics, exact same order.
-            for index in range(count):
-                self.send_typed(
-                    source, dest, kind, size_bytes,
-                    targets[index], messages[index],
-                )
-            return
-        if relaxed:
-            acc = self._relaxed_acc
-            box = acc.get((channel, kind))
-            if box is None:
-                acc[(channel, kind)] = [dest, size_bytes, targets, messages]
-                if self._relaxed_beat is None:
-                    self._arm_relaxed_flush()
-                self.aggregated_message_count += count - 1
-            else:
-                box[2].extend(targets)
-                box[3].extend(messages)
-                self.aggregated_message_count += count
-            return
-        delivery_time = channel.stage_send_n(count)
-        self._accountant.observe_run(kind, size_bytes, channel.pair, count)
+        agg_kind = (
+            _AGG_DGC_MESSAGE if kind == KIND_DGC_MESSAGE else _AGG_DGC_RESPONSE
+        )
         if delivery_time == self._last_pulse_time:
             entries = self._last_pulse
         else:
             pulses = self._pulses
-            entries = pulses.get(delivery_time)
-            if entries is None:
+            if delivery_time not in pulses:
                 pool = self._pulse_pool
                 entries = pool.pop() if pool else []
                 pulses[delivery_time] = entries
-                self._kernel.schedule_fire_at(
+                kernel.schedule_fire_at(
                     delivery_time, self._fire_pulse_columnar, (delivery_time,)
                 )
                 self.pulse_event_count += 1
@@ -883,6 +921,7 @@ class Network:
                 )
                 self.aggregated_message_count += count - 1
                 return
+            entries = pulses[delivery_time]
             self._last_pulse_time = delivery_time
             self._last_pulse = entries
         last = entries[-1]
@@ -929,9 +968,9 @@ class Network:
         """
         source = envelope.source_node
         dest = envelope.dest_node
-        by_dest = self._routes.get(source)
-        route = by_dest.get(dest) if by_dest is not None else None
-        if route is None:
+        try:
+            route = self._routes[source][dest]
+        except KeyError:
             route = self._build_route(source, dest)
         # Read through fault_plan each time (it is a public attribute and
         # may be replaced); the set's truthiness is the zero-cost guard.
@@ -1148,14 +1187,23 @@ class Network:
             targets = box[0]
             is_message = kind == KIND_DGC_MESSAGE
             if len(targets) == 1:
-                handler = (
-                    msg_single_get(dest) if is_message
-                    else resp_single_get(dest)
+                tables = (
+                    self._dgc_message_tables if is_message
+                    else self._dgc_response_tables
                 )
-                if handler is None:
-                    fault_plan.dropped_count += 1
+                if dest in tables and targets[0] in tables[dest]:
+                    # Straight to the bound collector handler, as in
+                    # the columnar fire loop.
+                    tables[dest][targets[0]](box[1][0])
                 else:
-                    handler(targets[0], box[1][0])
+                    handler = (
+                        msg_single_get(dest) if is_message
+                        else resp_single_get(dest)
+                    )
+                    if handler is None:
+                        fault_plan.dropped_count += 1
+                    else:
+                        handler(targets[0], box[1][0])
             else:
                 handler = (
                     msg_batch_get(dest) if is_message
@@ -1229,22 +1277,37 @@ class Network:
         kind_tables = self._kind_tables
         msg_batch_get = self._dgc_message_batch_sinks.get
         resp_batch_get = self._dgc_response_batch_sinks.get
+        msg_tables = self._dgc_message_tables
+        resp_tables = self._dgc_response_tables
         msg_single_get = self._dgc_message_sinks.get
         resp_single_get = self._dgc_response_sinks.get
         dispatch = self._dispatch
         fault_plan = self.fault_plan
         # Branches ordered by frequency at scale: single DGC entries
         # dominate, then aggregate runs, then app/registry typed
-        # traffic, then envelopes.
+        # traffic, then envelopes.  A DGC single goes straight to the
+        # target's bound collector handler through the node's lent
+        # table; a miss (target gone, collector attached outside the
+        # world's create path, no table lent) takes the single sink.
         for channel, sink, dest, kind, item, payload in entries:
             if kind is KIND_DGC_MESSAGE and channel is not None:
                 channel.delivered_count += 1
+                if dest in msg_tables:
+                    table = msg_tables[dest]
+                    if item in table:
+                        table[item](payload)
+                        continue
                 handler = msg_single_get(dest)
                 if handler is not None:
                     handler(item, payload)
                     continue
             elif kind is KIND_DGC_RESPONSE and channel is not None:
                 channel.delivered_count += 1
+                if dest in resp_tables:
+                    table = resp_tables[dest]
+                    if item in table:
+                        table[item](payload)
+                        continue
                 handler = resp_single_get(dest)
                 if handler is not None:
                     handler(item, payload)

@@ -87,8 +87,9 @@ class Node:
         self._dgc_response_bytes = self.wire_sizes.dgc_response_bytes
         #: Direct DGC dispatch tables: activity id -> bound collector
         #: handler, maintained by :meth:`register_collector` and the
-        #: termination hook.  The aggregated core's receive lanes hit
-        #: these with one dict probe instead of activity lookup +
+        #: termination hook, and lent to the fabric: the aggregated
+        #: core's fire loop (singles) and the batch sinks below (runs)
+        #: call the handler through them instead of activity lookup +
         #: collector null-checks per message; a miss falls back to the
         #: full lookup (collectors attached outside the world's create
         #: path are never registered here).
@@ -97,8 +98,10 @@ class Node:
         #: Open response run, active only while an aggregate DGC batch is
         #: being unwrapped: ``[dest_node | None, targets, responses]``.
         #: Responses produced inside the unwrap loop collect here (in
-        #: send order) and leave as one site-pair run, instead of one
-        #: full fabric traversal per response.  Within the loop only
+        #: send order; the paper's collector appends to the open run
+        #: itself, any other goes through :meth:`send_dgc_response`) and
+        #: leave as one site-pair run, instead of one full fabric
+        #: traversal per response.  Within the loop only
         #: collector code runs, and any non-response DGC send flushes the
         #: run first, so the wire order is exactly the unbatched one.
         self._response_run: Optional[list] = None
@@ -108,8 +111,8 @@ class Node:
         #: means adding an entry, not a code path.  The columnar fire
         #: loop indexes the table directly; :meth:`_on_typed` dispatches
         #: through it for the other cores.  The DGC entries are the
-        #: activity-lookup handlers those cores have always used — the
-        #: columnar core's DGC lanes go through ``dgc_sinks`` instead.
+        #: activity-lookup handlers those cores have always used — and
+        #: the columnar core's single sinks, behind the target tables.
         self._kind_handlers = _KindHandlers({
             KIND_DGC_MESSAGE: self._on_dgc_message_via_lookup,
             KIND_DGC_RESPONSE: self._on_dgc_response_via_lookup,
@@ -127,12 +130,18 @@ class Node:
             self._on_envelope,
             self._on_typed,
             dgc_sinks={
-                KIND_DGC_MESSAGE: (self._on_dgc_message, self._on_dgc_messages),
+                KIND_DGC_MESSAGE: (
+                    self._on_dgc_message_via_lookup, self._on_dgc_messages,
+                ),
                 KIND_DGC_RESPONSE: (
-                    self._on_dgc_response, self._on_dgc_responses,
+                    self._on_dgc_response_via_lookup, self._on_dgc_responses,
                 ),
             },
             kind_handlers=self._kind_handlers,
+            dgc_targets={
+                KIND_DGC_MESSAGE: self._dgc_message_targets,
+                KIND_DGC_RESPONSE: self._dgc_response_targets,
+            },
         )
 
     # ------------------------------------------------------------------
@@ -267,13 +276,7 @@ class Node:
             # the unbatched one.
             self._flush_response_run()
         size = size_bytes if size_bytes is not None else self._dgc_message_bytes
-        network = self.network
-        send = (
-            network.send_dgc_single
-            if network.aggregate_site_pairs
-            else network.send_typed
-        )
-        send(
+        self.network.send_dgc_single(
             self.name,
             target_ref.node,
             KIND_DGC_MESSAGE,
@@ -282,54 +285,20 @@ class Node:
             message,
         )
 
-    def send_dgc_messages(
-        self, dest_node: str, targets: list, messages: list
-    ) -> None:
-        """Send one collector broadcast's fan-out to ``dest_node`` as a
-        site-pair run: parallel ``(target activity id, message)`` columns
-        in send order, one fabric call for the whole group.
-
-        The fabric stages the run as a single aggregate pulse entry in
-        aggregated-columnar mode and falls back to per-message
-        :meth:`send_dgc_message` semantics (same order, same accounting)
-        everywhere else, so the grouping is a pure dispatch optimisation.
-        """
-        self.network.send_dgc_run(
-            self.name,
-            dest_node,
-            KIND_DGC_MESSAGE,
-            self._dgc_message_bytes,
-            targets,
-            messages,
-        )
-
     def send_dgc_response(self, target_ref: RemoteRef, response: Any) -> None:
         run = self._response_run
         if run is not None:
             dest = target_ref.node
-            if run[0] is None:
-                run[0] = dest
-            if run[0] == dest:
-                run[1].append(target_ref.activity_id)
-                run[2].append(response)
-                return
-            # A different destination mid-run (generic collectors only —
-            # an aggregate's senders share one node): flush and rebase.
-            self.network.send_dgc_run(
-                self.name, run[0], KIND_DGC_RESPONSE,
-                self._dgc_response_bytes, run[1], run[2],
-            )
+            if run[0] is not None and run[0] != dest:
+                # A different destination mid-run (an aggregate the
+                # relaxed tier merged from several source sites): send
+                # what collected so far and rebase.
+                self._flush_response_run()
             run[0] = dest
-            run[1] = [target_ref.activity_id]
-            run[2] = [response]
+            run[1].append(target_ref.activity_id)
+            run[2].append(response)
             return
-        network = self.network
-        send = (
-            network.send_dgc_single
-            if network.aggregate_site_pairs
-            else network.send_typed
-        )
-        send(
+        self.network.send_dgc_single(
             self.name,
             target_ref.node,
             KIND_DGC_RESPONSE,
@@ -494,9 +463,9 @@ class Node:
     def _on_dgc_message_via_lookup(
         self, activity_id: ActivityId, message: Any
     ) -> None:
-        """Typed-sink DGC delivery — the previous core's receive path
-        (activity lookup per message), kept for the per-entry baseline
-        and the envelope fallback."""
+        """DGC delivery by activity lookup: the typed-sink path of the
+        per-event and per-entry cores and the envelope fallback, and
+        the columnar core's single sink behind the target tables."""
         activity = self.activities.get(activity_id)
         if activity is None or activity.collector is None:
             # Referenced activity already collected/terminated: silence.
@@ -511,22 +480,6 @@ class Node:
             return
         activity.collector.on_dgc_response(response)
 
-    def _on_dgc_message(self, activity_id: ActivityId, message: Any) -> None:
-        """Single-message DGC lane of the aggregated core: one dispatch
-        table probe to the bound collector handler."""
-        handler = self._dgc_message_targets.get(activity_id)
-        if handler is not None:
-            handler(message)
-            return
-        self._on_dgc_message_via_lookup(activity_id, message)
-
-    def _on_dgc_response(self, activity_id: ActivityId, response: Any) -> None:
-        handler = self._dgc_response_targets.get(activity_id)
-        if handler is not None:
-            handler(response)
-            return
-        self._on_dgc_response_via_lookup(activity_id, response)
-
     # -- aggregate unwrappers (the fabric's batch sinks) ----------------
     #
     # One call per site-pair run instead of one typed dispatch per
@@ -535,18 +488,14 @@ class Node:
     # which is send order, so per-channel FIFO is untouched.
 
     def _on_dgc_messages(self, targets: list, messages: list) -> None:
-        targets_get = self._dgc_message_targets.get
+        handlers = self._dgc_message_targets
         self._response_run = run = [None, [], []]
         try:
             for activity_id, message in zip(targets, messages):
-                handler = targets_get(activity_id)
-                if handler is not None:
-                    handler(message)
-                    continue
-                activity = self.activities.get(activity_id)
-                if activity is None or activity.collector is None:
-                    continue
-                activity.collector.on_dgc_message(message)
+                if activity_id in handlers:
+                    handlers[activity_id](message)
+                else:
+                    self._on_dgc_message_via_lookup(activity_id, message)
         finally:
             self._response_run = None
         if run[1]:
@@ -556,16 +505,12 @@ class Node:
             )
 
     def _on_dgc_responses(self, targets: list, responses: list) -> None:
-        targets_get = self._dgc_response_targets.get
+        handlers = self._dgc_response_targets
         for activity_id, response in zip(targets, responses):
-            handler = targets_get(activity_id)
-            if handler is not None:
-                handler(response)
-                continue
-            activity = self.activities.get(activity_id)
-            if activity is None or activity.collector is None:
-                continue
-            activity.collector.on_dgc_response(response)
+            if activity_id in handlers:
+                handlers[activity_id](response)
+            else:
+                self._on_dgc_response_via_lookup(activity_id, response)
 
 
 class ReplyPayload:

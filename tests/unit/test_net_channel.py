@@ -116,7 +116,9 @@ NEGATIVE_SCHEDULE = [(0.0, 2), (1.0, 1)]
 NEGATIVE_DELIVERIES = [0.0, 0.0, 1.0]
 
 CLAMP_SITES = ("send", "stage_send", "stage_send_n", "send_typed",
-               "send_dgc_single")
+               "send_dgc_single", "send_dgc_run")
+#: The sites that are lanes of the aggregated columnar core.
+DGC_LANE_SITES = ("send_dgc_single", "send_dgc_run")
 
 
 def drive_clamp_site(site, schedule, base_latency=None):
@@ -128,7 +130,7 @@ def drive_clamp_site(site, schedule, base_latency=None):
         plan.add_delay(1.0, kind=KIND_APP_REPLY)
     network = Network(kernel, uniform_topology(2, rtt_s=0.01), fault_plan=plan)
     network.pulse_batching = True
-    network.aggregate_site_pairs = site == "send_dgc_single"
+    network.aggregate_site_pairs = site in DGC_LANE_SITES
     deliveries = []
 
     def arrived(*_):
@@ -181,6 +183,13 @@ def drive_clamp_site(site, schedule, base_latency=None):
     def step(count):
         if count == "slow":
             slow()
+        elif site == "send_dgc_run":
+            # One run per burst: n >= 2 takes the run lane's own inlined
+            # clamp (a run of one is handed to the single lane).
+            network.send_dgc_run(
+                "site-0", "site-1", KIND_DGC_MESSAGE, 10,
+                ["ao"] * count, ["beat"] * count,
+            )
         else:
             for __ in range(count):
                 one()

@@ -411,3 +411,85 @@ def test_aggregated_pulse_records_are_pooled_and_recycled():
     assert network._pulse_pool == []
     assert len(network._pulses) == 1 and next(iter(network._pulses.values())) is recycled
     kernel.run()
+
+
+# ----------------------------------------------------------------------
+# Registration replaces every lane; lent DGC target tables
+# ----------------------------------------------------------------------
+
+
+def test_reregistration_without_dgc_sinks_drops_the_old_dgc_lanes():
+    kernel, network, typed, singles, batches = make_aggregated_network(2)
+    # Re-register site-1 with a typed sink only: the first registration's
+    # single and batch sinks must not survive it.
+    network.register_node(
+        "site-1", lambda env: None,
+        lambda kind, item, payload: typed.append(("new", kind, item, payload)),
+    )
+    assert not network._build_route("site-0", "site-1")[2]  # no dgc_fast
+    network.send_dgc_single("site-0", "site-1", KIND_DGC_MESSAGE, 64, "a", "m")
+    network.send_dgc_run(
+        "site-0", "site-1", KIND_DGC_MESSAGE, 64, ["b", "c"], ["m", "m"]
+    )
+    kernel.run()
+    assert singles == [] and batches == []
+    assert typed == [
+        ("new", KIND_DGC_MESSAGE, target, "m") for target in ("a", "b", "c")
+    ]
+
+
+def test_reregistration_replaces_every_lane_of_the_node():
+    kernel, network, typed, singles, batches = make_aggregated_network(2)
+    table = {"a": lambda message: None}
+    network.register_node(
+        "site-1", lambda env: None, lambda *a: None,
+        dgc_sinks={KIND_DGC_MESSAGE: (lambda t, m: None, lambda ts, ms: None)},
+        kind_handlers={KIND_APP_REQUEST: lambda item, payload: None},
+        dgc_targets={KIND_DGC_MESSAGE: table},
+    )
+    assert network._dgc_message_tables["site-1"] is table
+    assert "site-1" not in network._dgc_response_sinks
+    assert "site-1" not in network._dgc_response_batch_sinks
+    # An envelope-only registration removes the typed sink, the kind
+    # table and every DGC lane in one step.
+    network.register_node("site-1", lambda env: None)
+    for lanes in (
+        network._typed_sinks, network._kind_tables,
+        network._dgc_message_sinks, network._dgc_message_batch_sinks,
+        network._dgc_response_sinks, network._dgc_response_batch_sinks,
+        network._dgc_message_tables, network._dgc_response_tables,
+    ):
+        assert "site-1" not in lanes
+    assert "site-0" in network._dgc_message_sinks  # other nodes untouched
+
+
+def test_dgc_single_goes_straight_to_the_lent_target_handler():
+    kernel, network, typed, singles, batches = make_aggregated_network(2)
+    direct = []
+    table = {"a": lambda message: direct.append(("a", message))}
+    network.register_node(
+        "site-1", lambda env: None, lambda *a: None,
+        dgc_sinks={
+            KIND_DGC_MESSAGE: (
+                lambda t, m: singles.append(("site-1", t, m)),
+                lambda ts, ms: batches.append(("site-1", list(ts), list(ms))),
+            ),
+            "dgc.response": (lambda t, m: None, lambda ts, ms: None),
+        },
+        dgc_targets={KIND_DGC_MESSAGE: table},
+    )
+    network.send_dgc_single("site-0", "site-1", KIND_DGC_MESSAGE, 64, "a", "m1")
+    network.send_typed("site-0", "site-1", KIND_APP_REQUEST, 10, "req")
+    # A table miss (the target is gone) falls to the single sink.
+    network.send_dgc_single("site-0", "site-1", KIND_DGC_MESSAGE, 64, "z", "m2")
+    kernel.run()
+    assert direct == [("a", "m1")]
+    assert singles == [("site-1", "z", "m2")]
+    # The table is live: the node removes a terminated target itself.
+    del table["a"]
+    network.send_dgc_single("site-0", "site-1", KIND_DGC_MESSAGE, 64, "a", "m3")
+    kernel.run()
+    assert direct == [("a", "m1")]
+    assert singles[-1] == ("site-1", "a", "m3")
+    channel = network._channels[("site-0", "site-1")]
+    assert channel.sent_count == channel.delivered_count == 4
