@@ -14,7 +14,8 @@ by hand::
 Each directory holds ``<workload>_<seed>.json`` files (``seed`` is ``default``
 or a number), one per run; both sides must have been produced by the same,
 unmodified spine.  ``--flip`` adds a table comparing CHANGE_DIR with a third
-directory in which one library default was flipped (ROADMAP item 1c);
+directory in which one library default was flipped (ROADMAP item 1c) — in a
+scratch copy of the change, or of the parent when the change deleted the knob;
 ``--steady-state`` adds the share of DGC deliveries the change answered on
 the collector's steady-state lane, per workload.
 """
@@ -307,8 +308,8 @@ def main(argv: List[str]) -> int:
     for spec in args.flip:
         workload, _, rest = spec.partition("=")
         directory, _, label = rest.partition(":")
-        out += [f"**`{workload}` with {label} flipped in a scratch copy of"
-                " the change:**", ""]
+        out += [f"**`{workload}` with {label} flipped in a scratch copy:**",
+                ""]
         # One directory may hold several flipped workloads.
         flipped = {
             key: report for key, report in load(directory).items()

@@ -9,24 +9,21 @@ core:
   columnar core: pooled pulse records, site-pair DGC runs staged as
   single aggregate entries with flat ``(target_id, message)`` columns,
   batch-sink unwrapping and the steady-state receive diet;
-* **batched** (``"per-entry"``) — the previous (PR-3) batched core:
-  beat-wheel scheduling and per-instant pulses, but one
-  freshly-allocated 6-tuple entry and one typed dispatch per message;
 * **per-event** — the pre-wheel baseline: one cancellable kernel event
   per activity per tick and one heap event per message;
 * **relaxed** — the relaxed-equivalence tier: DGC sends accumulate per
   (site pair, kind) across instants and flush once per beat bucket, so
   staging cost drops from per-adjacent-run to per-(site pair, beat).
 
-The three exact cores must be bit-identical (same collected counts,
+The two exact cores must be bit-identical (same collected counts,
 same last-collected instant, same bandwidth, same sampled series).  The
 relaxed core is gated on the outcome tier — identical reachability
 verdicts against the per-event baseline (same activities created, the
 same set collected, zero dead letters and safety violations) — plus its
-two performance gates: staged-entry count reduced ``MIN_ENTRY_REDUCTION``x
-vs the exact-order core and wall clock ``MIN_RELAXED_SPEEDUP``x vs the
-per-entry batched core.  Results land in ``BENCH_fig10.json`` at the
-repo root (see PERFORMANCE.md).
+structural gate: staged-entry count reduced ``MIN_ENTRY_REDUCTION``x vs
+the exact-order core (its wall clock against that core is recorded, not
+gated).  Results land in ``BENCH_fig10.json`` at the repo root (see
+PERFORMANCE.md).
 
 The time axis is compressed exactly like the throughput benchmark's
 (TTB=5 s, TTA=12 s, 150 s active phase): the *scale* axis — activity
@@ -35,21 +32,17 @@ period is shrunk so a full collapse fits in a benchmark run.
 
 Scale is controlled with ``REPRO_FIG10_SCALE``:
 
-* ``full`` (default) — the 6401-AO paper scale, gates at 1.05x
-  (aggregated, measured 1.08-1.15x best-of-rounds; the gate leaves
-  noise margin — see PERFORMANCE.md for why exact-order equivalence
-  caps site-pair merging on the torture graph), 1.3x (batched, measured
-  1.38-1.69x across runs), 1.25x (relaxed vs batched) and 5x (relaxed
-  staged-entry reduction);
-* ``smoke`` — 641 AOs for CI smoke jobs, wall-clock gates relaxed to
-  0.95x/1.1x/0.9x (small runs are noise-dominated; the artifact still
-  records the measured ratios).  The entry-reduction gate stays at 5x —
+* ``full`` (default) — the 6401-AO paper scale, gates at 1.3x
+  (aggregated vs per-event) and 5x (relaxed staged-entry reduction);
+* ``smoke`` — 641 AOs for CI smoke jobs, the wall-clock gate relaxed to
+  1.1x (small runs are noise-dominated; the artifact still records the
+  measured ratios).  The entry-reduction gate stays at 5x —
   the counter is deterministic, and the flush-time site-level merge
   keeps buckets dense even at 10 slaves per node (measured 12.5x at
   smoke scale vs 25.9x at paper scale).
 
 ``REPRO_FIG10_AXES`` splits the matrix for CI: ``exact`` measures only
-the three exact cores (the pre-existing axis), ``relaxed`` only the
+the two exact cores (the pre-existing axis), ``relaxed`` only the
 relaxed core and the baselines its gates compare against, ``all`` (the
 default) everything.
 
@@ -85,18 +78,13 @@ if SCALE == "smoke":
     SLAVE_COUNT = 640
     NODE_COUNT = 64
     MIN_SPEEDUP = 1.1
-    MIN_AGG_SPEEDUP = 0.95
-    MIN_RELAXED_SPEEDUP = 0.9
     MIN_ENTRY_REDUCTION = 5.0
 else:
     SLAVE_COUNT = PAPER_SLAVE_COUNT
     NODE_COUNT = PAPER_NODE_COUNT
-    # Measured 1.38-1.69x across runs of this machine (sustained-load
-    # throttling dominates the spread); the gate keeps noise margin and
-    # the artifact records the measured ratio.
+    # Keeps noise margin (sustained-load throttling dominates the
+    # spread); the artifact records the measured ratio.
     MIN_SPEEDUP = 1.3
-    MIN_AGG_SPEEDUP = 1.05
-    MIN_RELAXED_SPEEDUP = 1.25
     MIN_ENTRY_REDUCTION = 5.0
 
 #: Best-of-N timing for the batched-core family (their gaps are small
@@ -113,18 +101,15 @@ BEAT_SLOTS = 16
 
 #: Which cores this axes selection measures.  The relaxed axis still
 #: needs every baseline its gates compare against: exact (staged-entry
-#: reduction), batched (wall clock) and per-event (outcomes).
+#: reduction) and per-event (outcomes).
 CORES = {
-    "exact": ("exact", "per-entry", "per-event"),
-    "relaxed": ("relaxed", "exact", "per-entry", "per-event"),
-    "all": ("exact", "per-entry", "per-event", "relaxed"),
+    "exact": ("exact", "per-event"),
+    "relaxed": ("relaxed", "exact", "per-event"),
+    "all": ("exact", "per-event", "relaxed"),
 }[AXES]
-#: Cores whose wall clock feeds a gate under this axes selection, and
-#: therefore get best-of-ROUNDS timing.
-TIMED = tuple(
-    core for core in CORES
-    if core != "per-event" and (AXES != "relaxed" or core != "exact")
-)
+#: Cores whose wall clock feeds a ratio, and therefore get
+#: best-of-ROUNDS timing.
+TIMED = tuple(core for core in CORES if core != "per-event")
 
 
 def _run_once(mode: str):
@@ -220,7 +205,6 @@ def measurements():
     )
     names = {
         "exact": "fig10_aggregated",
-        "per-entry": "fig10_batched",
         "per-event": "fig10_per_event",
         "relaxed": "fig10_relaxed",
     }
@@ -244,39 +228,29 @@ def measurements():
             )
         )
     benchmarks = report.benchmarks
-    if "exact" in CORES and "per-entry" in CORES:
-        benchmarks["fig10_aggregated"].extra["speedup_vs_batched"] = round(
-            runs["per-entry"][0] / runs["exact"][0], 3
-        )
-    if "per-entry" in CORES and "per-event" in CORES:
-        benchmarks["fig10_batched"].extra["speedup_vs_per_event"] = round(
-            runs["per-event"][0] / runs["per-entry"][0], 3
-        )
+    benchmarks["fig10_aggregated"].extra["speedup_vs_per_event"] = round(
+        runs["per-event"][0] / runs["exact"][0], 3
+    )
     if "relaxed" in CORES:
         extra = benchmarks["fig10_relaxed"].extra
         extra["relaxed_flush_count"] = runs["relaxed"][2]["relaxed_flush_count"]
-        if "per-entry" in CORES:
-            extra["speedup_vs_batched"] = round(
-                runs["per-entry"][0] / runs["relaxed"][0], 3
-            )
-        if "exact" in CORES:
-            extra["staged_entry_reduction_vs_exact"] = round(
-                runs["exact"][2]["staged_entry_count"]
-                / runs["relaxed"][2]["staged_entry_count"], 3
-            )
+        extra["speedup_vs_aggregated"] = round(
+            runs["exact"][0] / runs["relaxed"][0], 3
+        )
+        extra["staged_entry_reduction_vs_exact"] = round(
+            runs["exact"][2]["staged_entry_count"]
+            / runs["relaxed"][2]["staged_entry_count"], 3
+        )
     report.write(BENCH_PATH)
     return runs
 
 
 def test_outcomes_are_bit_identical_across_exact_cores(measurements):
     """Exact delivery mechanics are pure scheduling/allocation changes:
-    the three exact cores on the same seed must produce the same
+    the two exact cores on the same seed must produce the same
     simulation outcome, sample for sample."""
-    _requires("exact", "per-entry", "per-event")
     aggregated = _signature(measurements["exact"][1])
-    batched = _signature(measurements["per-entry"][1])
     per_event = _signature(measurements["per-event"][1])
-    assert aggregated == batched
     assert aggregated == per_event
 
 
@@ -287,21 +261,8 @@ def test_paper_scale_run_collects_everything(measurements):
         assert result.ao_count == SLAVE_COUNT + 1
 
 
-def test_aggregated_core_speedup(measurements):
-    _requires("exact", "per-entry")
-    if AXES == "relaxed":
-        pytest.skip("exact core is untimed on the relaxed axis")
-    agg_speedup = measurements["per-entry"][0] / measurements["exact"][0]
-    assert agg_speedup >= MIN_AGG_SPEEDUP, (
-        f"the aggregated columnar core is only {agg_speedup:.2f}x faster "
-        f"than the per-entry batched core (required: {MIN_AGG_SPEEDUP}x "
-        f"at scale={SCALE!r})"
-    )
-
-
 def test_batched_wall_clock_speedup(measurements):
-    _requires("per-entry", "per-event")
-    speedup = measurements["per-event"][0] / measurements["per-entry"][0]
+    speedup = measurements["per-event"][0] / measurements["exact"][0]
     assert speedup >= MIN_SPEEDUP, (
         f"batched beat scheduling is only {speedup:.2f}x faster than "
         f"per-event scheduling (required: {MIN_SPEEDUP}x at "
@@ -311,15 +272,11 @@ def test_batched_wall_clock_speedup(measurements):
 
 def test_batched_run_does_less_heap_traffic(measurements):
     """The structural claim behind the speedup: O(buckets + pulses)
-    events instead of O(ticks + messages) — and the aggregated core
-    fires exactly the per-entry core's kernel events."""
-    _requires("exact", "per-entry", "per-event")
-    aggregated = measurements["exact"][1]
-    batched = measurements["per-entry"][1]
+    events instead of O(ticks + messages)."""
+    batched = measurements["exact"][1]
     per_event = measurements["per-event"][1]
     assert batched.events_fired < per_event.events_fired / 4
     assert batched.peak_pending_events < per_event.peak_pending_events
-    assert aggregated.events_fired == batched.events_fired
 
 
 def test_relaxed_outcomes_match_per_event(measurements):
@@ -348,16 +305,6 @@ def test_relaxed_staged_entry_reduction(measurements):
     )
 
 
-def test_relaxed_wall_clock_speedup(measurements):
-    _requires("relaxed", "per-entry")
-    speedup = measurements["per-entry"][0] / measurements["relaxed"][0]
-    assert speedup >= MIN_RELAXED_SPEEDUP, (
-        f"the relaxed coalescing core is only {speedup:.2f}x faster than "
-        f"the per-entry batched core (required: {MIN_RELAXED_SPEEDUP}x "
-        f"at scale={SCALE!r})"
-    )
-
-
 def test_bench_artifact_written(measurements):
     import json
 
@@ -365,12 +312,10 @@ def test_bench_artifact_written(measurements):
     payload = json.loads(BENCH_PATH.read_text())
     assert payload["schema"] == 1
     benchmarks = payload["benchmarks"]
-    if "exact" in CORES and AXES != "relaxed":
-        assert benchmarks["fig10_aggregated"]["speedup_vs_batched"] > 0
-    assert benchmarks["fig10_batched"]["speedup_vs_per_event"] > 0
+    assert benchmarks["fig10_aggregated"]["speedup_vs_per_event"] > 0
     if "relaxed" in CORES:
         relaxed = benchmarks["fig10_relaxed"]
-        assert relaxed["speedup_vs_batched"] > 0
+        assert relaxed["speedup_vs_aggregated"] > 0
         assert relaxed["staged_entry_reduction_vs_exact"] > 0
     for entry in benchmarks.values():
         assert entry["wall_time_s"] > 0

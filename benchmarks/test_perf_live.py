@@ -2,7 +2,7 @@
 
 Runs the Fig. 10 torture workload through the sharded live world
 (:class:`repro.shard.ShardedWorld`: one process per shard, per-shard
-LiveKernels in virtual-time mode, v2 wire frames between them) against
+LiveKernels in virtual-time mode, wire frames between them) against
 the single-process batched simulator on the same seed, and records
 wall clock, events/s, barrier-round and wire-frame volume per arm:
 
@@ -46,10 +46,6 @@ Scale is controlled with ``REPRO_LIVE_SCALE``:
 * ``smoke`` — 320 slaves on 32 nodes for CI smoke jobs, 2-shard arm
   only (plus replay); equivalence is asserted, the full-scale gates
   never arm.
-
-``REPRO_LIVE_WIRE_COMPARE=1`` adds a 2-shard arm packed with the v1
-frame format (``live_shards_2_wire_v1``) and gates the v2 diet against
-it directly — the CI live-wire smoke row.
 """
 
 from __future__ import annotations
@@ -79,8 +75,6 @@ else:
     NODE_COUNT = 128
     SHARD_ARMS = (1, 2, 4)
 
-WIRE_COMPARE = os.environ.get("REPRO_LIVE_WIRE_COMPARE") == "1"
-
 SEED = 11
 ACTIVE_DURATION = 150.0
 #: Compressed-time Fig. 10 configuration (the scale axis is the
@@ -103,11 +97,6 @@ WAN_RTT_S = 2.0
 BASELINE_V1_FRAME_BYTES = 462_974_691
 BASELINE_ROUNDS = 2093
 MIN_FRAME_DIET = 5.0
-#: The direct v1-vs-v2 gate of the compare arm is looser than the
-#: full-scale diet gate: interning leverage grows with fan-out, and the
-#: compare arm runs at CI smoke scale (measured there: ~4.4x; ~7x at
-#: full scale).
-MIN_WIRE_COMPARE_DIET = 4.0
 MIN_SPEEDUP_VS_REPLAY_2SHARDS = 0.70
 OVERHEAD_GATE_ARMED = SCALE == "full" and 2 in SHARD_ARMS
 
@@ -146,11 +135,11 @@ def _run_replay():
     }
 
 
-def _run_sharded(shards: int, wire_version: int = 2):
+def _run_sharded(shards: int):
     gc.collect()
     sharded = ShardedWorld(
         _topology(), shards, workload="torture", params=PARAMS,
-        dgc=LIVE_CONFIG, seed=SEED, wire_version=wire_version,
+        dgc=LIVE_CONFIG, seed=SEED,
     )
     result = sharded.run()  # wall_s is measured around the whole run
     return result
@@ -175,7 +164,6 @@ def _sharded_measurement(name, result, replay_wall):
             "bytes_per_entry": round(
                 result.frame_bytes / result.frame_entries, 2
             ) if result.frame_entries else None,
-            "wire_version": result.wire_version,
             "frame_digest": result.frame_digest[:16],
             "events_workload": result.events_workload,
             "events_coordination": result.events_coordination,
@@ -190,8 +178,6 @@ def measurements():
     runs = {"replay": _run_replay()}
     for shards in SHARD_ARMS:
         runs[shards] = _run_sharded(shards)
-    if WIRE_COMPARE and 2 in SHARD_ARMS:
-        runs["2_wire_v1"] = _run_sharded(2, wire_version=1)
 
     replay = runs["replay"]
     report = PerfReport(
@@ -231,12 +217,6 @@ def measurements():
         report.add(
             _sharded_measurement(
                 f"live_shards_{shards}", runs[shards], replay["wall"]
-            )
-        )
-    if "2_wire_v1" in runs:
-        report.add(
-            _sharded_measurement(
-                "live_shards_2_wire_v1", runs["2_wire_v1"], replay["wall"]
             )
         )
     report.write(BENCH_PATH)
@@ -288,7 +268,7 @@ def test_cross_shard_frames_flow(measurements):
 
 
 def test_frame_diet(measurements):
-    """The v2 wire format keeps the 2-shard frame stream at least
+    """The wire format keeps the 2-shard frame stream at least
     ``MIN_FRAME_DIET``x below the PR 7 v1 baseline at the same
     scale/seed — machine-independent, so always armed at full scale."""
     if not OVERHEAD_GATE_ARMED:
@@ -333,33 +313,6 @@ def test_sharded_overhead_vs_replay(measurements):
     )
 
 
-def test_wire_compare(measurements):
-    """With the compare arm enabled, the v2 diet is gated directly
-    against a v1 run of the identical configuration."""
-    if "2_wire_v1" not in measurements:
-        pytest.skip("set REPRO_LIVE_WIRE_COMPARE=1 to run the v1 arm")
-    v1 = measurements["2_wire_v1"]
-    v2 = measurements[2]
-    assert v1.outcome_signature() == v2.outcome_signature()
-    # The wire-row counts are close but not equal by design: v2 frames
-    # decode in run-grouped order, so cross-shard entries sharing a
-    # delivery instant interleave differently than under v1's
-    # insertion order — the outcome converges (asserted above), but
-    # egress drain points shift by a few rounds, moving some DGC
-    # singles in or out of coalesced aggregate rows.
-    assert abs(v1.frame_entries - v2.frame_entries) <= 0.05 * max(
-        v1.frame_entries, v2.frame_entries
-    ), (
-        f"v1/v2 wire-row counts diverged beyond tie-order slack: "
-        f"{v1.frame_entries} vs {v2.frame_entries}"
-    )
-    assert v2.frame_bytes * MIN_WIRE_COMPARE_DIET <= v1.frame_bytes, (
-        f"v2 frames ({v2.frame_bytes} bytes) are not "
-        f"{MIN_WIRE_COMPARE_DIET}x smaller than v1 "
-        f"({v1.frame_bytes} bytes)"
-    )
-
-
 def test_sharded_speedup(measurements):
     if not GATE_ARMED:
         pytest.skip(
@@ -389,7 +342,6 @@ def test_bench_artifact_written(measurements):
         assert entry["wall_time_s"] > 0
         assert entry["speedup_vs_replay"] > 0
         assert entry["overhead_vs_replay"] > 0
-        assert entry["wire_version"] == 2
         if shards > 1:
             assert entry["bytes_per_entry"] > 0
     meta = payload["meta"]

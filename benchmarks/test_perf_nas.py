@@ -4,22 +4,18 @@ The unified fabric's claim is that pulse batching pays off on
 request/reply-dominated traffic, not just DGC beats.  This benchmark
 drives the FT kernel skeleton — the all-to-all transpose, the most
 communication-heavy NAS pattern (paper Sec. 5.2) — on the same seed
-under three cores:
+under two cores:
 
 * **aggregated** — the aggregated columnar core: pooled pulse records,
   site-pair DGC runs (one aggregate entry and one batch-sink unwrap per
   run) and the steady-state receive diet;
-* **batched** — the previous (PR-3) batched core: per-instant pulses
-  with one 6-tuple entry and one typed dispatch per message;
 * **per-event** — the pre-fabric baseline: one envelope and one kernel
   event per message.
 
-and asserts (a) bit-identical simulation outcomes across all three
-cores (delivery mechanics change heap traffic and allocations, never
-behaviour) and (b) wall-clock speedups of at least ``MIN_AGG_SPEEDUP``
-(aggregated over batched — NAS workers hold complete reference graphs,
-so every TTB broadcast fans out site-pair runs) and ``MIN_SPEEDUP``
-(batched over per-event).  Results land in ``BENCH_nas.json`` at the
+and asserts (a) bit-identical simulation outcomes across both cores
+(delivery mechanics change heap traffic and allocations, never
+behaviour) and (b) a wall-clock speedup of at least ``MIN_SPEEDUP``
+(aggregated over per-event).  Results land in ``BENCH_nas.json`` at the
 repo root (see PERFORMANCE.md).
 
 App traffic dominates by construction: at the full scale the transpose
@@ -28,18 +24,9 @@ speedups measured here are the fabric's, not the beat wheel's.
 
 Scale is controlled with ``REPRO_NAS_SCALE``:
 
-* ``full`` (default) — 128 workers on 64 nodes, gates at 1.3x
-  (batched) and 1.02x (aggregated over batched — measured 1.04-1.11x
-  best-of-rounds on this machine; the gap is a few hundred ms of a ~4.5 s
-  run, so the gate leaves noise margin and the artifact records the
-  measured ratio);
+* ``full`` (default) — 128 workers on 64 nodes, gate at 1.3x;
 * ``smoke`` — 24 workers on 12 nodes for CI smoke jobs (sub-second
-  runs), gates relaxed to 0.95x and 1.05x.
-
-``REPRO_NAS_AGGREGATE=0`` drops the aggregated run and its gate (the
-CI matrix's aggregation-off axis: it produces a two-core artifact whose
-``nas_ft_batched`` numbers are directly comparable to the aggregated
-axis run).
+  runs), gate relaxed to 1.05x.
 """
 
 from __future__ import annotations
@@ -61,19 +48,16 @@ BENCH_PATH = REPO_ROOT / "BENCH_nas.json"
 PR_LABEL = "PR4"
 
 SCALE = os.environ.get("REPRO_NAS_SCALE", "full")
-AGGREGATE_AXIS = os.environ.get("REPRO_NAS_AGGREGATE", "1") != "0"
 if SCALE == "smoke":
     AO_COUNT = 24
     NODE_COUNT = 12
     ITERATIONS = 10
     MIN_SPEEDUP = 1.05
-    MIN_AGG_SPEEDUP = 0.95
 else:
     AO_COUNT = 128
     NODE_COUNT = 64
     ITERATIONS = 20
     MIN_SPEEDUP = 1.3
-    MIN_AGG_SPEEDUP = 1.02
 
 SEED = 7
 PAYLOAD_BYTES = 1_200
@@ -81,7 +65,7 @@ PAYLOAD_BYTES = 1_200
 NAS_CONFIG = DgcConfig(ttb=30.0, tta=61.0)
 
 
-def _run_once(batched: bool, aggregated: bool):
+def _run_once(aggregation: str):
     """One fixed-seed app-heavy run under controlled allocation."""
     reset_id_counter()
     spec = kernel_spec(
@@ -99,8 +83,7 @@ def _run_once(batched: bool, aggregated: bool):
                 dgc=NAS_CONFIG,
                 topology=uniform_topology(NODE_COUNT),
                 seed=SEED,
-                batched_beats=batched,
-                aggregate_site_pairs=aggregated,
+                aggregation=aggregation,
             )
     finally:
         gc.enable()
@@ -122,30 +105,20 @@ def _signature(result):
     )
 
 
-#: Best-of-N timing for the aggregated/batched pair (their gap is small
-#: relative to wall-clock noise); the per-event run stays single-shot.
+#: Best-of-N timing for the aggregated core; the per-event run stays
+#: single-shot.
 ROUNDS = 3
 
 
 @pytest.fixture(scope="module")
 def measurements():
-    runs = {}
-    if AGGREGATE_AXIS:
-        runs["aggregated"] = _run_once(batched=True, aggregated=True)
-    runs["batched"] = _run_once(batched=True, aggregated=False)
+    runs = {"aggregated": _run_once("exact")}
     for _ in range(ROUNDS - 1):
-        if AGGREGATE_AXIS:
-            wall, __ = _run_once(batched=True, aggregated=True)
-            if wall < runs["aggregated"][0]:
-                runs["aggregated"] = (wall, runs["aggregated"][1])
-        wall, __ = _run_once(batched=True, aggregated=False)
-        if wall < runs["batched"][0]:
-            runs["batched"] = (wall, runs["batched"][1])
-    runs["per_event"] = _run_once(batched=False, aggregated=False)
-    speedup = runs["per_event"][0] / runs["batched"][0]
-    agg_speedup = (
-        runs["batched"][0] / runs["aggregated"][0] if AGGREGATE_AXIS else None
-    )
+        wall, __ = _run_once("exact")
+        if wall < runs["aggregated"][0]:
+            runs["aggregated"] = (wall, runs["aggregated"][1])
+    runs["per_event"] = _run_once("per-event")
+    speedup = runs["per_event"][0] / runs["aggregated"][0]
 
     report = PerfReport(
         meta={
@@ -158,17 +131,13 @@ def measurements():
             "payload_bytes": PAYLOAD_BYTES,
             "ttb": NAS_CONFIG.ttb,
             "tta": NAS_CONFIG.tta,
-            "aggregate_axis": AGGREGATE_AXIS,
         },
         pr_label=PR_LABEL,
     )
     for key, bench_name in (
         ("aggregated", "nas_ft_aggregated"),
-        ("batched", "nas_ft_batched"),
         ("per_event", "nas_ft_per_event"),
     ):
-        if key not in runs:
-            continue
         wall, result = runs[key]
         report.add(
             PerfMeasurement(
@@ -185,44 +154,26 @@ def measurements():
                 },
             )
         )
-    if agg_speedup is not None:
-        report.benchmarks["nas_ft_aggregated"].extra["speedup_vs_batched"] = (
-            round(agg_speedup, 3)
-        )
-    report.benchmarks["nas_ft_batched"].extra["speedup_vs_per_event"] = round(
-        speedup, 3
+    report.benchmarks["nas_ft_aggregated"].extra["speedup_vs_per_event"] = (
+        round(speedup, 3)
     )
     report.write(BENCH_PATH)
-    return {**runs, "speedup": speedup, "agg_speedup": agg_speedup}
+    return {**runs, "speedup": speedup}
 
 
 def test_outcomes_are_bit_identical_across_cores(measurements):
-    batched = _signature(measurements["batched"][1])
+    aggregated = _signature(measurements["aggregated"][1])
     per_event = _signature(measurements["per_event"][1])
-    assert batched == per_event
-    if AGGREGATE_AXIS:
-        assert _signature(measurements["aggregated"][1]) == batched
+    assert aggregated == per_event
 
 
 def test_run_is_app_heavy_and_collects_everything(measurements):
-    for key in ("aggregated", "batched", "per_event"):
-        if key not in measurements:
-            continue
+    for key in ("aggregated", "per_event"):
         __, result = measurements[key]
         assert result.collected_acyclic + result.collected_cyclic == AO_COUNT
         assert result.dead_letters == 0
         # The point of the benchmark: application traffic dominates.
         assert result.app_bandwidth_mb > 3 * result.dgc_bandwidth_mb
-
-
-@pytest.mark.skipif(not AGGREGATE_AXIS, reason="REPRO_NAS_AGGREGATE=0")
-def test_aggregated_core_speedup(measurements):
-    agg_speedup = measurements["agg_speedup"]
-    assert agg_speedup >= MIN_AGG_SPEEDUP, (
-        f"the aggregated columnar core is only {agg_speedup:.2f}x faster "
-        f"than the per-entry batched core (required: {MIN_AGG_SPEEDUP}x "
-        f"at scale={SCALE!r})"
-    )
 
 
 def test_batched_wall_clock_speedup(measurements):
@@ -237,12 +188,9 @@ def test_batched_wall_clock_speedup(measurements):
 def test_batched_run_does_materially_fewer_kernel_events(measurements):
     """The structural claim behind the speedup: O(distinct delivery
     instants) events instead of O(messages)."""
-    __, batched = measurements["batched"]
+    __, batched = measurements["aggregated"]
     __, per_event = measurements["per_event"]
     assert batched.events_fired < per_event.events_fired / 4
-    if AGGREGATE_AXIS:
-        __, aggregated = measurements["aggregated"]
-        assert aggregated.events_fired == batched.events_fired
 
 
 def test_bench_artifact_written(measurements):
@@ -252,9 +200,7 @@ def test_bench_artifact_written(measurements):
     payload = json.loads(BENCH_PATH.read_text())
     assert payload["schema"] == 1
     benchmarks = payload["benchmarks"]
-    assert benchmarks["nas_ft_batched"]["speedup_vs_per_event"] > 0
-    if AGGREGATE_AXIS:
-        assert benchmarks["nas_ft_aggregated"]["speedup_vs_batched"] > 0
+    assert benchmarks["nas_ft_aggregated"]["speedup_vs_per_event"] > 0
     for entry in benchmarks.values():
         assert entry["wall_time_s"] > 0
         assert entry["events_per_second"] > 0

@@ -83,7 +83,7 @@ def _run_torture_once(batched: bool = True):
                 seed=SEED,
                 sample_period=25.0,
                 collect_timeout=8_000.0,
-                batched_beats=batched,
+                aggregation="exact" if batched else "per-event",
             )
     finally:
         gc.enable()

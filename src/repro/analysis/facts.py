@@ -24,13 +24,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 #: Codec function names the coverage check keys on (see ANALYSIS.md):
-#: the flat v1 encoder/decoder pair, and the v2 sets — the tagged value
-#: pair plus the DGC column block's field-wise definitions (the encoder
-#: method that writes them, the function that reads them back).
-ENCODE_V1_FN = "_encode_value"
-ENCODE_V2_METHODS = ("value", "_define_dgc")
-DECODE_V1_FN = "_decode_value"
-DECODE_V2_FNS = ("_decode_value_v2", "_decode_definition")
+#: the tagged value pair plus the DGC column block's field-wise
+#: definitions — the encoder methods that write them, the functions
+#: that read them back.  A file is the codec when it defines at least
+#: one name of each set.
+ENCODE_METHODS = ("value", "_define_dgc")
+DECODE_FNS = ("_decode_value_v2", "_decode_definition")
 
 
 @dataclass(frozen=True)
@@ -65,20 +64,16 @@ class CodecFacts:
     """Which composite classes each codec function branch-dispatches."""
 
     path: str
-    encode_v1: Set[str] = field(default_factory=set)
-    encode_v2: Set[str] = field(default_factory=set)
-    decode_v1: Set[str] = field(default_factory=set)
-    decode_v2: Set[str] = field(default_factory=set)
+    encode: Set[str] = field(default_factory=set)
+    decode: Set[str] = field(default_factory=set)
     #: class name -> (line, col) of its first occurrence in the file,
     #: used to anchor coverage findings somewhere clickable.
     first_seen: Dict[str, Tuple[int, int]] = field(default_factory=dict)
 
     def function_sets(self) -> Dict[str, Set[str]]:
         return {
-            ENCODE_V1_FN: self.encode_v1,
-            f"{'/'.join(ENCODE_V2_METHODS)} (v2 encoder)": self.encode_v2,
-            DECODE_V1_FN: self.decode_v1,
-            "/".join(DECODE_V2_FNS): self.decode_v2,
+            f"{'/'.join(ENCODE_METHODS)} (encoder)": self.encode,
+            "/".join(DECODE_FNS): self.decode,
         }
 
 
@@ -339,15 +334,18 @@ def _is_comparison_classes(node: ast.Compare) -> Set[str]:
 
 
 def _collect_codec(sf, facts: ProjectFacts) -> None:
-    has_encode = any(
-        isinstance(n, ast.FunctionDef) and n.name == ENCODE_V1_FN
-        for n in ast.walk(sf.tree)
-    )
-    has_decode = any(
-        isinstance(n, ast.FunctionDef) and n.name == DECODE_V1_FN
-        for n in ast.walk(sf.tree)
-    )
-    if not (has_encode and has_decode):
+    encoders = []
+    decoders = []
+    for node in ast.walk(sf.tree):
+        if isinstance(node, ast.ClassDef):
+            encoders += [
+                item for item in node.body
+                if isinstance(item, ast.FunctionDef)
+                and item.name in ENCODE_METHODS
+            ]
+        elif isinstance(node, ast.FunctionDef) and node.name in DECODE_FNS:
+            decoders.append(node)
+    if not (encoders and decoders):
         return
     codec = CodecFacts(path=sf.rel)
     for node in ast.walk(sf.tree):
@@ -355,21 +353,10 @@ def _collect_codec(sf, facts: ProjectFacts) -> None:
             codec.first_seen.setdefault(
                 node.id, (node.lineno, node.col_offset)
             )
-    for node in ast.walk(sf.tree):
-        if isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if (
-                    isinstance(item, ast.FunctionDef)
-                    and item.name in ENCODE_V2_METHODS
-                ):
-                    codec.encode_v2 |= _branch_classes(item)
-        elif isinstance(node, ast.FunctionDef):
-            if node.name == ENCODE_V1_FN:
-                codec.encode_v1 |= _branch_classes(node)
-            elif node.name == DECODE_V1_FN:
-                codec.decode_v1 |= _constructed_classes(node)
-            elif node.name in DECODE_V2_FNS:
-                codec.decode_v2 |= _constructed_classes(node)
+    for fn in encoders:
+        codec.encode |= _branch_classes(fn)
+    for fn in decoders:
+        codec.decode |= _constructed_classes(fn)
     facts.codec = codec
 
 

@@ -125,7 +125,7 @@ class KindCodec(ProjectRule):
     summary = (
         "every registered kind must declare its payload classes in "
         "KIND_PAYLOAD_TYPES, and every payload class must have "
-        "matching encode/decode branches in both wire formats"
+        "matching encode and decode branches in the wire codec"
     )
 
     def finalize(self, facts: ProjectFacts) -> Iterator[Finding]:
@@ -135,7 +135,7 @@ class KindCodec(ProjectRule):
         sets = codec.function_sets()
         union: Set[str] = set().union(*sets.values())
         # Leg 1: symmetric coverage — a class encoded or decoded
-        # anywhere must be covered by all four codec functions.
+        # anywhere must be covered by both codec function sets.
         for name in sorted(union):
             missing = sorted(fn for fn, s in sets.items() if name not in s)
             if missing:

@@ -19,7 +19,7 @@ from typing import Optional
 
 from repro.core import events
 from repro.core.clock import ActivityClock
-from repro.core.config import AUTO_BEAT_SLOTS, DgcConfig
+from repro.core.config import AGGREGATION_PER_EVENT, AUTO_BEAT_SLOTS, DgcConfig
 from repro.core.protocol import (
     DgcState,
     acyclic_timeout_expired,
@@ -76,16 +76,16 @@ class DgcCollector:
         self._bfs_parent_election = config.bfs_parent_election
         #: The steady-state lane (unchanged heartbeats and responses
         #: answered in the handler's own frame, doomed-response
-        #: interning, field-identical touch-write skip) is part of the
-        #: aggregated columnar core; with ``aggregate_site_pairs`` off
-        #: every message and response takes Algorithms 3 and 4 as
-        #: written, which keeps the other cores an independent oracle
-        #: for the equivalence suites and the perf A/B.  The lane is
+        #: interning, field-identical touch-write skip) belongs to the
+        #: batched cores; under ``per-event`` every message and response
+        #: takes Algorithms 3 and 4 as written, which keeps that core an
+        #: independent oracle for the equivalence suites.  The lane is
         #: observably neutral — outcomes are bit-identical either way.
-        self._receive_diet = config.aggregate_site_pairs
-        self.state.referencers.touch_skip = config.aggregate_site_pairs
+        batched = config.aggregation != AGGREGATION_PER_EVENT
+        self._receive_diet = batched
+        self.state.referencers.touch_skip = batched
         # The fabric's DGC lanes, called directly (they fall back to
-        # ``send_typed`` themselves on the other cores).
+        # ``send_typed`` themselves on the per-event core).
         self._net_send_single = self._node.network.send_dgc_single
         self._net_send_run = self._node.network.send_dgc_run
         self._node_name = self._node.name
@@ -124,7 +124,7 @@ class DgcCollector:
             self._tick,
             initial_delay=initial_delay,
             label=f"dgc.tick:{activity.id}",
-            per_event=not config.batched_beats,
+            per_event=not batched,
         )
 
     # ------------------------------------------------------------------
@@ -349,12 +349,11 @@ class DgcCollector:
         dissenting: Optional[DgcMessage] = None
         # The fan-out is grouped by destination node (first-appearance
         # order, deterministic): records sharing a site become one
-        # site-pair run — one fabric call, and in aggregated-columnar
-        # mode one pulse entry — instead of one send per record.  The
-        # grouped order is the send order under *every* delivery mode
-        # (per-event, per-entry batched, aggregated), so the modes stay
-        # bit-identical with each other.  Sends happen after the flag
-        # loop; nothing in the loop observes them (delivery is always
+        # site-pair run — one fabric call, and on the batched cores one
+        # pulse entry — instead of one send per record.  The grouped
+        # order is the send order under *every* delivery core, so the
+        # cores stay bit-identical with each other.  Sends happen after
+        # the flag loop; nothing in the loop observes them (delivery is always
         # deferred to a kernel event, even intra-node).  Most sites get
         # one message: ``first`` holds each site's first ``(target,
         # message)`` pair, and only a second record for the same site

@@ -28,32 +28,36 @@ from repro.errors import ConfigurationError
 #: live activity count.
 AUTO_BEAT_SLOTS = "auto"
 
-#: :attr:`DgcConfig.aggregation` values — the four delivery cores, from
-#: baseline to most aggressive:
+#: :attr:`DgcConfig.aggregation` values — the three delivery cores, the
+#: only delivery selector in the library.  Why each exists:
 #:
-#: * ``per-event`` — one kernel event per heartbeat tick and per
-#:   message (the pre-wheel baseline; equals ``batched_beats=False``),
-#: * ``per-entry`` — pulse-batched delivery, one 6-tuple entry and one
-#:   typed dispatch per message (``aggregate_site_pairs=False``),
-#: * ``exact`` — the aggregated columnar core: adjacent same-site-pair
-#:   DGC runs merge into single aggregate entries; delivery order is
-#:   bit-identical to per-event (the default, both booleans on),
-#: * ``relaxed`` — per-(site pair, beat bucket) coalescing: DGC sends
-#:   accumulate per ``(channel, kind)`` stream and flush once per
+#: * ``per-event`` — the **reference implementation**: one kernel event
+#:   per heartbeat tick and per message, every delivery through
+#:   Algorithms 3/4 as written (no beat wheel, no pulse, no steady-state
+#:   lane).  It is what the equivalence suites compare the production
+#:   core against, and it shares none of that core's machinery, so it
+#:   stays an independent oracle.
+#: * ``exact`` — **production** (the default): the beat wheel plus the
+#:   columnar pulse, where a run ``(kind, delivery, dest, items,
+#:   payloads)`` is the unit from send to sink and adjacent
+#:   same-site-pair DGC runs merge into one aggregate entry.  Delivery
+#:   order, and with it every fixed-seed outcome, is bit-identical to
+#:   ``per-event``.
+#: * ``relaxed`` — a **different schedule**: DGC sends accumulate per
+#:   ``(channel, kind)`` stream and flush once per
 #:   :attr:`relaxed_flush_s` via the beat wheel.  Deliveries are
 #:   *deferred* (never reordered within a stream, never earlier), so
-#:   the exact-order tracer equivalence is traded for the relaxed
-#:   tier: identical collection outcomes and bandwidth totals, delivery
-#:   schedules equivalent up to the protocol-safe class of
-#:   :mod:`repro.net.reorder`.
+#:   exact-order tracer equivalence is traded for the relaxed tier:
+#:   identical collection outcomes, delivery schedules equivalent up to
+#:   the protocol-safe class of :mod:`repro.net.reorder`, and a safety
+#:   margin one flush period tighter (:meth:`DgcConfig.safety_bound`).
+#:   Whether it earns its place is not decided yet (ROADMAP item 2a).
 AGGREGATION_PER_EVENT = "per-event"
-AGGREGATION_PER_ENTRY = "per-entry"
 AGGREGATION_EXACT = "exact"
 AGGREGATION_RELAXED = "relaxed"
 
 AGGREGATION_MODES = (
     AGGREGATION_PER_EVENT,
-    AGGREGATION_PER_ENTRY,
     AGGREGATION_EXACT,
     AGGREGATION_RELAXED,
 )
@@ -88,35 +92,12 @@ class DgcConfig:
     #: :class:`repro.sim.beats.SlotController`, which re-buckets the grid
     #: as the node's live activity count changes.
     beat_slots: Union[int, str] = 0
-    #: Schedule the TTB beat through the kernel's beat wheel and deliver
-    #: its fan-out through the network's pulse batch (one kernel event
-    #: per distinct delivery instant).  ``False`` restores per-event
-    #: scheduling — one cancellable kernel event per activity per tick
-    #: and per message — which is the baseline the Fig. 10 benchmark
-    #: measures the batched scheduler against.
-    batched_beats: bool = True
-    #: Stage pulse-batched traffic in the columnar (struct-of-arrays)
-    #: pulse and coalesce adjacent same-site-pair DGC runs into single
-    #: aggregate entries unwrapped by one batch-sink call (see
-    #: :mod:`repro.net.network`).  ``False`` keeps the previous
-    #: per-entry batched pulse — the A/B baseline the aggregated
-    #: columnar core is benchmarked against.  Only meaningful while
-    #: ``batched_beats`` is on; either way fixed-seed outcomes are
-    #: bit-identical across all delivery modes.
-    aggregate_site_pairs: bool = True
-    #: The delivery core by name (see :data:`AGGREGATION_MODES`) —
-    #: supersedes the ``batched_beats``/``aggregate_site_pairs`` boolean
-    #: pair, which it normalizes on construction so every downstream
-    #: consumer keeps reading one source of truth.  ``None`` (the
-    #: default) derives the mode from the booleans, so existing configs
-    #: and overrides behave exactly as before; ``"relaxed"`` selects the
-    #: per-(site pair, beat bucket) coalescing core, the only mode the
-    #: booleans cannot express.
-    aggregation: Optional[str] = None
+    #: The delivery core, one of :data:`AGGREGATION_MODES`.
+    aggregation: str = AGGREGATION_EXACT
     #: Flush period of the relaxed core's per-(site pair, beat bucket)
     #: accumulator, in seconds; ``None`` defaults to ``TTB / 4``
     #: (quarter-beat buckets).  Deferral is bounded by one flush period,
-    #: so the effective safety margin becomes
+    #: so the safety margin :meth:`validate_against` enforces becomes
     #: ``TTA > 2*TTB + MaxComm + relaxed_flush_s`` (see PERFORMANCE.md's
     #: relaxed-tier argument) — sub-beat buckets keep the added
     #: detection latency per expiry-cascade hop small while the
@@ -171,51 +152,39 @@ class DgcConfig:
             raise ConfigurationError(
                 f"relaxed_flush_s must be positive, got {self.relaxed_flush_s}"
             )
-        if self.aggregation is not None:
-            if self.aggregation not in AGGREGATION_MODES:
-                raise ConfigurationError(
-                    f"aggregation must be one of {AGGREGATION_MODES}, got "
-                    f"{self.aggregation!r}"
-                )
-            # Normalize the legacy boolean pair to the named mode so
-            # downstream consumers (world wiring, the collector's
-            # receive diet, equivalence suites) keep reading one source
-            # of truth regardless of which knob selected the core.
-            object.__setattr__(
-                self, "batched_beats",
-                self.aggregation != AGGREGATION_PER_EVENT,
-            )
-            object.__setattr__(
-                self, "aggregate_site_pairs",
-                self.aggregation in (AGGREGATION_EXACT, AGGREGATION_RELAXED),
+        if self.aggregation not in AGGREGATION_MODES:
+            raise ConfigurationError(
+                f"aggregation must be one of {AGGREGATION_MODES}, got "
+                f"{self.aggregation!r}"
             )
 
-    def validate_against(self, max_comm: float) -> None:
-        """Enforce the paper's safety margin ``TTA > 2*TTB + MaxComm``."""
+    def safety_bound(self, max_comm: float) -> float:
+        """What TTA must exceed: the paper's ``2*TTB + MaxComm``
+        (Sec. 3.1), plus one flush period under ``aggregation="relaxed"``
+        — the most that core defers a heartbeat."""
         bound = 2.0 * self.ttb + max_comm
+        if self.aggregation == AGGREGATION_RELAXED:
+            bound += self.relaxed_flush_period
+        return bound
+
+    def validate_against(self, max_comm: float) -> None:
+        """Enforce the safety margin ``TTA >`` :meth:`safety_bound`."""
+        bound = self.safety_bound(max_comm)
         if self.tta <= bound:
+            formula = "2*TTB + MaxComm"
+            terms = f"TTB={self.ttb}, MaxComm={max_comm}"
+            if self.aggregation == AGGREGATION_RELAXED:
+                formula += " + relaxed_flush_s"
+                terms += f", relaxed_flush_s={self.relaxed_flush_period}"
             raise ConfigurationError(
-                f"TTA={self.tta} violates TTA > 2*TTB + MaxComm = {bound} "
-                f"(TTB={self.ttb}, MaxComm={max_comm}); wrongful collection "
-                f"becomes possible (paper Sec. 3.1)"
+                f"TTA={self.tta} violates TTA > {formula} = {bound} "
+                f"({terms}); wrongful collection becomes possible (paper "
+                f"Sec. 3.1)"
             )
 
     def satisfies_margin(self, max_comm: float) -> bool:
         """Non-raising form of :meth:`validate_against`."""
-        return self.tta > 2.0 * self.ttb + max_comm
-
-    @property
-    def aggregation_mode(self) -> str:
-        """The effective delivery core (one of
-        :data:`AGGREGATION_MODES`): the explicit :attr:`aggregation`
-        when set, else derived from the legacy boolean pair."""
-        if self.aggregation is not None:
-            return self.aggregation
-        if not self.batched_beats:
-            return AGGREGATION_PER_EVENT
-        if not self.aggregate_site_pairs:
-            return AGGREGATION_PER_ENTRY
-        return AGGREGATION_EXACT
+        return self.tta > self.safety_bound(max_comm)
 
     @property
     def relaxed_flush_period(self) -> float:

@@ -59,8 +59,8 @@ class ReferencerTable:
 
     def __init__(self) -> None:
         self._records: Dict[ActivityId, ReferencerRecord] = {}
-        #: Steady-state receive diet (set by the collector when the
-        #: aggregated columnar core is active): skip the field writes and
+        #: Steady-state receive diet (set by the collector on every core
+        #: but ``per-event``): skip the field writes and
         #: agreement-count adjustment for messages that are
         #: field-identical to the referencer's current record.
         #: Observably neutral — only the arrival time matters then.

@@ -19,6 +19,7 @@ import sys
 import time
 from typing import List, Optional
 
+from repro.errors import ConfigurationError
 from repro.harness.figures import fig10_report, run_fig10
 from repro.harness.tables import fig8_table, fig9_table, run_comparisons
 
@@ -85,24 +86,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     fig10.add_argument(
         "--aggregation",
-        choices=["per-event", "per-entry", "exact", "relaxed"],
+        choices=["per-event", "exact", "relaxed"],
         default=None,
-        help="delivery core: per-event baseline, per-entry batched "
-        "pulse, exact-order site-pair aggregation (the default), or "
-        "the relaxed per-(site pair, beat bucket) coalescing tier",
-    )
-    fig10.add_argument(
-        "--per-event-beats", action="store_true",
-        help="deprecated alias for --aggregation per-event (disable "
-        "the batched beat scheduler: one kernel event per tick and "
-        "per DGC message; the perf baseline)",
-    )
-    fig10.add_argument(
-        "--per-entry-pulse", action="store_true",
-        help="deprecated alias for --aggregation per-entry (disable "
-        "the columnar pulse and site-pair DGC aggregation: one "
-        "6-tuple pulse entry per message; the previous batched core, "
-        "kept as the A/B baseline)",
+        help="delivery core: the per-event reference implementation, "
+        "exact-order site-pair aggregation (the default), or the "
+        "relaxed per-(site pair, beat bucket) coalescing tier",
     )
 
     run_cmd = subparsers.add_parser(
@@ -132,12 +120,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--live when given)",
     )
     run_cmd.add_argument(
-        "--wire-version", type=int, choices=[1, 2], default=None,
-        help="cross-shard frame format for --live: 1 = the flat v1 "
-        "encoding, 2 = interned/varint runs with persistent per-channel "
-        "state (the default)",
-    )
-    run_cmd.add_argument(
         "--ttb", type=float, default=None, help="heartbeat period override"
     )
     run_cmd.add_argument(
@@ -159,23 +141,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     run_cmd.add_argument(
         "--aggregation",
-        choices=["per-event", "per-entry", "exact", "relaxed"],
+        choices=["per-event", "exact", "relaxed"],
         default=None,
-        help="delivery core: per-event baseline, per-entry batched "
-        "pulse, exact-order site-pair aggregation (the default), or "
-        "the relaxed per-(site pair, beat bucket) coalescing tier",
-    )
-    run_cmd.add_argument(
-        "--per-event-beats", action="store_true",
-        help="deprecated alias for --aggregation per-event (disable "
-        "pulse batching: one kernel event per message and per "
-        "heartbeat tick; the perf baseline)",
-    )
-    run_cmd.add_argument(
-        "--per-entry-pulse", action="store_true",
-        help="deprecated alias for --aggregation per-entry (disable "
-        "the columnar pulse and site-pair DGC aggregation; the "
-        "previous batched core, kept as the A/B baseline)",
+        help="delivery core: the per-event reference implementation, "
+        "exact-order site-pair aggregation (the default), or the "
+        "relaxed per-(site pair, beat bucket) coalescing tier",
     )
     run_cmd.add_argument(
         "--relaxed-flush", type=float, default=None, metavar="SECONDS",
@@ -304,7 +274,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_analyze(args)
 
     if args.command == "run":
-        return _run_workload(args)
+        try:
+            return _run_workload(args)
+        except ConfigurationError as exc:
+            # E.g. a TTB/TTA pair (or a relaxed flush period) that
+            # spends the safety margin: a named refusal, not a traceback.
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
     if args.command in ("fig8", "fig9", "all"):
         comparisons = run_comparisons(
@@ -338,12 +314,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             seed=args.seed,
             include_slow=not getattr(args, "skip_slow", False),
             beat_slots=getattr(args, "beat_slots", None),
-            batched_beats=(
-                False if getattr(args, "per_event_beats", False) else None
-            ),
-            aggregate_site_pairs=(
-                False if getattr(args, "per_entry_pulse", False) else None
-            ),
             aggregation=getattr(args, "aggregation", None),
         )
         print(fig10_report(results))
@@ -376,8 +346,6 @@ def _run_workload(args: argparse.Namespace) -> int:
     from repro.harness.report import render_table
     from repro.net.topology import uniform_topology
 
-    batched = False if args.per_event_beats else None
-    aggregated = False if args.per_entry_pulse else None
     aggregation = args.aggregation
 
     problem = _check_naming_knobs(args)
@@ -387,14 +355,6 @@ def _run_workload(args: argparse.Namespace) -> int:
 
     if args.live or args.shards is not None:
         return _run_sharded(args)
-    if args.wire_version is not None:
-        print(
-            "error: --wire-version only applies to --live (it selects "
-            "the cross-shard frame format; a single-process run has no "
-            "wire)",
-            file=sys.stderr,
-        )
-        return 2
 
     def config_for(base):
         if args.no_dgc:
@@ -422,8 +382,6 @@ def _run_workload(args: argparse.Namespace) -> int:
             topology=uniform_topology(nodes),
             seed=args.seed,
             beat_slots=args.beat_slots,
-            batched_beats=batched,
-            aggregate_site_pairs=aggregated,
             aggregation=aggregation,
             keep_world=True,
         )
@@ -484,8 +442,6 @@ def _run_workload(args: argparse.Namespace) -> int:
             topology=uniform_topology(args.nodes),
             seed=args.seed,
             beat_slots=args.beat_slots,
-            batched_beats=batched,
-            aggregate_site_pairs=aggregated,
             aggregation=aggregation,
             keep_world=True,
         )
@@ -538,8 +494,6 @@ def _run_workload(args: argparse.Namespace) -> int:
             topology=uniform_topology(nodes),
             seed=args.seed,
             beat_slots=args.beat_slots,
-            batched_beats=batched,
-            aggregate_site_pairs=aggregated,
             aggregation=aggregation,
             keep_world=True,
         )
@@ -604,7 +558,6 @@ def _check_naming_knobs(args: argparse.Namespace) -> "str | None":
 def _run_sharded(args: argparse.Namespace) -> int:
     """The ``run --live [--shards N]`` path: the multi-process world."""
     from repro.core.config import NAS_CONFIG, TORTURE_FAST_CONFIG
-    from repro.errors import ConfigurationError
     from repro.harness.report import render_table
     from repro.net.topology import clustered_topology
     from repro.shard import ShardedWorld
@@ -621,11 +574,11 @@ def _run_sharded(args: argparse.Namespace) -> int:
             "--live is incompatible with --no-dgc: collection drives the "
             "sharded run protocol's stop condition"
         )
-    if args.per_event_beats or args.aggregation == "per-event":
+    if args.aggregation == "per-event":
         return reject(
-            "--live requires the batched pulse core: drop "
-            "--per-event-beats / --aggregation per-event (the per-event "
-            "envelope path cannot cross a shard boundary)"
+            "--live requires a batched pulse core: drop --aggregation "
+            "per-event (the per-event envelope path cannot cross a "
+            "shard boundary)"
         )
     if args.nas_barrier:
         return reject(
@@ -676,8 +629,6 @@ def _run_sharded(args: argparse.Namespace) -> int:
         overrides["beat_slots"] = args.beat_slots
     if args.aggregation is not None:
         overrides["aggregation"] = args.aggregation
-    elif args.per_entry_pulse:
-        overrides["aggregate_site_pairs"] = False
     dgc = base.with_overrides(**overrides) if overrides else base
 
     registry = None
@@ -692,16 +643,11 @@ def _run_sharded(args: argparse.Namespace) -> int:
         )
 
     topology = clustered_topology(args.nodes, site_count=shards)
-    try:
-        sharded = ShardedWorld(
-            topology, shards, workload=workload, params=params,
-            dgc=dgc, registry=registry, seed=args.seed,
-            **({} if args.wire_version is None
-               else dict(wire_version=args.wire_version)),
-        )
-        result = sharded.run()
-    except ConfigurationError as exc:
-        return reject(str(exc))
+    sharded = ShardedWorld(
+        topology, shards, workload=workload, params=params,
+        dgc=dgc, registry=registry, seed=args.seed,
+    )
+    result = sharded.run()
 
     rows = [
         ["shards x nodes", f"{shards} x {args.nodes}"],
@@ -713,7 +659,6 @@ def _run_sharded(args: argparse.Namespace) -> int:
          f"{result.collected_acyclic}/{result.collected_cyclic}"],
         ["dead letters", result.dead_letters],
         ["barrier rounds", result.rounds],
-        ["wire version", f"v{result.wire_version}"],
         ["cross-shard frames", result.frame_count],
         ["frame KB", f"{result.frame_bytes / 1e3:.1f}"],
         ["frame bytes/entry",

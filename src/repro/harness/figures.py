@@ -59,19 +59,16 @@ def run_fig10(
     include_slow: bool = True,
     include_no_dgc: bool = True,
     beat_slots: Optional[Union[int, str]] = None,
-    batched_beats: Optional[bool] = None,
-    aggregate_site_pairs: Optional[bool] = None,
     aggregation: Optional[str] = None,
     collect_timeout: float = 36_000.0,
     keep_world: bool = False,
 ) -> Fig10Results:
     """Run the torture test under both configurations plus no-DGC.
 
-    ``beat_slots``/``batched_beats``/``aggregate_site_pairs``/
-    ``aggregation``/``keep_world`` are forwarded to
-    :func:`repro.workloads.torture.run_torture` (heartbeat, pulse
-    batching and delivery-core knobs); skipped runs reuse the fast
-    result so the report shape is stable.
+    ``beat_slots``/``aggregation``/``keep_world`` are forwarded to
+    :func:`repro.workloads.torture.run_torture` (heartbeat-slot and
+    delivery-core knobs); skipped runs reuse the fast result so the
+    report shape is stable.
     """
 
     def run(dgc: Optional[DgcConfig], sample: float) -> TortureResult:
@@ -84,8 +81,6 @@ def run_fig10(
             sample_period=sample,
             collect_timeout=collect_timeout,
             beat_slots=beat_slots,
-            batched_beats=batched_beats,
-            aggregate_site_pairs=aggregate_site_pairs,
             aggregation=aggregation,
             keep_world=keep_world,
         )

@@ -17,8 +17,8 @@ The fabric carries two message forms over one staged transport:
 * **typed** (:meth:`Network.send_typed`) — the primary, allocation-light
   form: ``(kind, item, payload)`` staged directly into the pulse for its
   delivery instant — one frame from the node to the staged entry — and
-  dispatched through the destination node's typed sink, or, on the
-  columnar core, straight through the kind-handler table behind it.
+  dispatched straight through the destination node's kind-handler table
+  (intra-node deliveries through the typed sink in front of it).
   Every traffic kind — app requests, future replies, registry lookups
   and DGC protocol messages — rides this path; no per-message
   :class:`Envelope` is allocated.
@@ -30,32 +30,26 @@ The fabric carries two message forms over one staged transport:
   batching disabled), so fixed-seed runs are bit-identical between the
   two delivery modes.
 
-Pulse storage comes in two selectable shapes:
+Pulse storage has one shape, the **aggregated columnar** pulse:
+per-instant pulse records pooled and recycled across instants through a
+free list, so steady-state staging allocates O(instants), not
+O(messages).  DGC traffic rides the fused
+:meth:`send_dgc_single`/:meth:`send_dgc_run` lanes: messages staged
+back-to-back on the same channel coalesce into **one** site-pair
+aggregate entry carrying flat parallel ``(target_id, message)`` columns,
+which the destination unwraps in one batch-sink call — per-message kind
+dispatch and route re-probing disappear for the whole run — while a lone
+DGC entry is handed straight to its target's bound collector handler
+through the per-activity tables the node lends at registration.  Runs
+only ever merge when *adjacent in stage order*, so the global delivery
+sequence — and with it per-channel FIFO and every fixed-seed outcome —
+is preserved by construction.  (A struct-of-arrays record for *plain*
+entries was measured slower than the tuple layout — five list appends
+beat one tuple only when entries merge — so the columnar form lives
+where it pays: the aggregate runs' flat columns and the pooled records;
+see PERFORMANCE.md.)
 
-* **aggregated columnar** (``aggregate_site_pairs`` on, the default
-  batched core) — per-instant pulse records pooled and recycled across
-  instants through a free list, so steady-state staging allocates
-  O(instants), not O(messages).  DGC traffic rides the fused
-  :meth:`send_dgc_single`/:meth:`send_dgc_run` lanes: messages staged
-  back-to-back on the same channel coalesce into **one** site-pair
-  aggregate entry carrying flat parallel ``(target_id, message)``
-  columns, which the destination unwraps in one batch-sink call —
-  per-message kind dispatch and route re-probing disappear for the whole
-  run — while a lone DGC entry is handed straight to its target's bound
-  collector handler through the per-activity tables the node lends at
-  registration.  Runs only ever merge when *adjacent in stage order*, so the
-  global delivery sequence — and with it per-channel FIFO and every
-  fixed-seed outcome — is preserved by construction.  (A
-  struct-of-arrays record for *plain* entries was measured slower than
-  the tuple layout — five list appends beat one tuple only when entries
-  merge — so the columnar form lives where it pays: the aggregate runs'
-  flat columns and the pooled records; see PERFORMANCE.md.)
-* **per-entry** (``aggregate_site_pairs`` off) — the previous batched
-  core: one freshly-allocated list of 6-tuples per instant, one entry
-  and one typed dispatch per message.  Kept selectable as the A/B
-  baseline the aggregated columnar core is benchmarked against.
-
-On top of the aggregated columnar shape sits the **relaxed** tier
+On top of it sits the **relaxed** tier
 (``relaxed_aggregation`` on, selected by
 ``DgcConfig.aggregation="relaxed"``): instead of staging each DGC send
 at its exact delivery instant, cross-node DGC traffic accumulates per
@@ -161,8 +155,7 @@ class _IngressChannel:
 class Network:
     """Connects registered node sinks through FIFO channels.
 
-    Pulse entry layout (shared by both batched cores) is
-    ``(channel, sink, dest, kind, item, payload)``:
+    Pulse entry layout is ``(channel, sink, dest, kind, item, payload)``:
 
     * envelope entries — ``kind`` is ``None``, ``item`` the envelope;
       local ones carry their resolved sink, cross-node ones re-resolve
@@ -170,7 +163,7 @@ class Network:
     * typed entries — ``kind`` is a traffic-kind constant; local ones
       carry the resolved typed sink, cross-node ones the destination
       node name in ``dest``,
-    * aggregate entries (aggregated core only) — ``kind`` is an
+    * aggregate entries — ``kind`` is an
       :data:`~repro.net.message.AGGREGATE_KINDS` marker and
       ``item``/``payload`` are flat parallel ``(target_id, message)``
       column lists covering an adjacent same-channel run of DGC traffic.
@@ -202,7 +195,7 @@ class Network:
         #: fabric so the columnar fire loop calls a cross-node message's
         #: handler directly instead of via the sink's kind dispatch.
         self._kind_tables: Dict[str, Dict[str, Callable[[Any, Any], None]]] = {}
-        #: Per-node DGC receive lanes of the aggregated core, keyed by
+        #: Per-node DGC receive lanes of the pulse, keyed by
         #: destination: single-message handlers ``(target, message)``
         #: (skipping the typed sink's kind dispatch) and aggregate
         #: unwrappers ``(targets, messages)`` looping the flat columns
@@ -230,16 +223,11 @@ class Network:
         #: is preserved by construction and fixed-seed outcomes are
         #: bit-identical with per-event delivery.
         self.pulse_batching = False
-        #: The aggregated columnar core (see module docstring).  Off,
-        #: the per-entry batched pulse of the previous core is used —
-        #: the A/B baseline.  Only meaningful while ``pulse_batching``
-        #: is on.
-        self.aggregate_site_pairs = False
         #: The relaxed coalescing tier (see module docstring): DGC sends
         #: accumulate per ``(channel, kind)`` stream and flush once per
         #: :attr:`_relaxed_flush_s` on the beat wheel's absolute grid.
-        #: Only meaningful on top of the aggregated columnar core;
-        #: enable through :meth:`configure_relaxed`.
+        #: Only meaningful while ``pulse_batching`` is on; enable
+        #: through :meth:`configure_relaxed`.
         self.relaxed_aggregation = False
         self._relaxed_flush_s: Optional[float] = None
         #: ``(channel, kind) -> [dest, size_bytes, targets, messages]``
@@ -259,11 +247,11 @@ class Network:
         #: merge ratio).
         self.relaxed_flush_count = 0
         self._pulses: Dict[float, list] = {}
-        #: Free list of recycled pulse records (aggregated core): the
+        #: Free list of recycled pulse records: the
         #: per-instant entry lists are cleared and reused, keeping their
         #: grown capacity, so steady-state staging allocates nothing.
         self._pulse_pool: List[list] = []
-        #: One-slot staging memo (aggregated core): consecutive sends
+        #: One-slot staging memo: consecutive sends
         #: overwhelmingly share a delivery instant (a fan-out's channels
         #: have equal latencies), so the float-keyed dict probe is
         #: skipped when the instant repeats.  Invalidated when the
@@ -362,16 +350,16 @@ class Network:
         traffic of every kind; nodes that do not provide one fall back to
         the per-envelope path even when batching is enabled.
         ``dgc_sinks`` maps a DGC kind to its ``(single, batch)`` handler
-        pair — the aggregated core's direct receive lanes; without them
+        pair — the pulse's direct receive lanes; without them
         DGC traffic for this node rides the typed sink like every other
         kind.  ``kind_handlers`` is the table ``typed_sink`` dispatches
         through, total over the kinds the node receives (a miss must
-        raise like the sink would); the columnar fire loop indexes it
-        directly, the other cores keep calling ``typed_sink``.
+        raise like the sink would); the fire loop indexes it directly,
+        the per-event core keeps calling ``typed_sink``.
         ``dgc_targets`` maps a DGC kind to the node's live per-activity
-        table ``target id -> (message) -> None``: the columnar fire loop
-        calls a single's bound handler through it and falls to the
-        kind's single sink on a miss (or when no table was lent).
+        table ``target id -> (message) -> None``: the fire loop calls a
+        single's bound handler through it and falls to the kind's single
+        sink on a miss (or when no table was lent).
         """
         self._sinks[node] = sink
         dgc_sinks = dgc_sinks or {}
@@ -401,8 +389,7 @@ class Network:
 
     def configure_relaxed(self, flush_period: float) -> None:
         """Enable the relaxed coalescing tier with the given flush
-        period (seconds).  Requires the aggregated columnar core
-        (``pulse_batching`` + ``aggregate_site_pairs``); the flush beat
+        period (seconds).  Requires ``pulse_batching``; the flush beat
         itself is armed lazily on first DGC accumulation."""
         if flush_period <= 0:
             raise ValueError(
@@ -443,8 +430,7 @@ class Network:
         mean the conservative-horizon proof was violated, so it raises
         rather than silently reordering.  A DGC run becomes **one**
         aggregate pulse entry carrying its columns as they came off the
-        wire (the per-entry core, which has no batch sinks, gets one
-        entry per message instead); every other run one entry per item.
+        wire; every other run one entry per item.
         No accounting happens here: the sending shard already charged
         the traffic (the merged accountant is the sum over shards).
         """
@@ -453,7 +439,6 @@ class Network:
         ingress = self._ingress
         stage = self._stage
         pulses = self._pulses
-        columnar = self.aggregate_site_pairs
         pulses_before = self.pulse_event_count
         rows = 0
         for kind, delivery, dest, items, payloads in runs:
@@ -462,7 +447,7 @@ class Network:
                     f"late cross-shard {kind} run: delivery {delivery} is "
                     f"before local time {now} (lookahead violated)"
                 )
-            if columnar and kind in AGGREGATE_KINDS:
+            if kind in AGGREGATE_KINDS:
                 entry = (
                     ingress, None, dest, AGGREGATE_KINDS[kind], items, payloads
                 )
@@ -602,15 +587,12 @@ class Network:
             # First delivery at this instant: open its pulse (inlined
             # _stage — once per instant, but request/reply traffic
             # rarely shares one).
-            if self.aggregate_site_pairs:
-                pool = self._pulse_pool
-                entries = pool.pop() if pool else []
-                fire = self._fire_pulse_columnar
-            else:
-                entries = []
-                fire = self._fire_pulse
+            pool = self._pulse_pool
+            entries = pool.pop() if pool else []
             pulses[delivery_time] = entries
-            kernel.schedule_fire_at(delivery_time, fire, (delivery_time,))
+            kernel.schedule_fire_at(
+                delivery_time, self._fire_pulse, (delivery_time,)
+            )
             self.pulse_event_count += 1
         entries.append(entry)
         self._last_pulse_time = delivery_time
@@ -625,8 +607,8 @@ class Network:
         item: Any,
         payload: Any,
     ) -> None:
-        """Fused DGC send lane of the aggregated columnar core: one
-        frame from the node to the staged pulse entry.
+        """Fused DGC send lane of the pulse: one frame from the node to
+        the staged pulse entry.
 
         Equivalent to :meth:`send_typed` — same route/partition/fallback
         semantics, same accounting, same FIFO reservation — plus the
@@ -636,7 +618,7 @@ class Network:
         adding an entry.  Merging only ever extends the *tail*, so the
         global delivery sequence equals per-message stage order exactly.
         """
-        if not (self.pulse_batching and self.aggregate_site_pairs):
+        if not self.pulse_batching:
             self.send_typed(source, dest, kind, size_bytes, item, payload)
             return
         try:
@@ -736,7 +718,7 @@ class Network:
                 entries = pool.pop() if pool else []
                 pulses[delivery_time] = entries
                 kernel.schedule_fire_at(
-                    delivery_time, self._fire_pulse_columnar, (delivery_time,)
+                    delivery_time, self._fire_pulse, (delivery_time,)
                 )
                 self.pulse_event_count += 1
                 self._last_pulse_time = delivery_time
@@ -791,7 +773,7 @@ class Network:
         run occupies consecutive stage positions, so outcomes are
         bit-identical to sending each message through
         :meth:`send_typed` — which is exactly what the fallback does
-        whenever aggregation or batching is off, the channel has
+        whenever batching is off (the per-event core), the channel has
         fault-plan delay rules, or the destination lacks a batch sink.
         """
         count = len(targets)
@@ -801,7 +783,7 @@ class Network:
                     source, dest, kind, size_bytes, targets[0], messages[0]
                 )
             return
-        if not (self.pulse_batching and self.aggregate_site_pairs):
+        if not self.pulse_batching:
             for index in range(count):
                 self.send_typed(
                     source, dest, kind, size_bytes,
@@ -911,7 +893,7 @@ class Network:
                 entries = pool.pop() if pool else []
                 pulses[delivery_time] = entries
                 kernel.schedule_fire_at(
-                    delivery_time, self._fire_pulse_columnar, (delivery_time,)
+                    delivery_time, self._fire_pulse, (delivery_time,)
                 )
                 self.pulse_event_count += 1
                 self._last_pulse_time = delivery_time
@@ -989,7 +971,7 @@ class Network:
             raise NetworkError(
                 f"envelope for {dest!r} would cross a shard boundary: "
                 "cross-shard traffic requires pulse batching "
-                "(batched_beats on, no fault-plan delay rules)"
+                "(a batched aggregation core, no fault-plan delay rules)"
             )
         if channel is None:
             # Intra-node: delivered immediately (same tick), not accounted.
@@ -1025,25 +1007,17 @@ class Network:
 
     def _stage(self, delivery_time: float, entry: tuple) -> None:
         """Append one delivery to the pulse for ``delivery_time``,
-        creating its (single) kernel event on first use.
-
-        The aggregated core reuses recycled entry lists from the free
-        list and fires through the columnar loop; the per-entry baseline
-        allocates a fresh list per instant, exactly as the previous core
-        did.
-        """
+        creating its (single) kernel event on first use and reusing a
+        recycled entry list from the free list."""
         pulses = self._pulses
         batch = pulses.get(delivery_time)
         if batch is None:
-            if self.aggregate_site_pairs:
-                pool = self._pulse_pool
-                batch = pool.pop() if pool else []
-                fire = self._fire_pulse_columnar
-            else:
-                batch = []
-                fire = self._fire_pulse
+            pool = self._pulse_pool
+            batch = pool.pop() if pool else []
             pulses[delivery_time] = batch
-            self._kernel.schedule_fire_at(delivery_time, fire, (delivery_time,))
+            self._kernel.schedule_fire_at(
+                delivery_time, self._fire_pulse, (delivery_time,)
+            )
             self.pulse_event_count += 1
         batch.append(entry)
 
@@ -1217,52 +1191,19 @@ class Network:
 
     def _fire_pulse(self, delivery_time: float) -> None:
         """Deliver every entry staged for ``delivery_time``, in stage
-        (i.e. send) order — the per-entry baseline loop.
+        (i.e. send) order, then recycle the pulse record.
 
-        Local entries carry their resolved sink; cross-node ones
-        re-resolve the destination at delivery, like ``_dispatch``.
-        """
-        entries = self._pulses.pop(delivery_time)
-        if delivery_time == self._last_pulse_time:
-            # Detach the staging memo (see _fire_pulse_columnar).
-            self._last_pulse_time = -1.0
-        self.staged_entry_count += len(entries)
-        permuter = self.pulse_permuter
-        if permuter is not None:
-            entries = permuter(delivery_time, entries)
-        typed_sinks = self._typed_sinks
-        for channel, sink, dest, kind, item, payload in entries:
-            if channel is not None:
-                channel.delivered_count += 1
-            if kind is None:
-                if channel is None:
-                    sink(item)
-                else:
-                    self._dispatch(item)
-                continue
-            if channel is not None:
-                sink = typed_sinks.get(dest)
-                if sink is None:
-                    self.fault_plan.dropped_count += 1
-                    continue
-            sink(kind, item, payload)
-
-    def _fire_pulse_columnar(self, delivery_time: float) -> None:
-        """Deliver every entry staged for ``delivery_time``, in stage
-        (i.e. send) order, then recycle the pulse record — the
-        aggregated core's loop.
-
-        One tight loop with every per-entry lookup bound to a local:
+        One tight loop with every lookup an entry needs bound to a local:
         aggregate entries cost one batch-sink call per *run* (the
         destination loops the flat columns itself), plain DGC entries
         dispatch straight to their single-message lane, every other
         cross-node typed entry straight to its handler in the
         destination's kind table (no typed-sink kind dispatch either
-        way), and everything else behaves exactly as the per-entry
-        loop.  Handlers running inside the loop may stage new
-        traffic freely — even for this same instant — because the record
-        was detached from ``_pulses`` before the loop and only recycled
-        after it.
+        way); local entries carry their resolved sink, cross-node ones
+        re-resolve the destination at delivery, like ``_dispatch``.
+        Handlers running inside the loop may stage new traffic freely —
+        even for this same instant — because the record was detached
+        from ``_pulses`` before the loop and only recycled after it.
         """
         entries = self._pulses.pop(delivery_time)
         if delivery_time == self._last_pulse_time:

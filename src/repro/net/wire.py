@@ -25,17 +25,11 @@ on:
   corrupted buffer raises :class:`WireFormatError` instead of returning
   garbage.
 
-Two frame formats share the header struct and are told apart by magic:
-
-**v1** (magic ``0x5D57``) is the original flat encoding — every entry
-pays a fixed 11-byte head (f64 delivery, u16 dest, u8 kind) and every
-value is encoded in full at every occurrence.
-
-**v2** (magic ``0x5D58``, the default) is the compact, columnar
-encoding.  Both formats carry *runs* — ``(kind, delivery, dest, items,
-payloads)``, the shape the network's shard egress stages and the
-receiving pulse wants — and v2 keeps a run a run from send to sink.
-Layout after the shared header:
+A frame is a header (magic ``0x5D58``, the ``(src_shard, seq)`` stamp,
+row count, earliest delivery) and a compact, columnar body of *runs* —
+``(kind, delivery, dest, items, payloads)``, the shape the network's
+shard egress stages and the receiving pulse wants — so a run stays a
+run from send to sink.  Layout after the header:
 
 * ``varint table_size`` — the encoder's intern-table size when it began
   the frame; the decoder compares it with its own table before reading
@@ -56,21 +50,19 @@ Layout after the shared header:
   decode: a beat's one ``DgcMessage`` fanned out across dozens of
   targets comes back as one object;
 * the body of any other run is ``count`` ``(item, payload)`` pairs of
-  tagged values: the v1 tag set plus ``_T_BACKREF`` into the same
-  table (strings, floats, clocks, refs, reply addresses intern in
-  encode order), integers as zigzag varints;
+  tagged values: one tag byte, then the value's fields encoded
+  recursively, or ``_T_BACKREF`` into the same table (strings, floats,
+  clocks, refs, reply addresses intern in encode order), integers as
+  zigzag varints;
 * decode is zero-copy: one ``memoryview`` over the frame,
   ``struct.unpack_from`` for fixed fields, ``str(view, "utf-8")`` for
   text.
 
 The site-pair aggregate markers (``dgc.message[]``) are in-memory pulse
-shapes and never ride a v2 frame: a DGC run travels under its base
-kind whatever its length.  v1 keeps its entry-at-a-time layout (runs
-are expanded into entries and back) as the A/B oracle; both decode
-through :func:`unpack_frame` and round-trip bit-identically on the same
-property suite.
+shapes and never ride a frame: a DGC run travels under its base kind
+whatever its length.
 
-**Channel persistence.**  The v2 intern table is per-frame by default,
+**Channel persistence.**  The intern table is per-frame by default,
 which makes every frame self-contained — but on a shard channel the
 same activity ids, clocks and messages recur frame after frame.  A
 :class:`ChannelEncoder` / :class:`ChannelDecoder` pair carries the
@@ -88,8 +80,7 @@ worker treats decode errors as fatal).  The encoder keys its table by
 *value* — a string itself, a composite by the tuple of its primitive
 fields — so probes hash in C, equal-but-distinct objects share one
 slot, and no object identity (which a collected object's reused address
-could alias) is ever trusted.  v1 has no channel state (passing one
-raises).
+could alias) is ever trusted.
 
 Naming note (ROADMAP): the DGC *protocol* message types stay in
 :mod:`repro.core.wire` — they are protocol state, not transport.  This
@@ -141,25 +132,17 @@ class WireFormatError(NetworkError):
 
 
 #: Frame magic: rejects frames from a foreign protocol (or a desynced
-#: stream) before any lengths are trusted.  v1 and v2 share the header
-#: struct; the magic doubles as the format version.
-FRAME_MAGIC = 0x5D57
-FRAME_MAGIC_V2 = 0x5D58
-
-#: The format :func:`pack_frame` emits when no ``version`` is given.
-DEFAULT_WIRE_VERSION = 2
+#: stream) before any lengths are trusted.  It doubles as the format
+#: version: ``0x5D57`` was the retired entry-at-a-time format.
+FRAME_MAGIC = 0x5D58
 
 _HEADER = struct.Struct("!HHIId")  # magic, src_shard, seq, count, min_delivery
-_ENTRY_HEAD = struct.Struct("!dHB")  # delivery, dest node index, kind index
 _F64 = struct.Struct("!d")
-_I64 = struct.Struct("!q")
-_U32 = struct.Struct("!I")
-_U8 = struct.Struct("!B")
 
-# Tagged-value encoding: one tag byte, then a fixed field layout per
-# tag.  Compound fabric types encode their fields recursively with the
-# same codec, so e.g. a Request's refs tuple of RemoteRefs needs no
-# special casing.
+# Tagged-value encoding: one tag byte, then a field layout per tag.
+# Compound fabric types encode their fields recursively with the same
+# codec, so e.g. a Request's refs tuple of RemoteRefs needs no special
+# casing.
 _T_NONE = 0x00
 _T_FALSE = 0x01
 _T_TRUE = 0x02
@@ -171,7 +154,7 @@ _T_BYTES = 0x07
 _T_TUPLE = 0x08
 _T_LIST = 0x09
 _T_DICT = 0x0A
-#: v2 only: a varint index into the frame's intern table.
+#: A varint index into the frame's intern table.
 _T_BACKREF = 0x0B
 _T_CLOCK = 0x10
 _T_REMOTE_REF = 0x11
@@ -239,9 +222,9 @@ _KIND_INDEX_CACHE: Optional[Tuple[Tuple[str, ...], Dict[str, int]]] = None
 #: both the batch and its ack).  The ``KIND-codec`` rule in
 #: :mod:`repro.analysis` checks the manifest stays total over the
 #: registry and that every class named here has matching branches in
-#: all four codec functions, so adding a kind without teaching both
-#: wire versions to carry it fails the lint instead of raising
-#: :class:`WireFormatError` mid-run.
+#: both codec function sets (encode and decode), so adding a kind
+#: without teaching the wire to carry it fails the lint instead of
+#: raising :class:`WireFormatError` mid-run.
 KIND_PAYLOAD_TYPES = {
     KIND_DGC_MESSAGE: (DgcMessage,),
     KIND_DGC_RESPONSE: (DgcResponse,),
@@ -257,315 +240,7 @@ KIND_PAYLOAD_TYPES = {
 
 
 # ----------------------------------------------------------------------
-# Value encoding
-# ----------------------------------------------------------------------
-
-
-def _encode_str(out: bytearray, text: str) -> None:
-    raw = text.encode("utf-8")
-    out += _U32.pack(len(raw))
-    out += raw
-
-
-def _encode_value(out: bytearray, value) -> None:
-    if value is None:
-        out.append(_T_NONE)
-    elif value is True:
-        out.append(_T_TRUE)
-    elif value is False:
-        out.append(_T_FALSE)
-    elif type(value) is str:
-        out.append(_T_STR)
-        _encode_str(out, value)
-    elif type(value) is int:
-        if _INT64_MIN <= value <= _INT64_MAX:
-            out.append(_T_INT)
-            out += _I64.pack(value)
-        else:
-            raw = value.to_bytes(
-                (value.bit_length() + 8) // 8, "big", signed=True
-            )
-            out.append(_T_BIGINT)
-            out += _U32.pack(len(raw))
-            out += raw
-    elif type(value) is float:
-        out.append(_T_FLOAT)
-        out += _F64.pack(value)
-    elif type(value) is bytes:
-        out.append(_T_BYTES)
-        out += _U32.pack(len(value))
-        out += value
-    elif type(value) is tuple:
-        out.append(_T_TUPLE)
-        out += _U32.pack(len(value))
-        for element in value:
-            _encode_value(out, element)
-    elif type(value) is list:
-        out.append(_T_LIST)
-        out += _U32.pack(len(value))
-        for element in value:
-            _encode_value(out, element)
-    elif type(value) is dict:
-        out.append(_T_DICT)
-        out += _U32.pack(len(value))
-        for key, entry in value.items():
-            _encode_value(out, key)
-            _encode_value(out, entry)
-    elif type(value) is ActivityClock:
-        out.append(_T_CLOCK)
-        out += _I64.pack(value.value)
-        _encode_str(out, value.owner)
-    elif type(value) is RemoteRef:
-        out.append(_T_REMOTE_REF)
-        _encode_str(out, value.activity_id)
-        _encode_str(out, value.node)
-    elif type(value) is ReplyAddress:
-        out.append(_T_REPLY_ADDRESS)
-        _encode_str(out, value.node)
-        _encode_str(out, value.activity)
-        out += _I64.pack(value.future_id)
-    elif type(value) is Request:
-        out.append(_T_REQUEST)
-        _encode_str(out, value.method)
-        _encode_str(out, value.sender)
-        _encode_str(out, value.target)
-        out += _I64.pack(value.payload_bytes)
-        out += _I64.pack(value.request_id)
-        _encode_value(out, tuple(value.refs))
-        _encode_value(out, value.data)
-        _encode_value(out, value.reply_to)
-    elif type(value) is Reply:
-        out.append(_T_REPLY)
-        out += _I64.pack(value.future_id)
-        _encode_str(out, value.target_activity)
-        out += _I64.pack(value.payload_bytes)
-        _encode_value(out, tuple(value.refs))
-        _encode_value(out, value.data)
-    elif type(value) is DgcMessage:
-        out.append(_T_DGC_MESSAGE)
-        _encode_str(out, value.sender)
-        out += _I64.pack(value.clock.value)
-        _encode_str(out, value.clock.owner)
-        out.append(1 if value.consensus else 0)
-        _encode_str(out, value.sender_ref.activity_id)
-        _encode_str(out, value.sender_ref.node)
-        out += _F64.pack(value.sender_ttb)
-    elif type(value) is DgcResponse:
-        out.append(_T_DGC_RESPONSE)
-        _encode_str(out, value.responder)
-        out += _I64.pack(value.clock.value)
-        _encode_str(out, value.clock.owner)
-        out.append(1 if value.has_parent else 0)
-        out.append(1 if value.consensus_reached else 0)
-        _encode_value(out, value.depth)
-    elif type(value) is RegistryLookup:
-        out.append(_T_REG_LOOKUP)
-        _encode_str(out, value.name)
-        _encode_value(out, value.reply_to)
-    elif type(value) is RegistryReply:
-        out.append(_T_REG_REPLY)
-        out += _I64.pack(value.future_id)
-        _encode_str(out, value.target_activity)
-        _encode_str(out, value.name)
-        _encode_value(out, value.ref)
-        out += _F64.pack(value.lease_s)
-    elif type(value) is RegistryBind:
-        out.append(_T_REG_BIND)
-        _encode_str(out, value.name)
-        _encode_value(out, value.ref)
-        _encode_value(out, value.reply_to)
-    elif type(value) is RegistryAck:
-        out.append(_T_REG_ACK)
-        out += _I64.pack(value.future_id)
-        _encode_str(out, value.target_activity)
-        _encode_str(out, value.name)
-        out.append(1 if value.ok else 0)
-        _encode_str(out, value.error)
-    elif type(value) is RegistryRenew:
-        out.append(_T_REG_RENEW)
-        _encode_str(out, value.node)
-        _encode_value(out, value.names)
-    elif type(value) is RegistryRenewAck:
-        out.append(_T_REG_RENEW_ACK)
-        _encode_value(out, value.names)
-        out += _F64.pack(value.lease_s)
-    elif type(value) is RegistryInvalidate:
-        out.append(_T_REG_INVALIDATE)
-        _encode_value(out, value.names)
-    elif type(value) is RegistryPush:
-        out.append(_T_REG_PUSH)
-        _encode_value(out, value.bindings)
-    else:
-        raise WireFormatError(
-            f"cannot encode {type(value).__name__!r} on the shard wire"
-        )
-
-
-# ----------------------------------------------------------------------
-# Value decoding
-# ----------------------------------------------------------------------
-
-
-class _Reader:
-    """Bounds-checked cursor over one frame buffer."""
-
-    __slots__ = ("buf", "pos", "end")
-
-    def __init__(self, buf, pos: int, end: int) -> None:
-        self.buf = buf
-        self.pos = pos
-        self.end = end
-
-    def take(self, count: int):
-        pos = self.pos
-        stop = pos + count
-        if stop > self.end:
-            raise WireFormatError(
-                f"truncated frame: wanted {count} bytes at offset {pos}, "
-                f"{self.end - pos} available"
-            )
-        self.pos = stop
-        return self.buf[pos:stop]
-
-    def u8(self) -> int:
-        return _U8.unpack(self.take(1))[0]
-
-    def u32(self) -> int:
-        return _U32.unpack(self.take(4))[0]
-
-    def i64(self) -> int:
-        return _I64.unpack(self.take(8))[0]
-
-    def f64(self) -> float:
-        return _F64.unpack(self.take(8))[0]
-
-    def text(self) -> str:
-        length = self.u32()
-        try:
-            return bytes(self.take(length)).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise WireFormatError(f"corrupt string field: {exc}") from None
-
-
-def _decode_value(reader: _Reader):
-    tag = reader.u8()
-    if tag == _T_NONE:
-        return None
-    if tag == _T_TRUE:
-        return True
-    if tag == _T_FALSE:
-        return False
-    if tag == _T_INT:
-        return reader.i64()
-    if tag == _T_BIGINT:
-        raw = bytes(reader.take(reader.u32()))
-        return int.from_bytes(raw, "big", signed=True)
-    if tag == _T_FLOAT:
-        return reader.f64()
-    if tag == _T_STR:
-        return reader.text()
-    if tag == _T_BYTES:
-        return bytes(reader.take(reader.u32()))
-    if tag == _T_TUPLE:
-        count = reader.u32()
-        return tuple(_decode_value(reader) for _ in range(count))
-    if tag == _T_LIST:
-        count = reader.u32()
-        return [_decode_value(reader) for _ in range(count)]
-    if tag == _T_DICT:
-        count = reader.u32()
-        return {
-            _decode_value(reader): _decode_value(reader)
-            for _ in range(count)
-        }
-    if tag == _T_CLOCK:
-        return ActivityClock(reader.i64(), reader.text())
-    if tag == _T_REMOTE_REF:
-        return RemoteRef(reader.text(), reader.text())
-    if tag == _T_REPLY_ADDRESS:
-        return ReplyAddress(reader.text(), reader.text(), reader.i64())
-    if tag == _T_REQUEST:
-        method = reader.text()
-        sender = reader.text()
-        target = reader.text()
-        payload_bytes = reader.i64()
-        request_id = reader.i64()
-        refs = _decode_value(reader)
-        data = _decode_value(reader)
-        reply_to = _decode_value(reader)
-        return Request(
-            method,
-            sender,
-            target,
-            payload_bytes=payload_bytes,
-            refs=refs,
-            data=data,
-            reply_to=reply_to,
-            request_id=request_id,
-        )
-    if tag == _T_REPLY:
-        future_id = reader.i64()
-        target_activity = reader.text()
-        payload_bytes = reader.i64()
-        refs = _decode_value(reader)
-        data = _decode_value(reader)
-        return Reply(
-            future_id,
-            target_activity,
-            payload_bytes=payload_bytes,
-            refs=refs,
-            data=data,
-        )
-    if tag == _T_DGC_MESSAGE:
-        sender = reader.text()
-        clock = ActivityClock(reader.i64(), reader.text())
-        consensus = reader.u8() != 0
-        sender_ref = RemoteRef(reader.text(), reader.text())
-        sender_ttb = reader.f64()
-        return DgcMessage(sender, clock, consensus, sender_ref, sender_ttb)
-    if tag == _T_DGC_RESPONSE:
-        responder = reader.text()
-        clock = ActivityClock(reader.i64(), reader.text())
-        has_parent = reader.u8() != 0
-        consensus_reached = reader.u8() != 0
-        depth = _decode_value(reader)
-        return DgcResponse(
-            responder, clock, has_parent, consensus_reached, depth
-        )
-    if tag == _T_REG_LOOKUP:
-        return RegistryLookup(reader.text(), _decode_value(reader))
-    if tag == _T_REG_REPLY:
-        future_id = reader.i64()
-        target_activity = reader.text()
-        name = reader.text()
-        ref = _decode_value(reader)
-        lease_s = reader.f64()
-        return RegistryReply(future_id, target_activity, name, ref, lease_s)
-    if tag == _T_REG_BIND:
-        name = reader.text()
-        ref = _decode_value(reader)
-        reply_to = _decode_value(reader)
-        return RegistryBind(name, ref, reply_to)
-    if tag == _T_REG_ACK:
-        future_id = reader.i64()
-        target_activity = reader.text()
-        name = reader.text()
-        ok = reader.u8() != 0
-        error = reader.text()
-        return RegistryAck(future_id, target_activity, name, ok, error)
-    if tag == _T_REG_RENEW:
-        return RegistryRenew(reader.text(), _decode_value(reader))
-    if tag == _T_REG_RENEW_ACK:
-        return RegistryRenewAck(_decode_value(reader), reader.f64())
-    if tag == _T_REG_INVALIDATE:
-        return RegistryInvalidate(_decode_value(reader))
-    if tag == _T_REG_PUSH:
-        return RegistryPush(_decode_value(reader))
-    raise WireFormatError(f"unknown value tag 0x{tag:02X}")
-
-
-# ----------------------------------------------------------------------
-# v2 encoding (interning + varints + DGC column blocks)
+# Encoding (interning + varints + DGC column blocks)
 # ----------------------------------------------------------------------
 
 #: Sentinel dict keys for the two float zeroes — ``-0.0 == 0.0`` hashes
@@ -580,10 +255,10 @@ def _float_key(value: float):
     return value
 
 
-#: Opens every v2 run: kind index, destination node index, item count,
+#: Opens every run: kind index, destination node index, item count,
 #: delivery instant.
 _RUN_HEAD = struct.Struct("!BHId")
-#: First byte of a v2 record that defines an intern-table entry instead
+#: First byte of a record that defines an intern-table entry instead
 #: of opening a run; kind indices stay below it.
 _DEFINE = 0xFF
 #: Field-wise definitions: ``_DEFINE``, the value tag, then the fields —
@@ -900,12 +575,12 @@ class _V2Encoder:
 
 
 # ----------------------------------------------------------------------
-# v2 value decoding
+# Value decoding
 # ----------------------------------------------------------------------
 
 
 class _V2Reader:
-    """Bounds-checked zero-copy cursor over one v2 frame.
+    """Bounds-checked zero-copy cursor over one frame.
 
     Fixed fields go through ``struct.unpack_from`` on the shared
     memoryview, text through ``str(view, "utf-8")`` — nothing slices
@@ -1191,7 +866,7 @@ class ChannelEncoder(_V2Encoder):
     """Persistent encode state for one ordered (src, dst) frame stream.
 
     Pass the same instance to every :func:`pack_frame` call on the
-    channel (v2 only) and the intern table survives between frames:
+    channel and the intern table survives between frames:
     the steady state re-sends recurring ids, clocks and messages as
     table indices instead of definitions.  Sound only if the peer
     decodes the channel's frames in pack order with a matching
@@ -1228,21 +903,9 @@ def frame_stamp(buf: bytes) -> Tuple[int, int]:
             f"{_HEADER.size}"
         )
     magic, src_shard, seq, _count, _min_delivery = _HEADER.unpack_from(buf, 0)
-    if magic != FRAME_MAGIC and magic != FRAME_MAGIC_V2:
+    if magic != FRAME_MAGIC:
         raise WireFormatError(f"bad frame magic 0x{magic:04X}")
     return src_shard, seq
-
-
-def frame_version(buf: bytes) -> int:
-    """The format version of a packed frame (1 or 2), from its magic."""
-    if len(buf) < 2:
-        raise WireFormatError("truncated frame: no magic")
-    magic = (buf[0] << 8) | buf[1]
-    if magic == FRAME_MAGIC:
-        return 1
-    if magic == FRAME_MAGIC_V2:
-        return 2
-    raise WireFormatError(f"bad frame magic 0x{magic:04X}")
 
 
 def pack_frame(
@@ -1250,7 +913,6 @@ def pack_frame(
     seq: int,
     runs: Sequence[Run],
     node_index: Dict[str, int],
-    version: int = DEFAULT_WIRE_VERSION,
     channel: Optional[ChannelEncoder] = None,
 ) -> bytes:
     """Pack staged runs into one wire frame.
@@ -1259,63 +921,10 @@ def pack_frame(
     what :meth:`repro.net.network.Network.drain_egress` hands over, and
     exactly the columns a staged pulse entry carries minus the channel
     (the receiving shard re-binds its own ingress channel).  ``kind`` is
-    a registered kind, never a site-pair aggregate marker.  ``version``
-    selects the frame format; both decode through :func:`unpack_frame`.
-    ``channel`` (v2 only) persists the intern table across the frames
-    of one ordered shard channel.
+    a registered kind, never a site-pair aggregate marker.  ``channel``
+    persists the intern table across the frames of one ordered shard
+    channel.
     """
-    if version == 2:
-        return _pack_frame_v2(src_shard, seq, runs, node_index, channel)
-    if version != 1:
-        raise WireFormatError(f"unknown wire version {version!r}")
-    if channel is not None:
-        raise WireFormatError("wire v1 has no channel state")
-    index = kind_index()
-    # v1 knows entries, not runs: a DGC run of several messages rides
-    # as one aggregate-marker entry, everything else item by item.
-    entries = []
-    for kind, delivery, dest, items, payloads in runs:
-        aggregate = _kinds.AGGREGATE_KINDS.get(kind)
-        if aggregate is not None and len(items) > 1:
-            entries.append((delivery, dest, aggregate, items, payloads))
-        else:
-            for item, payload in zip(items, payloads):
-                entries.append((delivery, dest, kind, item, payload))
-    out = bytearray(
-        _HEADER.pack(
-            FRAME_MAGIC,
-            src_shard,
-            seq,
-            len(entries),
-            min((entry[0] for entry in entries), default=0.0),
-        )
-    )
-    for delivery, dest, kind, item, payload in entries:
-        try:
-            dest_position = node_index[dest]
-        except KeyError:
-            raise WireFormatError(
-                f"destination node {dest!r} is not in the shared topology"
-            ) from None
-        try:
-            kind_position = index[kind]
-        except KeyError:
-            raise WireFormatError(
-                f"kind {kind!r} is not registered with the fabric"
-            ) from None
-        out += _ENTRY_HEAD.pack(delivery, dest_position, kind_position)
-        _encode_value(out, item)
-        _encode_value(out, payload)
-    return bytes(out)
-
-
-def _pack_frame_v2(
-    src_shard: int,
-    seq: int,
-    runs: Sequence[Run],
-    node_index: Dict[str, int],
-    channel: Optional[ChannelEncoder] = None,
-) -> bytes:
     # The runs arrive grouped — the network's egress buckets sends by
     # (kind, delivery instant, destination) as they happen — so packing
     # is one pass: a head per run, then a column block (DGC) or the
@@ -1378,7 +987,7 @@ def _pack_frame_v2(
     except struct.error as exc:
         raise WireFormatError(f"field out of range for the wire: {exc}") from None
     return _HEADER.pack(
-        FRAME_MAGIC_V2,
+        FRAME_MAGIC,
         src_shard,
         seq,
         rows,
@@ -1397,8 +1006,8 @@ def unpack_frame(
     derive it from the same :class:`~repro.net.topology.Topology`).
     Kinds come back as the canonical interned constants, so identity
     dispatch in the columnar fire loop works on injected runs.
-    ``channel`` (v2 only) persists the intern table across the frames
-    of one ordered shard channel; it must mirror the packing side's
+    ``channel`` persists the intern table across the frames of one
+    ordered shard channel; it must mirror the packing side's
     :class:`ChannelEncoder` frame for frame.
     """
     if len(buf) < _HEADER.size:
@@ -1406,55 +1015,8 @@ def unpack_frame(
             f"truncated frame: {len(buf)} bytes, header needs {_HEADER.size}"
         )
     magic, src_shard, seq, count, _min_delivery = _HEADER.unpack_from(buf, 0)
-    if magic == FRAME_MAGIC_V2:
-        return _unpack_frame_v2(buf, node_names, src_shard, seq, count, channel)
     if magic != FRAME_MAGIC:
         raise WireFormatError(f"bad frame magic 0x{magic:04X}")
-    if channel is not None:
-        raise WireFormatError("wire v1 has no channel state")
-    table = kind_table()
-    base_kind = {
-        aggregate: kind for kind, aggregate in _kinds.AGGREGATE_KINDS.items()
-    }
-    reader = _Reader(memoryview(buf), _HEADER.size, len(buf))
-    runs: List[Run] = []
-    for _ in range(count):
-        delivery, dest_position, kind_position = _ENTRY_HEAD.unpack(
-            reader.take(_ENTRY_HEAD.size)
-        )
-        if dest_position >= len(node_names):
-            raise WireFormatError(
-                f"destination index {dest_position} out of range "
-                f"({len(node_names)} nodes)"
-            )
-        if kind_position >= len(table):
-            raise WireFormatError(
-                f"kind index {kind_position} out of range "
-                f"({len(table)} kinds)"
-            )
-        kind = table[kind_position]
-        item = _decode_value(reader)
-        payload = _decode_value(reader)
-        if kind in base_kind:
-            kind = base_kind[kind]
-        else:
-            item, payload = [item], [payload]
-        runs.append((kind, delivery, node_names[dest_position], item, payload))
-    if reader.pos != reader.end:
-        raise WireFormatError(
-            f"frame has {reader.end - reader.pos} trailing bytes"
-        )
-    return Frame(src_shard, seq, runs)
-
-
-def _unpack_frame_v2(
-    buf: bytes,
-    node_names: Sequence[str],
-    src_shard: int,
-    seq: int,
-    count: int,
-    channel: Optional[ChannelDecoder] = None,
-) -> Frame:
     kinds = kind_table()
     node_count = len(node_names)
     reader = _V2Reader(memoryview(buf), _HEADER.size, len(buf))
@@ -1522,7 +1084,7 @@ def _unpack_frame_v2(
                 rows += length
             else:
                 raise WireFormatError(
-                    f"aggregate marker {kind!r} cannot ride a v2 frame"
+                    f"aggregate marker {kind!r} cannot ride a frame"
                 )
             runs.append(
                 (kind, delivery, node_names[dest_position], items, payloads)

@@ -9,7 +9,7 @@
   patchable in under :func:`naive_mode` so the algorithmic speedup is
   measured against the code it replaced, on the same seed, in the same
   process.  (Scheduling baselines need no patching: per-event beats are
-  a config knob, ``DgcConfig.batched_beats=False``.)
+  a config knob, ``DgcConfig(aggregation="per-event")``.)
 
 See PERFORMANCE.md for methodology; ``benchmarks/test_perf_throughput.py``
 and ``benchmarks/test_perf_fig10.py`` are the entry points.

@@ -87,8 +87,8 @@ class Node:
         self._dgc_response_bytes = self.wire_sizes.dgc_response_bytes
         #: Direct DGC dispatch tables: activity id -> bound collector
         #: handler, maintained by :meth:`register_collector` and the
-        #: termination hook, and lent to the fabric: the aggregated
-        #: core's fire loop (singles) and the batch sinks below (runs)
+        #: termination hook, and lent to the fabric: the pulse's
+        #: fire loop (singles) and the batch sinks below (runs)
         #: call the handler through them instead of activity lookup +
         #: collector null-checks per message; a miss falls back to the
         #: full lookup (collectors attached outside the world's create
@@ -110,9 +110,9 @@ class Node:
         #: analyzer's KIND-sink rule reads the keys), so adding a kind
         #: means adding an entry, not a code path.  The columnar fire
         #: loop indexes the table directly; :meth:`_on_typed` dispatches
-        #: through it for the other cores.  The DGC entries are the
-        #: activity-lookup handlers those cores have always used — and
-        #: the columnar core's single sinks, behind the target tables.
+        #: through it for the per-event core.  The DGC entries are the
+        #: activity-lookup handlers that core has always used — and
+        #: the columnar pulse's single sinks, behind the target tables.
         self._kind_handlers = _KindHandlers({
             KIND_DGC_MESSAGE: self._on_dgc_message_via_lookup,
             KIND_DGC_RESPONSE: self._on_dgc_response_via_lookup,
@@ -373,9 +373,9 @@ class Node:
 
     def _on_typed(self, kind: str, item: Any, payload: Any) -> None:
         """The node's typed sink: one dispatcher for every traffic kind
-        — the entry point of the envelope, per-event and per-entry
-        cores and of intra-node deliveries (the columnar fire loop
-        calls the table's handlers itself)."""
+        — the entry point of the envelope fallback, the per-event core
+        and intra-node deliveries (the columnar fire loop calls the
+        table's handlers itself)."""
         self._kind_handlers[kind](item, payload)
 
     def _on_request(self, request: Request, payload: Any = None) -> None:
@@ -464,8 +464,8 @@ class Node:
         self, activity_id: ActivityId, message: Any
     ) -> None:
         """DGC delivery by activity lookup: the typed-sink path of the
-        per-event and per-entry cores and the envelope fallback, and
-        the columnar core's single sink behind the target tables."""
+        per-event core and the envelope fallback, and the columnar
+        pulse's single sink behind the target tables."""
         activity = self.activities.get(activity_id)
         if activity is None or activity.collector is None:
             # Referenced activity already collected/terminated: silence.

@@ -96,10 +96,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.config import DgcConfig, RegistryConfig
+from repro.core.config import AGGREGATION_PER_EVENT, DgcConfig, RegistryConfig
 from repro.errors import ConfigurationError, SimulationError
 from repro.net.topology import Topology
-from repro.net.wire import DEFAULT_WIRE_VERSION
 from repro.shard.plan import ShardPlan, make_plan
 from repro.shard.worker import (
     REGISTRY_COUNTERS,
@@ -155,8 +154,6 @@ class ShardedRunResult:
     #: denominator of bytes-per-entry).
     frame_entries: int
     frame_digest: str
-    #: Frame format the workers packed egress with.
-    wire_version: int
     events_fired: int
     #: :attr:`events_fired` split into events the workload itself
     #: scheduled vs. pulse instants that exist only because a
@@ -274,22 +271,17 @@ class ShardedWorld:
         record_frames: bool = False,
         max_sim_time: float = 72_000.0,
         io_timeout_s: float = 300.0,
-        wire_version: int = DEFAULT_WIRE_VERSION,
     ) -> None:
-        if wire_version not in (1, 2):
-            raise ConfigurationError(
-                f"unknown wire version {wire_version!r} (have: 1, 2)"
-            )
         if dgc is None:
             raise ConfigurationError(
                 "the sharded world needs a DgcConfig: collection drives "
                 "the run protocol's stop condition"
             )
-        if not dgc.batched_beats:
+        if dgc.aggregation == AGGREGATION_PER_EVENT:
             raise ConfigurationError(
-                "sharded execution requires the batched pulse core "
-                "(DgcConfig.batched_beats): the per-event envelope path "
-                "cannot cross a shard boundary"
+                "sharded execution requires a batched pulse core "
+                "(DgcConfig.aggregation 'exact' or 'relaxed'): the "
+                "per-event envelope path cannot cross a shard boundary"
             )
         self.topology = topology
         self.plan = make_plan(topology, shard_count)
@@ -303,7 +295,6 @@ class ShardedWorld:
         self.record_frames = record_frames
         self.max_sim_time = max_sim_time
         self.io_timeout_s = io_timeout_s
-        self.wire_version = wire_version
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -355,7 +346,6 @@ class ShardedWorld:
                 registry=self.registry,
                 seed=self.seed,
                 trace=self.trace,
-                wire_version=self.wire_version,
             )
             proc = mp.Process(
                 target=worker_main, args=(child_conn, spec), daemon=True
@@ -628,7 +618,6 @@ class ShardedWorld:
             frame_bytes=state["frame_bytes"],
             frame_entries=state["frame_entries"],
             frame_digest=digest.hexdigest(),
-            wire_version=self.wire_version,
             events_fired=sum(r["events_fired"] for r in results),
             events_workload=sum(r["events_workload"] for r in results),
             events_coordination=sum(

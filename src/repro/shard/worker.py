@@ -35,10 +35,9 @@ caused by a local event, so the promise is the next event time (or
 ``None`` when the event heap is empty: an idle shard cannot
 spontaneously emit, which is what lets the coordinator grant its
 neighbours horizons far beyond the global minimum).  The data plane —
-the frames — is pickle-free (:mod:`repro.net.wire`; the spec's
-``wire_version`` selects the frame format); the low-rate control plane
-(specs, reports, final results) rides the pipe's regular pickled
-channel.
+the frames — is pickle-free (:mod:`repro.net.wire`); the low-rate
+control plane (specs, reports, final results) rides the pipe's regular
+pickled channel.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from repro.live import LiveKernel
 from repro.net import kinds as _kinds
 from repro.net.topology import Topology
 from repro.net.wire import (
-    DEFAULT_WIRE_VERSION,
     ChannelDecoder,
     ChannelEncoder,
     frame_stamp,
@@ -91,9 +89,6 @@ class WorkerSpec:
     registry: Optional[RegistryConfig] = None
     seed: int = 0
     trace: bool = False
-    #: Frame format for this worker's egress (:mod:`repro.net.wire`);
-    #: ingress is self-describing (the magic names the version).
-    wire_version: int = DEFAULT_WIRE_VERSION
 
 
 def _reset_process_counters() -> None:
@@ -167,7 +162,7 @@ def _pack_egress(
     shard; ``has_app`` and ``min_delivery`` fall out of the run keys.
 
     ``encoders`` holds one persistent :class:`ChannelEncoder` per
-    destination shard (v2 only): this worker's frames to a given peer
+    destination shard: this worker's frames to a given peer
     form one ordered channel, so recurring ids and messages resolve
     against the channel's cross-frame intern table.
     """
@@ -196,12 +191,9 @@ def _pack_egress(
     for dest in sorted(outbound):
         has_app, min_delivery, n_entries, group = outbound[dest]
         channel = encoders.get(dest)
-        if channel is None and spec.wire_version == 2:
+        if channel is None:
             encoders[dest] = channel = ChannelEncoder()
-        buf = pack_frame(
-            spec.shard, next(seq), group, node_index,
-            version=spec.wire_version, channel=channel,
-        )
+        buf = pack_frame(spec.shard, next(seq), group, node_index, channel)
         frames.append((dest, has_app, min_delivery, n_entries, buf))
     return frames
 
@@ -298,13 +290,12 @@ def _serve(conn, spec: WorkerSpec) -> None:
     node_index = {name: index for index, name in enumerate(node_names)}
     seq = itertools.count()
     phase = 0
-    # Persistent codec channels (v2): one encoder per destination shard,
+    # Persistent codec channels: one encoder per destination shard,
     # one decoder per source shard.  Sound because each channel's frames
     # are packed and decoded in seq order — the coordinator routes in
     # stamp order and we sort raw buffers by stamp *before* decoding.
     encoders: Dict[int, ChannelEncoder] = {}
     decoders: Dict[int, ChannelDecoder] = {}
-    stateful = spec.wire_version == 2
     _send_report(conn, world, env, spec, node_index, seq, phase, encoders)
     while True:
         message = conn.recv()
@@ -319,7 +310,7 @@ def _serve(conn, spec: WorkerSpec) -> None:
                 stamped.sort(key=lambda pair: pair[0])
                 for (src, _), buf in stamped:
                     channel = decoders.get(src)
-                    if channel is None and stateful:
+                    if channel is None:
                         decoders[src] = channel = ChannelDecoder()
                     network.inject_remote_runs(
                         unpack_frame(buf, node_names, channel).runs

@@ -266,8 +266,6 @@ def run_naming(
     seed: int = 0,
     collect_timeout: float = 36_000.0,
     beat_slots: Optional[Union[int, str]] = None,
-    batched_beats: Optional[bool] = None,
-    aggregate_site_pairs: Optional[bool] = None,
     aggregation: Optional[str] = None,
     trace: bool = False,
     keep_world: bool = False,
@@ -276,9 +274,8 @@ def run_naming(
     """Run the naming churn and report resolution + coherence numbers.
 
     ``registry`` picks placement and lease policy (default: the uncached
-    static-home baseline); the delivery-core knobs (``aggregation``,
-    ``batched_beats``, ``aggregate_site_pairs``, ``beat_slots``)
-    override the DGC config exactly as in
+    static-home baseline); ``aggregation`` and ``beat_slots`` override
+    the DGC config exactly as in
     :func:`repro.workloads.torture.run_torture`.
 
     The bind-heavy knobs — ``name_count`` (names aliasing round-robin
@@ -291,19 +288,8 @@ def run_naming(
         overrides = {}
         if beat_slots is not None:
             overrides["beat_slots"] = beat_slots
-        if batched_beats is not None:
-            overrides["batched_beats"] = batched_beats
-        if aggregate_site_pairs is not None:
-            overrides["aggregate_site_pairs"] = aggregate_site_pairs
         if aggregation is not None:
             overrides["aggregation"] = aggregation
-        elif (
-            ("batched_beats" in overrides or "aggregate_site_pairs" in overrides)
-            and dgc.aggregation is not None
-        ):
-            # Boolean overrides must win over a base config's named
-            # mode, or normalization would resurrect it.
-            overrides["aggregation"] = None
         if overrides:
             dgc = dgc.with_overrides(**overrides)
     world = World(

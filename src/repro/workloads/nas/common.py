@@ -218,39 +218,23 @@ def run_nas_kernel(
     collect_timeout: float = 36_000.0,
     safety_checks: bool = False,
     beat_slots: Optional[Union[int, str]] = None,
-    batched_beats: Optional[bool] = None,
-    aggregate_site_pairs: Optional[bool] = None,
     aggregation: Optional[str] = None,
     trace: bool = False,
     keep_world: bool = False,
 ) -> NasRunResult:
     """Run one kernel once; see the module docstring for the protocol.
 
-    ``beat_slots`` / ``batched_beats`` / ``aggregate_site_pairs`` /
-    ``aggregation`` override the corresponding DGC config knobs (see
-    :class:`repro.core.config.DgcConfig`): ``aggregation`` picks the
-    delivery core by name (``per-event`` / ``per-entry`` / ``exact`` /
-    ``relaxed``); ``batched_beats=False`` restores per-event scheduling
-    and per-envelope delivery, ``aggregate_site_pairs=False`` keeps the
-    per-entry batched pulse — the A/B axes of the NAS fabric benchmark.
+    ``beat_slots`` / ``aggregation`` override the corresponding DGC
+    config knobs (see :class:`repro.core.config.DgcConfig`):
+    ``aggregation`` picks the delivery core by name (``per-event`` /
+    ``exact`` / ``relaxed``).
     """
     if dgc is not None:
         overrides = {}
         if beat_slots is not None:
             overrides["beat_slots"] = beat_slots
-        if batched_beats is not None:
-            overrides["batched_beats"] = batched_beats
-        if aggregate_site_pairs is not None:
-            overrides["aggregate_site_pairs"] = aggregate_site_pairs
         if aggregation is not None:
             overrides["aggregation"] = aggregation
-        elif (
-            ("batched_beats" in overrides or "aggregate_site_pairs" in overrides)
-            and dgc.aggregation is not None
-        ):
-            # Boolean overrides must win over a base config's named
-            # mode, or normalization would resurrect it.
-            overrides["aggregation"] = None
         if overrides:
             dgc = dgc.with_overrides(**overrides)
     world = World(

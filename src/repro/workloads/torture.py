@@ -175,43 +175,25 @@ def run_torture(
     initial_pool: int = 4,
     safety_checks: bool = False,
     beat_slots: Optional[Union[int, str]] = None,
-    batched_beats: Optional[bool] = None,
-    aggregate_site_pairs: Optional[bool] = None,
     aggregation: Optional[str] = None,
     trace: bool = False,
     keep_world: bool = False,
 ) -> TortureResult:
     """Run the torture test and sample the Fig. 10 curves.
 
-    ``beat_slots`` / ``batched_beats`` / ``aggregate_site_pairs`` /
-    ``aggregation`` override the corresponding DGC config knobs (see
-    :class:`repro.core.config.DgcConfig`): the slot count (an int, or
-    ``"auto"`` for the adaptive per-node grid) quantizes the start
-    jitter so heartbeats coalesce into beat buckets, ``aggregation``
-    picks the delivery core by name (``per-event`` / ``per-entry`` /
-    ``exact`` / ``relaxed``), and the boolean pair
-    (``batched_beats=False`` restores per-event scheduling,
-    ``aggregate_site_pairs=False`` keeps the per-entry batched pulse)
-    stays as the deprecated spelling of the first three modes — the A/B
-    axes of the Fig. 10 perf benchmark.
+    ``beat_slots`` / ``aggregation`` override the corresponding DGC
+    config knobs (see :class:`repro.core.config.DgcConfig`): the slot
+    count (an int, or ``"auto"`` for the adaptive per-node grid)
+    quantizes the start jitter so heartbeats coalesce into beat buckets,
+    and ``aggregation`` picks the delivery core by name (``per-event`` /
+    ``exact`` / ``relaxed``).
     """
     if dgc is not None:
         overrides = {}
         if beat_slots is not None:
             overrides["beat_slots"] = beat_slots
-        if batched_beats is not None:
-            overrides["batched_beats"] = batched_beats
-        if aggregate_site_pairs is not None:
-            overrides["aggregate_site_pairs"] = aggregate_site_pairs
         if aggregation is not None:
             overrides["aggregation"] = aggregation
-        elif (
-            ("batched_beats" in overrides or "aggregate_site_pairs" in overrides)
-            and dgc.aggregation is not None
-        ):
-            # Boolean overrides must win over a base config's named
-            # mode, or normalization would resurrect it.
-            overrides["aggregation"] = None
         if overrides:
             dgc = dgc.with_overrides(**overrides)
     world = World(

@@ -23,7 +23,12 @@ from typing import Any, Dict, List, Optional, Set
 
 from repro.core import events
 from repro.core.collector import DgcCollector
-from repro.core.config import AGGREGATION_RELAXED, DgcConfig, RegistryConfig
+from repro.core.config import (
+    AGGREGATION_PER_EVENT,
+    AGGREGATION_RELAXED,
+    DgcConfig,
+    RegistryConfig,
+)
 from repro.errors import ConfigurationError, ProtocolError
 from repro.net.accounting import BandwidthAccountant
 from repro.net.faults import FaultPlan
@@ -95,19 +100,15 @@ class World:
         self.dgc_config = dgc
         if dgc is not None and validate_dgc_config:
             dgc.validate_against(self.network.max_comm())
-        if dgc is not None and dgc.batched_beats:
+        if dgc is not None and dgc.aggregation != AGGREGATION_PER_EVENT:
             # The TTB beat is wheel-scheduled: let deliveries ride the
             # network's pulse batch too (one kernel event per distinct
             # delivery instant instead of one per message).
             self.network.pulse_batching = True
-            # Columnar pulse storage + site-pair DGC aggregation (the
-            # default batched core); off, the per-entry batched pulse of
-            # the previous core serves as the A/B baseline.
-            self.network.aggregate_site_pairs = dgc.aggregate_site_pairs
-            if dgc.aggregation_mode == AGGREGATION_RELAXED:
+            if dgc.aggregation == AGGREGATION_RELAXED:
                 # Relaxed equivalence tier: accumulate per-(channel,
                 # kind) across instants, flush on the absolute
-                # flush-period grid (default TTB) — see
+                # flush-period grid (default TTB / 4) — see
                 # repro/net/reorder.py for the safety contract.
                 self.network.configure_relaxed(dgc.relaxed_flush_period)
         #: Optional callable ``factory(activity) -> collector`` overriding

@@ -5,9 +5,9 @@ Three tiers of equivalence, strongest first:
 * **Exact** (:func:`world_fingerprint`) — the full
   :class:`~repro.world.WorldStats` block (including every per-activity
   collection instant) plus the raw tracer stream, event for event.  The
-  per-entry batched and exact-order aggregated cores are gated on this
-  tier against the per-event baseline: pure mechanics changes, nothing
-  the world can observe.
+  exact-order aggregated core is gated on this tier against the
+  per-event reference: a pure mechanics change, nothing the world can
+  observe.
 * **Permutation-tolerant** (:func:`canonical_tracer`) — the tracer
   stream up to reordering of same-instant events.  Protocol-safe
   shuffles (per-stream FIFO kept, delivery clock untouched — see

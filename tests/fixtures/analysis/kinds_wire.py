@@ -1,8 +1,8 @@
 """Fixture shard codec: plays the role of ``repro/net/wire.py``.
 
-Defines the four codec functions the symmetric-coverage check keys on
-(v1 encode/decode, the v2 encoder's ``value`` method, v2 decode) plus
-the ``KIND_PAYLOAD_TYPES`` manifest.
+Defines the two codec function sets the symmetric-coverage check keys
+on (the encoder's ``value`` method, ``_decode_value_v2``) plus the
+``KIND_PAYLOAD_TYPES`` manifest.
 """
 
 from kinds_reg import (
@@ -57,23 +57,6 @@ class FabAsym:
         self.a = a
 
 
-def _encode_value(out, value):
-    cls = value.__class__
-    if cls is FabPing:
-        out.append(1)
-    elif cls is FabPong:
-        out.append(2)
-    elif cls is FabLost:
-        out.append(3)
-    elif cls is FabPair:
-        out.append(4)
-    elif cls is FabAlien:
-        out.append(5)
-    elif cls is FabAsym:  # expect[KIND-codec]
-        out.append(6)
-    out.append(value.a)
-
-
 class _V2Encoder:
     __slots__ = ("out",)
 
@@ -92,19 +75,9 @@ class _V2Encoder:
             self.out.append(4)
         elif cls is FabAlien:
             self.out.append(5)
+        elif cls is FabAsym:  # expect[KIND-codec]
+            self.out.append(6)
         self.out.append(value.a)
-
-
-def _decode_value(tag, body):
-    if tag == 1:
-        return FabPing(body)
-    if tag == 2:
-        return FabPong(body)
-    if tag == 3:
-        return FabLost(body)
-    if tag == 4:
-        return FabPair(body)
-    return FabAlien(body)
 
 
 def _decode_value_v2(tag, body):

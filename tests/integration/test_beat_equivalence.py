@@ -27,8 +27,7 @@ ACTIVE = 40.0
 CONFIG = DgcConfig(ttb=2.0, tta=5.0)
 
 
-def run(seed: int, slots: int, batched: bool = True, aggregated: bool = False,
-        aggregation: str = None):
+def run(seed: int, slots: int, aggregation: str = "exact"):
     reset_id_counter()
     return run_torture(
         dgc=CONFIG,
@@ -39,8 +38,6 @@ def run(seed: int, slots: int, batched: bool = True, aggregated: bool = False,
         sample_period=10.0,
         collect_timeout=4_000.0,
         beat_slots=slots,
-        batched_beats=None if aggregation else batched,
-        aggregate_site_pairs=None if aggregation else aggregated,
         aggregation=aggregation,
         trace=True,
         keep_world=True,
@@ -60,27 +57,21 @@ def world_fingerprint(result):
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 23])
 @pytest.mark.parametrize("slots", [0, 4])
-def test_all_three_cores_are_bit_identical(seed, slots):
-    """Aggregated columnar, per-entry batched and per-event delivery
-    are pure mechanics changes: same stats, same series, same tracer
-    stream, event for event."""
-    aggregated = run(seed, slots, batched=True, aggregated=True)
-    batched = run(seed, slots, batched=True)
-    per_event = run(seed, slots, batched=False)
-    assert aggregated.all_collected
-    assert batched.all_collected and per_event.all_collected
-    a_stats, a_events, a_series = world_fingerprint(aggregated)
-    b_stats, b_events, b_series = world_fingerprint(batched)
+def test_exact_core_is_bit_identical_to_per_event(seed, slots):
+    """Aggregated columnar and per-event delivery differ in mechanics
+    only: same stats, same series, same tracer stream, event for
+    event."""
+    exact = run(seed, slots)
+    per_event = run(seed, slots, aggregation="per-event")
+    assert exact.all_collected and per_event.all_collected
+    e_stats, e_events, e_series = world_fingerprint(exact)
     p_stats, p_events, p_series = world_fingerprint(per_event)
-    assert b_stats == p_stats
-    assert b_series == p_series
-    assert len(b_events) == len(p_events)
-    assert b_events == p_events
-    assert a_stats == b_stats
-    assert a_series == b_series
-    assert a_events == b_events
+    assert e_stats == p_stats
+    assert e_series == p_series
+    assert len(e_events) == len(p_events)
+    assert e_events == p_events
     # The aggregated core actually merged site-pair runs on this graph.
-    assert aggregated.world.network.aggregated_message_count > 0
+    assert exact.world.network.aggregated_message_count > 0
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 23])
@@ -114,8 +105,8 @@ def test_relaxed_core_defers_but_stays_bounded():
 def test_quantized_phases_change_schedule_but_not_liveness():
     """Sanity companion: slot quantization (same scheduler) is allowed
     to shift collection instants, but never breaks collection."""
-    continuous = run(3, 0, batched=True)
-    quantized = run(3, 8, batched=True)
+    continuous = run(3, 0)
+    quantized = run(3, 8)
     assert continuous.all_collected and quantized.all_collected
     assert continuous.world.stats.safety_violations == 0
     assert quantized.world.stats.safety_violations == 0

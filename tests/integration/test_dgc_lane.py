@@ -1,6 +1,6 @@
 """The steady-state DGC heartbeat lane: its frame budget and its accounting.
 
-The twin of ``test_typed_lane.py`` for the paper's own traffic.  Two
+The twin of ``test_typed_lane.py`` for the paper's own traffic.  Three
 deterministic gates, no timing:
 
 * **Frame budget** — on the production core, in the steady state between
@@ -20,6 +20,8 @@ deterministic gates, no timing:
   (``observe_sized``, ``_reserve_slot``) records for the same DGC traffic:
   singles, runs, a dead target, partition drops and the delay-rule
   fallback.
+* **Oracle independence** — the per-event core shares none of this: on
+  it every delivered heartbeat and response enters Algorithms 3 and 4.
 """
 
 import cProfile
@@ -88,13 +90,15 @@ def frames_of(frames, module):
     return {name: n for (base, name), n in frames.items() if base == module}
 
 
-def steady_world(target_count):
+def steady_world(target_count, aggregation="exact"):
     """A root on site-0 holding ``target_count`` idle activities on
     site-1, run into the steady state."""
     world = World(
-        uniform_topology(2), dgc=DgcConfig(ttb=TTB, tta=3.0), trace=False
+        uniform_topology(2),
+        dgc=DgcConfig(ttb=TTB, tta=3.0, aggregation=aggregation),
+        trace=False,
     )
-    assert world.network.pulse_batching and world.network.aggregate_site_pairs
+    assert world.network.pulse_batching == (aggregation != "per-event")
     driver = world.create_driver(node="site-0")
     targets = [
         driver.context.create(SinkBehavior(), node="site-1", name=f"t{index}")
@@ -113,7 +117,7 @@ def test_steady_state_heartbeat_exchange_frame_budget():
         assert after[kind].messages == before[kind].messages + 1
     # One frame per send, one per delivery instant.
     assert frames_of(frames, "network.py") == {
-        "send_dgc_single": 2, "_fire_pulse_columnar": 2,
+        "send_dgc_single": 2, "_fire_pulse": 2,
     }
     collector = frames_of(frames, "collector.py")
     assert collector["on_dgc_message"] == 1
@@ -154,7 +158,7 @@ def test_site_pair_run_frame_budget():
         assert after[kind].messages == before[kind].messages + 2
     # One run and one batch sink per direction, one handler per message.
     assert frames_of(frames, "network.py") == {
-        "send_dgc_run": 2, "_fire_pulse_columnar": 2,
+        "send_dgc_run": 2, "_fire_pulse": 2,
     }
     assert frames_of(frames, "node.py") == {
         "_on_dgc_messages": 1, "_on_dgc_responses": 1,
@@ -165,6 +169,29 @@ def test_site_pair_run_frame_budget():
     assert from_handlers == 0
     for module in ("channel.py", "accounting.py"):
         assert frames_of(frames, module) == {}, module
+
+
+def test_per_event_core_takes_algorithms_3_and_4_for_every_delivery():
+    """The reference implementation has no steady-state lane: a
+    heartbeat that carries no news still enters ``process_message``,
+    its response ``process_response`` — one protocol frame per
+    delivery, where the production core's budget above is zero."""
+    world, driver, targets = steady_world(2, aggregation="per-event")
+    before = world.accountant.summary()
+    frames, from_handlers, _ = profile_one_beat(world)
+    after = world.accountant.summary()
+    delivered = {
+        kind: after[kind].messages - before[kind].messages
+        for kind in (KIND_DGC_MESSAGE, KIND_DGC_RESPONSE)
+    }
+    assert delivered == {KIND_DGC_MESSAGE: 2, KIND_DGC_RESPONSE: 2}
+    collector = frames_of(frames, "collector.py")
+    protocol = frames_of(frames, "protocol.py")
+    assert collector["on_dgc_message"] == delivered[KIND_DGC_MESSAGE]
+    assert collector["on_dgc_response"] == delivered[KIND_DGC_RESPONSE]
+    assert protocol["process_message"] == delivered[KIND_DGC_MESSAGE]
+    assert protocol["process_response"] == delivered[KIND_DGC_RESPONSE]
+    assert from_handlers == 4
 
 
 # ----------------------------------------------------------------------
@@ -223,10 +250,7 @@ def test_dgc_lane_accounting_equals_the_per_event_core():
     assert {kind for kind, cat in reference[0] if cat.messages} == {
         KIND_DGC_MESSAGE, KIND_DGC_RESPONSE,
     }
-    for aggregation in ("per-entry", "exact"):
-        world = drive_dgc_traffic(
-            DgcConfig(ttb=TTB, tta=3.0, aggregation=aggregation)
-        )
-        assert world.network.pulse_batching
-        assert accounting_snapshot(world) == reference, aggregation
+    world = drive_dgc_traffic(DgcConfig(ttb=TTB, tta=3.0))
+    assert world.network.pulse_batching
+    assert accounting_snapshot(world) == reference
     assert world.network.aggregated_message_count > 0  # runs did form

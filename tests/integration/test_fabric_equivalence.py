@@ -35,9 +35,8 @@ SPECS = {
 }
 
 
-def run(kernel: str, seed: int, batched: bool = True,
-        aggregated: bool = False, reply_barrier: bool = False,
-        aggregation: str = None):
+def run(kernel: str, seed: int, aggregation: str = "exact",
+        reply_barrier: bool = False):
     reset_id_counter()
     return run_nas_kernel(
         kernel_spec(kernel, ao_count=WORKERS, reply_barrier=reply_barrier,
@@ -46,8 +45,6 @@ def run(kernel: str, seed: int, batched: bool = True,
         topology=uniform_topology(NODES),
         seed=seed,
         collect_timeout=4_000.0,
-        batched_beats=None if aggregation else batched,
-        aggregate_site_pairs=None if aggregation else aggregated,
         aggregation=aggregation,
         trace=True,
         keep_world=True,
@@ -79,22 +76,17 @@ def world_fingerprint(result):
 
 @pytest.mark.parametrize("seed", [0, 5, 17])
 @pytest.mark.parametrize("kernel", sorted(SPECS))
-def test_all_three_cores_are_bit_identical_on_app_traffic(kernel, seed):
-    aggregated = run(kernel, seed, batched=True, aggregated=True)
-    batched = run(kernel, seed, batched=True)
-    per_event = run(kernel, seed, batched=False)
-    a_stats, a_events, a_outcome = world_fingerprint(aggregated)
-    b_stats, b_events, b_outcome = world_fingerprint(batched)
+def test_exact_core_is_bit_identical_to_per_event_on_app_traffic(kernel, seed):
+    exact = run(kernel, seed)
+    per_event = run(kernel, seed, aggregation="per-event")
+    e_stats, e_events, e_outcome = world_fingerprint(exact)
     p_stats, p_events, p_outcome = world_fingerprint(per_event)
-    assert b_outcome == p_outcome
-    assert b_stats == p_stats
-    assert len(b_events) == len(p_events)
-    assert b_events == p_events
-    assert a_outcome == b_outcome
-    assert a_stats == b_stats
-    assert a_events == b_events
+    assert e_outcome == p_outcome
+    assert e_stats == p_stats
+    assert len(e_events) == len(p_events)
+    assert e_events == p_events
     # NAS workers hold complete graphs: site-pair runs must merge.
-    assert aggregated.world.network.aggregated_message_count > 0
+    assert exact.world.network.aggregated_message_count > 0
 
 
 @pytest.mark.parametrize("seed", [0, 5])
@@ -116,29 +108,26 @@ def test_relaxed_core_matches_per_event_outcomes(kernel, seed):
 def test_reply_barrier_is_bit_identical_across_cores(seed):
     """The synchronous NAS variant (driver-mediated iteration barriers,
     one reply future per worker per iteration) exercises the
-    future/reply path; its outcomes must be identical under aggregated,
-    per-entry batched and per-event delivery."""
-    aggregated = run("FT", seed, batched=True, aggregated=True,
-                     reply_barrier=True)
-    batched = run("FT", seed, batched=True, reply_barrier=True)
-    per_event = run("FT", seed, batched=False, reply_barrier=True)
-    assert world_fingerprint(aggregated) == world_fingerprint(batched)
-    assert world_fingerprint(batched) == world_fingerprint(per_event)
+    future/reply path; its outcomes must be identical under aggregated
+    and per-event delivery."""
+    exact = run("FT", seed, reply_barrier=True)
+    per_event = run("FT", seed, aggregation="per-event", reply_barrier=True)
+    assert world_fingerprint(exact) == world_fingerprint(per_event)
     # The barrier actually rode the reply path: one reply per worker
     # per iteration was delivered on top of the async variant's.
-    plain = run("FT", seed, batched=True, aggregated=True)
+    plain = run("FT", seed)
     assert (
-        aggregated.app_bandwidth_mb > plain.app_bandwidth_mb
+        exact.app_bandwidth_mb > plain.app_bandwidth_mb
     ), "reply traffic missing"
-    assert aggregated.collected_acyclic + aggregated.collected_cyclic == WORKERS
+    assert exact.collected_acyclic + exact.collected_cyclic == WORKERS
 
 
 @pytest.mark.parametrize("kernel", sorted(SPECS))
 def test_batched_runs_do_less_heap_traffic(kernel):
     """The structural claim: typed pulses cost O(distinct delivery
     instants) kernel events, per-event delivery O(messages)."""
-    batched = run(kernel, seed=3, batched=True)
-    per_event = run(kernel, seed=3, batched=False)
+    batched = run(kernel, seed=3)
+    per_event = run(kernel, seed=3, aggregation="per-event")
     assert batched.events_fired < per_event.events_fired
 
 
@@ -156,8 +145,8 @@ def test_auto_beat_slots_collects_and_stays_equivalent():
         keep_world=True,
     )
     spec = kernel_spec("FT", ao_count=WORKERS, **SPECS["FT"])
-    batched = run_nas_kernel(spec, batched_beats=True, **kwargs)
+    batched = run_nas_kernel(spec, **kwargs)
     reset_id_counter()
-    per_event = run_nas_kernel(spec, batched_beats=False, **kwargs)
+    per_event = run_nas_kernel(spec, aggregation="per-event", **kwargs)
     assert batched.collected_cyclic + batched.collected_acyclic == WORKERS
     assert world_fingerprint(batched) == world_fingerprint(per_event)

@@ -44,8 +44,7 @@ PLACEMENTS = {
 }
 
 
-def run(registry: RegistryConfig, seed: int, batched: bool = True,
-        aggregation: str = None):
+def run(registry: RegistryConfig, seed: int, aggregation: str = "exact"):
     reset_id_counter()
     return run_naming(
         dgc=CONFIG,
@@ -58,8 +57,6 @@ def run(registry: RegistryConfig, seed: int, batched: bool = True,
         churn_period=6.0,
         topology=uniform_topology(NODES),
         seed=seed,
-        batched_beats=None if aggregation else batched,
-        aggregate_site_pairs=None if aggregation else batched,
         aggregation=aggregation,
         trace=True,
         keep_world=True,
@@ -88,8 +85,8 @@ def traffic_fingerprint(result):
 @pytest.mark.parametrize("placement", sorted(PLACEMENTS))
 def test_placement_modes_bit_identical_batched_vs_per_event(placement, seed):
     registry = PLACEMENTS[placement]
-    batched = run(registry, seed, batched=True)
-    per_event = run(registry, seed, batched=False)
+    batched = run(registry, seed)
+    per_event = run(registry, seed, aggregation="per-event")
     assert batched.all_collected and per_event.all_collected
     assert world_fingerprint(batched) == world_fingerprint(per_event)
     assert traffic_fingerprint(batched) == traffic_fingerprint(per_event)
@@ -126,10 +123,8 @@ def test_relaxed_core_matches_per_event_outcomes(placement, seed):
 @pytest.mark.parametrize("seed", [3, 11, 29])
 def test_cached_vs_uncached_bit_identical_when_leases_outlive_run(seed):
     # One lease beat's TTL covers the whole run: nothing lapses mid-run.
-    cached = run(
-        RegistryConfig(lease_ttb=10**6, lease_beat_s=2.0), seed, batched=True
-    )
-    uncached = run(RegistryConfig(), seed, batched=True)
+    cached = run(RegistryConfig(lease_ttb=10**6, lease_beat_s=2.0), seed)
+    uncached = run(RegistryConfig(), seed)
     assert cached.all_collected and uncached.all_collected
     assert world_fingerprint(cached) == world_fingerprint(uncached)
     # Same resolves, same outcomes — served from different places...
@@ -157,11 +152,8 @@ def test_eager_vs_beat_coherence_world_identical(placement, seed):
     inside the documented staleness window (replicated lookups can miss
     while a push is queued), so resolution counters are compared as
     issued/completed totals only."""
-    eager = run(PLACEMENTS[placement], seed, batched=True)
-    beat = run(
-        PLACEMENTS[placement].with_overrides(coherence="beat"), seed,
-        batched=True,
-    )
+    eager = run(PLACEMENTS[placement], seed)
+    beat = run(PLACEMENTS[placement].with_overrides(coherence="beat"), seed)
     assert eager.all_collected and beat.all_collected
     assert world_fingerprint(beat) == world_fingerprint(eager)
     assert outcome_fingerprint(beat) == outcome_fingerprint(eager)
@@ -190,8 +182,8 @@ def test_replicated_vs_uncached_same_world_outcomes(seed):
     collection outcomes and dead-letter counts as the static-home run
     (instants may differ — binder acks travel different distances — so
     only the outcome counters are compared)."""
-    replicated = run(PLACEMENTS["replicated"], seed, batched=True)
-    home = run(RegistryConfig(), seed, batched=True)
+    replicated = run(PLACEMENTS["replicated"], seed)
+    home = run(RegistryConfig(), seed)
     for result in (replicated, home):
         assert result.all_collected
         assert result.dead_letters == 0

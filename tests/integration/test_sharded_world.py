@@ -71,31 +71,6 @@ def test_torture_sharded_matches_replay():
     assert 0 < result.events_coordination < result.events_fired
 
 
-def test_wire_version_knob():
-    topo = two_site_topology()
-    v2 = ShardedWorld(
-        topo, 2, workload="torture", params=TORTURE_PARAMS,
-        dgc=small_dgc(), seed=3,
-    ).run()
-    v1 = ShardedWorld(
-        topo, 2, workload="torture", params=TORTURE_PARAMS,
-        dgc=small_dgc(), seed=3, wire_version=1,
-    ).run()
-    # Same run either way — only the frame encoding differs.
-    assert v1.outcome_signature() == v2.outcome_signature()
-    assert v1.rounds == v2.rounds
-    assert v1.frame_count == v2.frame_count
-    assert v1.frame_entries == v2.frame_entries
-    assert (v1.wire_version, v2.wire_version) == (1, 2)
-    # The v2 diet genuinely shrinks the same entry stream.
-    assert v2.frame_bytes < v1.frame_bytes
-    with pytest.raises(ConfigurationError, match="wire version"):
-        ShardedWorld(
-            topo, 2, workload="torture", params=TORTURE_PARAMS,
-            dgc=small_dgc(), wire_version=3,
-        )
-
-
 def test_metro_wan_sharded_matches_replay():
     """The per-channel lookahead machinery on the topology it exists
     for: metro pairs bridged by a WAN, one shard per site, so the
@@ -251,21 +226,6 @@ def test_columnar_lane_matches_replay_and_repeats(workload, params, seed, shards
     # messages it carries, so the wire never has more rows than sends.
     assert 0 < runs[0].injected_entries <= runs[0].frame_entries
     assert runs[0].frame_entries <= runs[0].egress_messages
-
-
-def test_per_entry_core_crosses_the_shard_boundary():
-    """The per-entry batched core has no batch sinks: injected DGC runs
-    unwrap into one pulse entry per message instead of an aggregate."""
-    topo = two_site_topology()
-    dgc = DgcConfig(ttb=1.0, tta=3.0, aggregation="per-entry")
-    result = ShardedWorld(
-        topo, 2, workload="torture", params=TORTURE_PARAMS, dgc=dgc, seed=3,
-    ).run()
-    _, _, signature = replay_single_process(
-        topo, workload="torture", params=TORTURE_PARAMS, dgc=dgc, seed=3,
-    )
-    assert result.outcome_signature() == signature
-    assert result.injected_entries >= result.frame_entries > 0
 
 
 def test_single_shard_degenerates_to_one_worker():
@@ -441,7 +401,7 @@ def test_rejects_per_event_core():
     with pytest.raises(ConfigurationError, match="batched"):
         ShardedWorld(
             two_site_topology(), 2, workload="torture",
-            dgc=DgcConfig(ttb=1.0, tta=3.0, batched_beats=False),
+            dgc=DgcConfig(ttb=1.0, tta=3.0, aggregation="per-event"),
         )
 
 

@@ -66,7 +66,7 @@ def test_lookup_round_trip_call_budget():
         uniform_topology(2), dgc=DgcConfig(ttb=1.0, tta=3.0),
         registry=RegistryConfig(), trace=False,
     )
-    assert world.network.pulse_batching and world.network.aggregate_site_pairs
+    assert world.network.pulse_batching
     authority = world.registry_node
     remote = next(name for name in world.nodes if name != authority)
     service = world.create_activity(
@@ -95,7 +95,7 @@ def test_lookup_round_trip_call_budget():
         # One frame per send, one per delivery instant; channel.py and
         # accounting.py never run.
         ("network.py", "send_typed"): 2,
-        ("network.py", "_fire_pulse_columnar"): 2,
+        ("network.py", "_fire_pulse"): 2,
     }
     node = {key[1]: n for key, n in calls.items() if key[0] == "node.py"}
     assert "_on_typed" not in node
@@ -175,13 +175,10 @@ def test_fused_lane_accounting_equals_observe_sized():
         KIND_APP_REQUEST, KIND_APP_REPLY, KIND_REGISTRY_BIND,
         KIND_REGISTRY_LOOKUP, KIND_REGISTRY_REPLY,
     } <= kinds
-    for aggregation in ("per-entry", "exact"):
-        world = drive_mixed_traffic(
-            DgcConfig(ttb=1.0, tta=3.0, aggregation=aggregation)
-        )
-        assert world.network.pulse_batching
-        assert accounting_snapshot(world) == reference, aggregation
-        assert (
-            world.network.fault_plan.dropped_count
-            == per_event.network.fault_plan.dropped_count
-        )
+    world = drive_mixed_traffic(DgcConfig(ttb=1.0, tta=3.0))
+    assert world.network.pulse_batching
+    assert accounting_snapshot(world) == reference
+    assert (
+        world.network.fault_plan.dropped_count
+        == per_event.network.fault_plan.dropped_count
+    )

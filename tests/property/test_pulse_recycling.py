@@ -48,7 +48,6 @@ def build_network(fault_plan=None, received=None):
         kernel, uniform_topology(NODES, rtt_s=0.01), fault_plan=fault_plan
     )
     network.pulse_batching = True
-    network.aggregate_site_pairs = True
     if received is None:
         received = []
 

@@ -208,7 +208,6 @@ def fabric(relaxed):
     kernel = SimKernel()
     network = Network(kernel, uniform_topology(2, rtt_s=0.01))
     network.pulse_batching = True
-    network.aggregate_site_pairs = True
     if relaxed:
         network.configure_relaxed(1.0)
     deliveries = []

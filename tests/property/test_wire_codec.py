@@ -10,18 +10,14 @@ schema-specialised column block.  Kinds must come back as the
 kind identity).  Truncated or corrupted buffers must raise
 :class:`WireFormatError`, never return garbage.
 
-Both frame formats are under test: every property holds for v1 and v2,
-v1 and v2 packings of the same runs decode to the same message
-sequence (cross-decode parity), and the v2-specific paths — varints,
-the intern table and its backrefs, definitions, column blocks, the
-table-size and sequence checks of a persistent channel — have targeted
-coverage.
+The format's own paths — varints, the intern table and its backrefs,
+definitions, column blocks, the table-size and sequence checks of a
+persistent channel — have targeted coverage.
 
-Neither format reorders: v2 keeps the runs it is given, v1 splits them
-into entries and back.  The grouping itself happens where the sends
-are staged (``Network``'s shard egress): sends sharing ``(kind,
-delivery instant, destination)`` share one run, runs appear in
-first-send order, and items keep send order within a run.
+The frame keeps the runs it is given, in order.  The grouping itself
+happens where the sends are staged (``Network``'s shard egress): sends
+sharing ``(kind, delivery instant, destination)`` share one run, runs
+appear in first-send order, and items keep send order within a run.
 :func:`v2_normalized` is the reference model of that staging, and the
 suite checks that whatever it produces survives the wire unchanged.
 """
@@ -45,7 +41,6 @@ from repro.net.wire import (
     Frame,
     WireFormatError,
     frame_stamp,
-    frame_version,
     kind_index,
     pack_frame,
     unpack_frame,
@@ -289,26 +284,18 @@ def assert_same_runs(decoded, expected):
         assert left[0] is right[0]
 
 
-@pytest.mark.parametrize("version", [1, 2])
 @settings(max_examples=200, deadline=None)
 @given(runs=staged_runs, stamp=stamps)
-def test_roundtrip_bit_identical(version, runs, stamp):
+def test_roundtrip_bit_identical(runs, stamp):
     shard, seq = stamp
-    buf = pack_frame(shard, seq, runs, NODE_INDEX, version=version)
-    assert frame_version(buf) == version
+    buf = pack_frame(shard, seq, runs, NODE_INDEX)
     assert frame_stamp(buf) == stamp
     assert frame_rows(buf) == wire_rows(runs)
     frame = unpack_frame(buf, NODES)
     assert isinstance(frame, Frame)
     assert frame.src_shard == shard
     assert frame.seq == seq
-    if version == 2:
-        assert_same_runs(frame.runs, runs)
-    else:
-        # v1 carries entries: it splits every non-DGC run item by item.
-        assert flattened(frame.runs) == flattened(runs)
-        for run in frame.runs:
-            assert any(run[0] is kind for kind in kinds.ALL_KINDS)
+    assert_same_runs(frame.runs, runs)
 
 
 @settings(max_examples=200, deadline=None)
@@ -322,33 +309,15 @@ def test_staged_sends_survive_the_wire_as_the_model_groups_them(batch, stamp):
         for delivery, dest, kind, item, payload in batch
     )
     frame = unpack_frame(
-        pack_frame(stamp[0], stamp[1], runs, NODE_INDEX, version=2), NODES
+        pack_frame(stamp[0], stamp[1], runs, NODE_INDEX), NODES
     )
     assert_same_runs(frame.runs, runs)
 
 
 @settings(max_examples=100, deadline=None)
 @given(runs=staged_runs, stamp=stamps)
-def test_cross_decode_parity(runs, stamp):
-    """v1 and v2 packings of the same runs deliver the same message
-    sequence, and regrouping v1's entries gives v2's runs."""
-    v1 = unpack_frame(
-        pack_frame(stamp[0], stamp[1], runs, NODE_INDEX, version=1), NODES
-    )
-    v2 = unpack_frame(
-        pack_frame(stamp[0], stamp[1], runs, NODE_INDEX, version=2), NODES
-    )
-    assert flattened(v1.runs) == flattened(v2.runs)
-    assert frame_rows(
-        pack_frame(0, 0, runs, NODE_INDEX, version=1)
-    ) == frame_rows(pack_frame(0, 0, runs, NODE_INDEX, version=2))
-
-
-@pytest.mark.parametrize("version", [1, 2])
-@settings(max_examples=100, deadline=None)
-@given(runs=staged_runs, stamp=stamps)
-def test_truncation_always_raises(version, runs, stamp):
-    buf = pack_frame(stamp[0], stamp[1], runs, NODE_INDEX, version=version)
+def test_truncation_always_raises(runs, stamp):
+    buf = pack_frame(stamp[0], stamp[1], runs, NODE_INDEX)
     for cut in range(0, len(buf), max(1, len(buf) // 17)):
         with pytest.raises(WireFormatError):
             unpack_frame(buf[:cut], NODES)
@@ -359,7 +328,7 @@ def test_truncation_always_raises(version, runs, stamp):
 def test_v2_corruption_never_escapes_as_another_exception(runs, data):
     """A flipped byte either still decodes or raises WireFormatError —
     never an IndexError, struct.error or the like."""
-    buf = bytearray(pack_frame(0, 0, runs, NODE_INDEX, version=2))
+    buf = bytearray(pack_frame(0, 0, runs, NODE_INDEX))
     position = data.draw(st.integers(min_value=2, max_value=len(buf) - 1))
     buf[position] ^= data.draw(st.integers(min_value=1, max_value=255))
     try:
@@ -378,9 +347,11 @@ def test_every_kind_has_a_column_shape():
 
 def test_bad_magic_rejected():
     buf = pack_frame(1, 7, [], NODE_INDEX)
-    corrupt = b"\x00\x00" + buf[2:]
-    with pytest.raises(WireFormatError, match="magic"):
-        unpack_frame(corrupt, NODES)
+    assert buf[:2] == b"\x5d\x58"
+    # A foreign stream, and the retired entry-at-a-time format's magic.
+    for magic in (b"\x00\x00", b"\x5d\x57"):
+        with pytest.raises(WireFormatError, match="magic"):
+            unpack_frame(magic + buf[2:], NODES)
 
 
 def _request_run(target="ao-2:b", count=1):
@@ -391,29 +362,20 @@ def _request_run(target="ao-2:b", count=1):
     )
 
 
-def test_unknown_tag_rejected():
-    buf = pack_frame(0, 0, [_request_run()], NODE_INDEX, version=1)
-    # The first tag byte follows the entry head; stomp it.
-    offset = 20 + 11  # header (20) + entry head (11)
-    corrupt = buf[:offset] + b"\xff" + buf[offset + 1:]
-    with pytest.raises(WireFormatError, match="tag"):
-        unpack_frame(corrupt, NODES)
-
-
 # ----------------------------------------------------------------------
-# v2-specific paths: varints, intern table, run heads
+# Format-specific paths: varints, intern table, run heads
 # ----------------------------------------------------------------------
 
-_V2_BODY = 20  # shared !HHIId header; the body opens with the table size
+_V2_BODY = 20  # the !HHIId header; the body opens with the table size
 _V2_RUN = _V2_BODY + 1  # run head: u8 kind, u16 dest, u32 count, f64 delivery
 _V2_VALUES = _V2_RUN + 15
 
 
 def _v2_single_run_frame(count=1):
-    """A one-run v2 frame from a fresh encoder: the table-size varint is
+    """A one-run frame from a fresh encoder: the table-size varint is
     one zero byte, so the run head and the first value tag sit at known
     offsets for surgical corruption."""
-    buf = pack_frame(0, 0, [_request_run(count=count)], NODE_INDEX, version=2)
+    buf = pack_frame(0, 0, [_request_run(count=count)], NODE_INDEX)
     assert buf[_V2_BODY] == 0  # empty intern table
     assert buf[_V2_RUN] == kind_index()[kinds.KIND_APP_REQUEST]
     assert struct.unpack_from("!I", buf, _V2_RUN + 3) == (count,)
@@ -477,7 +439,7 @@ def test_v2_aggregate_markers_never_ride_the_wire():
     the in-memory aggregate markers are rejected on both sides."""
     run = (AGG_DGC_MESSAGE, 1.0, NODES[0], ["ao-1:a"], [_message(1)])
     with pytest.raises(WireFormatError, match="aggregate marker"):
-        pack_frame(0, 0, [run], NODE_INDEX, version=2)
+        pack_frame(0, 0, [run], NODE_INDEX)
     corrupt = _patched(
         _v2_single_run_frame(), _V2_RUN,
         bytes([kind_index()[AGG_DGC_MESSAGE]]),
@@ -516,9 +478,7 @@ def test_v2_same_object_repeats_decode_to_one_shared_object():
         _message_run(list(targets), [message] * 8, dest=NODES[0]),
         _message_run(list(targets), [message] * 8, dest=NODES[2]),
     ]
-    frame = unpack_frame(
-        pack_frame(0, 0, runs, NODE_INDEX, version=2), NODES
-    )
+    frame = unpack_frame(pack_frame(0, 0, runs, NODE_INDEX), NODES)
     assert_same_runs(frame.runs, runs)
     first = frame.runs[0][4][0]
     for run in frame.runs:
@@ -681,7 +641,8 @@ def test_v2_malformed_dgc_runs_rejected_at_pack():
 
 def test_v2_shrinks_fanout_traffic():
     """The intern table must collapse repeated messages/ids: a sharing-
-    heavy batch of runs packs at least 5x smaller in v2 than v1."""
+    heavy batch of runs costs a few bytes per constituent (5.94 when
+    this budget was set), not a ~100-byte message spelled out each."""
     message = _message(42, consensus=False)
     targets = [f"ao-{n:08d}:slave{n % 7}" for n in range(32)]
     runs = [
@@ -689,10 +650,9 @@ def test_v2_shrinks_fanout_traffic():
                      dest=NODES[index % len(NODES)], delivery=100.25 + index)
         for index in range(16)
     ]
-    v1 = pack_frame(0, 0, runs, NODE_INDEX, version=1)
-    v2 = pack_frame(0, 0, runs, NODE_INDEX, version=2)
-    assert len(v2) * 5 <= len(v1)
-    assert unpack_frame(v1, NODES).runs == unpack_frame(v2, NODES).runs
+    buf = pack_frame(0, 0, runs, NODE_INDEX)
+    assert len(buf) <= 8 * 16 * 32
+    assert_same_runs(unpack_frame(buf, NODES).runs, runs)
 
 
 # ----------------------------------------------------------------------
@@ -709,8 +669,7 @@ def test_channel_roundtrip_across_frames(batches):
     encoder = ChannelEncoder()
     decoder = ChannelDecoder()
     for seq, runs in enumerate(batches):
-        buf = pack_frame(3, seq, runs, NODE_INDEX, version=2,
-                         channel=encoder)
+        buf = pack_frame(3, seq, runs, NODE_INDEX, channel=encoder)
         assert frame_stamp(buf) == (3, seq)
         frame = unpack_frame(buf, NODES, channel=decoder)
         assert_same_runs(frame.runs, runs)
@@ -737,8 +696,8 @@ def test_channel_indices_carry_across_frames():
     message = _message(1)
     runs = [_message_run(["ao-00000002:slave2"], [message])]
     encoder = ChannelEncoder()
-    first = pack_frame(0, 0, runs, NODE_INDEX, version=2, channel=encoder)
-    second = pack_frame(0, 1, runs, NODE_INDEX, version=2, channel=encoder)
+    first = pack_frame(0, 0, runs, NODE_INDEX, channel=encoder)
+    second = pack_frame(0, 1, runs, NODE_INDEX, channel=encoder)
     assert len(second) < len(first) - 20  # body shrank to indices
     decoder = ChannelDecoder()
     one = unpack_frame(first, NODES, channel=decoder)
@@ -790,22 +749,11 @@ def test_channel_swapped_frames_detected():
         unpack_frame(frames[1], NODES, channel=decoder)
 
 
-def test_channel_state_is_v2_only():
-    run = (kinds.KIND_APP_REPLY, 0.0, NODES[0], [Reply(1, "ao-1:a")], [None])
-    with pytest.raises(WireFormatError, match="channel"):
-        pack_frame(0, 0, [run], NODE_INDEX, version=1,
-                   channel=ChannelEncoder())
-    v1 = pack_frame(0, 0, [run], NODE_INDEX, version=1)
-    with pytest.raises(WireFormatError, match="channel"):
-        unpack_frame(v1, NODES, channel=ChannelDecoder())
-
-
 def test_frame_stamp_matches_header():
     run = (kinds.KIND_APP_REPLY, 2.5, NODES[1], [Reply(4, "ao-9:z")], [None])
-    for version in (1, 2):
-        buf = pack_frame(6, 12345, [run], NODE_INDEX, version=version)
-        assert frame_stamp(buf) == (6, 12345)
-        assert frame_rows(buf) == 1
+    buf = pack_frame(6, 12345, [run], NODE_INDEX)
+    assert frame_stamp(buf) == (6, 12345)
+    assert frame_rows(buf) == 1
     with pytest.raises(WireFormatError, match="truncated"):
         frame_stamp(buf[:10])
     with pytest.raises(WireFormatError, match="magic"):
@@ -820,13 +768,11 @@ def test_trailing_garbage_rejected():
 
 def test_unknown_destination_rejected_at_pack():
     run = (kinds.KIND_APP_REPLY, 0.0, "mars-0", [Reply(1, "ao-1:a")], [None])
-    for version in (1, 2):
-        with pytest.raises(WireFormatError, match="topology"):
-            pack_frame(0, 0, [run], NODE_INDEX, version=version)
+    with pytest.raises(WireFormatError, match="topology"):
+        pack_frame(0, 0, [run], NODE_INDEX)
 
 
 def test_unpicklable_item_rejected_at_pack():
     run = (kinds.KIND_APP_REQUEST, 0.0, NODES[0], [object()], [None])
-    for version in (1, 2):
-        with pytest.raises(WireFormatError, match="encode"):
-            pack_frame(0, 0, [run], NODE_INDEX, version=version)
+    with pytest.raises(WireFormatError, match="encode"):
+        pack_frame(0, 0, [run], NODE_INDEX)

@@ -8,6 +8,7 @@ rule that over-fires breaks the test just as loudly as one that stays
 silent.
 """
 
+import ast
 import json
 import re
 from pathlib import Path
@@ -16,7 +17,8 @@ import pytest
 
 from repro.analysis import all_rule_ids, run_analysis
 from repro.analysis.__main__ import main
-from repro.analysis.walker import META_PARSE, META_SUPPRESSION
+from repro.analysis.facts import build_facts
+from repro.analysis.walker import META_PARSE, META_SUPPRESSION, SourceFile
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures" / "analysis"
 SRC_REPRO = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -104,6 +106,20 @@ class TestHeadOfTree:
         # tracer event names, SPMD ghost arms, Network monkeypatching)
         # are suppressions, not silence.
         assert result.suppressed_count >= 10
+
+    def test_kind_codec_rule_finds_the_real_codec(self):
+        """KIND-codec yields nothing when no file looks like the codec,
+        so "clean" alone cannot tell a covered tree from a blind rule:
+        pin that the real tree's codec is detected and non-trivial."""
+        files = []
+        for path in sorted(SRC_REPRO.rglob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            rel = path.relative_to(SRC_REPRO).as_posix()
+            files.append(SourceFile(path, rel, text, ast.parse(text)))
+        codec = build_facts(files).codec
+        assert codec is not None and codec.path == "net/wire.py"
+        for names in codec.function_sets().values():
+            assert {"DgcMessage", "DgcResponse", "Request"} <= names
 
 
 class TestCli:

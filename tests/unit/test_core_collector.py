@@ -25,6 +25,25 @@ def test_every_activity_gets_a_collector(world):
     assert driver.collector is not None
 
 
+@pytest.mark.parametrize("aggregation", ["per-event", "exact", "relaxed"])
+def test_only_the_per_event_core_runs_without_the_steady_state_lane(
+    make_world, fast_dgc, aggregation
+):
+    """``aggregation`` alone decides: the reference core takes
+    Algorithms 3/4 for every delivery on a per-event timer, the batched
+    cores get the receive diet, the touch-write skip and the wheel."""
+    world = make_world(2, dgc=fast_dgc.with_overrides(aggregation=aggregation))
+    collector = world.create_driver().collector
+    batched = aggregation != "per-event"
+    assert collector._receive_diet is batched
+    assert collector.state.referencers.touch_skip is batched
+    # A wheel-scheduled timer holds a beat handle, a per-event one its
+    # own kernel event.
+    assert (collector._timer._handle is not None) is batched
+    assert (collector._timer._event is None) is batched
+    assert world.network.pulse_batching is batched
+
+
 def test_clock_increments_on_becoming_idle(world):
     class Work(Behavior):
         def do_work(self, ctx, request, proxies):

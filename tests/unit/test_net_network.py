@@ -267,7 +267,6 @@ def test_typed_and_envelope_traffic_share_channel_fifo():
 def make_aggregated_network(node_count=3):
     kernel, network = make_network(node_count)
     network.pulse_batching = True
-    network.aggregate_site_pairs = True
     typed, singles, batches = [], [], []
     for index in range(node_count):
         name = f"site-{index}"
@@ -357,23 +356,27 @@ def test_send_dgc_run_stages_one_entry_and_counts_constituents():
     assert network.accountant.messages_for(KIND_DGC_MESSAGE) == 3
 
 
-def test_send_dgc_run_falls_back_per_message_without_aggregation():
+def test_send_dgc_run_falls_back_per_message_without_batching():
+    # The per-event core: one envelope and one kernel event per message.
     kernel, network, typed, singles, batches = make_aggregated_network()
-    network.aggregate_site_pairs = False
+    network.pulse_batching = False
+    envelopes = []
+    network.register_node("site-1", envelopes.append)
     network.send_dgc_run(
         "site-0", "site-1", KIND_DGC_MESSAGE, 64, ["x", "y"], ["m", "m"]
     )
     kernel.run()
-    assert batches == []
-    assert [item for __, kind, item, __ in typed
-            if kind == KIND_DGC_MESSAGE] == ["x", "y"]
+    assert batches == [] and typed == []
+    assert [(env.kind, env.payload) for env in envelopes] == [
+        (KIND_DGC_MESSAGE, ("x", "m")), (KIND_DGC_MESSAGE, ("y", "m")),
+    ]
+    assert network.pulse_event_count == 0
 
 
 def test_send_dgc_single_respects_partitions_and_counts_drops():
     plan = FaultPlan()
     kernel, network = make_network(2, fault_plan=plan)
     network.pulse_batching = True
-    network.aggregate_site_pairs = True
     received = []
     network.register_node(
         "site-0", lambda env: None, lambda *a: None,

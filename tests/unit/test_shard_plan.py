@@ -198,7 +198,7 @@ def test_arrival_bounds_fold_left_like_a_real_chain():
 # ----------------------------------------------------------------------
 
 
-def _two_site_worker(shard=0, **dgc):
+def _two_site_worker(shard=0):
     from repro.core.config import DgcConfig
     from repro.shard.worker import WorkerSpec, build_shard_world
 
@@ -212,7 +212,7 @@ def _two_site_worker(shard=0, **dgc):
         topology=topo,
         workload="torture",
         params=dict(slave_count=2, active_duration=1.0),
-        dgc=DgcConfig(ttb=1.0, tta=3.0, **dgc),
+        dgc=DgcConfig(ttb=1.0, tta=3.0),
     )
     world, _ = build_shard_world(spec)
     return world
@@ -236,16 +236,13 @@ def test_late_injection_still_raises():
     assert world.network.injected_entry_count == 1
 
 
-@pytest.mark.parametrize("aggregation", ["exact", "per-entry"])
-def test_injection_counts_staged_pulse_entries(aggregation):
+def test_injection_counts_staged_pulse_entries():
     # injected_entry_count is the wire-row count: a DGC run stages as
-    # one aggregate pulse entry on the columnar core (one per message on
-    # the per-entry core, which has no batch sinks), every other run as
-    # one entry per item; instants opened by injection are counted as
-    # coordination events.
+    # one aggregate pulse entry, every other run as one entry per item;
+    # instants opened by injection are counted as coordination events.
     from repro.net import kinds
 
-    world = _two_site_worker(aggregation=aggregation)
+    world = _two_site_worker()
     network = world.network
     pulses_before = network.pulse_event_count
     targets, messages = ["ao-1", "ao-2", "ao-3"], ["m1", "m2", "m3"]
@@ -254,21 +251,14 @@ def test_injection_counts_staged_pulse_entries(aggregation):
         (kinds.KIND_DGC_RESPONSE, 7.0, "a-1", ["ao-4"], ["r1"]),
         (kinds.KIND_APP_REPLY, 7.5, "a-0", ["x", "y"], [None, None]),
     ])
-    columnar = aggregation == "exact"
-    assert network.injected_entry_count == (4 if columnar else 6)
+    assert network.injected_entry_count == 4
     assert network.pulse_event_count - pulses_before == 2
     assert network.ingress_pulse_event_count == 2
     staged = network._pulses[7.0]
-    if columnar:
-        aggregate = kinds.AGGREGATE_KINDS[kinds.KIND_DGC_MESSAGE]
-        assert staged[0][2:] == ("a-0", aggregate, targets, messages)
-        # The columns are staged as they came off the wire, not copied.
-        assert staged[0][4] is targets and staged[0][5] is messages
-    else:
-        assert [entry[3:] for entry in staged[:3]] == [
-            (kinds.KIND_DGC_MESSAGE, target, message)
-            for target, message in zip(targets, messages)
-        ]
+    aggregate = kinds.AGGREGATE_KINDS[kinds.KIND_DGC_MESSAGE]
+    assert staged[0][2:] == ("a-0", aggregate, targets, messages)
+    # The columns are staged as they came off the wire, not copied.
+    assert staged[0][4] is targets and staged[0][5] is messages
 
 
 def test_egress_stages_runs_in_first_send_order():
