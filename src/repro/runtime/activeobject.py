@@ -76,7 +76,8 @@ class ActivityContext:
 
     @property
     def now(self) -> float:
-        return self._activity.node.kernel.now
+        node = self._activity.node
+        return node.kernel._now if node.fast_clock else node.kernel.now
 
     @property
     def node_name(self) -> str:
@@ -171,7 +172,9 @@ class ActivityContext:
         served against shard state at serve time); one bound after
         serving requires the caller to retry.
         """
-        return self._activity.node.send_registry_lookup(self._activity, name)
+        activity = self._activity
+        node = activity.node
+        return node.world.registry.lookup_from(node, activity, name)
 
     def bind(self, name: str, target: Union[Proxy, RemoteRef]) -> Future:
         """Publish ``target`` under ``name`` over the fabric
@@ -183,18 +186,18 @@ class ActivityContext:
         dead target at apply time).
         """
         ref = target.ref if isinstance(target, Proxy) else target
-        return self._activity.node.send_registry_bind(
-            self._activity, name, ref
-        )
+        activity = self._activity
+        node = activity.node
+        return node.world.registry.bind_from(node, activity, name, ref)
 
     def unbind(self, name: str) -> Future:
         """Remove a binding over the fabric, releasing the root pin at
         the authoritative shard (the target stays pinned while other
         names still bind it).  Resolves ``True``/``False`` with the
         authority's verdict."""
-        return self._activity.node.send_registry_bind(
-            self._activity, name, None
-        )
+        activity = self._activity
+        node = activity.node
+        return node.world.registry.bind_from(node, activity, name, None)
 
     def holds(self, target: ActivityId) -> bool:
         """Does this activity currently hold a stub to ``target``?"""
@@ -204,7 +207,7 @@ class ActivityContext:
 class _HandlerRun:
     """State of the in-flight handler (one per busy activity)."""
 
-    __slots__ = ("request", "proxies", "generator", "waiting_event")
+    __slots__ = ("request", "proxies", "generator")
 
     def __init__(
         self,
@@ -214,7 +217,6 @@ class _HandlerRun:
         self.request = request
         self.proxies = proxies
         self.generator: Optional[Generator[Any, Any, Any]] = None
-        self.waiting_event = None
 
 
 class Activity:
@@ -302,20 +304,16 @@ class Activity:
     # Reference management
     # ------------------------------------------------------------------
 
-    def adopt_proxy(self, proxy: Proxy) -> None:
-        """Record a proxy delivered by deserialization (pre-acquired)."""
-        # Table acquisition happened in the deserialization hook; the
-        # proxy will be auto-released at handler completion unless kept.
-
     def mark_kept(self, proxy: Proxy) -> None:
         self._kept.add(id(proxy))
 
     def release_proxy(self, proxy: Proxy) -> None:
         """Drop one stub; notifies the local GC when the tag dies."""
-        if self.terminated:
+        if self.state is ActivityState.TERMINATED:
             return
         last = self.proxies.release(proxy)
-        self._kept.discard(id(proxy))
+        if self._kept:
+            self._kept.discard(id(proxy))
         if last:
             proxy.tag.dead = True
             self.node.local_gc.notify_tag_dead(self, proxy.tag)
@@ -412,12 +410,11 @@ class Activity:
                 self._pump()
                 return
             if isinstance(yielded, Sleep):
-                self.node.kernel.schedule(
-                    yielded.duration,
-                    self._step,
-                    run,
-                    None,
-                    label=f"resume:{self.id}",
+                # Never cancelled (a stale resume is dropped by the
+                # ``_run is not run`` test above): no Event handle.
+                kernel = self.node.kernel
+                kernel.schedule_fire_at(
+                    kernel.now + yielded.duration, self._step, (run, None)
                 )
                 return
             elif isinstance(yielded, Future):

@@ -7,6 +7,7 @@ of a request."  The service loop enforces the second half: a behavior
 coroutine that yields a :class:`Future` keeps its activity *busy* until
 the future resolves.
 """
+# repro: hot-path — every class slotted, no closure allocation in loops (HOT rules)
 
 from __future__ import annotations
 

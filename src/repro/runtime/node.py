@@ -1,11 +1,14 @@
 """Nodes: the JVM/process equivalents hosting activities.
 
-A node owns its activities, a local garbage collector, and its attachment
-to the network fabric.  All traffic in and out of an activity flows
-through its node, which is where requests are serialized/deserialized and
-where inbound traffic of every kind — app requests/replies, registry
-lookups, DGC protocol messages — is dispatched through one per-kind sink
-table (the receive half of the unified fabric).
+A node owns its activities, a local garbage collector, its endpoint of the
+naming service and its attachment to the network fabric.  All traffic in
+and out of an activity flows through its node, which is where requests
+are serialized/deserialized and where inbound traffic of every kind is
+dispatched through one per-kind handler table (the receive half of the
+unified fabric): app requests/replies and naming-service answers to the
+node's own handlers, every other ``registry.*`` kind straight to the
+node's :class:`~repro.runtime.registry.RegistryShard`, DGC protocol
+messages to the per-activity collectors.
 """
 
 from __future__ import annotations
@@ -28,19 +31,12 @@ from repro.net.kinds import (
     bind_dispatch_shapes,
 )
 from repro.net.message import Envelope
-from repro.runtime.activeobject import Activity
+from repro.runtime.activeobject import Activity, ActivityState
 from repro.runtime.future import Future
 from repro.runtime.ids import ActivityId
 from repro.runtime.localgc import LocalGarbageCollector
 from repro.runtime.proxy import Proxy, RemoteRef
-from repro.runtime.request import (
-    RegistryAck,
-    RegistryLookup,
-    RegistryRenewAck,
-    Reply,
-    ReplyAddress,
-    Request,
-)
+from repro.runtime.request import RegistryAck, Reply, ReplyAddress, Request
 from repro.runtime.serialization import deserialize_refs, serialize_refs
 from repro.sim.beats import SlotController
 
@@ -68,6 +64,10 @@ class Node:
         self.world = world
         self.name = name
         self.kernel = world.kernel
+        #: Clock handshake shared with the fabric: a kernel that
+        #: maintains ``_now`` is read by attribute, any other (the
+        #: wall-clock live kernel) through its ``now`` property.
+        self.fast_clock = hasattr(self.kernel, "_now")
         self.network = world.network
         self.tracer = world.tracer
         self.rng_registry = world.rng_registry
@@ -75,6 +75,11 @@ class Node:
         self.local_gc = LocalGarbageCollector(self.kernel, gc_delay=gc_delay)
         self.activities: Dict[ActivityId, Activity] = {}
         self._pending_futures: Dict[int, Future] = {}
+        #: This node's endpoint of the naming service (its slice of the
+        #: registry state and the ``registry.*`` receive handlers), lent
+        #: the pending-futures table its requests register replies in.
+        self.registry_shard = shard = world.registry.shard(name)
+        shard.pending = self._pending_futures
         self.dead_letter_count = 0
         #: Adaptive beat-slot sizing for collectors configured with
         #: ``beat_slots="auto"`` (see :class:`repro.sim.beats.SlotController`).
@@ -112,18 +117,19 @@ class Node:
         #: loop indexes the table directly; :meth:`_on_typed` dispatches
         #: through it for the per-event core.  The DGC entries are the
         #: activity-lookup handlers that core has always used — and
-        #: the columnar pulse's single sinks, behind the target tables.
+        #: the columnar pulse's single sinks, behind the target tables;
+        #: the registry entries are the shard's own bound methods.
         self._kind_handlers = _KindHandlers({
             KIND_DGC_MESSAGE: self._on_dgc_message_via_lookup,
             KIND_DGC_RESPONSE: self._on_dgc_response_via_lookup,
             KIND_APP_REQUEST: self._on_request,
             KIND_APP_REPLY: self._on_reply,
-            KIND_REGISTRY_LOOKUP: self._on_registry_lookup,
+            KIND_REGISTRY_LOOKUP: shard.on_lookup,
             KIND_REGISTRY_REPLY: self._on_registry_reply,
-            KIND_REGISTRY_BIND: self._on_registry_bind,
-            KIND_REGISTRY_INVALIDATE: self._on_registry_invalidate,
-            KIND_REGISTRY_RENEW: self._on_registry_renew,
-            KIND_REGISTRY_PUSH: self._on_registry_push,
+            KIND_REGISTRY_BIND: shard.on_bind,
+            KIND_REGISTRY_INVALIDATE: shard.on_invalidate,
+            KIND_REGISTRY_RENEW: shard.on_renew,
+            KIND_REGISTRY_PUSH: shard.on_push,
         })
         self.network.register_node(
             name,
@@ -185,8 +191,13 @@ class Node:
         self.world.on_activity_terminated(activity, reason)
 
     def deserialize_ref(self, activity: Activity, ref: RemoteRef) -> Proxy:
-        """Out-of-band acquisition (e.g. registry lookup) — one stub."""
-        return deserialize_refs(activity, [ref])[0]
+        """Out-of-band acquisition (a registry resolve, a creation) —
+        one stub through the deserialization hook, without the list
+        :func:`deserialize_refs` builds for a message's references."""
+        proxy = activity.proxies.acquire(ref)
+        if activity.collector is not None:
+            activity.collector.on_reference_deserialized(proxy)
+        return proxy
 
     # ------------------------------------------------------------------
     # Application traffic
@@ -321,43 +332,6 @@ class Node:
             run[2] = []
 
     # ------------------------------------------------------------------
-    # Registry traffic
-    # ------------------------------------------------------------------
-
-    def send_registry_lookup(self, sender: Activity, name: str) -> Future:
-        """Resolve a registry name through the naming service (paper
-        Sec. 4.1: registered objects can be looked up "at any time" —
-        resolution is fabric traffic routed by the configured placement,
-        served from the closest live copy).
-
-        Returns a :class:`Future` that resolves with a :class:`Proxy`
-        for the bound activity (acquired through the deserialization
-        hook, so the DGC sees the new edge at reply/hit time) or
-        ``None`` when the name is unbound at serve time.  Local
-        authority, replica and live-lease cache hits resolve the future
-        before it is returned.
-        """
-        return self.world.registry.lookup_from(self, sender, name)
-
-    def send_registry_bind(
-        self, sender: Activity, name: str, ref: Optional[RemoteRef]
-    ) -> Future:
-        """Bind (``ref`` set) or unbind (``ref`` ``None``) a name over
-        the fabric; the future resolves ``True``/``False`` with the
-        authoritative shard's verdict."""
-        return self.world.registry.bind_from(self, sender, name, ref)
-
-    def register_pending_future(self, sender: Activity) -> "tuple[Future, ReplyAddress]":
-        """Create a future awaiting a fabric reply for ``sender`` and
-        the reply address that routes back to it.  The reply side
-        (:meth:`_on_reply` / :meth:`_on_registry_reply`) owns expiry and
-        dead-lettering; every out-of-class sender (the naming service)
-        must register through here rather than touching the table."""
-        future = Future()
-        self._pending_futures[future.future_id] = future
-        return future, ReplyAddress(self.name, sender.id, future.future_id)
-
-    # ------------------------------------------------------------------
     # Inbound dispatch
     # ------------------------------------------------------------------
 
@@ -411,10 +385,6 @@ class Node:
         proxies = deserialize_refs(activity, reply.refs)
         future.resolve(reply.data, tuple(proxies))
 
-    def _on_registry_lookup(self, lookup: RegistryLookup, payload: Any) -> None:
-        """Serve a registry lookup at this node's authoritative shard."""
-        self.world.registry.serve_lookup(self, lookup)
-
     def _on_registry_reply(self, reply: Any, payload: Any) -> None:
         """Deliver a naming-service answer: a lookup reply (resolves the
         future with an acquired stub, caching the binding when a lease
@@ -424,41 +394,23 @@ class Node:
         if future is None:
             self.dead_letter_count += 1
             return
-        activity = self.activities.get(reply.target_activity)
-        if activity is None or activity.terminated:
+        activities = self.activities
+        caller = reply.target_activity
+        activity = activities[caller] if caller in activities else None
+        if activity is None or activity.state is ActivityState.TERMINATED:
             # The caller died mid-operation: drop, like a stale reply.
             self.dead_letter_count += 1
             return
-        if isinstance(reply, RegistryAck):
+        if type(reply) is RegistryAck:
             future.resolve(reply.ok)
             return
         if reply.ref is None:
             future.resolve(None)
             return
         if reply.lease_s > 0.0:
-            self.world.registry.note_cacheable_reply(self, reply)
-        proxy = deserialize_refs(activity, (reply.ref,))[0]
+            self.registry_shard.cache_reply(reply)
+        proxy = self.deserialize_ref(activity, reply.ref)
         future.resolve(proxy, (proxy,))
-
-    def _on_registry_bind(self, update: Any, payload: Any) -> None:
-        """Apply a fabric bind/unbind (or install a replica push)."""
-        self.world.registry.serve_bind(self, update)
-
-    def _on_registry_invalidate(self, invalidate: Any, payload: Any) -> None:
-        """Drop stale local knowledge of the named bindings."""
-        self.world.registry.apply_invalidate(self, invalidate)
-
-    def _on_registry_push(self, push: Any, payload: Any) -> None:
-        """Install a beat-flushed batch of replica bindings."""
-        self.world.registry.apply_push(self, push)
-
-    def _on_registry_renew(self, message: Any, payload: Any) -> None:
-        """Lease renewals: a client's batch at the authority, or the
-        authority's grant back at the client."""
-        if isinstance(message, RegistryRenewAck):
-            self.world.registry.apply_renew_ack(self, message)
-        else:
-            self.world.registry.serve_renew(self, message)
 
     def _on_dgc_message_via_lookup(
         self, activity_id: ActivityId, message: Any

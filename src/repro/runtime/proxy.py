@@ -10,6 +10,7 @@ Our simulated equivalent: the :class:`ProxyTable` of an activity counts
 live stubs per target; the :class:`StubTag` is shared by all of them and
 is reported dead by the local GC once the count reaches zero.
 """
+# repro: hot-path — every class slotted, no closure allocation in loops (HOT rules)
 
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from repro.errors import RuntimeModelError
 from repro.runtime.ids import ActivityId
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RemoteRef:
     """The serialized form of a reference: enough to contact the target.
 
@@ -33,20 +34,28 @@ class RemoteRef:
 
 
 class StubTag:
-    """Tag shared by every stub of one (holder, target) pair.
+    """Tag shared by every stub of one (holder, target) pair — and the
+    pair's :class:`ProxyTable` entry: ``ref`` is the reference the first
+    stub was materialised from (every later stub shares it), and
+    ``live_count`` the number of stubs not yet released.
 
     ``generation`` distinguishes successive tags for the same pair: if the
     edge dies and is later re-created, a new tag is minted, exactly like a
     fresh dummy object in the Java implementation.
     """
 
-    __slots__ = ("holder", "target", "generation", "dead")
+    __slots__ = ("holder", "target", "generation", "dead", "ref", "live_count")
 
-    def __init__(self, holder: ActivityId, target: ActivityId, generation: int) -> None:
+    def __init__(
+        self, holder: ActivityId, target: ActivityId, generation: int,
+        ref: Optional[RemoteRef] = None,
+    ) -> None:
         self.holder = holder
         self.target = target
         self.generation = generation
         self.dead = False
+        self.ref = ref
+        self.live_count = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "dead" if self.dead else "live"
@@ -79,27 +88,19 @@ class Proxy:
         return f"Proxy({self.tag.holder}->{self.activity_id})"
 
 
-class _TargetEntry:
-    """Book-keeping for one (holder, target) pair."""
-
-    __slots__ = ("ref", "tag", "live_count")
-
-    def __init__(self, ref: RemoteRef, tag: StubTag) -> None:
-        self.ref = ref
-        self.tag = tag
-        self.live_count = 0
-
-
 class ProxyTable:
-    """All stubs held by one activity, grouped per target.
+    """All stubs held by one activity, grouped per target: target id ->
+    the live :class:`StubTag` of the pair.
 
     The no-sharing property (paper Sec. 2.1) guarantees a stub belongs to
     exactly one activity, so a per-activity table is exact.
     """
 
+    __slots__ = ("holder", "_entries", "_generations")
+
     def __init__(self, holder: ActivityId) -> None:
         self.holder = holder
-        self._entries: Dict[ActivityId, _TargetEntry] = {}
+        self._entries: Dict[ActivityId, StubTag] = {}
         self._generations: Dict[ActivityId, int] = {}
 
     def acquire(self, ref: RemoteRef) -> Proxy:
@@ -107,15 +108,18 @@ class ProxyTable:
 
         Returns a new :class:`Proxy` sharing the per-target tag.
         """
-        entry = self._entries.get(ref.activity_id)
-        if entry is None:
-            generation = self._generations.get(ref.activity_id, 0) + 1
-            self._generations[ref.activity_id] = generation
-            tag = StubTag(self.holder, ref.activity_id, generation)
-            entry = _TargetEntry(ref, tag)
-            self._entries[ref.activity_id] = entry
-        entry.live_count += 1
-        return Proxy(entry.ref, entry.tag)
+        target = ref.activity_id
+        entries = self._entries
+        if target in entries:
+            tag = entries[target]
+        else:
+            minted = self._generations
+            generation = minted[target] + 1 if target in minted else 1
+            minted[target] = generation
+            tag = StubTag(self.holder, target, generation, ref)
+            entries[target] = tag
+        tag.live_count += 1
+        return Proxy(tag.ref, tag)
 
     def release(self, proxy: Proxy) -> bool:
         """Drop one stub; returns True when this was the last stub for the
@@ -123,20 +127,22 @@ class ProxyTable:
         if proxy._released:
             raise RuntimeModelError(f"{proxy!r} released twice")
         proxy._released = True
-        entry = self._entries.get(proxy.activity_id)
-        if entry is None or entry.tag is not proxy.tag:
+        tag = proxy.tag
+        target = tag.target
+        entries = self._entries
+        if target not in entries or entries[target] is not tag:
             # The tag generation was already retired (e.g. activity
             # termination released everything); nothing further to do.
             return False
-        entry.live_count -= 1
-        if entry.live_count <= 0:
-            del self._entries[proxy.activity_id]
+        tag.live_count -= 1
+        if tag.live_count <= 0:
+            del entries[target]
             return True
         return False
 
     def release_all(self) -> List[StubTag]:
         """Drop every stub (activity termination); returns the dead tags."""
-        tags = [entry.tag for entry in self._entries.values()]
+        tags = list(self._entries.values())
         self._entries.clear()
         return tags
 
@@ -145,13 +151,13 @@ class ProxyTable:
         return target in self._entries
 
     def live_count(self, target: ActivityId) -> int:
-        entry = self._entries.get(target)
-        return entry.live_count if entry else 0
+        tag = self._entries.get(target)
+        return tag.live_count if tag else 0
 
     def targets(self) -> List[ActivityId]:
         """Targets currently referenced through at least one stub."""
         return list(self._entries.keys())
 
     def ref_for(self, target: ActivityId) -> Optional[RemoteRef]:
-        entry = self._entries.get(target)
-        return entry.ref if entry else None
+        tag = self._entries.get(target)
+        return tag.ref if tag else None

@@ -9,10 +9,15 @@ Where the seed design kept one world-global dict with a bolted-on fabric
 path to a single static home node, the :class:`NamingService` is a
 first-class fabric subsystem:
 
-* every node owns a :class:`RegistryShard` — the bindings it is
+* every node owns a :class:`RegistryShard`, its **endpoint** of the
+  service, built once when the node is — the bindings it is
   *authoritative* for, the replica copies pushed to it (``replicated``
-  placement), its client-side :class:`LeaseCache`, and the lease-holder
-  book it keeps as an authority;
+  placement), its client-side :class:`LeaseCache`, the lease-holder
+  book it keeps as an authority, and the receive handlers
+  (``on_lookup`` / ``on_bind`` / ``on_invalidate`` / ``on_push`` /
+  ``on_renew``) the node installs as the values of its kind-handler
+  table, so a delivered ``registry.*`` message is one frame from the
+  fabric's fire loop to the state it changes;
 * all operations are modelled as fabric traffic kinds riding the typed
   pulse transport: ``registry.bind`` (bind/unbind updates),
   ``registry.lookup``/``registry.reply`` (resolution),
@@ -105,6 +110,7 @@ from repro.runtime.request import (
     RegistryRenew,
     RegistryRenewAck,
     RegistryReply,
+    ReplyAddress,
 )
 
 
@@ -149,9 +155,6 @@ class LeaseCache:
         entry = self.entries.get(name)
         if entry is not None and expires_at > entry[1]:
             entry[1] = expires_at
-
-    def drop(self, name: str) -> None:
-        self.entries.pop(name, None)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -222,20 +225,35 @@ class CoherenceChannel:
 
 
 class RegistryShard:
-    """One node's slice of the naming service."""
+    """One node's endpoint of the naming service: its slice of the
+    state, and the handlers of every ``registry.*`` kind it receives.
 
-    __slots__ = ("node_name", "authority", "replica", "cache",
-                 "lease_holders", "sweep_handle", "channel",
+    :class:`repro.runtime.node.Node` builds its shard once
+    (:meth:`NamingService.shard`) and installs the ``on_*`` bound
+    methods directly as values of its kind-handler table, so the
+    fabric's fire loop, the per-event core's ``_on_typed`` and the
+    envelope fallback all enter the same code.  Handlers take the
+    fabric's ``(item, payload)`` pair; registry kinds carry no payload.
+    """
+
+    __slots__ = ("service", "node_name", "pending", "authority", "replica",
+                 "cache", "lease_holders", "sweep_handle", "channel",
                  "egress_handle")
 
-    def __init__(self, node_name: str, cache_capacity: int) -> None:
+    def __init__(self, service: "NamingService", node_name: str) -> None:
+        self.service = service
         self.node_name = node_name
+        #: The node's pending-futures table, lent by the node: a fabric
+        #: request registers its future here and the node's reply
+        #: handler — which owns expiry and dead-lettering — pops it.
+        #: ``None`` on the shard of a node another process hosts.
+        self.pending: Optional[Dict[int, Future]] = None
         #: Bindings this node is authoritative for (owns the root pin).
         self.authority: Dict[str, RemoteRef] = {}
         #: Full-copy bindings pushed by the primary (``replicated``).
         self.replica: Dict[str, RemoteRef] = {}
         #: Client-side lease cache (``home``/``hashed`` placements).
-        self.cache = LeaseCache(cache_capacity)
+        self.cache = LeaseCache(service.config.cache_size)
         #: Authority-side lease book: name -> {holder node: lease expiry}.
         self.lease_holders: Dict[str, Dict[str, float]] = {}
         #: The node's live sweep-beat registration (``None`` while the
@@ -249,6 +267,135 @@ class RegistryShard:
         #: stops itself when the queues drain, mirroring ``sweep_handle``).
         self.egress_handle = None
 
+    # ------------------------------------------------------------------
+    # Receive handlers (the values of the node's kind-handler table)
+    # ------------------------------------------------------------------
+
+    def on_lookup(self, lookup: RegistryLookup, payload=None) -> None:
+        """Serve a fabric lookup at the authoritative shard: answer from
+        the authority table at serve time, granting a lease on positive,
+        cacheable replies (and recording the holder for invalidation)."""
+        service = self.service
+        name = lookup.name
+        ref = self.authority.get(name)
+        reply_to = lookup.reply_to
+        lease_s = 0.0
+        if ref is None:
+            size = service._reply_miss_size
+        else:
+            size = service._reply_hit_size
+            if service._caching and reply_to.node != self.node_name:
+                lease_s = service.lease_duration_s
+                holders = self.lease_holders.get(name)
+                if holders is None:
+                    holders = self.lease_holders[name] = {}
+                holders[reply_to.node] = service._kernel.now + lease_s
+                service.lease_grants += 1
+        service._network.send_typed(
+            self.node_name, reply_to.node, KIND_REGISTRY_REPLY, size,
+            RegistryReply(
+                reply_to.future_id, reply_to.activity, name, ref, lease_s
+            ),
+        )
+
+    def cache_reply(self, reply: RegistryReply) -> None:
+        """Client side of a lease grant: cache the binding and make sure
+        the node's sweep beat is running."""
+        service = self.service
+        self.cache.put(
+            reply.name, reply.ref, service._kernel.now + reply.lease_s
+        )
+        service._ensure_sweep(self)
+
+    def on_bind(self, update: RegistryBind, payload=None) -> None:
+        """Apply a fabric bind/unbind at its destination: the authority
+        applies and acknowledges; a non-authority destination is a
+        replica push (no reply address) and just installs the copy."""
+        reply_to = update.reply_to
+        if reply_to is None:
+            # Replica push from the primary (``replicated`` placement).
+            self.replica[update.name] = update.ref
+            return
+        service = self.service
+        if update.ref is None:
+            ok, error = service._apply_unbind(self, update.name)
+        else:
+            ok, error = service._apply_bind(self, update.name, update.ref)
+        service._network.send_typed(
+            self.node_name, reply_to.node, KIND_REGISTRY_REPLY,
+            service._ack_size,
+            RegistryAck(
+                reply_to.future_id, reply_to.activity, update.name, ok, error
+            ),
+        )
+
+    def on_invalidate(
+        self, invalidate: RegistryInvalidate, payload=None
+    ) -> None:
+        """Drop local knowledge of the named bindings (cache entries and
+        replica copies alike)."""
+        entries = self.cache.entries
+        replica = self.replica
+        for name in invalidate.names:
+            if name in entries:
+                del entries[name]
+            if name in replica:
+                del replica[name]
+
+    def on_push(self, push: RegistryPush, payload=None) -> None:
+        """Install a flushed batch of replica bindings (no ack) — the
+        beat-coherence counterpart of the eager no-reply :meth:`on_bind`
+        replica path."""
+        replica = self.replica
+        for name, ref in push.bindings:
+            replica[name] = ref
+
+    def on_renew(self, message, payload=None) -> None:
+        """Lease renewals: the authority's grant back at the client
+        (extend the cached leases), or a client's batch at the authority
+        (extend the leases of names still bound, invalidate the ones
+        that vanished)."""
+        service = self.service
+        now = service._kernel.now
+        if type(message) is RegistryRenewAck:
+            cache = self.cache
+            expires_at = now + message.lease_s
+            for name in message.names:
+                cache.extend(name, expires_at)
+            return
+        lease_s = service.lease_duration_s
+        client = message.node
+        granted = []
+        gone = []
+        for name in message.names:
+            if name in self.authority:
+                granted.append(name)
+                holders = self.lease_holders.get(name)
+                if holders is None:
+                    holders = self.lease_holders[name] = {}
+                holders[client] = now + lease_s
+            else:
+                gone.append(name)
+        network = service._network
+        sizes = service._sizes
+        if granted:
+            network.send_typed(
+                self.node_name, client, KIND_REGISTRY_RENEW,
+                sizes.registry_batch_size(len(granted)),
+                RegistryRenewAck(names=tuple(granted), lease_s=lease_s),
+            )
+        if gone:
+            if service._beat_coherence:
+                for name in gone:
+                    service._stage_coherence(self, client, name, None)
+            else:
+                network.send_typed(
+                    self.node_name, client, KIND_REGISTRY_INVALIDATE,
+                    sizes.registry_batch_size(len(gone)),
+                    RegistryInvalidate(names=tuple(gone)),
+                )
+                service.invalidations_sent += 1
+
 
 class NamingService:
     """The world's naming service; ``world.registry`` is an instance.
@@ -261,14 +408,18 @@ class NamingService:
       applied directly at the authoritative shard, with coherence
       traffic (replica pushes, invalidations) still riding the fabric;
     * the **fabric plane** used by activities through their context
-      (``ctx.lookup`` / ``ctx.bind`` / ``ctx.unbind``), where every
-      operation is registry traffic routed by placement, resolves are
-      served from the closest live copy (local authority, replica, or
-      leased cache entry), and futures resolve at reply/hit time.
+      (``ctx.lookup`` / ``ctx.bind`` / ``ctx.unbind`` call
+      :meth:`lookup_from` / :meth:`bind_from`), where every operation is
+      registry traffic routed by placement, resolves are served from the
+      closest live copy (local authority, replica, or leased cache
+      entry), and futures resolve at reply/hit time.  What arrives is
+      handled by the destination node's :class:`RegistryShard`.
     """
 
     def __init__(self, world, config: Optional[RegistryConfig] = None) -> None:
         self._world = world
+        self._kernel = world.kernel
+        self._network = world.network
         self.config = config if config is not None else RegistryConfig()
         nodes = world.topology.nodes
         self._node_names: Tuple[str, ...] = tuple(nodes)
@@ -285,6 +436,16 @@ class NamingService:
         self._hashed = self.config.placement == PLACEMENT_HASHED
         self._caching = self.config.caching
         self._beat_coherence = self.config.coherence == COHERENCE_BEAT
+        # The wire-size model is frozen, so the per-message registry
+        # sizes are constants (batches are priced per flush).
+        sizes = self._sizes = world.wire_sizes
+        self._lookup_size = sizes.registry_lookup_size()
+        self._reply_hit_size = sizes.registry_reply_size(True)
+        self._reply_miss_size = sizes.registry_reply_size(False)
+        self._bind_size = sizes.registry_update_size(True)
+        self._unbind_size = sizes.registry_update_size(False)
+        self._ack_size = sizes.registry_ack_size()
+        self._invalidate_size = sizes.registry_batch_size(1)
         self._shards: Dict[str, RegistryShard] = {}
         #: World-level root-pin refcounts: an activity stays pinned while
         #: *any* name anywhere binds it (aliasing across names — and
@@ -331,10 +492,20 @@ class NamingService:
         return self.home_node
 
     def shard(self, node_name: str) -> RegistryShard:
-        shard = self._shards.get(node_name)
-        if shard is None:
-            shard = RegistryShard(node_name, self.config.cache_size)
-            self._shards[node_name] = shard
+        """The shard of ``node_name``, built on first use — by the
+        node's constructor for a node this world hosts; by the control
+        plane for a topology node another process hosts (a sharded
+        world shares the topology, and any authority may be addressed).
+        A name outside the topology is an error, not a new shard."""
+        shards = self._shards
+        if node_name in shards:
+            return shards[node_name]
+        if node_name not in self._node_names:
+            raise RegistryError(
+                f"node {node_name!r} is not in the topology: it has no "
+                f"registry shard"
+            )
+        shard = shards[node_name] = RegistryShard(self, node_name)
         return shard
 
     @property
@@ -439,7 +610,7 @@ class NamingService:
         shard.authority[name] = ref
         self.binds_applied += 1
         if self._replicated:
-            self._push_replicas(shard.node_name, name, ref)
+            self._update_replicas(shard, name, ref)
         return True, ""
 
     def _apply_unbind(
@@ -451,47 +622,36 @@ class NamingService:
         self._unpin(ref)
         self.unbinds_applied += 1
         if self._replicated:
-            self._invalidate_replicas(shard.node_name, name)
+            self._update_replicas(shard, name, None)
         elif self._caching:
             self._invalidate_holders(shard, name)
         return True, ""
 
-    def _push_replicas(self, source: str, name: str, ref: RemoteRef) -> None:
-        """Fan the new binding out to every other node's replica
-        (``registry.bind`` traffic with no reply address) — or, under
-        beat coherence, stage it into the egress queues for the next
-        flush."""
+    def _update_replicas(
+        self, shard: RegistryShard, name: str, ref: Optional[RemoteRef]
+    ) -> None:
+        """Fan an update of the primary out to every other node's
+        replica: a new binding as ``registry.bind`` traffic with no
+        reply address, an unbind (``ref`` ``None``) as an invalidation
+        — or, under beat coherence, stage it into the egress queues for
+        the next flush."""
+        source = shard.node_name
         if self._beat_coherence:
-            shard = self.shard(source)
             for dest in self._node_names:
                 if dest != source:
                     self._stage_coherence(shard, dest, name, ref)
             return
-        network = self._world.network
-        size = self._world.wire_sizes.registry_update_size(True)
-        update = RegistryBind(name=name, ref=ref, reply_to=None)
+        if ref is None:
+            kind, size = KIND_REGISTRY_INVALIDATE, self._invalidate_size
+            update = RegistryInvalidate(names=(name,))
+            self.invalidations_sent += len(self._node_names) - 1
+        else:
+            kind, size = KIND_REGISTRY_BIND, self._bind_size
+            update = RegistryBind(name=name, ref=ref, reply_to=None)
+        network = self._network
         for dest in self._node_names:
-            if dest == source:
-                continue
-            network.send_typed(source, dest, KIND_REGISTRY_BIND, size, update)
-
-    def _invalidate_replicas(self, source: str, name: str) -> None:
-        if self._beat_coherence:
-            shard = self.shard(source)
-            for dest in self._node_names:
-                if dest != source:
-                    self._stage_coherence(shard, dest, name, None)
-            return
-        network = self._world.network
-        size = self._world.wire_sizes.registry_batch_size(1)
-        invalidate = RegistryInvalidate(names=(name,))
-        for dest in self._node_names:
-            if dest == source:
-                continue
-            network.send_typed(
-                source, dest, KIND_REGISTRY_INVALIDATE, size, invalidate
-            )
-            self.invalidations_sent += 1
+            if dest != source:
+                network.send_typed(source, dest, kind, size, update)
 
     def _invalidate_holders(self, shard: RegistryShard, name: str) -> None:
         """Push an explicit invalidation to every recorded lease holder
@@ -511,8 +671,8 @@ class NamingService:
             for holder in holders:
                 self._stage_coherence(shard, holder, name, None)
             return
-        network = self._world.network
-        size = self._world.wire_sizes.registry_batch_size(1)
+        network = self._network
+        size = self._invalidate_size
         invalidate = RegistryInvalidate(names=(name,))
         for holder in holders:
             network.send_typed(
@@ -522,7 +682,7 @@ class NamingService:
             self.invalidations_sent += 1
 
     # ------------------------------------------------------------------
-    # Fabric plane: resolution
+    # Fabric plane: the request side
     # ------------------------------------------------------------------
 
     def lookup_from(self, node, sender, name: str) -> Future:
@@ -533,40 +693,41 @@ class NamingService:
         table, the local replica (``replicated``), or a live lease-cache
         entry — resolving the future immediately and creating the DGC
         edge at hit time; otherwise sends a ``registry.lookup`` to the
-        authority and resolves at reply delivery.
+        authority, whose shard answers (:meth:`RegistryShard.on_lookup`),
+        and resolves at reply delivery.
         """
         self.resolves += 1
-        authority = self.authority_node(name)
-        if node.name == authority:
-            ref = self.shard(node.name).authority.get(name)
+        authority = (
+            self.authority_node(name) if self._hashed else self.home_node
+        )
+        shard = node.registry_shard
+        source = shard.node_name
+        if source == authority:
+            ref = shard.authority.get(name)
             if ref is not None:
                 self.authority_hits += 1
             else:
                 self.local_misses += 1
             return self._resolve_local(node, sender, ref)
         if self._replicated:
-            ref = self.shard(node.name).replica.get(name)
+            ref = shard.replica.get(name)
             if ref is not None:
                 self.replica_hits += 1
             else:
                 self.local_misses += 1
             return self._resolve_local(node, sender, ref)
         if self._caching:
-            ref = self.shard(node.name).cache.get(
-                name, self._world.kernel.now
-            )
+            ref = shard.cache.get(name, self._kernel.now)
             if ref is not None:
                 self.cache_hits += 1
                 return self._resolve_local(node, sender, ref)
         self.remote_lookups += 1
-        future, reply_to = node.register_pending_future(sender)
-        lookup = RegistryLookup(name=name, reply_to=reply_to)
-        self._world.network.send_typed(
-            node.name,
-            authority,
-            KIND_REGISTRY_LOOKUP,
-            self._world.wire_sizes.registry_lookup_size(),
-            lookup,
+        future = Future()
+        future_id = future.future_id
+        shard.pending[future_id] = future
+        self._network.send_typed(
+            source, authority, KIND_REGISTRY_LOOKUP, self._lookup_size,
+            RegistryLookup(name, ReplyAddress(source, sender.id, future_id)),
         )
         return future
 
@@ -580,49 +741,6 @@ class NamingService:
             future.resolve(proxy, (proxy,))
         return future
 
-    def serve_lookup(self, node, lookup: RegistryLookup) -> None:
-        """Serve a fabric lookup at the authoritative shard: answer from
-        the authority table at serve time, granting a lease on positive,
-        cacheable replies (and recording the holder for invalidation)."""
-        shard = self.shard(node.name)
-        ref = shard.authority.get(lookup.name)
-        reply_to = lookup.reply_to
-        lease_s = 0.0
-        if ref is not None and self._caching and reply_to.node != node.name:
-            lease_s = self.lease_duration_s
-            holders = shard.lease_holders.get(lookup.name)
-            if holders is None:
-                holders = shard.lease_holders[lookup.name] = {}
-            holders[reply_to.node] = self._world.kernel.now + lease_s
-            self.lease_grants += 1
-        reply = RegistryReply(
-            future_id=reply_to.future_id,
-            target_activity=reply_to.activity,
-            name=lookup.name,
-            ref=ref,
-            lease_s=lease_s,
-        )
-        self._world.network.send_typed(
-            node.name,
-            reply_to.node,
-            KIND_REGISTRY_REPLY,
-            self._world.wire_sizes.registry_reply_size(ref is not None),
-            reply,
-        )
-
-    def note_cacheable_reply(self, node, reply: RegistryReply) -> None:
-        """Client side of a lease grant: cache the binding and make sure
-        the node's sweep beat is running."""
-        shard = self.shard(node.name)
-        shard.cache.put(
-            reply.name, reply.ref, self._world.kernel.now + reply.lease_s
-        )
-        self._ensure_sweep(shard)
-
-    # ------------------------------------------------------------------
-    # Fabric plane: bind/unbind
-    # ------------------------------------------------------------------
-
     def bind_from(
         self, node, sender, name: str, ref: Optional[RemoteRef]
     ) -> Future:
@@ -633,103 +751,28 @@ class NamingService:
         applied the update, ``False`` when it rejected it (conflict,
         dead target, unknown name).
         """
-        authority = self.authority_node(name)
-        if node.name == authority:
+        authority = (
+            self.authority_node(name) if self._hashed else self.home_node
+        )
+        shard = node.registry_shard
+        source = shard.node_name
+        future = Future()
+        if source == authority:
             if ref is None:
-                ok, _error = self._apply_unbind(self.shard(authority), name)
+                ok, _error = self._apply_unbind(shard, name)
             else:
-                ok, _error = self._apply_bind(self.shard(authority), name, ref)
-            future = Future()
+                ok, _error = self._apply_bind(shard, name, ref)
             future.resolve(ok)
             return future
-        future, reply_to = node.register_pending_future(sender)
-        update = RegistryBind(name=name, ref=ref, reply_to=reply_to)
-        self._world.network.send_typed(
-            node.name,
-            authority,
-            KIND_REGISTRY_BIND,
-            self._world.wire_sizes.registry_update_size(ref is not None),
-            update,
+        future_id = future.future_id
+        shard.pending[future_id] = future
+        reply_to = ReplyAddress(source, sender.id, future_id)
+        self._network.send_typed(
+            source, authority, KIND_REGISTRY_BIND,
+            self._unbind_size if ref is None else self._bind_size,
+            RegistryBind(name, ref, reply_to),
         )
         return future
-
-    def serve_bind(self, node, update: RegistryBind) -> None:
-        """Apply a fabric bind/unbind at its destination: the authority
-        applies and acknowledges; a non-authority destination is a
-        replica push (no reply address) and just installs the copy."""
-        shard = self.shard(node.name)
-        if update.reply_to is None:
-            # Replica push from the primary (``replicated`` placement).
-            shard.replica[update.name] = update.ref
-            return
-        if update.ref is None:
-            ok, error = self._apply_unbind(shard, update.name)
-        else:
-            ok, error = self._apply_bind(shard, update.name, update.ref)
-        reply_to = update.reply_to
-        ack = RegistryAck(
-            future_id=reply_to.future_id,
-            target_activity=reply_to.activity,
-            name=update.name,
-            ok=ok,
-            error=error,
-        )
-        self._world.network.send_typed(
-            node.name,
-            reply_to.node,
-            KIND_REGISTRY_REPLY,
-            self._world.wire_sizes.registry_ack_size(),
-            ack,
-        )
-
-    # ------------------------------------------------------------------
-    # Leases: invalidation and the renewal sweep
-    # ------------------------------------------------------------------
-
-    def apply_invalidate(self, node, invalidate: RegistryInvalidate) -> None:
-        """Drop local knowledge of the named bindings (cache entries and
-        replica copies alike)."""
-        shard = self.shard(node.name)
-        for name in invalidate.names:
-            shard.cache.drop(name)
-            shard.replica.pop(name, None)
-
-    def serve_renew(self, node, renew: RegistryRenew) -> None:
-        """Authority side of a renewal batch: extend the leases of names
-        still bound, invalidate the ones that vanished."""
-        shard = self.shard(node.name)
-        now = self._world.kernel.now
-        lease_s = self.lease_duration_s
-        granted = []
-        gone = []
-        for name in renew.names:
-            if name in shard.authority:
-                granted.append(name)
-                holders = shard.lease_holders.get(name)
-                if holders is None:
-                    holders = shard.lease_holders[name] = {}
-                holders[renew.node] = now + lease_s
-            else:
-                gone.append(name)
-        network = self._world.network
-        sizes = self._world.wire_sizes
-        if granted:
-            network.send_typed(
-                node.name, renew.node, KIND_REGISTRY_RENEW,
-                sizes.registry_batch_size(len(granted)),
-                RegistryRenewAck(names=tuple(granted), lease_s=lease_s),
-            )
-        if gone:
-            if self._beat_coherence:
-                for name in gone:
-                    self._stage_coherence(shard, renew.node, name, None)
-            else:
-                network.send_typed(
-                    node.name, renew.node, KIND_REGISTRY_INVALIDATE,
-                    sizes.registry_batch_size(len(gone)),
-                    RegistryInvalidate(names=tuple(gone)),
-                )
-                self.invalidations_sent += 1
 
     # ------------------------------------------------------------------
     # The beat-quantized coherence channel (``coherence="beat"``)
@@ -752,7 +795,7 @@ class NamingService:
     def _ensure_egress(self, shard: RegistryShard) -> None:
         if shard.egress_handle is not None:
             return
-        shard.egress_handle = self._world.kernel.schedule_periodic(
+        shard.egress_handle = self._kernel.schedule_periodic(
             self.lease_beat_s,
             lambda: self._flush_coherence(shard),
             label=f"registry.coherence:{shard.node_name}",
@@ -769,8 +812,8 @@ class NamingService:
             shard.egress_handle.stop()
             shard.egress_handle = None
             return
-        network = self._world.network
-        sizes = self._world.wire_sizes
+        network = self._network
+        sizes = self._sizes
         source = shard.node_name
         for dest, invalidates, pushes in channel.flush():
             if invalidates:
@@ -792,25 +835,14 @@ class NamingService:
                 self.coherence_messages_sent += 1
                 self.coherence_names_sent += len(pushes)
 
-    def apply_push(self, node, push: RegistryPush) -> None:
-        """Install a flushed batch of replica bindings (no ack) — the
-        beat-coherence counterpart of the eager no-reply
-        :meth:`serve_bind` replica path."""
-        replica = self.shard(node.name).replica
-        for name, ref in push.bindings:
-            replica[name] = ref
-
-    def apply_renew_ack(self, node, ack: RegistryRenewAck) -> None:
-        """Client side of a granted renewal: extend the cached leases."""
-        cache = self.shard(node.name).cache
-        expires_at = self._world.kernel.now + ack.lease_s
-        for name in ack.names:
-            cache.extend(name, expires_at)
+    # ------------------------------------------------------------------
+    # Leases: the renewal sweep
+    # ------------------------------------------------------------------
 
     def _ensure_sweep(self, shard: RegistryShard) -> None:
         if shard.sweep_handle is not None:
             return
-        shard.sweep_handle = self._world.kernel.schedule_periodic(
+        shard.sweep_handle = self._kernel.schedule_periodic(
             self.lease_beat_s,
             lambda: self._sweep(shard),
             label=f"registry.sweep:{shard.node_name}",
@@ -822,7 +854,7 @@ class NamingService:
         that was used since the last sweep and lapses within the next
         beat.  Stops itself when the cache drains (re-registered lazily
         by the next lease grant)."""
-        now = self._world.kernel.now
+        now = self._kernel.now
         horizon = now + self.lease_beat_s
         cache = shard.cache
         entries = cache.entries
@@ -840,8 +872,8 @@ class NamingService:
             entry[2] = False
             if used and entry[1] <= horizon:
                 due.setdefault(self.authority_node(name), []).append(name)
-        network = self._world.network
-        sizes = self._world.wire_sizes
+        network = self._network
+        sizes = self._sizes
         for authority, names in due.items():
             network.send_typed(
                 shard.node_name, authority, KIND_REGISTRY_RENEW,

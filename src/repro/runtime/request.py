@@ -10,6 +10,7 @@ Replies update the caller's future.  Following the paper's reference
 orientation (Sec. 4.1), a reply does **not** create a DGC edge from callee
 to caller, and a reply to an already-collected caller is dropped.
 """
+# repro: hot-path — every class slotted, no closure allocation in loops (HOT rules)
 
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ def reset_request_ids() -> None:
     _request_ids = itertools.count(1)
 
 
-@dataclass
+@dataclass(slots=True)
 class Request:
     """An asynchronous method invocation on an activity."""
 
@@ -55,7 +56,7 @@ class Request:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReplyAddress:
     """Where the reply (future update) must be delivered."""
 
@@ -64,7 +65,7 @@ class ReplyAddress:
     future_id: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Reply:
     """A future update: the result of a served request."""
 
@@ -75,7 +76,7 @@ class Reply:
     data: Any = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegistryLookup:
     """A name resolution sent to the registry's home node.
 
@@ -89,7 +90,7 @@ class RegistryLookup:
     reply_to: ReplyAddress
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegistryReply:
     """The registry's answer: the bound reference, or ``None``.
 
@@ -106,7 +107,7 @@ class RegistryReply:
     lease_s: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegistryBind:
     """A bind (``ref`` set) or unbind (``ref`` ``None``) sent to the
     authoritative shard for ``name`` — ``registry.bind`` traffic.
@@ -124,7 +125,7 @@ class RegistryBind:
     reply_to: Optional[ReplyAddress]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegistryAck:
     """The authoritative shard's answer to a bind/unbind: applied or
     rejected (name conflict, dead target, unknown name)."""
@@ -136,7 +137,7 @@ class RegistryAck:
     error: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegistryRenew:
     """One lease sweep's renewals for one authority: every cached name a
     client node used since its last sweep, batched like a heartbeat —
@@ -146,7 +147,7 @@ class RegistryRenew:
     names: Tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegistryRenewAck:
     """The authority's grant: leases on ``names`` are extended by
     ``lease_s`` from delivery time (names that vanished come back as a
@@ -156,7 +157,7 @@ class RegistryRenewAck:
     lease_s: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegistryInvalidate:
     """Explicit cache invalidation — ``registry.invalidate`` traffic.
 
@@ -170,7 +171,7 @@ class RegistryInvalidate:
     names: Tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegistryPush:
     """A batched replica push — ``registry.push`` traffic.
 

@@ -1,13 +1,19 @@
-"""The fused typed-message lane: its call budget and its accounting.
+"""The fused typed-message lane: its frame budget and its accounting.
 
 Two deterministic gates, no timing:
 
-* **Call budget** — on the production core, once the routes are cached,
+* **Frame budget** — on the production core, once the routes are cached,
   a cross-node ``registry.lookup`` round trip costs the fabric one
   Python frame per send (:meth:`Network.send_typed`) and one per
-  delivery instant (the pulse firing); nothing runs in ``net/channel.py``
-  or ``net/accounting.py`` and the node's typed sink (``_on_typed``) is
-  never entered — the fire loop calls the kind handlers itself.
+  delivery instant (the pulse firing); nothing runs in ``net/channel.py``,
+  ``net/accounting.py`` or ``net/message.py`` and the node's typed sink
+  (``_on_typed``) is never entered — the fire loop calls the kind
+  handlers itself, and for the ``registry.*`` kinds those are the bound
+  methods of the node's :class:`RegistryShard`.  Above the fabric the
+  whole resolve (``ctx.lookup`` to resolved future) is at most ten
+  frames over all of ``runtime/*.py``, and a delivered replica push or
+  invalidation is one.  The per-event core enters the same handlers
+  through ``_on_typed``.
 * **Accounting parity** — the lane charges the accountant through
   memoized categories and lent pair boxes instead of
   ``observe_sized``; per-kind bytes and messages and every pair's bytes
@@ -25,6 +31,7 @@ from repro.net.kinds import (
     KIND_APP_REPLY,
     KIND_APP_REQUEST,
     KIND_REGISTRY_BIND,
+    KIND_REGISTRY_INVALIDATE,
     KIND_REGISTRY_LOOKUP,
     KIND_REGISTRY_REPLY,
 )
@@ -33,49 +40,50 @@ from repro.runtime.behaviors import Behavior, SinkBehavior
 from repro.runtime.ids import reset_id_counter
 from repro.world import World
 
-FABRIC_FILES = ("network.py", "channel.py", "accounting.py")
+FABRIC_FILES = ("network.py", "channel.py", "accounting.py", "message.py")
 
 
-def external_client(world, node):
-    """A collector-less root (paper Sec. 4.1's external code): its
-    lookups cause registry traffic and nothing else."""
+def external(world, node, name):
+    """A collector-less root (paper Sec. 4.1's external code): it causes
+    registry traffic and nothing else — no beat, no DGC message."""
     return world.create_activity(
-        SinkBehavior(), node=node, name="client", root=True, dgc_enabled=False
+        SinkBehavior(), node=node, name=name, root=True, dgc_enabled=False
     )
 
 
-def profiled_calls(run):
-    """``{(file, function): calls}`` for ``repro.net``'s send path and
-    ``runtime/node.py`` while ``run()`` executes."""
+def profiled_frames(run):
+    """``(fabric, runtime)``: ``{(file, function): calls}`` of every
+    Python frame entered in ``repro.net``'s send path and in
+    ``runtime/*.py`` while ``run()`` executes.  Dataclass-generated
+    ``__init__``s live in ``<string>`` and are in neither."""
     profiler = cProfile.Profile()
     profiler.runcall(run)
     profiler.create_stats()
-    calls = {}
+    fabric, runtime = {}, {}
     for (filename, _, function), (_, ncalls, _, _, _) in profiler.stats.items():
         head, base = os.path.split(filename)
         package = os.path.basename(head)
-        if (package == "net" and base in FABRIC_FILES) or (
-            package == "runtime" and base == "node.py"
-        ):
-            calls[(base, function)] = ncalls
-    return calls
+        if package == "net" and base in FABRIC_FILES:
+            fabric[(base, function)] = ncalls
+        elif package == "runtime":
+            runtime[(base, function)] = ncalls
+    return fabric, runtime
 
 
-def test_lookup_round_trip_call_budget():
+def warm_resolve_frames(dgc, registry=None):
+    """Frames of one warm cross-node resolve, ``ctx.lookup`` to resolved
+    future, in a two-node world without collectors."""
     world = World(
-        uniform_topology(2), dgc=DgcConfig(ttb=1.0, tta=3.0),
-        registry=RegistryConfig(), trace=False,
+        uniform_topology(2), dgc=dgc, registry=registry or RegistryConfig(),
+        trace=False,
     )
-    assert world.network.pulse_batching
     authority = world.registry_node
     remote = next(name for name in world.nodes if name != authority)
-    service = world.create_activity(
-        SinkBehavior(), node=authority, name="svc", root=True
-    )
+    service = external(world, authority, "svc")
     world.registry.bind("service", service.context.self_ref())
-    client = external_client(world, remote)
-    # Warm-up round trip: builds both routes, both channels and the two
-    # per-kind categories.
+    client = external(world, remote, "client")
+    # Warm-up round trip: builds both routes, both channels, the two
+    # per-kind categories and the client's stub tag for the service.
     warm = client.context.lookup("service")
     world.run_for(1.0)
     assert warm.value.activity_id == service.id
@@ -86,21 +94,68 @@ def test_lookup_round_trip_call_budget():
         world.run_for(1.0)
         return future
 
-    calls = profiled_calls(round_trip)
+    fabric, runtime = profiled_frames(round_trip)
     after = world.accountant.summary()
     for kind in (KIND_REGISTRY_LOOKUP, KIND_REGISTRY_REPLY):
         assert after[kind].messages == before[kind].messages + 1
-    fabric = {key: n for key, n in calls.items() if key[0] in FABRIC_FILES}
+    return world, fabric, runtime
+
+
+def test_lookup_round_trip_call_budget():
+    world, fabric, runtime = warm_resolve_frames(DgcConfig(ttb=1.0, tta=3.0))
+    assert world.network.pulse_batching
     assert fabric == {
-        # One frame per send, one per delivery instant; channel.py and
-        # accounting.py never run.
+        # One frame per send, one per delivery instant; channel.py,
+        # accounting.py and message.py (the size model) never run.
         ("network.py", "send_typed"): 2,
         ("network.py", "_fire_pulse"): 2,
     }
-    node = {key[1]: n for key, n in calls.items() if key[0] == "node.py"}
-    assert "_on_typed" not in node
-    assert node["_on_registry_lookup"] == 1
-    assert node["_on_registry_reply"] == 1
+    # One frame per hop: the context, the service's request side, the
+    # authority's shard, the caller's node — then the stub and the future.
+    assert runtime[("activeobject.py", "lookup")] == 1
+    assert runtime[("registry.py", "lookup_from")] == 1
+    assert runtime[("registry.py", "on_lookup")] == 1
+    assert runtime[("node.py", "_on_registry_reply")] == 1
+    assert ("node.py", "_on_typed") not in runtime
+    assert sum(runtime.values()) <= 10, runtime
+
+
+def test_per_event_core_enters_the_same_shard_handlers():
+    world, _, runtime = warm_resolve_frames(
+        DgcConfig(ttb=1.0, tta=3.0, aggregation="per-event")
+    )
+    assert not world.network.pulse_batching
+    assert runtime[("node.py", "_on_typed")] == 2
+    assert runtime[("registry.py", "on_lookup")] == 1
+    assert runtime[("node.py", "_on_registry_reply")] == 1
+
+
+def test_replica_update_delivery_is_one_runtime_frame():
+    """The write side: under ``replicated`` placement every bind fans a
+    push out and every unbind an invalidation; delivering one is one
+    frame above the fabric — the destination shard's handler."""
+    world = World(
+        uniform_topology(2), dgc=DgcConfig(ttb=1.0, tta=3.0),
+        registry=RegistryConfig(placement="replicated"), trace=False,
+    )
+    primary = world.registry_node
+    replica = next(name for name in world.nodes if name != primary)
+    service = external(world, primary, "svc")
+    ref = service.context.self_ref()
+    shard = world.registry.shard(replica)
+    for kind, update, handler in (
+        (KIND_REGISTRY_BIND, lambda: world.registry.bind("service", ref),
+         "on_bind"),
+        (KIND_REGISTRY_INVALIDATE, lambda: world.registry.unbind("service"),
+         "on_invalidate"),
+    ):
+        update()
+        sent = world.accountant.summary()[kind].messages
+        fabric, runtime = profiled_frames(lambda: world.run_for(1.0))
+        assert sent == 1
+        assert fabric == {("network.py", "_fire_pulse"): 1}
+        assert runtime == {("registry.py", handler): 1}
+        assert ("service" in shard.replica) == (handler == "on_bind")
 
 
 # ----------------------------------------------------------------------
@@ -129,7 +184,7 @@ def drive_mixed_traffic(dgc: DgcConfig):
     others = [name for name in world.nodes if name != authority]
     driver = world.create_driver(node=others[0])
     echo = driver.context.create(Echo(), node=others[1], name="echo")
-    client = external_client(world, others[1])
+    client = external(world, others[1], "client")
     futures = [driver.context.bind("echo", echo)]
     world.run_for(1.0)
     for index in range(4):

@@ -6,6 +6,7 @@ from repro.errors import RuntimeModelError
 from repro.runtime.activeobject import ActivityState
 from repro.runtime.behaviors import Behavior, FunctionBehavior, SinkBehavior
 from repro.runtime.node import ReplyPayload
+from repro.sim.kernel import SimKernel
 
 
 class Recorder(Behavior):
@@ -148,6 +149,35 @@ def test_terminated_activity_ignores_requests(world):
     world.run_for(1.0)
     assert behavior.calls == []
     assert world.nodes[activity.node.name].dead_letter_count == 1
+
+
+def test_wakeups_ride_the_event_less_kernel_lane(world, monkeypatch):
+    """A sleep resume and a local-GC sweep are never cancelled, so they
+    are scheduled without an ``Event`` handle; a resume that outlives
+    its activity is dropped by the in-flight-handler check instead."""
+    handles = []
+    schedule_at = SimKernel.schedule_at
+
+    def spy(kernel, *args, **kwargs):
+        handles.append(args)
+        return schedule_at(kernel, *args, **kwargs)
+
+    monkeypatch.setattr(SimKernel, "schedule_at", spy)
+    behavior = Recorder()
+    driver = world.create_driver()
+    target = driver.context.create(behavior, name="t")
+    activity = world.find_activity(target.activity_id)
+    driver.context.call(target, "slow")
+    world.run_for(10.0)
+    assert [call[0] for call in behavior.calls] == ["slow-done"]
+    driver.context.call(target, "slow")
+    world.run_for(1.0)
+    activity.terminate("explicit")
+    driver.context.drop(target)
+    world.run_for(10.0)
+    assert [call[0] for call in behavior.calls] == ["slow-done"]
+    assert driver.node.local_gc.collected_tags == 1
+    assert handles == []
 
 
 def test_terminate_is_idempotent(world):

@@ -129,6 +129,31 @@ def test_names_sorted(world):
     assert world.registry.names() == ["alpha", "zeta"]
 
 
+def test_shard_of_an_unknown_node_is_an_error_not_a_new_shard(world):
+    """Shards are built per node: a typo must not mint a phantom shard
+    nothing ever serves."""
+    for _ in range(2):
+        with pytest.raises(RegistryError, match="typo"):
+            world.registry.shard("typo")
+
+
+def test_shard_is_the_nodes_own_endpoint(world):
+    for name, node in world.nodes.items():
+        assert world.registry.shard(name) is node.registry_shard
+
+
+def test_non_local_topology_node_keeps_a_shard(make_world):
+    """A sharded world hosts only its node group but shares the
+    topology: the control plane may still address any authority."""
+    world = make_world(3, dgc=None, local_nodes=["site-1"])
+    assert list(world.nodes) == ["site-1"]
+    remote = world.registry.shard("site-0")
+    assert remote is world.registry.shard("site-0")
+    assert remote.node_name == "site-0" and remote.pending is None
+    with pytest.raises(RegistryError):
+        world.registry.shard("site-3")
+
+
 # ----------------------------------------------------------------------
 # Registry lookups over the fabric (registry.lookup / registry.reply)
 # ----------------------------------------------------------------------
