@@ -111,8 +111,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     run_cmd.add_argument(
         "--live", action="store_true",
         help="sharded multi-process execution: partition the nodes over "
-        "worker processes (per-shard LiveKernels, struct-packed wire "
-        "frames between them) instead of the single-process simulator",
+        "worker processes (one simulation kernel per shard, paced by a "
+        "coordinator; struct-packed wire frames between them) instead of "
+        "the single-process simulator",
     )
     run_cmd.add_argument(
         "--shards", type=int, default=None, metavar="N",

@@ -9,6 +9,13 @@ fire every (real) TTB, consensus collects cycles — in wall-clock time,
 demonstrating the paper's middleware-integration story (Sec. 4.1)
 without a single protocol change.
 
+Why this exists: every simulated world — single-process or sharded —
+runs on :class:`repro.sim.kernel.SimKernel`, where time only moves when
+an event fires.  The paper's safety bound is a real-time inequality
+(Sec. 3.1), and this package is the only path that runs the unchanged
+protocol against a real clock and real threads, so it stays beside the
+simulator rather than in ``examples/``.
+
 Usage::
 
     from repro.live import LiveKernel

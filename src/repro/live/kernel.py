@@ -5,14 +5,15 @@ single-threaded execution model every component was written for; other
 threads only *schedule* work (thread-safe) and *poll* state (reads of
 counters/collections under the GIL).
 
-``LiveKernel(virtual_time=True)`` selects the kernel's second mode: no
-scheduler thread is started and the caller drives execution directly
-through :meth:`advance`, which fires every event strictly before a
-horizon inline on the calling thread.  This is the mode the sharded
-world (:mod:`repro.shard`) runs each shard worker in — the coordinator
-grants conservative horizons round by round, and determinism requires
-exactly this single-threaded, caller-paced execution.  Everything else
-(heap layout, beat wheel, counters) is shared between the modes.
+Why this exists: every other path in the repository runs on
+:class:`repro.sim.kernel.SimKernel`, whose clock only moves when an
+event fires — including the sharded world, whose workers are paced by
+the coordinator's horizons.  The paper's safety condition
+(``TTA > 2*TTB + MaxComm``, Sec. 3.1) is a real-time inequality, and
+Sec. 4.1 claims the DGC integrates into a middleware without protocol
+changes.  This kernel is the one place where the unchanged protocol
+stack meets a real clock, real threads and scheduling jitter
+(``examples/live_realtime.py``, ``tests/integration/test_live_runtime.py``).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class LiveKernel:
     kernels uniformly.
     """
 
-    def __init__(self, *, virtual_time: bool = False) -> None:
+    def __init__(self) -> None:
         self._origin = time.monotonic()
         self._heap: List[
             Tuple[float, int, Optional[Event], Callable[..., None], tuple]
@@ -56,7 +57,6 @@ class LiveKernel:
         self._scheduled = 0
         self._pending = 0
         self._peak_pending = 0
-        self._virtual = virtual_time
         #: The run/stop handshake: ``run`` blocks the calling thread on
         #: this condition; ``request_stop`` (typically fired from the
         #: scheduler thread by the world's termination hook) wakes it.
@@ -66,17 +66,10 @@ class LiveKernel:
         #: lock is reentrant because bucket callbacks (running on the
         #: scheduler thread, under the lock) may register/stop members.
         self._beats = BeatWheel(self, lock=threading.RLock())
-        self._thread: Optional[threading.Thread] = None
-        if virtual_time:
-            # Caller-driven mode: no scheduler thread; ``_now`` is the
-            # virtual clock (the attribute doubles as the network
-            # fabric's fast-clock handshake, exactly like SimKernel's).
-            self._now = 0.0
-        else:
-            self._thread = threading.Thread(
-                target=self._loop, name="repro-live-kernel", daemon=True
-            )
-            self._thread.start()
+        self._thread = threading.Thread(
+            target=self._loop, name="repro-live-kernel", daemon=True
+        )
+        self._thread.start()
 
     # ------------------------------------------------------------------
     # Kernel interface (mirrors repro.sim.kernel.SimKernel)
@@ -84,15 +77,8 @@ class LiveKernel:
 
     @property
     def now(self) -> float:
-        """Seconds since kernel start (monotonic wall clock), or the
-        virtual clock in ``virtual_time`` mode."""
-        if self._virtual:
-            return self._now
+        """Seconds since kernel start (monotonic wall clock)."""
         return time.monotonic() - self._origin
-
-    @property
-    def virtual_time(self) -> bool:
-        return self._virtual
 
     @property
     def fired_count(self) -> int:
@@ -218,11 +204,6 @@ class LiveKernel:
         provides the ``world.run_for`` / ``run_until_collected``
         blocking semantics.
         """
-        if self._virtual:
-            raise SimulationError(
-                "a virtual-time LiveKernel is driven by advance(); run() "
-                "has no scheduler thread to wait on"
-            )
         if until is None:
             raise SimulationError(
                 "LiveKernel.run requires 'until' (it cannot drain an "
@@ -247,11 +228,6 @@ class LiveKernel:
         timeout: float,
     ) -> bool:
         """Poll ``predicate`` every ``check_interval`` real seconds."""
-        if self._virtual:
-            raise SimulationError(
-                "a virtual-time LiveKernel is driven by advance(); "
-                "quiescence is the shard coordinator's call"
-            )
         deadline = self.now + timeout
         while True:
             if predicate():
@@ -259,66 +235,6 @@ class LiveKernel:
             if self.now >= deadline:
                 return predicate()
             time.sleep(min(check_interval, max(deadline - self.now, 0.001)))
-
-    # ------------------------------------------------------------------
-    # Virtual-time mode (the shard worker's drive shaft)
-    # ------------------------------------------------------------------
-
-    def next_event_time(self) -> Optional[float]:
-        """The earliest live event's time, or ``None`` when the heap is
-        empty — the per-round bid a shard worker reports so the
-        coordinator can compute the global horizon."""
-        heap = self._heap
-        while heap:
-            head = heap[0]
-            event = head[2]
-            if event is not None and event.cancelled:
-                heapq.heappop(heap)
-                continue
-            return head[0]
-        return None
-
-    def advance(self, horizon: float) -> int:
-        """Fire every event strictly before ``horizon`` inline, in heap
-        order, then move the clock to ``horizon``.  Returns the number
-        of events fired.
-
-        The horizon is *exclusive*: an event at exactly ``horizon``
-        stays pending, because the granting coordinator only guarantees
-        that no cross-shard frame can arrive strictly before it.  During
-        each callback ``now`` reads the event's own time (as under
-        SimKernel), and callbacks may schedule freely, including before
-        the horizon — new events inside the window fire in this same
-        call.
-        """
-        if not self._virtual:
-            raise SimulationError(
-                "advance() requires LiveKernel(virtual_time=True)"
-            )
-        if horizon < self._now:
-            raise SchedulingInPastError(
-                f"cannot advance backwards to {horizon} (now={self._now})"
-            )
-        heap = self._heap
-        fired = 0
-        while heap:
-            head = heap[0]
-            if head[0] >= horizon:
-                break
-            event = head[2]
-            if event is not None and event.cancelled:
-                heapq.heappop(heap)
-                continue
-            heapq.heappop(heap)
-            self._pending -= 1
-            if event is not None:
-                event.owner = None
-            self._now = head[0]
-            self._fired += 1
-            fired += 1
-            head[3](*head[4])
-        self._now = horizon
-        return fired
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -338,8 +254,7 @@ class LiveKernel:
             self._shutdown = True
             self._wakeup.notify()
         self.request_stop()
-        if self._thread is not None:
-            self._thread.join(timeout=join_timeout)
+        self._thread.join(timeout=join_timeout)
         self._beats.drain()
 
     # ------------------------------------------------------------------

@@ -660,9 +660,9 @@ def replay_single_process(
     """Re-execute a sharded run's configuration in one process.
 
     Runs the *same* SPMD builder under a one-shard plan (every node
-    local, the ordinary :class:`~repro.sim.kernel.SimKernel`), driving
-    the same phase protocol inline.  Because setup placement, activity
-    ids and RNG streams are identical by construction, the replay's
+    local, on the workers' :class:`~repro.sim.kernel.SimKernel` class),
+    driving the same phase protocol inline.  Because setup placement,
+    activity ids and RNG streams are identical by construction, the replay's
     outcome signature must equal the sharded run's — the verification
     that the multi-process execution changed the schedule but not the
     semantics.  Returns ``(world, env, signature)``.
@@ -678,9 +678,7 @@ def replay_single_process(
         seed=seed,
         trace=trace,
     )
-    from repro.sim.kernel import SimKernel
-
-    world, env = build_shard_world(spec, kernel=SimKernel())
+    world, env = build_shard_world(spec)
     kernel = world.kernel
 
     def balanced() -> bool:

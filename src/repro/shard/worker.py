@@ -1,12 +1,13 @@
-"""The shard worker: one process, one partial world, one LiveKernel.
+"""The shard worker: one process, one partial world, one SimKernel.
 
 A worker owns the nodes its :class:`~repro.shard.plan.ShardPlan` block
 assigns it.  It builds a :class:`~repro.world.World` restricted to
-those nodes (``local_nodes``), driven by a caller-paced
-:class:`repro.live.LiveKernel` in virtual-time mode, with the network's
-shard egress configured so sends to non-local nodes are captured as
-staged pulse entries instead of delivered.  The coordinator then drives
-it through barrier rounds:
+those nodes (``local_nodes``), driven by a
+:class:`~repro.sim.kernel.SimKernel` that the coordinator paces through
+:meth:`~repro.sim.kernel.SimKernel.advance`, with the network's shard
+egress configured so sends to non-local nodes are captured as staged
+pulse entries instead of delivered.  The coordinator then drives it
+through barrier rounds:
 
 ``("advance", horizon, n_frames)``
     inject ``n_frames`` wire frames (sorted by ``(src_shard, seq)`` —
@@ -15,7 +16,7 @@ it through barrier rounds:
     *per shard* (see :mod:`repro.shard.coordinator`), so this worker's
     clock may run ahead of or behind its peers between rounds; a round
     that only flushes frames re-grants the current horizon, which
-    :meth:`~repro.live.LiveKernel.advance` accepts as a no-op.
+    :meth:`~repro.sim.kernel.SimKernel.advance` accepts as a no-op.
 
 ``("phase", index)``
     run the workload's phase-entry action (driver-shard traffic) at the
@@ -48,7 +49,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.config import DgcConfig, RegistryConfig
-from repro.live import LiveKernel
 from repro.net import kinds as _kinds
 from repro.net.topology import Topology
 from repro.net.wire import (
@@ -63,6 +63,7 @@ from repro.runtime.ids import reset_id_counter
 from repro.runtime.request import reset_request_ids
 from repro.shard.plan import ShardPlan
 from repro.shard.workloads import SHARD_WORKLOADS, ShardEnv
+from repro.sim.kernel import SimKernel
 from repro.world import World
 
 #: Registry counters merged by summation in the coordinator.
@@ -105,15 +106,14 @@ def _reset_process_counters() -> None:
 def build_shard_world(spec: WorkerSpec, kernel=None) -> Tuple[World, ShardEnv]:
     """Construct one shard's partial world and run the SPMD setup.
 
-    ``kernel`` defaults to a virtual-time :class:`LiveKernel` (the
-    worker mode); the single-process replay arm passes a
-    :class:`~repro.sim.kernel.SimKernel` to reuse its run-to-completion
-    APIs while sharing the identical build path.
+    ``kernel`` defaults to a fresh :class:`SimKernel`, which both the
+    worker (paced by ``advance``) and the single-process replay (run to
+    completion) use.
     """
     _reset_process_counters()
     local = spec.plan.nodes_of(spec.shard)
     if kernel is None:
-        kernel = LiveKernel(virtual_time=True)
+        kernel = SimKernel()
     world = World(
         spec.topology,
         dgc=spec.dgc,

@@ -32,9 +32,9 @@ class Event:
 
     ``owner`` is the kernel that keeps a maintained pending-event count;
     cancellation notifies it so :attr:`SimKernel.pending_count` stays
-    exact without scanning the heap.  Both kernels maintain the counter
-    (the live kernel mirrors it for stats parity); detached events leave
-    it ``None``.
+    exact without scanning the heap.  The wall-clock
+    :class:`repro.live.LiveKernel` mirrors the counter for stats parity;
+    fired (detached) events leave ``owner`` ``None``.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "label", "owner")
@@ -236,26 +236,57 @@ class SimKernel:
         """
         self._stop_requested = True
 
-    def step(self) -> bool:
-        """Fire the single next pending event.
+    def next_event_time(self) -> Optional[float]:
+        """The earliest live event's time, or ``None`` when the heap is
+        empty — the per-round bid a shard worker reports so the
+        coordinator can compute its next horizon."""
+        heap = self._heap
+        while heap:
+            head = heap[0]
+            event = head[2]
+            if event is not None and event.cancelled:
+                heappop(heap)
+                continue
+            return head[0]
+        return None
 
-        Returns ``False`` when the queue is exhausted.
+    def advance(self, horizon: float) -> int:
+        """Fire every event strictly before ``horizon``, in heap order,
+        then move the clock to ``horizon``.  Returns the number of events
+        fired.
+
+        The shard worker's drive shaft.  The horizon is *exclusive*: an
+        event at exactly ``horizon`` stays pending, because the granting
+        coordinator only guarantees that no cross-shard frame can arrive
+        strictly before it.  Callbacks may schedule freely; new events
+        inside the window fire in this same call.  Re-granting the
+        current time is a no-op.
         """
-        while self._heap:
-            entry = heappop(self._heap)
-            event = entry[2]
+        if horizon < self._now:
+            raise SchedulingInPastError(
+                f"cannot advance backwards to {horizon} (now={self._now})"
+            )
+        heap = self._heap
+        fired = 0
+        while heap:
+            head = heap[0]
+            if head[0] >= horizon:
+                break
+            heappop(heap)
+            event = head[2]
             if event is not None:
                 if event.cancelled:
                     continue
                 # Detach so a cancel() after firing is a no-op instead of
                 # double-decrementing the pending counter.
                 event.owner = None
-            self._now = entry[0]
+            self._now = head[0]
             self._fired += 1
             self._pending -= 1
-            entry[3](*entry[4])
-            return True
-        return False
+            head[3](*head[4])
+            fired += 1
+        self._now = horizon
+        return fired
 
     def run(
         self,

@@ -85,8 +85,10 @@ class World:
         local_nodes: Optional[List[str]] = None,
     ) -> None:
         self.topology = topology if topology is not None else uniform_topology(4)
-        #: The event kernel; pass a :class:`repro.live.LiveKernel` to run
-        #: the identical stack in wall-clock time.
+        #: The event kernel: a :class:`SimKernel` for every simulated
+        #: world (sharded workers included); pass a wall-clock
+        #: :class:`repro.live.LiveKernel` to run the identical stack in
+        #: real time.
         self.kernel = kernel if kernel is not None else SimKernel()
         self.tracer = Tracer(enabled=trace)
         self.rng_registry = RngRegistry(seed)

@@ -1,25 +1,22 @@
 """LiveKernel unit coverage alongside the live runtime suite.
 
-Three concerns:
+Two concerns:
 
 * **stats parity with SimKernel** — ``pending_count`` /
   ``peak_pending_count`` / ``fired_count`` / ``scheduled_count`` follow
   the same accounting rules (increment on schedule, decrement on fire
   and on cancel), so the benchmarks read either kernel uniformly;
-* **virtual-time mode** — the caller-driven mode the shard workers run
-  in: ``advance(horizon)`` fires strictly-before-horizon events inline
-  and ``now`` tracks the virtual clock;
 * **teardown** — ``shutdown`` drains the beat wheel, so a stopped
-  shard's kernel never fires a periodic callback into a torn-down
-  world (regression for the beat-wheel teardown bug).
+  kernel never fires a periodic callback into a torn-down world
+  (regression for the beat-wheel teardown bug).
+
+The caller-paced ``advance`` the shard workers run on is
+:class:`SimKernel`'s; its tests live in ``tests/unit/test_sim_kernel.py``.
 """
 
 import threading
 import time
 
-import pytest
-
-from repro.errors import SchedulingInPastError, SimulationError
 from repro.live import LiveKernel
 from repro.sim.kernel import SimKernel
 
@@ -40,19 +37,29 @@ def parity_script(kernel, start):
 
 def test_stats_parity_with_sim_kernel():
     sim = SimKernel()
-    live = LiveKernel(virtual_time=True)
-    _, sim_fired, sim_sched, sim_cancel = parity_script(sim, sim.now)
-    _, live_fired, live_sched, live_cancel = parity_script(live, live.now)
-    assert live_sched == sim_sched == (3, 3, 3, 0)
-    assert live_cancel == sim_cancel == (2, 3)
-    sim.run(until=1.0)
-    live.advance(1.0)
-    assert sim_fired == live_fired == ["a", "c"]
-    for kernel in (sim, live):
-        assert kernel.pending_count == 0
-        assert kernel.peak_pending_count == 3
-        assert kernel.fired_count == 2
-        assert kernel.scheduled_count == 3
+    live = LiveKernel()
+    try:
+        _, sim_fired, sim_sched, sim_cancel = parity_script(sim, sim.now)
+        # A full second ahead: the snapshots are taken long before the
+        # scheduler thread may fire anything.
+        _, live_fired, live_sched, live_cancel = parity_script(
+            live, live.now + 1.0
+        )
+        assert live_sched == sim_sched == (3, 3, 3, 0)
+        assert live_cancel == sim_cancel == (2, 3)
+        sim.run(until=1.0)
+        assert live.run_until_quiescent(
+            lambda: len(live_fired) == 2 and live.pending_count == 0,
+            0.01, 10.0,
+        )
+        assert sim_fired == live_fired == ["a", "c"]
+        for kernel in (sim, live):
+            assert kernel.pending_count == 0
+            assert kernel.peak_pending_count == 3
+            assert kernel.fired_count == 2
+            assert kernel.scheduled_count == 3
+    finally:
+        live.shutdown()
 
 
 def test_wall_clock_counters_drain():
@@ -67,63 +74,6 @@ def test_wall_clock_counters_drain():
         assert kernel.pending_count == 0
         assert kernel.fired_count >= 1
         assert kernel.peak_pending_count >= 1
-    finally:
-        kernel.shutdown()
-
-
-# ----------------------------------------------------------------------
-# Virtual-time mode
-# ----------------------------------------------------------------------
-
-
-def test_virtual_advance_is_exclusive_and_sets_clock():
-    kernel = LiveKernel(virtual_time=True)
-    times = []
-    kernel.schedule_at(1.0, lambda: times.append(kernel.now))
-    kernel.schedule_at(2.0, lambda: times.append(kernel.now))
-    assert kernel.next_event_time() == 1.0
-    # The horizon is exclusive: the event at exactly 2.0 must hold.
-    assert kernel.advance(2.0) == 1
-    assert times == [1.0]
-    assert kernel.now == 2.0
-    assert kernel.next_event_time() == 2.0
-    assert kernel.advance(2.5) == 1
-    assert times == [1.0, 2.0]
-    assert kernel.next_event_time() is None
-
-
-def test_virtual_advance_runs_nested_schedules_in_window():
-    kernel = LiveKernel(virtual_time=True)
-    order = []
-
-    def first():
-        order.append(("first", kernel.now))
-        kernel.schedule(0.5, second)
-
-    def second():
-        order.append(("second", kernel.now))
-
-    kernel.schedule_at(1.0, first)
-    assert kernel.advance(3.0) == 2
-    assert order == [("first", 1.0), ("second", 1.5)]
-
-
-def test_virtual_mode_rejects_thread_apis_and_rewind():
-    kernel = LiveKernel(virtual_time=True)
-    with pytest.raises(SimulationError):
-        kernel.run(until=1.0)
-    with pytest.raises(SimulationError):
-        kernel.run_until_quiescent(lambda: True, 0.1, 1.0)
-    kernel.advance(5.0)
-    with pytest.raises(SchedulingInPastError):
-        kernel.advance(4.0)
-
-
-def test_wall_clock_mode_rejects_advance():
-    kernel = LiveKernel()
-    try:
-        with pytest.raises(SimulationError):
-            kernel.advance(1.0)
     finally:
         kernel.shutdown()
 
@@ -151,16 +101,3 @@ def test_shutdown_drains_live_periodic_timers():
     count = len(ticks)
     time.sleep(0.05)
     assert len(ticks) == count
-
-
-def test_drained_bucket_event_is_inert():
-    # Virtual mode makes the race deterministic: the bucket's kernel
-    # event is still in the heap when the wheel drains; firing it must
-    # be a no-op instead of a KeyError or a zombie callback.
-    kernel = LiveKernel(virtual_time=True)
-    ticks = []
-    handle = kernel.schedule_periodic(1.0, lambda: ticks.append(kernel.now))
-    assert kernel.beat_wheel.drain() == 1
-    assert handle.stopped
-    kernel.advance(5.0)
-    assert ticks == []

@@ -230,6 +230,25 @@ def test_columnar_lane_matches_replay_and_repeats(workload, params, seed, shards
     assert runs[0].frame_entries <= runs[0].egress_messages
 
 
+def test_shard_world_runs_on_sim_kernel_without_threads():
+    """Workers and the replay share one kernel class, and building a
+    shard world starts no thread (nothing in a worker waits on one)."""
+    import threading
+
+    from repro.shard.worker import WorkerSpec, build_shard_world
+    from repro.sim.kernel import SimKernel
+
+    topo = two_site_topology()
+    spec = WorkerSpec(
+        shard=0, plan=make_plan(topo, 2), topology=topo, workload="torture",
+        params=TORTURE_PARAMS, dgc=small_dgc(), seed=3,
+    )
+    threads = threading.active_count()
+    world, _ = build_shard_world(spec)
+    assert type(world.kernel) is SimKernel
+    assert threading.active_count() == threads
+
+
 def test_single_shard_degenerates_to_one_worker():
     topo = two_site_topology()
     result = ShardedWorld(

@@ -320,7 +320,7 @@ class LaneHarness:
             # What the tick does about silent referencers (occasion 2).
             now = self.world.kernel.now
             lost = state.referencers.expire(now, self.TTA)
-            assert lost == twin.referencers.expire_scan(now, self.TTA)
+            assert lost == twin.referencers.expire(now, self.TTA)
             if lost:
                 self.collector.on_became_idle()
                 twin.increment_clock()

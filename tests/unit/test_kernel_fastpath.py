@@ -39,10 +39,10 @@ def test_cancel_after_fire_does_not_corrupt_pending_count():
     assert kernel.pending_count == 0
     event.cancel()  # post-fire cancel must be a no-op
     assert kernel.pending_count == 0
-    # Same through step().
-    stepped = kernel.schedule(3.0, lambda: None)
-    assert kernel.step()
-    stepped.cancel()
+    # Same through advance(): it detaches the event's owner too.
+    advanced = kernel.schedule(1.0, lambda: None)
+    assert kernel.advance(4.0) == 1
+    advanced.cancel()
     assert kernel.pending_count == 0
 
 

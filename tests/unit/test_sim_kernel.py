@@ -85,10 +85,78 @@ def test_step_fires_exactly_one_event():
     fired = []
     kernel.schedule(1.0, fired.append, "a")
     kernel.schedule(2.0, fired.append, "b")
-    assert kernel.step() is True
+    assert kernel.advance(1.5) == 1
     assert fired == ["a"]
-    assert kernel.step() is True
-    assert kernel.step() is False
+    assert kernel.advance(2.5) == 1
+    assert kernel.advance(3.5) == 0
+    assert fired == ["a", "b"]
+
+
+# ----------------------------------------------------------------------
+# Caller-paced advance (the shard worker's drive)
+# ----------------------------------------------------------------------
+
+
+def test_advance_is_exclusive_and_sets_clock():
+    kernel = SimKernel()
+    times = []
+    kernel.schedule_at(1.0, lambda: times.append(kernel.now))
+    kernel.schedule_at(2.0, lambda: times.append(kernel.now))
+    assert kernel.next_event_time() == 1.0
+    # The horizon is exclusive: the event at exactly 2.0 must hold.
+    assert kernel.advance(2.0) == 1
+    assert times == [1.0]
+    assert kernel.now == 2.0
+    assert kernel.next_event_time() == 2.0
+    assert kernel.advance(2.5) == 1
+    assert times == [1.0, 2.0]
+    assert kernel.next_event_time() is None
+
+
+def test_next_event_time_skips_cancelled_heads():
+    kernel = SimKernel()
+    kernel.schedule_at(1.0, lambda: None).cancel()
+    kernel.schedule_fire_at(3.0, lambda: None)
+    assert kernel.next_event_time() == 3.0
+    assert kernel.pending_count == 1
+
+
+def test_advance_runs_nested_schedules_in_window():
+    kernel = SimKernel()
+    order = []
+
+    def first():
+        order.append(("first", kernel.now))
+        kernel.schedule(0.5, second)
+
+    def second():
+        order.append(("second", kernel.now))
+
+    kernel.schedule_at(1.0, first)
+    assert kernel.advance(3.0) == 2
+    assert order == [("first", 1.0), ("second", 1.5)]
+
+
+def test_advance_rejects_a_backwards_horizon():
+    kernel = SimKernel()
+    kernel.advance(5.0)
+    assert kernel.advance(5.0) == 0  # re-granting the current time
+    with pytest.raises(SchedulingInPastError):
+        kernel.advance(4.0)
+    assert kernel.now == 5.0
+
+
+def test_drained_bucket_event_is_inert():
+    # The bucket's kernel event is still in the heap when the wheel
+    # drains; firing it must be a no-op instead of a KeyError or a
+    # zombie callback.
+    kernel = SimKernel()
+    ticks = []
+    handle = kernel.schedule_periodic(1.0, lambda: ticks.append(kernel.now))
+    assert kernel.beat_wheel.drain() == 1
+    assert handle.stopped
+    kernel.advance(5.0)
+    assert ticks == []
 
 
 def test_events_scheduled_during_run_are_executed():
