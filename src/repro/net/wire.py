@@ -720,10 +720,13 @@ def _decode_value_v2(reader: _V2Reader):
         return [_decode_value_v2(reader) for _ in range(count)]
     if tag == _T_DICT:
         count = reader.varint()
-        return {
-            _decode_value_v2(reader): _decode_value_v2(reader)
-            for _ in range(count)
-        }
+        try:
+            return {
+                _decode_value_v2(reader): _decode_value_v2(reader)
+                for _ in range(count)
+            }
+        except TypeError as exc:  # a corrupt key decoded to a list, dict...
+            raise WireFormatError(f"corrupt dict key: {exc}") from None
     if tag == _T_BIGINT:
         length = reader.varint()
         pos = reader._need(length)

@@ -399,6 +399,19 @@ def test_v2_backref_out_of_range_rejected():
         unpack_frame(corrupt, NODES)
 
 
+def test_v2_unhashable_dict_key_rejected():
+    run = _request_run()
+    run[3][0].data = {"k": 1}
+    buf = pack_frame(0, 0, [run], NODE_INDEX)
+    # dict of one entry: str key "k" (tag, length, byte), int 1 (zigzag 2).
+    entry = b"\x0a\x01" + b"\x06\x01k" + b"\x03\x02"
+    at = buf.index(entry) + 2
+    # The key becomes a one-item list [None]: same length, unhashable.
+    corrupt = _patched(buf, at, b"\x09\x01\x00")
+    with pytest.raises(WireFormatError, match="dict key"):
+        unpack_frame(corrupt, NODES)
+
+
 def test_v2_empty_run_rejected():
     corrupt = _patched(_v2_single_run_frame(), _V2_RUN + 3, b"\0\0\0\0")
     with pytest.raises(WireFormatError, match="empty run"):
