@@ -250,13 +250,14 @@ class DgcCollector:
                 sender_ref.activity_id,
                 response,
             )
-        elif run[0] is None or run[0] == dest:
-            # An aggregate unwrap is in progress: join its open run.
-            run[0] = dest
-            run[1].append(sender_ref.activity_id)
-            run[2].append(response)
+        elif dest in run:
+            # An aggregate unwrap is in progress: join the destination's
+            # open box, or open it.
+            box = run[dest]
+            box[0].append(sender_ref.activity_id)
+            box[1].append(response)
         else:
-            self._node.send_dgc_response(sender_ref, response)
+            run[dest] = ([sender_ref.activity_id], [response])
 
     def on_dgc_response(self, response: DgcResponse) -> None:
         if self._stopped or self.doomed_since is not None:
@@ -417,7 +418,7 @@ class DgcCollector:
             record.needs_send = False
         if sent:
             self.messages_sent += sent
-            if self._node._response_run is not None:
+            if self._node._response_run:
                 # Beating from inside an aggregate unwrap: release the
                 # buffered responses first so per-channel order is
                 # exactly the unbatched one.

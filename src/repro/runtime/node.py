@@ -101,15 +101,16 @@ class Node:
         self._dgc_message_targets: Dict[Any, Callable[[Any], None]] = {}
         self._dgc_response_targets: Dict[Any, Callable[[Any], None]] = {}
         #: Open response run, active only while an aggregate DGC batch is
-        #: being unwrapped: ``[dest_node | None, targets, responses]``.
-        #: Responses produced inside the unwrap loop collect here (in
-        #: send order; the paper's collector appends to the open run
-        #: itself, any other goes through :meth:`send_dgc_response`) and
-        #: leave as one site-pair run, instead of one full fabric
-        #: traversal per response.  Within the loop only
-        #: collector code runs, and any non-response DGC send flushes the
-        #: run first, so the wire order is exactly the unbatched one.
-        self._response_run: Optional[list] = None
+        #: being unwrapped: ``dest_node -> (targets, responses)``, one box
+        #: per destination in first-seen order.  The collector's
+        #: responses join their box (in send order) and leave as one run
+        #: per destination, instead of one full fabric traversal per
+        #: response — an aggregate merged from several source sites
+        #: (relaxed tier, shard injection) still costs one send per
+        #: site.  Within the loop only collector code runs, and any
+        #: non-response DGC send flushes every box first, so each
+        #: channel's order is exactly the unbatched one.
+        self._response_run: Optional[dict] = None
         #: The receive half of the typed fabric: one ``(item, payload)``
         #: handler per traffic kind, total over the kind registry (the
         #: analyzer's KIND-sink rule reads the keys), so adding a kind
@@ -280,7 +281,7 @@ class Node:
         *,
         size_bytes: Optional[int] = None,
     ) -> None:
-        if self._response_run is not None:
+        if self._response_run:
             # A collector (e.g. a baseline protocol) is sending a DGC
             # message from inside an aggregate unwrap: release the
             # buffered responses first so per-channel order is exactly
@@ -296,40 +297,20 @@ class Node:
             message,
         )
 
-    def send_dgc_response(self, target_ref: RemoteRef, response: Any) -> None:
-        run = self._response_run
-        if run is not None:
-            dest = target_ref.node
-            if run[0] is not None and run[0] != dest:
-                # A different destination mid-run (an aggregate the
-                # relaxed tier merged from several source sites): send
-                # what collected so far and rebase.
-                self._flush_response_run()
-            run[0] = dest
-            run[1].append(target_ref.activity_id)
-            run[2].append(response)
-            return
-        self.network.send_dgc_single(
-            self.name,
-            target_ref.node,
-            KIND_DGC_RESPONSE,
-            self._dgc_response_bytes,
-            target_ref.activity_id,
-            response,
-        )
-
     def _flush_response_run(self) -> None:
-        """Send the open response run (if any entries collected) and
-        reset the buffer for further collection."""
+        """Send every open response box, one run per destination in
+        first-seen order, and leave the run open (empty) for further
+        collection."""
         run = self._response_run
-        if run is not None and run[1]:
-            self.network.send_dgc_run(
-                self.name, run[0], KIND_DGC_RESPONSE,
-                self._dgc_response_bytes, run[1], run[2],
-            )
-            run[0] = None
-            run[1] = []
-            run[2] = []
+        if run:
+            send_run = self.network.send_dgc_run
+            for dest in run:
+                targets, responses = run[dest]
+                send_run(
+                    self.name, dest, KIND_DGC_RESPONSE,
+                    self._dgc_response_bytes, targets, responses,
+                )
+            run.clear()
 
     # ------------------------------------------------------------------
     # Inbound dispatch
@@ -441,7 +422,7 @@ class Node:
 
     def _on_dgc_messages(self, targets: list, messages: list) -> None:
         handlers = self._dgc_message_targets
-        self._response_run = run = [None, [], []]
+        self._response_run = run = {}
         try:
             for activity_id, message in zip(targets, messages):
                 if activity_id in handlers:
@@ -450,10 +431,11 @@ class Node:
                     self._on_dgc_message_via_lookup(activity_id, message)
         finally:
             self._response_run = None
-        if run[1]:
+        for dest in run:
+            targets, responses = run[dest]
             self.network.send_dgc_run(
-                self.name, run[0], KIND_DGC_RESPONSE,
-                self._dgc_response_bytes, run[1], run[2],
+                self.name, dest, KIND_DGC_RESPONSE,
+                self._dgc_response_bytes, targets, responses,
             )
 
     def _on_dgc_responses(self, targets: list, responses: list) -> None:

@@ -27,12 +27,15 @@ deterministic gates, no timing:
 import cProfile
 import os
 
+from repro.core.clock import ActivityClock
 from repro.core.config import DgcConfig
+from repro.core.wire import DgcMessage
 from repro.net.faults import FaultPlan
 from repro.net.kinds import KIND_DGC_MESSAGE, KIND_DGC_RESPONSE
 from repro.net.topology import uniform_topology
 from repro.runtime.behaviors import SinkBehavior
 from repro.runtime.ids import reset_id_counter
+from repro.runtime.proxy import RemoteRef
 from repro.world import World
 
 TTB = 1.0
@@ -51,18 +54,19 @@ def lane_key(filename):
     return os.path.basename(head), base
 
 
-def profile_one_beat(world):
-    """Profile exactly one TTB period.  In the steady state every
-    periodic event — each collector's tick, each heartbeat's send,
-    delivery and response — happens exactly once per period, so the
-    counts do not depend on where the window starts.
+def profile_one_beat(world, seconds=TTB):
+    """Profile ``seconds`` of simulated time, by default exactly one TTB
+    period.  In the steady state every periodic event — each
+    collector's tick, each heartbeat's send, delivery and response —
+    happens exactly once per period, so the counts do not depend on
+    where the window starts.
 
     Returns ``(frames, from_handlers, dict_gets)``: Python frames per
     ``(module, function)`` of the lane's files, the ``core/protocol.py``
     frames entered from the two wire handlers, and the ``dict.get``
     calls made from the lane's files."""
     profiler = cProfile.Profile()
-    profiler.runcall(world.run_for, TTB)
+    profiler.runcall(world.run_for, seconds)
     profiler.create_stats()
     frames, from_handlers, dict_gets = {}, 0, 0
     for (filename, _, function), (_, ncalls, _, _, callers) in (
@@ -192,6 +196,88 @@ def test_per_event_core_takes_algorithms_3_and_4_for_every_delivery():
     assert protocol["process_message"] == delivered[KIND_DGC_MESSAGE]
     assert protocol["process_response"] == delivered[KIND_DGC_RESPONSE]
     assert from_handlers == 4
+
+
+# ----------------------------------------------------------------------
+# An injected run merged from several source sites
+# ----------------------------------------------------------------------
+
+SOURCES = ("site-1", "site-2", "site-3")
+#: How far after the injection instant the run is delivered; no
+#: collector beats inside ``[now, now + 2 * INJECT_DELAY]``.
+INJECT_DELAY = 0.01
+
+
+def egress_world():
+    """Shard ``site-0`` of a four-site world — every other site sits
+    behind the shard egress — hosting six idle activities."""
+    reset_id_counter()
+    world = World(
+        uniform_topology(4), dgc=DgcConfig(ttb=TTB, tta=3.0), trace=False,
+        local_nodes=["site-0"],
+    )
+    world.network.configure_shard_egress(["site-0"])
+    driver = world.create_driver(node="site-0")
+    targets = [
+        driver.context.create(SinkBehavior(), node="site-0", name=f"t{index}")
+        for index in range(6)
+    ]
+    world.run_for(2.5 * TTB)
+    return world, [target.activity_id for target in targets]
+
+
+def interleaved_heartbeats(targets):
+    """One first heartbeat per target, from senders on the three source
+    sites in turn: the shape of an egress run another shard merged from
+    several of its nodes."""
+    messages = []
+    for index in range(len(targets)):
+        sender = f"ao-remote-{index}"
+        messages.append(DgcMessage(
+            sender=sender,
+            clock=ActivityClock(0, sender),
+            consensus=False,
+            sender_ref=RemoteRef(sender, SOURCES[index % len(SOURCES)]),
+        ))
+    return messages
+
+
+def test_injected_multi_source_run_sends_one_run_per_source_site():
+    world, targets = egress_world()
+    messages = interleaved_heartbeats(targets)
+    delivery = world.kernel.now + INJECT_DELAY
+    world.network.inject_remote_runs(
+        [(KIND_DGC_MESSAGE, delivery, "site-0", list(targets), messages)]
+    )
+    frames, _, _ = profile_one_beat(world, 2 * INJECT_DELAY)
+    # One unwrap, one response run per source site, nothing rebased.
+    assert frames_of(frames, "node.py") == {"_on_dgc_messages": 1}
+    # (The routes to the source sites are built on this first send.)
+    network = frames_of(frames, "network.py")
+    assert network["_fire_pulse"] == 1
+    assert network["send_dgc_run"] == len(SOURCES)
+    assert "send_dgc_single" not in network
+    assert frames_of(frames, "collector.py")["on_dgc_message"] == len(targets)
+    unwrapped = world.network.drain_egress()
+
+    # The reference: the same heartbeats handled one at a time at the
+    # same instant, each response sent alone.
+    world, targets = egress_world()
+    handlers = world.nodes["site-0"]._dgc_message_targets
+
+    def deliver_each():
+        for target, message in zip(targets, messages):
+            handlers[target](message)
+
+    world.kernel.schedule(INJECT_DELAY, deliver_each)
+    world.run_for(2 * INJECT_DELAY)
+    reference = world.network.drain_egress()
+    assert [run[2] for run in reference] == list(SOURCES)
+    # Field for field — kind, instant, destination, target and response
+    # columns — and in the same key order.
+    assert unwrapped == reference
+    assert all(run[0] is KIND_DGC_RESPONSE for run in unwrapped)
+    assert [len(run[3]) for run in unwrapped] == [2, 2, 2]
 
 
 # ----------------------------------------------------------------------
