@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Set, Tuple
 #: that read them back.  A file is the codec when it defines at least
 #: one name of each set.
 ENCODE_METHODS = ("value", "_define_dgc")
-DECODE_FNS = ("_decode_value_v2", "_decode_definition")
+DECODE_FNS = ("_decode_value_v2", "_decode_definitions")
 
 
 @dataclass(frozen=True)

@@ -25,35 +25,36 @@ on:
   corrupted buffer raises :class:`WireFormatError` instead of returning
   garbage.
 
-A frame is a header (magic ``0x5D58``, the ``(src_shard, seq)`` stamp,
-row count, earliest delivery) and a compact, columnar body of *runs* —
-``(kind, delivery, dest, items, payloads)``, the shape the network's
-shard egress stages and the receiving pulse wants — so a run stays a
-run from send to sink.  Layout after the header:
+A frame is a header (magic ``0x5D59``, the ``(src_shard, seq)`` stamp,
+row count, earliest delivery) and a body of columns, not of records:
+the runs ``(kind, delivery, dest, items, payloads)`` the network's
+shard egress stages, laid out so that a frame costs a handful of
+``struct`` calls whatever its run count.  Layout after the header:
 
 * ``varint table_size`` — the encoder's intern-table size when it began
   the frame; the decoder compares it with its own table before reading
   anything else (see *Channel persistence*);
-* then records.  A record opening with ``_DEFINE`` appends one entry to
-  the intern table; any other record is a run: ``_RUN_HEAD`` (kind,
-  destination, item count, delivery instant as its IEEE bits) and a
-  body;
-* the body of a **DGC run** (``dgc.message`` / ``dgc.response``) is a
-  schema-specialised *column block*: the target column and the message
-  column as intern-table indices, all ``2 * count`` written by one
-  ``struct.pack`` (two bytes each until the table outgrows that) and
-  read back by one ``unpack_from``.  Every value a column refers to is
-  defined before the run, once per channel: strings, clocks and refs as
-  tagged values, a message or response *field-wise* — one struct of the
-  table indices of its string, clock and ref fields plus its flags — so
-  neither side recurses per message.  Repeats restore *sharing* on
-  decode: a beat's one ``DgcMessage`` fanned out across dozens of
-  targets comes back as one object;
-* the body of any other run is ``count`` ``(item, payload)`` pairs of
-  tagged values: one tag byte, then the value's fields encoded
+* the **definition block**: a zero byte if the DGC runs need nothing
+  new; else a one byte, the counts of new strings, clocks, refs,
+  messages and responses, and each new value *field-wise*, grouped in
+  that order (a group refers only to earlier ones): strings as one
+  column of lengths plus one UTF-8 text, the rest as one struct;
+* the **run table**: ``varint n_runs``, then the kind, destination,
+  count and delivery (IEEE bits) columns in one struct;
+* the **index block**: every DGC run's targets, then every
+  ``dgc.message`` payload, then every ``dgc.response`` payload, as
+  intern-table indices in one struct (two bytes each until the table
+  outgrows that).  The decoder maps the whole block through the table
+  at once and slices it per run; repeats restore *sharing* — a beat's
+  one ``DgcMessage`` fanned out across dozens of targets comes back as
+  one object;
+* the **values** of the other runs, in run order: ``count`` ``(item,
+  payload)`` pairs of tagged values — one tag byte, then the fields
   recursively, or ``_T_BACKREF`` into the same table (strings, floats,
-  clocks, refs, reply addresses intern in encode order), integers as
-  zigzag varints;
+  clocks and refs intern in encode order; a reply address, unique per
+  request, never does), integers as zigzag varints — but a ``Request``
+  with no data whose strings and refs are in the table is one
+  ``_T_REQUEST_ROW`` struct of indices;
 * decode is zero-copy: one ``memoryview`` over the frame,
   ``struct.unpack_from`` for fixed fields, ``str(view, "utf-8")`` for
   text.
@@ -93,6 +94,7 @@ from __future__ import annotations
 
 import math
 import struct
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.clock import ActivityClock
@@ -131,10 +133,15 @@ class WireFormatError(NetworkError):
     """A wire frame failed to encode or decode."""
 
 
+def _cannot_encode(value, where: str) -> WireFormatError:
+    return WireFormatError(f"cannot encode {type(value).__name__!r} {where}")
+
+
 #: Frame magic: rejects frames from a foreign protocol (or a desynced
 #: stream) before any lengths are trusted.  It doubles as the format
-#: version: ``0x5D57`` was the retired entry-at-a-time format.
-FRAME_MAGIC = 0x5D58
+#: version: ``0x5D57`` was the retired entry-at-a-time format, ``0x5D58``
+#: the retired record-per-run format.
+FRAME_MAGIC = 0x5D59
 
 _HEADER = struct.Struct("!HHIId")  # magic, src_shard, seq, count, min_delivery
 _F64 = struct.Struct("!d")
@@ -171,6 +178,8 @@ _T_REG_RENEW = 0x1B
 _T_REG_RENEW_ACK = 0x1C
 _T_REG_INVALIDATE = 0x1D
 _T_REG_PUSH = 0x1E
+#: A ``Request`` as one struct of table indices (``_V2Encoder.value``).
+_T_REQUEST_ROW = 0x1F
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
@@ -240,7 +249,7 @@ KIND_PAYLOAD_TYPES = {
 
 
 # ----------------------------------------------------------------------
-# Encoding (interning + varints + DGC column blocks)
+# Encoding (interning + varints + field-wise definitions)
 # ----------------------------------------------------------------------
 
 #: Sentinel dict keys for the two float zeroes — ``-0.0 == 0.0`` hashes
@@ -255,27 +264,20 @@ def _float_key(value: float):
     return value
 
 
-#: Opens every run: kind index, destination node index, item count,
-#: delivery instant.
-_RUN_HEAD = struct.Struct("!BHId")
-#: First byte of a record that defines an intern-table entry instead
-#: of opening a run; kind indices stay below it.
-_DEFINE = 0xFF
-#: Field-wise definitions: ``_DEFINE``, the value tag, then the fields —
-#: strings, clock and ref as table indices, scalars inline.
-#: (sender, clock, consensus, sender_ref, sender_ttb)
-_DEF_MESSAGE = struct.Struct("!BBIIBId")
-#: (responder, clock, has_parent, consensus_reached, has depth, depth)
-_DEF_RESPONSE = struct.Struct("!BBIIBBBq")
-#: Column indices are two bytes wide while the table fits.
+#: Table indices are two bytes wide while the table fits.
 _NARROW_TABLE = 0x10000
+#: ``_T_REQUEST_ROW`` after its tag: method, sender, target, payload bytes,
+#: request id, ref count — then the refs, then a tagged ``reply_to``.
+_REQUEST_ROW = (struct.Struct("!3HqqH"), struct.Struct("!3IqqH"))
+#: Definition records after the strings — clock, ref, message, response:
+#: leading table-index fields, then the scalars' struct codes and size.
+_DEFINITION_RECORDS = ((1, "q", 8), (2, "", 0), (3, "?d", 9), (2, "???q", 11))
 
 
 class _V2Encoder:
     """One frame's encode state: output buffer plus the intern table.
 
-    Interned values get indices in *encode order*, children before the
-    composite that contains them (post-order), which is exactly the
+    Interned values get indices in *encode order*, which is exactly the
     order the decoder appends to its table — no index negotiation on
     the wire.  The table is keyed by value: a string by itself, a float
     by :func:`_float_key`, a composite by the tagged tuple of its
@@ -323,111 +325,114 @@ class _V2Encoder:
         self.memo[key] = self.count
         self.count += 1
 
-    def _index(self, value, key) -> int:
-        """Table index of a string, clock or ref a field-wise definition
-        refers to — defined on first sight by one ``_DEFINE`` record
-        holding its tagged value."""
-        index = self.memo.get(key)
-        if index is None:
-            self.out.append(_DEFINE)
-            self.value(value)
-            index = self.memo[key]
-        return index
-
-    def dgc_columns(self, is_message: bool, targets: list, messages: list) -> bytes:
-        """The column block of one DGC run: ``targets`` then ``messages``
-        as intern-table indices.  Probes are keyed by field tuples, so a
-        run whose values are all known costs one comprehension and one
-        ``struct.pack`` whatever its length; a miss anywhere defines the
-        run's new values (:meth:`_define_dgc`) and retries."""
+    def dgc_indices(self, targets: list, messages: list, responses: list) -> list:
+        """The index block: ``targets``, ``messages``, then ``responses``
+        as table indices — two comprehensions of field-tuple probes
+        whatever the frame's length.  A miss raises ``KeyError`` (or
+        ``AttributeError``); the caller then runs :meth:`_define_dgc`."""
         memo = self.memo
-        try:
-            if is_message:
-                # ``-0.0 == 0.0`` and they hash alike: a zero declared
-                # TTB keys by its repr so the two never share a slot.
-                column = [
-                    memo[(
-                        _T_DGC_MESSAGE, m.sender, m.clock.value, m.clock.owner,
-                        m.consensus, m.sender_ref.activity_id,
-                        m.sender_ref.node, m.sender_ttb or f"{m.sender_ttb!r}",
-                    )]
-                    for m in messages
-                ]
-            else:
-                column = [
-                    memo[(
-                        _T_DGC_RESPONSE, r.responder, r.clock.value,
-                        r.clock.owner, r.has_parent, r.consensus_reached,
-                        r.depth,
-                    )]
-                    for r in messages
-                ]
-            layout = "!%dH" if self.count <= _NARROW_TABLE else "!%dI"
-            return struct.pack(
-                layout % (2 * len(column)),
-                *map(memo.__getitem__, targets), *column,
-            )
-        except (KeyError, AttributeError):
-            self._define_dgc(is_message, targets, messages)
-        return self.dgc_columns(is_message, targets, messages)
+        # ``-0.0 == 0.0`` and they hash alike: a zero declared TTB keys
+        # by its repr so the two never share a slot.
+        return [
+            *map(memo.__getitem__, targets),
+            *[
+                memo[(
+                    _T_DGC_MESSAGE, m.sender, m.clock.value, m.clock.owner,
+                    m.consensus, m.sender_ref.activity_id, m.sender_ref.node,
+                    m.sender_ttb or f"{m.sender_ttb!r}",
+                )]
+                for m in messages
+            ],
+            *[
+                memo[(
+                    _T_DGC_RESPONSE, r.responder, r.clock.value,
+                    r.clock.owner, r.has_parent, r.consensus_reached, r.depth,
+                )]
+                for r in responses
+            ],
+        ]
 
-    def _define_dgc(self, is_message: bool, targets: list, messages: list) -> None:
-        """Slow path of :meth:`dgc_columns`: append a definition for
-        every value the run's columns need and the table lacks — a
-        message or response once, field-wise, after the strings, clock
-        and ref it refers to."""
+    def _define_dgc(self, targets: list, messages: list, responses: list) -> None:
+        """Register and write, grouped in this order, every string,
+        clock, ref, message and response the DGC runs need and the table
+        lacks: strings as lengths plus one text, the rest as one struct."""
         memo = self.memo
-        index = self._index
+        # Per group, key -> record: its table links (keys), then scalars.
+        wanted: List[dict] = [{}, {}, {}, {}, {}]
+        strings, clocks, refs, dgc_messages, dgc_responses = wanted
         for target in targets:
-            if target not in memo:
-                if type(target) is not str:
-                    raise WireFormatError(
-                        f"cannot encode {type(target).__name__!r} as a DGC "
-                        f"target"
-                    )
-                index(target, target)
+            if type(target) is not str:
+                raise _cannot_encode(target, "as a DGC target")
+            strings[target] = None
         for value in messages:
-            if is_message and type(value) is DgcMessage:
-                clock = value.clock
-                ref = value.sender_ref
-                key = (
-                    _T_DGC_MESSAGE, value.sender, clock.value, clock.owner,
-                    value.consensus, ref.activity_id, ref.node,
-                    value.sender_ttb or f"{value.sender_ttb!r}",
-                )
-                if key in memo:
-                    continue
-                record = _DEF_MESSAGE.pack(
-                    _DEFINE, _T_DGC_MESSAGE, index(value.sender, value.sender),
-                    index(clock, (_T_CLOCK, clock.value, clock.owner)),
-                    value.consensus,
-                    index(ref, (_T_REMOTE_REF, ref.activity_id, ref.node)),
-                    value.sender_ttb,
-                )
-            elif not is_message and type(value) is DgcResponse:
-                clock = value.clock
-                depth = value.depth
-                key = (
-                    _T_DGC_RESPONSE, value.responder, clock.value,
-                    clock.owner, value.has_parent, value.consensus_reached,
-                    depth,
-                )
-                if key in memo:
-                    continue
-                record = _DEF_RESPONSE.pack(
-                    _DEFINE, _T_DGC_RESPONSE,
-                    index(value.responder, value.responder),
-                    index(clock, (_T_CLOCK, clock.value, clock.owner)),
-                    value.has_parent, value.consensus_reached,
-                    depth is not None, depth or 0,
-                )
-            else:
-                raise WireFormatError(
-                    f"cannot encode {type(value).__name__!r} in a "
-                    f"{'dgc.message' if is_message else 'dgc.response'} run"
-                )
-            self.out += record
-            self._register(key)
+            if type(value) is not DgcMessage:
+                raise _cannot_encode(value, "in a dgc.message run")
+            clock = value.clock
+            ref = value.sender_ref
+            clock_key = (_T_CLOCK, clock.value, clock.owner)
+            ref_key = (_T_REMOTE_REF, ref.activity_id, ref.node)
+            strings[value.sender] = strings[clock.owner] = None
+            strings[ref.activity_id] = strings[ref.node] = None
+            clocks[clock_key] = (clock.owner, clock.value)
+            refs[ref_key] = (ref.activity_id, ref.node)
+            dgc_messages[(
+                _T_DGC_MESSAGE, value.sender, clock.value, clock.owner,
+                value.consensus, ref.activity_id, ref.node,
+                value.sender_ttb or f"{value.sender_ttb!r}",
+            )] = (
+                value.sender, clock_key, ref_key, value.consensus,
+                value.sender_ttb,
+            )
+        for value in responses:
+            if type(value) is not DgcResponse:
+                raise _cannot_encode(value, "in a dgc.response run")
+            clock = value.clock
+            clock_key = (_T_CLOCK, clock.value, clock.owner)
+            strings[value.responder] = strings[clock.owner] = None
+            clocks[clock_key] = (clock.owner, clock.value)
+            dgc_responses[(
+                _T_DGC_RESPONSE, value.responder, clock.value, clock.owner,
+                value.has_parent, value.consensus_reached, value.depth,
+            )] = (
+                value.responder, clock_key, value.has_parent,
+                value.consensus_reached, value.depth is not None,
+                value.depth or 0,
+            )
+        groups = [
+            {key: record for key, record in group.items() if key not in memo}
+            for group in wanted
+        ]
+        for text in groups[0]:
+            if type(text) is not str:
+                raise _cannot_encode(text, "in a DGC field")
+        out = self.out
+        out.append(1)
+        count = self.count
+        for group in groups:
+            self.varint(len(group))
+            for key in group:
+                memo[key] = count
+                count += 1
+        self.count = count
+        if groups[0]:
+            raw = "".join(groups[0]).encode("utf-8")
+            out += struct.pack(
+                "!%dH" % len(groups[0]), *map(len, groups[0])
+            )
+            self.varint(len(raw))
+            out += raw
+        w = "H" if count <= _NARROW_TABLE else "I"
+        layout = "!"
+        fields: list = []
+        for group, (links, scalars, _) in zip(groups[1:], _DEFINITION_RECORDS):
+            # Links, then a column per scalar: counted codes compile small.
+            layout += f"{links * len(group)}{w}"
+            for record in group.values():
+                fields += map(memo.__getitem__, record[:links])
+            for position, code in enumerate(scalars, links):
+                layout += f"{len(group)}{code}"
+                fields += [record[position] for record in group.values()]
+        out += struct.pack(layout, *fields)
 
     def value(self, value) -> None:
         # The dispatch chain is frequency-ordered for the generic lane's
@@ -504,17 +509,38 @@ class _V2Encoder:
                 self.value(key)
                 self.value(entry)
         elif cls is ReplyAddress:
-            key = (
-                _T_REPLY_ADDRESS, value.node, value.activity, value.future_id
-            )
-            if self._intern(key):
-                return
+            # Never interned: the future id is unique per request, so an
+            # entry would only grow the channel's table.
             out.append(_T_REPLY_ADDRESS)
             self.value(value.node)
             self.value(value.activity)
             self.zigzag(value.future_id)
-            self._register(key)
         elif cls is Request:
+            # A row if there is no data and every string and ref is a
+            # table entry; else the tagged fields, which intern them.
+            memo = self.memo
+            if value.data is None and (
+                type(value.method) is type(value.sender)
+                is type(value.target) is str
+            ):
+                try:
+                    refs = [
+                        memo[(_T_REMOTE_REF, ref.activity_id, ref.node)]
+                        for ref in value.refs
+                    ]
+                    n = len(refs)
+                    w = "I" if self.count > _NARROW_TABLE else "H"
+                    out += struct.pack(
+                        f"!B3{w}qqH{n}{w}", _T_REQUEST_ROW,
+                        memo[value.method], memo[value.sender],
+                        memo[value.target], value.payload_bytes,
+                        value.request_id, n, *refs,
+                    )
+                except (KeyError, AttributeError, TypeError, struct.error):
+                    pass
+                else:
+                    self.value(value.reply_to)
+                    return
             out.append(_T_REQUEST)
             self.value(value.method)
             self.value(value.sender)
@@ -569,9 +595,7 @@ class _V2Encoder:
             out.append(_T_REG_PUSH)
             self.value(value.bindings)
         else:
-            raise WireFormatError(
-                f"cannot encode {type(value).__name__!r} on the shard wire"
-            )
+            raise _cannot_encode(value, "on the shard wire")
 
 
 # ----------------------------------------------------------------------
@@ -682,11 +706,30 @@ def _decode_value_v2(reader: _V2Reader):
             index = (buf[pos] & 0x7F) | (buf[pos + 1] << 7)
         else:
             index = reader.varint()
+        try:
+            return reader.table[index]
+        except IndexError:
+            raise WireFormatError(
+                f"backref {index} out of range ({len(reader.table)} interned)"
+            ) from None
+    if tag == _T_REQUEST_ROW:
+        # ``unpack_from`` bounds itself: the reader ends where ``buf`` does.
         table = reader.table
-        if index < len(table):
-            return table[index]
-        raise WireFormatError(
-            f"backref {index} out of range ({len(table)} interned)"
+        wide = len(table) > _NARROW_TABLE
+        head = _REQUEST_ROW[wide]
+        method, sender, target, payload_bytes, request_id, count = (
+            head.unpack_from(reader.buf, pos + 1)
+        )
+        pos += 1 + head.size
+        refs = struct.unpack_from(
+            ("!%dI" if wide else "!%dH") % count, reader.buf, pos
+        )
+        reader.pos = pos + count * (4 if wide else 2)
+        return Request(
+            table[method], table[sender], table[target],
+            payload_bytes=payload_bytes,
+            refs=tuple(map(table.__getitem__, refs)),
+            reply_to=_decode_value_v2(reader), request_id=request_id,
         )
     if tag == _T_STR:
         value = reader.text()
@@ -738,65 +781,37 @@ def _decode_value_v2(reader: _V2Reader):
         pos = reader._need(length)
         return bytes(reader.buf[pos:pos + length])
     if tag == _T_REPLY_ADDRESS:
-        value = ReplyAddress(
+        return ReplyAddress(
             _decode_value_v2(reader), _decode_value_v2(reader),
             reader.zigzag(),
         )
-        reader.table.append(value)
-        return value
+    # Composites: arguments evaluate left to right, in the encoder's order.
+    decode = _decode_value_v2
     if tag == _T_REQUEST:
-        method = _decode_value_v2(reader)
-        sender = _decode_value_v2(reader)
-        target = _decode_value_v2(reader)
-        payload_bytes = reader.zigzag()
-        request_id = reader.zigzag()
-        refs = _decode_value_v2(reader)
-        data = _decode_value_v2(reader)
-        reply_to = _decode_value_v2(reader)
         return Request(
-            method,
-            sender,
-            target,
-            payload_bytes=payload_bytes,
-            refs=refs,
-            data=data,
-            reply_to=reply_to,
-            request_id=request_id,
+            decode(reader), decode(reader), decode(reader),
+            payload_bytes=reader.zigzag(), request_id=reader.zigzag(),
+            refs=decode(reader), data=decode(reader), reply_to=decode(reader),
         )
     if tag == _T_REPLY:
-        future_id = reader.zigzag()
-        target_activity = _decode_value_v2(reader)
-        payload_bytes = reader.zigzag()
-        refs = _decode_value_v2(reader)
-        data = _decode_value_v2(reader)
         return Reply(
-            future_id,
-            target_activity,
-            payload_bytes=payload_bytes,
-            refs=refs,
-            data=data,
+            reader.zigzag(), decode(reader), payload_bytes=reader.zigzag(),
+            refs=decode(reader), data=decode(reader),
         )
     if tag == _T_REG_LOOKUP:
-        return RegistryLookup(_decode_value_v2(reader), _decode_value_v2(reader))
+        return RegistryLookup(decode(reader), decode(reader))
     if tag == _T_REG_REPLY:
-        future_id = reader.zigzag()
-        target_activity = _decode_value_v2(reader)
-        name = _decode_value_v2(reader)
-        ref = _decode_value_v2(reader)
-        lease_s = _decode_value_v2(reader)
-        return RegistryReply(future_id, target_activity, name, ref, lease_s)
+        return RegistryReply(
+            reader.zigzag(), decode(reader), decode(reader), decode(reader),
+            decode(reader),
+        )
     if tag == _T_REG_BIND:
-        name = _decode_value_v2(reader)
-        ref = _decode_value_v2(reader)
-        reply_to = _decode_value_v2(reader)
-        return RegistryBind(name, ref, reply_to)
+        return RegistryBind(decode(reader), decode(reader), decode(reader))
     if tag == _T_REG_ACK:
-        future_id = reader.zigzag()
-        target_activity = _decode_value_v2(reader)
-        name = _decode_value_v2(reader)
-        ok = reader.u8() != 0
-        error = _decode_value_v2(reader)
-        return RegistryAck(future_id, target_activity, name, ok, error)
+        return RegistryAck(
+            reader.zigzag(), decode(reader), decode(reader),
+            reader.u8() != 0, decode(reader),
+        )
     if tag == _T_REG_RENEW:
         return RegistryRenew(_decode_value_v2(reader), _decode_value_v2(reader))
     if tag == _T_REG_RENEW_ACK:
@@ -808,35 +823,57 @@ def _decode_value_v2(reader: _V2Reader):
     raise WireFormatError(f"unknown value tag 0x{tag:02X}")
 
 
-def _decode_definition(reader: _V2Reader) -> None:
-    """Apply the ``_DEFINE`` record at the cursor: append the value it
-    defines to the intern table — a message or response from its
-    field-wise struct, anything else from its tagged value."""
-    view = reader.buf
+def _decode_definitions(reader: _V2Reader) -> None:
+    """Append the definition block at the cursor to the intern table
+    (see :meth:`_V2Encoder._define_dgc`)."""
+    counts = [reader.varint() for _ in range(5)]
     table = reader.table
-    pos = reader.pos
-    tag = view[pos + 1]
-    if tag == _T_DGC_MESSAGE:
-        _, _, sender, clock, consensus, sender_ref, sender_ttb = (
-            _DEF_MESSAGE.unpack_from(view, pos)
+    view = reader.buf
+    if counts[0]:
+        lengths = struct.unpack_from(
+            "!%dH" % counts[0], view, reader._need(2 * counts[0])
         )
-        table.append(DgcMessage(
-            table[sender], table[clock], consensus != 0, table[sender_ref],
-            sender_ttb,
-        ))
-        reader.pos = pos + _DEF_MESSAGE.size
-    elif tag == _T_DGC_RESPONSE:
-        _, _, responder, clock, has_parent, reached, has_depth, depth = (
-            _DEF_RESPONSE.unpack_from(view, pos)
-        )
-        table.append(DgcResponse(
-            table[responder], table[clock], has_parent != 0, reached != 0,
+        text = reader.text()
+        ends = list(accumulate(lengths))
+        if ends[-1] != len(text):
+            raise WireFormatError(f"string lengths {ends[-1]} != {len(text)}")
+        table += [text[end - length:end] for length, end in zip(lengths, ends)]
+    groups = list(zip(_DEFINITION_RECORDS, counts[1:]))
+    size = 2 if len(table) + sum(counts[1:]) <= _NARROW_TABLE else 4
+    # Bound the struct by the bytes left before its format is built.
+    pos = reader._need(sum(
+        (links * size + scalar_size) * count
+        for (links, _, scalar_size), count in groups
+    ))
+    fields = struct.unpack_from("!" + "".join(
+        f"{links * count}{'H' if size == 2 else 'I'}"
+        + "".join(f"{count}{code}" for code in scalars)
+        for (links, scalars, _), count in groups
+    ), view, pos)
+    rows = []
+    start = 0
+    for (links, scalars, _), count in groups:
+        stop = start + links * count
+        columns = [fields[start + k:stop:links] for k in range(links)]
+        for _ in scalars:
+            start, stop = stop, stop + count
+            columns.append(fields[start:stop])
+        rows.append(zip(*columns))
+        start = stop
+    clocks, refs, messages, responses = rows
+    table += [ActivityClock(value, table[owner]) for owner, value in clocks]
+    table += [RemoteRef(table[activity_id], table[node]) for activity_id, node in refs]
+    table += [
+        DgcMessage(table[sender], table[clock], consensus, table[ref], ttb)
+        for sender, clock, ref, consensus, ttb in messages
+    ]
+    table += [
+        DgcResponse(
+            table[responder], table[clock], has_parent, reached,
             depth if has_depth else None,
-        ))
-        reader.pos = pos + _DEF_RESPONSE.size
-    else:
-        reader.pos = pos + 1
-        _decode_value_v2(reader)
+        )
+        for responder, clock, has_parent, reached, has_depth, depth in responses
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -928,73 +965,79 @@ def pack_frame(
     persists the intern table across the frames of one ordered shard
     channel.
     """
-    # The runs arrive grouped — the network's egress buckets sends by
-    # (kind, delivery instant, destination) as they happen — so packing
-    # is one pass: a head per run, then a column block (DGC) or the
-    # tagged item/payload values (everything else).
-    index = kind_index()
+    # The runs are transposed once, the run table and the index block
+    # are one pack, and only the non-DGC runs are walked value by value.
     if channel is None:
         encoder = _V2Encoder()
     else:
         encoder = channel
         encoder.out = bytearray()  # fresh frame body, the table persists
     encoder.varint(encoder.count)
-    value = encoder.value
+    kinds, deliveries, dests, items, payloads = zip(*runs) if runs else [()] * 5
+    index = kind_index()
+    counts = [*map(len, items)]
+    if 0 in counts or counts != [*map(len, payloads)]:
+        for count, run_payloads in zip(counts, payloads):
+            if count == 0 or count != len(run_payloads):
+                raise WireFormatError(
+                    f"run of {count} items and {len(run_payloads)} "
+                    f"payloads: columns must be parallel and non-empty"
+                )
+    targets: list = []
+    messages: list = []
+    responses: list = []
     rows = 0
-    min_delivery = math.inf
-    try:
-        for kind, delivery, dest, items, payloads in runs:
-            try:
-                kind_position = index[kind]
-            except KeyError:
-                raise WireFormatError(
-                    f"kind {kind!r} is not registered with the fabric"
-                ) from None
-            try:
-                dest_position = node_index[dest]
-            except KeyError:
-                raise WireFormatError(
-                    f"destination node {dest!r} is not in the shared "
-                    f"topology"
-                ) from None
-            count = len(items)
-            if count == 0 or count != len(payloads):
-                raise WireFormatError(
-                    f"run of {count} items and {len(payloads)} payloads: "
-                    f"columns must be parallel and non-empty"
-                )
-            if delivery < min_delivery:
-                min_delivery = delivery
-            is_message = kind == KIND_DGC_MESSAGE
-            is_dgc = is_message or kind == KIND_DGC_RESPONSE
-            if is_dgc:
-                # Definitions of values the table lacks land here, ahead
-                # of the run that refers to them.
-                columns = encoder.dgc_columns(is_message, items, payloads)
-            elif kind not in _kinds.ALL_KINDS:
-                raise WireFormatError(
-                    f"kind {kind!r} is an in-memory aggregate marker: a "
-                    f"DGC run rides the wire under its base kind"
-                )
-            encoder.out += _RUN_HEAD.pack(
-                kind_position, dest_position, count, delivery
+    for kind, dest, count, run_items, run_payloads in zip(
+        kinds, dests, counts, items, payloads
+    ):
+        if kind not in index:
+            raise WireFormatError(
+                f"kind {kind!r} is not registered with the fabric"
             )
-            if is_dgc:
-                encoder.out += columns
-                rows += 1
-            else:
-                for position in range(count):
-                    value(items[position])
-                    value(payloads[position])
-                rows += count
+        if dest not in node_index:
+            raise WireFormatError(
+                f"destination node {dest!r} is not in the shared topology"
+            )
+        if kind == KIND_DGC_MESSAGE:
+            targets += run_items
+            messages += run_payloads
+            rows += 1
+        elif kind == KIND_DGC_RESPONSE:
+            targets += run_items
+            responses += run_payloads
+            rows += 1
+        elif kind in _kinds.ALL_KINDS:
+            rows += count
+        else:
+            raise WireFormatError(
+                f"kind {kind!r} is an in-memory aggregate marker: a "
+                f"DGC run rides the wire under its base kind"
+            )
+    try:
+        try:
+            block = encoder.dgc_indices(targets, messages, responses)
+            encoder.out += b"\0"  # nothing to define
+        except (KeyError, AttributeError):
+            encoder._define_dgc(targets, messages, responses)
+            block = encoder.dgc_indices(targets, messages, responses)
+        n = len(counts)
+        encoder.varint(n)
+        encoder.out += struct.pack(
+            f"!{n}B{n}H{n}I{n}d{len(block)}"
+            f"{'I' if encoder.count > _NARROW_TABLE else 'H'}",
+            *map(index.__getitem__, kinds), *map(node_index.__getitem__, dests),
+            *counts, *deliveries, *block,
+        )
+        value = encoder.value
+        for kind, run_items, run_payloads in zip(kinds, items, payloads):
+            if kind != KIND_DGC_MESSAGE and kind != KIND_DGC_RESPONSE:
+                for item, payload in zip(run_items, run_payloads):
+                    value(item)
+                    value(payload)
     except struct.error as exc:
         raise WireFormatError(f"field out of range for the wire: {exc}") from None
     return _HEADER.pack(
-        FRAME_MAGIC,
-        src_shard,
-        seq,
-        rows,
-        min_delivery if rows else 0.0,
+        FRAME_MAGIC, src_shard, seq, rows, min(deliveries) if rows else 0.0,
     ) + bytes(encoder.out)
 
 
@@ -1021,7 +1064,6 @@ def unpack_frame(
     if magic != FRAME_MAGIC:
         raise WireFormatError(f"bad frame magic 0x{magic:04X}")
     kinds = kind_table()
-    node_count = len(node_names)
     reader = _V2Reader(memoryview(buf), _HEADER.size, len(buf))
     if channel is not None:
         if seq <= channel.last_seq:
@@ -1042,62 +1084,80 @@ def unpack_frame(
             f"reordered on the channel"
         )
     view = reader.buf
-    decode = _decode_value_v2
-    runs: List[Run] = []
-    rows = 0
     try:
-        while rows < count:
-            pos = reader.pos
-            if view[pos] == _DEFINE:
-                _decode_definition(reader)
-                continue
-            kind_position, dest_position, length, delivery = (
-                _RUN_HEAD.unpack_from(view, pos)
-            )
-            if kind_position >= len(kinds):
+        reader.pos += 1
+        if view[reader.pos - 1]:  # the definition block's flag
+            _decode_definitions(reader)
+        n = reader.varint()
+        head = struct.unpack_from(
+            f"!{n}B{n}H{n}I{n}d", view, reader._need(15 * n)
+        )
+        counts = head[2 * n:3 * n]
+        if n:
+            if max(head[:n]) >= len(kinds):
                 raise WireFormatError(
-                    f"kind index {kind_position} out of range "
+                    f"kind index {max(head[:n])} out of range "
                     f"({len(kinds)} kinds)"
                 )
-            if dest_position >= node_count:
+            if max(head[n:2 * n]) >= len(node_names):
                 raise WireFormatError(
-                    f"destination index {dest_position} out of range "
-                    f"({node_count} nodes)"
+                    f"destination index {max(head[n:2 * n])} out of range "
+                    f"({len(node_names)} nodes)"
                 )
-            if length == 0:
+            if 0 in counts:
                 raise WireFormatError("empty run")
-            kind = kinds[kind_position]
-            pos += _RUN_HEAD.size
-            if kind is KIND_DGC_MESSAGE or kind is KIND_DGC_RESPONSE:
-                wide = len(table) > _NARROW_TABLE
-                columns = struct.unpack_from(
-                    ("!%dI" if wide else "!%dH") % (2 * length), view, pos
-                )
-                reader.pos = pos + length * (8 if wide else 4)
-                items = [table[position] for position in columns[:length]]
-                payloads = [table[position] for position in columns[length:]]
-                rows += 1
+        run_kinds = [*map(kinds.__getitem__, head[:n])]
+        dgc_runs = messages = responses = generic = 0
+        for kind, length in zip(run_kinds, counts):
+            if kind is KIND_DGC_MESSAGE:
+                dgc_runs += 1
+                messages += length
+            elif kind is KIND_DGC_RESPONSE:
+                dgc_runs += 1
+                responses += length
             elif kind in _kinds.ALL_KINDS:
-                reader.pos = pos
-                items = []
-                payloads = []
-                for _ in range(length):
-                    items.append(decode(reader))
-                    payloads.append(decode(reader))
-                rows += length
+                generic += length
             else:
                 raise WireFormatError(
                     f"aggregate marker {kind!r} cannot ride a frame"
                 )
-            runs.append(
-                (kind, delivery, node_names[dest_position], items, payloads)
+        if dgc_runs + generic != count:
+            raise WireFormatError(
+                f"runs overflow the header's row count {count} (decoded "
+                f"{dgc_runs + generic})"
+            )
+        dgc = messages + responses
+        wide = len(table) > _NARROW_TABLE
+        block = struct.unpack_from(
+            ("!%dI" if wide else "!%dH") % (2 * dgc), view,
+            reader._need((8 if wide else 4) * dgc),
+        )
+        values = [*map(table.__getitem__, block)]
+        tagged = [_decode_value_v2(reader) for _ in range(2 * generic)]
+        # Cursors into the index block's three sections (targets, then
+        # message payloads, then response payloads) and the tagged values.
+        target = cursor = 0
+        starts = {KIND_DGC_MESSAGE: dgc, KIND_DGC_RESPONSE: dgc + messages}
+        runs: List[Run] = [None] * n  # type: ignore[list-item]
+        for position, kind in enumerate(run_kinds):
+            length = counts[position]
+            if kind in starts:
+                start = starts[kind]
+                starts[kind] = start + length
+                items = values[target:target + length]
+                payloads = values[start:start + length]
+                target += length
+            else:
+                stop = cursor + 2 * length
+                items = tagged[cursor:stop:2]
+                payloads = tagged[cursor + 1:stop:2]
+                cursor = stop
+            runs[position] = (
+                kind, head[3 * n + position], node_names[head[n + position]],
+                items, payloads,
             )
     except (struct.error, IndexError) as exc:
         raise WireFormatError(f"truncated or corrupt frame: {exc}") from None
-    if rows != count:
-        raise WireFormatError(
-            f"runs overflow the header's row count {count} (decoded {rows})"
-        )
     if reader.pos != reader.end:
         raise WireFormatError(
             f"frame has {reader.end - reader.pos} trailing bytes"

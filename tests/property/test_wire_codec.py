@@ -347,9 +347,10 @@ def test_every_kind_has_a_column_shape():
 
 def test_bad_magic_rejected():
     buf = pack_frame(1, 7, [], NODE_INDEX)
-    assert buf[:2] == b"\x5d\x58"
-    # A foreign stream, and the retired entry-at-a-time format's magic.
-    for magic in (b"\x00\x00", b"\x5d\x57"):
+    assert buf[:2] == b"\x5d\x59"
+    # A foreign stream, and the retired entry-at-a-time and
+    # record-per-run formats' magics.
+    for magic in (b"\x00\x00", b"\x5d\x57", b"\x5d\x58"):
         with pytest.raises(WireFormatError, match="magic"):
             unpack_frame(magic + buf[2:], NODES)
 
@@ -367,16 +368,21 @@ def _request_run(target="ao-2:b", count=1):
 # ----------------------------------------------------------------------
 
 _V2_BODY = 20  # the !HHIId header; the body opens with the table size
-_V2_RUN = _V2_BODY + 1  # run head: u8 kind, u16 dest, u32 count, f64 delivery
+# Then the definition block's flag byte and the run count; one run's
+# row of the run table: u8 kind, u16 dest, u32 count, f64 delivery.
+_V2_RUN = _V2_BODY + 3
 _V2_VALUES = _V2_RUN + 15
 
 
 def _v2_single_run_frame(count=1):
-    """A one-run frame from a fresh encoder: the table-size varint is
-    one zero byte, so the run head and the first value tag sit at known
-    offsets for surgical corruption."""
+    """A one-run frame from a fresh encoder: the table-size varint, the
+    definition flag and the run count are one byte each, so the run's
+    row of the run table and the first value tag sit at known offsets
+    for surgical corruption."""
     buf = pack_frame(0, 0, [_request_run(count=count)], NODE_INDEX)
     assert buf[_V2_BODY] == 0  # empty intern table
+    assert buf[_V2_BODY + 1] == 0  # nothing defined
+    assert buf[_V2_BODY + 2] == 1  # one run
     assert buf[_V2_RUN] == kind_index()[kinds.KIND_APP_REQUEST]
     assert struct.unpack_from("!I", buf, _V2_RUN + 3) == (count,)
     return buf
@@ -587,8 +593,9 @@ def test_v2_runs_spanning_frames_define_each_value_once():
         frames.append((buf, runs))
     sizes = [len(buf) for buf, _ in frames]
     assert sizes[1] == sizes[2] == sizes[3]
-    # header + table size + 2 * (run head + two two-byte columns)
-    assert sizes[1] == 20 + 1 + 2 * 15 + 2 * 2 * 12
+    # header + table size + definition flag + run count + 2 rows of the
+    # run table + a two-byte target and message index per constituent
+    assert sizes[1] == 20 + 1 + 1 + 1 + 2 * 15 + 2 * 2 * 12
     decoded = []
     for buf, runs in frames:
         frame = unpack_frame(buf, NODES, channel=decoder)
@@ -609,7 +616,8 @@ def test_v2_columns_widen_when_the_table_outgrows_two_bytes():
     small = _message_run(targets[-2:], [message] * 2, delivery=8.0)
     first = pack_frame(0, 0, [big], NODE_INDEX, channel=encoder)
     second = pack_frame(0, 1, [small], NODE_INDEX, channel=encoder)
-    assert len(second) == 20 + 3 + 15 + 4 * 4  # three-byte table size
+    # three-byte table size, flag, run count, one row, four-byte indices
+    assert len(second) == 20 + 3 + 1 + 1 + 15 + 4 * 4
     assert_same_runs(unpack_frame(first, NODES, channel=decoder).runs, [big])
     assert_same_runs(
         unpack_frame(second, NODES, channel=decoder).runs, [small]
@@ -628,13 +636,27 @@ def test_v2_column_index_out_of_range_rejected():
 def test_v2_definition_field_out_of_range_rejected():
     run = _message_run(["ao-1:a"], [_message(1)])
     buf = pack_frame(0, 0, [run], NODE_INDEX)
-    # The message definition is the last record before the run head:
-    # 0xFF, tag, then u32 sender/clock, u8 consensus, u32 ref, f64 ttb.
-    definition = len(buf) - (15 + 4) - 23
-    assert buf[definition] == 0xFF and buf[definition + 1] == 0x15
-    corrupt = _patched(buf, definition + 2, struct.pack("!I", 999))
+    # The message definition ends the definition block, ahead of the run
+    # count, the run's row and the four-byte index block: u16 sender,
+    # clock and ref, bool consensus, f64 ttb.  The strings come first,
+    # in sight order: the target, then the sender.
+    definition = len(buf) - 4 - 15 - 1 - 15
+    assert struct.unpack_from("!H", buf, definition) == (1,)
+    corrupt = _patched(buf, definition, struct.pack("!H", 999))
     with pytest.raises(WireFormatError, match="corrupt"):
         unpack_frame(corrupt, NODES)
+
+
+def test_v2_column_block_disagreeing_with_the_run_table_rejected():
+    run = _message_run(["ao-1:a", "ao-2:b"], [_message(1)] * 2)
+    buf = pack_frame(0, 0, [run], NODE_INDEX)
+    # The run's row sits just before the eight-byte index block.
+    count_at = len(buf) - 8 - 15 + 3
+    assert struct.unpack_from("!I", buf, count_at) == (2,)
+    with pytest.raises(WireFormatError, match="trailing"):
+        unpack_frame(_patched(buf, count_at, struct.pack("!I", 1)), NODES)
+    with pytest.raises(WireFormatError, match="truncated"):
+        unpack_frame(_patched(buf, count_at, struct.pack("!I", 3)), NODES)
 
 
 def test_v2_malformed_dgc_runs_rejected_at_pack():
@@ -686,6 +708,48 @@ def test_channel_roundtrip_across_frames(batches):
         assert frame_stamp(buf) == (3, seq)
         frame = unpack_frame(buf, NODES, channel=decoder)
         assert_same_runs(frame.runs, runs)
+
+
+def test_request_row_once_its_fields_are_in_the_table():
+    """A request's first sighting takes the tagged fields, which intern
+    its strings; from then on it is one row of table indices — and a row
+    index out of range is rejected, not resolved."""
+    encoder = ChannelEncoder()
+    first = pack_frame(0, 0, [_request_run()], NODE_INDEX, channel=encoder)
+    runs = [_request_run(count=2)]
+    second = pack_frame(0, 1, runs, NODE_INDEX, channel=encoder)
+    assert first[_V2_VALUES] == 0x13 and second[_V2_VALUES] == 0x1F
+    # tag, three two-byte indices, two i64, ref count, reply, payload
+    assert len(second) == _V2_VALUES + 2 * (1 + 3 * 2 + 2 * 8 + 1 + 2 + 1)
+    corrupt = _patched(second, _V2_VALUES + 1, struct.pack("!H", 999))
+    for buf in (second, corrupt):
+        decoder = ChannelDecoder()
+        unpack_frame(first, NODES, channel=decoder)
+        if buf is second:
+            assert_same_runs(unpack_frame(buf, NODES, channel=decoder).runs, runs)
+            continue
+        with pytest.raises(WireFormatError, match="corrupt"):
+            unpack_frame(buf, NODES, channel=decoder)
+
+
+def test_reply_addresses_never_grow_the_channel_table():
+    """A reply address's future id is unique per request: interning it
+    would register one table entry per request that nothing ever hits.
+    A thousand request-with-reply runs, as rows and as tagged fields
+    (inside a lookup), grow the table by the distinct strings only."""
+    encoder, decoder = ChannelEncoder(), ChannelDecoder()
+    for seq in range(1000):
+        reply = ReplyAddress(NODES[2], "ao-1:a", seq + 1)
+        runs = [
+            (kinds.KIND_APP_REQUEST, 1.0, NODES[0],
+             [Request("do_ping", "ao-1:a", "ao-2:b", reply_to=reply)], [None]),
+            (kinds.KIND_REGISTRY_LOOKUP, 1.0, NODES[0],
+             [RegistryLookup("svc", reply)], [None]),
+        ]
+        buf = pack_frame(0, seq, runs, NODE_INDEX, channel=encoder)
+        assert_same_runs(unpack_frame(buf, NODES, channel=decoder).runs, runs)
+    distinct = {"do_ping", "ao-1:a", "ao-2:b", NODES[2], "svc"}
+    assert len(decoder.table) == encoder.count <= len(distinct)
 
 
 def _channel_frames(count=4):
