@@ -13,7 +13,8 @@ deterministic gates, no timing:
   increment) takes Algorithms 3 and 4 — one ``core/protocol.py`` frame
   per handler.  A site-pair run of two heartbeats costs one
   ``send_dgc_run`` and one batch-sink frame per direction and one
-  handler frame per message.
+  handler frame per message.  An injected run merged from several
+  source sites costs one unwrap and one response run per site.
 * **Accounting parity** — the fused lanes clamp and charge inline; per-kind
   bytes and messages, every pair's bytes and every channel's
   ``sent_count``/``delivered_count`` must equal what the per-event core
