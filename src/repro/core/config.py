@@ -258,15 +258,23 @@ class RegistryConfig:
     #: replica pushes, renewal denials) reaches the nodes that hold
     #: copies:
     #:
+    #: * ``beat`` (default) — updates accumulate on the authority's
+    #:   coherence channel (last writer wins per name; a ``replicated``
+    #:   update is one fan-out-log entry, whatever the node count) and
+    #:   flush once per lease beat as multi-name
+    #:   ``registry.invalidate`` / ``registry.push`` batches, bounding a
+    #:   cached holder's staleness after an unbind by one lease beat
+    #:   plus propagation;
     #: * ``eager`` — one message per (update, destination) the instant
-    #:   the authority applies the update (the PR-5 behaviour, kept as
-    #:   the A/B baseline);
-    #: * ``beat`` — updates accumulate in per-destination egress queues
-    #:   (last writer wins per name) and flush once per lease beat as
-    #:   multi-name ``registry.invalidate`` / ``registry.push``
-    #:   batches, bounding a cached holder's staleness after an unbind
-    #:   by one lease beat plus propagation.
-    coherence: str = COHERENCE_EAGER
+    #:   the authority applies the update.
+    #:
+    #: Why ``eager`` exists: it is the equivalence oracle, as
+    #: ``per-event`` is for the DGC cores.  It stages nothing, so its
+    #: staleness is one propagation delay, and beat coherence must
+    #: reproduce its outcomes bit for bit
+    #: (``tests/integration/test_naming_equivalence.py``); a
+    #: ``replicated`` bind costs it one message per other node.
+    coherence: str = COHERENCE_BEAT
 
     def __post_init__(self) -> None:
         if self.placement not in PLACEMENTS:

@@ -213,9 +213,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="naming workload: mean seconds between unbind/rebind churn",
     )
     run_cmd.add_argument(
-        "--coherence", choices=["eager", "beat"], default="eager",
-        help="registry coherence: eager per-update fan-out (default) or "
-        "beat-quantized batches flushed once per lease beat",
+        "--coherence", choices=["eager", "beat"], default="beat",
+        help="registry coherence: beat-quantized batches flushed once per "
+        "lease beat (default), or eager per-update fan-out, the "
+        "reference the beat outcomes are checked against",
     )
     run_cmd.add_argument(
         "--names", type=int, default=None,
@@ -417,17 +418,6 @@ def _run_workload(args: argparse.Namespace) -> int:
                 "copies; leases apply to home/hashed placement)",
                 file=sys.stderr,
             )
-        if (
-            args.coherence == "beat"
-            and args.registry_placement != "replicated"
-            and args.lease_ttb == 0
-        ):
-            print(
-                "note: --coherence beat has nothing to batch without "
-                "replicas (--registry-placement replicated) or leases "
-                "(--lease-ttb > 0): no coherence traffic exists",
-                file=sys.stderr,
-            )
         result = run_naming(
             dgc=config_for(NAS_CONFIG),
             registry=registry,
@@ -536,7 +526,7 @@ def _check_naming_knobs(args: argparse.Namespace) -> "str | None":
             ("--names", args.names is not None),
             ("--zipf-s", args.zipf_s != 0.0),
             ("--churn-burst", args.churn_burst != 1),
-            ("--coherence beat", args.coherence == "beat"),
+            ("--coherence eager", args.coherence == "eager"),
         ):
             if is_set:
                 return (

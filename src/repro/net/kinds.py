@@ -42,9 +42,9 @@ KIND_REGISTRY_REPLY = "registry.reply"
 KIND_REGISTRY_BIND = "registry.bind"
 KIND_REGISTRY_INVALIDATE = "registry.invalidate"
 KIND_REGISTRY_RENEW = "registry.renew"
-#: Batched replica pushes from the beat-quantized coherence channel
-#: (one multi-binding message per destination per lease beat); the
-#: eager baseline's per-binding pushes ride ``registry.bind`` instead,
+#: Batched replica pushes from the beat-quantized coherence channel, the
+#: default (one multi-binding message per destination per lease beat);
+#: the eager oracle's per-binding pushes ride ``registry.bind`` instead,
 #: so the A/B byte split is visible per kind in the accountant.
 KIND_REGISTRY_PUSH = "registry.push"
 

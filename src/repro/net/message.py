@@ -142,8 +142,8 @@ class WireSizeModel:
         (one header, one serialized name per entry).
 
         Priced per constituent: a batch of N names costs exactly the
-        same name bytes as N single-name messages, so the eager-vs-beat
-        byte comparison isolates the real win — N-1 amortized headers
+        same name bytes as N single-name messages, so comparing beat
+        coherence with the eager oracle isolates the real win — N-1 amortized headers
         plus every update the last-writer-wins coalescing dropped."""
         return (
             self.registry_batch_header_bytes
@@ -155,8 +155,8 @@ class WireSizeModel:
         header, then one serialized name plus one stub per binding.
         Like :meth:`registry_batch_size`, priced per constituent — a
         batch of N bindings carries exactly N (name, stub) bodies — so
-        the eager-vs-beat comparison measures header amortization and
-        coalescing, not a change of byte model."""
+        comparing beat coherence with the eager oracle measures header
+        amortization and coalescing, not a change of byte model."""
         return self.registry_batch_header_bytes + binding_count * (
             self.registry_name_bytes + self.reference_bytes
         )

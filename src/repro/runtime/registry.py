@@ -43,40 +43,42 @@ lease contract and test it): a lookup is served against the shard state
 at *serve* time — a name bound after the lookup was issued but before it
 is served resolves; a name bound after serving yields a negative reply
 and the caller retries.  Cached and replicated resolves may be stale for
-at most one propagation delay after an unbind (the invalidation is in
-flight) plus, for leases, the TTL bound if the holder misses renewals.
+at most one lease beat plus one propagation delay after an unbind (the
+invalidation is staged, then in flight) plus, for leases, the TTL bound
+if the holder misses renewals.
 
 **The beat-quantized coherence channel**
-(:attr:`~repro.core.config.RegistryConfig.coherence` = ``"beat"``):
-lease renewals always batched one message per (node, authority) per
-beat, but the *authority-side* coherence fan-out — one
-``registry.invalidate`` per lease holder, one ``registry.bind`` replica
-push per node, one denial per missed renewal — was the remaining
-O(holders) wire cost under bind/unbind churn.  With beat coherence
-every such update is staged into a per-destination egress queue on the
-authority's :class:`CoherenceChannel` (last writer wins per name: an
-unbind+rebind inside one beat collapses to a single push, a
-bind+unbind to a single invalidation) and flushed once per lease beat
-by a lazily-registered beat-wheel sweep — the exact machinery
-``registry.renew`` uses; the sweep stops itself when the queues drain —
-as one multi-name ``registry.invalidate`` and one multi-binding
-``registry.push`` per destination.  The flush is a protocol-safe
-reordering in the :mod:`tests.reorder` sense over the registry's
-natural FIFO streams — one per (destination, *name*), because a
-receiving shard folds every coherence message into per-name state
-(``replica[name]``, cache drop) exactly as the DGC folds messages into
-per-referencer state: last-writer-wins leaves one survivor per (name,
-beat), survivors of one name never reorder across beats, and every
-delivery is *deferred* (never moved earlier) relative to its eager
-instant.  (Per-(destination, kind) order is deliberately **not**
+(:attr:`~repro.core.config.RegistryConfig.coherence`, default
+``"beat"``): like lease renewals, the authority-side coherence fan-out
+— the replica push or invalidation per node, the invalidation per lease
+holder, the denial per missed renewal — batches per beat.  Each update
+is staged on the authority's :class:`CoherenceChannel` (last writer
+wins per name: an unbind+rebind inside one beat collapses to a single
+push, a bind+unbind to a single invalidation) — a ``replicated`` update
+as **one** fan-out-log entry whatever the node count, a holder's into
+its own queue — and flushed once per lease beat by a lazily-registered
+beat-wheel sweep (the machinery ``registry.renew`` uses; it stops
+itself when the channel drains) as one multi-name
+``registry.invalidate`` and one multi-binding ``registry.push`` per
+batch, the same two objects sent to each destination.  The flush is a
+protocol-safe reordering in the :mod:`tests.reorder` sense over the
+registry's natural FIFO streams — one per (destination, *name*),
+because a receiving shard folds every coherence message into per-name
+state (``replica[name]``, cache drop) exactly as the DGC folds messages
+into per-referencer state: last-writer-wins leaves one survivor per
+(name, beat), survivors of one name never reorder across beats, and
+every delivery is *deferred* (never moved earlier) relative to its
+eager instant.  (Per-(destination, kind) order is deliberately **not**
 preserved — a re-staged name keeps its queue position while taking the
 newer value — which is harmless for the same reason cross-stream DGC
-order is free.)  A cached holder's staleness after an unbind is
-bounded by one lease beat plus one propagation delay instead of the
-eager one-propagation-delay — the price of turning O(holders x churn)
-messages into O(destinations) per beat.  Eager coherence stays the
-default and the A/B baseline; outcome equivalence eager-vs-beat is
-gated in ``tests/integration/test_naming_equivalence.py``.
+order is free.)  One lease beat of staleness is the price of turning
+O(holders x churn) messages into O(destinations) per beat.
+
+Why ``"eager"`` exists: it is the equivalence oracle, as ``per-event``
+is for the DGC cores — one message per (update, destination) the
+instant the authority applies it, nothing staged, one propagation delay
+of staleness; beat must match its outcomes bit for bit
+(``tests/integration/test_naming_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -163,65 +165,72 @@ class LeaseCache:
 class CoherenceChannel:
     """One authority node's beat-quantized coherence egress.
 
-    Updates stage into per-destination queues as ``name -> ref``
-    (``None`` = invalidate); a re-staged name keeps its queue position
-    but takes the newer value — **last writer wins**, so only the
-    update that still matters at flush time crosses the wire.  A flush
-    empties every queue in destination-staging order, splitting each
-    into its invalidation names and push bindings (disjoint name sets,
-    so the two batches commute).  The result is a deferral-only,
+    Updates stage as ``name -> ref`` (``None`` = invalidate) into one
+    of two stores, and a channel only ever fills one of them (a
+    ``replicated`` world grants no leases): the **fan-out log**, where
+    a ``replicated`` primary's update is one entry for every node in
+    :attr:`fanout` (staged inline by
+    :meth:`NamingService._update_replicas`), or a **per-holder queue**
+    (:meth:`stage`).  A re-staged name keeps its position but takes the
+    newer value — **last writer wins**, so only the update that still
+    matters at flush time crosses the wire.  A flush splits each store
+    once into its invalidation names and push bindings (disjoint name
+    sets, so the two batches commute): a deferral-only,
     per-(destination, name)-FIFO reordering of the eager schedule's
-    surviving updates (property-tested against
-    :mod:`tests.reorder`).
-
-    The channel is pure queue mechanics — no clock, no wire — so the
-    safe-reordering property test can drive it directly.
+    surviving updates (property-tested against :mod:`tests.reorder`).
+    Pure queue mechanics: no clock, no wire, no counters (the service
+    counts (update, destination) constituents).
     """
 
-    __slots__ = ("queues", "staged", "coalesced")
+    __slots__ = ("fanout", "log", "queues")
 
-    def __init__(self) -> None:
-        #: dest node -> {name: Optional[ref]}, both insertion-ordered.
+    def __init__(self, fanout: Tuple[str, ...] = ()) -> None:
+        #: Every log entry's destinations, in node order.
+        self.fanout = fanout
+        #: name -> Optional[ref], insertion-ordered.
+        self.log: Dict[str, Optional[RemoteRef]] = {}
+        #: holder node -> {name: Optional[ref]}, both insertion-ordered.
         self.queues: Dict[str, Dict[str, Optional[RemoteRef]]] = {}
-        #: Updates ever staged (constituents, not messages).
-        self.staged = 0
-        #: Updates superseded by a later same-name staging before flush.
-        self.coalesced = 0
 
-    def stage(self, dest: str, name: str, ref: Optional[RemoteRef]) -> None:
+    def stage(self, dest: str, name: str, ref: Optional[RemoteRef]) -> bool:
+        """Stage one update for one holder; ``True`` when it superseded
+        one still queued (coalesced)."""
         queue = self.queues.get(dest)
         if queue is None:
             queue = self.queues[dest] = {}
-        if name in queue:
-            self.coalesced += 1
+        coalesced = name in queue
         queue[name] = ref
-        self.staged += 1
+        return coalesced
 
     @property
     def empty(self) -> bool:
-        return not self.queues
+        return not self.log and not self.queues
 
     def pending(self) -> int:
-        """Updates currently queued (post-coalescing)."""
-        return sum(len(queue) for queue in self.queues.values())
+        """Updates currently staged (post-coalescing constituents)."""
+        return len(self.log) * len(self.fanout) + sum(
+            map(len, self.queues.values())
+        )
 
-    def flush(
-        self,
-    ) -> List[Tuple[str, Tuple[str, ...], Tuple[Tuple[str, RemoteRef], ...]]]:
-        """Drain every queue: ``[(dest, invalidate_names, push_bindings)]``
-        in destination-staging order, each sequence in name-staging
-        order."""
-        batches = []
-        for dest, queue in self.queues.items():
-            invalidates = tuple(
-                name for name, ref in queue.items() if ref is None
-            )
-            pushes = tuple(
-                (name, ref) for name, ref in queue.items() if ref is not None
-            )
-            batches.append((dest, invalidates, pushes))
+    def flush(self) -> List[Tuple[
+        Tuple[str, ...], Tuple[str, ...], Tuple[Tuple[str, RemoteRef], ...]
+    ]]:
+        """Drain both stores: ``[(dests, invalidate_names,
+        push_bindings)]`` — the log's batch for :attr:`fanout`, then one
+        batch per holder in holder-staging order, each sequence in
+        name-staging order."""
+        batches = [(self.fanout, self.log)] if self.log else []
+        batches += [((dest,), queue) for dest, queue in self.queues.items()]
+        self.log = {}
         self.queues = {}
-        return batches
+        return [
+            (
+                dests,
+                tuple(name for name, ref in updates.items() if ref is None),
+                tuple(item for item in updates.items() if item[1] is not None),
+            )
+            for dests, updates in batches
+        ]
 
 
 class RegistryShard:
@@ -260,8 +269,11 @@ class RegistryShard:
         #: cache is empty — the beat is registered lazily and stops
         #: itself when the cache drains).
         self.sweep_handle = None
-        #: Authority-side coherence egress (``coherence="beat"``).
-        self.channel = CoherenceChannel()
+        #: Authority-side coherence egress (``coherence="beat"``), whose
+        #: fan-out log addresses every other node (``replicated`` only).
+        self.channel = CoherenceChannel(tuple(
+            node for node in service._node_names if node != node_name
+        ) if service._replicated else ())
         #: The live coherence-sweep registration (``None`` while the
         #: egress queues are empty — registered lazily at first staging,
         #: stops itself when the queues drain, mirroring ``sweep_handle``).
@@ -386,8 +398,12 @@ class RegistryShard:
             )
         if gone:
             if service._beat_coherence:
+                stage = self.channel.stage
                 for name in gone:
-                    service._stage_coherence(self, client, name, None)
+                    service.coherence_coalesced += stage(client, name, None)
+                service.coherence_staged += len(gone)
+                if self.egress_handle is None:
+                    service._ensure_egress(self)
             else:
                 network.send_typed(
                     self.node_name, client, KIND_REGISTRY_INVALIDATE,
@@ -432,7 +448,12 @@ class NamingService:
             raise RegistryError(
                 f"home node {self.home_node!r} is not in the topology"
             )
-        self._replicated = self.config.placement == PLACEMENT_REPLICATED
+        # A one-node world has no replica to update.
+        self._replicated = (
+            self.config.placement == PLACEMENT_REPLICATED and len(nodes) > 1
+        )
+        #: Replicas per ``replicated`` update (its staged constituents).
+        self._fanout_width = len(nodes) - 1 if self._replicated else 0
         self._hashed = self.config.placement == PLACEMENT_HASHED
         self._caching = self.config.caching
         self._beat_coherence = self.config.coherence == COHERENCE_BEAT
@@ -469,7 +490,7 @@ class NamingService:
         self.lease_grants = 0
         self.lease_expiries = 0
         # Coherence-channel instrumentation (``coherence="beat"`` only).
-        #: Updates staged into egress queues (constituents).
+        #: Updates staged into the channels (constituents).
         self.coherence_staged = 0
         #: Updates dropped by last-writer-wins coalescing before flush.
         self.coherence_coalesced = 0
@@ -631,16 +652,20 @@ class NamingService:
         self, shard: RegistryShard, name: str, ref: Optional[RemoteRef]
     ) -> None:
         """Fan an update of the primary out to every other node's
-        replica: a new binding as ``registry.bind`` traffic with no
-        reply address, an unbind (``ref`` ``None``) as an invalidation
-        — or, under beat coherence, stage it into the egress queues for
-        the next flush."""
-        source = shard.node_name
+        replica: under beat coherence, one store into the channel's
+        fan-out log for the next flush; under eager coherence, a new
+        binding as ``registry.bind`` traffic with no reply address and
+        an unbind (``ref`` ``None``) as an invalidation."""
         if self._beat_coherence:
-            for dest in self._node_names:
-                if dest != source:
-                    self._stage_coherence(shard, dest, name, ref)
+            log = shard.channel.log
+            if name in log:
+                self.coherence_coalesced += self._fanout_width
+            log[name] = ref
+            self.coherence_staged += self._fanout_width
+            if shard.egress_handle is None:
+                self._ensure_egress(shard)
             return
+        source = shard.node_name
         if ref is None:
             kind, size = KIND_REGISTRY_INVALIDATE, self._invalidate_size
             update = RegistryInvalidate(names=(name,))
@@ -668,8 +693,12 @@ class NamingService:
         if not holders:
             return
         if self._beat_coherence:
+            stage = shard.channel.stage
             for holder in holders:
-                self._stage_coherence(shard, holder, name, None)
+                self.coherence_coalesced += stage(holder, name, None)
+            self.coherence_staged += len(holders)
+            if shard.egress_handle is None:
+                self._ensure_egress(shard)
             return
         network = self._network
         size = self._invalidate_size
@@ -778,23 +807,8 @@ class NamingService:
     # The beat-quantized coherence channel (``coherence="beat"``)
     # ------------------------------------------------------------------
 
-    def _stage_coherence(
-        self, shard: RegistryShard, dest: str, name: str,
-        ref: Optional[RemoteRef],
-    ) -> None:
-        """Stage one coherence update (``ref`` = push, ``None`` =
-        invalidate) into the authority's egress queue for ``dest`` and
-        make sure the flush beat is running."""
-        channel = shard.channel
-        before = channel.coalesced
-        channel.stage(dest, name, ref)
-        self.coherence_staged += 1
-        self.coherence_coalesced += channel.coalesced - before
-        self._ensure_egress(shard)
-
     def _ensure_egress(self, shard: RegistryShard) -> None:
-        if shard.egress_handle is not None:
-            return
+        """Register the flush beat (callers check ``egress_handle``)."""
         shard.egress_handle = self._kernel.schedule_periodic(
             self.lease_beat_s,
             lambda: self._flush_coherence(shard),
@@ -802,10 +816,11 @@ class NamingService:
         )
 
     def _flush_coherence(self, shard: RegistryShard) -> None:
-        """One coherence beat on one authority node: drain the egress
-        queues into one multi-name ``registry.invalidate`` and one
-        multi-binding ``registry.push`` per destination.  Stops itself
-        when the queues are already empty (re-registered lazily by the
+        """One coherence beat on one authority node: drain the channel
+        into one multi-name ``registry.invalidate`` and one
+        multi-binding ``registry.push`` per batch, each built once and
+        sent to every destination of the batch in order.  Stops itself
+        when the channel is already empty (re-registered lazily by the
         next staging), mirroring the lease-cache renew sweep."""
         channel = shard.channel
         if channel.empty:
@@ -815,25 +830,29 @@ class NamingService:
         network = self._network
         sizes = self._sizes
         source = shard.node_name
-        for dest, invalidates, pushes in channel.flush():
+        for dests, invalidates, pushes in channel.flush():
+            count = len(dests)
+            sends = []
             if invalidates:
-                network.send_typed(
-                    source, dest, KIND_REGISTRY_INVALIDATE,
+                sends.append((
+                    KIND_REGISTRY_INVALIDATE,
                     sizes.registry_batch_size(len(invalidates)),
                     RegistryInvalidate(names=invalidates),
-                )
-                self.invalidations_sent += 1
-                self.coherence_messages_sent += 1
-                self.coherence_names_sent += len(invalidates)
+                ))
+                self.invalidations_sent += count
             if pushes:
-                network.send_typed(
-                    source, dest, KIND_REGISTRY_PUSH,
-                    sizes.registry_push_size(len(pushes)),
+                sends.append((
+                    KIND_REGISTRY_PUSH, sizes.registry_push_size(len(pushes)),
                     RegistryPush(bindings=pushes),
-                )
-                self.pushes_sent += 1
-                self.coherence_messages_sent += 1
-                self.coherence_names_sent += len(pushes)
+                ))
+                self.pushes_sent += count
+            self.coherence_messages_sent += count * len(sends)
+            self.coherence_names_sent += count * (
+                len(invalidates) + len(pushes)
+            )
+            for dest in dests:
+                for kind, size, message in sends:
+                    network.send_typed(source, dest, kind, size, message)
 
     # ------------------------------------------------------------------
     # Leases: the renewal sweep

@@ -163,10 +163,10 @@ class RegistryInvalidate:
 
     Sent by an authority to every lease holder when a binding is
     removed, to replicas when a replicated binding is unbound, and as
-    the negative half of a renewal reply.  Under eager coherence each
-    message carries one name; the beat-quantized coherence channel
-    batches a whole lease beat's invalidations for one destination into
-    one multi-name message."""
+    the negative half of a renewal reply.  The beat-quantized coherence
+    channel (the default) batches a whole lease beat's invalidations
+    into one multi-name message, the same object for every replica;
+    under eager coherence (the oracle) each message carries one name."""
 
     names: Tuple[str, ...]
 
@@ -176,11 +176,11 @@ class RegistryPush:
     """A batched replica push — ``registry.push`` traffic.
 
     The beat-quantized coherence channel's positive half: every binding
-    the primary applied during one lease beat, coalesced per destination
-    (last writer wins per name, so an unbind+rebind inside one beat
-    travels as a single push of the surviving ref) and installed at the
-    destination's replica without acknowledgement.  The eager baseline
-    sends one no-reply :class:`RegistryBind` per (binding, destination)
-    instead."""
+    the primary applied during one lease beat, coalesced (last writer
+    wins per name, so an unbind+rebind inside one beat travels as a
+    single push of the surviving ref), built once and sent to every
+    replica, which installs it without acknowledgement.  Eager
+    coherence, the equivalence oracle, sends one no-reply
+    :class:`RegistryBind` per (binding, destination) instead."""
 
     bindings: Tuple[Tuple[str, RemoteRef], ...]

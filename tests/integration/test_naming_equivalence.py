@@ -152,7 +152,7 @@ def test_eager_vs_beat_coherence_world_identical(placement, seed):
     inside the documented staleness window (replicated lookups can miss
     while a push is queued), so resolution counters are compared as
     issued/completed totals only."""
-    eager = run(PLACEMENTS[placement], seed)
+    eager = run(PLACEMENTS[placement].with_overrides(coherence="eager"), seed)
     beat = run(PLACEMENTS[placement].with_overrides(coherence="beat"), seed)
     assert eager.all_collected and beat.all_collected
     assert world_fingerprint(beat) == world_fingerprint(eager)

@@ -157,7 +157,9 @@ def test_behavior_retry_loop_converges_after_late_bind(make_world):
 def test_cache_hit_serves_locally_and_invalidation_restores_misses(
     make_world,
 ):
-    world = make_world(2, dgc=None, registry=CACHED)
+    world = make_world(
+        2, dgc=None, registry=CACHED.with_overrides(coherence="eager")
+    )
     driver = world.create_driver(node="site-1")
     svc = driver.context.create(SinkBehavior(), node="site-0", name="svc")
     world.registry.bind("service", svc.ref)
@@ -262,7 +264,8 @@ def test_renewal_of_vanished_name_comes_back_as_invalidation(make_world):
 
 def test_replicated_resolves_locally_after_push(make_world):
     world = make_world(
-        3, dgc=None, registry=RegistryConfig(placement="replicated")
+        3, dgc=None,
+        registry=RegistryConfig(placement="replicated", coherence="eager"),
     )
     driver = world.create_driver(node="site-1")
     svc = driver.context.create(SinkBehavior(), node="site-2", name="svc")

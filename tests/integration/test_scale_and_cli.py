@@ -154,7 +154,39 @@ def test_cli_run_naming_workload(capsys):
     assert code == 0
     output = capsys.readouterr().out
     assert "naming (replicated) — 8 clients" in output
-    assert "registry.bind" in output
+    assert "registry.push" in output
+
+
+NAMING_ARGV = [
+    "run", "--workload", "naming", "--nodes", "4", "--clients", "4",
+    "--services", "3", "--duration", "30", "--ttb", "5", "--tta", "15",
+    "--registry-placement", "replicated",
+]
+
+
+def _coherence_staged(output: str) -> int:
+    row = next(
+        line for line in output.splitlines()
+        if "coherence staged/coalesced/messages" in line
+    )
+    return int(row.split("|")[2].split("/")[0])
+
+
+def test_cli_naming_run_stages_coherence_by_default(capsys):
+    """Beat coherence is the default: with no ``--coherence`` flag the
+    replica updates stage on the channel; ``eager`` stages nothing."""
+    assert harness_main(NAMING_ARGV) == 0
+    assert _coherence_staged(capsys.readouterr().out) > 0
+    assert harness_main(NAMING_ARGV + ["--coherence", "eager"]) == 0
+    assert _coherence_staged(capsys.readouterr().out) == 0
+
+
+def test_cli_rejects_eager_coherence_outside_naming(capsys):
+    code = harness_main(
+        ["run", "--workload", "torture", "--coherence", "eager"]
+    )
+    assert code == 2
+    assert "--coherence eager only applies" in capsys.readouterr().err
 
 
 def test_cli_run_naming_with_leases(capsys):

@@ -129,12 +129,10 @@ def test_naming_sharded_matches_replay():
     assert merged["resolves_issued"] == merged["resolves_completed"]
 
 
-def test_naming_beat_coherence_sharded_matches_replay():
-    """The beat-quantized coherence channel composes with the sharded
-    world: a naming run with ``coherence="beat"`` (plus the bind-heavy
-    knobs — aliased names, Zipf-skewed draws, churn bursts) over two
-    shards matches its single-process replay's outcome signature, and
-    the coherence counters merge across workers."""
+def _naming_default_coherence_matches_replay(shards: int) -> None:
+    """Run a ``replicated`` naming world under the default coherence over
+    ``shards`` workers; its outcome signature, workload totals and
+    summed coherence counters must match the single-process replay."""
     from repro.core.config import RegistryConfig
 
     topo = two_site_topology()
@@ -143,11 +141,9 @@ def test_naming_beat_coherence_sharded_matches_replay():
         churn_burst=2, duration=8.0, lookup_period=1.0, lookup_burst=2,
         churn_period=2.0,
     )
-    registry = RegistryConfig(
-        placement="replicated", coherence="beat", lease_beat_s=1.0
-    )
+    registry = RegistryConfig(placement="replicated", lease_beat_s=1.0)
     result = ShardedWorld(
-        topo, 2, workload="naming", params=params, dgc=small_dgc(),
+        topo, shards, workload="naming", params=params, dgc=small_dgc(),
         registry=registry, seed=5,
     ).run()
     world, env, signature = replay_single_process(
@@ -167,10 +163,23 @@ def test_naming_beat_coherence_sharded_matches_replay():
     # the summed counters match the single-process run's.
     assert result.registry["coherence_staged"] > 0
     assert result.registry["coherence_messages_sent"] > 0
-    assert (
-        result.registry["coherence_staged"]
-        == world.registry.coherence_staged
-    )
+    for counter in ("coherence_staged", "coherence_coalesced"):
+        assert result.registry[counter] == getattr(world.registry, counter)
+
+
+def test_naming_beat_coherence_sharded_matches_replay():
+    """The beat-quantized coherence channel — the default — composes
+    with the sharded world: a naming run (plus the bind-heavy knobs —
+    aliased names, Zipf-skewed draws, churn bursts) over two shards
+    matches its single-process replay's outcome signature, and the
+    coherence counters merge across workers."""
+    _naming_default_coherence_matches_replay(2)
+
+
+def test_naming_beat_coherence_three_shards_matches_replay():
+    """The same over three shards: the primary's replicas sit on two
+    other workers, so one flush's fan-out crosses two shard channels."""
+    _naming_default_coherence_matches_replay(3)
 
 
 def test_nas_sharded_matches_replay():

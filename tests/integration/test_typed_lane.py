@@ -13,7 +13,10 @@ Two deterministic gates, no timing:
   whole resolve (``ctx.lookup`` to resolved future) is at most ten
   frames over all of ``runtime/*.py``, and a delivered replica push or
   invalidation is one.  The per-event core enters the same handlers
-  through ``_on_typed``.
+  through ``_on_typed``.  On the write side under beat coherence,
+  staging a ``replicated`` update costs the same frames at any node
+  count and nothing in the fabric, and one flush is one send per
+  (replica, kind) of one shared message object.
 * **Accounting parity** — the lane charges the accountant through
   memoized categories and lent pair boxes instead of
   ``observe_sized``; per-kind bytes and messages and every pair's bytes
@@ -33,6 +36,7 @@ from repro.net.kinds import (
     KIND_REGISTRY_BIND,
     KIND_REGISTRY_INVALIDATE,
     KIND_REGISTRY_LOOKUP,
+    KIND_REGISTRY_PUSH,
     KIND_REGISTRY_REPLY,
 )
 from repro.net.topology import uniform_topology
@@ -136,7 +140,8 @@ def test_replica_update_delivery_is_one_runtime_frame():
     frame above the fabric — the destination shard's handler."""
     world = World(
         uniform_topology(2), dgc=DgcConfig(ttb=1.0, tta=3.0),
-        registry=RegistryConfig(placement="replicated"), trace=False,
+        registry=RegistryConfig(placement="replicated", coherence="eager"),
+        trace=False,
     )
     primary = world.registry_node
     replica = next(name for name in world.nodes if name != primary)
@@ -156,6 +161,77 @@ def test_replica_update_delivery_is_one_runtime_frame():
         assert fabric == {("network.py", "_fire_pulse"): 1}
         assert runtime == {("registry.py", handler): 1}
         assert ("service" in shard.replica) == (handler == "on_bind")
+
+
+def beat_write_world(nodes):
+    """A ``replicated`` world under the default (beat) coherence, with
+    one binding flushed to every replica at t=1 s by the flush beat
+    (period 1 s, still registered) and the clock at 1.5 s; returns
+    ``(world, ref)``."""
+    world = World(
+        uniform_topology(nodes), dgc=DgcConfig(ttb=1.0, tta=3.0),
+        registry=RegistryConfig(placement="replicated", lease_beat_s=1.0),
+        trace=False,
+    )
+    ref = external(world, world.registry_node, "svc").context.self_ref()
+    world.registry.bind("warm", ref)
+    world.run_for(1.5)
+    for node in world.nodes:
+        if node != world.registry_node:
+            assert world.registry.shard(node).replica == {"warm": ref}
+    assert world.registry.shard(world.registry_node).egress_handle is not None
+    return world, ref
+
+
+def test_beat_staging_frames_do_not_grow_with_the_node_count():
+    """Staging a ``replicated`` bind is one fan-out-log store, not one
+    stage per replica: the same runtime frames at 2, 4 and 8 nodes, and
+    nothing in the fabric until the flush."""
+    budgets = []
+    for nodes in (2, 4, 8):
+        world, ref = beat_write_world(nodes)
+        fabric, runtime = profiled_frames(
+            lambda: world.registry.bind("service", ref)
+        )
+        assert fabric == {}
+        assert runtime[("registry.py", "_update_replicas")] == 1
+        channel = world.registry.shard(world.registry_node).channel
+        assert channel.pending() == nodes - 1
+        budgets.append(runtime)
+    assert budgets[0] == budgets[1] == budgets[2], budgets
+
+
+def test_beat_flush_sends_one_shared_message_per_replica_and_kind():
+    """One flush of a bind and an unbind: one ``send_typed`` per
+    (replica, kind), in node order, each kind's message the *same*
+    object for every replica, and one ``on_push`` / ``on_invalidate``
+    per replica."""
+    nodes = 4
+    world, ref = beat_write_world(nodes)
+    world.registry.bind("service", ref)
+    world.registry.unbind("warm")
+    sent = []
+    send_typed = world.network.send_typed
+
+    def record(source, dest, kind, size, message, payload=None):
+        sent.append((dest, kind, message))
+        return send_typed(source, dest, kind, size, message, payload)
+
+    world.network.send_typed = record
+    fabric, runtime = profiled_frames(lambda: world.run_for(1.0))
+    assert fabric[("network.py", "send_typed")] == 2 * (nodes - 1)
+    assert runtime[("registry.py", "_flush_coherence")] == 1
+    assert runtime[("registry.py", "on_push")] == nodes - 1
+    assert runtime[("registry.py", "on_invalidate")] == nodes - 1
+    replicas = [node for node in world.nodes if node != world.registry_node]
+    assert [dest for dest, _, _ in sent] == [
+        dest for dest in replicas for _ in range(2)
+    ]
+    for kind in (KIND_REGISTRY_INVALIDATE, KIND_REGISTRY_PUSH):
+        messages = {id(message) for _, k, message in sent if k == kind}
+        assert len(messages) == 1, kind
+    for node in replicas:
+        assert world.registry.shard(node).replica == {"service": ref}
 
 
 # ----------------------------------------------------------------------

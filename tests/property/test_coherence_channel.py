@@ -3,18 +3,21 @@ reordering class, and its staleness bound holds in live worlds.
 
 Two layers:
 
-1. **Queue mechanics** (pure, no world): for random update sequences,
-   the flush schedule is a protocol-safe reordering — in the
-   :mod:`tests.reorder` sense — of the *surviving* eager schedule
-   (the last-writer-wins filter applied per beat window), over the
-   registry's natural FIFO streams: one per (destination, name).  A
-   receiving shard folds every coherence message into per-name state
-   (``replica[name]``, a cache drop), so per-name order is the whole
-   ordering contract, exactly as per-referencer order is the DGC's.
-   Deliveries only ever *defer* (flush instant >= staging instant) and
-   the flush clock is monotone.  A schedule that hands batches out
-   earlier than their staging instants is rejected by the same
-   predicate — the test has teeth.
+1. **Queue mechanics**: for random update sequences, the flush
+   schedule is a protocol-safe reordering — in the :mod:`tests.reorder`
+   sense — of the *surviving* eager schedule (the last-writer-wins
+   filter applied per beat window), over the registry's natural FIFO
+   streams: one per (destination, name).  A receiving shard folds every
+   coherence message into per-name state (``replica[name]``, a cache
+   drop), so per-name order is the whole ordering contract, exactly as
+   per-referencer order is the DGC's.  Deliveries only ever *defer*
+   (flush instant >= staging instant) and the flush clock is monotone.
+   Both stores are driven: the per-holder queues directly, and the
+   fan-out log through a ``replicated`` primary's own staging path,
+   whose eager schedule is one delivery per (update, replica node).  A
+   schedule that hands batches out earlier than their staging instants
+   is rejected by the same predicate — the test has teeth.  The two
+   stores never mix: a ``replicated`` world fills no holder queue.
 
 2. **Live staleness bound**: in a real world under ``coherence="beat"``
    a cached holder keeps serving an unbound name for at most one lease
@@ -28,9 +31,12 @@ import random
 
 import pytest
 
-from repro.core.config import RegistryConfig
+from repro.core.config import DgcConfig, RegistryConfig
+from repro.net.topology import uniform_topology
 from repro.runtime.behaviors import Behavior, SinkBehavior
+from repro.runtime.ids import reset_id_counter
 from repro.runtime.registry import CoherenceChannel
+from repro.workloads.naming import run_naming
 from tests.reorder import find_violation
 
 
@@ -45,22 +51,72 @@ BEAT = 1.0
 
 
 def _random_ops(rng: random.Random, count: int):
-    """A time-ordered random update sequence ``(t, dest, name, ref)``
-    (``ref=None`` = invalidate) with frequent same-(dest, name)
+    """A time-ordered random holder-update sequence ``(t, (dest,), name,
+    ref)`` (``ref=None`` = invalidate) with frequent same-(dest, name)
     re-stagings so coalescing actually triggers."""
     ops = []
     clock = 0.0
     for seq in range(count):
         clock += rng.random() * 0.3
         ref = None if rng.random() < 0.5 else f"ref#{seq}"
-        ops.append((clock, rng.choice(DESTS), rng.choice(NAMES), ref))
+        ops.append((clock, (rng.choice(DESTS),), rng.choice(NAMES), ref))
     return ops
 
 
-def _replay(ops, *, flush_at_window_start=False):
-    """Drive a :class:`CoherenceChannel` through ``ops`` with a flush
-    every ``BEAT``; return ``(survivors, flushed)`` delivery records
-    ``(time, dest, name, ref)``.
+def _holder_run(rng: random.Random, count: int):
+    """``(channel, ops, stage, counts)`` for a bare channel's holder
+    queues; ``counts()`` is ``(staged, coalesced)`` constituents."""
+    channel = CoherenceChannel()
+    staged = [0, 0]
+
+    def stage(dests, name, ref):
+        staged[0] += 1
+        staged[1] += channel.stage(dests[0], name, ref)
+
+    return channel, _random_ops(rng, count), stage, lambda: tuple(staged)
+
+
+def _fanout_run(make_world, rng: random.Random, count: int):
+    """``(channel, ops, stage, counts)`` for a ``replicated`` primary:
+    random control-plane binds and unbinds (each name toggles), staged
+    into the fan-out log and counted by the naming service itself."""
+    world = make_world(
+        4, dgc=None, registry=RegistryConfig(placement="replicated")
+    )
+    naming = world.registry
+    driver = world.create_driver()
+    refs = [
+        driver.context.create(SinkBehavior(), name=f"target-{i}").ref
+        for i in range(3)
+    ]
+    channel = naming.shard(naming.home_node).channel
+    ops = []
+    bound = set()
+    clock = 0.0
+    for _ in range(count):
+        clock += rng.random() * 0.3
+        name = rng.choice(NAMES)
+        ref = None if name in bound else rng.choice(refs)
+        bound ^= {name}
+        ops.append((clock, channel.fanout, name, ref))
+
+    def stage(dests, name, ref):
+        if ref is None:
+            naming.unbind(name)
+        else:
+            naming.bind(name, ref)
+
+    def counts():
+        return naming.coherence_staged, naming.coherence_coalesced
+
+    return channel, ops, stage, counts
+
+
+def _replay(channel, ops, stage, *, flush_at_window_start=False):
+    """Drive ``channel`` through ``ops`` (``(t, dests, name, ref)``,
+    staged by ``stage``) with a flush every ``BEAT``; return
+    ``(survivors, flushed)`` delivery records ``(time, dest, name,
+    ref)``.
 
     ``survivors`` is the last-writer-wins filter of the eager schedule:
     per beat window, only the final update per (dest, name), at its own
@@ -68,7 +124,6 @@ def _replay(ops, *, flush_at_window_start=False):
     stamped with the flush instant — or, with ``flush_at_window_start``,
     with the *window-opening* instant (an unsafe, hasty schedule used as
     the negative control)."""
-    channel = CoherenceChannel()
     survivors = []
     flushed = []
     window = {}  # (dest, name) -> (t, dest, name, ref)
@@ -80,18 +135,20 @@ def _replay(ops, *, flush_at_window_start=False):
         )
         window.clear()
         stamp = at - BEAT if flush_at_window_start else at
-        for dest, invalidates, pushes in channel.flush():
-            for name in invalidates:
-                flushed.append((stamp, dest, name, None))
-            for name, ref in pushes:
-                flushed.append((stamp, dest, name, ref))
+        for dests, invalidates, pushes in channel.flush():
+            for dest in dests:
+                for name in invalidates:
+                    flushed.append((stamp, dest, name, None))
+                for name, ref in pushes:
+                    flushed.append((stamp, dest, name, ref))
 
-    for t, dest, name, ref in ops:
+    for t, dests, name, ref in ops:
         while t >= boundary:
             flush(boundary)
             boundary += BEAT
-        channel.stage(dest, name, ref)
-        window[(dest, name)] = (t, dest, name, ref)
+        stage(dests, name, ref)
+        for dest in dests:
+            window[(dest, name)] = (t, dest, name, ref)
     flush(boundary)
     return survivors, flushed
 
@@ -110,52 +167,107 @@ def _check(survivors, flushed):
 def test_flush_schedule_is_protocol_safe_per_dest_name_stream(seed):
     rng = random.Random(seed)
     for _ in range(20):
-        ops = _random_ops(rng, rng.randrange(1, 60))
-        survivors, flushed = _replay(ops)
+        channel, ops, stage, counts = _holder_run(rng, rng.randrange(1, 60))
+        survivors, flushed = _replay(channel, ops, stage)
         violation = _check(survivors, flushed)
         assert violation is None, violation
+        # Every staged constituent either crossed the wire or coalesced.
+        staged, coalesced = counts()
+        assert staged - coalesced == len(flushed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_fanout_log_flush_is_protocol_safe_per_dest_name_stream(
+    make_world, seed
+):
+    """The fan-out log holds one entry per name for every replica, and
+    each replica's flushed sequence is still the last-writer-wins,
+    deferral-only reordering of its own eager schedule."""
+    rng = random.Random(seed)
+    for _ in range(10):
+        channel, ops, stage, counts = _fanout_run(
+            make_world, rng, rng.randrange(1, 60)
+        )
+        survivors, flushed = _replay(channel, ops, stage)
+        violation = _check(survivors, flushed)
+        assert violation is None, violation
+        staged, coalesced = counts()
+        assert staged == len(ops) * len(channel.fanout)
+        assert staged - coalesced == len(flushed)
+        assert not channel.queues
 
 
 @pytest.mark.parametrize("seed", [0, 3, 5])
-def test_hasty_flush_is_rejected_by_the_same_predicate(seed):
+def test_hasty_flush_is_rejected_by_the_same_predicate(make_world, seed):
     """Stamping batches with the window-opening instant moves survivors
     *earlier* than their staging time — the predicate must catch it
-    whenever a window contains a strictly-later staging."""
+    whenever a window contains a strictly-later staging, for either
+    store."""
     rng = random.Random(seed)
-    caught = 0
-    for _ in range(20):
-        ops = _random_ops(rng, 40)
-        survivors, hasty = _replay(ops, flush_at_window_start=True)
-        if _check(survivors, hasty) is not None:
-            caught += 1
-    assert caught > 0
+    for run in (_holder_run, lambda rng, count: _fanout_run(
+        make_world, rng, count
+    )):
+        caught = 0
+        for _ in range(10):
+            channel, ops, stage, _ = run(rng, 40)
+            survivors, hasty = _replay(
+                channel, ops, stage, flush_at_window_start=True
+            )
+            if _check(survivors, hasty) is not None:
+                caught += 1
+        assert caught > 0
+
+
+def test_replicated_world_never_fills_a_holder_queue():
+    """The fan-out log and the per-holder queues never mix, which is
+    what keeps each flush last-writer-wins per (destination, name):
+    ``replicated`` placement grants no leases even when asked for them,
+    so every constituent a primary stages is a fan-out one."""
+    reset_id_counter()
+    nodes = 4
+    result = run_naming(
+        dgc=DgcConfig(ttb=2.0, tta=6.0),
+        registry=RegistryConfig(
+            placement="replicated", lease_ttb=4, lease_beat_s=1.0
+        ),
+        client_count=6, service_count=4, name_count=12, churn_burst=2,
+        duration=30.0, lookup_period=1.0, lookup_burst=2, churn_period=2.0,
+        topology=uniform_topology(nodes), seed=3, keep_world=True,
+    )
+    naming = result.world.registry
+    assert naming.lease_grants == 0
+    updates = naming.binds_applied + naming.unbinds_applied
+    assert naming.coherence_staged == updates * (nodes - 1) > 0
 
 
 def test_flush_batches_have_disjoint_invalidate_and_push_names():
     channel = CoherenceChannel()
-    channel.stage("n1", "a", "ref-1")
-    channel.stage("n1", "b", None)
-    channel.stage("n1", "a", None)      # bind then unbind: invalidate wins
-    channel.stage("n1", "b", "ref-2")   # unbind then rebind: push wins
-    ((dest, invalidates, pushes),) = channel.flush()
-    assert dest == "n1"
+    coalesced = [
+        channel.stage("n1", "a", "ref-1"),
+        channel.stage("n1", "b", None),
+        channel.stage("n1", "a", None),     # bind then unbind: invalidate wins
+        channel.stage("n1", "b", "ref-2"),  # unbind then rebind: push wins
+    ]
+    assert channel.pending() == 2
+    ((dests, invalidates, pushes),) = channel.flush()
+    assert dests == ("n1",)
     assert set(invalidates) == {"a"}
     assert pushes == (("b", "ref-2"),)
-    assert channel.coalesced == 2
-    assert channel.staged == 4
+    assert coalesced == [False, False, True, True]
     assert channel.empty
 
 
 def test_last_writer_wins_within_one_beat():
     """A whole churn burst on one name collapses to its final state."""
     channel = CoherenceChannel()
+    coalesced = 0
     for round_ in range(10):
-        channel.stage("n1", "hot", None)
-        channel.stage("n1", "hot", f"ref#{round_}")
+        coalesced += channel.stage("n1", "hot", None)
+        coalesced += channel.stage("n1", "hot", f"ref#{round_}")
     ((_, invalidates, pushes),) = channel.flush()
     assert invalidates == ()
     assert pushes == (("hot", "ref#9"),)
-    assert channel.coalesced == 19
+    assert coalesced == 19
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.config import (
     COHERENCE_BEAT,
+    COHERENCE_EAGER,
     PLACEMENT_HASHED,
     PLACEMENT_REPLICATED,
     RegistryConfig,
@@ -57,9 +58,9 @@ def test_with_overrides_is_functional():
     assert cached.lease_ttb == 8
 
 
-def test_registry_config_coherence_defaults_to_eager():
-    assert RegistryConfig().coherence == "eager"
-    assert RegistryConfig(coherence=COHERENCE_BEAT).coherence == "beat"
+def test_registry_config_coherence_defaults_to_beat():
+    assert RegistryConfig().coherence == COHERENCE_BEAT == "beat"
+    assert RegistryConfig(coherence=COHERENCE_EAGER).coherence == "eager"
 
 
 def test_registry_config_rejects_unknown_coherence():
@@ -273,10 +274,12 @@ def test_beat_coherence_coalesces_rebind_to_single_push(make_world):
         assert naming.shard(node).replica["svc"] is proxy.ref
 
 
-def test_eager_default_never_touches_the_channel(make_world):
+def test_eager_never_touches_the_channel(make_world):
     world = make_world(
         3, dgc=None,
-        registry=RegistryConfig(placement=PLACEMENT_REPLICATED),
+        registry=RegistryConfig(
+            placement=PLACEMENT_REPLICATED, coherence=COHERENCE_EAGER
+        ),
     )
     naming = world.registry
     _activity, proxy = _spawn(world)
