@@ -28,7 +28,7 @@ from repro.errors import ConfigurationError
 #: live activity count.
 AUTO_BEAT_SLOTS = "auto"
 
-#: :attr:`DgcConfig.aggregation` values — the three delivery cores, the
+#: :attr:`DgcConfig.aggregation` values — the two delivery cores, the
 #: only delivery selector in the library.  Why each exists:
 #:
 #: * ``per-event`` — the **reference implementation**: one kernel event
@@ -43,23 +43,12 @@ AUTO_BEAT_SLOTS = "auto"
 #:   same-site-pair DGC runs merge into one aggregate entry.  Delivery
 #:   order, and with it every fixed-seed outcome, is bit-identical to
 #:   ``per-event``.
-#: * ``relaxed`` — a **different schedule**: DGC sends accumulate per
-#:   ``(channel, kind)`` stream and flush once per
-#:   :attr:`relaxed_flush_s` via the beat wheel.  Deliveries are
-#:   *deferred* (never reordered within a stream, never earlier), so
-#:   exact-order tracer equivalence is traded for the relaxed tier:
-#:   identical collection outcomes, delivery schedules equivalent up to
-#:   the protocol-safe class of :mod:`tests.reorder`, and a safety
-#:   margin one flush period tighter (:meth:`DgcConfig.safety_bound`).
-#:   Whether it earns its place is not decided yet (ROADMAP item 2a).
 AGGREGATION_PER_EVENT = "per-event"
 AGGREGATION_EXACT = "exact"
-AGGREGATION_RELAXED = "relaxed"
 
 AGGREGATION_MODES = (
     AGGREGATION_PER_EVENT,
     AGGREGATION_EXACT,
-    AGGREGATION_RELAXED,
 )
 
 
@@ -94,16 +83,6 @@ class DgcConfig:
     beat_slots: Union[int, str] = 0
     #: The delivery core, one of :data:`AGGREGATION_MODES`.
     aggregation: str = AGGREGATION_EXACT
-    #: Flush period of the relaxed core's per-(site pair, beat bucket)
-    #: accumulator, in seconds; ``None`` defaults to ``TTB / 4``
-    #: (quarter-beat buckets).  Deferral is bounded by one flush period,
-    #: so the safety margin :meth:`validate_against` enforces becomes
-    #: ``TTA > 2*TTB + MaxComm + relaxed_flush_s`` (see PERFORMANCE.md's
-    #: relaxed-tier argument) — sub-beat buckets keep the added
-    #: detection latency per expiry-cascade hop small while the
-    #: flush-time site-level merge keeps the coalescing win large.
-    #: Ignored outside ``aggregation="relaxed"``.
-    relaxed_flush_s: Optional[float] = None
     #: Sec. 7.1 extension: honour the ``sender_ttb`` declared in DGC
     #: messages when expiring referencer records, so activities with
     #: heterogeneous (or dynamically adjusted) beat periods interoperate
@@ -148,10 +127,6 @@ class DgcConfig:
             raise ConfigurationError(
                 f"beat_slots must be >= 0, got {self.beat_slots}"
             )
-        if self.relaxed_flush_s is not None and self.relaxed_flush_s <= 0:
-            raise ConfigurationError(
-                f"relaxed_flush_s must be positive, got {self.relaxed_flush_s}"
-            )
         if self.aggregation not in AGGREGATION_MODES:
             raise ConfigurationError(
                 f"aggregation must be one of {AGGREGATION_MODES}, got "
@@ -160,39 +135,23 @@ class DgcConfig:
 
     def safety_bound(self, max_comm: float) -> float:
         """What TTA must exceed: the paper's ``2*TTB + MaxComm``
-        (Sec. 3.1), plus one flush period under ``aggregation="relaxed"``
-        — the most that core defers a heartbeat."""
-        bound = 2.0 * self.ttb + max_comm
-        if self.aggregation == AGGREGATION_RELAXED:
-            bound += self.relaxed_flush_period
-        return bound
+        (Sec. 3.1).  Both delivery cores deliver every message at its
+        exact instant, so neither adds a term."""
+        return 2.0 * self.ttb + max_comm
 
     def validate_against(self, max_comm: float) -> None:
         """Enforce the safety margin ``TTA >`` :meth:`safety_bound`."""
         bound = self.safety_bound(max_comm)
         if self.tta <= bound:
-            formula = "2*TTB + MaxComm"
-            terms = f"TTB={self.ttb}, MaxComm={max_comm}"
-            if self.aggregation == AGGREGATION_RELAXED:
-                formula += " + relaxed_flush_s"
-                terms += f", relaxed_flush_s={self.relaxed_flush_period}"
             raise ConfigurationError(
-                f"TTA={self.tta} violates TTA > {formula} = {bound} "
-                f"({terms}); wrongful collection becomes possible (paper "
-                f"Sec. 3.1)"
+                f"TTA={self.tta} violates TTA > 2*TTB + MaxComm = {bound} "
+                f"(TTB={self.ttb}, MaxComm={max_comm}); wrongful collection "
+                f"becomes possible (paper Sec. 3.1)"
             )
 
     def satisfies_margin(self, max_comm: float) -> bool:
         """Non-raising form of :meth:`validate_against`."""
         return self.tta > self.safety_bound(max_comm)
-
-    @property
-    def relaxed_flush_period(self) -> float:
-        """The relaxed core's flush period: :attr:`relaxed_flush_s`, or
-        ``TTB / 4`` when unset (quarter-beat buckets)."""
-        if self.relaxed_flush_s is not None:
-            return self.relaxed_flush_s
-        return self.ttb / 4.0
 
     def with_overrides(self, **changes) -> "DgcConfig":
         """Functional update (configs are immutable)."""

@@ -86,11 +86,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     fig10.add_argument(
         "--aggregation",
-        choices=["per-event", "exact", "relaxed"],
+        choices=["per-event", "exact"],
         default=None,
-        help="delivery core: the per-event reference implementation, "
-        "exact-order site-pair aggregation (the default), or the "
-        "relaxed per-(site pair, beat bucket) coalescing tier",
+        help="delivery core: the per-event reference implementation or "
+        "exact-order site-pair aggregation (the default)",
     )
 
     run_cmd = subparsers.add_parser(
@@ -142,16 +141,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     run_cmd.add_argument(
         "--aggregation",
-        choices=["per-event", "exact", "relaxed"],
+        choices=["per-event", "exact"],
         default=None,
-        help="delivery core: the per-event reference implementation, "
-        "exact-order site-pair aggregation (the default), or the "
-        "relaxed per-(site pair, beat bucket) coalescing tier",
-    )
-    run_cmd.add_argument(
-        "--relaxed-flush", type=float, default=None, metavar="SECONDS",
-        help="flush period of the relaxed tier's coalescing buckets "
-        "(default: TTB/4; only meaningful with --aggregation relaxed)",
+        help="delivery core: the per-event reference implementation or "
+        "exact-order site-pair aggregation (the default)",
     )
     # NAS knobs.
     run_cmd.add_argument(
@@ -279,8 +272,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         try:
             return _run_workload(args)
         except ConfigurationError as exc:
-            # E.g. a TTB/TTA pair (or a relaxed flush period) that
-            # spends the safety margin: a named refusal, not a traceback.
+            # E.g. a TTB/TTA pair that spends the safety margin: a
+            # named refusal, not a traceback.
             print(f"error: {exc}", file=sys.stderr)
             return 2
 
@@ -366,8 +359,6 @@ def _run_workload(args: argparse.Namespace) -> int:
             overrides["ttb"] = args.ttb
         if args.tta is not None:
             overrides["tta"] = args.tta
-        if args.relaxed_flush is not None:
-            overrides["relaxed_flush_s"] = args.relaxed_flush
         return base.with_overrides(**overrides) if overrides else base
 
     started = time.perf_counter()
@@ -567,7 +558,7 @@ def _run_sharded(args: argparse.Namespace) -> int:
         )
     if args.aggregation == "per-event":
         return reject(
-            "--live requires a batched pulse core: drop --aggregation "
+            "--live requires the batched pulse core: drop --aggregation "
             "per-event (the per-event envelope path cannot cross a "
             "shard boundary)"
         )
@@ -614,8 +605,6 @@ def _run_sharded(args: argparse.Namespace) -> int:
         overrides["ttb"] = args.ttb
     if args.tta is not None:
         overrides["tta"] = args.tta
-    if args.relaxed_flush is not None:
-        overrides["relaxed_flush_s"] = args.relaxed_flush
     if args.beat_slots is not None:
         overrides["beat_slots"] = args.beat_slots
     if args.aggregation is not None:

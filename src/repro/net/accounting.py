@@ -101,26 +101,6 @@ class BandwidthAccountant:
             self._by_kind[kind] = category
         return category
 
-    def observe_run(
-        self, kind: str, size: int, pair: Tuple[str, str], count: int
-    ) -> None:
-        """Record ``count`` same-kind, same-size messages crossing
-        ``pair`` at once (a site-pair aggregate run).  Each constituent
-        is charged at its modeled wire size — totals are bit-identical
-        to ``count`` :meth:`observe_sized` calls."""
-        category = self._by_kind.get(kind)
-        if category is None:
-            category = TrafficCategory()
-            self._by_kind[kind] = category
-        total = size * count
-        category.bytes += total
-        category.messages += count
-        box = self._by_pair.get(pair)
-        if box is None:
-            self._by_pair[pair] = [total]
-        else:
-            box[0] += total
-
     def bytes_for(self, kind: str) -> int:
         category = self._by_kind.get(kind)
         return category.bytes if category else 0

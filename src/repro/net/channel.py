@@ -100,25 +100,6 @@ class FifoChannel:
         """
         return self._reserve_slot(self._base_latency)
 
-    def stage_send_n(self, count: int) -> float:
-        """Reserve FIFO delivery slots for ``count`` constant-latency
-        messages sent at the same instant (a site-pair aggregate run).
-
-        All ``count`` messages share one delivery time: with a constant
-        latency the clamp resolves identically for each of them, so one
-        clamp plus a bulk counter bump is bit-identical to ``count``
-        :meth:`stage_send` calls — at 1/``count`` the cost.
-        """
-        latency = self._base_latency
-        if latency < 0:
-            latency = 0.0
-        delivery_time = self._kernel.now + latency
-        if delivery_time < self._last_delivery_time:
-            delivery_time = self._last_delivery_time
-        self._last_delivery_time = delivery_time
-        self.sent_count += count
-        return delivery_time
-
     def _reserve_slot(self, latency: float) -> float:
         """Latency clamp + FIFO ordering + send accounting for the
         envelope and staged paths.
@@ -128,7 +109,6 @@ class FifoChannel:
         hot lanes that cannot afford the callee frames.  Every site:
 
         * this method (behind :meth:`send` and :meth:`stage_send`),
-        * :meth:`stage_send_n` (the relaxed tier's per-stream flush),
         * the inlined blocks in
           :meth:`repro.net.network.Network.send_typed`,
           :meth:`~repro.net.network.Network.send_dgc_single` and

@@ -106,8 +106,7 @@ class Node:
         #: responses join their box (in send order) and leave as one run
         #: per destination, instead of one full fabric traversal per
         #: response — an aggregate merged from several source sites
-        #: (relaxed tier, shard injection) still costs one send per
-        #: site.  Within the loop only collector code runs, and any
+        #: (shard injection) still costs one send per site.  Within the loop only collector code runs, and any
         #: non-response DGC send flushes every box first, so each
         #: channel's order is exactly the unbatched one.
         self._response_run: Optional[dict] = None

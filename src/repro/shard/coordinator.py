@@ -279,9 +279,9 @@ class ShardedWorld:
             )
         if dgc.aggregation == AGGREGATION_PER_EVENT:
             raise ConfigurationError(
-                "sharded execution requires a batched pulse core "
-                "(DgcConfig.aggregation 'exact' or 'relaxed'): the "
-                "per-event envelope path cannot cross a shard boundary"
+                "sharded execution requires the batched pulse core "
+                "(DgcConfig.aggregation 'exact'): the per-event "
+                "envelope path cannot cross a shard boundary"
             )
         self.topology = topology
         self.plan = make_plan(topology, shard_count)

@@ -224,8 +224,8 @@ def run_nas_kernel(
 
     ``beat_slots`` / ``aggregation`` override the corresponding DGC
     config knobs (see :class:`repro.core.config.DgcConfig`):
-    ``aggregation`` picks the delivery core by name (``per-event`` /
-    ``exact`` / ``relaxed``).
+    ``aggregation`` picks the delivery core by name (``per-event`` or
+    ``exact``).
     """
     if dgc is not None:
         overrides = {}

@@ -183,8 +183,8 @@ def run_torture(
     config knobs (see :class:`repro.core.config.DgcConfig`): the slot
     count (an int, or ``"auto"`` for the adaptive per-node grid)
     quantizes the start jitter so heartbeats coalesce into beat buckets,
-    and ``aggregation`` picks the delivery core by name (``per-event`` /
-    ``exact`` / ``relaxed``).
+    and ``aggregation`` picks the delivery core by name (``per-event`` or
+    ``exact``).
     """
     if dgc is not None:
         overrides = {}

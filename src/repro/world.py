@@ -23,12 +23,7 @@ from typing import Any, Dict, List, Optional, Set
 
 from repro.core import events
 from repro.core.collector import DgcCollector
-from repro.core.config import (
-    AGGREGATION_PER_EVENT,
-    AGGREGATION_RELAXED,
-    DgcConfig,
-    RegistryConfig,
-)
+from repro.core.config import AGGREGATION_PER_EVENT, DgcConfig, RegistryConfig
 from repro.errors import ConfigurationError, ProtocolError
 from repro.net.accounting import BandwidthAccountant
 from repro.net.faults import FaultPlan
@@ -107,12 +102,6 @@ class World:
             # network's pulse batch too (one kernel event per distinct
             # delivery instant instead of one per message).
             self.network.pulse_batching = True
-            if dgc.aggregation == AGGREGATION_RELAXED:
-                # Relaxed equivalence tier: accumulate per-(channel,
-                # kind) across instants, flush on the absolute
-                # flush-period grid (default TTB / 4) — see
-                # tests/reorder.py for the safety contract.
-                self.network.configure_relaxed(dgc.relaxed_flush_period)
         #: Optional callable ``factory(activity) -> collector`` overriding
         #: the paper's DGC; used to attach baseline collectors
         #: (:mod:`repro.baselines`).

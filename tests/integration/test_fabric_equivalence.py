@@ -17,11 +17,7 @@ from repro.core.config import DgcConfig
 from repro.net.topology import uniform_topology
 from repro.runtime.ids import reset_id_counter
 from repro.workloads.nas import kernel_spec, run_nas_kernel
-from tests.equiv import (
-    outcome_fingerprint,
-    stats_fingerprint,
-    tracer_fingerprint,
-)
+from tests.equiv import stats_fingerprint, tracer_fingerprint
 
 CONFIG = DgcConfig(ttb=2.0, tta=5.0)
 WORKERS = 10
@@ -87,21 +83,6 @@ def test_exact_core_is_bit_identical_to_per_event_on_app_traffic(kernel, seed):
     assert e_events == p_events
     # NAS workers hold complete graphs: site-pair runs must merge.
     assert exact.world.network.aggregated_message_count > 0
-
-
-@pytest.mark.parametrize("seed", [0, 5])
-@pytest.mark.parametrize("kernel", sorted(SPECS))
-def test_relaxed_core_matches_per_event_outcomes(kernel, seed):
-    """On app-dominated NAS traffic the relaxed tier defers only the
-    DGC sideband, so beyond the reachability verdicts even the app
-    phase is untouched: same completion time, same app bandwidth."""
-    relaxed = run(kernel, seed, aggregation="relaxed")
-    per_event = run(kernel, seed, aggregation="per-event")
-    assert outcome_fingerprint(relaxed) == outcome_fingerprint(per_event)
-    assert relaxed.app_time_s == per_event.app_time_s
-    assert relaxed.app_bandwidth_mb == per_event.app_bandwidth_mb
-    assert relaxed.dead_letters == per_event.dead_letters == 0
-    assert relaxed.world.network.relaxed_flush_count > 0
 
 
 @pytest.mark.parametrize("seed", [2, 11])

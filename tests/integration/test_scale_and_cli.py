@@ -117,24 +117,16 @@ def test_cli_run_torture_per_event(capsys):
     # Spelled in pieces so a grep for the removed knobs over src/ and
     # tests/ stays empty.
     [["--per-event" "-beats"], ["--per-" "entry-pulse"],
-     ["--wire" "-version", "2"], ["--aggregation", "per-" "entry"]],
+     ["--wire" "-version", "2"], ["--aggregation", "per-" "entry"],
+     ["--aggregation", "relax" "ed"], ["--relax" "ed-flush", "1"]],
 )
 def test_cli_rejects_the_removed_delivery_selectors(flag):
-    """``--aggregation`` (three values) is the only delivery selector."""
-    with pytest.raises(SystemExit) as exit_info:
-        harness_main(["run", "--workload", "torture", *flag])
-    assert exit_info.value.code == 2
-
-
-def test_cli_refuses_relaxed_on_the_papers_nas_margin(capsys):
-    """TTB=30/TTA=61 leaves 1 s of slack; the relaxed core's default
-    flush period (TTB/4) overspends it, and the CLI says which term."""
-    code = harness_main(
-        ["run", "--workload", "nas:ft", "--ao-count", "6", "--nodes", "3",
-         "--aggregation", "relaxed"]
-    )
-    assert code == 2
-    assert "relaxed_flush_s=7.5" in capsys.readouterr().err
+    """``--aggregation`` (two values) is the only delivery selector, on
+    both subcommands that take it."""
+    for command in (["run", "--workload", "torture"], ["fig10"]):
+        with pytest.raises(SystemExit) as exit_info:
+            harness_main([*command, *flag])
+        assert exit_info.value.code == 2
 
 
 def test_cli_run_naming_workload(capsys):

@@ -1,5 +1,5 @@
-"""Protocol-safe delivery reordering — the relaxed equivalence tier's
-contract.
+"""Protocol-safe delivery reordering — the ordering contract the DGC
+and the registry's coherence channel rely on.
 
 The DGC's correctness argument (paper Sec. 3.2) needs exactly two
 ordering properties from the transport:
@@ -10,24 +10,20 @@ ordering properties from the transport:
 * **clock monotonicity** — no delivery ever moves *earlier* than the
   exact-order transport would have delivered it, so a referencer record
   is only ever refreshed (or created) at, or after, its exact-order
-  instant; records can only live longer, never expire sooner, and the
-  safety bound ``TTA > 2*TTB + MaxComm`` degrades monotonically (by the
-  deferral bound) instead of breaking.
+  instant; records can only live longer, never expire sooner.
 
 Everything else — the interleaving of *different* channels, and of
 different kinds on one channel — is semantically free: the protocol
 folds each arriving message into per-referencer state keyed by the
 sender, and cross-stream order carries no information.
 
-This module encodes that class as one checkable predicate, the test-side
-model of what the relaxed staging core may do
-(:meth:`repro.net.network.Network._flush_relaxed` accumulates per
-``(channel, kind)`` stream, the same key :func:`stream_key`
-canonicalizes): ``tests/property/test_reorder_safety.py`` shuffles
-recorded schedules with :func:`safe_shuffle` and validates both
-directions with :func:`find_violation`, and
+This module encodes that class as one checkable predicate:
 ``tests/property/test_coherence_channel.py`` checks the registry's beat
-coherence schedule against it.
+coherence schedule (which defers updates to the lease beat) against the
+eager one with :func:`find_violation`, and
+``tests/property/test_reorder_safety.py`` shuffles every live pulse with
+:func:`safe_shuffle`, checks the world still collects identically, and
+gives the predicate its negative controls.
 """
 
 from __future__ import annotations

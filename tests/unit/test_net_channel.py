@@ -83,22 +83,6 @@ def test_many_messages_keep_order():
     assert received == list(range(len(rng_latencies)))
 
 
-def test_stage_send_n_matches_n_individual_stage_sends():
-    def build():
-        kernel = SimKernel()
-        return kernel, FifoChannel(
-            kernel, "a", "b", lambda env: 0.25, base_latency=0.25
-        )
-
-    __, one = build()
-    times_one = [one.stage_send() for __ in range(5)]
-    __, many = build()
-    time_many = many.stage_send_n(5)
-    assert times_one == [time_many] * 5
-    assert one.sent_count == many.sent_count == 5
-    assert one._last_delivery_time == many._last_delivery_time
-
-
 # ----------------------------------------------------------------------
 # Every copy of the FIFO clamp computes the same thing
 # ----------------------------------------------------------------------
@@ -115,8 +99,8 @@ CLAMPED_DELIVERIES = [0.005] + [1.006] * 6 + [2.005]
 NEGATIVE_SCHEDULE = [(0.0, 2), (1.0, 1)]
 NEGATIVE_DELIVERIES = [0.0, 0.0, 1.0]
 
-CLAMP_SITES = ("send", "stage_send", "stage_send_n", "send_typed",
-               "send_dgc_single", "send_dgc_run")
+CLAMP_SITES = ("send", "stage_send", "send_typed", "send_dgc_single",
+               "send_dgc_run")
 
 
 def drive_clamp_site(site, schedule, base_latency=None):
@@ -138,7 +122,7 @@ def drive_clamp_site(site, schedule, base_latency=None):
 
     # The fabric lanes record arrivals at the sinks (the slow envelope's
     # included); the bare channel lanes record the times they reserve.
-    bare = site in ("send", "stage_send", "stage_send_n")
+    bare = site in ("send", "stage_send")
     for name in ("site-0", "site-1"):
         network.register_node(
             name, (lambda env: None) if bare else arrived, arrived,
@@ -160,8 +144,6 @@ def drive_clamp_site(site, schedule, base_latency=None):
             deliveries.append(channel.send(request, lambda env: None))
         elif site == "stage_send":
             deliveries.append(channel.stage_send())
-        elif site == "stage_send_n":
-            deliveries.append(channel.stage_send_n(1))
         elif site == "send_typed":
             network.send_typed("site-0", "site-1", KIND_APP_REQUEST, 10, "r")
         else:
