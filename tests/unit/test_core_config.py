@@ -40,22 +40,22 @@ def test_margin_accounts_for_max_comm():
     assert config.satisfies_margin(0.5)
 
 
-def test_both_cores_enforce_the_papers_bound():
+@pytest.mark.parametrize("aggregation", AGGREGATION_MODES)
+def test_both_cores_enforce_the_papers_bound(aggregation):
     """Both delivery cores deliver at the exact instant, so the bound
     is the paper's ``2*TTB + MaxComm`` on each: 30/61 leaves 1 s of
     slack at MaxComm 0.5, and TTA must strictly exceed the bound."""
-    for aggregation in AGGREGATION_MODES:
-        config = NAS_CONFIG.with_overrides(aggregation=aggregation)
-        config.validate_against(max_comm=0.5)
-        assert config.satisfies_margin(0.5)
-        assert config.safety_bound(0.5) == 60.5
-        at_bound = config.with_overrides(tta=60.5)
-        assert not at_bound.satisfies_margin(0.5)
-        with pytest.raises(
-            ConfigurationError, match=r"2\*TTB \+ MaxComm = 60\.5"
-        ):
-            at_bound.validate_against(max_comm=0.5)
-        config.with_overrides(tta=60.501).validate_against(max_comm=0.5)
+    config = NAS_CONFIG.with_overrides(aggregation=aggregation)
+    config.validate_against(max_comm=0.5)
+    assert config.satisfies_margin(0.5)
+    assert config.safety_bound(0.5) == 60.5
+    at_bound = config.with_overrides(tta=60.5)
+    assert not at_bound.satisfies_margin(0.5)
+    with pytest.raises(
+        ConfigurationError, match=r"2\*TTB \+ MaxComm = 60\.5"
+    ):
+        at_bound.validate_against(max_comm=0.5)
+    config.with_overrides(tta=60.501).validate_against(max_comm=0.5)
 
 
 def test_the_deleted_coalescing_tier_fails_loudly():

@@ -401,6 +401,154 @@ def test_send_dgc_single_respects_partitions_and_counts_drops():
     assert network.accountant.total_bytes == 0
 
 
+# Each case sets up one route condition on a fresh two-node fabric and
+# returns the (source, dest) pair to send on.  ``site-1`` registers the
+# sinks the case names; every sink records the same arrival tuple.
+
+def _bare_route(network, plan, register):
+    register("site-1", typed=True, dgc=True)
+    return "site-0", "site-1"
+
+
+def _per_event(network, plan, register):
+    network.pulse_batching = False
+    return _bare_route(network, plan, register)
+
+
+def _delay_rule_on_dgc(network, plan, register):
+    plan.add_delay(0.5, kind=KIND_DGC_MESSAGE)
+    return _bare_route(network, plan, register)
+
+
+def _delay_rule_on_other_kind(network, plan, register):
+    plan.add_delay(0.5, kind=KIND_APP_REQUEST)
+    return _bare_route(network, plan, register)
+
+
+def _envelope_only_destination(network, plan, register):
+    register("site-1", typed=False, dgc=False)
+    return "site-0", "site-1"
+
+
+def _no_batch_sinks(network, plan, register):
+    register("site-1", typed=True, dgc=False)
+    return "site-0", "site-1"
+
+
+def _intra_node(network, plan, register):
+    register("site-1", typed=True, dgc=True)
+    return "site-0", "site-0"
+
+
+def _partitioned(network, plan, register):
+    plan.partition("site-0", "site-1")
+    return _bare_route(network, plan, register)
+
+
+ROUTE_CASES = {
+    "pulse": _bare_route,
+    "per-event": _per_event,
+    "delay-rule": _delay_rule_on_dgc,
+    "delay-rule-other-kind": _delay_rule_on_other_kind,
+    "envelope-only": _envelope_only_destination,
+    "no-batch-sinks": _no_batch_sinks,
+    "intra-node": _intra_node,
+    "partition": _partitioned,
+}
+
+# Two bursts of DGC messages: three at t=0, two at t=0.25.
+BURSTS = [(0.0, ["a", "b", "c"]), (0.25, ["d", "e"])]
+
+
+def drive_dgc_lane(lane, case):
+    """Send :data:`BURSTS` through ``lane`` under one route case and
+    return everything the fabric lets the world observe."""
+    plan = FaultPlan()
+    kernel, network = make_network(2, fault_plan=plan)
+    network.pulse_batching = True
+    arrivals = []
+
+    def register(name, typed, dgc):
+        def record(target, message):
+            arrivals.append((kernel.now, name, target, message))
+
+        def record_envelope(env):
+            record(*env.payload)
+
+        def record_typed(kind, item, payload):
+            record(item, payload)
+
+        def record_batch(targets, messages):
+            for target, message in zip(targets, messages):
+                record(target, message)
+
+        network.register_node(
+            name, record_envelope, record_typed if typed else None,
+            dgc_sinks={
+                KIND_DGC_MESSAGE: (record, record_batch),
+                "dgc.response": (record, record_batch),
+            } if dgc else None,
+        )
+
+    source, dest = ROUTE_CASES[case](network, plan, register)
+    register("site-0", typed=True, dgc=True)
+
+    def burst(targets):
+        messages = [f"m-{target}" for target in targets]
+        if lane == "send_typed":
+            for target, message in zip(targets, messages):
+                network.send_typed(
+                    source, dest, KIND_DGC_MESSAGE, 64, target, message
+                )
+        elif lane == "send_dgc_single":
+            for target, message in zip(targets, messages):
+                network.send_dgc_single(
+                    source, dest, KIND_DGC_MESSAGE, 64, target, message
+                )
+        else:
+            network.send_dgc_run(
+                source, dest, KIND_DGC_MESSAGE, 64, targets, messages
+            )
+
+    for at, targets in BURSTS:
+        kernel.schedule_fire_at(at, burst, (list(targets),))
+    kernel.run()
+    channel = network._channels.get((source, dest))
+    return {
+        "arrivals": arrivals,
+        "traffic": {
+            kind: (category.bytes, category.messages)
+            for kind, category in network.accountant.summary().items()
+        },
+        "pair_bytes": network.accountant.pair_bytes((source, dest)),
+        "dropped": plan.dropped_count,
+        "channel": (
+            None if channel is None
+            else (channel.sent_count, channel.delivered_count)
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(ROUTE_CASES))
+@pytest.mark.parametrize("lane", ["send_dgc_single", "send_dgc_run"])
+def test_dgc_lanes_match_send_typed_on_every_route(lane, case):
+    """Both fused DGC lanes are observably :meth:`send_typed` per message
+    on every route: the fast path, and each condition that forces the
+    per-message fallback (no batching, a delay rule that may match the
+    DGC stream, a destination without typed or batch sinks, intra-node)
+    or drops the send (partition).  Same arrivals at the same instants
+    in the same order, same accounting, same drops, same channel
+    counters."""
+    reference = drive_dgc_lane("send_typed", case)
+    assert drive_dgc_lane(lane, case) == reference
+    sent = sum(len(targets) for __, targets in BURSTS)
+    if case == "partition":
+        assert reference["arrivals"] == [] and reference["dropped"] == sent
+    else:
+        assert len(reference["arrivals"]) == sent
+        assert reference["dropped"] == 0
+
+
 def test_aggregated_pulse_records_are_pooled_and_recycled():
     kernel, network, typed, singles, batches = make_aggregated_network()
     assert network._pulse_pool == []
