@@ -10,6 +10,7 @@ by hand::
 
     python3 benchmarks/compare_spine.py PARENT_DIR CHANGE_DIR \
         [--steady-state] [--flip WORKLOAD=DIR:LABEL] > section.md
+    python3 benchmarks/compare_spine.py PARENT_DIR CHANGE_DIR --resident
 
 Each directory holds ``<workload>_<seed>.json`` files (``seed`` is ``default``
 or a number), one per run; both sides must have been produced by the same,
@@ -17,7 +18,10 @@ unmodified spine.  ``--flip`` adds a table comparing CHANGE_DIR with a third
 directory in which one library default was flipped (ROADMAP item 1c) — in a
 scratch copy of the change, or of the parent when the change deleted the knob;
 ``--steady-state`` adds the share of DGC deliveries the change answered on
-the collector's steady-state lane, per workload.
+the collector's steady-state lane, per workload.  ``--resident`` prints only
+the resident-state paragraph: ``peak_rss_mb`` per workload over every pair,
+and whether every change run reads below every parent run (the test a
+memory claim must pass).
 """
 
 from __future__ import annotations
@@ -249,6 +253,27 @@ def timings_table(parent: Reports, change: Reports) -> List[str]:
     return lines
 
 
+def resident_table(parent: Reports, change: Reports) -> List[str]:
+    lines = [
+        "| workload | pairs | parent median (min-max) | change median (min-max)"
+        " | median change | every change run below every parent run |",
+        "|---|---:|---:|---:|---:|---|",
+    ]
+    for workload in WORKLOADS:
+        seeds = [s for s in seeds_of(parent, workload) if (workload, s) in change]
+        if not seeds:
+            continue
+        before = [e2e(parent[(workload, s)], "peak_rss_mb") for s in seeds]
+        after = [e2e(change[(workload, s)], "peak_rss_mb") for s in seeds]
+        pm, cm = statistics.median(before), statistics.median(after)
+        lines.append(
+            f"| `{workload}` | {len(seeds)} | {fmt(pm)} ({fmt(min(before))}-{fmt(max(before))}) | "
+            f"{fmt(cm)} ({fmt(min(after))}-{fmt(max(after))}) | "
+            f"{100.0 * (cm / pm - 1.0):+.1f} % | {'yes' if max(after) < min(before) else 'no'} |"
+        )
+    return lines
+
+
 def flip_table(change: Reports, flipped: Reports, workload: str, label: str) -> List[str]:
     lines = [
         f"| seed | calls/op default | calls/op {label} | messages default | "
@@ -278,8 +303,16 @@ def main(argv: List[str]) -> int:
                         metavar="WORKLOAD=DIR:LABEL")
     parser.add_argument("--steady-state", action="store_true",
                         help="add the DGC steady-state share per workload")
+    parser.add_argument("--resident", action="store_true",
+                        help="print only the peak_rss_mb comparison")
     args = parser.parse_args(argv)
     parent, change = load(args.parent_dir), load(args.change_dir)
+    if args.resident:
+        print("\n".join(
+            ["**Resident state** (`peak_rss_mb`, MB, interleaved parent/change"
+             " pairs, one run at a time):", ""] + resident_table(parent, change)
+        ))
+        return 0
     out: List[str] = []
     out += ["**`calls_per_op`, seed by seed** (exact at a fixed seed; a count,"
             " not a speed-up):", ""] + counts_table(parent, change) + [""]

@@ -8,7 +8,8 @@ CI's ``spine-smoke`` job runs::
 
 which prints budget beside value for its step summary and exits 1 when a
 workload exceeds its budget by more than the file's ``tolerance`` (or has
-no budget, or no report).  After a change that moves the counts on purpose,
+no budget, or no report).  Each report's ``peak_rss_mb`` is printed beside
+it for the reader; it is reported, not gated.  After a change that moves the counts on purpose,
 refresh the file from fresh reports with ``--write`` and commit it.
 """
 
@@ -23,26 +24,35 @@ from typing import Dict, List, Tuple
 BUDGET_PATH = os.path.join(os.path.dirname(__file__), "spine_budget.json")
 
 
-def measured(paths: List[str]) -> Dict[str, Tuple[float, int]]:
-    """``workload -> (calls_per_op, failed ops)`` of the given reports."""
+Measured = Tuple[float, int, float]
+
+
+def measured(paths: List[str]) -> Dict[str, Measured]:
+    """``workload -> (calls_per_op, failed ops, peak_rss_mb)`` of the
+    given reports."""
     values = {}
     for path in paths:
         with open(path) as handle:
             report = json.load(handle)
+        end_to_end = report["end_to_end"]
         values[report["workload"]] = (
-            report["end_to_end"]["calls_per_op"]["value"], report["failed"]
+            end_to_end["calls_per_op"]["value"], report["failed"],
+            end_to_end["peak_rss_mb"]["value"],
         )
     return values
 
 
-def check(budget: dict, values: Dict[str, Tuple[float, int]]) -> Tuple[List[str], bool]:
+def check(budget: dict, values: Dict[str, Measured]) -> Tuple[List[str], bool]:
     """The summary lines and whether every workload is inside its budget."""
     limit = 1.0 + budget["tolerance"]
-    lines = [f"{'workload':<16}{'calls_per_op':>14}{'budget':>10}{'over':>9}{'failed':>8}"]
+    lines = [
+        f"{'workload':<16}{'calls_per_op':>14}{'budget':>10}{'over':>9}"
+        f"{'failed':>8}{'peak_rss_mb':>13}"
+    ]
     ok = True
     for workload in sorted(set(budget["calls_per_op"]) | set(values)):
         allowed = budget["calls_per_op"].get(workload)
-        calls, failed = values.get(workload, (None, None))
+        calls, failed, rss = values.get(workload, (None, None, None))
         if allowed is None or calls is None:
             ok = False
             lines.append(f"{workload:<16}{'no budget' if allowed is None else 'no report':>14}")
@@ -51,7 +61,7 @@ def check(budget: dict, values: Dict[str, Tuple[float, int]]) -> Tuple[List[str]
         ok = ok and inside
         lines.append(
             f"{workload:<16}{calls:>14.3f}{allowed:>10.3f}"
-            f"{100.0 * (calls / allowed - 1.0):>+8.1f}%{failed:>8}"
+            f"{100.0 * (calls / allowed - 1.0):>+8.1f}%{failed:>8}{rss:>13.1f}"
             + ("" if inside else "  OVER BUDGET")
         )
     return lines, ok
@@ -68,7 +78,7 @@ def main(argv: List[str]) -> int:
     values = measured(args.reports)
     if args.write:
         budget["calls_per_op"] = {
-            workload: round(calls, 3) for workload, (calls, _) in sorted(values.items())
+            workload: round(values[workload][0], 3) for workload in sorted(values)
         }
         with open(BUDGET_PATH, "w") as handle:
             json.dump(budget, handle, indent=2)

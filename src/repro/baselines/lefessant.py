@@ -93,7 +93,7 @@ class LeFessantCollector:
         self._last_mark_in = self._kernel.now
         self._stopped = False
         self.marks_sent = 0
-        rng = activity.node.rng_registry.stream(f"lf:{activity.id}")
+        rng = activity.node.rng_registry.derive(f"lf:{activity.id}")
         self._timer = PeriodicTimer(
             self._kernel,
             config.heartbeat_s,

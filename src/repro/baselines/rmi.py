@@ -82,7 +82,7 @@ class RmiDgcCollector:
             self._kernel,
             config.renew_period_s,
             self._tick,
-            initial_delay=activity.node.rng_registry.stream(
+            initial_delay=activity.node.rng_registry.derive(
                 f"rmi:{activity.id}"
             ).uniform(0.0, config.renew_period_s),
             label=f"rmi.tick:{activity.id}",

@@ -112,7 +112,7 @@ class VeigaCollector:
         self.cdm_hops = 0
         self.max_cdm_ids = 0
         self.cdm_bytes_sent = 0
-        rng = activity.node.rng_registry.stream(f"veiga:{activity.id}")
+        rng = activity.node.rng_registry.derive(f"veiga:{activity.id}")
         self._timer = PeriodicTimer(
             self._kernel,
             config.heartbeat_s,

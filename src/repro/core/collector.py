@@ -105,7 +105,7 @@ class DgcCollector:
                 len(activity.node.activities)
             )
         if config.start_jitter:
-            rng = activity.node.rng_registry.stream(f"dgc:{activity.id}")
+            rng = activity.node.rng_registry.derive(f"dgc:{activity.id}")
             initial_delay = rng.uniform(0.0, config.ttb)
             if beat_slots:
                 # Snap the jitter onto the slot grid so beats sharing a

@@ -212,7 +212,7 @@ class _HandlerRun:
     def __init__(
         self,
         request: Optional[Request],
-        proxies: List[Proxy],
+        proxies: Tuple[Proxy, ...],
     ) -> None:
         self.request = request
         self.proxies = proxies
@@ -241,10 +241,10 @@ class Activity:
         self.terminated_reason: Optional[str] = None
         self.requests_served = 0
         self.created_at = node.kernel.now
-        self._queue: Deque[Tuple[Request, List[Proxy]]] = deque()
+        self._queue: Deque[Union[Request, Tuple[Request, Tuple[Proxy, ...]]]] = deque()
         self._run: Optional[_HandlerRun] = None
         self._pumping = False
-        self._kept: set = set()
+        self._kept: set = set()  # the kept stubs, not their ids (ids get reused)
         self._idle_listeners: List[Callable[["Activity"], None]] = []
 
     # ------------------------------------------------------------------
@@ -278,7 +278,7 @@ class Activity:
         start routine, so its activity clock begins owned by itself.
         """
         self.state = ActivityState.BUSY
-        run = _HandlerRun(None, [])
+        run = _HandlerRun(None, ())
         self._run = run
         on_start = getattr(self.behavior, "on_start", None)
         result = on_start(self.context) if on_start is not None else None
@@ -305,7 +305,7 @@ class Activity:
     # ------------------------------------------------------------------
 
     def mark_kept(self, proxy: Proxy) -> None:
-        self._kept.add(id(proxy))
+        self._kept.add(proxy)
 
     def release_proxy(self, proxy: Proxy) -> None:
         """Drop one stub; notifies the local GC when the tag dies."""
@@ -313,7 +313,7 @@ class Activity:
             return
         last = self.proxies.release(proxy)
         if self._kept:
-            self._kept.discard(id(proxy))
+            self._kept.discard(proxy)
         if last:
             proxy.tag.dead = True
             self.node.local_gc.notify_tag_dead(self, proxy.tag)
@@ -348,13 +348,15 @@ class Activity:
     # Service loop
     # ------------------------------------------------------------------
 
-    def deliver(self, request: Request, proxies: List[Proxy]) -> None:
-        """Enqueue an incoming request; start serving if idle."""
+    def deliver(self, request: Request, proxies: Tuple[Proxy, ...]) -> None:
+        """Enqueue an incoming request and the tuple of stubs deserialized
+        from its references (``()`` for none: it then waits as the bare
+        request, no entry tuple); start serving if idle."""
         if self.terminated:
             # A message reached a dead activity: visible symptom of either
             # an application bug or a wrongful collection; traced upstream.
             return
-        self._queue.append((request, proxies))
+        self._queue.append((request, proxies) if proxies else request)
         self._pump()
 
     def _pump(self) -> None:
@@ -372,7 +374,8 @@ class Activity:
                     if self.state is ActivityState.BUSY:
                         self._become_idle()
                     return
-                request, proxies = self._queue.popleft()
+                entry = self._queue.popleft()
+                request, proxies = entry if type(entry) is tuple else (entry, ())
                 self.state = ActivityState.BUSY
                 run = _HandlerRun(request, proxies)
                 self._run = run
@@ -435,7 +438,7 @@ class Activity:
         if request is not None and request.reply_to is not None:
             self.node.send_reply(self, request, result)
         for proxy in run.proxies:
-            if id(proxy) not in self._kept and not proxy.released:
+            if proxy not in self._kept and not proxy.released:
                 self.release_proxy(proxy)
         self._run = None
 

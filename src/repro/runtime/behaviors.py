@@ -2,7 +2,8 @@
 
 A behavior is the "served object" of an activity.  ``handle`` dispatches
 incoming requests; by default it looks up a ``do_<method>`` attribute,
-which keeps workload code declarative::
+which keeps workload code declarative.  ``proxies`` is the tuple of stubs
+deserialized from the request's references, ``()`` when it carries none::
 
     class Worker(Behavior):
         def do_compute(self, ctx, request, proxies):
@@ -12,7 +13,7 @@ which keeps workload code declarative::
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Optional, Tuple
 
 from repro.errors import RuntimeModelError
 from repro.runtime.proxy import Proxy
@@ -26,7 +27,7 @@ class Behavior:
         """Optional start routine (may be a generator)."""
         return None
 
-    def handle(self, ctx, request: Request, proxies: List[Proxy]) -> Any:
+    def handle(self, ctx, request: Request, proxies: Tuple[Proxy, ...]) -> Any:
         handler = getattr(self, f"do_{request.method}", None)
         if handler is None:
             raise RuntimeModelError(
@@ -39,10 +40,10 @@ class Behavior:
 class FunctionBehavior(Behavior):
     """Wraps a single callable serving every method."""
 
-    def __init__(self, fn: Callable[[Any, Request, List[Proxy]], Any]) -> None:
+    def __init__(self, fn: Callable[[Any, Request, Tuple[Proxy, ...]], Any]) -> None:
         self._fn = fn
 
-    def handle(self, ctx, request: Request, proxies: List[Proxy]) -> Any:
+    def handle(self, ctx, request: Request, proxies: Tuple[Proxy, ...]) -> Any:
         return self._fn(ctx, request, proxies)
 
 
@@ -53,5 +54,5 @@ class SinkBehavior(Behavior):
     non-active code, Sec. 4.1) and as an inert cycle member in tests.
     """
 
-    def handle(self, ctx, request: Request, proxies: List[Proxy]) -> Any:
+    def handle(self, ctx, request: Request, proxies: Tuple[Proxy, ...]) -> Any:
         return None

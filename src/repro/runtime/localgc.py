@@ -35,7 +35,11 @@ class LocalGarbageCollector:
         self.collected_tags = 0
 
     def notify_tag_dead(self, activity, tag: StubTag) -> None:
-        """Queue a dead tag for the next collection cycle."""
+        """Queue a dead tag for the next collection cycle; a holder with
+        no DGC collector has nobody to notify, so its tag counts at once."""
+        if activity.collector is None:
+            self.collected_tags += 1
+            return
         self._pending.append((activity, tag))
         if not self._sweep_scheduled:
             self._sweep_scheduled = True

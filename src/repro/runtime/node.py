@@ -192,7 +192,7 @@ class Node:
 
     def deserialize_ref(self, activity: Activity, ref: RemoteRef) -> Proxy:
         """Out-of-band acquisition (a registry resolve, a creation) —
-        one stub through the deserialization hook, without the list
+        one stub through the deserialization hook, without the tuple
         :func:`deserialize_refs` builds for a message's references."""
         proxy = activity.proxies.acquire(ref)
         if activity.collector is not None:
@@ -347,8 +347,8 @@ class Node:
                     sender=request.sender,
                 )
             return
-        proxies = deserialize_refs(activity, request.refs)
-        activity.deliver(request, proxies)
+        refs = request.refs
+        activity.deliver(request, deserialize_refs(activity, refs) if refs else ())
 
     def _on_reply(self, reply: Reply, payload: Any = None) -> None:
         self.world.note_reply_delivered(reply)
@@ -362,8 +362,8 @@ class Node:
             # of a collected caller is simply dropped.
             self.dead_letter_count += 1
             return
-        proxies = deserialize_refs(activity, reply.refs)
-        future.resolve(reply.data, tuple(proxies))
+        refs = reply.refs
+        future.resolve(reply.data, deserialize_refs(activity, refs) if refs else ())
 
     def _on_registry_reply(self, reply: Any, payload: Any) -> None:
         """Deliver a naming-service answer: a lookup reply (resolves the

@@ -36,8 +36,9 @@ def serialize_refs(
     return tuple(wire)
 
 
-def deserialize_refs(activity, refs: Sequence[RemoteRef]) -> List[Proxy]:
-    """Materialise stubs for ``refs`` in ``activity``'s proxy table.
+def deserialize_refs(activity, refs: Sequence[RemoteRef]) -> Tuple[Proxy, ...]:
+    """Materialise stubs for ``refs`` in ``activity``'s proxy table, in
+    order, as one tuple (what a handler or a future receives).
 
     Each deserialization notifies the activity's DGC collector so the
     reference-graph edge exists *before* the application ever uses the
@@ -50,4 +51,4 @@ def deserialize_refs(activity, refs: Sequence[RemoteRef]) -> List[Proxy]:
         if activity.collector is not None:
             activity.collector.on_reference_deserialized(proxy)
         proxies.append(proxy)
-    return proxies
+    return tuple(proxies)

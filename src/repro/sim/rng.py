@@ -33,17 +33,22 @@ class RngRegistry:
         return self._root_seed
 
     def stream(self, name: str) -> random.Random:
-        """Return the stream for ``name``, creating it deterministically."""
+        """Return the stream for ``name``, creating it deterministically
+        on first use and keeping it for later draws."""
         existing = self._streams.get(name)
-        if existing is not None:
-            return existing
+        if existing is None:
+            existing = self._streams[name] = self.derive(name)
+        return existing
+
+    def derive(self, name: str) -> random.Random:
+        """A fresh copy of ``name``'s stream, not kept: for a consumer
+        that draws once (a start phase), so the registry does not hold a
+        generator state per activity for the whole run."""
         digest = hashlib.sha256(
             f"{self._root_seed}:{name}".encode("utf-8")
         ).digest()
         seed = int.from_bytes(digest[:8], "big")
-        stream = random.Random(seed)  # repro: allow[DET-entropy] seeded from the root-seed digest above, not process entropy
-        self._streams[name] = stream
-        return stream
+        return random.Random(seed)  # repro: allow[DET-entropy] seeded from the root-seed digest above, not process entropy
 
     def fork(self, name: str) -> "RngRegistry":
         """Derive a child registry, e.g. one per experiment repetition."""

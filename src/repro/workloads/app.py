@@ -11,7 +11,7 @@ Helpers like :func:`link` and :func:`release_all` drive a world from a
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.runtime.activeobject import Activity
 from repro.runtime.behaviors import Behavior
@@ -40,7 +40,7 @@ class Peer(Behavior):
 
     # -- reference management -------------------------------------------
 
-    def do_hold(self, ctx, request: Request, proxies: List[Proxy]):
+    def do_hold(self, ctx, request: Request, proxies: Tuple[Proxy, ...]):
         keys = request.data
         if keys is None:
             keys = [proxy.activity_id for proxy in proxies]
@@ -48,26 +48,26 @@ class Peer(Behavior):
             self._store(ctx, key, proxy)
         return None
 
-    def do_drop(self, ctx, request: Request, proxies: List[Proxy]):
+    def do_drop(self, ctx, request: Request, proxies: Tuple[Proxy, ...]):
         for key in request.data:
             self._discard(ctx, key)
         return None
 
-    def do_drop_all(self, ctx, request: Request, proxies: List[Proxy]):
+    def do_drop_all(self, ctx, request: Request, proxies: Tuple[Proxy, ...]):
         for key in list(self.held):
             self._discard(ctx, key)
         return None
 
     # -- compute and traffic ---------------------------------------------
 
-    def do_work(self, ctx, request: Request, proxies: List[Proxy]):
+    def do_work(self, ctx, request: Request, proxies: Tuple[Proxy, ...]):
         yield ctx.sleep(float(request.data))
         return None
 
-    def do_ping(self, ctx, request: Request, proxies: List[Proxy]):
+    def do_ping(self, ctx, request: Request, proxies: Tuple[Proxy, ...]):
         return None
 
-    def do_forward(self, ctx, request: Request, proxies: List[Proxy]):
+    def do_forward(self, ctx, request: Request, proxies: Tuple[Proxy, ...]):
         target_key, ref_key, store_key = request.data
         target = self.held.get(target_key)
         ref = self.held.get(ref_key)

@@ -203,3 +203,18 @@ def test_no_start_jitter_when_disabled(make_world):
         for p in proxies
     }
     assert len(delays) == 1
+
+
+def test_start_jitter_streams_are_derived_not_retained(make_world, fast_dgc):
+    """Each collector's start phase is the first draw of its ``dgc:<id>``
+    stream, but the registry keeps no generator state for it."""
+    from repro.sim.rng import RngRegistry
+
+    world = make_world(2, dgc=fast_dgc.with_overrides(aggregation="per-event"))
+    driver = world.create_driver()
+    proxies = [driver.context.create(SinkBehavior(), name=f"a{i}") for i in range(4)]
+    assert not [name for name in world.rng_registry._streams if name.startswith("dgc:")]
+    reference = RngRegistry(world.rng_registry.root_seed)
+    for activity in [driver] + [get(world, proxy) for proxy in proxies]:
+        phase = reference.stream(f"dgc:{activity.id}").uniform(0.0, fast_dgc.ttb)
+        assert activity.collector._timer.next_fire_time == phase

@@ -223,3 +223,30 @@ def test_on_idle_listener_fires_on_transition(world):
     driver.context.call(target, "slow")
     world.run_for(10.0)
     assert len(transitions) == 1
+
+
+def test_a_lost_kept_stub_does_not_shield_a_later_one(world):
+    """``keep`` holds the stub itself, not its address: a kept stub the
+    behavior loses without ``drop`` must not make a later stub allocated
+    at the same address look kept (it would never be auto-released, a
+    leaked edge the DGC could not collect)."""
+
+    class Take(Behavior):
+        def do_keep(self, ctx, request, proxies):
+            ctx.keep(proxies[0])  # then lost: stored nowhere
+
+        def do_use(self, ctx, request, proxies):
+            return None
+
+    driver = world.create_driver()
+    a = driver.context.create(Take(), name="a")
+    b = driver.context.create(SinkBehavior(), name="b")
+    activity = world.find_activity(a.activity_id)
+    rounds = 50
+    for _ in range(rounds):
+        driver.context.call(a, "keep", refs=[b])
+        driver.context.call(a, "use", refs=[b])
+    world.run_for(1.0)
+    assert activity.requests_served == 2 * rounds
+    # Only the kept stubs are still live: every "use" stub was released.
+    assert activity.proxies.live_count(b.activity_id) == rounds

@@ -57,11 +57,15 @@ def test_gc_delay_defers_notification(make_world):
     target = driver.context.create(SinkBehavior(), name="t")
     spy = CollectorSpy()
     driver.collector = spy
+    local_gc = driver.node.local_gc
+    scheduled = world.kernel.scheduled_count
     driver.context.drop(target)
+    # A holder with a collector still waits for its sweep.
+    assert world.kernel.scheduled_count == scheduled + 1
     world.run_for(1.0)
-    assert spy.dropped == []
+    assert spy.dropped == [] and local_gc.collected_tags == 0
     world.run_for(10.0)
-    assert len(spy.dropped) == 1
+    assert len(spy.dropped) == 1 and local_gc.collected_tags == 1
 
 
 def test_notifications_for_terminated_holder_are_skipped(make_world):
@@ -89,3 +93,18 @@ def test_collected_tags_counter(make_world):
         driver.context.drop(proxy)
     world.run_for(1.0)
     assert world.nodes[driver.node.name].local_gc.collected_tags == 3
+
+
+def test_collector_less_drop_schedules_no_event(make_world):
+    """A holder without a DGC collector has nobody to notify: its dead tag
+    is counted at once and no sweep reaches the kernel."""
+    world = make_world(1, dgc=None, gc_delay=5.0)
+    driver = world.create_driver()
+    target = driver.context.create(SinkBehavior(), name="t")
+    assert driver.collector is None
+    local_gc = driver.node.local_gc
+    scheduled = world.kernel.scheduled_count
+    driver.context.drop(target)
+    assert world.kernel.scheduled_count == scheduled
+    assert world.kernel.pending_count == 0
+    assert local_gc.collected_tags == 1

@@ -13,6 +13,14 @@ def test_same_name_returns_same_stream():
     assert registry.stream("a") is registry.stream("a")
 
 
+def test_derive_starts_the_stream_afresh_and_keeps_nothing():
+    registry = RngRegistry(7)
+    draws = [registry.derive("a").random() for _ in range(3)]
+    assert draws == [RngRegistry(7).stream("a").random()] * 3
+    assert registry.derive("a") is not registry.derive("a")
+    assert registry._streams == {}
+
+
 def test_streams_are_reproducible_across_registries():
     first = RngRegistry(7).stream("x").random()
     second = RngRegistry(7).stream("x").random()
