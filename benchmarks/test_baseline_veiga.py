@@ -27,16 +27,16 @@ def run_veiga_ring(size: int) -> dict:
         collector_factory=veiga_collector_factory(VEIGA),
         seed=1,
     )
-    # Track the largest DGC envelope crossing the fabric.
+    # Track the largest DGC message entering the fabric.
     biggest = {"bytes": 0}
-    original_send = world.network.send
+    original_send = world.network.send_dgc_single
 
-    def tracking_send(envelope):
-        if envelope.kind == "dgc.message":
-            biggest["bytes"] = max(biggest["bytes"], envelope.size_bytes)
-        original_send(envelope)
+    def tracking_send(source, dest, kind, size_bytes, item, payload):
+        if kind == "dgc.message":
+            biggest["bytes"] = max(biggest["bytes"], size_bytes)
+        original_send(source, dest, kind, size_bytes, item, payload)
 
-    world.network.send = tracking_send
+    world.network.send_dgc_single = tracking_send
     driver = world.create_driver()
     ring = build_ring(world, driver, size)
     world.run_for(2.0)
@@ -45,7 +45,7 @@ def run_veiga_ring(size: int) -> dict:
     return {
         "size": size,
         "collected": collected,
-        "max_envelope": biggest["bytes"],
+        "max_message": biggest["bytes"],
         "dgc_bytes": world.accountant.dgc_bytes,
     }
 
@@ -67,7 +67,7 @@ def test_baseline_veiga_message_growth(benchmark, sweep):
                 [
                     row["size"],
                     str(row["collected"]),
-                    row["max_envelope"],
+                    row["max_message"],
                     fixed,
                 ]
                 for row in sweep
@@ -78,8 +78,8 @@ def test_baseline_veiga_message_growth(benchmark, sweep):
     for row in sweep:
         assert row["collected"]
     # CDM size grows with the cycle...
-    envelopes = [row["max_envelope"] for row in sweep]
-    assert envelopes == sorted(envelopes)
-    assert envelopes[-1] > 2 * envelopes[0]
+    messages = [row["max_message"] for row in sweep]
+    assert messages == sorted(messages)
+    assert messages[-1] > 2 * messages[0]
     # ...while the paper's DGC messages are fixed-size regardless.
-    assert envelopes[-1] > fixed
+    assert messages[-1] > fixed

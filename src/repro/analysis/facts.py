@@ -38,7 +38,6 @@ class Registration:
 
     kind: Optional[str]  # resolved kind string; None if unresolvable
     const_name: Optional[str]  # the KIND_X constant name, if one was used
-    paired: bool
     aggregate: Optional[str]
     path: str
     line: int
@@ -185,15 +184,9 @@ def _collect_registrations(sf, facts: ProjectFacts) -> None:
                     arg.value, str
                 ):
                     kind = arg.value
-                paired = False
                 aggregate = None
                 for kw in child.keywords:
-                    if kw.arg == "paired":
-                        paired = bool(
-                            isinstance(kw.value, ast.Constant)
-                            and kw.value.value
-                        )
-                    elif kw.arg == "aggregate":
+                    if kw.arg == "aggregate":
                         if isinstance(kw.value, ast.Constant) and isinstance(
                             kw.value.value, str
                         ):
@@ -202,7 +195,6 @@ def _collect_registrations(sf, facts: ProjectFacts) -> None:
                     Registration(
                         kind=kind,
                         const_name=const_name,
-                        paired=paired,
                         aggregate=aggregate,
                         path=sf.rel,
                         line=child.lineno,

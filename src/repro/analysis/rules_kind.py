@@ -7,10 +7,10 @@ wired: each registered kind must be priced by the wire-size manifest
 codec (``KIND_PAYLOAD_TYPES`` plus encode/decode branches in
 ``net/wire.py``), and dispatched by the node sink table; stray
 ``family.name`` string literals that never registered are flagged; and
-a paired-payload registration outside the registry module is a hard
-error, because ``network.py``/``node.py`` bind the dispatch-shape sets
-at import (the footgun :func:`repro.net.kinds.register_kind` also
-guards at runtime).
+an aggregate registration outside the registry module is a hard error,
+because ``network.py``/``node.py`` bind the aggregate dispatch shape at
+import (the footgun :func:`repro.net.kinds.register_kind` also guards
+at runtime).
 """
 
 from __future__ import annotations
@@ -229,18 +229,17 @@ class KindSink(ProjectRule):
 
 
 @register_rule
-class KindLatePaired(ProjectRule):
-    id = "KIND-late-paired"
+class KindLateAggregate(ProjectRule):
+    id = "KIND-late-aggregate"
     summary = (
-        "paired-payload/aggregate kinds must register at the top level "
-        "of the registry module: network/node bind the dispatch-shape "
-        "sets at import, so a later registration silently misses the "
-        "fast path"
+        "aggregate kinds must register at the top level of the registry "
+        "module: network/node bind the aggregate dispatch shape at "
+        "import, so a later registration silently misses the fast path"
     )
 
     def finalize(self, facts: ProjectFacts) -> Iterator[Finding]:
         for reg in facts.registrations:
-            if not (reg.paired or reg.aggregate is not None):
+            if reg.aggregate is None:
                 continue
             if reg.in_defining_file and reg.top_level:
                 continue
@@ -252,8 +251,8 @@ class KindLatePaired(ProjectRule):
             yield Finding(
                 rule=self.id, path=reg.path, line=reg.line, col=reg.col,
                 message=(
-                    f"paired-payload kind {reg.kind or reg.const_name!r} "
-                    f"registers {where}: the dispatch-shape sets are "
+                    f"aggregate kind {reg.kind or reg.const_name!r} "
+                    f"registers {where}: the aggregate dispatch shape is "
                     f"bound when network/node import, so this "
                     f"registration can run too late (register it at the "
                     f"top level of the kind registry module)"

@@ -21,7 +21,7 @@ Response (referenced -> referencer, on the same connection):
 ``sender_ref`` rides along purely as the *response path*: the paper's
 responses travel back over the TCP connection the message arrived on, so
 no referencer connectivity is required; our simulated equivalent needs
-the (id, node) pair to address the response envelope.
+the (id, node) pair to address the response.
 """
 
 from __future__ import annotations

@@ -559,8 +559,8 @@ def _run_sharded(args: argparse.Namespace) -> int:
     if args.aggregation == "per-event":
         return reject(
             "--live requires the batched pulse core: drop --aggregation "
-            "per-event (the per-event envelope path cannot cross a "
-            "shard boundary)"
+            "per-event (the per-message lane cannot cross a shard "
+            "boundary)"
         )
     if args.nas_barrier:
         return reject(

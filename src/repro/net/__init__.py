@@ -22,7 +22,6 @@ from repro.net.message import (
     KIND_DGC_RESPONSE,
     KIND_REGISTRY_LOOKUP,
     KIND_REGISTRY_REPLY,
-    Envelope,
     WireSizeModel,
     describe_traffic,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "KIND_REGISTRY_LOOKUP",
     "KIND_REGISTRY_REPLY",
     "describe_traffic",
-    "Envelope",
     "WireSizeModel",
     "FifoChannel",
     "Network",

@@ -8,9 +8,10 @@ passed by reference."
 
 The accountant therefore only sees messages that actually cross a node
 boundary; the network fabric never routes intra-node messages through
-it.  Both fabric forms — typed pulse entries and envelopes — account
-through :meth:`BandwidthAccountant.observe_sized` with the same kind
-constants, so per-kind numbers are uniform across sinks.
+it.  The fabric's per-message lane charges
+:meth:`BandwidthAccountant.observe_sized`; its pulse lanes bump the
+same per-kind categories and per-pair boxes in place, so per-kind
+numbers are identical on every lane.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.net import kinds
-from repro.net.message import Envelope
 
 
 @dataclass
@@ -28,10 +28,6 @@ class TrafficCategory:
 
     bytes: int = 0
     messages: int = 0
-
-    def add(self, size: int) -> None:
-        self.bytes += size
-        self.messages += 1
 
 
 class BandwidthAccountant:
@@ -50,20 +46,11 @@ class BandwidthAccountant:
         self._by_kind: Dict[str, TrafficCategory] = {}
         self._by_pair: Dict[Tuple[str, str], list] = {}
 
-    def observe(self, envelope: Envelope) -> None:
-        """Record one cross-node envelope."""
-        self.observe_sized(
-            envelope.kind,
-            envelope.size_bytes,
-            (envelope.source_node, envelope.dest_node),
-        )
-
     def observe_sized(
         self, kind: str, size: int, pair: Tuple[str, str]
     ) -> None:
-        """Hot-path form of :meth:`observe`: the caller (the network
-        fabric) passes the channel's precomputed pair key, avoiding a
-        tuple allocation per envelope."""
+        """Record one cross-node message of ``size`` bytes; ``pair`` is
+        the sending channel's precomputed ``(source, dest)`` key."""
         category = self._by_kind.get(kind)
         if category is None:
             category = TrafficCategory()
@@ -161,9 +148,9 @@ class BandwidthAccountant:
     def describe(self) -> str:
         """One line per observed traffic kind, in the fabric's canonical
         :data:`~repro.net.kinds.ALL_KINDS` order (unknown kinds last,
-        sorted), using the same kind labels every sink reports (envelope
-        and typed alike) — kept uniform so ``grep 'dgc.message'`` works
-        on any trace or summary."""
+        sorted), using the same kind labels every lane reports — kept
+        uniform so ``grep 'dgc.message'`` works on any trace or
+        summary."""
         # Read through the module so late-registered kinds are ordered.
         all_kinds = kinds.ALL_KINDS
         known = [kind for kind in all_kinds if kind in self._by_kind]

@@ -8,43 +8,45 @@ ablation inject exactly such delays deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Set, Tuple
-
-from repro.net.message import Envelope
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional, Set, Tuple
 
 
 @dataclass
 class DelayRule:
-    """Adds ``extra_delay_s`` to envelopes matched by ``predicate``
-    within the [start, end) simulated-time window.
+    """Adds ``extra_delay_s`` to the messages it matches within the
+    [start, end) simulated-time window.
 
-    ``source``/``dest``/``kind`` mirror the keyword filters the rule
-    was built from (``None`` = unfiltered) and ``opaque`` records
-    whether a custom predicate is involved; together they let the
-    fabric decide *statically* whether a rule could ever match a given
-    ``(source, dest, kind)`` stream — see :meth:`FaultPlan.may_delay` —
-    so traffic no rule can touch keeps riding the batched pulse."""
+    A message matches when its stream passes the static
+    ``source``/``dest``/``kind`` filters (``None`` = unfiltered) and,
+    if a ``predicate`` is given, the predicate accepts the message's
+    item (the request, reply, registry message or DGC target id it
+    carries).  The static filters alone decide whether the rule could
+    ever match a stream — see :meth:`FaultPlan.may_delay` — so traffic
+    no rule can touch keeps riding the batched pulse."""
 
-    predicate: Callable[[Envelope], bool]
     extra_delay_s: float
     start: float = 0.0
     end: float = float("inf")
     source: Optional[str] = None
     dest: Optional[str] = None
     kind: Optional[str] = None
-    #: A user predicate is present: the rule may match anything its
-    #: static filters allow, so matchability checks stay conservative.
-    opaque: bool = True
+    predicate: Optional[Callable[[Any], bool]] = None
 
-    def applies(self, envelope: Envelope, now: float) -> bool:
-        return self.start <= now < self.end and self.predicate(envelope)
+    def applies(
+        self, source: str, dest: str, kind: str, item: Any, now: float
+    ) -> bool:
+        return (
+            self.start <= now < self.end
+            and self.may_match(source, dest, kind)
+            and (self.predicate is None or self.predicate(item))
+        )
 
     def may_match(self, source: str, dest: str, kind: str) -> bool:
         """Could this rule ever apply to traffic on the given stream?
-        Time windows are ignored (conservative): a currently-dormant
-        rule still forces per-envelope latency evaluation, which is
-        what honours the window exactly."""
+        Time windows and the predicate are ignored (conservative): a
+        currently-dormant rule still forces per-message latency
+        evaluation, which is what honours the window exactly."""
         if self.source is not None and self.source != source:
             return False
         if self.dest is not None and self.dest != dest:
@@ -63,7 +65,7 @@ class FaultPlan:
 
     Internal contract: ``_delay_rules`` and ``_partitioned`` are mutated
     in place and never rebound — the network fabric aliases them as
-    zero-cost emptiness guards on the per-envelope hot path.
+    zero-cost emptiness guards on the send paths.
     """
 
     def __init__(self) -> None:
@@ -75,32 +77,17 @@ class FaultPlan:
         self,
         extra_delay_s: float,
         *,
-        predicate: Optional[Callable[[Envelope], bool]] = None,
+        predicate: Optional[Callable[[Any], bool]] = None,
         source: Optional[str] = None,
         dest: Optional[str] = None,
         kind: Optional[str] = None,
         start: float = 0.0,
         end: float = float("inf"),
     ) -> None:
-        """Register a delay rule; the keyword filters are ANDed together."""
-
-        def match(envelope: Envelope) -> bool:
-            if source is not None and envelope.source_node != source:
-                return False
-            if dest is not None and envelope.dest_node != dest:
-                return False
-            if kind is not None and envelope.kind != kind:
-                return False
-            if predicate is not None and not predicate(envelope):
-                return False
-            return True
-
+        """Register a delay rule; the keyword filters and the item
+        ``predicate`` are ANDed together."""
         self._delay_rules.append(
-            DelayRule(
-                match, extra_delay_s, start, end,
-                source=source, dest=dest, kind=kind,
-                opaque=predicate is not None,
-            )
+            DelayRule(extra_delay_s, start, end, source, dest, kind, predicate)
         )
 
     def may_delay(self, source: str, dest: str, kind: str) -> bool:
@@ -108,11 +95,9 @@ class FaultPlan:
         ``kind`` traffic from ``source`` to ``dest``.
 
         The fabric's batched lanes use this to keep pulse semantics for
-        streams no rule can touch: a single ``kind``-filtered rule used
-        to force the envelope-only per-event path for **all** traffic
-        on the channel; now only the matchable streams fall back.
-        Directly-constructed rules (no static filters) stay
-        conservative: they may match anything."""
+        streams no rule can touch: only the matchable streams take the
+        per-message lane.  A rule without static filters stays
+        conservative — it may match anything, predicate or not."""
         for rule in self._delay_rules:
             if rule.may_match(source, dest, kind):
                 return True
@@ -131,10 +116,12 @@ class FaultPlan:
     def is_partitioned(self, source: str, dest: str) -> bool:
         return (source, dest) in self._partitioned
 
-    def extra_delay(self, envelope: Envelope, now: float) -> float:
-        """Total additional delay for this envelope at time ``now``."""
+    def extra_delay(
+        self, source: str, dest: str, kind: str, item: Any, now: float
+    ) -> float:
+        """Total additional delay for one message at time ``now``."""
         return sum(
             rule.extra_delay_s
             for rule in self._delay_rules
-            if rule.applies(envelope, now)
+            if rule.applies(source, dest, kind, item, now)
         )

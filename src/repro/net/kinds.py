@@ -2,29 +2,28 @@
 routes is declared.
 
 Historically the kind constants lived in :mod:`repro.net.message` and
-their groupings (dispatch order, paired-payload shape, aggregate
-markers, per-family byte rollups) were repeated across ``network.py``,
-``node.py`` and ``accounting.py``.  This module centralises them:
-adding a traffic kind means one :func:`register_kind` call here — the
-dispatch tables, the accountant's family rollups and
-:func:`describe_traffic` renderings all derive from the registry.
+their groupings (dispatch order, aggregate markers, per-family byte
+rollups) were repeated across ``network.py``, ``node.py`` and
+``accounting.py``.  This module centralises them: adding a traffic
+kind means one :func:`register_kind` call here — the dispatch tables,
+the accountant's family rollups and :func:`describe_traffic`
+renderings all derive from the registry.
 
-Kinds register at import time (module bottom); the derived tuples and
-frozensets are rebound on every registration, so registrations are
-visible to code that reads them through the module — the accountant's
-family rollups and :meth:`~repro.net.accounting.BandwidthAccountant.describe`
-do exactly that.  The fabric's *dispatch-shape* sets
-(:data:`PAIRED_PAYLOAD_KINDS`, :data:`AGGREGATE_KINDS` keys) are bound
-by ``network.py``/``node.py`` at their import for hot-path speed, so a
-kind that needs the paired payload shape must be registered before
-those modules are imported (i.e. from a module imported ahead of world
-construction); plain single-object kinds — everything the naming
-service adds — can register at any time.  The binders record
-themselves via :func:`bind_dispatch_shapes`, and :func:`register_kind`
-raises on a too-late paired/aggregate registration instead of silently
-routing the kind down the single-object lane (the static
-``KIND-late-paired`` rule in :mod:`repro.analysis` catches the same
-mistake before it runs).  :mod:`repro.net.message` re-exports
+Kinds register at import time (module bottom); the derived tuples are
+rebound on every registration, so registrations are visible to code
+that reads them through the module — the accountant's family rollups
+and :meth:`~repro.net.accounting.BandwidthAccountant.describe` do
+exactly that.  The fabric's *dispatch shape* — the
+:data:`AGGREGATE_KINDS` markers — is bound by ``network.py``/``node.py``
+at their import for hot-path speed, so a kind that supports run
+coalescing must be registered before those modules are imported (i.e.
+from a module imported ahead of world construction); plain kinds —
+everything the naming service adds — can register at any time.  The
+binders record themselves via :func:`bind_dispatch_shapes`, and
+:func:`register_kind` raises on a too-late aggregate registration
+instead of silently routing the kind down the per-message lane (the
+static ``KIND-late-aggregate`` rule in :mod:`repro.analysis` catches
+the same mistake before it runs).  :mod:`repro.net.message` re-exports
 everything for backward compatibility.
 """
 
@@ -52,14 +51,6 @@ KIND_REGISTRY_PUSH = "registry.push"
 #: (DGC first: it outnumbers the rest by an order of magnitude at scale).
 ALL_KINDS: Tuple[str, ...] = ()
 
-#: Kinds whose typed form is an ``(item, payload)`` pair (the DGC fast
-#: lane addresses a per-activity collector, so the activity id travels
-#: next to the protocol message).  For every other kind the typed form
-#: is a single object and ``payload`` rides along as ``None``.  The
-#: legacy ``Envelope`` payload shape follows the same rule: a
-#: ``(item, payload)`` tuple for paired kinds, the bare item otherwise.
-PAIRED_PAYLOAD_KINDS: frozenset = frozenset()
-
 #: Site-pair aggregate markers: in the columnar pulse, a run of DGC
 #: messages staged back-to-back on the same channel for the same
 #: delivery instant rides **one** pulse entry whose item/payload columns
@@ -80,23 +71,23 @@ REGISTRY_KINDS: Tuple[str, ...] = ()
 _FAMILY_ROLLUPS = {"app": "APP_KINDS", "dgc": "DGC_KINDS",
                    "registry": "REGISTRY_KINDS"}
 
-#: Modules that snapshot the dispatch-shape sets at their import
+#: Modules that snapshot the dispatch shape at their import
 #: (``network.py`` binds the aggregate fast-lane constants, ``node.py``
-#: the typed-sink shapes).  Each calls :func:`bind_dispatch_shapes`
-#: right after snapshotting; once any binder is recorded, a
-#: paired-payload or aggregate registration arrives too late to be seen
-#: by the hot path, so :func:`register_kind` rejects it instead of
-#: silently routing the kind down the single-object lane.
+#: the batch sinks that unwrap them).  Each calls
+#: :func:`bind_dispatch_shapes` right after snapshotting; once any
+#: binder is recorded, an aggregate registration arrives too late to be
+#: seen by the hot path, so :func:`register_kind` rejects it instead of
+#: silently routing the kind down the per-message lane.
 _DISPATCH_SHAPE_BINDERS: Tuple[str, ...] = ()
 
 
 def bind_dispatch_shapes(binder: str) -> None:
-    """Record that *binder* has snapshot the dispatch-shape sets.
+    """Record that *binder* has snapshot the dispatch shape.
 
     Called by ``network.py``/``node.py`` at the end of their import.
-    From this point on, registering a kind with ``paired=True`` or an
-    ``aggregate`` marker raises — the snapshot would not include it.
-    Plain single-object kinds stay registrable at any time.
+    From this point on, registering a kind with an ``aggregate`` marker
+    raises — the snapshot would not include it.  Plain kinds stay
+    registrable at any time.
     """
     global _DISPATCH_SHAPE_BINDERS
     if binder not in _DISPATCH_SHAPE_BINDERS:
@@ -106,33 +97,28 @@ def bind_dispatch_shapes(binder: str) -> None:
 def register_kind(
     kind: str,
     *,
-    paired: bool = False,
     aggregate: Optional[str] = None,
     family: Optional[str] = None,
 ) -> str:
     """Declare one traffic kind and rebind the derived groupings.
 
-    ``paired`` marks the ``(item, payload)`` typed form, ``aggregate``
-    names the fabric-internal site-pair aggregate marker (if the kind
-    supports run coalescing), ``family`` the byte-rollup family (default:
-    the kind's dot-prefix).  Returns ``kind`` so declarations read as
+    ``aggregate`` names the fabric-internal site-pair aggregate marker
+    (if the kind supports run coalescing), ``family`` the byte-rollup
+    family (default: the kind's dot-prefix).  Returns ``kind`` so declarations read as
     assignments.
     """
-    global ALL_KINDS, PAIRED_PAYLOAD_KINDS
+    global ALL_KINDS
     if kind in ALL_KINDS:
         raise ValueError(f"traffic kind {kind!r} registered twice")
-    if (paired or aggregate is not None) and _DISPATCH_SHAPE_BINDERS:
+    if aggregate is not None and _DISPATCH_SHAPE_BINDERS:
         raise RuntimeError(
-            f"traffic kind {kind!r} needs the paired-payload/aggregate "
-            f"dispatch shape, but "
-            f"{', '.join(_DISPATCH_SHAPE_BINDERS)} already bound the "
-            f"dispatch-shape sets at import — register it at the top "
+            f"traffic kind {kind!r} needs the aggregate dispatch shape, "
+            f"but {', '.join(_DISPATCH_SHAPE_BINDERS)} already bound the "
+            f"dispatch shape at import — register it at the top "
             f"level of repro.net.kinds (before network/node import) so "
             f"the fast path can see it"
         )
     ALL_KINDS = ALL_KINDS + (kind,)
-    if paired:
-        PAIRED_PAYLOAD_KINDS = PAIRED_PAYLOAD_KINDS | {kind}
     if aggregate is not None:
         AGGREGATE_KINDS[kind] = aggregate
     family = family if family is not None else kind.split(".", 1)[0]
@@ -143,9 +129,9 @@ def register_kind(
 
 
 def describe_traffic(kind: str, source: str, dest: str, size_bytes: int) -> str:
-    """The one uniform rendering of a unit of traffic, shared by
-    ``Envelope.__repr__`` and the accountant so traces stay greppable by
-    kind regardless of which sink carried the message."""
+    """The one uniform rendering of a unit of traffic, in the
+    accountant's kind vocabulary, so traces stay greppable by kind
+    regardless of which lane carried the message."""
     return f"{kind} {source}->{dest} {size_bytes}B"
 
 
@@ -153,8 +139,8 @@ def describe_traffic(kind: str, source: str, dest: str, size_bytes: int) -> str:
 # The built-in kinds, in dispatch-priority order.
 # ----------------------------------------------------------------------
 
-register_kind(KIND_DGC_MESSAGE, paired=True, aggregate="dgc.message[]")
-register_kind(KIND_DGC_RESPONSE, paired=True, aggregate="dgc.response[]")
+register_kind(KIND_DGC_MESSAGE, aggregate="dgc.message[]")
+register_kind(KIND_DGC_RESPONSE, aggregate="dgc.response[]")
 register_kind(KIND_APP_REQUEST)
 register_kind(KIND_APP_REPLY)
 register_kind(KIND_REGISTRY_LOOKUP)

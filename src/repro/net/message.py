@@ -1,4 +1,4 @@
-"""Message envelopes and the wire-size model.
+"""The wire-size model.
 
 The paper states DGC messages and responses are "of fixed size"
 (Sec. 4.3); application messages carry payloads whose size depends on the
@@ -9,7 +9,6 @@ the bandwidth tables (Fig. 8) are computed from one tunable place.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
 
 # Kind constants and their groupings live in the central registry
 # (:mod:`repro.net.kinds`); re-exported here for backward compatibility —
@@ -34,41 +33,9 @@ from repro.net.kinds import (  # noqa: F401  (re-exports)
     KIND_REGISTRY_PUSH,
     KIND_REGISTRY_RENEW,
     KIND_REGISTRY_REPLY,
-    PAIRED_PAYLOAD_KINDS,
     REGISTRY_KINDS,
     describe_traffic,
 )
-
-
-@dataclass(slots=True)
-class Envelope:
-    """A unit of transmission between two nodes.
-
-    ``payload`` is an arbitrary object handed to the destination node's
-    dispatcher; ``size_bytes`` is the modelled TCP payload size;
-    ``kind`` classifies the traffic for accounting.
-
-    Slotted and id-less: one envelope exists per simulated transmission,
-    so the per-instance ``__dict__`` and the old global id counter were
-    measurable allocation overhead on large runs.
-    """
-
-    source_node: str
-    dest_node: str
-    kind: str
-    size_bytes: int
-    payload: Any
-    deliver: Callable[[Any], None]
-    sent_at: float = 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            "Envelope("
-            + describe_traffic(
-                self.kind, self.source_node, self.dest_node, self.size_bytes
-            )
-            + ")"
-        )
 
 
 @dataclass(frozen=True)

@@ -12,23 +12,25 @@ Responsibilities:
 * in *pulse-batched* mode (the beat wheel's companion), coalesce every
   delivery sharing an exact delivery instant into one kernel event.
 
-The fabric carries two message forms over one staged transport:
+A message has one form, ``(kind, item, payload)``, and a node one
+receive lane: the kind table it registers, ``kind -> (item, payload)
+-> None``.  Every send enters through :meth:`Network.send_typed` (or
+the fused DGC lanes below, which are ``send_typed`` per message) and
+every delivery ends in the destination's kind table unless a DGC lane
+takes it first.  Two transports carry it:
 
-* **typed** (:meth:`Network.send_typed`) — the primary, allocation-light
-  form: ``(kind, item, payload)`` staged directly into the pulse for its
-  delivery instant — one frame from the node to the staged entry — and
-  dispatched straight through the destination node's kind-handler table
-  (intra-node deliveries through the typed sink in front of it).
-  Every traffic kind — app requests, future replies, registry lookups
-  and DGC protocol messages — rides this path; no per-message
-  :class:`Envelope` is allocated.
-* **envelope** (:meth:`Network.send`) — the per-event baseline and
-  compatibility form: one :class:`Envelope` per transmission, one kernel
-  event per delivery when batching is off.  ``send_typed`` falls back to
-  it whenever pulse semantics cannot hold (variable per-message latency
-  from fault-plan delay rules, destinations without a typed sink, or
-  batching disabled), so fixed-seed runs are bit-identical between the
-  two delivery modes.
+* the **pulse** (batched core, the default) — the message is staged
+  straight into the pulse for its delivery instant, one frame from the
+  node to the staged entry, and the fire loop calls the kind table's
+  handler itself;
+* the **per-message lane** (:meth:`Network._send_one`) — one kernel
+  event per message, for the per-event reference core and, on the
+  batched core, for any stream a fault-plan delay rule could match
+  (its latency is per message).  It reserves its slot through
+  :meth:`FifoChannel._reserve_slot` and charges
+  :meth:`BandwidthAccountant.observe_sized`, the reference copies of
+  the clamp and the accounting the pulse lanes inline, so fixed-seed
+  runs are bit-identical between the two cores.
 
 Pulse storage has one shape, the **aggregated columnar** pulse:
 per-instant pulse records pooled and recycled across instants through a
@@ -63,10 +65,8 @@ from repro.net.kinds import (
     AGGREGATE_KINDS,
     KIND_DGC_MESSAGE,
     KIND_DGC_RESPONSE,
-    PAIRED_PAYLOAD_KINDS,
     bind_dispatch_shapes,
 )
-from repro.net.message import Envelope
 from repro.net.topology import Topology
 from repro.sim.kernel import SimKernel
 
@@ -75,24 +75,20 @@ from repro.sim.kernel import SimKernel
 _AGG_DGC_MESSAGE = AGGREGATE_KINDS[KIND_DGC_MESSAGE]
 _AGG_DGC_RESPONSE = AGGREGATE_KINDS[KIND_DGC_RESPONSE]
 
-# The snapshot above means later paired/aggregate registrations would be
+# The snapshot above means later aggregate registrations would be
 # invisible here; tell the registry so register_kind can reject them.
 bind_dispatch_shapes("repro.net.network")
 
-#: A cached route: ``(sink, channel, dgc_fast, typed_fast)``.
-_Route = Tuple[
-    Optional[Callable[[Envelope], None]], Optional[FifoChannel], bool, bool
-]
+#: A node's receive lane: ``kind -> (item, payload) -> None``.
+KindTable = Dict[str, Callable[[Any, Any], None]]
+
+#: A cached route: ``(table, channel, dgc_fast)``.
+_Route = Tuple[Optional[KindTable], Optional[FifoChannel], bool]
 
 #: Free-list high-water mark: distinct in-flight delivery instants are
 #: bounded by distinct channel latencies, so a short list suffices; the
 #: cap only guards against pathological churn keeping dead records alive.
 _PULSE_POOL_CAP = 64
-
-
-def _drop_payload(payload: Any) -> None:
-    """Shared no-op :attr:`Envelope.deliver` for fallback typed envelopes
-    (dispatch happens through node sinks)."""
 
 
 class _CategoryMemo(dict):
@@ -126,18 +122,16 @@ class _IngressChannel:
         self.delivered_count = 0
 
 
-# repro: allow[HOT-slots] one Network per world (no per-event instances), and benchmarks monkeypatch send on the instance, which needs the __dict__
+# repro: allow[HOT-slots] one Network per world (no per-event instances), and benchmarks monkeypatch send_dgc_single on the instance, which needs the __dict__
 class Network:
-    """Connects registered node sinks through FIFO channels.
+    """Connects registered nodes' kind tables through FIFO channels.
 
-    Pulse entry layout is ``(channel, sink, dest, kind, item, payload)``:
+    Pulse entry layout is ``(channel, table, dest, kind, item, payload)``:
 
-    * envelope entries — ``kind`` is ``None``, ``item`` the envelope;
-      local ones carry their resolved sink, cross-node ones re-resolve
-      the destination at delivery,
-    * typed entries — ``kind`` is a traffic-kind constant; local ones
-      carry the resolved typed sink, cross-node ones the destination
-      node name in ``dest``,
+    * typed entries — ``kind`` is a traffic-kind constant; intra-node
+      ones carry the destination's kind table in ``table`` (``channel``
+      is ``None``), cross-node ones only the destination node name in
+      ``dest`` and re-resolve its table at delivery,
     * aggregate entries — ``kind`` is an
       :data:`~repro.net.message.AGGREGATE_KINDS` marker and
       ``item``/``payload`` are flat parallel ``(target_id, message)``
@@ -159,30 +153,21 @@ class Network:
         #: per-pair half is each channel's ``acct_box``.
         self._categories = _CategoryMemo(self._accountant)
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
-        self._sinks: Dict[str, Callable[[Envelope], None]] = {}
         self._channels: Dict[Tuple[str, str], FifoChannel] = {}
-        #: Per-node typed dispatchers ``(kind, item, payload) -> None``:
-        #: the envelope-free receive path of the unified fabric, one sink
-        #: per node for *all* traffic kinds.
-        self._typed_sinks: Dict[str, Callable[[str, Any, Any], None]] = {}
-        #: Per-node kind-handler tables ``kind -> (item, payload) ->
-        #: None``: what a typed sink dispatches through, lent to the
-        #: fabric so the columnar fire loop calls a cross-node message's
-        #: handler directly instead of via the sink's kind dispatch.
-        self._kind_tables: Dict[str, Dict[str, Callable[[Any, Any], None]]] = {}
-        #: Per-node DGC receive lanes of the pulse, keyed by
-        #: destination: single-message handlers ``(target, message)``
-        #: (skipping the typed sink's kind dispatch) and aggregate
-        #: unwrappers ``(targets, messages)`` looping the flat columns
-        #: locally.
-        self._dgc_message_sinks: Dict[str, Callable[[Any, Any], None]] = {}
-        self._dgc_response_sinks: Dict[str, Callable[[Any, Any], None]] = {}
+        #: Per-node kind tables ``kind -> (item, payload) -> None``: each
+        #: node's one receive lane, total over the kinds it receives.
+        #: Every delivery indexes it directly — the fire loop and the
+        #: per-message lane alike — unless a DGC lane below takes the
+        #: message first.
+        self._kind_tables: Dict[str, KindTable] = {}
+        #: Per-node aggregate unwrappers ``(targets, messages)`` of the
+        #: pulse's DGC runs, looping the flat columns locally.
         self._dgc_message_batch_sinks: Dict[str, Callable[[list, list], None]] = {}
         self._dgc_response_batch_sinks: Dict[str, Callable[[list, list], None]] = {}
         #: Per-node, per-activity DGC target tables ``target id ->
         #: (message) -> None`` lent by the node (it keeps them current):
         #: the columnar fire loop hands a DGC single straight to the
-        #: bound collector handler; a miss falls to the single sink.
+        #: bound collector handler; a miss falls to the kind table.
         self._dgc_message_tables: Dict[str, Dict[Any, Callable[[Any], None]]] = {}
         self._dgc_response_tables: Dict[str, Dict[Any, Callable[[Any], None]]] = {}
         #: When true (the beat wheel is active), *all* deliveries are
@@ -257,13 +242,13 @@ class Network:
         #: attribution of shared instants, not the event total, is the
         #: approximation).
         self.ingress_pulse_event_count = 0
-        #: Hot-path cache: source -> dest -> ``(sink, channel,
-        #: dgc_fast, typed_fast)`` as built by :meth:`_build_route`.  A
-        #: ``None`` sink means a shard-remote destination, a ``None``
-        #: channel intra-node delivery.  Two nested string-keyed dicts
-        #: avoid building a key tuple per message.  Cleared on every
+        #: Hot-path cache: source -> dest -> ``(table, channel,
+        #: dgc_fast)`` as built by :meth:`_build_route`.  A ``None``
+        #: table means a shard-remote destination, a ``None`` channel
+        #: intra-node delivery.  Two nested string-keyed dicts avoid
+        #: building a key tuple per message.  Cleared on every
         #: registration: a re-registration replaces the node's lanes,
-        #: and with them the flags a route precomputed.
+        #: and with them the flag a route precomputed.
         self._routes: Dict[str, Dict[str, _Route]] = {}
 
     @property
@@ -284,48 +269,39 @@ class Network:
     def register_node(
         self,
         node: str,
-        sink: Callable[[Envelope], None],
-        typed_sink: Optional[Callable[[str, Any, Any], None]] = None,
-        dgc_sinks: Optional[
-            Dict[str, Tuple[Callable[[Any, Any], None], Callable[[list, list], None]]]
+        kind_handlers: KindTable,
+        *,
+        dgc_batch_sinks: Optional[
+            Dict[str, Callable[[list, list], None]]
         ] = None,
-        kind_handlers: Optional[Dict[str, Callable[[Any, Any], None]]] = None,
         dgc_targets: Optional[
             Dict[str, Dict[Any, Callable[[Any], None]]]
         ] = None,
     ) -> None:
-        """Attach a node's receive dispatchers to the fabric, replacing
-        every lane of an earlier registration of ``node`` (a lane the
-        new registration omits is removed, never inherited).
+        """Attach a node's receive lanes to the fabric, replacing every
+        lane of an earlier registration of ``node`` (a lane the new
+        registration omits is removed, never inherited).
 
-        ``typed_sink`` is the envelope-free entry point for pulse-batched
-        traffic of every kind; nodes that do not provide one fall back to
-        the per-envelope path even when batching is enabled.
-        ``dgc_sinks`` maps a DGC kind to its ``(single, batch)`` handler
-        pair — the pulse's direct receive lanes; without them
-        DGC traffic for this node rides the typed sink like every other
-        kind.  ``kind_handlers`` is the table ``typed_sink`` dispatches
-        through, total over the kinds the node receives (a miss must
-        raise like the sink would); the fire loop indexes it directly,
-        the per-event core keeps calling ``typed_sink``.
+        ``kind_handlers`` is the node's one required lane: the table
+        ``kind -> (item, payload) -> None``, total over the kinds the
+        node receives (a miss must raise).
+        ``dgc_batch_sinks`` maps a DGC kind to the ``(targets,
+        messages)`` unwrapper of its aggregate entries; unless both DGC
+        kinds have one, DGC traffic for this node is staged message by
+        message like every other kind.
         ``dgc_targets`` maps a DGC kind to the node's live per-activity
         table ``target id -> (message) -> None``: the fire loop calls a
-        single's bound handler through it and falls to the kind's single
-        sink on a miss (or when no table was lent).
+        single's bound handler through it and falls to the kind table
+        on a miss (or when no table was lent).
         """
-        self._sinks[node] = sink
-        dgc_sinks = dgc_sinks or {}
+        self._kind_tables[node] = kind_handlers
+        dgc_batch_sinks = dgc_batch_sinks or {}
         dgc_targets = dgc_targets or {}
-        message_sinks = dgc_sinks.get(KIND_DGC_MESSAGE, (None, None))
-        response_sinks = dgc_sinks.get(KIND_DGC_RESPONSE, (None, None))
         for lanes, lane in (
-            (self._typed_sinks, typed_sink),
-            (self._kind_tables,
-             kind_handlers if typed_sink is not None else None),
-            (self._dgc_message_sinks, message_sinks[0]),
-            (self._dgc_message_batch_sinks, message_sinks[1]),
-            (self._dgc_response_sinks, response_sinks[0]),
-            (self._dgc_response_batch_sinks, response_sinks[1]),
+            (self._dgc_message_batch_sinks,
+             dgc_batch_sinks.get(KIND_DGC_MESSAGE)),
+            (self._dgc_response_batch_sinks,
+             dgc_batch_sinks.get(KIND_DGC_RESPONSE)),
             (self._dgc_message_tables, dgc_targets.get(KIND_DGC_MESSAGE)),
             (self._dgc_response_tables, dgc_targets.get(KIND_DGC_RESPONSE)),
         ):
@@ -348,8 +324,8 @@ class Network:
         but instead of entering the local pulse it joins the egress run
         of its ``(kind, delivery_time, dest)`` — the literal content of
         the next wire frame (:mod:`repro.net.wire`).  Requires the
-        batched pulse core; the per-event envelope path raises on
-        shard-remote destinations (see :meth:`send`)."""
+        batched pulse core; the per-message lane raises on shard-remote
+        destinations (see :meth:`_send_one`)."""
         self._egress_nodes = frozenset(self._topology.nodes) - frozenset(
             local_nodes
         )
@@ -419,37 +395,26 @@ class Network:
         item: Any,
         payload: Any = None,
     ) -> None:
-        """Route one typed message — the unified, allocation-light send
-        path every traffic kind goes through, and the fused lane of
-        app and registry traffic: one frame from the node to the staged
-        pulse entry.
+        """Route one typed message — the fabric's one send path for every
+        traffic kind, and the fused lane of app and registry traffic: one
+        frame from the node to the staged pulse entry.
 
         In pulse-batched mode the message is staged for its exact
-        per-envelope delivery instant (the channel's constant latency,
-        FIFO clamp and send counter, inlined from
-        :meth:`FifoChannel._reserve_slot`); all traffic sharing that
-        instant rides one kernel event and no :class:`Envelope` is
-        allocated.  Accounting and partition drops match :meth:`send`
-        (the accountant is charged through the memoized per-kind
-        category and the channel's lent pair box — bit-identical totals
-        to :meth:`BandwidthAccountant.observe_sized`), so batching
-        changes heap traffic and allocations, never simulation outcomes.
-        A shard-remote destination takes the same lane up to the staging
+        delivery instant (the channel's constant latency, FIFO clamp and
+        send counter, inlined from :meth:`FifoChannel._reserve_slot`);
+        all traffic sharing that instant rides one kernel event.  The
+        accountant is charged through the memoized per-kind category and
+        the channel's lent pair box — bit-identical totals to
+        :meth:`BandwidthAccountant.observe_sized` — so batching changes
+        heap traffic and allocations, never simulation outcomes.  A
+        shard-remote destination takes the same lane up to the staging
         step, where the message joins its egress run instead of the
         local pulse.
 
-        Falls back to the per-envelope path whenever pulse semantics
-        cannot hold: batching disabled (the per-event baseline), channels
-        with fault-plan delay rules (their latency is per-message), or
-        an envelope-only destination.
+        The per-event core, and on the batched core every stream a
+        fault-plan delay rule could match (its latency is per message),
+        take the per-message lane :meth:`_send_one` instead.
         """
-        if not self.pulse_batching:
-            self.send(
-                Envelope(source, dest, kind, size_bytes,
-                         self._envelope_payload(kind, item, payload),
-                         _drop_payload)
-            )
-            return
         try:
             route = self._routes[source][dest]
         except KeyError:
@@ -459,13 +424,17 @@ class Network:
             fault_plan.dropped_count += 1
             return
         channel = route[1]
-        kernel = self._kernel
-        now = kernel._now if self._fast_clock else kernel.now
-        if route[3] and not (
-            channel._delay_rules
+        if not self.pulse_batching or (
+            channel is not None
+            and channel._delay_rules
             and route[0] is not None
             and fault_plan.may_delay(source, dest, kind)
         ):
+            self._send_one(route, source, dest, kind, size_bytes, item, payload)
+            return
+        kernel = self._kernel
+        now = kernel._now if self._fast_clock else kernel.now
+        if channel is not None:
             # Inlined FifoChannel._reserve_slot: clamp + counter without
             # a callee frame.
             latency = channel._base_latency
@@ -500,24 +469,13 @@ class Network:
                 self.egress_message_count += 1
                 return
             # Cross-node: resolved again at delivery so a node that
-            # vanishes mid-flight drops the entry (mirrors _dispatch).
+            # vanishes mid-flight drops the entry.
             entry = (channel, None, dest, kind, item, payload)
-        elif channel is None and dest in self._typed_sinks:
-            # Intra-node: delivered at the current instant, unaccounted.
-            delivery_time = now
-            entry = (None, self._typed_sinks[dest], dest, kind, item, payload)
         else:
-            # Variable latency (the pulse cannot share instants
-            # meaningfully — only for streams a delay rule could
-            # actually match; unmatched kinds keep pulse semantics)
-            # or an envelope-only destination: keep the per-envelope
-            # path's semantics.
-            self.send(
-                Envelope(source, dest, kind, size_bytes,
-                         self._envelope_payload(kind, item, payload),
-                         _drop_payload)
-            )
-            return
+            # Intra-node: delivered at the current instant, unaccounted,
+            # through the kind table the route resolved.
+            delivery_time = now
+            entry = (None, route[0], dest, kind, item, payload)
         if delivery_time == self._last_pulse_time:
             self._last_pulse.append(entry)
             return
@@ -577,7 +535,7 @@ class Network:
         ):
             self.send_typed(source, dest, kind, size_bytes, item, payload)
             return
-        # Inlined FifoChannel.stage_send: clamp + counter without a
+        # Inlined FifoChannel._reserve_slot: clamp + counter without a
         # callee frame — this lane runs once per DGC message at scale.
         latency = channel._base_latency
         if latency < 0.0:
@@ -796,82 +754,67 @@ class Network:
         entries.append((channel, None, dest, agg_kind, targets, messages))
         self.aggregated_message_count += count - 1
 
-    @staticmethod
-    def _envelope_payload(kind: str, item: Any, payload: Any) -> Any:
-        """The legacy :class:`Envelope` payload shape for a typed
-        message: a pair for the paired kinds (DGC), the bare item
-        otherwise."""
-        if kind in PAIRED_PAYLOAD_KINDS:
-            return (item, payload)
-        return item
-
-    def send(self, envelope: Envelope) -> None:
-        """Route a pre-built ``envelope`` to its destination node — the
-        per-event baseline and the fallback for traffic that cannot ride
-        the pulse.
-
-        The (sink, channel) pair per node pair is cached so the hot path
-        pays one dict probe instead of sink lookup + channel lookup per
-        envelope.  Cross-node deliveries still go through ``_dispatch``
-        (a delivery-time sink lookup) so a destination that vanishes
-        mid-flight drops the envelope, as the fault model requires.
-
-        In pulse-batched mode the envelope is staged by delivery instant
-        instead of getting its own kernel event; everything else —
-        times, accounting, counters, per-channel order — is unchanged.
-        """
-        source = envelope.source_node
-        dest = envelope.dest_node
-        try:
-            route = self._routes[source][dest]
-        except KeyError:
-            route = self._build_route(source, dest)
-        # Read through fault_plan each time (it is a public attribute and
-        # may be replaced); the set's truthiness is the zero-cost guard.
-        fault_plan = self.fault_plan
-        if fault_plan._partitioned and fault_plan.is_partitioned(source, dest):
-            fault_plan.dropped_count += 1
-            return
-        sink = route[0]
-        channel = route[1]
-        if sink is None:
-            # A shard-remote destination on the per-envelope path: the
-            # wire frame carries staged pulse columns, not envelopes, so
-            # sharded runs require the batched core end to end (the
-            # harness rejects the per-event core and fault-plan delay
-            # rules under --shards for exactly this reason).
+    def _send_one(
+        self,
+        route: _Route,
+        source: str,
+        dest: str,
+        kind: str,
+        size_bytes: int,
+        item: Any,
+        payload: Any,
+    ) -> None:
+        """The per-message lane: every message of the per-event core,
+        and on the batched core every stream a delay rule could match.
+        One kernel event per message — intra-node at the current
+        instant, unaccounted; cross-node at the channel's base latency
+        plus the matching delay rules' extra, behind
+        :meth:`FifoChannel._reserve_slot`'s clamp, charged through
+        :meth:`BandwidthAccountant.observe_sized`.  Both stay the
+        reference implementations the pulse lanes inline (the parity
+        tests compare the two cores)."""
+        table = route[0]
+        if table is None:
+            # The wire frame carries staged pulse columns, so sharded
+            # runs require the batched core end to end (the harness
+            # rejects the per-event core and fault-plan delay rules
+            # under --shards for exactly this reason).
             raise NetworkError(
-                f"envelope for {dest!r} would cross a shard boundary: "
-                "cross-shard traffic requires pulse batching "
+                f"{kind} message for {dest!r} would cross a shard "
+                "boundary: cross-shard traffic requires pulse batching "
                 "(a batched aggregation core, no fault-plan delay rules)"
             )
+        kernel = self._kernel
+        now = kernel.now
+        channel = route[1]
         if channel is None:
-            # Intra-node: delivered immediately (same tick), not accounted.
-            if self.pulse_batching:
-                envelope.sent_at = self._kernel.now
-                self._stage(self._kernel.now,
-                            (None, sink, dest, None, envelope, None))
-                return
-            self._kernel.schedule_fire_at(
-                self._kernel.now, self._deliver_local, (envelope, sink)
-            )
+            kernel.schedule_fire_at(now, table[kind], (item, payload))
             return
-        self._accountant.observe_sized(
-            envelope.kind, envelope.size_bytes, channel.pair
+        latency = channel._base_latency
+        if channel._delay_rules:
+            latency += self.fault_plan.extra_delay(
+                source, dest, kind, item, now
+            )
+        self._accountant.observe_sized(kind, size_bytes, channel.pair)
+        kernel.schedule_fire_at(
+            channel._reserve_slot(latency),
+            self._deliver_one,
+            (channel, dest, kind, item, payload),
         )
-        if (
-            self.pulse_batching
-            and channel._base_latency is not None
-            and not (
-                channel._delay_rules
-                and fault_plan.may_delay(source, dest, envelope.kind)
-            )
-        ):
-            envelope.sent_at = self._kernel.now
-            self._stage(channel.stage_send(),
-                        (channel, None, dest, None, envelope, None))
-            return
-        channel.send(envelope, self._dispatch)
+
+    def _deliver_one(
+        self, channel: FifoChannel, dest: str, kind: str, item: Any,
+        payload: Any,
+    ) -> None:
+        """Deliver one message of the per-message lane into the
+        destination's kind table, re-resolved here so a node that
+        vanished mid-flight drops it."""
+        channel.delivered_count += 1
+        kind_tables = self._kind_tables
+        if dest in kind_tables:
+            kind_tables[dest][kind](item, payload)
+        else:
+            self.fault_plan.dropped_count += 1
 
     # ------------------------------------------------------------------
     # Pulse staging and firing
@@ -900,11 +843,10 @@ class Network:
         One tight loop with every lookup an entry needs bound to a local:
         aggregate entries cost one batch-sink call per *run* (the
         destination loops the flat columns itself), plain DGC entries
-        dispatch straight to their single-message lane, every other
-        cross-node typed entry straight to its handler in the
-        destination's kind table (no typed-sink kind dispatch either
-        way); local entries carry their resolved sink, cross-node ones
-        re-resolve the destination at delivery, like ``_dispatch``.
+        go straight to their target's bound collector handler, every
+        other entry straight to its handler in the destination's kind
+        table; intra-node entries carry that table, cross-node ones
+        re-resolve the destination at delivery, like :meth:`_deliver_one`.
         Handlers running inside the loop may stage new traffic freely —
         even for this same instant — because the record was detached
         from ``_pulses`` before the loop and only recycled after it.
@@ -918,45 +860,33 @@ class Network:
         permuter = self.pulse_permuter
         if permuter is not None:
             entries = permuter(delivery_time, entries)
-        typed_get = self._typed_sinks.get
         kind_tables = self._kind_tables
         msg_batch_get = self._dgc_message_batch_sinks.get
         resp_batch_get = self._dgc_response_batch_sinks.get
         msg_tables = self._dgc_message_tables
         resp_tables = self._dgc_response_tables
-        msg_single_get = self._dgc_message_sinks.get
-        resp_single_get = self._dgc_response_sinks.get
-        dispatch = self._dispatch
         fault_plan = self.fault_plan
         # Branches ordered by frequency at scale: single DGC entries
-        # dominate, then aggregate runs, then app/registry typed
-        # traffic, then envelopes.  A DGC single goes straight to the
-        # target's bound collector handler through the node's lent
-        # table; a miss (target gone, collector attached outside the
-        # world's create path, no table lent) takes the single sink.
-        for channel, sink, dest, kind, item, payload in entries:
+        # dominate, then aggregate runs, then app/registry traffic.  A
+        # DGC single goes straight to the target's bound collector
+        # handler through the node's lent table; a miss (target gone,
+        # collector attached outside the world's create path, no table
+        # lent) takes the kind table like every other entry.
+        for channel, table, dest, kind, item, payload in entries:
             if kind is KIND_DGC_MESSAGE and channel is not None:
                 channel.delivered_count += 1
                 if dest in msg_tables:
-                    table = msg_tables[dest]
-                    if item in table:
-                        table[item](payload)
+                    targets = msg_tables[dest]
+                    if item in targets:
+                        targets[item](payload)
                         continue
-                handler = msg_single_get(dest)
-                if handler is not None:
-                    handler(item, payload)
-                    continue
             elif kind is KIND_DGC_RESPONSE and channel is not None:
                 channel.delivered_count += 1
                 if dest in resp_tables:
-                    table = resp_tables[dest]
-                    if item in table:
-                        table[item](payload)
+                    targets = resp_tables[dest]
+                    if item in targets:
+                        targets[item](payload)
                         continue
-                handler = resp_single_get(dest)
-                if handler is not None:
-                    handler(item, payload)
-                    continue
             elif kind is _AGG_DGC_MESSAGE:
                 channel.delivered_count += len(item)
                 handler = msg_batch_get(dest)
@@ -973,27 +903,17 @@ class Network:
                 else:
                     handler(item, payload)
                 continue
-            elif kind is None:
-                if channel is None:
-                    sink(item)
-                else:
-                    channel.delivered_count += 1
-                    dispatch(item)
-                continue
             elif channel is None:
-                # Typed intra-node: ``sink`` is the resolved typed sink.
-                sink(kind, item, payload)
+                # Intra-node: the entry carries the destination's table.
+                table[kind](item, payload)
                 continue
             else:
                 channel.delivered_count += 1
             if dest in kind_tables:
                 kind_tables[dest][kind](item, payload)
-                continue
-            handler = typed_get(dest)
-            if handler is None:
-                fault_plan.dropped_count += 1
             else:
-                handler(kind, item, payload)
+                # Destination vanished mid-flight (node shut down): drop.
+                fault_plan.dropped_count += 1
         entries.clear()
         pool = self._pulse_pool
         if len(pool) < _PULSE_POOL_CAP:
@@ -1004,78 +924,50 @@ class Network:
     # ------------------------------------------------------------------
 
     def _build_route(self, source: str, dest: str) -> _Route:
-        """Resolve and cache ``(sink, channel, dgc_fast, typed_fast)``
-        for a pair.
+        """Resolve and cache ``(table, channel, dgc_fast)`` for a pair.
 
-        ``typed_fast`` and ``dgc_fast`` precompute the fused-lane
-        eligibility checks that cannot change while the route cache is
-        valid (cross-node, constant latency, typed sink registered —
-        and, for DGC, both batch sinks); the cache is cleared on every
+        ``dgc_fast`` precomputes the fused DGC lanes' eligibility
+        (cross-node, both batch sinks registered), which cannot change
+        while the route cache is valid; the cache is cleared on every
         registration.  Fault-plan delay rules are the one live condition
         and stay checked per send.
         """
-        sink = self._sinks.get(dest)
-        if sink is None:
+        table = self._kind_tables.get(dest)
+        if table is None:
             egress_nodes = self._egress_nodes
             if egress_nodes is not None and dest in egress_nodes:
-                # Shard-remote destination: no sink (the node lives in
+                # Shard-remote destination: no table (the node lives in
                 # another process), a real sender-side channel (FIFO
-                # clamp + accounting happen here), and both fast flags —
+                # clamp + accounting happen here), and the DGC flag —
                 # the fused lanes clamp and account inline, then stage
                 # into the egress runs instead of the local pulse.
-                route = (None, self._channel(source, dest), True, True)
+                route = (None, self._channel(source, dest), True)
                 self._routes.setdefault(source, {})[dest] = route
                 return route
             raise UnknownDestinationError(f"node {dest!r} is not registered")
         channel = None if source == dest else self._channel(source, dest)
-        typed_fast = (
-            channel is not None
-            and channel._base_latency is not None
-            and dest in self._typed_sinks
-        )
         dgc_fast = (
-            typed_fast
+            channel is not None
             and dest in self._dgc_message_batch_sinks
             and dest in self._dgc_response_batch_sinks
         )
-        route = (sink, channel, dgc_fast, typed_fast)
+        route = (table, channel, dgc_fast)
         self._routes.setdefault(source, {})[dest] = route
         return route
-
-    def _deliver_local(
-        self, envelope: Envelope, sink: Callable[[Envelope], None]
-    ) -> None:
-        sink(envelope)
-
-    def _dispatch(self, envelope: Envelope) -> None:
-        sink = self._sinks.get(envelope.dest_node)
-        if sink is None:
-            # Destination vanished mid-flight (node shut down): drop.
-            self.fault_plan.dropped_count += 1
-            return
-        sink(envelope)
 
     def _channel(self, source: str, dest: str) -> FifoChannel:
         key = (source, dest)
         channel = self._channels.get(key)
         if channel is None:
             # The topology lookup (two site resolutions) is constant per
-            # node pair, so it runs once at channel creation; the channel
-            # falls back to ``_latency`` only while delay rules exist.
+            # node pair, so it runs once at channel creation.
             channel = FifoChannel(
                 self._kernel,
                 source,
                 dest,
-                self._latency,
-                base_latency=self._topology.one_way_latency(source, dest),
+                self._topology.one_way_latency(source, dest),
                 delay_rules=self.fault_plan._delay_rules,
                 acct_box=self._accountant.pair_box(key),
             )
             self._channels[key] = channel
         return channel
-
-    def _latency(self, envelope: Envelope) -> float:
-        base = self._topology.one_way_latency(
-            envelope.source_node, envelope.dest_node
-        )
-        return base + self.fault_plan.extra_delay(envelope, self._kernel.now)

@@ -27,10 +27,8 @@ from repro.net.kinds import (
     KIND_REGISTRY_PUSH,
     KIND_REGISTRY_RENEW,
     KIND_REGISTRY_REPLY,
-    PAIRED_PAYLOAD_KINDS,
     bind_dispatch_shapes,
 )
-from repro.net.message import Envelope
 from repro.runtime.activeobject import Activity, ActivityState
 from repro.runtime.future import Future
 from repro.runtime.ids import ActivityId
@@ -40,10 +38,9 @@ from repro.runtime.request import RegistryAck, Reply, ReplyAddress, Request
 from repro.runtime.serialization import deserialize_refs, serialize_refs
 from repro.sim.beats import SlotController
 
-# The typed sink below hard-codes the (item, payload) shape of the DGC
-# kinds and the aggregate unwrap; a paired/aggregate kind registered
-# after this module imports would silently miss those branches, so the
-# registry rejects such registrations from here on.
+# The batch sinks below hard-code the aggregate unwrap of the DGC kinds;
+# an aggregate kind registered after this module imports would have
+# none, so the registry rejects such registrations from here on.
 bind_dispatch_shapes("repro.runtime.node")
 
 
@@ -85,9 +82,9 @@ class Node:
         #: ``beat_slots="auto"`` (see :class:`repro.sim.beats.SlotController`).
         self.beat_slot_controller = SlotController()
         # Hot-path cache: the wire-size model is frozen, so the DGC sizes
-        # are constants.  (``network.send`` is deliberately NOT cached as
-        # a bound method: harness code patches it per-instance to observe
-        # traffic.)
+        # are constants.  (The network's send lanes are deliberately NOT
+        # cached as bound methods: benchmark code patches them
+        # per-instance to observe traffic.)
         self._dgc_message_bytes = self.wire_sizes.dgc_message_bytes
         self._dgc_response_bytes = self.wire_sizes.dgc_response_bytes
         #: Direct DGC dispatch tables: activity id -> bound collector
@@ -110,15 +107,14 @@ class Node:
         #: non-response DGC send flushes every box first, so each
         #: channel's order is exactly the unbatched one.
         self._response_run: Optional[dict] = None
-        #: The receive half of the typed fabric: one ``(item, payload)``
-        #: handler per traffic kind, total over the kind registry (the
+        #: The node's one receive lane: one ``(item, payload)`` handler
+        #: per traffic kind, total over the kind registry (the
         #: analyzer's KIND-sink rule reads the keys), so adding a kind
-        #: means adding an entry, not a code path.  The columnar fire
-        #: loop indexes the table directly; :meth:`_on_typed` dispatches
-        #: through it for the per-event core.  The DGC entries are the
-        #: activity-lookup handlers that core has always used — and
-        #: the columnar pulse's single sinks, behind the target tables;
-        #: the registry entries are the shard's own bound methods.
+        #: means adding an entry, not a code path.  The fabric indexes
+        #: the table directly on every core.  The DGC entries are the
+        #: activity-lookup handlers — behind the target tables on the
+        #: columnar pulse; the registry entries are the shard's own
+        #: bound methods.
         self._kind_handlers = _KindHandlers({
             KIND_DGC_MESSAGE: self._on_dgc_message_via_lookup,
             KIND_DGC_RESPONSE: self._on_dgc_response_via_lookup,
@@ -133,17 +129,11 @@ class Node:
         })
         self.network.register_node(
             name,
-            self._on_envelope,
-            self._on_typed,
-            dgc_sinks={
-                KIND_DGC_MESSAGE: (
-                    self._on_dgc_message_via_lookup, self._on_dgc_messages,
-                ),
-                KIND_DGC_RESPONSE: (
-                    self._on_dgc_response_via_lookup, self._on_dgc_responses,
-                ),
+            self._kind_handlers,
+            dgc_batch_sinks={
+                KIND_DGC_MESSAGE: self._on_dgc_messages,
+                KIND_DGC_RESPONSE: self._on_dgc_responses,
             },
-            kind_handlers=self._kind_handlers,
             dgc_targets={
                 KIND_DGC_MESSAGE: self._dgc_message_targets,
                 KIND_DGC_RESPONSE: self._dgc_response_targets,
@@ -315,23 +305,6 @@ class Node:
     # Inbound dispatch
     # ------------------------------------------------------------------
 
-    def _on_envelope(self, envelope: Envelope) -> None:
-        """Per-envelope receive path: unwrap into the same per-kind
-        handlers the typed sink dispatches to, so both delivery modes
-        are observably identical."""
-        payload = envelope.payload
-        if envelope.kind in PAIRED_PAYLOAD_KINDS:
-            self._on_typed(envelope.kind, payload[0], payload[1])
-        else:
-            self._on_typed(envelope.kind, payload, None)
-
-    def _on_typed(self, kind: str, item: Any, payload: Any) -> None:
-        """The node's typed sink: one dispatcher for every traffic kind
-        — the entry point of the envelope fallback, the per-event core
-        and intra-node deliveries (the columnar fire loop calls the
-        table's handlers itself)."""
-        self._kind_handlers[kind](item, payload)
-
     def _on_request(self, request: Request, payload: Any = None) -> None:
         self.world.note_request_delivered(request)
         activity = self.activities.get(request.target)
@@ -395,9 +368,9 @@ class Node:
     def _on_dgc_message_via_lookup(
         self, activity_id: ActivityId, message: Any
     ) -> None:
-        """DGC delivery by activity lookup: the typed-sink path of the
-        per-event core and the envelope fallback, and the columnar
-        pulse's single sink behind the target tables."""
+        """DGC delivery by activity lookup: the kind-table entry of the
+        per-message lane, and of the columnar pulse behind the target
+        tables."""
         activity = self.activities.get(activity_id)
         if activity is None or activity.collector is None:
             # Referenced activity already collected/terminated: silence.

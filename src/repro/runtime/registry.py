@@ -240,9 +240,9 @@ class RegistryShard:
     :class:`repro.runtime.node.Node` builds its shard once
     (:meth:`NamingService.shard`) and installs the ``on_*`` bound
     methods directly as values of its kind-handler table, so the
-    fabric's fire loop, the per-event core's ``_on_typed`` and the
-    envelope fallback all enter the same code.  Handlers take the
-    fabric's ``(item, payload)`` pair; registry kinds carry no payload.
+    fabric's fire loop and its per-message lane enter the same code.
+    Handlers take the fabric's ``(item, payload)`` pair; registry kinds
+    carry no payload.
     """
 
     __slots__ = ("service", "node_name", "pending", "authority", "replica",

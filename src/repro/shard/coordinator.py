@@ -280,8 +280,8 @@ class ShardedWorld:
         if dgc.aggregation == AGGREGATION_PER_EVENT:
             raise ConfigurationError(
                 "sharded execution requires the batched pulse core "
-                "(DgcConfig.aggregation 'exact'): the per-event "
-                "envelope path cannot cross a shard boundary"
+                "(DgcConfig.aggregation 'exact'): the per-message "
+                "lane cannot cross a shard boundary"
             )
         self.topology = topology
         self.plan = make_plan(topology, shard_count)

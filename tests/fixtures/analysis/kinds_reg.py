@@ -3,7 +3,7 @@
 The file plays the role of ``repro/net/kinds.py`` — it *defines*
 ``register_kind`` and makes the top-level built-in registrations, so
 registrations here are in the defining file and (when top-level) legal
-for paired kinds.
+for aggregate kinds.
 """
 
 KIND_FAB_PING = "fab.ping"
@@ -15,7 +15,7 @@ KIND_FAB_ALIEN = "fab.alien"
 KIND_FAB_RETIRED = "fab.retired"  # expect[KIND-literal]
 
 
-def register_kind(kind, *, paired=False, aggregate=None, family=None):
+def register_kind(kind, *, aggregate=None, family=None):
     return kind
 
 
@@ -26,4 +26,4 @@ register_kind(KIND_FAB_MUTE)  # expect[KIND-codec]
 
 
 def _register_after_import():
-    register_kind(KIND_FAB_PAIR, paired=True, aggregate="fab.pair[]")  # expect[KIND-late-paired]
+    register_kind(KIND_FAB_PAIR, aggregate="fab.pair[]")  # expect[KIND-late-aggregate]

@@ -123,7 +123,7 @@ def test_veiga_cdm_size_grows_with_cycle():
         # Collectors are gone with their activities; read the counters
         # from the traffic: CDM bytes scale with ids.  Easiest: re-run
         # tracking the max over live collectors before collection -
-        # instead we use the accountant's biggest DGC envelope proxy:
+        # instead we use the accountant's DGC message bytes as a proxy:
         sizes[cycle_size] = world.accountant.bytes_for("dgc.message")
     assert sizes[9] > sizes[3]
 

@@ -19,14 +19,16 @@ deterministic gates, no timing:
   bytes and messages, every pair's bytes and every channel's
   ``sent_count``/``delivered_count`` must equal what the per-event core
   (``observe_sized``, ``_reserve_slot``) records for the same DGC traffic:
-  singles, runs, a dead target, partition drops and the delay-rule
-  fallback.
+  singles, runs, a dead target, partition drops and the per-message
+  lane under a stream-filtered and an item-predicate delay rule.
 * **Oracle independence** — the per-event core shares none of this: on
   it every delivered heartbeat and response enters Algorithms 3 and 4.
 """
 
 import cProfile
 import os
+
+import pytest
 
 from repro.core.clock import ActivityClock
 from repro.core.config import DgcConfig
@@ -286,14 +288,27 @@ def test_injected_multi_source_run_sends_one_run_per_source_site():
 # ----------------------------------------------------------------------
 
 
-def drive_dgc_traffic(dgc: DgcConfig):
-    """Single, run, dead-target, partition-dropped and
-    delay-rule-fallback DGC traffic over three nodes."""
+#: The delay rule each parity drive runs under, added once the
+#: activities exist: responses from site-2 (a stream filter), or the
+#: messages addressed to one activity (an item predicate over the DGC
+#: target id).  Either way the matched stream rides the per-message
+#: lane on the batched core; every other stream keeps its fused lane.
+DELAY_RULES = {
+    "stream": lambda plan, run: plan.add_delay(
+        0.05, kind=KIND_DGC_RESPONSE, source="site-2"
+    ),
+    "item": lambda plan, run: plan.add_delay(
+        0.05, kind=KIND_DGC_MESSAGE,
+        predicate=lambda target: target == run[1].activity_id,
+    ),
+}
+
+
+def drive_dgc_traffic(dgc: DgcConfig, rule: str):
+    """Single, run, dead-target, partition-dropped and delay-rule DGC
+    traffic over three nodes."""
     reset_id_counter()
     plan = FaultPlan()
-    # Responses from site-2 ride the per-envelope fallback on the
-    # batched cores; every other stream keeps its fused lane.
-    plan.add_delay(0.05, kind=KIND_DGC_RESPONSE, source="site-2")
     world = World(uniform_topology(3), dgc=dgc, fault_plan=plan, trace=False)
     driver = world.create_driver(node="site-0")
     run = [
@@ -301,6 +316,7 @@ def drive_dgc_traffic(dgc: DgcConfig):
         for index in range(3)
     ]
     driver.context.create(SinkBehavior(), node="site-2", name="single")
+    DELAY_RULES[rule](plan, run)
     world.run_for(4 * TTB)
     # A target that dies while referenced: heartbeats keep being sent
     # (and charged) and are dropped silently at the receiver.
@@ -328,16 +344,17 @@ def accounting_snapshot(world):
     )
 
 
-def test_dgc_lane_accounting_equals_the_per_event_core():
+@pytest.mark.parametrize("rule", sorted(DELAY_RULES))
+def test_dgc_lane_accounting_equals_the_per_event_core(rule):
     per_event = drive_dgc_traffic(
-        DgcConfig(ttb=TTB, tta=3.0, aggregation="per-event")
+        DgcConfig(ttb=TTB, tta=3.0, aggregation="per-event"), rule
     )
     assert not per_event.network.pulse_batching
     reference = accounting_snapshot(per_event)
     assert {kind for kind, cat in reference[0] if cat.messages} == {
         KIND_DGC_MESSAGE, KIND_DGC_RESPONSE,
     }
-    world = drive_dgc_traffic(DgcConfig(ttb=TTB, tta=3.0))
+    world = drive_dgc_traffic(DgcConfig(ttb=TTB, tta=3.0), rule)
     assert world.network.pulse_batching
     assert accounting_snapshot(world) == reference
     assert world.network.aggregated_message_count > 0  # runs did form

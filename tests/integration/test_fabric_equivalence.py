@@ -1,5 +1,5 @@
 """The unified fabric is a pure delivery-mechanism change: pulse-batched
-typed delivery and per-event envelope delivery must produce bit-identical
+typed delivery and the per-event per-message lane must produce bit-identical
 simulations on **app-traffic-dominated** workloads, not just DGC beats.
 
 Property checked across seeds and NAS kernels on fixed-seed runs: the

@@ -8,7 +8,7 @@ Two independent claims:
    run is bit-identical (full :class:`~repro.world.WorldStats` including
    per-activity collection instants, the complete tracer stream, and the
    bandwidth split) between the batched pulse transport and the
-   per-event envelope baseline.
+   per-event per-message baseline.
 
 2. **Cache-transparency equivalence** — when leases never lapse mid-run,
    turning the lease cache on changes *where* resolves are served (and

@@ -58,8 +58,8 @@ def run_adversarial_handoff(world, driver, a, b, c, *, delay_app: float):
         world.network.fault_plan.add_delay(
             delay_app,
             kind=KIND_APP_REQUEST,
-            predicate=lambda env: env.payload.target == c.activity_id
-            and env.payload.method == "hold",
+            predicate=lambda request: request.target == c.activity_id
+            and request.method == "hold",
         )
     driver.context.call(a, "handoff")
     release_all(driver, [a, b])

@@ -6,14 +6,13 @@ Two deterministic gates, no timing:
   a cross-node ``registry.lookup`` round trip costs the fabric one
   Python frame per send (:meth:`Network.send_typed`) and one per
   delivery instant (the pulse firing); nothing runs in ``net/channel.py``,
-  ``net/accounting.py`` or ``net/message.py`` and the node's typed sink
-  (``_on_typed``) is never entered — the fire loop calls the kind
-  handlers itself, and for the ``registry.*`` kinds those are the bound
-  methods of the node's :class:`RegistryShard`.  Above the fabric the
+  ``net/accounting.py`` or ``net/message.py`` — the fire loop calls the
+  kind handlers itself, and for the ``registry.*`` kinds those are the
+  bound methods of the node's :class:`RegistryShard`.  Above the fabric the
   whole resolve (``ctx.lookup`` to resolved future) is at most ten
   frames over all of ``runtime/*.py``, and a delivered replica push or
   invalidation is one.  The per-event core enters the same handlers
-  through ``_on_typed``.  On the write side under beat coherence,
+  through the fabric's per-message lane.  On the write side under beat coherence,
   staging a ``replicated`` update costs the same frames at any node
   count and nothing in the fabric, and one flush is one send per
   (replica, kind) of one shared message object.
@@ -21,12 +20,15 @@ Two deterministic gates, no timing:
   memoized categories and lent pair boxes instead of
   ``observe_sized``; per-kind bytes and messages and every pair's bytes
   must equal what the per-event core (which does call ``observe_sized``)
-  records for the same traffic: app, registry, partition-dropped and
-  delay-rule-fallback messages.
+  records for the same traffic: app, registry and partition-dropped
+  messages, and the per-message lane under a kind-filtered and an
+  item-predicate delay rule.
 """
 
 import cProfile
 import os
+
+import pytest
 
 from repro.core.config import DgcConfig, RegistryConfig
 from repro.net.faults import FaultPlan
@@ -129,7 +131,6 @@ def test_per_event_core_enters_the_same_shard_handlers():
         DgcConfig(ttb=1.0, tta=3.0, aggregation="per-event")
     )
     assert not world.network.pulse_batching
-    assert runtime[("node.py", "_on_typed")] == 2
     assert runtime[("registry.py", "on_lookup")] == 1
     assert runtime[("node.py", "_on_registry_reply")] == 1
 
@@ -244,14 +245,26 @@ class Echo(Behavior):
         return request.data
 
 
-def drive_mixed_traffic(dgc: DgcConfig):
-    """App, registry, partition-dropped and delay-rule-fallback traffic
-    over three nodes; returns the world."""
+#: The delay rule each parity drive runs under.  Either way the
+#: matched stream rides the per-message lane on the batched core; every
+#: other stream keeps the fused lane.
+DELAY_RULES = {
+    # Every reply (a kind filter).
+    "kind": lambda plan: plan.add_delay(0.05, kind=KIND_APP_REPLY),
+    # One echo request (an item predicate over the request).
+    "item": lambda plan: plan.add_delay(
+        0.05, kind=KIND_APP_REQUEST,
+        predicate=lambda request: request.data == 2,
+    ),
+}
+
+
+def drive_mixed_traffic(dgc: DgcConfig, rule: str):
+    """App, registry, partition-dropped and delay-rule traffic over
+    three nodes; returns the world."""
     reset_id_counter()
     plan = FaultPlan()
-    # Replies ride the per-envelope fallback on the batched cores (the
-    # rule can match them); every other kind keeps the fused lane.
-    plan.add_delay(0.05, kind=KIND_APP_REPLY)
+    DELAY_RULES[rule](plan)
     world = World(
         uniform_topology(3), dgc=dgc, registry=RegistryConfig(),
         fault_plan=plan, trace=False,
@@ -295,9 +308,10 @@ def accounting_snapshot(world):
     )
 
 
-def test_fused_lane_accounting_equals_observe_sized():
+@pytest.mark.parametrize("rule", sorted(DELAY_RULES))
+def test_fused_lane_accounting_equals_observe_sized(rule):
     per_event = drive_mixed_traffic(
-        DgcConfig(ttb=1.0, tta=3.0, aggregation="per-event")
+        DgcConfig(ttb=1.0, tta=3.0, aggregation="per-event"), rule
     )
     assert not per_event.network.pulse_batching
     reference = accounting_snapshot(per_event)
@@ -306,7 +320,7 @@ def test_fused_lane_accounting_equals_observe_sized():
         KIND_APP_REQUEST, KIND_APP_REPLY, KIND_REGISTRY_BIND,
         KIND_REGISTRY_LOOKUP, KIND_REGISTRY_REPLY,
     } <= kinds
-    world = drive_mixed_traffic(DgcConfig(ttb=1.0, tta=3.0))
+    world = drive_mixed_traffic(DgcConfig(ttb=1.0, tta=3.0), rule)
     assert world.network.pulse_batching
     assert accounting_snapshot(world) == reference
     assert (

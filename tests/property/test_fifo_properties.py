@@ -1,21 +1,46 @@
 """Property-based tests: per-pair FIFO delivery under arbitrary latency
-sequences (the ordering guarantee of paper Sec. 3.2)."""
+sequences (the ordering guarantee of paper Sec. 3.2).
+
+Each message gets its own latency from a delay rule whose item
+predicate matches only that message, so every send rides the fabric's
+per-message lane behind the channel's FIFO clamp, on both cores."""
 
 from hypothesis import given, strategies as st
 
-from repro.net.channel import FifoChannel
-from repro.net.message import Envelope
+from repro.net.faults import FaultPlan
+from repro.net.kinds import ALL_KINDS, KIND_APP_REQUEST
+from repro.net.network import Network
+from repro.net.topology import uniform_topology
 from repro.sim.kernel import SimKernel
 
 
-def envelope(index):
-    return Envelope(
-        source_node="a",
-        dest_node="b",
-        kind="app.request",
-        size_bytes=1,
-        payload=index,
-        deliver=lambda p: None,
+def fabric(latencies, batching):
+    """A two-node network whose ``site-0 -> site-1`` message ``index``
+    takes ``latencies[index]`` on top of a zero base latency; returns
+    the kernel, the network and the ``(item, arrival)`` log."""
+    kernel = SimKernel()
+    plan = FaultPlan()
+    for index, latency in enumerate(latencies):
+        plan.add_delay(
+            latency, predicate=lambda item, _index=index: item[0] == _index
+        )
+    network = Network(kernel, uniform_topology(2, rtt_s=0.0), fault_plan=plan)
+    network.pulse_batching = batching
+    received = []
+    network.register_node(
+        "site-0", {kind: lambda item, payload: None for kind in ALL_KINDS}
+    )
+    network.register_node("site-1", {
+        kind: lambda item, payload: received.append((item, kernel.now))
+        for kind in ALL_KINDS
+    })
+    return kernel, network, received
+
+
+def send(kernel, network, index):
+    """Send message ``index``, stamped with its send time."""
+    network.send_typed(
+        "site-0", "site-1", KIND_APP_REQUEST, 1, (index, kernel.now)
     )
 
 
@@ -27,14 +52,14 @@ def envelope(index):
     )
 )
 def test_fifo_order_for_any_latency_sequence(latencies):
-    kernel = SimKernel()
-    iterator = iter(latencies)
-    channel = FifoChannel(kernel, "a", "b", lambda env: next(iterator))
-    received = []
-    for index in range(len(latencies)):
-        channel.send(envelope(index), lambda env: received.append(env.payload))
-    kernel.run()
-    assert received == list(range(len(latencies)))
+    for batching in (False, True):
+        kernel, network, received = fabric(latencies, batching)
+        for index in range(len(latencies)):
+            send(kernel, network, index)
+        kernel.run()
+        assert [item[0] for item, __ in received] == list(
+            range(len(latencies))
+        )
 
 
 @given(
@@ -49,24 +74,16 @@ def test_fifo_order_for_any_latency_sequence(latencies):
 )
 def test_fifo_order_with_interleaved_send_times(items):
     """Sends spread over simulated time still deliver in send order."""
-    kernel = SimKernel()
-    channel_latency = {}
-    channel = FifoChannel(
-        kernel, "a", "b", lambda env: channel_latency[env.payload]
-    )
-    received = []
-    send_time = 0.0
-    for index, (gap, latency) in enumerate(items):
-        send_time += gap
-        channel_latency[index] = latency
-        kernel.schedule_at(
-            send_time,
-            lambda index=index: channel.send(
-                envelope(index), lambda env: received.append(env.payload)
-            ),
+    for batching in (False, True):
+        kernel, network, received = fabric(
+            [latency for __, latency in items], batching
         )
-    kernel.run()
-    assert received == list(range(len(items)))
+        send_time = 0.0
+        for index, (gap, __) in enumerate(items):
+            send_time += gap
+            kernel.schedule_at(send_time, send, kernel, network, index)
+        kernel.run()
+        assert [item[0] for item, __ in received] == list(range(len(items)))
 
 
 @given(
@@ -77,15 +94,11 @@ def test_fifo_order_with_interleaved_send_times(items):
     )
 )
 def test_delivery_never_before_send(latencies):
-    kernel = SimKernel()
-    iterator = iter(latencies)
-    channel = FifoChannel(kernel, "a", "b", lambda env: next(iterator))
-    deliveries = []
-    for index in range(len(latencies)):
-        channel.send(
-            envelope(index),
-            lambda env: deliveries.append((env.sent_at, kernel.now)),
-        )
-    kernel.run()
-    for sent_at, delivered_at in deliveries:
-        assert delivered_at >= sent_at
+    for batching in (False, True):
+        kernel, network, received = fabric(latencies, batching)
+        for index in range(len(latencies)):
+            send(kernel, network, index)
+        kernel.run()
+        assert len(received) == len(latencies)
+        for (__, sent_at), delivered_at in received:
+            assert delivered_at >= sent_at

@@ -8,7 +8,7 @@ by a later instant.  The properties checked here:
   matter how stage/fire interleave — including re-staging *the same
   instant* from inside a pulse fire (the recycled record must not
   swallow or duplicate the re-staged traffic),
-* fault-plan fallback traffic (delay rules force the per-envelope path)
+* per-message traffic (delay rules force the per-message lane)
   interleaved with pulse traffic neither leaks into recycled records
   nor disturbs per-channel FIFO,
 * recycled records are returned empty (no entries survive the instant
@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.faults import FaultPlan
+from repro.net.kinds import ALL_KINDS
 from repro.net.message import KIND_DGC_MESSAGE, KIND_DGC_RESPONSE
 from repro.net.network import Network
 from repro.net.topology import uniform_topology
@@ -52,15 +53,6 @@ def build_network(fault_plan=None, received=None):
         received = []
 
     def register(name):
-        def typed_sink(kind, item, payload, _name=name):
-            received.append((_name, kind, item))
-
-        def single(target, message, _name=name, _kind=KIND_DGC_MESSAGE):
-            received.append((_name, _kind, target))
-
-        def single_resp(target, message, _name=name):
-            received.append((_name, KIND_DGC_RESPONSE, target))
-
         def batch(targets, messages, _name=name):
             for target in targets:
                 received.append((_name, KIND_DGC_MESSAGE, target))
@@ -71,14 +63,14 @@ def build_network(fault_plan=None, received=None):
 
         network.register_node(
             name,
-            lambda env: received.append(
-                (name, env.kind, env.payload[0]
-                 if isinstance(env.payload, tuple) else env.payload)
-            ),
-            typed_sink,
-            dgc_sinks={
-                KIND_DGC_MESSAGE: (single, batch),
-                KIND_DGC_RESPONSE: (single_resp, batch_resp),
+            {
+                kind: lambda item, payload, _name=name, _kind=kind:
+                    received.append((_name, _kind, item))
+                for kind in ALL_KINDS
+            },
+            dgc_batch_sinks={
+                KIND_DGC_MESSAGE: batch,
+                KIND_DGC_RESPONSE: batch_resp,
             },
         )
 
@@ -168,9 +160,9 @@ def test_restaging_the_same_instant_from_a_fire_does_not_leak(first, second):
 def test_fault_plan_fallback_interleaving_keeps_fifo_and_pool_clean(
     sends, delayed_src, delayed_dst
 ):
-    """Delay rules force some channels onto the per-envelope path;
-    interleaved pulse/fallback traffic still delivers exactly once and
-    per-channel FIFO holds (the fallback keeps channel order)."""
+    """Delay rules force some channels onto the per-message lane;
+    interleaved pulse/per-message traffic still delivers exactly once
+    and per-channel FIFO holds (the lane keeps channel order)."""
     plan = FaultPlan()
     kernel, network, received = build_network(fault_plan=plan)
     plan.add_delay(0.05, kind=None)  # every channel: variable latency
@@ -182,6 +174,5 @@ def test_fault_plan_fallback_interleaving_keeps_fifo_and_pool_clean(
             network.send_dgc_single(source, dest, kind, 10, index, object())
     kernel.run()
     items = [item for __, __, item in received]
-    # Envelope fallback wraps paired kinds; unwrap already done in sink.
     assert sorted(items) == sorted(range(len(sends)))
     assert all(len(record) == 0 for record in network._pulse_pool)

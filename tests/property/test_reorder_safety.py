@@ -23,7 +23,7 @@ import random
 import pytest
 
 from repro.core.config import DgcConfig
-from repro.net.kinds import KIND_DGC_MESSAGE, KIND_DGC_RESPONSE
+from repro.net.kinds import ALL_KINDS, KIND_DGC_MESSAGE, KIND_DGC_RESPONSE
 from repro.net.network import Network
 from repro.net.topology import uniform_topology
 from repro.runtime.ids import reset_id_counter
@@ -226,12 +226,10 @@ def fabric():
             return handler
 
         network.register_node(
-            node, lambda env: None, lambda kind, item, payload: None,
-            dgc_sinks={
-                KIND_DGC_MESSAGE: (single(KIND_DGC_MESSAGE),
-                                   batch(KIND_DGC_MESSAGE)),
-                KIND_DGC_RESPONSE: (single(KIND_DGC_RESPONSE),
-                                    batch(KIND_DGC_RESPONSE)),
+            node, {kind: single(kind) for kind in ALL_KINDS},
+            dgc_batch_sinks={
+                KIND_DGC_MESSAGE: batch(KIND_DGC_MESSAGE),
+                KIND_DGC_RESPONSE: batch(KIND_DGC_RESPONSE),
             },
         )
 

@@ -6,27 +6,19 @@ from repro.net.message import (
     KIND_APP_REQUEST,
     KIND_DGC_MESSAGE,
     KIND_DGC_RESPONSE,
-    Envelope,
 )
 
 
-def make_envelope(kind: str, size: int, src="a", dst="b") -> Envelope:
-    return Envelope(
-        source_node=src,
-        dest_node=dst,
-        kind=kind,
-        size_bytes=size,
-        payload=None,
-        deliver=lambda payload: None,
-    )
+def observe(accountant, kind: str, size: int, src="a", dst="b") -> None:
+    accountant.observe_sized(kind, size, (src, dst))
 
 
 def test_totals_by_kind():
     accountant = BandwidthAccountant()
-    accountant.observe(make_envelope(KIND_APP_REQUEST, 100))
-    accountant.observe(make_envelope(KIND_APP_REPLY, 50))
-    accountant.observe(make_envelope(KIND_DGC_MESSAGE, 64))
-    accountant.observe(make_envelope(KIND_DGC_RESPONSE, 48))
+    observe(accountant, KIND_APP_REQUEST, 100)
+    observe(accountant, KIND_APP_REPLY, 50)
+    observe(accountant, KIND_DGC_MESSAGE, 64)
+    observe(accountant, KIND_DGC_RESPONSE, 48)
     assert accountant.app_bytes == 150
     assert accountant.dgc_bytes == 112
     assert accountant.total_bytes == 262
@@ -36,7 +28,7 @@ def test_totals_by_kind():
 def test_bytes_and_messages_for_specific_kind():
     accountant = BandwidthAccountant()
     for __ in range(3):
-        accountant.observe(make_envelope(KIND_DGC_MESSAGE, 64))
+        observe(accountant, KIND_DGC_MESSAGE, 64)
     assert accountant.bytes_for(KIND_DGC_MESSAGE) == 192
     assert accountant.messages_for(KIND_DGC_MESSAGE) == 3
     assert accountant.bytes_for("unknown") == 0
@@ -45,29 +37,29 @@ def test_bytes_and_messages_for_specific_kind():
 
 def test_megabytes_uses_decimal_mb():
     accountant = BandwidthAccountant()
-    accountant.observe(make_envelope(KIND_APP_REQUEST, 2_000_000))
+    observe(accountant, KIND_APP_REQUEST, 2_000_000)
     assert accountant.megabytes() == 2.0
 
 
 def test_summary_is_a_copy():
     accountant = BandwidthAccountant()
-    accountant.observe(make_envelope(KIND_APP_REQUEST, 10))
+    observe(accountant, KIND_APP_REQUEST, 10)
     summary = accountant.summary()
     summary[KIND_APP_REQUEST].bytes = 999
     assert accountant.bytes_for(KIND_APP_REQUEST) == 10
 
 
 def test_describe_reports_kinds_uniformly_across_sinks():
-    """Typed and envelope sinks account with the same kind constants, in
-    the fabric's canonical order — the summary stays greppable by kind."""
-    from repro.net.message import KIND_APP_REQUEST, KIND_DGC_MESSAGE
-
+    """Every lane accounts with the same kind constants, in the
+    fabric's canonical order — the summary stays greppable by kind."""
     accountant = BandwidthAccountant()
-    # One observation through the envelope form, one through the typed
-    # (pre-sized) form, one unknown extension kind.
-    accountant.observe(make_envelope(kind=KIND_APP_REQUEST, size=100))
-    accountant.observe_sized(KIND_DGC_MESSAGE, 64, ("a", "b"))
-    accountant.observe_sized("custom.kind", 10, ("a", "b"))
+    # One observation through observe_sized, one through a
+    # lent category (the pulse lanes' form), one unknown extension kind.
+    observe(accountant, KIND_APP_REQUEST, 100)
+    category = accountant.category(KIND_DGC_MESSAGE)
+    category.bytes += 64
+    category.messages += 1
+    observe(accountant, "custom.kind", 10)
     lines = accountant.describe().splitlines()
     # Canonical ALL_KINDS order (DGC first), unknown kinds last.
     assert lines == [
@@ -75,14 +67,6 @@ def test_describe_reports_kinds_uniformly_across_sinks():
         "app.request: 1 msgs, 100 B",
         "custom.kind: 1 msgs, 10 B",
     ]
-
-
-def test_envelope_repr_uses_the_uniform_traffic_description():
-    from repro.net.message import describe_traffic
-
-    envelope = make_envelope(kind="dgc.message", size=64)
-    assert describe_traffic("dgc.message", envelope.source_node,
-                            envelope.dest_node, 64) in repr(envelope)
 
 
 def test_pair_box_is_live_and_shared_with_observers():

@@ -1,54 +1,66 @@
 """Unit tests for the fault plan (delay rules and partitions)."""
 
 from repro.net.faults import FaultPlan
-from repro.net.message import Envelope
 
 
-def envelope(kind="app.request", src="a", dst="b"):
-    return Envelope(
-        source_node=src,
-        dest_node=dst,
-        kind=kind,
-        size_bytes=1,
-        payload=None,
-        deliver=lambda p: None,
-    )
+def extra(plan, now, kind="app.request", src="a", dst="b", item=None):
+    """The extra delay ``plan`` adds to one message at ``now``."""
+    return plan.extra_delay(src, dst, kind, item, now)
 
 
 def test_no_rules_no_delay():
     plan = FaultPlan()
-    assert plan.extra_delay(envelope(), now=0.0) == 0.0
+    assert extra(plan, 0.0) == 0.0
 
 
 def test_delay_filters_by_source_dest_kind():
     plan = FaultPlan()
     plan.add_delay(1.0, source="a", dest="b", kind="app.request")
-    assert plan.extra_delay(envelope(), now=0.0) == 1.0
-    assert plan.extra_delay(envelope(src="x"), now=0.0) == 0.0
-    assert plan.extra_delay(envelope(dst="x"), now=0.0) == 0.0
-    assert plan.extra_delay(envelope(kind="dgc.message"), now=0.0) == 0.0
+    assert extra(plan, 0.0) == 1.0
+    assert extra(plan, 0.0, src="x") == 0.0
+    assert extra(plan, 0.0, dst="x") == 0.0
+    assert extra(plan, 0.0, kind="dgc.message") == 0.0
 
 
 def test_delay_window():
     plan = FaultPlan()
     plan.add_delay(2.0, start=10.0, end=20.0)
-    assert plan.extra_delay(envelope(), now=5.0) == 0.0
-    assert plan.extra_delay(envelope(), now=10.0) == 2.0
-    assert plan.extra_delay(envelope(), now=19.99) == 2.0
-    assert plan.extra_delay(envelope(), now=20.0) == 0.0
+    assert extra(plan, 5.0) == 0.0
+    assert extra(plan, 10.0) == 2.0
+    assert extra(plan, 19.99) == 2.0
+    assert extra(plan, 20.0) == 0.0
 
 
 def test_delays_accumulate():
     plan = FaultPlan()
     plan.add_delay(1.0)
     plan.add_delay(0.5, kind="app.request")
-    assert plan.extra_delay(envelope(), now=0.0) == 1.5
+    assert extra(plan, 0.0) == 1.5
 
 
 def test_custom_predicate():
     plan = FaultPlan()
-    plan.add_delay(3.0, predicate=lambda env: env.size_bytes == 1)
-    assert plan.extra_delay(envelope(), now=0.0) == 3.0
+    plan.add_delay(3.0, predicate=lambda item: item == "slow")
+    assert extra(plan, 0.0, item="slow") == 3.0
+    assert extra(plan, 0.0, item="fast") == 0.0
+
+
+def test_predicate_is_anded_with_filters_and_window():
+    plan = FaultPlan()
+    seen = []
+
+    def predicate(item):
+        seen.append(item)
+        return True
+
+    plan.add_delay(
+        1.0, kind="dgc.message", start=5.0, end=6.0, predicate=predicate
+    )
+    assert extra(plan, 5.0, kind="app.request", item="a") == 0.0
+    assert extra(plan, 0.0, kind="dgc.message", item="b") == 0.0
+    assert extra(plan, 5.0, kind="dgc.message", item="c") == 1.0
+    # The predicate only runs once the window and filters have matched.
+    assert seen == ["c"]
 
 
 def test_may_delay_matches_only_the_filtered_stream():
@@ -62,7 +74,7 @@ def test_may_delay_matches_only_the_filtered_stream():
 
 
 def test_may_delay_ignores_time_windows():
-    # A currently-dormant rule still forces per-envelope evaluation —
+    # A currently-dormant rule still forces per-message evaluation —
     # that is what honours the window exactly once it opens.
     plan = FaultPlan()
     plan.add_delay(1.0, kind="dgc.message", start=100.0, end=200.0)
@@ -72,52 +84,50 @@ def test_may_delay_ignores_time_windows():
 
 def test_may_delay_is_conservative_for_opaque_predicates():
     plan = FaultPlan()
-    plan.add_delay(1.0, predicate=lambda env: env.size_bytes > 10)
+    plan.add_delay(1.0, predicate=lambda item: item == "never")
     assert plan.may_delay("a", "b", "dgc.message")
     assert plan.may_delay("x", "y", "app.reply")
     # Static filters still prune even with a predicate attached.
     plan2 = FaultPlan()
     plan2.add_delay(1.0, kind="dgc.message",
-                    predicate=lambda env: env.size_bytes > 10)
+                    predicate=lambda item: item == "never")
     assert plan2.may_delay("a", "b", "dgc.message")
     assert not plan2.may_delay("a", "b", "app.request")
 
 
 def test_kind_filtered_rule_keeps_other_kinds_on_the_batched_path():
-    """A single kind-filtered delay rule used to force the envelope-only
-    per-event path for *all* traffic on the channel; unmatched kinds
-    must keep riding the pulse."""
+    """A kind-filtered delay rule sends only the matchable stream down
+    the per-message lane; unmatched kinds on the same channel keep
+    riding the pulse."""
+    from repro.net.kinds import ALL_KINDS
     from repro.net.network import Network
     from repro.net.topology import uniform_topology
     from repro.sim.kernel import SimKernel
 
-    def build():
-        plan = FaultPlan()
-        kernel = SimKernel()
-        network = Network(
-            kernel, uniform_topology(2, rtt_s=0.01), fault_plan=plan
+    plan = FaultPlan()
+    kernel = SimKernel()
+    network = Network(
+        kernel, uniform_topology(2, rtt_s=0.01), fault_plan=plan
+    )
+    network.pulse_batching = True
+    delivered = []
+    network.register_node(
+        "site-0", {kind: lambda item, payload: None for kind in ALL_KINDS}
+    )
+    network.register_node("site-1", {
+        kind: lambda item, payload, _kind=kind: delivered.append(
+            (_kind, kernel.now)
         )
-        network.pulse_batching = True
-        delivered = []
-        network.register_node("site-0", lambda env: None,
-                              lambda kind, item, payload: None)
-        network.register_node(
-            "site-1", lambda env: delivered.append(("env", env.kind)),
-            lambda kind, item, payload: delivered.append(("pulse", kind)),
-        )
-        return plan, kernel, network, delivered
-
-    # Baseline: everything pulses.
-    plan, kernel, network, delivered = build()
+        for kind in ALL_KINDS
+    })
     plan.add_delay(0.5, kind="dgc.message")
     network.send_typed("site-0", "site-1", "app.request", 10, "r1", None)
     network.send_typed("site-0", "site-1", "dgc.message", 10, "m1", None)
     kernel.run()
-    assert ("pulse", "app.request") in delivered
-    assert ("env", "dgc.message") in delivered
-    # The matched kind went per-envelope and took the extra delay with
-    # it; the unmatched kind was not slowed down.
-    assert network.pulse_event_count > 0
+    # The matched kind took the per-message lane and the extra delay
+    # with it; the unmatched kind was staged in a pulse, not slowed.
+    assert delivered == [("app.request", 0.005), ("dgc.message", 0.505)]
+    assert network.pulse_event_count == 1
 
 
 def test_partition_is_bidirectional_and_healable():

@@ -24,11 +24,10 @@ def test_registry_family_contains_all_naming_kinds():
     assert set(kinds.DGC_KINDS) == {"dgc.message", "dgc.response"}
 
 
-def test_paired_kinds_are_exactly_the_dgc_ones():
-    assert kinds.PAIRED_PAYLOAD_KINDS == frozenset(
-        {kinds.KIND_DGC_MESSAGE, kinds.KIND_DGC_RESPONSE}
-    )
-    assert set(kinds.AGGREGATE_KINDS) == set(kinds.PAIRED_PAYLOAD_KINDS)
+def test_aggregate_kinds_are_exactly_the_dgc_ones():
+    assert set(kinds.AGGREGATE_KINDS) == {
+        kinds.KIND_DGC_MESSAGE, kinds.KIND_DGC_RESPONSE
+    }
 
 
 def test_message_module_reexports_the_registry():
@@ -66,7 +65,7 @@ def test_describe_traffic_is_greppable_by_kind():
 def test_dispatch_shapes_are_bound_by_network_and_node():
     # Importing the fabric (done above through repro.net.message's
     # consumers in other suites, and unconditionally here) records the
-    # binders that snapshot PAIRED_PAYLOAD_KINDS/AGGREGATE_KINDS.
+    # binders that snapshot AGGREGATE_KINDS.
     import repro.net.network  # noqa: F401
     import repro.runtime.node  # noqa: F401
 
@@ -74,19 +73,15 @@ def test_dispatch_shapes_are_bound_by_network_and_node():
     assert "repro.runtime.node" in kinds._DISPATCH_SHAPE_BINDERS
 
 
-def test_late_paired_registration_raises_without_mutating_registry():
+def test_late_aggregate_registration_raises_without_mutating_registry():
     import repro.net.network  # noqa: F401  (ensures a binder is recorded)
 
     before_all = kinds.ALL_KINDS
-    before_paired = kinds.PAIRED_PAYLOAD_KINDS
     before_agg = dict(kinds.AGGREGATE_KINDS)
-    with pytest.raises(RuntimeError, match="dispatch-shape"):
-        kinds.register_kind("dgc.late", paired=True)
-    with pytest.raises(RuntimeError, match="dispatch-shape"):
+    with pytest.raises(RuntimeError, match="dispatch shape"):
         kinds.register_kind("dgc.late", aggregate="dgc.late[]")
-    # The failed registrations left no trace.
+    # The failed registration left no trace.
     assert kinds.ALL_KINDS == before_all
-    assert kinds.PAIRED_PAYLOAD_KINDS == before_paired
     assert kinds.AGGREGATE_KINDS == before_agg
 
 
@@ -104,18 +99,15 @@ def test_late_plain_registration_stays_legal_after_binding():
         )
 
 
-def test_paired_registration_allowed_before_any_binder(monkeypatch):
+def test_aggregate_registration_allowed_before_any_binder(monkeypatch):
     # Simulate the pre-import world: no binder recorded yet.
     monkeypatch.setattr(kinds, "_DISPATCH_SHAPE_BINDERS", ())
     before_all = kinds.ALL_KINDS
-    before_paired = kinds.PAIRED_PAYLOAD_KINDS
     try:
-        kinds.register_kind("dgc.early", paired=True, aggregate="dgc.early[]")
-        assert "dgc.early" in kinds.PAIRED_PAYLOAD_KINDS
+        kinds.register_kind("dgc.early", aggregate="dgc.early[]")
         assert kinds.AGGREGATE_KINDS["dgc.early"] == "dgc.early[]"
     finally:
         kinds.ALL_KINDS = before_all
-        kinds.PAIRED_PAYLOAD_KINDS = before_paired
         kinds.AGGREGATE_KINDS.pop("dgc.early", None)
         kinds.DGC_KINDS = tuple(
             k for k in kinds.DGC_KINDS if k != "dgc.early"

@@ -1,15 +1,6 @@
-"""Unit tests for envelopes and the wire-size model."""
+"""Unit tests for the wire-size model."""
 
-from repro.net.message import Envelope, WireSizeModel
-
-
-def test_envelope_is_slotted_and_lightweight():
-    # One envelope per simulated transmission: no per-instance __dict__
-    # (slots) and no global id counter on the hot path.
-    envelope = Envelope("a", "b", "k", 1, None, lambda p: None)
-    assert not hasattr(envelope, "__dict__")
-    assert not hasattr(envelope, "envelope_id")
-    assert envelope.sent_at == 0.0
+from repro.net.message import WireSizeModel
 
 
 def test_request_size_includes_references():

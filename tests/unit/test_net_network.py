@@ -4,11 +4,12 @@ import pytest
 
 from repro.errors import UnknownDestinationError
 from repro.net.faults import FaultPlan
+from repro.net.kinds import ALL_KINDS
 from repro.net.message import (
     KIND_APP_REPLY,
     KIND_APP_REQUEST,
     KIND_DGC_MESSAGE,
-    Envelope,
+    KIND_DGC_RESPONSE,
 )
 from repro.net.network import Network
 from repro.net.topology import uniform_topology
@@ -23,23 +24,27 @@ def make_network(node_count=2, rtt=0.01, fault_plan=None):
     return kernel, network
 
 
-def make_envelope(src, dst, kind=KIND_APP_REQUEST, size=100):
-    return Envelope(
-        source_node=src,
-        dest_node=dst,
-        kind=kind,
-        size_bytes=size,
-        payload="data",
-        deliver=lambda payload: None,
-    )
+def kind_table(record):
+    """A node's kind table: every kind's handler calls
+    ``record(kind, item, payload)``."""
+    return {
+        kind: lambda item, payload, _kind=kind: record(_kind, item, payload)
+        for kind in ALL_KINDS
+    }
+
+
+def ignore(kind, item, payload):
+    pass
 
 
 def test_cross_node_delivery_and_accounting():
     kernel, network = make_network()
     received = []
-    network.register_node("site-0", lambda env: None)
-    network.register_node("site-1", lambda env: received.append(kernel.now))
-    network.send(make_envelope("site-0", "site-1"))
+    network.register_node("site-0", kind_table(ignore))
+    network.register_node(
+        "site-1", kind_table(lambda *message: received.append(kernel.now))
+    )
+    network.send_typed("site-0", "site-1", KIND_APP_REQUEST, 100, "data")
     kernel.run()
     assert received == [pytest.approx(0.005)]
     assert network.accountant.total_bytes == 100
@@ -48,29 +53,33 @@ def test_cross_node_delivery_and_accounting():
 def test_intra_node_delivery_is_not_accounted():
     kernel, network = make_network()
     received = []
-    network.register_node("site-0", lambda env: received.append(env))
-    network.register_node("site-1", lambda env: None)
-    network.send(make_envelope("site-0", "site-0"))
+    network.register_node("site-0", kind_table(
+        lambda *message: received.append((kernel.now, message))
+    ))
+    network.register_node("site-1", kind_table(ignore))
+    network.send_typed("site-0", "site-0", KIND_APP_REQUEST, 100, "data")
     kernel.run()
-    assert len(received) == 1
+    assert received == [(0.0, (KIND_APP_REQUEST, "data", None))]
     assert network.accountant.total_bytes == 0
 
 
 def test_unknown_destination_raises():
     kernel, network = make_network()
-    network.register_node("site-0", lambda env: None)
+    network.register_node("site-0", kind_table(ignore))
     with pytest.raises(UnknownDestinationError):
-        network.send(make_envelope("site-0", "nowhere"))
+        network.send_typed("site-0", "nowhere", KIND_APP_REQUEST, 100, "data")
 
 
 def test_partition_drops_messages():
     plan = FaultPlan()
     kernel, network = make_network(fault_plan=plan)
     received = []
-    network.register_node("site-0", lambda env: None)
-    network.register_node("site-1", lambda env: received.append(env))
+    network.register_node("site-0", kind_table(ignore))
+    network.register_node("site-1", kind_table(
+        lambda *message: received.append(message)
+    ))
     plan.partition("site-0", "site-1")
-    network.send(make_envelope("site-0", "site-1"))
+    network.send_typed("site-0", "site-1", KIND_APP_REQUEST, 100, "data")
     kernel.run()
     assert received == []
     assert plan.dropped_count == 1
@@ -81,37 +90,67 @@ def test_heal_restores_delivery():
     plan = FaultPlan()
     kernel, network = make_network(fault_plan=plan)
     received = []
-    network.register_node("site-0", lambda env: None)
-    network.register_node("site-1", lambda env: received.append(env))
+    network.register_node("site-0", kind_table(ignore))
+    network.register_node("site-1", kind_table(
+        lambda *message: received.append(message)
+    ))
     plan.partition("site-0", "site-1")
     plan.heal("site-0", "site-1")
-    network.send(make_envelope("site-0", "site-1"))
+    network.send_typed("site-0", "site-1", KIND_APP_REQUEST, 100, "data")
     kernel.run()
     assert len(received) == 1
 
 
 def test_fault_plan_extra_delay_applies_to_matching_kind():
+    for batching in (False, True):
+        plan = FaultPlan()
+        plan.add_delay(1.0, kind=KIND_DGC_MESSAGE)
+        kernel, network = make_network(fault_plan=plan)
+        network.pulse_batching = batching
+        times = {}
+        network.register_node("site-0", kind_table(ignore))
+        network.register_node("site-1", kind_table(
+            lambda kind, item, payload: times.setdefault(kind, kernel.now)
+        ))
+        network.send_typed("site-0", "site-1", KIND_DGC_MESSAGE, 64, "ao", "m")
+        kernel.run()
+        # Delayed DGC message arrives 1s + latency later, on both cores.
+        assert times[KIND_DGC_MESSAGE] == pytest.approx(1.005)
+
+
+def test_item_predicate_delays_only_the_matching_messages():
     plan = FaultPlan()
-    plan.add_delay(1.0, kind=KIND_DGC_MESSAGE)
-    kernel, network = make_network(fault_plan=plan)
-    times = {}
-    network.register_node("site-0", lambda env: None)
-    network.register_node(
-        "site-1", lambda env: times.setdefault(env.kind, kernel.now)
+    plan.add_delay(
+        1.0, kind=KIND_APP_REQUEST, predicate=lambda item: item == "slow"
     )
-    network.send(make_envelope("site-0", "site-1", kind=KIND_DGC_MESSAGE))
+    kernel, network = make_network(fault_plan=plan)
+    network.pulse_batching = True
+    arrivals = []
+    network.register_node("site-0", kind_table(ignore))
+    network.register_node("site-1", kind_table(
+        lambda kind, item, payload: arrivals.append((item, kernel.now))
+    ))
+    network.send_typed("site-0", "site-1", KIND_APP_REQUEST, 10, "fast")
+    network.send_typed("site-0", "site-1", KIND_APP_REQUEST, 10, "slow")
+    network.send_typed("site-0", "site-1", KIND_APP_REQUEST, 10, "after")
     kernel.run()
-    # Delayed DGC message arrives 1s + latency later.
-    assert times[KIND_DGC_MESSAGE] == pytest.approx(1.005)
+    # The unmatched message behind the slow one is FIFO-clamped to it.
+    assert arrivals == [
+        ("fast", pytest.approx(0.005)),
+        ("slow", pytest.approx(1.005)),
+        ("after", pytest.approx(1.005)),
+    ]
 
 
 def test_fifo_between_same_pair_with_mixed_kinds():
     kernel, network = make_network()
     received = []
-    network.register_node("site-0", lambda env: None)
-    network.register_node("site-1", lambda env: received.append(env.kind))
-    network.send(make_envelope("site-0", "site-1", kind=KIND_APP_REQUEST))
-    network.send(make_envelope("site-0", "site-1", kind=KIND_DGC_MESSAGE))
+    network.register_node("site-0", kind_table(ignore))
+    network.register_node("site-1", kind_table(
+        lambda kind, item, payload: received.append(kind)
+    ))
+    network.send_typed("site-0", "site-1", KIND_APP_REQUEST, 100, "req")
+    network.send_typed("site-0", "site-1", KIND_DGC_MESSAGE, 64, "ao", "m")
     kernel.run()
     assert received == [KIND_APP_REQUEST, KIND_DGC_MESSAGE]
 
@@ -123,19 +162,23 @@ def test_max_comm_reflects_topology():
 
 def test_delivery_to_vanished_node_is_dropped():
     kernel, network = make_network()
-    network.register_node("site-0", lambda env: None)
-    sink_calls = []
-    network.register_node("site-1", lambda env: sink_calls.append(env))
-    network.send(make_envelope("site-0", "site-1"))
+    network.register_node("site-0", kind_table(ignore))
+    calls = []
+    network.register_node("site-1", kind_table(
+        lambda *message: calls.append(message)
+    ))
+    network.send_typed("site-0", "site-1", KIND_APP_REQUEST, 10, "req")
     # Simulate the destination node disappearing mid-flight.
-    network._sinks.pop("site-1")
+    network._kind_tables.pop("site-1")
     kernel.run()
-    assert sink_calls == []
+    assert calls == []
     assert network.fault_plan.dropped_count == 1
+    channel = network._channels[("site-0", "site-1")]
+    assert channel.sent_count == channel.delivered_count == 1
 
 
 # ----------------------------------------------------------------------
-# The unified typed fabric (send_typed)
+# The two transports of send_typed: pulse and per-message lane
 # ----------------------------------------------------------------------
 
 
@@ -145,15 +188,14 @@ def make_typed_network(node_count=2, batching=True):
     received = {}
     for index in range(node_count):
         name = f"site-{index}"
-
-        def typed_sink(kind, item, payload, _name=name):
-            received.setdefault(_name, []).append((kind, item, payload))
-
-        network.register_node(name, lambda env: None, typed_sink)
+        network.register_node(name, kind_table(
+            lambda kind, item, payload, _name=name:
+                received.setdefault(_name, []).append((kind, item, payload))
+        ))
     return kernel, network, received
 
 
-def test_send_typed_delivers_through_typed_sink_and_accounts():
+def test_send_typed_delivers_through_the_kind_table_and_accounts():
     kernel, network, received = make_typed_network()
     network.send_typed("site-0", "site-1", KIND_APP_REQUEST, 123, "req")
     kernel.run()
@@ -183,35 +225,30 @@ def test_send_typed_intra_node_is_unaccounted_and_same_tick():
     assert network.accountant.total_bytes == 0
 
 
-def test_send_typed_falls_back_to_envelopes_without_batching():
-    kernel, network, __ = make_typed_network(batching=False)
-    envelopes = []
-    network.register_node("site-1", envelopes.append)
+def test_per_event_core_sends_one_kernel_event_per_message():
+    kernel, network, received = make_typed_network(batching=False)
     network.send_typed("site-0", "site-1", KIND_APP_REQUEST, 50, "req")
     network.send_typed(
         "site-0", "site-1", KIND_DGC_MESSAGE, 64, "ao-1", "beat"
     )
+    scheduled = kernel.scheduled_count
     kernel.run()
-    assert [env.kind for env in envelopes] == [
-        KIND_APP_REQUEST, KIND_DGC_MESSAGE
+    # Every kind arrives in its typed form, item and payload apart.
+    assert received["site-1"] == [
+        (KIND_APP_REQUEST, "req", None), (KIND_DGC_MESSAGE, "ao-1", "beat"),
     ]
-    # Paired kinds (DGC) wrap (item, payload); the rest carry the item.
-    assert envelopes[0].payload == "req"
-    assert envelopes[1].payload == ("ao-1", "beat")
+    assert scheduled == 2
+    assert network.pulse_event_count == 0
+    assert network.accountant.total_bytes == 114
 
 
-def test_send_typed_falls_back_for_envelope_only_destination():
-    kernel, network = make_network()
-    network.pulse_batching = True
-    typed, envelopes = [], []
-    network.register_node(
-        "site-0", lambda env: None, lambda *args: typed.append(args)
-    )
-    network.register_node("site-1", envelopes.append)  # no typed sink
+def test_send_typed_to_vanished_node_is_dropped():
+    kernel, network, received = make_typed_network()
     network.send_typed("site-0", "site-1", KIND_APP_REQUEST, 10, "req")
+    network._kind_tables.pop("site-1")
     kernel.run()
-    assert typed == []
-    assert len(envelopes) == 1 and envelopes[0].payload == "req"
+    assert received.get("site-1") is None
+    assert network.fault_plan.dropped_count == 1
 
 
 def test_send_typed_respects_partitions():
@@ -219,10 +256,10 @@ def test_send_typed_respects_partitions():
     kernel, network = make_network(fault_plan=plan)
     network.pulse_batching = True
     received = []
-    network.register_node("site-0", lambda env: None, lambda *a: None)
-    network.register_node(
-        "site-1", lambda env: None, lambda *args: received.append(args)
-    )
+    network.register_node("site-0", kind_table(ignore))
+    network.register_node("site-1", kind_table(
+        lambda *message: received.append(message)
+    ))
     plan.partition("site-0", "site-1")
     network.send_typed("site-0", "site-1", KIND_APP_REQUEST, 10, "req")
     kernel.run()
@@ -231,32 +268,23 @@ def test_send_typed_respects_partitions():
     assert network.accountant.total_bytes == 0
 
 
-def test_send_typed_to_vanished_node_is_dropped():
-    kernel, network, received = make_typed_network()
-    network.send_typed("site-0", "site-1", KIND_APP_REQUEST, 10, "req")
-    network._typed_sinks.pop("site-1")
-    kernel.run()
-    assert received.get("site-1") is None
-    assert network.fault_plan.dropped_count == 1
-
-
-def test_typed_and_envelope_traffic_share_channel_fifo():
-    kernel, network, received = make_typed_network()
+def test_pulse_and_per_message_traffic_share_channel_fifo():
+    plan = FaultPlan()
+    kernel, network = make_network(fault_plan=plan)
+    network.pulse_batching = True
+    # DGC messages take the per-message lane, app traffic the pulse.
+    plan.add_delay(0.5, kind=KIND_DGC_MESSAGE)
     order = []
-    network.register_node(
-        "site-1",
-        lambda env: order.append(("envelope", env.kind)),
-        lambda kind, item, payload: order.append(("typed", kind)),
-    )
+    network.register_node("site-0", kind_table(ignore))
+    network.register_node("site-1", kind_table(
+        lambda kind, item, payload: order.append(kind)
+    ))
     network.send_typed("site-0", "site-1", KIND_APP_REQUEST, 10, "first")
-    network.send(make_envelope("site-0", "site-1", kind=KIND_DGC_MESSAGE))
+    network.send_typed("site-0", "site-1", KIND_DGC_MESSAGE, 64, "ao", "m")
     network.send_typed("site-0", "site-1", KIND_APP_REPLY, 10, "third")
     kernel.run()
-    assert order == [
-        ("typed", KIND_APP_REQUEST),
-        ("envelope", KIND_DGC_MESSAGE),
-        ("typed", KIND_APP_REPLY),
-    ]
+    assert order == [KIND_APP_REQUEST, KIND_DGC_MESSAGE, KIND_APP_REPLY]
+    assert network.pulse_event_count == 2
 
 
 # ----------------------------------------------------------------------
@@ -271,21 +299,18 @@ def make_aggregated_network(node_count=3):
     for index in range(node_count):
         name = f"site-{index}"
 
-        def typed_sink(kind, item, payload, _name=name):
-            typed.append((_name, kind, item, payload))
-
-        def single(target, message, _name=name):
-            singles.append((_name, target, message))
+        def record(kind, item, payload, _name=name):
+            if kind in (KIND_DGC_MESSAGE, KIND_DGC_RESPONSE):
+                singles.append((_name, item, payload))
+            else:
+                typed.append((_name, kind, item, payload))
 
         def batch(targets, messages, _name=name):
             batches.append((_name, list(targets), list(messages)))
 
         network.register_node(
-            name, lambda env: None, typed_sink,
-            dgc_sinks={
-                KIND_DGC_MESSAGE: (single, batch),
-                "dgc.response": (single, batch),
-            },
+            name, kind_table(record),
+            dgc_batch_sinks={KIND_DGC_MESSAGE: batch, KIND_DGC_RESPONSE: batch},
         )
     return kernel, network, typed, singles, batches
 
@@ -314,20 +339,19 @@ def test_interleaved_traffic_breaks_the_run_and_keeps_order():
     kernel, network, typed, singles, batches = make_aggregated_network()
     message = object()
     order = []
-    # Re-register site-1 sinks that record global arrival order.
+
+    def record(kind, item, payload):
+        order.append(
+            ("single" if kind == KIND_DGC_MESSAGE else "typed", item)
+        )
+
+    def batch(targets, messages):
+        order.extend(("batch", target) for target in targets)
+
+    # Re-register site-1 with lanes that record global arrival order.
     network.register_node(
-        "site-1", lambda env: None,
-        lambda kind, item, payload: order.append(("typed", item)),
-        dgc_sinks={
-            KIND_DGC_MESSAGE: (
-                lambda t, m: order.append(("single", t)),
-                lambda ts, ms: order.extend(("batch", t) for t in ts),
-            ),
-            "dgc.response": (
-                lambda t, m: order.append(("single", t)),
-                lambda ts, ms: order.extend(("batch", t) for t in ts),
-            ),
-        },
+        "site-1", kind_table(record),
+        dgc_batch_sinks={KIND_DGC_MESSAGE: batch, KIND_DGC_RESPONSE: batch},
     )
     network.send_dgc_single("site-0", "site-1", KIND_DGC_MESSAGE, 64, "a", message)
     network.send_typed("site-0", "site-1", KIND_APP_REQUEST, 10, "req")
@@ -357,19 +381,16 @@ def test_send_dgc_run_stages_one_entry_and_counts_constituents():
 
 
 def test_send_dgc_run_falls_back_per_message_without_batching():
-    # The per-event core: one envelope and one kernel event per message.
+    # The per-event core: one kernel event per message, through the
+    # kind table.
     kernel, network, typed, singles, batches = make_aggregated_network()
     network.pulse_batching = False
-    envelopes = []
-    network.register_node("site-1", envelopes.append)
     network.send_dgc_run(
         "site-0", "site-1", KIND_DGC_MESSAGE, 64, ["x", "y"], ["m", "m"]
     )
     kernel.run()
     assert batches == [] and typed == []
-    assert [(env.kind, env.payload) for env in envelopes] == [
-        (KIND_DGC_MESSAGE, ("x", "m")), (KIND_DGC_MESSAGE, ("y", "m")),
-    ]
+    assert singles == [("site-1", "x", "m"), ("site-1", "y", "m")]
     assert network.pulse_event_count == 0
 
 
@@ -379,15 +400,13 @@ def test_send_dgc_single_respects_partitions_and_counts_drops():
     network.pulse_batching = True
     received = []
     network.register_node(
-        "site-0", lambda env: None, lambda *a: None,
-        dgc_sinks={KIND_DGC_MESSAGE: (lambda t, m: None, lambda ts, ms: None)},
+        "site-0", kind_table(ignore),
+        dgc_batch_sinks={KIND_DGC_MESSAGE: lambda ts, ms: None},
     )
     network.register_node(
-        "site-1", lambda env: None, lambda *a: received.append(a),
-        dgc_sinks={
-            KIND_DGC_MESSAGE: (
-                lambda t, m: received.append(t), lambda ts, ms: None
-            ),
+        "site-1", kind_table(lambda *message: received.append(message)),
+        dgc_batch_sinks={
+            KIND_DGC_MESSAGE: lambda ts, ms: received.extend(ts),
         },
     )
     plan.partition("site-0", "site-1")
@@ -403,10 +422,10 @@ def test_send_dgc_single_respects_partitions_and_counts_drops():
 
 # Each case sets up one route condition on a fresh two-node fabric and
 # returns the (source, dest) pair to send on.  ``site-1`` registers the
-# sinks the case names; every sink records the same arrival tuple.
+# lanes the case names; every lane records the same arrival tuple.
 
 def _bare_route(network, plan, register):
-    register("site-1", typed=True, dgc=True)
+    register("site-1", dgc=True)
     return "site-0", "site-1"
 
 
@@ -420,23 +439,25 @@ def _delay_rule_on_dgc(network, plan, register):
     return _bare_route(network, plan, register)
 
 
+def _delay_rule_on_items(network, plan, register):
+    plan.add_delay(
+        0.5, kind=KIND_DGC_MESSAGE, predicate=lambda target: target == "b"
+    )
+    return _bare_route(network, plan, register)
+
+
 def _delay_rule_on_other_kind(network, plan, register):
     plan.add_delay(0.5, kind=KIND_APP_REQUEST)
     return _bare_route(network, plan, register)
 
 
-def _envelope_only_destination(network, plan, register):
-    register("site-1", typed=False, dgc=False)
-    return "site-0", "site-1"
-
-
 def _no_batch_sinks(network, plan, register):
-    register("site-1", typed=True, dgc=False)
+    register("site-1", dgc=False)
     return "site-0", "site-1"
 
 
 def _intra_node(network, plan, register):
-    register("site-1", typed=True, dgc=True)
+    register("site-1", dgc=True)
     return "site-0", "site-0"
 
 
@@ -449,8 +470,8 @@ ROUTE_CASES = {
     "pulse": _bare_route,
     "per-event": _per_event,
     "delay-rule": _delay_rule_on_dgc,
+    "delay-rule-on-items": _delay_rule_on_items,
     "delay-rule-other-kind": _delay_rule_on_other_kind,
-    "envelope-only": _envelope_only_destination,
     "no-batch-sinks": _no_batch_sinks,
     "intra-node": _intra_node,
     "partition": _partitioned,
@@ -468,30 +489,24 @@ def drive_dgc_lane(lane, case):
     network.pulse_batching = True
     arrivals = []
 
-    def register(name, typed, dgc):
-        def record(target, message):
+    def register(name, dgc):
+        def record(kind, target, message):
             arrivals.append((kernel.now, name, target, message))
-
-        def record_envelope(env):
-            record(*env.payload)
-
-        def record_typed(kind, item, payload):
-            record(item, payload)
 
         def record_batch(targets, messages):
             for target, message in zip(targets, messages):
-                record(target, message)
+                record(KIND_DGC_MESSAGE, target, message)
 
         network.register_node(
-            name, record_envelope, record_typed if typed else None,
-            dgc_sinks={
-                KIND_DGC_MESSAGE: (record, record_batch),
-                "dgc.response": (record, record_batch),
+            name, kind_table(record),
+            dgc_batch_sinks={
+                KIND_DGC_MESSAGE: record_batch,
+                KIND_DGC_RESPONSE: record_batch,
             } if dgc else None,
         )
 
     source, dest = ROUTE_CASES[case](network, plan, register)
-    register("site-0", typed=True, dgc=True)
+    register("site-0", dgc=True)
 
     def burst(targets):
         messages = [f"m-{target}" for target in targets]
@@ -535,10 +550,9 @@ def test_dgc_lanes_match_send_typed_on_every_route(lane, case):
     """Both fused DGC lanes are observably :meth:`send_typed` per message
     on every route: the fast path, and each condition that forces the
     per-message fallback (no batching, a delay rule that may match the
-    DGC stream, a destination without typed or batch sinks, intra-node)
-    or drops the send (partition).  Same arrivals at the same instants
-    in the same order, same accounting, same drops, same channel
-    counters."""
+    DGC stream, a destination without batch sinks, intra-node) or drops
+    the send (partition).  Same arrivals at the same instants in the
+    same order, same accounting, same drops, same channel counters."""
     reference = drive_dgc_lane("send_typed", case)
     assert drive_dgc_lane(lane, case) == reference
     sent = sum(len(targets) for __, targets in BURSTS)
@@ -571,12 +585,11 @@ def test_aggregated_pulse_records_are_pooled_and_recycled():
 
 def test_reregistration_without_dgc_sinks_drops_the_old_dgc_lanes():
     kernel, network, typed, singles, batches = make_aggregated_network(2)
-    # Re-register site-1 with a typed sink only: the first registration's
-    # single and batch sinks must not survive it.
-    network.register_node(
-        "site-1", lambda env: None,
-        lambda kind, item, payload: typed.append(("new", kind, item, payload)),
-    )
+    # Re-register site-1 with a kind table only: the first
+    # registration's batch sinks must not survive it.
+    network.register_node("site-1", kind_table(
+        lambda kind, item, payload: typed.append(("new", kind, item, payload))
+    ))
     assert not network._build_route("site-0", "site-1")[2]  # no dgc_fast
     network.send_dgc_single("site-0", "site-1", KIND_DGC_MESSAGE, 64, "a", "m")
     network.send_dgc_run(
@@ -591,47 +604,48 @@ def test_reregistration_without_dgc_sinks_drops_the_old_dgc_lanes():
 
 def test_reregistration_replaces_every_lane_of_the_node():
     kernel, network, typed, singles, batches = make_aggregated_network(2)
+    handlers = {KIND_APP_REQUEST: lambda item, payload: None}
     table = {"a": lambda message: None}
     network.register_node(
-        "site-1", lambda env: None, lambda *a: None,
-        dgc_sinks={KIND_DGC_MESSAGE: (lambda t, m: None, lambda ts, ms: None)},
-        kind_handlers={KIND_APP_REQUEST: lambda item, payload: None},
+        "site-1", handlers,
+        dgc_batch_sinks={KIND_DGC_MESSAGE: lambda ts, ms: None},
         dgc_targets={KIND_DGC_MESSAGE: table},
     )
+    assert network._kind_tables["site-1"] is handlers
     assert network._dgc_message_tables["site-1"] is table
-    assert "site-1" not in network._dgc_response_sinks
     assert "site-1" not in network._dgc_response_batch_sinks
-    # An envelope-only registration removes the typed sink, the kind
-    # table and every DGC lane in one step.
-    network.register_node("site-1", lambda env: None)
+    # A kind-table-only registration removes every DGC lane in one step.
+    network.register_node("site-1", kind_table(ignore))
     for lanes in (
-        network._typed_sinks, network._kind_tables,
-        network._dgc_message_sinks, network._dgc_message_batch_sinks,
-        network._dgc_response_sinks, network._dgc_response_batch_sinks,
+        network._dgc_message_batch_sinks, network._dgc_response_batch_sinks,
         network._dgc_message_tables, network._dgc_response_tables,
     ):
         assert "site-1" not in lanes
-    assert "site-0" in network._dgc_message_sinks  # other nodes untouched
+    assert "site-0" in network._dgc_message_batch_sinks  # others untouched
 
 
 def test_dgc_single_goes_straight_to_the_lent_target_handler():
     kernel, network, typed, singles, batches = make_aggregated_network(2)
     direct = []
     table = {"a": lambda message: direct.append(("a", message))}
+
+    def record(kind, item, payload):
+        if kind == KIND_DGC_MESSAGE:
+            singles.append(("site-1", item, payload))
+
     network.register_node(
-        "site-1", lambda env: None, lambda *a: None,
-        dgc_sinks={
-            KIND_DGC_MESSAGE: (
-                lambda t, m: singles.append(("site-1", t, m)),
-                lambda ts, ms: batches.append(("site-1", list(ts), list(ms))),
+        "site-1", kind_table(record),
+        dgc_batch_sinks={
+            KIND_DGC_MESSAGE: lambda ts, ms: batches.append(
+                ("site-1", list(ts), list(ms))
             ),
-            "dgc.response": (lambda t, m: None, lambda ts, ms: None),
+            KIND_DGC_RESPONSE: lambda ts, ms: None,
         },
         dgc_targets={KIND_DGC_MESSAGE: table},
     )
     network.send_dgc_single("site-0", "site-1", KIND_DGC_MESSAGE, 64, "a", "m1")
     network.send_typed("site-0", "site-1", KIND_APP_REQUEST, 10, "req")
-    # A table miss (the target is gone) falls to the single sink.
+    # A table miss (the target is gone) falls to the kind table.
     network.send_dgc_single("site-0", "site-1", KIND_DGC_MESSAGE, 64, "z", "m2")
     kernel.run()
     assert direct == [("a", "m1")]
