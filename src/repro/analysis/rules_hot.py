@@ -8,13 +8,16 @@ loops there must not allocate closures (a ``lambda`` inside a fire
 loop is one heap allocation per event).  Independently of the tag, a
 class anywhere in the deterministic core that inherits a slotted base
 but forgets its own ``__slots__`` silently reintroduces the per-
-instance ``__dict__`` — that is flagged too.
+instance ``__dict__`` — that is flagged too.  In every scanned file, an
+``isinstance``/``issubclass`` against a ``typing`` alias is flagged:
+the alias only delegates to its ``collections.abc`` class, through a
+chain of Python frames on every check.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Set
+from typing import Dict, Iterator, List, Set, Tuple
 
 from repro.analysis.model import Finding
 from repro.analysis.walker import Rule, SourceFile, register_rule
@@ -112,6 +115,75 @@ class HotClosure(Rule):
                                 f"per iteration — hoist it out of the "
                                 f"loop or use a bound method",
                             )
+
+
+@register_rule
+class HotTypingCheck(Rule):
+    id = "HOT-typing-check"
+    summary = (
+        "no isinstance/issubclass against a typing alias (a name "
+        "imported from typing, or typing.X): the alias delegates to its "
+        "collections.abc class through several Python frames per check "
+        "— test the collections.abc class or a concrete type"
+    )
+    scope = "all"
+
+    def check(self, sf: SourceFile, facts) -> Iterator[Finding]:
+        names, modules = _typing_imports(sf.tree)
+        if not names and not modules:
+            return
+        for node in ast.walk(sf.tree):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("isinstance", "issubclass")
+                and len(node.args) == 2
+            ):
+                continue
+            for operand in _class_operands(node.args[1]):
+                alias = _typing_alias(operand, names, modules)
+                if alias is not None:
+                    yield self.finding(
+                        sf, node,
+                        f"{node.func.id}() against typing.{alias}: the "
+                        f"alias delegates to collections.abc.{alias} "
+                        f"through several Python frames on every call — "
+                        f"test collections.abc.{alias} (or a concrete "
+                        f"type) directly",
+                    )
+
+
+def _typing_imports(tree: ast.AST) -> Tuple[Dict[str, str], Set[str]]:
+    """``({local name: typing name}, {names bound to the typing module})``."""
+    names: Dict[str, str] = {}
+    modules: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "typing":
+            for alias in node.names:
+                names[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "typing":
+                    modules.add(alias.asname or "typing")
+    return names, modules
+
+
+def _class_operands(node: ast.AST) -> List[ast.AST]:
+    if isinstance(node, ast.Tuple):
+        return [leaf for item in node.elts for leaf in _class_operands(item)]
+    return [node]
+
+
+def _typing_alias(node: ast.AST, names: Dict[str, str], modules: Set[str]):
+    if isinstance(node, ast.Name):
+        return names.get(node.id)
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    ):
+        return node.attr
+    return None
 
 
 def _declares_slots(node: ast.ClassDef) -> bool:

@@ -18,19 +18,10 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import (
-    Any,
-    Callable,
-    Deque,
-    Generator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from collections.abc import Generator
+from typing import Any, Callable, Deque, List, Optional, Sequence, Tuple, Union
 
-from repro.errors import ActivityTerminatedError, RuntimeModelError
+from repro.errors import RuntimeModelError
 from repro.runtime.future import Future
 from repro.runtime.ids import ActivityId
 from repro.runtime.proxy import Proxy, ProxyTable, RemoteRef
@@ -128,13 +119,9 @@ class ActivityContext:
         Returns a :class:`Future` when ``expect_reply`` is set, which a
         generator handler can yield to wait for the result.
         """
-        return self._activity.send_call(
-            target,
-            method,
-            payload_bytes=payload_bytes,
-            refs=refs,
-            data=data,
-            expect_reply=expect_reply,
+        activity = self._activity
+        return activity.node.send_request(
+            activity, target, method, payload_bytes, refs, data, expect_reply
         )
 
     def keep(self, proxy: Proxy) -> Proxy:
@@ -319,32 +306,6 @@ class Activity:
             self.node.local_gc.notify_tag_dead(self, proxy.tag)
 
     # ------------------------------------------------------------------
-    # Calls out
-    # ------------------------------------------------------------------
-
-    def send_call(
-        self,
-        target: Union[Proxy, RemoteRef],
-        method: str,
-        *,
-        payload_bytes: int = 0,
-        refs: Sequence[Union[Proxy, RemoteRef]] = (),
-        data: Any = None,
-        expect_reply: bool = False,
-    ) -> Optional[Future]:
-        if self.terminated:
-            raise ActivityTerminatedError(f"{self.id} is terminated")
-        return self.node.send_request(
-            self,
-            target,
-            method,
-            payload_bytes=payload_bytes,
-            refs=refs,
-            data=data,
-            expect_reply=expect_reply,
-        )
-
-    # ------------------------------------------------------------------
     # Service loop
     # ------------------------------------------------------------------
 
@@ -352,7 +313,7 @@ class Activity:
         """Enqueue an incoming request and the tuple of stubs deserialized
         from its references (``()`` for none: it then waits as the bare
         request, no entry tuple); start serving if idle."""
-        if self.terminated:
+        if self.state is ActivityState.TERMINATED:
             # A message reached a dead activity: visible symptom of either
             # an application bug or a wrongful collection; traced upstream.
             return
@@ -368,7 +329,7 @@ class Activity:
         self._pumping = True
         try:
             while True:
-                if self.terminated or self._run is not None:
+                if self.state is ActivityState.TERMINATED or self._run is not None:
                     return
                 if not self._queue:
                     if self.state is ActivityState.BUSY:
@@ -388,7 +349,10 @@ class Activity:
     def _begin_handler(self, run: _HandlerRun, result: HandlerResult) -> None:
         if self._run is not run:  # terminated during the handler body
             return
-        if isinstance(result, Generator):
+        # ``None`` (most handlers) skips the ABC check; the class is
+        # ``collections.abc.Generator``, which ``typing.Generator`` only
+        # delegates to through a chain of frames (HOT-typing-check).
+        if result is not None and isinstance(result, Generator):
             run.generator = result
             self._step(run, None)
         else:

@@ -15,7 +15,11 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional, Sequence, Union
 
-from repro.errors import NoSuchActivityError, RuntimeModelError
+from repro.errors import (
+    ActivityTerminatedError,
+    NoSuchActivityError,
+    RuntimeModelError,
+)
 from repro.net.kinds import (
     KIND_APP_REPLY,
     KIND_APP_REQUEST,
@@ -29,6 +33,7 @@ from repro.net.kinds import (
     KIND_REGISTRY_REPLY,
     bind_dispatch_shapes,
 )
+from repro.runtime import request as request_module
 from repro.runtime.activeobject import Activity, ActivityState
 from repro.runtime.future import Future
 from repro.runtime.ids import ActivityId
@@ -82,11 +87,14 @@ class Node:
         #: ``beat_slots="auto"`` (see :class:`repro.sim.beats.SlotController`).
         self.beat_slot_controller = SlotController()
         # Hot-path cache: the wire-size model is frozen, so the DGC sizes
-        # are constants.  (The network's send lanes are deliberately NOT
-        # cached as bound methods: benchmark code patches them
-        # per-instance to observe traffic.)
+        # and the app size terms are constants.  (The network's send
+        # lanes are deliberately NOT cached as bound methods: benchmark
+        # code patches them per-instance to observe traffic.)
         self._dgc_message_bytes = self.wire_sizes.dgc_message_bytes
         self._dgc_response_bytes = self.wire_sizes.dgc_response_bytes
+        self._request_header_bytes = self.wire_sizes.request_header_bytes
+        self._reply_header_bytes = self.wire_sizes.reply_header_bytes
+        self._reference_bytes = self.wire_sizes.reference_bytes
         #: Direct DGC dispatch tables: activity id -> bound collector
         #: handler, maintained by :meth:`register_collector` and the
         #: termination hook, and lent to the fabric: the pulse's
@@ -198,12 +206,16 @@ class Node:
         sender: Activity,
         target: Union[Proxy, RemoteRef],
         method: str,
-        *,
         payload_bytes: int = 0,
         refs: Sequence[Union[Proxy, RemoteRef]] = (),
         data: Any = None,
         expect_reply: bool = False,
     ) -> Optional[Future]:
+        """The send half of the request lane in one frame: the sender's
+        liveness check, the world's send counter and in-flight pins, and
+        the wire size (:meth:`WireSizeModel.request_size`, inlined)."""
+        if sender.state is ActivityState.TERMINATED:
+            raise ActivityTerminatedError(f"{sender.id} is terminated")
         if isinstance(target, Proxy):
             if target.released:
                 raise RuntimeModelError(
@@ -212,40 +224,49 @@ class Node:
             target_ref = target.ref
         else:
             target_ref = target
-        wire_refs = serialize_refs(refs)
+        wire_refs = serialize_refs(refs) if refs else ()
         future: Optional[Future] = None
         reply_to: Optional[ReplyAddress] = None
         if expect_reply:
             future = Future()
             self._pending_futures[future.future_id] = future
             reply_to = ReplyAddress(self.name, sender.id, future.future_id)
+        target_id = target_ref.activity_id
         request = Request(
             method=method,
             sender=sender.id,
-            target=target_ref.activity_id,
+            target=target_id,
             payload_bytes=payload_bytes,
             refs=wire_refs,
             data=data,
             reply_to=reply_to,
+            request_id=next(request_module.request_ids),
         )
-        size = self.wire_sizes.request_size(payload_bytes, len(wire_refs))
-        self.world.note_request_sent(request)
+        size = self._request_header_bytes + payload_bytes
+        world = self.world
+        world.requests_sent += 1
+        wakeups = world.inflight_wakeups
+        wakeups[target_id] = wakeups.get(target_id, 0) + 1
+        if wire_refs:
+            size += len(wire_refs) * self._reference_bytes
+            _pin(world.inflight_ref_pins, wire_refs)
         self.network.send_typed(
             self.name, target_ref.node, KIND_APP_REQUEST, size, request
         )
         return future
 
     def send_reply(self, sender: Activity, request: Request, result: Any) -> None:
+        """The send half of the reply lane, fused like :meth:`send_request`."""
         reply_to = request.reply_to
         assert reply_to is not None
         payload_bytes = 0
-        refs: Sequence[Union[Proxy, RemoteRef]] = ()
-        data: Any = result
+        data = result
+        wire_refs = ()
         if isinstance(result, ReplyPayload):
             payload_bytes = result.payload_bytes
-            refs = result.refs
             data = result.data
-        wire_refs = serialize_refs(refs)
+            if result.refs:
+                wire_refs = serialize_refs(result.refs)
         reply = Reply(
             future_id=reply_to.future_id,
             target_activity=reply_to.activity,
@@ -253,8 +274,12 @@ class Node:
             refs=wire_refs,
             data=data,
         )
-        size = self.wire_sizes.reply_size(payload_bytes, len(wire_refs))
-        self.world.note_reply_sent(reply)
+        size = self._reply_header_bytes + payload_bytes
+        world = self.world
+        world.replies_sent += 1
+        if wire_refs:
+            size += len(wire_refs) * self._reference_bytes
+            _pin(world.inflight_ref_pins, wire_refs)
         self.network.send_typed(
             self.name, reply_to.node, KIND_APP_REPLY, size, reply
         )
@@ -306,36 +331,49 @@ class Node:
     # ------------------------------------------------------------------
 
     def _on_request(self, request: Request, payload: Any = None) -> None:
-        self.world.note_request_delivered(request)
-        activity = self.activities.get(request.target)
-        if activity is None or activity.terminated:
+        world = self.world
+        world.requests_delivered += 1
+        target = request.target
+        wakeups = world.inflight_wakeups
+        count = wakeups.get(target, 0)
+        if count > 1:
+            wakeups[target] = count - 1
+        else:
+            wakeups.pop(target, None)
+        refs = request.refs
+        if refs:
+            _unpin(world.inflight_ref_pins, refs)
+        activity = self.activities.get(target)
+        if activity is None or activity.state is ActivityState.TERMINATED:
             self.dead_letter_count += 1
-            self.world.on_dead_letter()
+            world.on_dead_letter()
             if self.tracer.enabled:
                 self.tracer.record(
                     self.kernel.now,
                     "message.dead_letter",
-                    request.target,
+                    target,
                     method=request.method,
                     sender=request.sender,
                 )
             return
-        refs = request.refs
         activity.deliver(request, deserialize_refs(activity, refs) if refs else ())
 
     def _on_reply(self, reply: Reply, payload: Any = None) -> None:
-        self.world.note_reply_delivered(reply)
+        world = self.world
+        world.replies_delivered += 1
+        refs = reply.refs
+        if refs:
+            _unpin(world.inflight_ref_pins, refs)
         future = self._pending_futures.pop(reply.future_id, None)
         activity = self.activities.get(reply.target_activity)
         if future is None:
             self.dead_letter_count += 1
             return
-        if activity is None or activity.terminated:
+        if activity is None or activity.state is ActivityState.TERMINATED:
             # Reference orientation (paper Sec. 4.1): updating the future
             # of a collected caller is simply dropped.
             self.dead_letter_count += 1
             return
-        refs = reply.refs
         future.resolve(reply.data, deserialize_refs(activity, refs) if refs else ())
 
     def _on_registry_reply(self, reply: Any, payload: Any) -> None:
@@ -418,6 +456,25 @@ class Node:
                 handlers[activity_id](response)
             else:
                 self._on_dgc_response_via_lookup(activity_id, response)
+
+
+def _pin(pins: Dict[ActivityId, int], refs: Sequence[RemoteRef]) -> None:
+    """Count ``refs`` as in flight (the world's :meth:`inflight_pinned`)."""
+    for ref in refs:
+        key = ref.activity_id
+        pins[key] = pins.get(key, 0) + 1
+
+
+def _unpin(pins: Dict[ActivityId, int], refs: Sequence[RemoteRef]) -> None:
+    """Undo :func:`_pin` on delivery; a count from another shard's send
+    was never raised here, so a missing key is not an error."""
+    for ref in refs:
+        key = ref.activity_id
+        count = pins.get(key, 0)
+        if count > 1:
+            pins[key] = count - 1
+        else:
+            pins.pop(key, None)
 
 
 class ReplyPayload:

@@ -21,7 +21,10 @@ from typing import Any, Optional, Tuple
 from repro.runtime.ids import ActivityId
 from repro.runtime.proxy import RemoteRef
 
-_request_ids = itertools.count(1)
+#: The process-global request-id stream.  Senders draw from it through
+#: the module (``next(request.request_ids)``), so the rebinding in
+#: :func:`reset_request_ids` reaches them.
+request_ids = itertools.count(1)
 
 
 def reset_request_ids() -> None:
@@ -32,8 +35,8 @@ def reset_request_ids() -> None:
     stream at world construction to keep independent runs — and the
     frames they emit — bit-identical.
     """
-    global _request_ids
-    _request_ids = itertools.count(1)
+    global request_ids
+    request_ids = itertools.count(1)
 
 
 @dataclass(slots=True)
@@ -47,7 +50,7 @@ class Request:
     refs: Tuple[RemoteRef, ...] = ()
     data: Any = None
     reply_to: Optional["ReplyAddress"] = None
-    request_id: int = field(default_factory=lambda: next(_request_ids))
+    request_id: int = field(default_factory=lambda: next(request_ids))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

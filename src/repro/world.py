@@ -36,7 +36,6 @@ from repro.runtime.ids import ActivityId, make_activity_id
 from repro.runtime.node import Node
 from repro.runtime.proxy import Proxy, RemoteRef
 from repro.runtime.registry import NamingService
-from repro.runtime.request import Reply, Request
 from repro.sim.kernel import SimKernel
 from repro.sim.rng import RngRegistry
 from repro.sim.tracing import Tracer
@@ -138,8 +137,12 @@ class World:
         self._node_order = node_names
         self._placement_cursor = 0
         self._activities: Dict[ActivityId, Activity] = {}
-        self._inflight_wakeups: Dict[ActivityId, int] = {}
-        self._inflight_ref_pins: Dict[ActivityId, int] = {}
+        #: In-flight app traffic per activity: requests addressed to it
+        #: (wakeups) and references to it riding requests and replies
+        #: (pins).  The nodes' request lane maintains both in its own
+        #: frames; :meth:`inflight_pinned` reads them.
+        self.inflight_wakeups: Dict[ActivityId, int] = {}
+        self.inflight_ref_pins: Dict[ActivityId, int] = {}
         #: Live non-root count, maintained in :meth:`create_activity` and
         #: :meth:`on_activity_terminated` so quiescence predicates are
         #: O(1) instead of rebuilding activity lists.
@@ -148,13 +151,14 @@ class World:
         #: counter hits zero (event-driven :meth:`run_until_collected`).
         self._stop_when_collected = False
         self.stats = WorldStats()
-        #: Plain monotonic app-traffic counters.  Unlike the in-flight
-        #: pin *dicts* below — which assume send and delivery are
-        #: observed by the same world and therefore go stale across a
-        #: shard boundary (the sender's increment is never matched by
-        #: the remote receiver's decrement) — these counters are
-        #: meaningful per shard and *summable*: the shard coordinator's
-        #: settle predicate is Σsent == Σdelivered across all shards.
+        #: Plain monotonic app-traffic counters, kept by the nodes like
+        #: the pins.  Unlike the in-flight pin *dicts* above — which
+        #: assume send and delivery are observed by the same world and
+        #: therefore go stale across a shard boundary (the sender's
+        #: increment is never matched by the remote receiver's
+        #: decrement) — these counters are meaningful per shard and
+        #: *summable*: the shard coordinator's settle predicate is
+        #: Σsent == Σdelivered across all shards.
         self.requests_sent = 0
         self.requests_delivered = 0
         self.replies_sent = 0
@@ -327,46 +331,10 @@ class World:
         ):
             self._check_termination_safety(activity, reason)
 
-    def note_request_sent(self, request: Request) -> None:
-        self.requests_sent += 1
-        self._inflight_wakeups[request.target] = (
-            self._inflight_wakeups.get(request.target, 0) + 1
-        )
-        for ref in request.refs:
-            self._inflight_ref_pins[ref.activity_id] = (
-                self._inflight_ref_pins.get(ref.activity_id, 0) + 1
-            )
-
-    def note_request_delivered(self, request: Request) -> None:
-        self.requests_delivered += 1
-        self._dec(self._inflight_wakeups, request.target)
-        for ref in request.refs:
-            self._dec(self._inflight_ref_pins, ref.activity_id)
-
-    def note_reply_sent(self, reply: Reply) -> None:
-        self.replies_sent += 1
-        for ref in reply.refs:
-            self._inflight_ref_pins[ref.activity_id] = (
-                self._inflight_ref_pins.get(ref.activity_id, 0) + 1
-            )
-
-    def note_reply_delivered(self, reply: Reply) -> None:
-        self.replies_delivered += 1
-        for ref in reply.refs:
-            self._dec(self._inflight_ref_pins, ref.activity_id)
-
-    @staticmethod
-    def _dec(counter: Dict[ActivityId, int], key: ActivityId) -> None:
-        value = counter.get(key, 0) - 1
-        if value <= 0:
-            counter.pop(key, None)
-        else:
-            counter[key] = value
-
     def inflight_pinned(self) -> Set[ActivityId]:
         """Activities pinned by in-flight traffic (wakeups or references)."""
-        pinned = set(self._inflight_wakeups)
-        pinned.update(self._inflight_ref_pins)
+        pinned = set(self.inflight_wakeups)
+        pinned.update(self.inflight_ref_pins)
         return pinned
 
     def on_dead_letter(self) -> None:

@@ -11,7 +11,12 @@ Two deterministic gates, no timing:
   bound methods of the node's :class:`RegistryShard`.  Above the fabric the
   whole resolve (``ctx.lookup`` to resolved future) is at most ten
   frames over all of ``runtime/*.py``, and a delivered replica push or
-  invalidation is one.  The per-event core enters the same handlers
+  invalidation is one.  An application request is pinned frame by
+  frame the same way: the send is ``ctx.call`` and
+  ``Node.send_request``, the delivery ``Node._on_request`` into the
+  service loop, with no world bookkeeping frame, no size-model call
+  and, for a handler that returns ``None``, no ``typing`` or ``abc``
+  frame.  The per-event core enters the same handlers
   through the fabric's per-message lane.  On the write side under beat coherence,
   staging a ``replicated`` update costs the same frames at any node
   count and nothing in the fabric, and one flush is one send per
@@ -47,6 +52,10 @@ from repro.runtime.ids import reset_id_counter
 from repro.world import World
 
 FABRIC_FILES = ("network.py", "channel.py", "accounting.py", "message.py")
+RUNTIME_FILES = (
+    "activeobject.py", "behaviors.py", "future.py", "node.py", "proxy.py",
+    "request.py", "serialization.py", "world.py",
+)
 
 
 def external(world, node, name):
@@ -124,6 +133,121 @@ def test_lookup_round_trip_call_budget():
     assert runtime[("node.py", "_on_registry_reply")] == 1
     assert ("node.py", "_on_typed") not in runtime
     assert sum(runtime.values()) <= 10, runtime
+
+
+class Service(Behavior):
+    def do_ping(self, ctx, request, proxies):
+        return None
+
+    def do_echo(self, ctx, request, proxies):
+        return request.data
+
+
+def warm_request_stats(expect_reply):
+    """``{(file, function): calls}`` of every frame (stdlib included)
+    entered by one warm cross-node ``ping`` (or ``echo`` round trip when
+    ``expect_reply``), ``ctx.call`` through delivery (and the resolved
+    future), between two collector-less roots."""
+    world = World(
+        uniform_topology(2), dgc=DgcConfig(ttb=1.0, tta=3.0), trace=False,
+    )
+    caller_node, service_node = world.nodes
+    service = world.create_activity(
+        Service(), node=service_node, name="svc", root=True,
+        dgc_enabled=False,
+    )
+    caller = external(world, caller_node, "caller")
+    proxy = caller.context.acquire(service.context.self_ref())
+    method = "echo" if expect_reply else "ping"
+    # Warm-up: builds the routes, channels and per-kind categories.
+    caller.context.call(proxy, method, data=1, expect_reply=expect_reply)
+    world.run_for(1.0)
+    before = world.accountant.summary()
+
+    def hop():
+        future = caller.context.call(
+            proxy, method, data=2, expect_reply=expect_reply
+        )
+        world.run_for(1.0)
+        return future
+
+    profiler = cProfile.Profile()
+    future = profiler.runcall(hop)
+    profiler.create_stats()
+    after = world.accountant.summary()
+    kinds = [KIND_APP_REQUEST] + ([KIND_APP_REPLY] if expect_reply else [])
+    for kind in kinds:
+        assert after[kind].messages == before[kind].messages + 1
+    assert future is None or future.value == 2
+    assert world.requests_sent == world.requests_delivered == 2
+    assert not world.inflight_pinned()
+    return {
+        (os.path.basename(filename), function): ncalls
+        for (filename, _, function), (_, ncalls, _, _, _)
+        in profiler.stats.items()
+    }
+
+
+#: The service loop's frames for one request served on an idle
+#: activity: queue, serve, dispatch the result, finish, go idle.
+SERVE_FRAMES = {
+    ("activeobject.py", "deliver"): 1,
+    ("activeobject.py", "_pump"): 1,
+    ("activeobject.py", "__init__"): 1,  # the _HandlerRun
+    ("behaviors.py", "handle"): 1,
+    ("activeobject.py", "_begin_handler"): 1,
+    ("activeobject.py", "_finish"): 1,
+    ("activeobject.py", "_become_idle"): 1,
+}
+
+
+@pytest.mark.parametrize("expect_reply", [False, True], ids=["ping", "echo"])
+def test_request_lane_call_budget(expect_reply):
+    stats = warm_request_stats(expect_reply)
+    hops = 2 if expect_reply else 1
+    fabric = {
+        (base, function): calls for (base, function), calls in stats.items()
+        if base in FABRIC_FILES
+    }
+    # One send and one delivery instant per hop; the fire loop calls the
+    # node's kind handler itself and the node prices the message inline.
+    assert fabric == {
+        ("network.py", "send_typed"): hops,
+        ("network.py", "_fire_pulse"): hops,
+    }
+    runtime = {
+        (base, function): calls for (base, function), calls in stats.items()
+        if base in RUNTIME_FILES
+    }
+    expected = {
+        ("world.py", "run_for"): 1,  # the drive itself
+        ("activeobject.py", "call"): 1,
+        ("node.py", "send_request"): 1,
+        ("proxy.py", "released"): 1,
+        ("node.py", "_on_request"): 1,
+        **SERVE_FRAMES,
+    }
+    if expect_reply:
+        expected.update({
+            ("future.py", "__init__"): 1,
+            ("node.py", "send_reply"): 1,
+            ("node.py", "_on_reply"): 1,
+            ("future.py", "resolve"): 1,
+        })
+    assert runtime == expected
+    for gone in ("send_call", "note_request_sent", "note_request_delivered",
+                 "note_reply_sent", "note_reply_delivered", "_dec",
+                 "serialize_refs", "request_size", "reply_size"):
+        assert not [key for key in stats if key[1] == gone], gone
+    # ``ping`` returns None: its dispatch runs no ABC check at all.  A
+    # plain value pays one ``collections.abc.Generator`` check (the
+    # virtual-subclass test), never the typing alias's delegation.
+    assert not [key for key in stats if key[0] == "typing.py"]
+    abc_frames = {
+        function: calls for (base, function), calls in stats.items()
+        if base in ("abc.py", "<frozen abc>")
+    }
+    assert abc_frames == ({"__instancecheck__": 1} if expect_reply else {})
 
 
 def test_per_event_core_enters_the_same_shard_handlers():

@@ -1,5 +1,8 @@
 """Unit tests for the activity service loop (through a real world)."""
 
+import typing
+from collections.abc import Generator
+
 import pytest
 
 from repro.errors import RuntimeModelError
@@ -250,3 +253,57 @@ def test_a_lost_kept_stub_does_not_shield_a_later_one(world):
     assert activity.requests_served == 2 * rounds
     # Only the kept stubs are still live: every "use" stub was released.
     assert activity.proxies.live_count(b.activity_id) == rounds
+
+
+class SendOnly:
+    """A generator only by registration: it has ``send`` (all the
+    service loop calls) but not the protocol ``__subclasshook__`` checks."""
+
+    def send(self, value):
+        raise StopIteration("stepped")
+
+
+Generator.register(SendOnly)
+
+
+def _stepped_generator(ctx):
+    yield ctx.sleep(0.5)
+    return "stepped"
+
+
+@pytest.mark.parametrize(
+    "make_result, stepped",
+    [
+        (lambda ctx: None, False),
+        (lambda ctx: 7, False),
+        (lambda ctx: [1, 2], False),
+        (lambda ctx: iter((1, 2)), False),
+        (_stepped_generator, True),
+        (lambda ctx: SendOnly(), True),
+    ],
+    ids=["none", "value", "list", "iterator", "generator", "registered"],
+)
+def test_handler_result_dispatch(world, make_result, stepped):
+    """A generator, real or registered with ``collections.abc.Generator``
+    (which ``typing.Generator`` delegates to), is stepped and its return
+    value is the reply; anything else, iterators included, finishes at
+    once and is the reply itself."""
+    returned = []
+
+    def serve(ctx, request, proxies):
+        result = make_result(ctx)
+        returned.append(result)
+        return result
+
+    driver = world.create_driver()
+    target = driver.context.create(FunctionBehavior(serve), name="t")
+    activity = world.find_activity(target.activity_id)
+    future = driver.context.call(target, "any", expect_reply=True)
+    world.run_for(1.0)
+    assert future.resolved and activity.is_idle()
+    (result,) = returned
+    assert isinstance(result, typing.Generator) is stepped
+    if stepped:
+        assert future.value == "stepped"
+    else:
+        assert future.value is result

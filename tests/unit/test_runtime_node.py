@@ -3,7 +3,10 @@
 import pytest
 
 from repro.errors import NoSuchActivityError, RuntimeModelError
+from repro.net.kinds import KIND_APP_REPLY, KIND_APP_REQUEST
+from repro.net.message import WireSizeModel
 from repro.runtime.behaviors import Behavior, SinkBehavior
+from repro.runtime.node import ReplyPayload
 
 
 class Echo(Behavior):
@@ -61,7 +64,9 @@ def test_reply_to_terminated_caller_is_dropped(world):
     target_proxy = caller_activity.node.deserialize_ref(
         caller_activity, target.ref
     )
-    caller_activity.send_call(target_proxy, "echo", data="x", expect_reply=True)
+    caller_activity.context.call(
+        target_proxy, "echo", data="x", expect_reply=True
+    )
     world.run_for(1.0)
     caller_activity.terminate("explicit")
     world.run_for(5.0)
@@ -110,3 +115,40 @@ def test_request_refs_are_deserialized_for_receiver(world):
     receiver_activity = world.find_activity(receiver.activity_id)
     assert receiver_activity.proxies.holds(passed.activity_id)
     assert held["proxy"].node == "site-2"
+
+
+@pytest.mark.parametrize("ref_count", [0, 1, 2, 3])
+def test_app_message_bytes_follow_the_size_model(make_world, ref_count):
+    """The node prices requests and replies inline; the accountant must
+    read exactly what :class:`WireSizeModel` says (odd sizes, so a
+    swapped term shows)."""
+    sizes = WireSizeModel(
+        request_header_bytes=91, reply_header_bytes=67, reference_bytes=129,
+    )
+    world = make_world(3, dgc=None, wire_sizes=sizes)
+
+    class Return(Behavior):
+        def do_take(self, ctx, request, proxies):
+            return ReplyPayload("ok", payload_bytes=33, refs=proxies)
+
+    driver = world.create_driver(node="site-0")
+    target = driver.context.create(Return(), node="site-1", name="t")
+    refs = [
+        driver.context.create(SinkBehavior(), node="site-2", name=f"r{i}")
+        for i in range(ref_count)
+    ]
+    future = driver.context.call(
+        target, "take", payload_bytes=500, refs=refs, expect_reply=True
+    )
+    assert len(world.inflight_pinned()) == 1 + ref_count
+    world.run_for(1.0)
+    assert future.value == "ok" and len(future.refs) == ref_count
+    summary = world.accountant.summary()
+    for kind, size in (
+        (KIND_APP_REQUEST, sizes.request_size(500, ref_count)),
+        (KIND_APP_REPLY, sizes.reply_size(33, ref_count)),
+    ):
+        assert (summary[kind].messages, summary[kind].bytes) == (1, size)
+    assert world.requests_sent == world.requests_delivered == 1
+    assert world.replies_sent == world.replies_delivered == 1
+    assert not world.inflight_pinned()
