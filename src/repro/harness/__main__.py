@@ -17,8 +17,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
+from repro.core.config import TORTURE_FAST_CONFIG, TORTURE_SLOW_CONFIG
 from repro.errors import ConfigurationError
 from repro.harness.figures import fig10_report, run_fig10
 from repro.harness.tables import fig8_table, fig9_table, run_comparisons
@@ -302,14 +303,15 @@ def main(argv: Optional[List[str]] = None) -> int:
 
             slaves = PAPER_SLAVE_COUNT
             nodes = PAPER_NODE_COUNT
+        overrides = _dgc_overrides(args)
         results = run_fig10(
             slave_count=slaves,
             active_duration=args.duration,
             node_count=nodes,
             seed=args.seed,
             include_slow=not getattr(args, "skip_slow", False),
-            beat_slots=getattr(args, "beat_slots", None),
-            aggregation=getattr(args, "aggregation", None),
+            fast=TORTURE_FAST_CONFIG.with_overrides(**overrides),
+            slow=TORTURE_SLOW_CONFIG.with_overrides(**overrides),
         )
         print(fig10_report(results))
 
@@ -335,13 +337,85 @@ def _run_analyze(args: argparse.Namespace) -> int:
     return analysis_main(argv)
 
 
+def _dgc_overrides(args: argparse.Namespace) -> Dict[str, Any]:
+    """The ``DgcConfig`` fields set on the command line (``fig10`` and
+    ``all`` have no ``--ttb``/``--tta``; ``all`` no slot/core flags)."""
+    return {
+        name: getattr(args, name, None)
+        for name in ("ttb", "tta", "beat_slots", "aggregation")
+        if getattr(args, name, None) is not None
+    }
+
+
+def _workload_setup(args: argparse.Namespace):
+    """The configuration both ``run`` arms share, ``--paper-scale``
+    applied: ``(workload, params, dgc, registry, nodes)``.
+
+    ``workload`` names the :mod:`repro.shard.workloads` builder and
+    ``params`` are its parameters — also the keyword arguments of
+    ``run_torture`` / ``run_naming``, and the ``kernel_spec`` fields
+    for NAS; ``dgc`` carries every CLI override (``None`` under
+    ``--no-dgc``), ``registry`` is set for naming only.
+    """
+    from repro.core.config import NAS_CONFIG, RegistryConfig
+    from repro.harness.figures import PAPER_NODE_COUNT, PAPER_SLAVE_COUNT
+    from repro.workloads.nas import PAPER_AO_COUNT
+
+    nodes = args.nodes
+    registry = None
+    if args.workload == "torture":
+        workload, base = "torture", TORTURE_FAST_CONFIG
+        params = dict(
+            slave_count=PAPER_SLAVE_COUNT if args.paper_scale else args.slaves,
+            active_duration=args.duration,
+        )
+        if args.paper_scale:
+            nodes = PAPER_NODE_COUNT
+    elif args.workload == "naming":
+        workload, base = "naming", NAS_CONFIG
+        params = dict(
+            client_count=args.clients,
+            service_count=args.services,
+            name_count=args.names,
+            zipf_s=args.zipf_s,
+            churn_burst=args.churn_burst,
+            duration=args.duration,
+            lookup_period=args.lookup_period,
+            lookup_burst=args.lookup_burst,
+            churn_period=args.churn_period,
+        )
+        registry = RegistryConfig(
+            placement=args.registry_placement,
+            lease_ttb=args.lease_ttb,
+            cache_size=args.registry_cache,
+            coherence=args.coherence,
+        )
+        if args.registry_placement == "replicated" and args.lease_ttb > 0:
+            print(
+                "note: --lease-ttb has no effect with "
+                "--registry-placement replicated (replicas are coherent "
+                "copies; leases apply to home/hashed placement)",
+                file=sys.stderr,
+            )
+    else:
+        workload, base = "nas", NAS_CONFIG
+        params = dict(
+            kernel=args.workload.split(":", 1)[1],
+            ao_count=PAPER_AO_COUNT if args.paper_scale else args.ao_count,
+            iterations=args.iterations,
+            iter_time_s=args.iter_time,
+            payload_bytes=args.payload_bytes,
+        )
+        if args.paper_scale:
+            nodes = PAPER_NODE_COUNT
+    dgc = None if args.no_dgc else base.with_overrides(**_dgc_overrides(args))
+    return workload, params, dgc, registry, nodes
+
+
 def _run_workload(args: argparse.Namespace) -> int:
     """The ``run`` subcommand: one workload, one summary."""
-    from repro.core.config import NAS_CONFIG, TORTURE_FAST_CONFIG
     from repro.harness.report import render_table
     from repro.net.topology import uniform_topology
-
-    aggregation = args.aggregation
 
     problem = _check_naming_knobs(args)
     if problem is not None:
@@ -351,32 +425,15 @@ def _run_workload(args: argparse.Namespace) -> int:
     if args.live or args.shards is not None:
         return _run_sharded(args)
 
-    def config_for(base):
-        if args.no_dgc:
-            return None
-        overrides = {}
-        if args.ttb is not None:
-            overrides["ttb"] = args.ttb
-        if args.tta is not None:
-            overrides["tta"] = args.tta
-        return base.with_overrides(**overrides) if overrides else base
-
+    workload, params, dgc, registry, nodes = _workload_setup(args)
+    topology = uniform_topology(nodes)
     started = time.perf_counter()
-    if args.workload == "torture":
-        from repro.harness.figures import PAPER_NODE_COUNT, PAPER_SLAVE_COUNT
+    if workload == "torture":
         from repro.workloads.torture import run_torture
 
-        slaves = PAPER_SLAVE_COUNT if args.paper_scale else args.slaves
-        nodes = PAPER_NODE_COUNT if args.paper_scale else args.nodes
         result = run_torture(
-            dgc=config_for(TORTURE_FAST_CONFIG),
-            slave_count=slaves,
-            active_duration=args.duration,
-            topology=uniform_topology(nodes),
-            seed=args.seed,
-            beat_slots=args.beat_slots,
-            aggregation=aggregation,
-            keep_world=True,
+            dgc=dgc, topology=topology, seed=args.seed, keep_world=True,
+            **params,
         )
         rows = [
             ["activities", result.ao_count],
@@ -391,41 +448,13 @@ def _run_workload(args: argparse.Namespace) -> int:
             ["kernel events fired", result.events_fired],
             ["sim time (s)", f"{result.sim_time_s:.1f}"],
         ]
-        title = f"torture — {slaves} slaves on {nodes} nodes"
-    elif args.workload == "naming":
-        from repro.core.config import RegistryConfig
+        title = f"torture — {params['slave_count']} slaves on {nodes} nodes"
+    elif workload == "naming":
         from repro.workloads.naming import run_naming
 
-        registry = RegistryConfig(
-            placement=args.registry_placement,
-            lease_ttb=args.lease_ttb,
-            cache_size=args.registry_cache,
-            coherence=args.coherence,
-        )
-        if args.registry_placement == "replicated" and args.lease_ttb > 0:
-            print(
-                "note: --lease-ttb has no effect with "
-                "--registry-placement replicated (replicas are coherent "
-                "copies; leases apply to home/hashed placement)",
-                file=sys.stderr,
-            )
         result = run_naming(
-            dgc=config_for(NAS_CONFIG),
-            registry=registry,
-            client_count=args.clients,
-            service_count=args.services,
-            name_count=args.names,
-            zipf_s=args.zipf_s,
-            churn_burst=args.churn_burst,
-            duration=args.duration,
-            lookup_period=args.lookup_period,
-            lookup_burst=args.lookup_burst,
-            churn_period=args.churn_period,
-            topology=uniform_topology(args.nodes),
-            seed=args.seed,
-            beat_slots=args.beat_slots,
-            aggregation=aggregation,
-            keep_world=True,
+            dgc=dgc, registry=registry, topology=topology, seed=args.seed,
+            keep_world=True, **params,
         )
         rows = [
             ["clients / services", f"{result.client_count}/{result.service_count}"],
@@ -457,27 +486,15 @@ def _run_workload(args: argparse.Namespace) -> int:
             f"clients, {args.services} services on {args.nodes} nodes"
         )
     else:
-        from repro.harness.figures import PAPER_NODE_COUNT
-        from repro.workloads.nas import PAPER_AO_COUNT, kernel_spec, run_nas_kernel
+        from repro.workloads.nas import kernel_spec, run_nas_kernel
 
-        kernel = args.workload.split(":", 1)[1]
         spec = kernel_spec(
-            kernel,
-            ao_count=PAPER_AO_COUNT if args.paper_scale else args.ao_count,
-            iterations=args.iterations,
-            iter_time_s=args.iter_time,
-            payload_bytes=args.payload_bytes,
+            params.pop("kernel"),
             reply_barrier=True if args.nas_barrier else None,
+            **params,
         )
-        nodes = PAPER_NODE_COUNT if args.paper_scale else args.nodes
         result = run_nas_kernel(
-            spec,
-            dgc=config_for(NAS_CONFIG),
-            topology=uniform_topology(nodes),
-            seed=args.seed,
-            beat_slots=args.beat_slots,
-            aggregation=aggregation,
-            keep_world=True,
+            spec, dgc=dgc, topology=topology, seed=args.seed, keep_world=True,
         )
         rows = [
             ["workers", result.ao_count],
@@ -539,7 +556,6 @@ def _check_naming_knobs(args: argparse.Namespace) -> "str | None":
 
 def _run_sharded(args: argparse.Namespace) -> int:
     """The ``run --live [--shards N]`` path: the multi-process world."""
-    from repro.core.config import NAS_CONFIG, TORTURE_FAST_CONFIG
     from repro.harness.report import render_table
     from repro.net.topology import clustered_topology
     from repro.shard import ShardedWorld
@@ -569,60 +585,8 @@ def _run_sharded(args: argparse.Namespace) -> int:
             "protocol (see repro.shard.workloads.build_nas)"
         )
 
-    if args.workload == "torture":
-        base = TORTURE_FAST_CONFIG
-        params = dict(
-            slave_count=args.slaves, active_duration=args.duration,
-        )
-        workload = "torture"
-    elif args.workload == "naming":
-        base = NAS_CONFIG
-        params = dict(
-            client_count=args.clients,
-            service_count=args.services,
-            name_count=args.names,
-            zipf_s=args.zipf_s,
-            churn_burst=args.churn_burst,
-            duration=args.duration,
-            lookup_period=args.lookup_period,
-            lookup_burst=args.lookup_burst,
-            churn_period=args.churn_period,
-        )
-        workload = "naming"
-    else:
-        base = NAS_CONFIG
-        params = dict(
-            kernel=args.workload.split(":", 1)[1],
-            ao_count=args.ao_count,
-            iterations=args.iterations,
-            iter_time_s=args.iter_time,
-            payload_bytes=args.payload_bytes,
-        )
-        workload = "nas"
-
-    overrides = {}
-    if args.ttb is not None:
-        overrides["ttb"] = args.ttb
-    if args.tta is not None:
-        overrides["tta"] = args.tta
-    if args.beat_slots is not None:
-        overrides["beat_slots"] = args.beat_slots
-    if args.aggregation is not None:
-        overrides["aggregation"] = args.aggregation
-    dgc = base.with_overrides(**overrides) if overrides else base
-
-    registry = None
-    if workload == "naming":
-        from repro.core.config import RegistryConfig
-
-        registry = RegistryConfig(
-            placement=args.registry_placement,
-            lease_ttb=args.lease_ttb,
-            cache_size=args.registry_cache,
-            coherence=args.coherence,
-        )
-
-    topology = clustered_topology(args.nodes, site_count=shards)
+    workload, params, dgc, registry, nodes = _workload_setup(args)
+    topology = clustered_topology(nodes, site_count=shards)
     sharded = ShardedWorld(
         topology, shards, workload=workload, params=params,
         dgc=dgc, registry=registry, seed=args.seed,
@@ -630,7 +594,7 @@ def _run_sharded(args: argparse.Namespace) -> int:
     result = sharded.run()
 
     rows = [
-        ["shards x nodes", f"{shards} x {args.nodes}"],
+        ["shards x nodes", f"{shards} x {nodes}"],
         ["plan lookahead (ms)",
          "-" if sharded.plan.lookahead == float("inf")
          else f"{sharded.plan.lookahead * 1e3:.1f}"],

@@ -9,14 +9,15 @@ vs 228 MB without DGC).
 
 The beat-wheel refactor makes the full 6401-AO run affordable:
 ``run_fig10(slave_count=PAPER_SLAVE_COUNT, node_count=PAPER_NODE_COUNT,
-beat_slots=16)`` schedules the 6401 heartbeats through O(beat_slots)
-kernel events per beat period instead of O(activities).
+fast=TORTURE_FAST_CONFIG.with_overrides(beat_slots=16), ...)`` schedules
+the 6401 heartbeats through O(beat_slots) kernel events per beat period
+instead of O(activities).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from repro.core.config import (
     DgcConfig,
@@ -52,15 +53,15 @@ def run_fig10(
     node_count: int = 32,
     seed: int = 1,
     include_slow: bool = True,
-    beat_slots: Optional[Union[int, str]] = None,
-    aggregation: Optional[str] = None,
+    fast: DgcConfig = TORTURE_FAST_CONFIG,
+    slow: DgcConfig = TORTURE_SLOW_CONFIG,
 ) -> Fig10Results:
     """Run the torture test under both configurations plus no-DGC.
 
-    ``beat_slots``/``aggregation`` are forwarded to
-    :func:`repro.workloads.torture.run_torture` (heartbeat-slot and
-    delivery-core knobs); a skipped slow run reuses the fast result so
-    the report shape is stable.
+    ``fast`` and ``slow`` are the Fig. 10(a)/(b) configurations; set
+    heartbeat-slot or delivery-core knobs on them with
+    :meth:`~repro.core.config.DgcConfig.with_overrides`.  A skipped
+    slow run reuses the fast result so the report shape is stable.
     """
 
     def run(dgc: Optional[DgcConfig], sample: float) -> TortureResult:
@@ -71,14 +72,10 @@ def run_fig10(
             topology=uniform_topology(node_count),
             seed=seed,
             sample_period=sample,
-            beat_slots=beat_slots,
-            aggregation=aggregation,
         )
 
-    fast_result = run(TORTURE_FAST_CONFIG, sample=10.0)
-    slow_result = (
-        run(TORTURE_SLOW_CONFIG, sample=100.0) if include_slow else fast_result
-    )
+    fast_result = run(fast, sample=10.0)
+    slow_result = run(slow, sample=100.0) if include_slow else fast_result
     return Fig10Results(fast_result, slow_result, run(None, sample=10.0))
 
 

@@ -202,6 +202,17 @@ class CoherenceChannel:
         queue[name] = ref
         return coalesced
 
+    def supersede(self, dest: str, name: str) -> bool:
+        """Drop ``dest``'s staged update of ``name``, which a lease
+        grant sent to it now supersedes; ``True`` when one was queued."""
+        queue = self.queues.get(dest)
+        if queue is None or name not in queue:
+            return False
+        del queue[name]
+        if not queue:
+            del self.queues[dest]
+        return True
+
     @property
     def empty(self) -> bool:
         return not self.log and not self.queues
@@ -286,7 +297,14 @@ class RegistryShard:
     def on_lookup(self, lookup: RegistryLookup, payload=None) -> None:
         """Serve a fabric lookup at the authoritative shard: answer from
         the authority table at serve time, granting a lease on positive,
-        cacheable replies (and recording the holder for invalidation)."""
+        cacheable replies (and recording the holder for invalidation).
+
+        Under beat coherence a grant also withdraws the holder's staged
+        invalidation of the name: the reply carries the current
+        binding, and the invalidation — staged before it, flushed after
+        it — would otherwise drop the fresh entry, an order the eager
+        schedule (invalidation first, then the reply on the same
+        channel) never produces."""
         service = self.service
         name = lookup.name
         ref = self.authority.get(name)
@@ -303,6 +321,10 @@ class RegistryShard:
                     holders = self.lease_holders[name] = {}
                 holders[reply_to.node] = service._kernel.now + lease_s
                 service.lease_grants += 1
+                if service._beat_coherence:
+                    service.coherence_coalesced += self.channel.supersede(
+                        reply_to.node, name
+                    )
         service._network.send_typed(
             self.node_name, reply_to.node, KIND_REGISTRY_REPLY, size,
             RegistryReply(

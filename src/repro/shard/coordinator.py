@@ -104,9 +104,16 @@ from repro.shard.worker import (
     REGISTRY_COUNTERS,
     WorkerSpec,
     build_shard_world,
+    reset_process_counters,
     worker_main,
 )
-from repro.shard.workloads import Phase, workload_phases
+from repro.shard.workloads import (
+    SHARD_WORKLOADS,
+    Phase,
+    ShardEnv,
+    workload_phases,
+)
+from repro.world import World
 
 
 @dataclass
@@ -661,11 +668,12 @@ def replay_single_process(
 
     Runs the *same* SPMD builder under a one-shard plan (every node
     local, on the workers' :class:`~repro.sim.kernel.SimKernel` class),
-    driving the same phase protocol inline.  Because setup placement,
-    activity ids and RNG streams are identical by construction, the replay's
-    outcome signature must equal the sharded run's — the verification
-    that the multi-process execution changed the schedule but not the
-    semantics.  Returns ``(world, env, signature)``.
+    driving the same phase protocol inline (:func:`run_phases`).
+    Because setup placement, activity ids and RNG streams are identical
+    by construction, the replay's outcome signature must equal the
+    sharded run's — the verification that the multi-process execution
+    changed the schedule but not the semantics.  Returns ``(world, env,
+    signature)``.
     """
     spec = WorkerSpec(
         shard=0,
@@ -679,6 +687,47 @@ def replay_single_process(
         trace=trace,
     )
     world, env = build_shard_world(spec)
+    run_phases(world, env, workload, timeout)
+    return world, env, outcome_signature(world)
+
+
+def build_single_process(
+    topology: Topology, workload: str, params: Dict[str, Any], **world_options
+) -> Tuple[World, ShardEnv]:
+    """Set up one workload in a caller-configured single-process world.
+
+    The setup behind :func:`~repro.workloads.torture.run_torture`,
+    :func:`~repro.workloads.naming.run_naming` and
+    :func:`~repro.workloads.nas.common.run_nas_kernel`: fresh id
+    streams (the reset every shard worker starts from), a
+    :class:`World` built with ``world_options`` (``safety_checks`` is
+    not a :class:`WorkerSpec` field), then the workload's SPMD builder
+    under a one-shard plan — the setup the replay and every shard
+    worker run, so a given seed gives the same answer on every call.
+    """
+    reset_process_counters()
+    world = World(topology, **world_options)
+    builder = SHARD_WORKLOADS[workload]
+    return world, builder(world, make_plan(topology, 1), 0, params)
+
+
+def run_phases(
+    world: World,
+    env: ShardEnv,
+    workload: str,
+    timeout: float,
+    phase_count: Optional[int] = None,
+) -> List[float]:
+    """Drive a built workload's run protocol inline, in one process.
+
+    Each phase after the first starts with its entry action (this
+    process owns the driver), then the kernel runs until the phase
+    predicate holds — the coordinator's ``"collected"`` / ``"balance"``
+    / ``"ready"`` read off the one world.  Runs the first
+    ``phase_count`` phases (all by default) and returns the simulated
+    time each one completed at; raises :class:`SimulationError` when a
+    phase does not complete within ``timeout`` simulated seconds.
+    """
     kernel = world.kernel
 
     def balanced() -> bool:
@@ -694,7 +743,8 @@ def replay_single_process(
             return False
         return all(a.is_idle() for a in world.live_non_roots())
 
-    for index, phase in enumerate(env.phases):
+    phase_times: List[float] = []
+    for index, phase in enumerate(env.phases[:phase_count]):
         if index:
             env.enter_phase(index)
         if phase.predicate == "collected":
@@ -705,15 +755,22 @@ def replay_single_process(
             done = kernel.run_until_quiescent(ready, 1.0, timeout)
         if not done:
             raise SimulationError(
-                f"single-process replay of {workload!r} timed out in "
-                f"phase {phase.name!r} after {timeout}s"
+                f"single-process {workload!r} timed out in phase "
+                f"{phase.name!r} after {timeout}s "
+                f"({len(world.live_non_roots())} survivors)"
             )
+        phase_times.append(kernel.now)
+    return phase_times
 
-    signature = (
-        world.stats.created,
-        world.stats.terminated_explicit,
-        world.stats.dead_letters,
-        world.stats.safety_violations,
-        tuple(sorted(world.stats.collected_by_id)),
+
+def outcome_signature(world: World) -> tuple:
+    """A single-process world's cross-arm equivalence tier (see
+    :meth:`ShardedRunResult.outcome_signature`)."""
+    stats = world.stats
+    return (
+        stats.created,
+        stats.terminated_explicit,
+        stats.dead_letters,
+        stats.safety_violations,
+        tuple(sorted(stats.collected_by_id)),
     )
-    return world, env, signature

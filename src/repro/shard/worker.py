@@ -92,7 +92,7 @@ class WorkerSpec:
     trace: bool = False
 
 
-def _reset_process_counters() -> None:
+def reset_process_counters() -> None:
     """Fresh deterministic id streams: forked workers inherit the parent
     process's counter positions, which depend on everything the parent
     ran before — resetting pins every run's ids (activity, request,
@@ -110,7 +110,7 @@ def build_shard_world(spec: WorkerSpec, kernel=None) -> Tuple[World, ShardEnv]:
     worker (paced by ``advance``) and the single-process replay (run to
     completion) use.
     """
-    _reset_process_counters()
+    reset_process_counters()
     local = spec.plan.nodes_of(spec.shard)
     if kernel is None:
         kernel = SimKernel()

@@ -1,4 +1,12 @@
-"""SPMD workload builders for the sharded world.
+"""The workload builders: the one place each workload is set up.
+
+The torture test, the naming churn and the NAS kernels are built here
+and nowhere else.  A shard worker runs a builder over its shard of the
+plan; :func:`~repro.shard.coordinator.replay_single_process` and the
+single-process runners (:func:`~repro.workloads.torture.run_torture`,
+:func:`~repro.workloads.naming.run_naming`,
+:func:`~repro.workloads.nas.common.run_nas_kernel`) run it under a
+one-shard plan, in a world they build themselves.
 
 Every shard worker runs the *same* builder over the *same* full
 topology (single-program, multiple-data): the builder walks the
@@ -13,10 +21,11 @@ that owns the real activity.
 
 Driver-originated traffic (hold/run calls, ``release_all``) is issued
 only on the shard that owns the driver's node; every other shard sees
-the driver itself as a ghost.  Because the single-process replay arm
-(:func:`repro.shard.coordinator.replay_single_process`) runs this same
-builder with a one-shard plan, setup placement, activity ids and RNG
-streams are identical across all arms by construction.
+the driver itself as a ghost.  Because every single-process arm runs
+this same builder with a one-shard plan after the same id reset
+(:func:`repro.shard.worker.reset_process_counters`), setup placement,
+activity ids and RNG streams are identical across all arms by
+construction.
 
 The run protocol is expressed as :class:`Phase` records: each phase has
 an optional entry action (run on the driver's shard at the moment the
@@ -145,9 +154,11 @@ class ShardEnv:
 def build_torture(
     world: World, plan: ShardPlan, shard: int, params: Dict[str, Any]
 ) -> ShardEnv:
-    """The DGC torture test, SPMD form of
-    :func:`repro.workloads.torture.run_torture` (minus the figure
-    sampler, which is an observation device, not workload behavior)."""
+    """The DGC torture test (paper Sec. 5.3): the master, the slaves,
+    their initial reference pools, the ``run`` calls, then the driver
+    drops every stub.  :func:`repro.workloads.torture.run_torture`
+    adds the Fig. 10 sampler, an observation device, not workload
+    behavior."""
     slave_count = int(params.get("slave_count", 320))
     active_duration = float(params.get("active_duration", 600.0))
     initial_pool = int(params.get("initial_pool", 4))
@@ -218,14 +229,15 @@ class _NamingEnv(ShardEnv):
 def build_naming(
     world: World, plan: ShardPlan, shard: int, params: Dict[str, Any]
 ) -> ShardEnv:
-    """Bind/resolve/unbind churn, SPMD form of
+    """Bind/resolve/unbind churn, the setup of
     :func:`repro.workloads.naming.run_naming`.
 
     The binder's *runtime* creates round-robin over its own shard's
     nodes (a shard world only materializes local nodes), so service
-    placement differs from the single-process arm; outcome equivalence
-    still holds because the collected set is identified by activity ids,
-    which are minted in the same order in both arms.
+    placement differs between a sharded and a single-process run;
+    outcome equivalence still holds because the collected set is
+    identified by activity ids, which are minted in the same order in
+    every arm.
 
     Build order matters: the **clients are created before the binder**.
     ``World.create_activity`` starts a behavior inline, and the binder's
@@ -330,9 +342,12 @@ class _NasEnv(ShardEnv):
 def build_nas(
     world: World, plan: ShardPlan, shard: int, params: Dict[str, Any]
 ) -> ShardEnv:
-    """One NAS kernel skeleton, SPMD form of
-    :func:`repro.workloads.nas.common.run_nas_kernel` (asynchronous
-    variant only)."""
+    """One NAS kernel skeleton (paper Sec. 5.2), asynchronous variant:
+    the workers, the complete reference graph (with the deployment
+    payload), then the settle / run / drain phases.  The reply-barrier
+    variant builds this and replaces the phase-1 entry with its barrier
+    loop in :func:`repro.workloads.nas.common.run_nas_kernel`, the only
+    place it can run."""
     spec = kernel_spec(
         params["kernel"],
         ao_count=params.get("ao_count"),

@@ -33,13 +33,12 @@ naming service.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import List, Optional
 
 from repro.core.config import DgcConfig, RegistryConfig
 from repro.net.topology import Topology, uniform_topology
 from repro.runtime.behaviors import Behavior, SinkBehavior
 from repro.sim.rng import ZipfSampler
-from repro.world import World
 
 
 class NamingBinder(Behavior):
@@ -264,18 +263,20 @@ def run_naming(
     topology: Optional[Topology] = None,
     seed: int = 0,
     collect_timeout: float = 36_000.0,
-    beat_slots: Optional[Union[int, str]] = None,
-    aggregation: Optional[str] = None,
     trace: bool = False,
     keep_world: bool = False,
     safety_checks: bool = False,
 ) -> NamingResult:
     """Run the naming churn and report resolution + coherence numbers.
 
-    ``registry`` picks placement and lease policy (default: the uncached
-    static-home baseline); ``aggregation`` and ``beat_slots`` override
-    the DGC config exactly as in
-    :func:`repro.workloads.torture.run_torture`.
+    The setup is :func:`repro.shard.workloads.build_naming` under a
+    one-shard plan (clients first, then the binder) and, with DGC, the
+    run is its collection phase
+    (:func:`repro.shard.coordinator.run_phases`); without DGC it runs
+    for a fixed span past the teardown.  ``registry`` picks placement
+    and lease policy (default: the uncached static-home baseline);
+    delivery-core and heartbeat-slot knobs live on ``dgc``
+    (:meth:`~repro.core.config.DgcConfig.with_overrides`).
 
     The bind-heavy knobs — ``name_count`` (names aliasing round-robin
     over the services, default one per service), ``zipf_s`` (Zipf skew
@@ -283,73 +284,46 @@ def run_naming(
     ``randrange`` path) and ``churn_burst`` (names churned per binder
     wake) — default to the original behavior bit-for-bit.
     """
-    if dgc is not None:
-        overrides = {}
-        if beat_slots is not None:
-            overrides["beat_slots"] = beat_slots
-        if aggregation is not None:
-            overrides["aggregation"] = aggregation
-        if overrides:
-            dgc = dgc.with_overrides(**overrides)
-    world = World(
-        topology if topology is not None else uniform_topology(32),
-        dgc=dgc,
-        registry=registry,
-        seed=seed,
-        trace=trace,
+    from repro.shard.coordinator import build_single_process, run_phases
+
+    topology = topology if topology is not None else uniform_topology(32)
+    world, env = build_single_process(
+        topology,
+        "naming",
+        dict(
+            client_count=client_count,
+            service_count=service_count,
+            name_count=name_count,
+            zipf_s=zipf_s,
+            churn_burst=churn_burst,
+            duration=duration,
+            lookup_period=lookup_period,
+            lookup_burst=lookup_burst,
+            churn_period=churn_period,
+            teardown_lag=teardown_lag,
+        ),
+        dgc=dgc, registry=registry, seed=seed, trace=trace,
         safety_checks=safety_checks,
     )
-    nodes = world.topology.nodes
-    if churn_period is None:
-        churn_period = max(duration / 12.0, 1.0)
-    if name_count is None:
-        name_count = service_count
-    sampler = ZipfSampler(name_count, zipf_s) if zipf_s > 0.0 else None
-    binder = NamingBinder(
-        service_count,
-        churn_deadline=duration,
-        churn_period=churn_period,
-        teardown_at=duration + teardown_lag,
-        name_count=name_count,
-        churn_burst=churn_burst,
-        sampler=sampler,
-    )
-    world.create_activity(binder, node=nodes[0], name="binder", root=True)
-    names = [NamingBinder.service_name(i) for i in range(name_count)]
-    clients: List[NamingClient] = []
-    for index in range(client_count):
-        client = NamingClient(
-            names, deadline=duration, period=lookup_period,
-            burst=lookup_burst, sampler=sampler,
-        )
-        clients.append(client)
-        world.create_activity(
-            client,
-            node=nodes[index % len(nodes)],
-            name=f"client{index}",
-            root=True,
-            dgc_enabled=False,
-        )
-
     if dgc is None:
         world.run_for(duration + teardown_lag + 60.0)
-        all_collected = world.all_collected()
     else:
-        all_collected = world.run_until_collected(collect_timeout)
+        run_phases(world, env, "naming", collect_timeout)
 
     naming = world.registry
-    issued = sum(c.issued for c in clients)
-    completed = sum(c.completed for c in clients)
-    latency_sum = sum(c.latency_sum for c in clients)
+    counts = env.results()
+    completed = counts["resolves_completed"]
     accountant = world.accountant
     return NamingResult(
         service_count=service_count,
         client_count=client_count,
-        resolves_issued=issued,
+        resolves_issued=counts["resolves_issued"],
         resolves_completed=completed,
-        hits=sum(c.hits for c in clients),
-        misses=sum(c.misses for c in clients),
-        mean_resolve_latency_s=(latency_sum / completed) if completed else 0.0,
+        hits=counts["hits"],
+        misses=counts["misses"],
+        mean_resolve_latency_s=(
+            counts["latency_sum"] / completed if completed else 0.0
+        ),
         authority_hits=naming.authority_hits,
         replica_hits=naming.replica_hits,
         cache_hits=naming.cache_hits,
@@ -363,16 +337,16 @@ def run_naming(
         coherence_coalesced=naming.coherence_coalesced,
         coherence_messages_sent=naming.coherence_messages_sent,
         pushes_sent=naming.pushes_sent,
-        name_count=name_count,
+        name_count=service_count if name_count is None else name_count,
         registry_bandwidth_mb=accountant.registry_bytes / 1e6,
         total_bandwidth_mb=accountant.megabytes(),
         dgc_bandwidth_mb=accountant.dgc_bytes / 1e6,
         collected_acyclic=world.stats.collected_acyclic,
         collected_cyclic=world.stats.collected_cyclic,
         dead_letters=world.stats.dead_letters,
-        all_collected=all_collected,
+        all_collected=world.all_collected(),
         events_fired=world.kernel.fired_count,
         sim_time_s=world.kernel.now,
         world=world if keep_world else None,
-        clients=clients,
+        clients=env.clients,
     )

@@ -23,7 +23,6 @@ from repro.workloads.nas.common import (
     NasRunResult,
     NasWorker,
     kernel_spec,
-    paper_scale_kernels,
     run_nas_kernel,
 )
 
@@ -34,6 +33,5 @@ __all__ = [
     "NasRunResult",
     "NasWorker",
     "kernel_spec",
-    "paper_scale_kernels",
     "run_nas_kernel",
 ]

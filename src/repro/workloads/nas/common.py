@@ -1,17 +1,18 @@
 """NAS kernel skeleton runner.
 
 ``run_nas_kernel`` reproduces the paper's measurement protocol
-(Sec. 5.2):
+(Sec. 5.2) as the three phases of :func:`repro.shard.workloads.build_nas`:
 
-1. deploy ``ao_count`` workers round-robin over the topology and build the
-   complete reference graph (global barriers),
-2. run the kernel; *application time* stops when every worker returned its
-   result (all ``run`` futures resolved and traffic drained),
-3. with DGC: the driver drops its stubs (``main()`` returns) and the run
-   continues until the DGC collects every worker; *DGC time* is the gap
-   between the result and the last collection — the paper's "time between
-   when the benchmark has its result and when the DGC collects all the
-   active objects";
+1. *settle* — deploy ``ao_count`` workers round-robin over the topology
+   and build the complete reference graph (global barriers);
+2. *run* — run the kernel; *application time* stops when every worker
+   returned its result (all ``run`` futures resolved and traffic
+   drained);
+3. *drain* — with DGC: the driver drops its stubs (``main()`` returns)
+   and the run continues until the DGC collects every worker; *DGC
+   time* is the gap between the result and the last collection — the
+   paper's "time between when the benchmark has its result and when the
+   DGC collects all the active objects";
    without DGC: workers are terminated explicitly, as the paper's
    implementation does.
 
@@ -21,8 +22,8 @@ giving the Fig. 8 (bandwidth) and Fig. 9 (time) quantities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Union
+from dataclasses import dataclass, replace
+from typing import Dict, Optional
 
 from repro.core.config import DgcConfig
 from repro.errors import SimulationError
@@ -35,7 +36,6 @@ from repro.workloads.nas.patterns import (
     ep_pattern,
     ft_pattern,
 )
-from repro.world import World
 
 
 class NasWorker(Peer):
@@ -93,7 +93,9 @@ class NasKernelSpec:
     ao_count: int
     iterations: int
     iter_time_s: float
-    pattern_factory: Callable[[], Pattern]
+    #: Per-message payload of the communication pattern (CG's boundary
+    #: vectors, FT's transpose blocks); ``None`` for EP, which has none.
+    payload_bytes: Optional[int] = None
     #: Modelled per-worker deployment payload (code/class shipping); part
     #: of the application traffic in both DGC and no-DGC runs.
     deployment_bytes: int = 4_000
@@ -101,44 +103,34 @@ class NasKernelSpec:
     #: iteration barriers on all of them (see :class:`NasWorker`).
     reply_barrier: bool = False
 
+    def pattern_factory(self) -> Pattern:
+        """A fresh instance of the kernel's communication pattern."""
+        if self.name == "CG":
+            return cg_pattern(payload_bytes=self.payload_bytes)
+        if self.name == "FT":
+            return ft_pattern(payload_bytes=self.payload_bytes)
+        return ep_pattern()
+
     def scaled(self, ao_count: int) -> "NasKernelSpec":
         """Same kernel shape with a different worker count."""
-        return NasKernelSpec(
-            self.name,
-            ao_count,
-            self.iterations,
-            self.iter_time_s,
-            self.pattern_factory,
-            self.deployment_bytes,
-            self.reply_barrier,
-        )
+        return replace(self, ao_count=ao_count)
 
 
 #: Laptop-scale defaults preserving the paper's relative profiles:
 #: CG long + chatty, FT medium + all-to-all-heavy, EP seconds + silent.
 KERNELS: Dict[str, NasKernelSpec] = {
     "CG": NasKernelSpec(
-        "CG", 64, iterations=75, iter_time_s=20.0,
-        pattern_factory=lambda: cg_pattern(payload_bytes=20_000),
+        "CG", 64, iterations=75, iter_time_s=20.0, payload_bytes=20_000
     ),
-    "EP": NasKernelSpec(
-        "EP", 64, iterations=1, iter_time_s=8.0,
-        pattern_factory=ep_pattern,
-    ),
+    "EP": NasKernelSpec("EP", 64, iterations=1, iter_time_s=8.0),
     "FT": NasKernelSpec(
-        "FT", 64, iterations=20, iter_time_s=20.0,
-        pattern_factory=lambda: ft_pattern(payload_bytes=1_200),
+        "FT", 64, iterations=20, iter_time_s=20.0, payload_bytes=1_200
     ),
 }
 
 
 #: The paper's worker count (class C kernels, 256 active objects).
 PAPER_AO_COUNT = 256
-
-
-def paper_scale_kernels() -> Dict[str, NasKernelSpec]:
-    """The paper's 256-worker variants (slow: minutes of wall time)."""
-    return {name: spec.scaled(PAPER_AO_COUNT) for name, spec in KERNELS.items()}
 
 
 def kernel_spec(
@@ -165,22 +157,17 @@ def kernel_spec(
         raise SimulationError(
             f"unknown NAS kernel {name!r} (have: {', '.join(KERNELS)})"
         ) from None
-    factory = base.pattern_factory
-    if payload_bytes is not None:
-        kernel = base.name
-        if kernel == "CG":
-            factory = lambda: cg_pattern(payload_bytes=payload_bytes)  # noqa: E731
-        elif kernel == "FT":
-            factory = lambda: ft_pattern(payload_bytes=payload_bytes)  # noqa: E731
-        # EP is silent until the final reduction: nothing to resize.
-    return NasKernelSpec(
-        base.name,
-        ao_count if ao_count is not None else base.ao_count,
-        iterations if iterations is not None else base.iterations,
-        iter_time_s if iter_time_s is not None else base.iter_time_s,
-        factory,
-        base.deployment_bytes,
-        reply_barrier if reply_barrier is not None else base.reply_barrier,
+    overrides = dict(
+        ao_count=ao_count,
+        iterations=iterations,
+        iter_time_s=iter_time_s,
+        reply_barrier=reply_barrier,
+    )
+    # EP is silent until the final reduction: nothing to resize.
+    if base.payload_bytes is not None:
+        overrides["payload_bytes"] = payload_bytes
+    return replace(
+        base, **{k: v for k, v in overrides.items() if v is not None}
     )
 
 
@@ -215,118 +202,51 @@ def run_nas_kernel(
     seed: int = 0,
     collect_timeout: float = 36_000.0,
     safety_checks: bool = False,
-    beat_slots: Optional[Union[int, str]] = None,
-    aggregation: Optional[str] = None,
     trace: bool = False,
     keep_world: bool = False,
 ) -> NasRunResult:
     """Run one kernel once; see the module docstring for the protocol.
 
-    ``beat_slots`` / ``aggregation`` override the corresponding DGC
-    config knobs (see :class:`repro.core.config.DgcConfig`):
-    ``aggregation`` picks the delivery core by name (``per-event`` or
-    ``exact``).
+    The setup is :func:`repro.shard.workloads.build_nas` under a
+    one-shard plan and the phases are the sharded run's
+    (:func:`repro.shard.coordinator.run_phases`).  This function adds
+    only the single-process parts: the reply-barrier loop, which
+    replaces the asynchronous ``run`` entry of phase 1, and, without
+    DGC, explicit termination instead of the collection phase.
+    Delivery-core and heartbeat-slot knobs live on ``dgc``
+    (:meth:`~repro.core.config.DgcConfig.with_overrides`).
     """
-    if dgc is not None:
-        overrides = {}
-        if beat_slots is not None:
-            overrides["beat_slots"] = beat_slots
-        if aggregation is not None:
-            overrides["aggregation"] = aggregation
-        if overrides:
-            dgc = dgc.with_overrides(**overrides)
-    world = World(
-        topology if topology is not None else uniform_topology(32),
-        dgc=dgc,
-        seed=seed,
-        trace=trace,
-        safety_checks=safety_checks,
-    )
-    driver = world.create_driver(name=f"nas-{spec.name}-driver")
-    ctx = driver.context
-    pattern = spec.pattern_factory()
-    workers = [
-        ctx.create(
-            NasWorker(index, spec.ao_count, pattern),
-            name=f"{spec.name.lower()}{index}",
-        )
-        for index in range(spec.ao_count)
-    ]
-    # Deployment traffic + the complete reference graph (global barriers).
-    for index, worker in enumerate(workers):
-        others = [w for j, w in enumerate(workers) if j != index]
-        keys = [f"peer{j}" for j in range(spec.ao_count) if j != index]
-        ctx.call(
-            worker,
-            "hold",
-            refs=others,
-            data=keys,
-            payload_bytes=spec.deployment_bytes,
-        )
-    settled = world.kernel.run_until_quiescent(
-        lambda: not world.inflight_pinned(), 0.5, 600.0
-    )
-    if not settled:
-        raise SimulationError("NAS deployment did not settle")
+    from repro.shard.coordinator import build_single_process, run_phases
 
-    start_time = world.kernel.now
-    horizon = spec.iterations * spec.iter_time_s * 4 + 3_600.0
+    topology = topology if topology is not None else uniform_topology(32)
+    params = dict(
+        kernel=spec.name,
+        ao_count=spec.ao_count,
+        iterations=spec.iterations,
+        iter_time_s=spec.iter_time_s,
+        payload_bytes=spec.payload_bytes,
+    )
+    world, env = build_single_process(
+        topology, "nas", params,
+        dgc=dgc, seed=seed, trace=trace, safety_checks=safety_checks,
+    )
     if spec.reply_barrier:
-        # Synchronous variant: one ``step`` request per worker per
-        # iteration, each with a future; the driver barriers on all of
-        # them before launching the next iteration, so the future/reply
-        # path carries one reply per worker per iteration.
-        futures: List = []
-        for iteration in range(spec.iterations):
-            wave = [
-                ctx.call(worker, "step",
-                         data=(iteration, spec.iter_time_s),
-                         expect_reply=True)
-                for worker in workers
-            ]
-            if not world.kernel.run_until_quiescent(
-                lambda: all(future.resolved for future in wave), 1.0, horizon
-            ):
-                raise SimulationError(
-                    f"NAS {spec.name} barrier {iteration} did not clear "
-                    f"in {horizon}s"
-                )
-            futures = wave
-    else:
-        futures = [
-            ctx.call(worker, "run", data=(spec.iterations, spec.iter_time_s),
-                     expect_reply=True)
-            for worker in workers
-        ]
-
-    def result_ready() -> bool:
-        if not all(future.resolved for future in futures):
-            return False
-        if world.inflight_pinned():
-            return False
-        return all(a.is_idle() for a in world.live_non_roots())
-
-    if not world.kernel.run_until_quiescent(result_ready, 1.0, horizon):
-        raise SimulationError(f"NAS {spec.name} did not finish in {horizon}s")
-    result_time = world.kernel.now
-    app_time = result_time - start_time
-
+        env.actions[1] = lambda: _reply_barrier(world, env, collect_timeout)
+    phase_times = run_phases(
+        world, env, "nas", collect_timeout,
+        phase_count=None if dgc is not None else 2,
+    )
+    app_time = phase_times[1] - phase_times[0]
     if dgc is None:
         # Paper protocol: the no-DGC implementation terminates explicitly.
-        for worker_proxy in workers:
+        for worker_proxy in env.workers:
             activity = world.find_activity(worker_proxy.activity_id)
             if activity is not None:
                 activity.terminate("explicit")
-        release_all(driver, workers)
+        release_all(env.ctx.driver, env.workers)
         dgc_time = 0.0
     else:
-        release_all(driver, workers)
-        if not world.run_until_collected(collect_timeout, check_interval=5.0):
-            raise SimulationError(
-                f"NAS {spec.name}: DGC did not collect within {collect_timeout}s "
-                f"({len(world.live_non_roots())} survivors)"
-            )
-        dgc_time = world.kernel.now - result_time
+        dgc_time = phase_times[2] - phase_times[1]
 
     accountant = world.accountant
     return NasRunResult(
@@ -345,3 +265,28 @@ def run_nas_kernel(
         sim_time_s=world.kernel.now,
         world=world if keep_world else None,
     )
+
+
+def _reply_barrier(world, env, timeout: float) -> None:
+    """The synchronous variant's run: one ``step`` request per worker
+    per iteration, each with a future; the driver barriers on all of
+    them before launching the next iteration, so the future/reply path
+    carries one reply per worker per iteration.  The last wave's
+    futures become the ``"ready"`` phase's result flag."""
+    spec = env.spec
+    dctx = env.ctx.driver.context
+    for iteration in range(spec.iterations):
+        wave = [
+            dctx.call(worker, "step",
+                      data=(iteration, spec.iter_time_s),
+                      expect_reply=True)
+            for worker in env.workers
+        ]
+        if not world.kernel.run_until_quiescent(
+            lambda: all(future.resolved for future in wave), 1.0, timeout
+        ):
+            raise SimulationError(
+                f"NAS {spec.name} barrier {iteration} did not clear "
+                f"in {timeout}s"
+            )
+        env.futures = wave

@@ -29,14 +29,12 @@ situation Eq. 1 describes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, Optional
 
 from repro.core.config import DgcConfig
-from repro.errors import SimulationError
 from repro.net.topology import Topology, uniform_topology
 from repro.runtime.request import Request
-from repro.workloads.app import Peer, release_all
-from repro.world import World
+from repro.workloads.app import Peer
 
 
 class TortureSlave(Peer):
@@ -172,71 +170,31 @@ def run_torture(
     collect_timeout: float = 36_000.0,
     initial_pool: int = 4,
     safety_checks: bool = False,
-    beat_slots: Optional[Union[int, str]] = None,
-    aggregation: Optional[str] = None,
     trace: bool = False,
     keep_world: bool = False,
 ) -> TortureResult:
     """Run the torture test and sample the Fig. 10 curves.
 
-    ``beat_slots`` / ``aggregation`` override the corresponding DGC
-    config knobs (see :class:`repro.core.config.DgcConfig`): the slot
-    count (an int, or ``"auto"`` for the adaptive per-node grid)
-    quantizes the start jitter so heartbeats coalesce into beat buckets,
-    and ``aggregation`` picks the delivery core by name (``per-event`` or
-    ``exact``).
+    The setup is :func:`repro.shard.workloads.build_torture` under a
+    one-shard plan and, with DGC, the run is its collection phase
+    (:func:`repro.shard.coordinator.run_phases`).  This function adds
+    only the Fig. 10 sampler and, without DGC, a run until every
+    activity is idle.  Delivery-core and heartbeat-slot knobs live on
+    ``dgc`` (:meth:`~repro.core.config.DgcConfig.with_overrides`).
     """
-    if dgc is not None:
-        overrides = {}
-        if beat_slots is not None:
-            overrides["beat_slots"] = beat_slots
-        if aggregation is not None:
-            overrides["aggregation"] = aggregation
-        if overrides:
-            dgc = dgc.with_overrides(**overrides)
-    world = World(
-        topology if topology is not None else uniform_topology(32),
-        dgc=dgc,
-        seed=seed,
-        trace=trace,
-        safety_checks=safety_checks,
+    from repro.shard.coordinator import build_single_process, run_phases
+
+    topology = topology if topology is not None else uniform_topology(32)
+    world, env = build_single_process(
+        topology,
+        "torture",
+        dict(
+            slave_count=slave_count,
+            active_duration=active_duration,
+            initial_pool=initial_pool,
+        ),
+        dgc=dgc, seed=seed, trace=trace, safety_checks=safety_checks,
     )
-    driver = world.create_driver(name="torture-driver")
-    ctx = driver.context
-    rng = world.rng_registry.stream("torture.setup")
-    deadline = active_duration
-
-    master = ctx.create(TortureMaster(deadline), name="master")
-    # Per-slave deadline jitter: last running iterations spread out, so
-    # the idle wave of Fig. 10 rises gradually rather than as a step.
-    slaves = [
-        ctx.create(
-            TortureSlave(deadline + rng.uniform(0.0, 0.15 * active_duration)),
-            name=f"slave{index}",
-        )
-        for index in range(slave_count)
-    ]
-    # Master knows itself and every slave; every slave knows itself, the
-    # master and a few random peers.
-    ctx.call(master, "hold", refs=[master], data=["self"])
-    ctx.call(
-        master,
-        "hold",
-        refs=slaves,
-        data=[f"slave{index}" for index in range(slave_count)],
-    )
-    for index, slave in enumerate(slaves):
-        peers = rng.sample(range(slave_count), k=min(initial_pool, slave_count))
-        refs = [slave, master] + [slaves[p] for p in peers]
-        keys = ["self", "master"] + [f"pool{j}" for j in range(len(peers))]
-        ctx.call(slave, "hold", refs=refs, data=keys)
-
-    ctx.call(master, "run")
-    for slave in slaves:
-        ctx.call(slave, "run")
-    # main() returns: from here on, liveness comes from activity alone.
-    release_all(driver, [master] + slaves)
-
     series: List[tuple] = []
 
     def sample() -> None:
@@ -244,12 +202,11 @@ def run_torture(
         idle = sum(1 for activity in live if activity.is_idle())
         collected = world.stats.collected_total
         series.append((world.kernel.now, idle, collected))
-        if live or world.kernel.now < deadline:
+        if live or world.kernel.now < active_duration:
             world.kernel.schedule(sample_period, sample, label="torture.sample")
 
     world.kernel.schedule(0.0, sample, label="torture.sample")
 
-    all_collected = True
     if dgc is None:
         world.kernel.run_until_quiescent(
             lambda: all(a.is_idle() for a in world.live_non_roots())
@@ -258,16 +215,8 @@ def run_torture(
             active_duration + 3_600.0,
         )
         last_collected = None
-        all_collected = False
     else:
-        all_collected = world.run_until_collected(
-            collect_timeout, check_interval=5.0
-        )
-        if not all_collected:
-            raise SimulationError(
-                f"torture: {len(world.live_non_roots())} survivors after "
-                f"{collect_timeout}s"
-            )
+        run_phases(world, env, "torture", collect_timeout)
         last_collected = max(world.stats.collected_by_id.values())
 
     # Close the series with the final state (the periodic sampler may
@@ -288,7 +237,7 @@ def run_torture(
         ao_count=slave_count + 1,
         active_duration_s=active_duration,
         last_collected_s=last_collected,
-        all_collected=all_collected,
+        all_collected=dgc is not None,
         total_bandwidth_mb=accountant.megabytes(),
         app_bandwidth_mb=accountant.app_bytes / 1e6,
         dgc_bandwidth_mb=accountant.dgc_bytes / 1e6,

@@ -26,15 +26,13 @@ CONFIG = DgcConfig(ttb=2.0, tta=5.0)
 def run(seed: int, slots: int, aggregation: str = "exact"):
     reset_id_counter()
     return run_torture(
-        dgc=CONFIG,
+        dgc=CONFIG.with_overrides(beat_slots=slots, aggregation=aggregation),
         slave_count=SLAVES,
         active_duration=ACTIVE,
         topology=uniform_topology(NODES),
         seed=seed,
         sample_period=10.0,
         collect_timeout=4_000.0,
-        beat_slots=slots,
-        aggregation=aggregation,
         trace=True,
         keep_world=True,
     )

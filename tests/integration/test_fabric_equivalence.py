@@ -37,11 +37,10 @@ def run(kernel: str, seed: int, aggregation: str = "exact",
     return run_nas_kernel(
         kernel_spec(kernel, ao_count=WORKERS, reply_barrier=reply_barrier,
                     **SPECS[kernel]),
-        dgc=CONFIG,
+        dgc=CONFIG.with_overrides(aggregation=aggregation),
         topology=uniform_topology(NODES),
         seed=seed,
         collect_timeout=4_000.0,
-        aggregation=aggregation,
         trace=True,
         keep_world=True,
     )
@@ -123,10 +122,9 @@ def test_app_heavy_ft_at_paper_beat_is_identical_and_batched(seed):
         return run_nas_kernel(
             kernel_spec("FT", ao_count=24, iterations=10,
                         payload_bytes=1_200),
-            dgc=DgcConfig(ttb=30.0, tta=61.0),
+            dgc=DgcConfig(ttb=30.0, tta=61.0, aggregation=aggregation),
             topology=uniform_topology(12),
             seed=seed,
-            aggregation=aggregation,
         )
 
     exact, per_event = ft("exact"), ft("per-event")
@@ -141,18 +139,19 @@ def test_auto_beat_slots_collects_and_stays_equivalent():
     """``beat_slots="auto"`` resolves the same adaptive grid under both
     delivery modes, so equivalence holds exactly as for a pinned int."""
     reset_id_counter()
+    auto = CONFIG.with_overrides(beat_slots="auto")
     kwargs = dict(
-        dgc=CONFIG,
         topology=uniform_topology(NODES),
         seed=9,
         collect_timeout=4_000.0,
-        beat_slots="auto",
         trace=True,
         keep_world=True,
     )
     spec = kernel_spec("FT", ao_count=WORKERS, **SPECS["FT"])
-    batched = run_nas_kernel(spec, **kwargs)
+    batched = run_nas_kernel(spec, dgc=auto, **kwargs)
     reset_id_counter()
-    per_event = run_nas_kernel(spec, aggregation="per-event", **kwargs)
+    per_event = run_nas_kernel(
+        spec, dgc=auto.with_overrides(aggregation="per-event"), **kwargs
+    )
     assert batched.collected_cyclic + batched.collected_acyclic == WORKERS
     assert world_fingerprint(batched) == world_fingerprint(per_event)

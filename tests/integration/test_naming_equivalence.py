@@ -47,7 +47,7 @@ PLACEMENTS = {
 def run(registry: RegistryConfig, seed: int, aggregation: str = "exact"):
     reset_id_counter()
     return run_naming(
-        dgc=CONFIG,
+        dgc=CONFIG.with_overrides(aggregation=aggregation),
         registry=registry,
         client_count=CLIENTS,
         service_count=SERVICES,
@@ -57,7 +57,6 @@ def run(registry: RegistryConfig, seed: int, aggregation: str = "exact"):
         churn_period=6.0,
         topology=uniform_topology(NODES),
         seed=seed,
-        aggregation=aggregation,
         trace=True,
         keep_world=True,
     )

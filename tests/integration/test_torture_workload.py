@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import DgcConfig
+from repro.core.config import TORTURE_FAST_CONFIG, DgcConfig
 from repro.harness.figures import run_fig10
 from repro.net.topology import uniform_topology
 from repro.runtime.ids import reset_id_counter
@@ -81,7 +81,7 @@ def test_no_dgc_run_keeps_survivors():
 
 @pytest.mark.parametrize("seed", [3, 11])
 def test_run_fig10_delivery_cores_agree(seed):
-    """The Fig. 10 harness forwards ``aggregation``: both cores yield
+    """The Fig. 10 harness runs the fast config it is given: both cores yield
     the same plot and bandwidth totals, the exact one with fewer kernel
     events."""
 
@@ -93,7 +93,7 @@ def test_run_fig10_delivery_cores_agree(seed):
             node_count=4,
             seed=seed,
             include_slow=False,
-            aggregation=aggregation,
+            fast=TORTURE_FAST_CONFIG.with_overrides(aggregation=aggregation),
         )
 
     def signature(result):

@@ -167,15 +167,13 @@ def run_torture_case(shuffle_seed=None, aggregation="exact"):
         Network.__init__ = patched_init
     try:
         return run_torture(
-            dgc=CONFIG,
+            dgc=CONFIG.with_overrides(beat_slots=4, aggregation=aggregation),
             slave_count=24,
             active_duration=40.0,
             topology=uniform_topology(6),
             seed=7,
             sample_period=10.0,
             collect_timeout=4_000.0,
-            beat_slots=4,
-            aggregation=aggregation,
             trace=True,
             keep_world=True,
         )
