@@ -94,7 +94,7 @@ import hashlib
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import AGGREGATION_PER_EVENT, DgcConfig, RegistryConfig
 from repro.errors import ConfigurationError, SimulationError
@@ -104,15 +104,9 @@ from repro.shard.worker import (
     REGISTRY_COUNTERS,
     WorkerSpec,
     build_shard_world,
-    reset_process_counters,
     worker_main,
 )
-from repro.shard.workloads import (
-    SHARD_WORKLOADS,
-    Phase,
-    ShardEnv,
-    workload_phases,
-)
+from repro.shard.workloads import Phase, ShardEnv, workload_phases
 from repro.world import World
 
 
@@ -675,58 +669,59 @@ def replay_single_process(
     changed the schedule but not the semantics.  Returns ``(world, env,
     signature)``.
     """
-    spec = WorkerSpec(
-        shard=0,
-        plan=make_plan(topology, 1),
-        topology=topology,
-        workload=workload,
-        params=dict(params or {}),
-        dgc=dgc,
-        registry=registry,
-        seed=seed,
-        trace=trace,
+    world, env = build_single_process(
+        topology, workload, dict(params or {}),
+        dgc=dgc, registry=registry, seed=seed, trace=trace,
     )
-    world, env = build_shard_world(spec)
-    run_phases(world, env, workload, timeout)
+    run_phases(world, env, workload, [timeout] * len(env.phases))
     return world, env, outcome_signature(world)
 
 
 def build_single_process(
-    topology: Topology, workload: str, params: Dict[str, Any], **world_options
+    topology: Topology,
+    workload: str,
+    params: Dict[str, Any],
+    *,
+    dgc: Optional[DgcConfig] = None,
+    registry: Optional[RegistryConfig] = None,
+    seed: int = 0,
+    trace: bool = False,
+    safety_checks: bool = False,
 ) -> Tuple[World, ShardEnv]:
-    """Set up one workload in a caller-configured single-process world.
-
-    The setup behind :func:`~repro.workloads.torture.run_torture`,
-    :func:`~repro.workloads.naming.run_naming` and
-    :func:`~repro.workloads.nas.common.run_nas_kernel`: fresh id
-    streams (the reset every shard worker starts from), a
-    :class:`World` built with ``world_options`` (``safety_checks`` is
-    not a :class:`WorkerSpec` field), then the workload's SPMD builder
-    under a one-shard plan — the setup the replay and every shard
-    worker run, so a given seed gives the same answer on every call.
-    """
-    reset_process_counters()
-    world = World(topology, **world_options)
-    builder = SHARD_WORKLOADS[workload]
-    return world, builder(world, make_plan(topology, 1), 0, params)
+    """Set up one workload in a single-process world: the shard
+    worker's own setup (fresh id streams, then the SPMD builder) under a
+    one-shard plan, shared by :func:`replay_single_process` and the
+    ``run_*`` runners, so a seed gives the same answer on every call.
+    The world reads ``safety_checks`` (not a :class:`WorkerSpec` field)
+    only when the DGC terminates an activity, never during setup."""
+    world, env = build_shard_world(WorkerSpec(
+        shard=0,
+        plan=make_plan(topology, 1),
+        topology=topology,
+        workload=workload,
+        params=params,
+        dgc=dgc,
+        registry=registry,
+        seed=seed,
+        trace=trace,
+    ))
+    world.safety_checks = safety_checks
+    return world, env
 
 
 def run_phases(
-    world: World,
-    env: ShardEnv,
-    workload: str,
-    timeout: float,
-    phase_count: Optional[int] = None,
+    world: World, env: ShardEnv, workload: str, timeouts: Sequence[float]
 ) -> List[float]:
     """Drive a built workload's run protocol inline, in one process.
 
     Each phase after the first starts with its entry action (this
     process owns the driver), then the kernel runs until the phase
     predicate holds — the coordinator's ``"collected"`` / ``"balance"``
-    / ``"ready"`` read off the one world.  Runs the first
-    ``phase_count`` phases (all by default) and returns the simulated
-    time each one completed at; raises :class:`SimulationError` when a
-    phase does not complete within ``timeout`` simulated seconds.
+    / ``"ready"`` read off the one world.  ``timeouts`` bounds each
+    phase in simulated seconds, and only the phases it bounds run (the
+    first ``len(timeouts)``).  Returns the simulated time each phase
+    completed at; raises :class:`SimulationError` naming the phase that
+    did not complete within its bound.
     """
     kernel = world.kernel
 
@@ -744,7 +739,7 @@ def run_phases(
         return all(a.is_idle() for a in world.live_non_roots())
 
     phase_times: List[float] = []
-    for index, phase in enumerate(env.phases[:phase_count]):
+    for index, (phase, timeout) in enumerate(zip(env.phases, timeouts)):
         if index:
             env.enter_phase(index)
         if phase.predicate == "collected":

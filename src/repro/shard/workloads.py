@@ -49,7 +49,7 @@ from repro.shard.plan import ShardPlan
 from repro.workloads.app import release_all
 from repro.sim.rng import ZipfSampler
 from repro.workloads.naming import NamingBinder, NamingClient
-from repro.workloads.nas.common import NasWorker, kernel_spec
+from repro.workloads.nas.common import DEPLOYMENT_BYTES, NasWorker, kernel_spec
 from repro.workloads.torture import TortureMaster, TortureSlave
 from repro.world import World, host_acquire
 
@@ -382,7 +382,7 @@ def build_nas(
             keys = [f"peer{j}" for j in range(spec.ao_count) if j != index]
             dctx.call(
                 worker, "hold", refs=others, data=keys,
-                payload_bytes=spec.deployment_bytes,
+                payload_bytes=DEPLOYMENT_BYTES,
             )
     env = _NasEnv(ctx, workload_phases("nas"), spec,
                   workers if driver is not None else [])

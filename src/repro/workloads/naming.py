@@ -308,7 +308,7 @@ def run_naming(
     if dgc is None:
         world.run_for(duration + teardown_lag + 60.0)
     else:
-        run_phases(world, env, "naming", collect_timeout)
+        run_phases(world, env, "naming", (collect_timeout,))
 
     naming = world.registry
     counts = env.results()

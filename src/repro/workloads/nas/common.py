@@ -96,9 +96,6 @@ class NasKernelSpec:
     #: Per-message payload of the communication pattern (CG's boundary
     #: vectors, FT's transpose blocks); ``None`` for EP, which has none.
     payload_bytes: Optional[int] = None
-    #: Modelled per-worker deployment payload (code/class shipping); part
-    #: of the application traffic in both DGC and no-DGC runs.
-    deployment_bytes: int = 4_000
     #: Synchronous variant: every exchange expects a reply and each
     #: iteration barriers on all of them (see :class:`NasWorker`).
     reply_barrier: bool = False
@@ -114,6 +111,11 @@ class NasKernelSpec:
     def scaled(self, ao_count: int) -> "NasKernelSpec":
         """Same kernel shape with a different worker count."""
         return replace(self, ao_count=ao_count)
+
+
+#: Modelled per-worker deployment payload (code/class shipping); part of
+#: the application traffic in both DGC and no-DGC runs.
+DEPLOYMENT_BYTES = 4_000
 
 
 #: Laptop-scale defaults preserving the paper's relative profiles:
@@ -212,8 +214,10 @@ def run_nas_kernel(
     (:func:`repro.shard.coordinator.run_phases`).  This function adds
     only the single-process parts: the reply-barrier loop, which
     replaces the asynchronous ``run`` entry of phase 1, and, without
-    DGC, explicit termination instead of the collection phase.
-    Delivery-core and heartbeat-slot knobs live on ``dgc``
+    DGC, explicit termination instead of the collection phase.  Each
+    phase has its own bound: 600 s to settle, four times the nominal
+    kernel time plus an hour to run (and for each barrier wave), and
+    ``collect_timeout`` to collect.  Delivery-core and heartbeat-slot knobs live on ``dgc``
     (:meth:`~repro.core.config.DgcConfig.with_overrides`).
     """
     from repro.shard.coordinator import build_single_process, run_phases
@@ -230,11 +234,13 @@ def run_nas_kernel(
         topology, "nas", params,
         dgc=dgc, seed=seed, trace=trace, safety_checks=safety_checks,
     )
+    # Per-phase bounds: settle, run (and each barrier wave), drain.
+    run_timeout = spec.iterations * spec.iter_time_s * 4 + 3_600.0
+    timeouts = (600.0, run_timeout, collect_timeout)
     if spec.reply_barrier:
-        env.actions[1] = lambda: _reply_barrier(world, env, collect_timeout)
+        env.actions[1] = lambda: _reply_barrier(world, env, run_timeout)
     phase_times = run_phases(
-        world, env, "nas", collect_timeout,
-        phase_count=None if dgc is not None else 2,
+        world, env, "nas", timeouts if dgc is not None else timeouts[:2]
     )
     app_time = phase_times[1] - phase_times[0]
     if dgc is None:

@@ -216,7 +216,7 @@ def run_torture(
         )
         last_collected = None
     else:
-        run_phases(world, env, "torture", collect_timeout)
+        run_phases(world, env, "torture", (collect_timeout,))
         last_collected = max(world.stats.collected_by_id.values())
 
     # Close the series with the final state (the periodic sampler may

@@ -270,6 +270,28 @@ def test_last_writer_wins_within_one_beat():
     assert coalesced == 19
 
 
+def test_supersede_withdraws_only_that_holders_update():
+    """A lease grant withdraws the grantee's staged update of the name
+    and nothing else; a holder queue it empties goes with it, so an
+    otherwise drained channel reads empty (the egress beat stops)."""
+    channel = CoherenceChannel()
+    channel.stage("n1", "a", None)
+    channel.stage("n1", "b", None)
+    channel.stage("n2", "a", None)
+    assert channel.supersede("n1", "a")
+    assert not channel.supersede("n1", "a")   # already withdrawn
+    assert not channel.supersede("n3", "a")   # nothing staged for n3
+    assert channel.pending() == 2
+    assert channel.flush() == [
+        (("n1",), ("b",), ()),
+        (("n2",), ("a",), ()),
+    ]
+    channel.stage("n1", "c", "ref-1")
+    assert channel.supersede("n1", "c")
+    assert channel.empty
+    assert channel.flush() == []
+
+
 # ----------------------------------------------------------------------
 # 2. Live staleness bound: at most one beat + one propagation delay
 # ----------------------------------------------------------------------
@@ -341,3 +363,71 @@ def test_cached_holder_staleness_bounded_by_one_lease_beat(
         f"stale hit at {max(prober.hit_times)} exceeds the one-beat bound "
         f"{bound}"
     )
+
+
+class _Looker(Behavior):
+    """Looks names up at fixed instants: ``plan`` is ``[(at, name)]``."""
+
+    def __init__(self, plan) -> None:
+        self.plan = plan
+
+    def on_start(self, ctx):
+        for at, name in self.plan:
+            yield ctx.sleep(at - ctx.now)
+            future = ctx.lookup(name)
+            future.on_resolve(lambda f: self._consume(ctx, f))
+        return None
+
+    @staticmethod
+    def _consume(ctx, future) -> None:
+        if future.value is not None:
+            ctx.drop(future.value)
+
+
+def test_lease_grant_outruns_the_staged_invalidation(make_world):
+    """Regression: a holder whose cached entry is gone (evicted from a
+    one-entry cache) looks a name up again after an unbind and rebind
+    but before the egress beat.  The lease reply caches the new
+    binding; the invalidation staged at unbind time is older than that
+    reply and must not follow it and drop the fresh entry — the eager
+    schedule sends it first, so beat coherence must withdraw it."""
+    world = make_world(
+        4,
+        dgc=None,
+        registry=RegistryConfig(
+            lease_ttb=10**6, lease_beat_s=LEASE_BEAT, cache_size=1,
+            coherence="beat",
+        ),
+    )
+    nodes = world.topology.nodes
+    driver = world.create_driver()
+    old, fresh, other = (
+        driver.context.create(SinkBehavior(), name=label, node=nodes[0])
+        for label in ("old", "fresh", "other")
+    )
+    naming = world.registry
+    naming.bind("svc", old.ref)
+    naming.bind("other", other.ref)
+    holder = nodes[2]
+    # "other" evicts "svc" from the holder's cache, but the authority
+    # still books the holder as a lease holder of "svc".
+    world.create_activity(
+        _Looker([(1.0, "svc"), (2.0, "other"), (4.2, "svc")]),
+        node=holder, name="looker", root=True, dgc_enabled=False,
+    )
+
+    def rebind() -> None:
+        naming.unbind("svc")
+        naming.bind("svc", fresh.ref)
+
+    world.kernel.schedule_fire_at(4.1, rebind, ())
+    world.run_for(4.1 + 3 * LEASE_BEAT)
+
+    assert naming.remote_lookups == 3, "every lookup must miss the cache"
+    assert naming.coherence_staged == 1
+    assert naming.coherence_staged == (
+        naming.coherence_coalesced + naming.coherence_names_sent
+    )
+    entry = naming.shard(holder).cache.entries.get("svc")
+    assert entry is not None, "the staged invalidation dropped the fresh entry"
+    assert entry[0].activity_id == fresh.ref.activity_id
