@@ -66,10 +66,9 @@ def test_fig10_torture_evolution(benchmark, results):
     # 18000 s vs (a)'s 2400 s, a ~7.5x stretch; we measure ~8x).
     assert results.slow.last_collected_s > 4 * results.fast.last_collected_s
     # The two DGC runs cost the same order of magnitude of bandwidth
-    # (paper: 1699 MB vs 2063 MB).  Known deviation, recorded in
-    # EXPERIMENTS.md: our byte model has no per-connection overhead, so
-    # the TTB=300 run comes out somewhat *below* the TTB=30 run rather
-    # than ~20 % above it.
+    # (paper: 1699 MB vs 2063 MB).  Known deviation: our byte model has
+    # no per-connection overhead, so the TTB=300 run comes out somewhat
+    # *below* the TTB=30 run rather than ~20 % above it.
     ratio = results.slow.total_bandwidth_mb / results.fast.total_bandwidth_mb
     assert 0.25 < ratio < 4.0
     # Both DGC runs cost several times the no-DGC app traffic (paper:

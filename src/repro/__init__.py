@@ -15,8 +15,8 @@ Quickstart::
     # ... build references, drop the driver's stubs, run:
     world.run_until_collected(timeout=60.0)
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every table and figure.
+See DESIGN.md for the system inventory and ``benchmarks/test_fig*.py``
+for the paper-vs-measured check of every table and figure.
 """
 
 from repro.core.clock import ActivityClock

@@ -20,6 +20,10 @@ class SimulationError(ReproError):
     """The discrete-event kernel was used incorrectly."""
 
 
+class ShardFailure(SimulationError):
+    """A shard worker process died without reporting (killed, OOM)."""
+
+
 class SchedulingInPastError(SimulationError):
     """An event was scheduled strictly before the current simulated time."""
 

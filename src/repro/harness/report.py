@@ -2,8 +2,8 @@
 
 The paper's artifacts are a pair of tables (Figs. 8 and 9) and two
 idle/collected evolution plots (Fig. 10); these helpers render both to
-monospace text, which is what the benchmark harness prints and what
-EXPERIMENTS.md embeds.
+monospace text, which is what ``python -m repro.harness fig8|fig9|fig10``
+prints.
 """
 
 from __future__ import annotations

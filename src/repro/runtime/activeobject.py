@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from collections.abc import Generator
+from functools import cached_property
 from typing import Any, Callable, Deque, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import RuntimeModelError
@@ -74,7 +75,7 @@ class ActivityContext:
     def node_name(self) -> str:
         return self._activity.node.name
 
-    @property
+    @cached_property
     def rng(self):
         """Deterministic per-activity random stream."""
         return self._activity.node.rng_registry.stream(f"activity:{self.id}")
@@ -295,15 +296,28 @@ class Activity:
         self._kept.add(proxy)
 
     def release_proxy(self, proxy: Proxy) -> None:
-        """Drop one stub; notifies the local GC when the tag dies."""
+        """Drop one stub; when the tag dies, tell the local GC."""
         if self.state is ActivityState.TERMINATED:
             return
-        last = self.proxies.release(proxy)
+        # Inlined ProxyTable.release (the canonical site).
+        if proxy.released:
+            raise RuntimeModelError(f"{proxy!r} released twice")
+        proxy.released = True
         if self._kept:
             self._kept.discard(proxy)
-        if last:
-            proxy.tag.dead = True
-            self.node.local_gc.notify_tag_dead(self, proxy.tag)
+        tag = proxy.tag
+        entries = self.proxies._entries
+        if tag.target not in entries or entries[tag.target] is not tag:
+            return  # the tag generation was already retired
+        tag.live_count -= 1
+        if tag.live_count > 0:
+            return
+        del entries[tag.target]
+        tag.dead = True
+        if self.collector is None:
+            self.node.local_gc.collected_tags += 1
+        else:
+            self.node.local_gc.notify_tag_dead(self, tag)
 
     # ------------------------------------------------------------------
     # Service loop

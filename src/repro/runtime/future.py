@@ -30,23 +30,19 @@ def reset_future_ids() -> None:
 class Future:
     """Placeholder for the result of an asynchronous call."""
 
-    __slots__ = ("future_id", "_resolved", "_value", "_refs", "_callbacks")
+    __slots__ = ("future_id", "resolved", "_value", "_refs", "_callbacks")
 
     def __init__(self) -> None:
         self.future_id = next(_future_ids)
-        self._resolved = False
+        self.resolved = False
         self._value: Any = None
         self._refs: Tuple[Any, ...] = ()
         self._callbacks: List[Callable[["Future"], None]] = []
 
     @property
-    def resolved(self) -> bool:
-        return self._resolved
-
-    @property
     def value(self) -> Any:
         """The result; only readable once resolved."""
-        if not self._resolved:
+        if not self.resolved:
             raise RuntimeModelError(
                 f"future #{self.future_id} read before resolution"
             )
@@ -55,7 +51,7 @@ class Future:
     @property
     def refs(self) -> Tuple[Any, ...]:
         """Proxies deserialized from the reply, if any."""
-        if not self._resolved:
+        if not self.resolved:
             raise RuntimeModelError(
                 f"future #{self.future_id} refs read before resolution"
             )
@@ -63,9 +59,9 @@ class Future:
 
     def resolve(self, value: Any, refs: Tuple[Any, ...] = ()) -> None:
         """Deliver the result; runs queued callbacks in registration order."""
-        if self._resolved:
+        if self.resolved:
             raise RuntimeModelError(f"future #{self.future_id} resolved twice")
-        self._resolved = True
+        self.resolved = True
         self._value = value
         self._refs = refs
         callbacks, self._callbacks = self._callbacks, []
@@ -74,11 +70,11 @@ class Future:
 
     def on_resolve(self, callback: Callable[["Future"], None]) -> None:
         """Run ``callback(self)`` at resolution (immediately if resolved)."""
-        if self._resolved:
+        if self.resolved:
             callback(self)
         else:
             self._callbacks.append(callback)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "resolved" if self._resolved else "pending"
+        state = "resolved" if self.resolved else "pending"
         return f"Future(#{self.future_id} {state})"

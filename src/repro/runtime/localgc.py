@@ -35,11 +35,8 @@ class LocalGarbageCollector:
         self.collected_tags = 0
 
     def notify_tag_dead(self, activity, tag: StubTag) -> None:
-        """Queue a dead tag for the next collection cycle; a holder with
-        no DGC collector has nobody to notify, so its tag counts at once."""
-        if activity.collector is None:
-            self.collected_tags += 1
-            return
+        """Queue a dead tag of a holder with a DGC collector for the next
+        collection cycle (``Activity.release_proxy`` counts any other's)."""
         self._pending.append((activity, tag))
         if not self._sweep_scheduled:
             self._sweep_scheduled = True
@@ -52,7 +49,5 @@ class LocalGarbageCollector:
         pending, self._pending = self._pending, []
         for activity, tag in pending:
             self.collected_tags += 1
-            if activity.state is ActivityState.TERMINATED:
-                continue
-            if activity.collector is not None:
+            if activity.state is not ActivityState.TERMINATED:
                 activity.collector.on_reference_dropped(tag)

@@ -38,7 +38,7 @@ from repro.runtime.activeobject import Activity, ActivityState
 from repro.runtime.future import Future
 from repro.runtime.ids import ActivityId
 from repro.runtime.localgc import LocalGarbageCollector
-from repro.runtime.proxy import Proxy, RemoteRef
+from repro.runtime.proxy import Proxy, RemoteRef, StubTag
 from repro.runtime.request import RegistryAck, Reply, ReplyAddress, Request
 from repro.runtime.serialization import deserialize_refs, serialize_refs
 from repro.sim.beats import SlotController
@@ -189,10 +189,21 @@ class Node:
         self.world.on_activity_terminated(activity, reason)
 
     def deserialize_ref(self, activity: Activity, ref: RemoteRef) -> Proxy:
-        """Out-of-band acquisition (a registry resolve, a creation) —
-        one stub through the deserialization hook, without the tuple
-        :func:`deserialize_refs` builds for a message's references."""
-        proxy = activity.proxies.acquire(ref)
+        """One stub through the deserialization hook, in one frame: a
+        registry resolve, ``ctx.acquire`` or a creation."""
+        # Inlined ProxyTable.acquire (the canonical site).
+        target = ref.activity_id
+        entries = activity.proxies._entries
+        if target in entries:
+            tag = entries[target]
+        else:
+            minted = activity.proxies._generations
+            generation = minted[target] + 1 if target in minted else 1
+            minted[target] = generation
+            tag = StubTag(activity.id, target, generation, ref)
+            entries[target] = tag
+        tag.live_count += 1
+        proxy = Proxy(tag.ref, tag)
         if activity.collector is not None:
             activity.collector.on_reference_deserialized(proxy)
         return proxy

@@ -65,12 +65,12 @@ class StubTag:
 class Proxy:
     """A stub held by one activity, pointing at a remote activity."""
 
-    __slots__ = ("ref", "tag", "_released")
+    __slots__ = ("ref", "tag", "released")
 
     def __init__(self, ref: RemoteRef, tag: StubTag) -> None:
         self.ref = ref
         self.tag = tag
-        self._released = False
+        self.released = False
 
     @property
     def activity_id(self) -> ActivityId:
@@ -79,10 +79,6 @@ class Proxy:
     @property
     def node(self) -> str:
         return self.ref.node
-
-    @property
-    def released(self) -> bool:
-        return self._released
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Proxy({self.tag.holder}->{self.activity_id})"
@@ -106,7 +102,8 @@ class ProxyTable:
     def acquire(self, ref: RemoteRef) -> Proxy:
         """Materialise a stub for ``ref`` (deserialization of a reference).
 
-        Returns a new :class:`Proxy` sharing the per-target tag.
+        Returns a new :class:`Proxy` sharing the per-target tag.  The
+        canonical site of the copy inlined in ``Node.deserialize_ref``.
         """
         target = ref.activity_id
         entries = self._entries
@@ -122,11 +119,11 @@ class ProxyTable:
         return Proxy(tag.ref, tag)
 
     def release(self, proxy: Proxy) -> bool:
-        """Drop one stub; returns True when this was the last stub for the
-        target (the tag is now collectible)."""
-        if proxy._released:
+        """Drop one stub; True when it was the target's last (the tag is
+        now collectible); the canonical site of ``Activity.release_proxy``."""
+        if proxy.released:
             raise RuntimeModelError(f"{proxy!r} released twice")
-        proxy._released = True
+        proxy.released = True
         tag = proxy.tag
         target = tag.target
         entries = self._entries

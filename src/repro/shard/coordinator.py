@@ -97,7 +97,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import AGGREGATION_PER_EVENT, DgcConfig, RegistryConfig
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, ShardFailure, SimulationError
 from repro.net.topology import Topology
 from repro.shard.plan import ShardPlan, make_plan
 from repro.shard.worker import (
@@ -326,6 +326,8 @@ class ShardedWorld:
             finally:
                 gc.unfreeze()
             return self._drive(conns, start)
+        except (EOFError, ConnectionError):  # a worker died unreported
+            raise self._shard_failure(procs) from None
         finally:
             for conn in conns:
                 conn.close()
@@ -333,6 +335,24 @@ class ShardedWorld:
                 proc.join(timeout=10.0)
                 if proc.is_alive():  # pragma: no cover - hang backstop
                     proc.terminate()
+
+    def _shard_failure(self, procs) -> ShardFailure:
+        """Name the workers that exited (bounded wait: a pipe closes
+        before its process is reaped) and stop the rest at once."""
+        from multiprocessing.connection import wait
+
+        exited = wait([proc.sentinel for proc in procs], timeout=5.0)
+        for proc in procs:
+            proc.terminate()
+            proc.join()
+        dead = ", ".join(
+            f"shard {j} (exit code {proc.exitcode})"
+            for j, proc in enumerate(procs) if proc.sentinel in exited
+        )
+        return ShardFailure(
+            f"sharded {self.workload!r}: a worker died without reporting "
+            f"in barrier round {self._round}: {dead or 'none exited'}"
+        )
 
     def _spawn(self, mp, conns, procs) -> None:
         for shard in range(self.plan.shard_count):
@@ -361,6 +381,7 @@ class ShardedWorld:
     # ------------------------------------------------------------------
 
     def _drive(self, conns, start: float) -> ShardedRunResult:
+        self._round = 0
         shard_count = self.plan.shard_count
         lookahead_rows = self.plan.lookahead_matrix
         # One shard: no boundary constrains the window, but rounds must
@@ -408,7 +429,6 @@ class ShardedWorld:
         #: grants are monotone per shard.
         granted = [0.0] * shard_count
         phase = 0
-        rounds = 0
         phase_times: List[float] = []
 
         while True:
@@ -487,7 +507,7 @@ class ShardedWorld:
             for j in advanced:
                 reports[j] = self._recv_report(conns[j])
             route(advanced)
-            rounds += 1
+            self._round += 1
         sim_time = max(granted)
 
         # Final phase satisfied: stop the workers and merge.  Any frames
@@ -500,7 +520,7 @@ class ShardedWorld:
             results.append(self._recv_result(conn))
         wall = time.monotonic() - start  # repro: allow[DET-wallclock] wall-clock is reported in the result, never scheduled on
         return self._merge(
-            results, rounds, sim_time, wall, phase_times, digest,
+            results, self._round, sim_time, wall, phase_times, digest,
             state, frame_log,
         )
 

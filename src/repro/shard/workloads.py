@@ -51,7 +51,7 @@ from repro.sim.rng import ZipfSampler
 from repro.workloads.naming import NamingBinder, NamingClient
 from repro.workloads.nas.common import DEPLOYMENT_BYTES, NasWorker, kernel_spec
 from repro.workloads.torture import TortureMaster, TortureSlave
-from repro.world import World, host_acquire
+from repro.world import World
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,8 @@ class SpmdContext:
             )
         ghost_id = make_activity_id(name)
         if self.driver is not None:
-            return host_acquire(self.driver, RemoteRef(ghost_id, node))
+            ref = RemoteRef(ghost_id, node)
+            return self.driver.node.deserialize_ref(self.driver, ref)
         return None
 
 

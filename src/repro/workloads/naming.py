@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.core.config import DgcConfig, RegistryConfig
+from repro.errors import ConfigurationError
 from repro.net.topology import Topology, uniform_topology
 from repro.runtime.behaviors import Behavior, SinkBehavior
 from repro.sim.rng import ZipfSampler
@@ -148,8 +149,8 @@ class NamingClient(Behavior):
     stub dropped) inside the resolving kernel event.
 
     A ``sampler`` skews which names get looked up (rank 0 = hottest);
-    without one the draw is uniform via ``rng.randrange``, preserving
-    the original sequence bit-for-bit."""
+    without one the draw is uniform: ``rng.randrange(len(names))``
+    unrolled into the burst loop, preserving the sequence bit-for-bit."""
 
     def __init__(
         self,
@@ -159,6 +160,8 @@ class NamingClient(Behavior):
         burst: int,
         sampler: Optional[ZipfSampler] = None,
     ) -> None:
+        if not names:
+            raise ConfigurationError("a naming client needs a name to look up")
         self.names = names
         self.deadline = deadline
         self.period = period
@@ -175,19 +178,23 @@ class NamingClient(Behavior):
         names = self.names
         count = len(names)
         sampler = self.sampler
+        bits = count.bit_length()
+        getrandbits = rng.getrandbits
         while ctx.now < self.deadline:
             yield ctx.sleep(self.period * (0.5 + rng.random()))
+            # A burst is one synchronous stretch: the clock cannot move.
+            consume = lambda f, t=ctx.now: self._consume(ctx, f, t)
             for _ in range(self.burst):
                 if sampler is not None:
                     name = names[sampler.sample(rng)]
                 else:
-                    name = names[rng.randrange(count)]
-                issued_at = ctx.now
+                    pick = getrandbits(bits)
+                    while pick >= count:
+                        pick = getrandbits(bits)
+                    name = names[pick]
                 future = ctx.lookup(name)
                 self.issued += 1
-                future.on_resolve(
-                    lambda f, t=issued_at: self._consume(ctx, f, t)
-                )
+                future.on_resolve(consume)
         return None
 
     def _consume(self, ctx, future, issued_at: float) -> None:

@@ -34,7 +34,7 @@ from repro.runtime.activeobject import Activity
 from repro.runtime.behaviors import SinkBehavior
 from repro.runtime.ids import ActivityId, make_activity_id
 from repro.runtime.node import Node
-from repro.runtime.proxy import Proxy, RemoteRef
+from repro.runtime.proxy import RemoteRef
 from repro.runtime.registry import NamingService
 from repro.sim.kernel import SimKernel
 from repro.sim.rng import RngRegistry
@@ -242,8 +242,9 @@ class World:
             host.register_collector(activity)
         activity.start()
         if creator is not None:
+            # Creation behaves like receiving the reference (Sec. 2.2).
             ref = RemoteRef(activity.id, node_name)
-            return host_acquire(creator, ref)
+            return creator.node.deserialize_ref(creator, ref)
         return activity
 
     def create_driver(
@@ -355,9 +356,3 @@ class World:
                 f"t={self.kernel.now}: the oracle says it is reachable "
                 f"from a non-idle activity"
             )
-
-
-def host_acquire(holder: Activity, ref: RemoteRef) -> Proxy:
-    """Acquire a stub for ``ref`` on ``holder`` via the deserialization
-    hook (creation behaves like receiving the reference, Sec. 2.2)."""
-    return holder.node.deserialize_ref(holder, ref)

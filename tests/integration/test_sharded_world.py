@@ -1,5 +1,5 @@
 """The sharded multi-process world: outcome equivalence, determinism,
-and configuration guards.
+configuration guards and named worker failures.
 
 Each equivalence test runs the same SPMD workload twice — once
 partitioned over worker processes (:class:`repro.shard.ShardedWorld`),
@@ -15,12 +15,16 @@ there).
 from __future__ import annotations
 
 import copyreg
+import os
 import pickle
+import re
+import signal
+import time
 
 import pytest
 
 from repro.core.config import DgcConfig
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, ShardFailure, SimulationError
 from repro.net.topology import Site, Topology
 from repro.shard import ShardedWorld, make_plan, replay_single_process
 
@@ -564,6 +568,50 @@ def test_nas_reply_barrier_rejected():
             params=dict(kernel="ft", ao_count=4, reply_barrier=True),
             dgc=small_dgc(),
         ).run()
+
+
+# ----------------------------------------------------------------------
+# Named failures
+# ----------------------------------------------------------------------
+
+
+def test_killed_worker_surfaces_as_named_shard_failure(monkeypatch):
+    """A worker killed mid-run (kill -9, the OOM killer) is a
+    :class:`ShardFailure` naming the shard, the round and the exit code
+    within seconds, and its sibling is terminated rather than left to
+    the 10 s join backstop."""
+    spawned = []
+    real_spawn = ShardedWorld._spawn
+    real_recv_report = ShardedWorld._recv_report
+    received = []
+
+    def spawn(self, mp, conns, procs):
+        real_spawn(self, mp, conns, procs)
+        spawned.extend(procs)
+
+    def recv_report(self, conn):
+        received.append(conn)
+        if len(received) == 5:  # the initial reports, then a round in
+            os.kill(spawned[1].pid, signal.SIGKILL)
+        return real_recv_report(self, conn)
+
+    monkeypatch.setattr(ShardedWorld, "_spawn", spawn)
+    monkeypatch.setattr(ShardedWorld, "_recv_report", recv_report)
+    world = ShardedWorld(
+        two_site_topology(), 2, workload="torture", params=TORTURE_PARAMS,
+        dgc=small_dgc(), seed=3,
+    )
+    started = time.monotonic()
+    with pytest.raises(ShardFailure) as failure:
+        world.run()
+    assert time.monotonic() - started < 5.0
+    message = str(failure.value)
+    assert f"shard 1 (exit code {-signal.SIGKILL})" in message
+    assert "shard 0" not in message
+    assert re.search(r"barrier round [1-9]", message), message
+    assert isinstance(failure.value, SimulationError)
+    assert not any(proc.is_alive() for proc in spawned)
+    assert spawned[0].exitcode == -signal.SIGTERM
 
 
 def test_plan_partitions_nodes_contiguously():

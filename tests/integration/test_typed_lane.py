@@ -16,7 +16,9 @@ Two deterministic gates, no timing:
   ``Node.send_request``, the delivery ``Node._on_request`` into the
   service loop, with no world bookkeeping frame, no size-model call
   and, for a handler that returns ``None``, no ``typing`` or ``abc``
-  frame.  The per-event core enters the same handlers
+  frame.  A naming client's burst is pinned the same way: the stub is
+  acquired and released in one frame each, and the name pick enters no
+  ``random.py`` frame.  The per-event core enters the same handlers
   through the fabric's per-message lane.  On the write side under beat coherence,
   staging a ``replicated`` update costs the same frames at any node
   count and nothing in the fabric, and one flush is one send per
@@ -49,6 +51,7 @@ from repro.net.kinds import (
 from repro.net.topology import uniform_topology
 from repro.runtime.behaviors import Behavior, SinkBehavior
 from repro.runtime.ids import reset_id_counter
+from repro.workloads.naming import NamingClient
 from repro.world import World
 
 FABRIC_FILES = ("network.py", "channel.py", "accounting.py", "message.py")
@@ -223,7 +226,6 @@ def test_request_lane_call_budget(expect_reply):
         ("world.py", "run_for"): 1,  # the drive itself
         ("activeobject.py", "call"): 1,
         ("node.py", "send_request"): 1,
-        ("proxy.py", "released"): 1,
         ("node.py", "_on_request"): 1,
         **SERVE_FRAMES,
     }
@@ -237,7 +239,8 @@ def test_request_lane_call_budget(expect_reply):
     assert runtime == expected
     for gone in ("send_call", "note_request_sent", "note_request_delivered",
                  "note_reply_sent", "note_reply_delivered", "_dec",
-                 "serialize_refs", "request_size", "reply_size"):
+                 "serialize_refs", "request_size", "reply_size",
+                 "released", "resolved"):
         assert not [key for key in stats if key[1] == gone], gone
     # ``ping`` returns None: its dispatch runs no ABC check at all.  A
     # plain value pays one ``collections.abc.Generator`` check (the
@@ -248,6 +251,127 @@ def test_request_lane_call_budget(expect_reply):
         if base in ("abc.py", "<frozen abc>")
     }
     assert abc_frames == ({"__instancecheck__": 1} if expect_reply else {})
+
+
+def profile_stats(run):
+    """``{(file, package, function): calls}`` of every frame (stdlib and
+    C calls included) entered while ``run()`` executes; same-named
+    functions of one file (two classes' ``__init__``) are summed."""
+    profiler = cProfile.Profile()
+    profiler.runcall(run)
+    profiler.create_stats()
+    stats = {}
+    for (filename, _, function), (_, ncalls, _, _, _) in (
+        profiler.stats.items()
+    ):
+        key = (os.path.basename(filename),
+               os.path.basename(os.path.dirname(filename)), function)
+        stats[key] = stats.get(key, 0) + ncalls
+    return stats
+
+
+def test_resolve_lane_call_budget():
+    """One warm burst of a collector-less :class:`NamingClient` — wake,
+    uniform name pick, remote resolve, stub acquired at the reply,
+    consumed and dropped — pinned frame by frame in ``repro.runtime``
+    and the driver.  The stub lifecycle is one frame each way
+    (``Node.deserialize_ref``, ``Activity.release_proxy``) and the pick
+    enters no ``random.py`` frame."""
+    world = World(
+        uniform_topology(2), dgc=DgcConfig(ttb=1.0, tta=3.0), trace=False,
+    )
+    authority = world.registry_node
+    remote = next(name for name in world.nodes if name != authority)
+    service = external(world, authority, "svc")
+    world.registry.bind("service", service.context.self_ref())
+    client = NamingClient(["service"], deadline=100.0, period=1.0, burst=1)
+    world.create_activity(
+        client, node=remote, name="client", root=True, dgc_enabled=False
+    )
+    # Warm-up bursts build the routes, channels and per-kind categories.
+    world.run_for(5.0)
+    assert client.hits == client.issued > 0
+    issued = client.issued
+    # The next event is the client's wake; the one after it is at least
+    # half a period later, so this window holds exactly one burst.
+    wake = world.kernel.next_event_time()
+    stats = profile_stats(lambda: world.kernel.run(until=wake + 0.25))
+    assert client.issued == client.hits == issued + 1
+    frames = {
+        (base, function): calls
+        for (base, package, function), calls in stats.items()
+        if package in ("runtime", "workloads")
+    }
+    assert frames == {
+        # the wake: resume the driver, pick, issue, go back to sleep
+        ("activeobject.py", "_step"): 1,
+        ("naming.py", "on_start"): 1,
+        ("activeobject.py", "now"): 3,  # the deadline, the burst, the reply
+        ("activeobject.py", "lookup"): 1,
+        ("registry.py", "lookup_from"): 1,
+        ("future.py", "__init__"): 1,
+        ("future.py", "on_resolve"): 1,
+        ("activeobject.py", "sleep"): 1,
+        ("activeobject.py", "__init__"): 1,  # the Sleep
+        # the authority's shard, then the reply at the client's node
+        ("registry.py", "on_lookup"): 1,
+        ("node.py", "_on_registry_reply"): 1,
+        ("node.py", "deserialize_ref"): 1,
+        ("proxy.py", "__init__"): 2,  # a fresh StubTag, its Proxy
+        ("future.py", "resolve"): 1,
+        # the driver's consumer drops the stub: the tag dies at once
+        ("naming.py", "<lambda>"): 1,
+        ("naming.py", "_consume"): 1,
+        ("future.py", "value"): 1,
+        ("activeobject.py", "drop"): 1,
+        ("activeobject.py", "release_proxy"): 1,
+    }
+    for gone in (("proxy.py", "acquire"), ("proxy.py", "release"),
+                 ("localgc.py", "notify_tag_dead")):
+        assert not [key for key in stats if (key[0], key[2]) == gone], gone
+    assert not [key for key in stats
+                if key[2] == "randrange" or key[2].startswith("_randbelow")]
+    assert not [key for key in stats if key[1] == "random.py"]
+
+
+def test_resolve_edge_reaches_a_collector():
+    """A holder *with* a DGC collector still sees the Sec. 2.2 edge: a
+    resolve is one ``on_reference_deserialized``, and dropping the stub
+    one ``notify_tag_dead`` whose sweep tells the collector."""
+    world = World(
+        uniform_topology(2), dgc=DgcConfig(ttb=1.0, tta=3.0), trace=False,
+    )
+    authority = world.registry_node
+    remote = next(name for name in world.nodes if name != authority)
+    service = external(world, authority, "svc")
+    world.registry.bind("service", service.context.self_ref())
+    holder = world.create_activity(
+        SinkBehavior(), node=remote, name="holder", root=True
+    )
+    assert holder.collector is not None
+
+    def resolve_and_drop():
+        future = holder.context.lookup("service")
+        world.run_for(0.5)
+        assert holder.proxies.holds(service.id)
+        holder.context.drop(future.value)
+        world.run_for(0.5)
+
+    stats = profile_stats(resolve_and_drop)
+    assert not holder.proxies.holds(service.id)
+    calls = {
+        function: stats.get((base, package, function), 0)
+        for base, package, function in (
+            ("collector.py", "core", "on_reference_deserialized"),
+            ("localgc.py", "runtime", "notify_tag_dead"),
+            ("collector.py", "core", "on_reference_dropped"),
+        )
+    }
+    assert calls == {
+        "on_reference_deserialized": 1,
+        "notify_tag_dead": 1,
+        "on_reference_dropped": 1,
+    }
 
 
 def test_per_event_core_enters_the_same_shard_handlers():

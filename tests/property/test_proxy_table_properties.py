@@ -8,13 +8,20 @@ must agree with it after every step: live count per target, generation
 numbers, which release reports the tag dead (exactly the last one of
 its generation), that a release of a retired generation never touches
 the generation that replaced it, and that a second release raises.
+
+The same sequences drive the runtime's inlined copies of acquire and
+release (``Node.deserialize_ref``, ``Activity.release_proxy``), so the
+canonical sites and the lane cannot drift apart.
 """
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import RuntimeModelError
+from repro.net.topology import uniform_topology
+from repro.runtime.behaviors import SinkBehavior
 from repro.runtime.proxy import ProxyTable, RemoteRef
+from repro.world import World
 
 TARGETS = ["t0", "t1", "t2"]
 
@@ -30,9 +37,40 @@ operations = st.lists(
 )
 
 
-@given(operations)
-def test_proxy_table_matches_plain_dict_model(ops):
-    table = ProxyTable("holder")
+class CanonicalSites:
+    """``ProxyTable.acquire`` / ``ProxyTable.release`` themselves."""
+
+    def __init__(self):
+        self.table = ProxyTable("holder")
+        self.acquire = self.table.acquire
+        self.release = self.table.release
+
+
+class InlinedSites:
+    """The lane's copies, on a collector-less activity's table; a
+    release reports the tag dead by marking it."""
+
+    def __init__(self):
+        world = World(uniform_topology(1), dgc=None, trace=False)
+        self.activity = world.create_activity(
+            SinkBehavior(), root=True, dgc_enabled=False
+        )
+        self.table = self.activity.proxies
+
+    def acquire(self, ref):
+        return self.activity.node.deserialize_ref(self.activity, ref)
+
+    def release(self, proxy):
+        was_dead = proxy.tag.dead
+        self.activity.release_proxy(proxy)
+        return proxy.tag.dead and not was_dead
+
+
+@pytest.mark.parametrize("sites", [CanonicalSites, InlinedSites])
+@given(ops=operations)
+def test_proxy_table_matches_plain_dict_model(sites, ops):
+    sites = sites()
+    table = sites.table
     minted = {}    # target -> generations minted so far
     current = {}   # target -> the live generation (insertion-ordered)
     live = {}      # target -> live stubs of the live generation
@@ -41,7 +79,7 @@ def test_proxy_table_matches_plain_dict_model(ops):
     for op in ops:
         if op[0] == "acquire":
             target = op[1]
-            proxy = table.acquire(RemoteRef(target, "n0"))
+            proxy = sites.acquire(RemoteRef(target, "n0"))
             if target not in current:
                 minted[target] = minted.get(target, 0) + 1
                 current[target] = minted[target]
@@ -49,7 +87,7 @@ def test_proxy_table_matches_plain_dict_model(ops):
             live[target] += 1
             generation = current[target]
             assert proxy.activity_id == proxy.tag.target == target
-            assert proxy.tag.holder == "holder"
+            assert proxy.tag.holder == table.holder
             assert proxy.tag.generation == generation
             assert tags.setdefault((target, generation), proxy.tag) is proxy.tag
             stubs.append([proxy, target, generation, False])
@@ -60,7 +98,7 @@ def test_proxy_table_matches_plain_dict_model(ops):
             proxy, target, generation, released = stub
             if released:
                 with pytest.raises(RuntimeModelError):
-                    table.release(proxy)
+                    sites.release(proxy)
             else:
                 stub[3] = True
                 last = False
@@ -69,7 +107,7 @@ def test_proxy_table_matches_plain_dict_model(ops):
                     if live[target] == 0:
                         last = True
                         del current[target], live[target]
-                assert table.release(proxy) is last
+                assert sites.release(proxy) is last
             assert proxy.released
         else:
             dead = table.release_all()
