@@ -296,10 +296,10 @@ class Activity:
         self._kept.add(proxy)
 
     def release_proxy(self, proxy: Proxy) -> None:
-        """Drop one stub; when the tag dies, tell the local GC."""
+        """Drop one stub (the only release site of a :class:`ProxyTable`
+        entry); when the tag dies, tell the local GC."""
         if self.state is ActivityState.TERMINATED:
             return
-        # Inlined ProxyTable.release (the canonical site).
         if proxy.released:
             raise RuntimeModelError(f"{proxy!r} released twice")
         proxy.released = True

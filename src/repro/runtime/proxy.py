@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.errors import RuntimeModelError
 from repro.runtime.ids import ActivityId
 
 
@@ -117,25 +116,6 @@ class ProxyTable:
             entries[target] = tag
         tag.live_count += 1
         return Proxy(tag.ref, tag)
-
-    def release(self, proxy: Proxy) -> bool:
-        """Drop one stub; True when it was the target's last (the tag is
-        now collectible); the canonical site of ``Activity.release_proxy``."""
-        if proxy.released:
-            raise RuntimeModelError(f"{proxy!r} released twice")
-        proxy.released = True
-        tag = proxy.tag
-        target = tag.target
-        entries = self._entries
-        if target not in entries or entries[target] is not tag:
-            # The tag generation was already retired (e.g. activity
-            # termination released everything); nothing further to do.
-            return False
-        tag.live_count -= 1
-        if tag.live_count <= 0:
-            del entries[target]
-            return True
-        return False
 
     def release_all(self) -> List[StubTag]:
         """Drop every stub (activity termination); returns the dead tags."""

@@ -69,22 +69,35 @@ def external(world, node, name):
     )
 
 
+def profile_stats(run):
+    """``(result, stats)``: what ``run()`` returns, and
+    ``{(file, package, function): calls}`` of every frame (stdlib and C
+    calls included) entered while it executes; same-named functions of
+    one file (two classes' ``__init__``) are summed."""
+    profiler = cProfile.Profile()
+    result = profiler.runcall(run)
+    profiler.create_stats()
+    stats = {}
+    for (filename, _, function), (_, ncalls, _, _, _) in (
+        profiler.stats.items()
+    ):
+        key = (os.path.basename(filename),
+               os.path.basename(os.path.dirname(filename)), function)
+        stats[key] = stats.get(key, 0) + ncalls
+    return result, stats
+
+
 def profiled_frames(run):
     """``(fabric, runtime)``: ``{(file, function): calls}`` of every
     Python frame entered in ``repro.net``'s send path and in
     ``runtime/*.py`` while ``run()`` executes.  Dataclass-generated
     ``__init__``s live in ``<string>`` and are in neither."""
-    profiler = cProfile.Profile()
-    profiler.runcall(run)
-    profiler.create_stats()
     fabric, runtime = {}, {}
-    for (filename, _, function), (_, ncalls, _, _, _) in profiler.stats.items():
-        head, base = os.path.split(filename)
-        package = os.path.basename(head)
+    for (base, package, function), calls in profile_stats(run)[1].items():
         if package == "net" and base in FABRIC_FILES:
-            fabric[(base, function)] = ncalls
+            fabric[(base, function)] = calls
         elif package == "runtime":
-            runtime[(base, function)] = ncalls
+            runtime[(base, function)] = calls
     return fabric, runtime
 
 
@@ -174,9 +187,7 @@ def warm_request_stats(expect_reply):
         world.run_for(1.0)
         return future
 
-    profiler = cProfile.Profile()
-    future = profiler.runcall(hop)
-    profiler.create_stats()
+    future, stats = profile_stats(hop)
     after = world.accountant.summary()
     kinds = [KIND_APP_REQUEST] + ([KIND_APP_REPLY] if expect_reply else [])
     for kind in kinds:
@@ -184,11 +195,10 @@ def warm_request_stats(expect_reply):
     assert future is None or future.value == 2
     assert world.requests_sent == world.requests_delivered == 2
     assert not world.inflight_pinned()
-    return {
-        (os.path.basename(filename), function): ncalls
-        for (filename, _, function), (_, ncalls, _, _, _)
-        in profiler.stats.items()
-    }
+    frames = {}
+    for (base, _, function), calls in stats.items():
+        frames[(base, function)] = frames.get((base, function), 0) + calls
+    return frames
 
 
 #: The service loop's frames for one request served on an idle
@@ -253,23 +263,6 @@ def test_request_lane_call_budget(expect_reply):
     assert abc_frames == ({"__instancecheck__": 1} if expect_reply else {})
 
 
-def profile_stats(run):
-    """``{(file, package, function): calls}`` of every frame (stdlib and
-    C calls included) entered while ``run()`` executes; same-named
-    functions of one file (two classes' ``__init__``) are summed."""
-    profiler = cProfile.Profile()
-    profiler.runcall(run)
-    profiler.create_stats()
-    stats = {}
-    for (filename, _, function), (_, ncalls, _, _, _) in (
-        profiler.stats.items()
-    ):
-        key = (os.path.basename(filename),
-               os.path.basename(os.path.dirname(filename)), function)
-        stats[key] = stats.get(key, 0) + ncalls
-    return stats
-
-
 def test_resolve_lane_call_budget():
     """One warm burst of a collector-less :class:`NamingClient` — wake,
     uniform name pick, remote resolve, stub acquired at the reply,
@@ -295,7 +288,7 @@ def test_resolve_lane_call_budget():
     # The next event is the client's wake; the one after it is at least
     # half a period later, so this window holds exactly one burst.
     wake = world.kernel.next_event_time()
-    stats = profile_stats(lambda: world.kernel.run(until=wake + 0.25))
+    _, stats = profile_stats(lambda: world.kernel.run(until=wake + 0.25))
     assert client.issued == client.hits == issued + 1
     frames = {
         (base, function): calls
@@ -331,7 +324,7 @@ def test_resolve_lane_call_budget():
         assert not [key for key in stats if (key[0], key[2]) == gone], gone
     assert not [key for key in stats
                 if key[2] == "randrange" or key[2].startswith("_randbelow")]
-    assert not [key for key in stats if key[1] == "random.py"]
+    assert not [key for key in stats if key[0] == "random.py"]
 
 
 def test_resolve_edge_reaches_a_collector():
@@ -357,7 +350,7 @@ def test_resolve_edge_reaches_a_collector():
         holder.context.drop(future.value)
         world.run_for(0.5)
 
-    stats = profile_stats(resolve_and_drop)
+    _, stats = profile_stats(resolve_and_drop)
     assert not holder.proxies.holds(service.id)
     calls = {
         function: stats.get((base, package, function), 0)

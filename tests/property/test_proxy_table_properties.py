@@ -1,6 +1,6 @@
 """Model test of the stub table (paper Sec. 2.2): random acquire /
-release / release_all sequences on :class:`ProxyTable` against a
-plain-dict reference.
+release / release_all sequences on an activity's :class:`ProxyTable`
+against a plain-dict reference.
 
 The table's entry for a (holder, target) pair *is* the pair's shared
 :class:`StubTag`; the reference keeps the same facts in three dicts and
@@ -9,9 +9,9 @@ numbers, which release reports the tag dead (exactly the last one of
 its generation), that a release of a retired generation never touches
 the generation that replaced it, and that a second release raises.
 
-The same sequences drive the runtime's inlined copies of acquire and
-release (``Node.deserialize_ref``, ``Activity.release_proxy``), so the
-canonical sites and the lane cannot drift apart.
+Stubs are acquired through ``ProxyTable.acquire`` or through its copy
+inlined in ``Node.deserialize_ref``, so the two cannot drift apart, and
+released through ``Activity.release_proxy``, the one release site.
 """
 
 import pytest
@@ -20,7 +20,7 @@ from hypothesis import given, strategies as st
 from repro.errors import RuntimeModelError
 from repro.net.topology import uniform_topology
 from repro.runtime.behaviors import SinkBehavior
-from repro.runtime.proxy import ProxyTable, RemoteRef
+from repro.runtime.proxy import RemoteRef
 from repro.world import World
 
 TARGETS = ["t0", "t1", "t2"]
@@ -37,18 +37,9 @@ operations = st.lists(
 )
 
 
-class CanonicalSites:
-    """``ProxyTable.acquire`` / ``ProxyTable.release`` themselves."""
-
-    def __init__(self):
-        self.table = ProxyTable("holder")
-        self.acquire = self.table.acquire
-        self.release = self.table.release
-
-
-class InlinedSites:
-    """The lane's copies, on a collector-less activity's table; a
-    release reports the tag dead by marking it."""
+class Sites:
+    """A collector-less activity's table; a release reports the tag
+    dead by marking it."""
 
     def __init__(self):
         world = World(uniform_topology(1), dgc=None, trace=False)
@@ -57,13 +48,24 @@ class InlinedSites:
         )
         self.table = self.activity.proxies
 
-    def acquire(self, ref):
-        return self.activity.node.deserialize_ref(self.activity, ref)
-
     def release(self, proxy):
         was_dead = proxy.tag.dead
         self.activity.release_proxy(proxy)
         return proxy.tag.dead and not was_dead
+
+
+class CanonicalSites(Sites):
+    """``ProxyTable.acquire`` itself."""
+
+    def acquire(self, ref):
+        return self.table.acquire(ref)
+
+
+class InlinedSites(Sites):
+    """The lane's copy of acquire, ``Node.deserialize_ref``."""
+
+    def acquire(self, ref):
+        return self.activity.node.deserialize_ref(self.activity, ref)
 
 
 @pytest.mark.parametrize("sites", [CanonicalSites, InlinedSites])

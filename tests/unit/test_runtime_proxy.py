@@ -1,13 +1,33 @@
-"""Unit tests for stubs, tags and the per-activity proxy table."""
+"""Unit tests for stubs, tags and the per-activity proxy table.
+
+A stub is released only through :meth:`Activity.release_proxy`; these
+drive it on a collector-less activity, whose dying tag is marked dead
+and counted at once.
+"""
 
 import pytest
 
 from repro.errors import RuntimeModelError
+from repro.net.topology import uniform_topology
+from repro.runtime.behaviors import SinkBehavior
 from repro.runtime.proxy import ProxyTable, RemoteRef
+from repro.world import World
 
 
 def make_table(holder="ao-h"):
     return ProxyTable(holder)
+
+
+def make_holder():
+    world = World(uniform_topology(1), dgc=None, trace=False)
+    return world.create_activity(SinkBehavior(), root=True, dgc_enabled=False)
+
+
+def release(holder, proxy):
+    """Release ``proxy``; True when it was its tag's last live stub."""
+    was_dead = proxy.tag.dead
+    holder.release_proxy(proxy)
+    return proxy.tag.dead and not was_dead
 
 
 def ref(target="ao-t", node="n0"):
@@ -34,40 +54,43 @@ def test_same_target_shares_tag():
 
 
 def test_release_last_stub_reports_tag_death():
-    table = make_table()
+    holder = make_holder()
+    table = holder.proxies
     first = table.acquire(ref())
     second = table.acquire(ref())
-    assert table.release(first) is False
-    assert table.release(second) is True
+    assert release(holder, first) is False
+    assert release(holder, second) is True
     assert not table.holds("ao-t")
 
 
 def test_double_release_rejected():
-    table = make_table()
-    proxy = table.acquire(ref())
-    table.release(proxy)
+    holder = make_holder()
+    proxy = holder.proxies.acquire(ref())
+    release(holder, proxy)
     with pytest.raises(RuntimeModelError):
-        table.release(proxy)
+        release(holder, proxy)
 
 
 def test_reacquisition_mints_new_generation():
-    table = make_table()
+    holder = make_holder()
+    table = holder.proxies
     first = table.acquire(ref())
-    table.release(first)
+    release(holder, first)
     second = table.acquire(ref())
     assert second.tag is not first.tag
     assert second.tag.generation == first.tag.generation + 1
 
 
 def test_release_of_stale_generation_is_harmless():
-    table = make_table()
+    holder = make_holder()
+    table = holder.proxies
     first = table.acquire(ref())
     dead_tags = table.release_all()
     assert [tag.target for tag in dead_tags] == ["ao-t"]
     # first's tag generation was retired wholesale; a later individual
     # release must not touch the new generation.
     second = table.acquire(ref())
-    assert table.release(first) is False
+    assert release(holder, first) is False
     assert table.holds("ao-t")
     assert second.tag.generation == 2
 
