@@ -38,9 +38,7 @@ def main() -> None:
 
         wall_start = time.monotonic()
         release_all(driver, ring)
-        collected = world.run_until_collected(
-            timeout=20.0, check_interval=0.05
-        )
+        collected = world.run_until_collected(timeout=20.0)
         wall = time.monotonic() - wall_start
         print(f"collected: {collected} in {wall:.2f} real seconds")
         print(f"  cyclic: {world.stats.collected_cyclic}, "

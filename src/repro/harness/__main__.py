@@ -405,6 +405,7 @@ def _workload_setup(args: argparse.Namespace):
             iterations=args.iterations,
             iter_time_s=args.iter_time,
             payload_bytes=args.payload_bytes,
+            reply_barrier=True if args.nas_barrier else None,
         )
         if args.paper_scale:
             nodes = PAPER_NODE_COUNT
@@ -488,11 +489,7 @@ def _run_workload(args: argparse.Namespace) -> int:
     else:
         from repro.workloads.nas import kernel_spec, run_nas_kernel
 
-        spec = kernel_spec(
-            params.pop("kernel"),
-            reply_barrier=True if args.nas_barrier else None,
-            **params,
-        )
+        spec = kernel_spec(params.pop("kernel"), **params)
         result = run_nas_kernel(
             spec, dgc=dgc, topology=topology, seed=args.seed, keep_world=True,
         )
@@ -567,22 +564,11 @@ def _run_sharded(args: argparse.Namespace) -> int:
     shards = 2 if args.shards is None else args.shards
     if shards < 1:
         return reject(f"--shards must be positive, got {shards}")
-    if args.no_dgc:
-        return reject(
-            "--live is incompatible with --no-dgc: collection drives the "
-            "sharded run protocol's stop condition"
-        )
     if args.aggregation == "per-event":
         return reject(
             "--live requires the batched pulse core: drop --aggregation "
             "per-event (the per-message lane cannot cross a shard "
             "boundary)"
-        )
-    if args.nas_barrier:
-        return reject(
-            "--live is incompatible with --nas-barrier: the reply-barrier "
-            "variant's per-iteration future barrier is a single-process "
-            "protocol (see repro.shard.workloads.build_nas)"
         )
 
     workload, params, dgc, registry, nodes = _workload_setup(args)

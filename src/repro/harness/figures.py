@@ -36,13 +36,11 @@ PAPER_NODE_COUNT = 128
 
 @dataclass
 class Fig10Results:
-    """The three runs Fig. 10 and its commentary need.
-
-    ``slow`` repeats ``fast`` when its run was skipped.
-    """
+    """The three runs Fig. 10 and its commentary need (``slow`` is
+    ``None`` when its run was skipped)."""
 
     fast: TortureResult
-    slow: TortureResult
+    slow: Optional[TortureResult]
     no_dgc: TortureResult
 
 
@@ -60,8 +58,7 @@ def run_fig10(
 
     ``fast`` and ``slow`` are the Fig. 10(a)/(b) configurations; set
     heartbeat-slot or delivery-core knobs on them with
-    :meth:`~repro.core.config.DgcConfig.with_overrides`.  A skipped
-    slow run reuses the fast result so the report shape is stable.
+    :meth:`~repro.core.config.DgcConfig.with_overrides`.
     """
 
     def run(dgc: Optional[DgcConfig], sample: float) -> TortureResult:
@@ -75,57 +72,47 @@ def run_fig10(
         )
 
     fast_result = run(fast, sample=10.0)
-    slow_result = run(slow, sample=100.0) if include_slow else fast_result
+    slow_result = run(slow, sample=100.0) if include_slow else None
     return Fig10Results(fast_result, slow_result, run(None, sample=10.0))
 
 
 def fig10_report(results: Fig10Results) -> str:
-    """Render both evolution plots and the bandwidth totals."""
-    parts = [
-        render_series(
-            results.fast.series,
-            title=(
-                f"Fig. 10(a) — TTB={results.fast.ttb:.0f}s "
-                f"TTA={results.fast.tta:.0f}s "
-                f"({results.fast.ao_count} activities)"
+    """Render the evolution plots and the bandwidth totals (Fig. 10(b)
+    and its row only when its run was not skipped)."""
+    runs = [("a", results.fast), ("b", results.slow)]
+    runs = [(panel, run) for panel, run in runs if run is not None]
+    parts = []
+    for panel, run in runs:
+        parts += [
+            render_series(
+                run.series,
+                title=(
+                    f"Fig. 10({panel}) — TTB={run.ttb:.0f}s "
+                    f"TTA={run.tta:.0f}s ({run.ao_count} activities)"
+                ),
             ),
-        ),
-        "",
-        render_series(
-            results.slow.series,
-            title=(
-                f"Fig. 10(b) — TTB={results.slow.ttb:.0f}s "
-                f"TTA={results.slow.tta:.0f}s "
-                f"({results.slow.ao_count} activities)"
-            ),
-        ),
-        "",
-        render_table(
-            ["Run", "Total MB", "App MB", "DGC MB", "Last collected (s)"],
-            [
-                [
-                    f"TTB={results.fast.ttb:.0f}",
-                    f"{results.fast.total_bandwidth_mb:.2f}",
-                    f"{results.fast.app_bandwidth_mb:.2f}",
-                    f"{results.fast.dgc_bandwidth_mb:.2f}",
-                    f"{results.fast.last_collected_s:.0f}",
-                ],
-                [
-                    f"TTB={results.slow.ttb:.0f}",
-                    f"{results.slow.total_bandwidth_mb:.2f}",
-                    f"{results.slow.app_bandwidth_mb:.2f}",
-                    f"{results.slow.dgc_bandwidth_mb:.2f}",
-                    f"{results.slow.last_collected_s:.0f}",
-                ],
-                [
-                    "No DGC",
-                    f"{results.no_dgc.total_bandwidth_mb:.2f}",
-                    f"{results.no_dgc.app_bandwidth_mb:.2f}",
-                    f"{results.no_dgc.dgc_bandwidth_mb:.2f}",
-                    "-",
-                ],
-            ],
-            title="Fig. 10 — Total bandwidth",
-        ),
+            "",
+        ]
+    rows = [
+        [
+            f"TTB={run.ttb:.0f}",
+            f"{run.total_bandwidth_mb:.2f}",
+            f"{run.app_bandwidth_mb:.2f}",
+            f"{run.dgc_bandwidth_mb:.2f}",
+            f"{run.last_collected_s:.0f}",
+        ]
+        for _, run in runs
     ]
+    rows.append([
+        "No DGC",
+        f"{results.no_dgc.total_bandwidth_mb:.2f}",
+        f"{results.no_dgc.app_bandwidth_mb:.2f}",
+        f"{results.no_dgc.dgc_bandwidth_mb:.2f}",
+        "-",
+    ])
+    parts.append(render_table(
+        ["Run", "Total MB", "App MB", "DGC MB", "Last collected (s)"],
+        rows,
+        title="Fig. 10 — Total bandwidth",
+    ))
     return "\n".join(parts)

@@ -84,8 +84,9 @@ convergence guarantees make the outcome identical anyway.
 The workload's run protocol is a list of
 :class:`~repro.shard.workloads.Phase` records; the coordinator
 evaluates each phase's completion predicate over merged worker reports
-(``"collected"`` / ``"balance"`` / ``"ready"``) and broadcasts phase
-entries, whose driver-side actions run at the shared current horizon.
+(``"collected"`` / ``"balance"`` / ``"replied"`` / ``"ready"``), or
+walks an ``"until"`` phase to its deadline, and broadcasts phase
+entries, whose actions run at the shared current horizon.
 """
 
 from __future__ import annotations
@@ -94,11 +95,12 @@ import hashlib
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.config import AGGREGATION_PER_EVENT, DgcConfig, RegistryConfig
 from repro.errors import ConfigurationError, ShardFailure, SimulationError
 from repro.net.topology import Topology
+from repro.net.wire import frame_stamp
 from repro.shard.plan import ShardPlan, make_plan
 from repro.shard.worker import (
     REGISTRY_COUNTERS,
@@ -273,12 +275,7 @@ class ShardedWorld:
         max_sim_time: float = 72_000.0,
         io_timeout_s: float = 300.0,
     ) -> None:
-        if dgc is None:
-            raise ConfigurationError(
-                "the sharded world needs a DgcConfig: collection drives "
-                "the run protocol's stop condition"
-            )
-        if dgc.aggregation == AGGREGATION_PER_EVENT:
+        if dgc is not None and dgc.aggregation == AGGREGATION_PER_EVENT:
             raise ConfigurationError(
                 "sharded execution requires the batched pulse core "
                 "(DgcConfig.aggregation 'exact'): the per-message "
@@ -288,7 +285,9 @@ class ShardedWorld:
         self.plan = make_plan(topology, shard_count)
         self.workload = workload
         self.params = dict(params or {})
-        self.phases: Tuple[Phase, ...] = workload_phases(workload)
+        self.phases: Tuple[Phase, ...] = workload_phases(
+            workload, self.params, dgc
+        )
         self.dgc = dgc
         self.registry = registry
         self.seed = seed
@@ -328,6 +327,8 @@ class ShardedWorld:
             return self._drive(conns, start)
         except (EOFError, ConnectionError):  # a worker died unreported
             raise self._shard_failure(procs) from None
+        except TimeoutError as hung:  # a worker stopped answering
+            raise self._shard_failure(procs, hung.args[0]) from None
         finally:
             for conn in conns:
                 conn.close()
@@ -336,22 +337,32 @@ class ShardedWorld:
                 if proc.is_alive():  # pragma: no cover - hang backstop
                     proc.terminate()
 
-    def _shard_failure(self, procs) -> ShardFailure:
+    def _shard_failure(
+        self, procs, hung: Optional[int] = None
+    ) -> ShardFailure:
         """Name the workers that exited (bounded wait: a pipe closes
-        before its process is reaped) and stop the rest at once."""
+        before its process is reaped) or, with ``hung``, the one that
+        stopped answering; kill every worker (a stopped one ignores
+        SIGTERM)."""
         from multiprocessing.connection import wait
 
-        exited = wait([proc.sentinel for proc in procs], timeout=5.0)
+        sentinels = [proc.sentinel for proc in procs]
+        exited = wait(sentinels, timeout=5.0) if hung is None else ()
         for proc in procs:
-            proc.terminate()
+            proc.kill()
             proc.join()
-        dead = ", ".join(
-            f"shard {j} (exit code {proc.exitcode})"
-            for j, proc in enumerate(procs) if proc.sentinel in exited
-        )
+        if hung is None:
+            what = "a worker died without reporting: " + (", ".join(
+                f"shard {j} (exit code {proc.exitcode})"
+                for j, proc in enumerate(procs) if proc.sentinel in exited
+            ) or "none exited")
+        else:
+            what = f"shard {hung} unresponsive for {self.io_timeout_s}s"
+        last = self._last_frame
         return ShardFailure(
-            f"sharded {self.workload!r}: a worker died without reporting "
-            f"in barrier round {self._round}: {dead or 'none exited'}"
+            f"sharded {self.workload!r} in barrier round {self._round}: "
+            f"{what}; last frame routed (src_shard, seq): "
+            f"{'none' if last is None else frame_stamp(last)}"
         )
 
     def _spawn(self, mp, conns, procs) -> None:
@@ -382,13 +393,10 @@ class ShardedWorld:
 
     def _drive(self, conns, start: float) -> ShardedRunResult:
         self._round = 0
+        self._last_frame = None
+        self._conns = conns
         shard_count = self.plan.shard_count
         lookahead_rows = self.plan.lookahead_matrix
-        # One shard: no boundary constrains the window, but rounds must
-        # stay finite so the phase predicate is re-evaluated — one DGC
-        # beat per round is the natural granularity (the cycle bound is
-        # infinite: there is nobody to echo output back).
-        single_step = self.dgc.ttb if shard_count == 1 else None
         phases = self.phases
         digest = hashlib.sha256()
         frame_log: Optional[List[Tuple[int, int, bytes]]] = (
@@ -414,6 +422,7 @@ class ShardedWorld:
                     reports[src].frames
                 ):
                     digest.update(buf)
+                    self._last_frame = buf
                     state["frame_count"] += 1
                     state["frame_bytes"] += len(buf)
                     state["frame_entries"] += n_entries
@@ -429,12 +438,14 @@ class ShardedWorld:
         #: grants are monotone per shard.
         granted = [0.0] * shard_count
         phase = 0
+        deadline = phases[0].bound
         phase_times: List[float] = []
 
         while True:
             target = max(granted)
             aligned = all(g == target for g in granted)
-            satisfied = self._satisfied(
+            until = phases[phase].predicate == "until"
+            satisfied = target >= deadline if until else self._satisfied(
                 phases[phase], reports, state["pending_app"]
             )
             if satisfied and aligned:
@@ -442,6 +453,7 @@ class ShardedWorld:
                 if phase == len(phases) - 1:
                     break
                 phase += 1
+                deadline = target + phases[phase].bound
                 for conn in conns:
                     conn.send(("phase", phase))
                 reports = [self._recv_report(conn) for conn in conns]
@@ -460,7 +472,7 @@ class ShardedWorld:
                         bid = min_delivery
                 bids.append(bid)
             minimum = min(bids)
-            if minimum == math.inf and not satisfied:
+            if minimum == math.inf and not (satisfied or until):
                 raise SimulationError(
                     f"sharded {self.workload!r} deadlocked in phase "
                     f"{phases[phase].name!r} at t={target}: no shard "
@@ -476,10 +488,15 @@ class ShardedWorld:
             # opening new windows — only walk the laggards up to the
             # leader so the phase transition happens at one shared
             # instant.  (With no events left anywhere the cap is the
-            # grant itself.)
-            cap = target if satisfied else math.inf
-            if single_step is not None:
-                arrive = [bids[0] + single_step]
+            # grant itself.)  An ``"until"`` phase is capped at its
+            # deadline, which it reaches even with nothing pending.
+            cap = target if satisfied else deadline if until else math.inf
+            if shard_count == 1:
+                # No boundary constrains the window, but rounds must
+                # stay finite so the predicate is re-evaluated: one DGC
+                # beat (or, without DGC, one poll) per round.
+                step = phases[phase].poll if self.dgc is None else self.dgc.ttb
+                arrive = [bids[0] + step]
             else:
                 arrive = _arrival_bounds(bids, lookahead_rows)
             advanced = []
@@ -534,6 +551,9 @@ class ShardedWorld:
         kind = phase.predicate
         if kind == "collected":
             return sum(r.live_non_root for r in reports) == 0
+        replied = all(v for r in reports for v in r.flags.values())
+        if kind == "replied":
+            return replied
         sent = delivered = rsent = rdelivered = 0
         for report in reports:
             c = report.counters
@@ -547,11 +567,7 @@ class ShardedWorld:
         if kind == "balance":
             return balanced
         if kind == "ready":
-            return (
-                balanced
-                and all(r.all_idle for r in reports)
-                and all(v for r in reports for v in r.flags.values())
-            )
+            return balanced and replied and all(r.all_idle for r in reports)
         raise SimulationError(f"unknown phase predicate {kind!r}")
 
     def _recv_report(self, conn) -> _Report:
@@ -584,9 +600,7 @@ class ShardedWorld:
 
     def _recv(self, conn):
         if not conn.poll(self.io_timeout_s):
-            raise SimulationError(
-                f"shard worker unresponsive for {self.io_timeout_s}s"
-            )
+            raise TimeoutError(self._conns.index(conn))
         message = conn.recv()
         if message[0] == "error":
             raise SimulationError(
@@ -676,7 +690,6 @@ def replay_single_process(
     registry: Optional[RegistryConfig] = None,
     seed: int = 0,
     trace: bool = False,
-    timeout: float = 72_000.0,
 ):
     """Re-execute a sharded run's configuration in one process.
 
@@ -693,7 +706,7 @@ def replay_single_process(
         topology, workload, dict(params or {}),
         dgc=dgc, registry=registry, seed=seed, trace=trace,
     )
-    run_phases(world, env, workload, [timeout] * len(env.phases))
+    run_phases(world, env, workload)
     return world, env, outcome_signature(world)
 
 
@@ -729,19 +742,17 @@ def build_single_process(
     return world, env
 
 
-def run_phases(
-    world: World, env: ShardEnv, workload: str, timeouts: Sequence[float]
-) -> List[float]:
+def run_phases(world: World, env: ShardEnv, workload: str) -> List[float]:
     """Drive a built workload's run protocol inline, in one process.
 
     Each phase after the first starts with its entry action (this
     process owns the driver), then the kernel runs until the phase
     predicate holds — the coordinator's ``"collected"`` / ``"balance"``
-    / ``"ready"`` read off the one world.  ``timeouts`` bounds each
-    phase in simulated seconds, and only the phases it bounds run (the
-    first ``len(timeouts)``).  Returns the simulated time each phase
-    completed at; raises :class:`SimulationError` naming the phase that
-    did not complete within its bound.
+    / ``"replied"`` / ``"ready"`` read off the one world every
+    ``phase.poll`` seconds — or, for ``"until"``, for the phase's
+    bound.  Returns the simulated time each phase completed at; raises
+    :class:`SimulationError` naming the phase that did not complete
+    within its bound.
     """
     kernel = world.kernel
 
@@ -751,27 +762,33 @@ def run_phases(
             and world.replies_sent == world.replies_delivered
         )
 
-    def ready() -> bool:
-        if not balanced():
-            return False
-        if not all(v for v in env.flags().values()):
-            return False
-        return all(a.is_idle() for a in world.live_non_roots())
+    def replied() -> bool:
+        return all(env.flags().values())
 
+    def ready() -> bool:
+        return (
+            balanced() and replied()
+            and all(a.is_idle() for a in world.live_non_roots())
+        )
+
+    polled = {"balance": balanced, "replied": replied, "ready": ready}
     phase_times: List[float] = []
-    for index, (phase, timeout) in enumerate(zip(env.phases, timeouts)):
+    for index, phase in enumerate(env.phases):
         if index:
             env.enter_phase(index)
         if phase.predicate == "collected":
-            done = world.run_until_collected(timeout)
-        elif phase.predicate == "balance":
-            done = kernel.run_until_quiescent(balanced, 0.5, timeout)
+            done = world.run_until_collected(phase.bound)
+        elif phase.predicate == "until":
+            world.run_for(phase.bound)
+            done = True
         else:
-            done = kernel.run_until_quiescent(ready, 1.0, timeout)
+            done = kernel.run_until_quiescent(
+                polled[phase.predicate], phase.poll, phase.bound
+            )
         if not done:
             raise SimulationError(
                 f"single-process {workload!r} timed out in phase "
-                f"{phase.name!r} after {timeout}s "
+                f"{phase.name!r} after {phase.bound}s "
                 f"({len(world.live_non_roots())} survivors)"
             )
         phase_times.append(kernel.now)

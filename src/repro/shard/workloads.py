@@ -27,21 +27,27 @@ this same builder with a one-shard plan after the same id reset
 activity ids and RNG streams are identical across all arms by
 construction.
 
-The run protocol is expressed as :class:`Phase` records: each phase has
-an optional entry action (run on the driver's shard at the moment the
-phase starts) and a coordinator-evaluated predicate naming when it
-completes — ``"collected"`` (no live non-roots anywhere),
-``"balance"`` (application requests and replies globally sent ==
-delivered, no application frames in flight) or ``"ready"`` (balance,
-plus every shard idle and every shard's flags true — the NAS
-"benchmark has its result" instant).
+The run protocol, every ending included, is a list of :class:`Phase`
+records (:func:`workload_phases`): each phase has an optional entry
+action (run on every shard at the moment the phase starts;
+driver-originated traffic only where the driver lives), a bound and a
+predicate naming when it completes — ``"collected"`` (no live
+non-roots anywhere), ``"balance"`` (application requests and replies
+globally sent == delivered, no application frames in flight),
+``"replied"`` (every shard's flags true — one NAS reply-barrier wave
+answered), ``"ready"`` (balance, plus every shard idle and every
+shard's flags true — the NAS "benchmark has its result" instant) or
+``"until"`` (the phase's bound has elapsed — a run without DGC that
+has no collection to wait for).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.core.config import DgcConfig
 from repro.errors import ConfigurationError
 from repro.runtime.ids import make_activity_id
 from repro.runtime.proxy import RemoteRef
@@ -56,10 +62,15 @@ from repro.world import World
 
 @dataclass(frozen=True)
 class Phase:
-    """One step of a workload's run protocol (see module docstring)."""
+    """One step of a workload's run protocol (see module docstring):
+    ``bound`` simulated seconds from its start (a single-process run
+    fails a phase still open then; an ``"until"`` phase ends there), and
+    a single-process run polls the predicate every ``poll`` seconds."""
 
     name: str
-    predicate: str  # "collected" | "balance" | "ready"
+    predicate: str  # "collected" | "balance" | "replied" | "ready" | "until"
+    bound: float
+    poll: float = 1.0
 
 
 class SpmdContext:
@@ -128,8 +139,9 @@ class ShardEnv:
     def __init__(self, ctx: SpmdContext, phases: Tuple[Phase, ...]) -> None:
         self.ctx = ctx
         self.phases = phases
-        #: phase index -> entry action; populated only on the shard that
-        #: owns the driver (actions are driver-originated traffic).
+        #: phase index -> entry action, run on every shard that has one;
+        #: driver-originated traffic is registered only on the shard
+        #: that owns the driver.
         self.actions: Dict[int, Callable[[], None]] = {}
 
     def enter_phase(self, index: int) -> None:
@@ -139,7 +151,7 @@ class ShardEnv:
 
     def flags(self) -> Dict[str, bool]:
         """Shard-local readiness flags, ANDed across shards by the
-        coordinator for ``"ready"`` predicates."""
+        coordinator for ``"replied"`` and ``"ready"`` predicates."""
         return {}
 
     def results(self) -> Dict[str, Any]:
@@ -204,7 +216,7 @@ def build_torture(
         for slave in slaves:
             dctx.call(slave, "run")
         release_all(driver, [master] + slaves)
-    return ShardEnv(ctx, workload_phases("torture"))
+    return ShardEnv(ctx, workload_phases("torture", params, world.dgc_config))
 
 
 # ----------------------------------------------------------------------
@@ -296,7 +308,9 @@ def build_naming(
             clients.append(client)
     # Last: its inline on_start mints service ids (see docstring).
     ctx.create(binder, node=nodes[0], name="binder", root=True)
-    return _NamingEnv(ctx, workload_phases("naming"), clients)
+    return _NamingEnv(
+        ctx, workload_phases("naming", params, world.dgc_config), clients
+    )
 
 
 # ----------------------------------------------------------------------
@@ -310,20 +324,37 @@ class _NasEnv(ShardEnv):
         self.spec = spec
         self.workers = workers  # driver-shard proxies, [] elsewhere
         self.futures: List[Any] = []
+        drain = len(phases) - 1
         if ctx.driver is not None:
-            self.actions[1] = self._start_run
-            self.actions[2] = self._release
+            if spec.reply_barrier:
+                for i in range(spec.iterations):
+                    self.actions[1 + i] = partial(
+                        self._call_workers, "step", (i, spec.iter_time_s)
+                    )
+            else:
+                self.actions[1] = partial(
+                    self._call_workers, "run",
+                    (spec.iterations, spec.iter_time_s),
+                )
+            self.actions[drain] = self._release
+        if ctx.world.dgc_config is None:
+            # Paper protocol: without DGC, every shard terminates its
+            # own workers explicitly.
+            self.actions[drain] = self._terminate
 
-    def _start_run(self) -> None:
+    def _call_workers(self, method: str, data: Tuple) -> None:
+        """The ``run`` calls, or one barrier wave of ``step`` calls;
+        their futures are the result flag."""
         dctx = self.ctx.driver.context
         self.futures = [
-            dctx.call(
-                worker, "run",
-                data=(self.spec.iterations, self.spec.iter_time_s),
-                expect_reply=True,
-            )
+            dctx.call(worker, method, data=data, expect_reply=True)
             for worker in self.workers
         ]
+
+    def _terminate(self) -> None:
+        for activity in self.ctx.world.live_non_roots():
+            activity.terminate("explicit")
+        self._release()  # a no-op where the driver holds no workers
 
     def _release(self) -> None:
         release_all(self.ctx.driver, self.workers)
@@ -343,27 +374,14 @@ class _NasEnv(ShardEnv):
 def build_nas(
     world: World, plan: ShardPlan, shard: int, params: Dict[str, Any]
 ) -> ShardEnv:
-    """One NAS kernel skeleton (paper Sec. 5.2), asynchronous variant:
-    the workers, the complete reference graph (with the deployment
-    payload), then the settle / run / drain phases.  The reply-barrier
-    variant builds this and replaces the phase-1 entry with its barrier
-    loop in :func:`repro.workloads.nas.common.run_nas_kernel`, the only
-    place it can run."""
-    spec = kernel_spec(
-        params["kernel"],
-        ao_count=params.get("ao_count"),
-        iterations=params.get("iterations"),
-        iter_time_s=params.get("iter_time_s"),
-        payload_bytes=params.get("payload_bytes"),
-        reply_barrier=params.get("reply_barrier"),
-    )
-    if spec.reply_barrier:
-        raise ConfigurationError(
-            "the NAS reply-barrier variant cannot run sharded: its "
-            "driver barriers on every iteration's reply futures, a "
-            "single-process protocol the barrier-round coordinator does "
-            "not mediate — drop --nas-barrier or --shards"
-        )
+    """One NAS kernel skeleton (paper Sec. 5.2): the workers, the
+    complete reference graph (with the deployment payload), then the
+    phases of :func:`workload_phases` — settle, run (one asynchronous
+    ``run`` call per worker, or, with ``reply_barrier``, one ``step``
+    wave per iteration, each waiting on its replies), drain (with DGC
+    the driver drops its stubs and the DGC collects the workers;
+    without, every shard terminates its workers explicitly)."""
+    spec = _nas_spec(params)
     ctx = SpmdContext(world, plan, shard)
     nodes = ctx.node_names
     driver = ctx.create_driver(node=nodes[0], name=f"nas-{spec.name}-driver")
@@ -385,21 +403,50 @@ def build_nas(
                 worker, "hold", refs=others, data=keys,
                 payload_bytes=DEPLOYMENT_BYTES,
             )
-    env = _NasEnv(ctx, workload_phases("nas"), spec,
-                  workers if driver is not None else [])
-    return env
+    return _NasEnv(
+        ctx, workload_phases("nas", params, world.dgc_config), spec,
+        workers if driver is not None else [],
+    )
 
 
-def workload_phases(name: str) -> Tuple[Phase, ...]:
-    """The run protocol for one workload; the coordinator and every
-    worker call this, so both sides agree on phase indices."""
-    if name in ("torture", "naming"):
-        return (Phase("collect", "collected"),)
+def _nas_spec(params: Dict[str, Any]):
+    fields = ("ao_count", "iterations", "iter_time_s", "payload_bytes",
+              "reply_barrier")
+    return kernel_spec(params["kernel"], **{f: params.get(f) for f in fields})
+
+
+def workload_phases(
+    name: str, params: Dict[str, Any], dgc: Optional[DgcConfig]
+) -> Tuple[Phase, ...]:
+    """The run protocol for one workload, every ending included; the
+    coordinator and every builder call this, so both sides agree on
+    phase indices.  Without DGC, torture ends when everything is idle,
+    naming a minute after its teardown, NAS by explicit termination."""
+    collect = Phase(
+        "collect", "collected", float(params.get("collect_timeout", 36_000.0))
+    )
+    if name == "torture":
+        if dgc is not None:
+            return (collect,)
+        active = float(params.get("active_duration", 600.0))
+        return (Phase("idle", "ready", active + 3_600.0, poll=5.0),)
+    if name == "naming":
+        if dgc is not None:
+            return (collect,)
+        span = (
+            float(params.get("duration", 300.0))
+            + float(params.get("teardown_lag", 10.0)) + 60.0
+        )
+        return (Phase("run", "until", span),)
     if name == "nas":
+        spec = _nas_spec(params)
+        run = spec.iterations * spec.iter_time_s * 4 + 3_600.0
+        waves = spec.iterations if spec.reply_barrier else 0
         return (
-            Phase("settle", "balance"),
-            Phase("run", "ready"),
-            Phase("drain", "collected"),
+            Phase("settle", "balance", 600.0, poll=0.5),
+            *(Phase(f"wave{i}", "replied", run) for i in range(waves)),
+            Phase("run", "ready", run),
+            Phase("drain", "collected", collect.bound),
         )
     raise ConfigurationError(
         f"unknown shard workload {name!r} (have: torture, naming, nas)"

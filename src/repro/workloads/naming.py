@@ -277,10 +277,10 @@ def run_naming(
     """Run the naming churn and report resolution + coherence numbers.
 
     The setup is :func:`repro.shard.workloads.build_naming` under a
-    one-shard plan (clients first, then the binder) and, with DGC, the
-    run is its collection phase
-    (:func:`repro.shard.coordinator.run_phases`); without DGC it runs
-    for a fixed span past the teardown.  ``registry`` picks placement
+    one-shard plan (clients first, then the binder) and the run is its
+    phase list (:func:`repro.shard.coordinator.run_phases`): with DGC,
+    until the services are collected within ``collect_timeout``;
+    without, for a minute past the teardown.  ``registry`` picks placement
     and lease policy (default: the uncached static-home baseline);
     delivery-core and heartbeat-slot knobs live on ``dgc``
     (:meth:`~repro.core.config.DgcConfig.with_overrides`).
@@ -308,14 +308,12 @@ def run_naming(
             lookup_burst=lookup_burst,
             churn_period=churn_period,
             teardown_lag=teardown_lag,
+            collect_timeout=collect_timeout,
         ),
         dgc=dgc, registry=registry, seed=seed, trace=trace,
         safety_checks=safety_checks,
     )
-    if dgc is None:
-        world.run_for(duration + teardown_lag + 60.0)
-    else:
-        run_phases(world, env, "naming", (collect_timeout,))
+    run_phases(world, env, "naming")
 
     naming = world.registry
     counts = env.results()

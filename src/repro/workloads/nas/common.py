@@ -1,12 +1,13 @@
 """NAS kernel skeleton runner.
 
 ``run_nas_kernel`` reproduces the paper's measurement protocol
-(Sec. 5.2) as the three phases of :func:`repro.shard.workloads.build_nas`:
+(Sec. 5.2) as the phases of :func:`repro.shard.workloads.build_nas`:
 
 1. *settle* — deploy ``ao_count`` workers round-robin over the topology
    and build the complete reference graph (global barriers);
-2. *run* — run the kernel; *application time* stops when every worker
-   returned its result (all ``run`` futures resolved and traffic
+2. *run* — run the kernel (the reply-barrier variant first runs one
+   wave phase per iteration); *application time* stops when every
+   worker returned its result (all futures resolved and traffic
    drained);
 3. *drain* — with DGC: the driver drops its stubs (``main()`` returns)
    and the run continues until the DGC collects every worker; *DGC
@@ -14,7 +15,7 @@
    paper's "time between when the benchmark has its result and when the
    DGC collects all the active objects";
    without DGC: workers are terminated explicitly, as the paper's
-   implementation does.
+   implementation does, so the drain takes no time.
 
 Bandwidth is read from the SOCKS-equivalent accountant at both instants,
 giving the Fig. 8 (bandwidth) and Fig. 9 (time) quantities.
@@ -29,7 +30,7 @@ from repro.core.config import DgcConfig
 from repro.errors import SimulationError
 from repro.net.topology import Topology, uniform_topology
 from repro.runtime.request import Request
-from repro.workloads.app import Peer, release_all
+from repro.workloads.app import Peer
 from repro.workloads.nas.patterns import (
     Pattern,
     cg_pattern,
@@ -96,8 +97,8 @@ class NasKernelSpec:
     #: Per-message payload of the communication pattern (CG's boundary
     #: vectors, FT's transpose blocks); ``None`` for EP, which has none.
     payload_bytes: Optional[int] = None
-    #: Synchronous variant: every exchange expects a reply and each
-    #: iteration barriers on all of them (see :class:`NasWorker`).
+    #: Synchronous variant: each iteration is one ``step`` call per
+    #: worker, and the driver waits on their replies (:class:`NasWorker`).
     reply_barrier: bool = False
 
     def pattern_factory(self) -> Pattern:
@@ -149,8 +150,8 @@ def kernel_spec(
     ``payload_bytes`` re-parameterizes the communication pattern (CG's
     boundary vectors, FT's transpose blocks); EP has no payload to
     override.  ``reply_barrier`` switches the kernel to its synchronous
-    variant (every exchange replied to, iterations barrier on the
-    futures).  The remaining knobs reshape the run without changing the
+    variant (one ``step`` call per worker per iteration, each wave
+    waiting on its replies).  The remaining knobs reshape the run without changing the
     kernel's communication structure.
     """
     try:
@@ -211,13 +212,11 @@ def run_nas_kernel(
 
     The setup is :func:`repro.shard.workloads.build_nas` under a
     one-shard plan and the phases are the sharded run's
-    (:func:`repro.shard.coordinator.run_phases`).  This function adds
-    only the single-process parts: the reply-barrier loop, which
-    replaces the asynchronous ``run`` entry of phase 1, and, without
-    DGC, explicit termination instead of the collection phase.  Each
-    phase has its own bound: 600 s to settle, four times the nominal
-    kernel time plus an hour to run (and for each barrier wave), and
-    ``collect_timeout`` to collect.  Delivery-core and heartbeat-slot knobs live on ``dgc``
+    (:func:`repro.shard.coordinator.run_phases`); this function only
+    reads the result off them.  Each phase has its own bound: 600 s to
+    settle, four times the nominal kernel time plus an hour to run (and
+    for each barrier wave), and ``collect_timeout`` to collect.
+    Delivery-core and heartbeat-slot knobs live on ``dgc``
     (:meth:`~repro.core.config.DgcConfig.with_overrides`).
     """
     from repro.shard.coordinator import build_single_process, run_phases
@@ -229,37 +228,22 @@ def run_nas_kernel(
         iterations=spec.iterations,
         iter_time_s=spec.iter_time_s,
         payload_bytes=spec.payload_bytes,
+        reply_barrier=spec.reply_barrier,
+        collect_timeout=collect_timeout,
     )
     world, env = build_single_process(
         topology, "nas", params,
         dgc=dgc, seed=seed, trace=trace, safety_checks=safety_checks,
     )
-    # Per-phase bounds: settle, run (and each barrier wave), drain.
-    run_timeout = spec.iterations * spec.iter_time_s * 4 + 3_600.0
-    timeouts = (600.0, run_timeout, collect_timeout)
-    if spec.reply_barrier:
-        env.actions[1] = lambda: _reply_barrier(world, env, run_timeout)
-    phase_times = run_phases(
-        world, env, "nas", timeouts if dgc is not None else timeouts[:2]
-    )
-    app_time = phase_times[1] - phase_times[0]
-    if dgc is None:
-        # Paper protocol: the no-DGC implementation terminates explicitly.
-        for worker_proxy in env.workers:
-            activity = world.find_activity(worker_proxy.activity_id)
-            if activity is not None:
-                activity.terminate("explicit")
-        release_all(env.ctx.driver, env.workers)
-        dgc_time = 0.0
-    else:
-        dgc_time = phase_times[2] - phase_times[1]
+    # settle, [wave...], run, drain
+    phase_times = run_phases(world, env, "nas")
 
     accountant = world.accountant
     return NasRunResult(
         kernel=spec.name,
         dgc_enabled=dgc is not None,
-        app_time_s=app_time,
-        dgc_time_s=dgc_time,
+        app_time_s=phase_times[-2] - phase_times[0],
+        dgc_time_s=phase_times[-1] - phase_times[-2],
         bandwidth_mb=accountant.megabytes(),
         app_bandwidth_mb=accountant.app_bytes / 1e6,
         dgc_bandwidth_mb=accountant.dgc_bytes / 1e6,
@@ -271,28 +255,3 @@ def run_nas_kernel(
         sim_time_s=world.kernel.now,
         world=world if keep_world else None,
     )
-
-
-def _reply_barrier(world, env, timeout: float) -> None:
-    """The synchronous variant's run: one ``step`` request per worker
-    per iteration, each with a future; the driver barriers on all of
-    them before launching the next iteration, so the future/reply path
-    carries one reply per worker per iteration.  The last wave's
-    futures become the ``"ready"`` phase's result flag."""
-    spec = env.spec
-    dctx = env.ctx.driver.context
-    for iteration in range(spec.iterations):
-        wave = [
-            dctx.call(worker, "step",
-                      data=(iteration, spec.iter_time_s),
-                      expect_reply=True)
-            for worker in env.workers
-        ]
-        if not world.kernel.run_until_quiescent(
-            lambda: all(future.resolved for future in wave), 1.0, timeout
-        ):
-            raise SimulationError(
-                f"NAS {spec.name} barrier {iteration} did not clear "
-                f"in {timeout}s"
-            )
-        env.futures = wave

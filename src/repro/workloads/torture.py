@@ -176,11 +176,12 @@ def run_torture(
     """Run the torture test and sample the Fig. 10 curves.
 
     The setup is :func:`repro.shard.workloads.build_torture` under a
-    one-shard plan and, with DGC, the run is its collection phase
-    (:func:`repro.shard.coordinator.run_phases`).  This function adds
-    only the Fig. 10 sampler and, without DGC, a run until every
-    activity is idle.  Delivery-core and heartbeat-slot knobs live on
-    ``dgc`` (:meth:`~repro.core.config.DgcConfig.with_overrides`).
+    one-shard plan and the run is its phase list
+    (:func:`repro.shard.coordinator.run_phases`): with DGC, until every
+    activity is collected within ``collect_timeout``; without, until
+    every activity is idle.  This function adds only the Fig. 10
+    sampler.  Delivery-core and heartbeat-slot knobs live on ``dgc``
+    (:meth:`~repro.core.config.DgcConfig.with_overrides`).
     """
     from repro.shard.coordinator import build_single_process, run_phases
 
@@ -192,6 +193,7 @@ def run_torture(
             slave_count=slave_count,
             active_duration=active_duration,
             initial_pool=initial_pool,
+            collect_timeout=collect_timeout,
         ),
         dgc=dgc, seed=seed, trace=trace, safety_checks=safety_checks,
     )
@@ -207,17 +209,7 @@ def run_torture(
 
     world.kernel.schedule(0.0, sample, label="torture.sample")
 
-    if dgc is None:
-        world.kernel.run_until_quiescent(
-            lambda: all(a.is_idle() for a in world.live_non_roots())
-            and not world.inflight_pinned(),
-            5.0,
-            active_duration + 3_600.0,
-        )
-        last_collected = None
-    else:
-        run_phases(world, env, "torture", (collect_timeout,))
-        last_collected = max(world.stats.collected_by_id.values())
+    run_phases(world, env, "torture")
 
     # Close the series with the final state (the periodic sampler may
     # have stopped between the penultimate sample and the last death).
@@ -236,8 +228,10 @@ def run_torture(
         tta=dgc.tta if dgc else 0.0,
         ao_count=slave_count + 1,
         active_duration_s=active_duration,
-        last_collected_s=last_collected,
-        all_collected=dgc is not None,
+        last_collected_s=max(
+            world.stats.collected_by_id.values(), default=None
+        ),
+        all_collected=world.all_collected(),
         total_bandwidth_mb=accountant.megabytes(),
         app_bandwidth_mb=accountant.app_bytes / 1e6,
         dgc_bandwidth_mb=accountant.dgc_bytes / 1e6,

@@ -96,11 +96,12 @@ class World:
         self.dgc_config = dgc
         if dgc is not None and validate_dgc_config:
             dgc.validate_against(self.network.max_comm())
-        if dgc is not None and dgc.aggregation != AGGREGATION_PER_EVENT:
-            # The TTB beat is wheel-scheduled: let deliveries ride the
-            # network's pulse batch too (one kernel event per distinct
-            # delivery instant instead of one per message).
-            self.network.pulse_batching = True
+        # Deliveries ride the network's pulse batch (one kernel event
+        # per distinct delivery instant instead of one per message)
+        # unless the DGC asks for the per-event reference core.
+        self.network.pulse_batching = (
+            dgc is None or dgc.aggregation != AGGREGATION_PER_EVENT
+        )
         #: Optional callable ``factory(activity) -> collector`` overriding
         #: the paper's DGC; used to attach baseline collectors
         #: (:mod:`repro.baselines`).
@@ -283,15 +284,14 @@ class World:
     def run_for(self, seconds: float) -> None:
         self.kernel.run(until=self.kernel.now + seconds)
 
-    def run_until_collected(self, timeout: float, check_interval: float = 1.0) -> bool:
+    def run_until_collected(self, timeout: float) -> bool:
         """Run until every non-root activity is gone; False on timeout.
 
         Event-driven on every kernel: the termination hook calls
         ``kernel.request_stop()`` the instant the live non-root counter
         hits zero — the simulation kernel returns after the stopping
         event, the live kernel wakes the blocked caller through its
-        condition variable.  There is no fixed-interval polling;
-        ``check_interval`` is kept for API compatibility and ignored.
+        condition variable.  There is no fixed-interval polling.
         """
         self._stop_when_collected = True
         try:

@@ -106,14 +106,39 @@ def test_cli_run_live_keeps_the_lease_note(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["--no-dgc", "--workload", "torture", "--slaves", "8",
+         "--duration", "10"],
+        ["--workload", "nas:cg", "--nas-barrier", "--ao-count", "4",
+         "--iterations", "2", "--iter-time", "2"],
+    ],
+    ids=["no-dgc", "nas-barrier"],
+)
+def test_cli_run_live_runs_every_ending(argv, capsys):
+    code = harness_main(["run", "--live"] + SMALL_DGC + argv)
+    assert code == 0
+    output = capsys.readouterr().out
+    assert "sharded live world (2 processes)" in output
+    assert "dead letters               | 0 " in output
+
+
+def test_nas_barrier_reaches_both_arms(monkeypatch):
+    capture(monkeypatch, repro.workloads.nas, "run_nas_kernel")
+    capture(monkeypatch, repro.shard, "ShardedWorld")
+    flags = ["run", "--workload", "nas:cg", "--nas-barrier"]
+    (spec,), _ = captured_call(flags)
+    _, live = captured_call(flags + ["--live"])
+    assert spec.reply_barrier
+    assert live["params"]["reply_barrier"] is True
+
+
+@pytest.mark.parametrize(
     "argv, reason",
     [
-        (["--no-dgc"], "incompatible with --no-dgc"),
         (["--aggregation", "per-event"], "drop --aggregation per-event"),
-        (["--workload", "nas:ft", "--nas-barrier"],
-         "incompatible with --nas-barrier"),
     ],
-    ids=["no-dgc", "per-event", "nas-barrier"],
+    ids=["per-event"],
 )
 def test_cli_run_live_rejections(argv, reason, capsys):
     assert harness_main(["run", "--live"] + argv) == 2

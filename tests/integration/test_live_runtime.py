@@ -37,7 +37,7 @@ def test_live_acyclic_collection(live_world):
     a = driver.context.create(Peer(), name="a")
     world.run_for(0.2)
     driver.context.drop(a)
-    assert world.run_until_collected(10.0, check_interval=0.05)
+    assert world.run_until_collected(10.0)
     assert world.stats.collected_acyclic == 1
     assert world.stats.safety_violations == 0
 
@@ -50,7 +50,7 @@ def test_live_cycle_collection(live_world):
         link(driver, source, ring[(index + 1) % 3], key="next")
     world.run_for(0.3)
     release_all(driver, ring)
-    assert world.run_until_collected(20.0, check_interval=0.05)
+    assert world.run_until_collected(20.0)
     assert world.stats.collected_total == 3
     assert world.stats.collected_cyclic >= 2
     assert world.stats.safety_violations == 0

@@ -57,6 +57,21 @@ def test_cli_fig10(capsys):
     assert "Total bandwidth" in output
 
 
+def test_cli_fig10_skip_slow_omits_panel_b(capsys):
+    """``--skip-slow`` drops Fig. 10(b) and its bandwidth row instead of
+    printing the fast run twice."""
+    code = harness_main(
+        ["fig10", "--slaves", "10", "--duration", "30", "--nodes", "4",
+         "--skip-slow"]
+    )
+    assert code == 0
+    output = capsys.readouterr().out
+    assert "Fig. 10(b)" not in output
+    table = output[output.index("Fig. 10 — Total bandwidth"):]
+    rows = [line for line in table.splitlines()[3:] if line.startswith("|")]
+    assert [row.split("|")[1].strip() for row in rows] == ["TTB=30", "No DGC"]
+
+
 def test_cli_run_nas_workload(capsys):
     code = harness_main(
         [

@@ -328,6 +328,60 @@ def test_fabric_counters_are_reported_and_merged(shards):
         )
 
 
+#: The arms the sharded world used to refuse: the endings that are not
+#: DGC collection, and the NAS reply barrier with and without DGC.
+CG_BARRIER = dict(kernel="cg", ao_count=4, iterations=3, iter_time_s=0.5,
+                  payload_bytes=1000, reply_barrier=True)
+ENDING_ARMS = {
+    "torture-no-dgc": ("torture", TORTURE_PARAMS, False, 3),
+    "naming-no-dgc": ("naming", dict(client_count=6, service_count=3,
+                                     duration=8.0, lookup_period=1.0,
+                                     lookup_burst=2), False, 5),
+    "nas-ft-no-dgc": ("nas", dict(kernel="ft", ao_count=4, iterations=3,
+                                  iter_time_s=0.5, payload_bytes=1000),
+                      False, 7),
+    "nas-cg-barrier": ("nas", CG_BARRIER, True, 7),
+    "nas-cg-barrier-no-dgc": ("nas", CG_BARRIER, False, 7),
+}
+
+
+def ending_arm_matches_replay(arm, topo, shards):
+    workload, params, with_dgc, seed = ENDING_ARMS[arm]
+    dgc = small_dgc() if with_dgc else None
+    result = ShardedWorld(
+        topo, shards, workload=workload, params=params, dgc=dgc, seed=seed,
+    ).run()
+    world, env, signature = replay_single_process(
+        topo, workload=workload, params=params, dgc=dgc, seed=seed,
+    )
+    assert result.outcome_signature() == signature
+    assert result.safety_violations == 0 and result.dead_letters == 0
+    assert len(result.phase_times) == len(env.phases)
+    assert result.phase_times == sorted(result.phase_times)
+    if workload == "nas" and not with_dgc:
+        # Explicit termination: nothing left, and the drain takes no time.
+        assert result.terminated_explicit == params["ao_count"]
+        assert result.phase_times[-1] == result.phase_times[-2]
+    if workload == "naming" and not with_dgc:
+        # The run ends at the phase's deadline in both arms.
+        assert result.phase_times == [env.phases[0].bound]
+        assert world.kernel.now == env.phases[0].bound
+    return result
+
+
+@pytest.mark.parametrize("arm", sorted(ENDING_ARMS))
+def test_every_ending_sharded_matches_replay(arm):
+    result = ending_arm_matches_replay(arm, two_site_topology(), 2)
+    assert result.frame_count > 0
+
+
+@pytest.mark.parametrize("shards", [1, 3])
+def test_barrier_without_dgc_matches_replay_at_any_shard_count(shards):
+    ending_arm_matches_replay(
+        "nas-cg-barrier-no-dgc", three_site_topology(), shards
+    )
+
+
 # ----------------------------------------------------------------------
 # Determinism: identical runs produce byte-identical frame streams
 # ----------------------------------------------------------------------
@@ -515,11 +569,6 @@ def test_merged_trace_is_time_ordered():
 # ----------------------------------------------------------------------
 
 
-def test_requires_dgc_config():
-    with pytest.raises(ConfigurationError, match="DgcConfig"):
-        ShardedWorld(two_site_topology(), 2, workload="torture")
-
-
 def test_rejects_per_event_core():
     with pytest.raises(ConfigurationError, match="batched"):
         ShardedWorld(
@@ -551,23 +600,6 @@ def test_zero_lookahead_rejected():
     # The same nodes on one shard are fine (lookahead unused).
     plan = make_plan(topo, 1)
     assert plan.shard_count == 1
-
-
-def test_nas_reply_barrier_rejected():
-    with pytest.raises(ConfigurationError, match="reply-barrier"):
-        replay_single_process(
-            two_site_topology(), workload="nas",
-            params=dict(kernel="ft", ao_count=4, reply_barrier=True),
-            dgc=small_dgc(),
-        )
-    # In the multi-process arm the worker fails at build; the
-    # coordinator surfaces it instead of hanging.
-    with pytest.raises(SimulationError, match="reply-barrier"):
-        ShardedWorld(
-            two_site_topology(), 2, workload="nas",
-            params=dict(kernel="ft", ao_count=4, reply_barrier=True),
-            dgc=small_dgc(),
-        ).run()
 
 
 # ----------------------------------------------------------------------
@@ -611,7 +643,53 @@ def test_killed_worker_surfaces_as_named_shard_failure(monkeypatch):
     assert re.search(r"barrier round [1-9]", message), message
     assert isinstance(failure.value, SimulationError)
     assert not any(proc.is_alive() for proc in spawned)
-    assert spawned[0].exitcode == -signal.SIGTERM
+    assert spawned[0].exitcode == -signal.SIGKILL
+
+
+def test_hung_worker_surfaces_as_named_shard_failure(monkeypatch):
+    """A worker that stops answering (SIGSTOP here) is a
+    :class:`ShardFailure` once ``io_timeout_s`` passes, naming the
+    shard, the round and the last routed frame, and every worker is
+    killed: a stopped one ignores SIGTERM, so terminating it would
+    hang the join."""
+    spawned = []
+    real_spawn = ShardedWorld._spawn
+    real_recv_report = ShardedWorld._recv_report
+    received = []
+
+    def spawn(self, mp, conns, procs):
+        real_spawn(self, mp, conns, procs)
+        spawned.extend(procs)
+
+    def recv_report(self, conn):
+        received.append(conn)
+        if len(received) == 5:  # the initial reports, then a round in
+            os.kill(spawned[1].pid, signal.SIGSTOP)
+        return real_recv_report(self, conn)
+
+    monkeypatch.setattr(ShardedWorld, "_spawn", spawn)
+    monkeypatch.setattr(ShardedWorld, "_recv_report", recv_report)
+    world = ShardedWorld(
+        two_site_topology(), 2, workload="torture", params=TORTURE_PARAMS,
+        dgc=small_dgc(), seed=3, io_timeout_s=2.0,
+    )
+    started = time.monotonic()
+    try:
+        with pytest.raises(ShardFailure) as failure:
+            world.run()
+    finally:
+        for proc in spawned:
+            if proc.is_alive():  # never leave a stopped process behind
+                proc.kill()
+    assert time.monotonic() - started < 15.0
+    message = str(failure.value)
+    assert "shard 1 unresponsive for 2.0s" in message
+    assert re.search(r"barrier round [1-9]", message), message
+    assert re.search(
+        r"last frame routed \(src_shard, seq\): \([01], \d+\)", message
+    ), message
+    assert not any(proc.is_alive() for proc in spawned)
+    assert spawned[1].exitcode == -signal.SIGKILL
 
 
 def test_plan_partitions_nodes_contiguously():

@@ -55,16 +55,16 @@ def torture(seed, dgc=DGC, **options):
     )
 
 
-def naming(seed, placement="home", **options):
+def naming(seed, placement="home", dgc=DGC, **options):
     return run_naming(
-        dgc=DGC, registry=REGISTRIES[placement],
+        dgc=dgc, registry=REGISTRIES[placement],
         topology=uniform_topology(NODES), seed=seed, **NAMING, **options,
     )
 
 
-def nas(kernel, seed, **options):
+def nas(kernel, seed, dgc=DGC, barrier=False, **options):
     return run_nas_kernel(
-        kernel_spec(kernel, **NAS[kernel]), dgc=DGC,
+        kernel_spec(kernel, reply_barrier=barrier, **NAS[kernel]), dgc=dgc,
         topology=uniform_topology(NODES), seed=seed, **options,
     )
 
@@ -89,10 +89,16 @@ def scalars(result):
         lambda: torture(4),
         lambda: torture(4, dgc=None),
         lambda: naming(4),
+        lambda: naming(4, dgc=None),
         lambda: nas("CG", 4),
         lambda: nas("FT", 4),
+        lambda: nas("FT", 4, dgc=None),
+        lambda: nas("CG", 4, barrier=True),
+        lambda: nas("CG", 4, dgc=None, barrier=True),
     ],
-    ids=["torture", "torture-no-dgc", "naming", "nas-cg", "nas-ft"],
+    ids=["torture", "torture-no-dgc", "naming", "naming-no-dgc", "nas-cg",
+         "nas-ft", "nas-ft-no-dgc", "nas-cg-barrier",
+         "nas-cg-barrier-no-dgc"],
 )
 def test_same_seed_twice_gives_the_same_result(run):
     first, second = run(), run()
@@ -118,20 +124,22 @@ def test_fig8_row_does_not_depend_on_run_order():
 # ----------------------------------------------------------------------
 
 
-def assert_parity(result, workload, params, seed, registry=None, sampled=0):
+def assert_parity(
+    result, workload, params, seed, registry=None, sampled=0, dgc=DGC
+):
     """``result`` (run with ``keep_world=True``) matches the replay of
     the same configuration: outcome signature, bytes on the wire, last
-    collection, and kernel events up to the ``sampled`` events of an
-    observation device the replay does not run."""
+    collection (or termination), and kernel events up to the ``sampled``
+    events of an observation device the replay does not run."""
     world, _, signature = replay_single_process(
         uniform_topology(NODES), workload=workload, params=params,
-        dgc=DGC, registry=registry, seed=seed,
+        dgc=dgc, registry=registry, seed=seed,
     )
     mine = result.world
     assert outcome_signature(mine) == signature
     assert mine.accountant.megabytes() == world.accountant.megabytes()
-    assert max(mine.stats.collected_by_id.values()) == max(
-        world.stats.collected_by_id.values()
+    assert max(mine.stats.collected_by_id.values(), default=None) == max(
+        world.stats.collected_by_id.values(), default=None
     )
     assert mine.kernel.fired_count - sampled == world.kernel.fired_count
 
@@ -157,3 +165,39 @@ def test_run_naming_matches_replay(placement):
 def test_run_nas_kernel_matches_replay(kernel):
     result = nas(kernel, 3, keep_world=True)
     assert_parity(result, "nas", dict(kernel=kernel, **NAS[kernel]), 3)
+
+
+def test_run_torture_without_dgc_matches_replay():
+    result = torture(6, dgc=None, keep_world=True)
+    assert not result.all_collected and result.last_collected_s is None
+    assert_parity(
+        result, "torture", TORTURE, 6, sampled=len(result.series) - 1,
+        dgc=None,
+    )
+
+
+@pytest.mark.parametrize("placement", sorted(REGISTRIES))
+def test_run_naming_without_dgc_matches_replay(placement):
+    result = naming(2, placement, dgc=None, keep_world=True)
+    assert_parity(
+        result, "naming", NAMING, 2, registry=REGISTRIES[placement],
+        dgc=None,
+    )
+
+
+@pytest.mark.parametrize(
+    "kernel, with_dgc, barrier",
+    [("FT", False, False), ("CG", True, True), ("CG", False, True)],
+    ids=["ft-no-dgc", "cg-barrier", "cg-barrier-no-dgc"],
+)
+def test_run_nas_kernel_variants_match_replay(kernel, with_dgc, barrier):
+    dgc = DGC if with_dgc else None
+    result = nas(kernel, 3, dgc=dgc, barrier=barrier, keep_world=True)
+    if dgc is None:
+        assert result.dgc_time_s == 0.0
+        assert result.world.stats.terminated_explicit == result.ao_count
+    assert_parity(
+        result, "nas",
+        dict(kernel=kernel, reply_barrier=barrier, **NAS[kernel]), 3,
+        dgc=dgc,
+    )
