@@ -1,9 +1,9 @@
 """repro.analysis — fabric-invariant static analyzer.
 
 Pure-AST lint for the properties the test suite can only catch after
-the fact: determinism of the core (DET), closed-set exhaustiveness of
-the traffic-kind registry (KIND), the SPMD shard contract (SPMD), and
-hot-path allocation discipline (HOT).  It never imports the code it
+the fact: determinism of the core (DET), no traffic-kind literal
+outside the declared kind set (KIND), the SPMD shard contract (SPMD),
+and hot-path allocation discipline (HOT).  It never imports the code it
 analyzes.  Run ``python -m repro.analysis src/repro`` or
 ``harness analyze``; rules and suppression syntax are documented in
 ANALYSIS.md.

@@ -33,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description=(
             "Static analyzer for the fabric's load-bearing invariants: "
-            "determinism (DET), kind-registry exhaustiveness (KIND), "
+            "determinism (DET), the closed traffic-kind vocabulary (KIND), "
             "the SPMD shard contract (SPMD), and hot-path allocation "
             "discipline (HOT).  See ANALYSIS.md."
         ),

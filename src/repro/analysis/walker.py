@@ -11,11 +11,9 @@ on any tree.  One run is:
    ``META-parse`` findings, not crashes) and scan its comments for
    ``# repro: allow[...]`` suppressions and the ``# repro: hot-path``
    module tag;
-3. build cross-file :class:`~repro.analysis.facts.ProjectFacts` (the
-   kind registry, size/payload manifests, codec coverage, sink
-   references);
-4. run every selected rule — per-file rules over their applicable
-   files, project rules over the facts;
+3. build the cross-file :class:`~repro.analysis.facts.ProjectFacts`
+   (the declared traffic kinds and aggregate markers);
+4. run every selected rule over its applicable files;
 5. drop findings covered by a suppression and sort the rest.
 
 Rule scoping follows the codebase's invariant boundaries: the
@@ -191,15 +189,6 @@ class Rule:
         )
 
 
-class ProjectRule(Rule):
-    """A rule evaluated once over the cross-file facts."""
-
-    project = True
-
-    def finalize(self, facts) -> Iterator[Finding]:
-        return iter(())
-
-
 _RULE_CLASSES: Dict[str, Type[Rule]] = {}
 
 
@@ -327,12 +316,9 @@ class Analyzer:
             if cls is None:  # META pseudo-rules
                 continue
             rule = cls(force_scope=self.force_scope)
-            if isinstance(rule, ProjectRule):
-                findings.extend(rule.finalize(facts))
-            else:
-                for sf in files:
-                    if rule.applies(sf):
-                        findings.extend(rule.check(sf, facts))
+            for sf in files:
+                if rule.applies(sf):
+                    findings.extend(rule.check(sf, facts))
 
         if META_SUPPRESSION in self.selected:
             findings.extend(self._check_suppressions(files))

@@ -28,7 +28,7 @@ from repro.core.protocol import (
     process_response,
 )
 from repro.core.wire import DgcMessage, DgcResponse
-from repro.net.message import KIND_DGC_MESSAGE, KIND_DGC_RESPONSE
+from repro.net.kinds import KIND_DGC_MESSAGE, KIND_DGC_RESPONSE
 from repro.runtime.activeobject import Activity
 from repro.runtime.proxy import Proxy, RemoteRef, StubTag
 from repro.sim.timers import PeriodicTimer

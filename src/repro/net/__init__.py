@@ -14,7 +14,7 @@ Bandwidth accounting mirrors the paper's instrumented-SOCKS methodology:
 only cross-node payload bytes are counted; intra-node messages are free.
 """
 
-from repro.net.message import (
+from repro.net.kinds import (
     ALL_KINDS,
     KIND_APP_REPLY,
     KIND_APP_REQUEST,
@@ -22,9 +22,9 @@ from repro.net.message import (
     KIND_DGC_RESPONSE,
     KIND_REGISTRY_LOOKUP,
     KIND_REGISTRY_REPLY,
-    WireSizeModel,
     describe_traffic,
 )
+from repro.net.message import WireSizeModel
 from repro.net.channel import FifoChannel
 from repro.net.network import Network
 from repro.net.topology import Site, Topology, grid5000_topology, uniform_topology

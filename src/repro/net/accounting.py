@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from repro.net import kinds
+from repro.net.kinds import ALL_KINDS, APP_KINDS, DGC_KINDS, REGISTRY_KINDS
 
 
 @dataclass
@@ -110,25 +110,22 @@ class BandwidthAccountant:
                 total += category.bytes
         return total
 
-    # The family tuples are read through the kinds module (not bound at
-    # import) so late-registered kinds are rolled up like describe().
-
     @property
     def app_bytes(self) -> int:
         """Application traffic only (requests + replies)."""
-        return self._family_bytes(kinds.APP_KINDS)
+        return self._family_bytes(APP_KINDS)
 
     @property
     def dgc_bytes(self) -> int:
         """DGC traffic only (messages + responses)."""
-        return self._family_bytes(kinds.DGC_KINDS)
+        return self._family_bytes(DGC_KINDS)
 
     @property
     def registry_bytes(self) -> int:
         """Naming-service traffic only (every ``registry.*`` kind:
         lookups, replies, bind/unbind updates, invalidations, lease
-        renewals — the family rollup comes from the kind registry)."""
-        return self._family_bytes(kinds.REGISTRY_KINDS)
+        renewals, pushes)."""
+        return self._family_bytes(REGISTRY_KINDS)
 
     @property
     def total_messages(self) -> int:
@@ -151,10 +148,8 @@ class BandwidthAccountant:
         sorted), using the same kind labels every lane reports — kept
         uniform so ``grep 'dgc.message'`` works on any trace or
         summary."""
-        # Read through the module so late-registered kinds are ordered.
-        all_kinds = kinds.ALL_KINDS
-        known = [kind for kind in all_kinds if kind in self._by_kind]
-        extra = sorted(set(self._by_kind) - set(all_kinds))
+        known = [kind for kind in ALL_KINDS if kind in self._by_kind]
+        extra = sorted(set(self._by_kind) - set(ALL_KINDS))
         return "\n".join(
             f"{kind}: {self._by_kind[kind].messages} msgs, "
             f"{self._by_kind[kind].bytes} B"

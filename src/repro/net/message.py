@@ -10,19 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# Kind constants and their groupings live in the central registry
-# (:mod:`repro.net.kinds`); re-exported here for backward compatibility —
-# most of the codebase historically imported them from this module.
-# These re-exports are import-time snapshots: a `register_kind` call
-# after this module loads rebinds the tuples in `repro.net.kinds` only
-# (the shared AGGREGATE_KINDS dict stays live either way).  Code that
-# must see late registrations reads through the kinds module, as the
-# accountant's family rollups do.
-from repro.net.kinds import (  # noqa: F401  (re-exports)
-    AGGREGATE_KINDS,
-    ALL_KINDS,
-    APP_KINDS,
-    DGC_KINDS,
+from repro.net.kinds import (
     KIND_APP_REPLY,
     KIND_APP_REQUEST,
     KIND_DGC_MESSAGE,
@@ -33,8 +21,6 @@ from repro.net.kinds import (  # noqa: F401  (re-exports)
     KIND_REGISTRY_PUSH,
     KIND_REGISTRY_RENEW,
     KIND_REGISTRY_REPLY,
-    REGISTRY_KINDS,
-    describe_traffic,
 )
 
 
@@ -129,14 +115,12 @@ class WireSizeModel:
         )
 
 
-#: Which :class:`WireSizeModel` attribute prices each registered kind.
+#: Which :class:`WireSizeModel` attribute prices each traffic kind.
 #: The mapping is deliberately explicit rather than name-derived — a
 #: bind is priced as an *update* and invalidations/renewals share the
-#: *batch* formula, so no naming convention could express it.  The
-#: ``KIND-price`` rule in :mod:`repro.analysis` checks this manifest
-#: stays total over the registry and free of stale entries; registering
-#: a kind without pricing it here fails the lint, not the bandwidth
-#: tables.
+#: *batch* formula, so no naming convention could express it.
+#: ``tests/unit/test_net_kinds.py`` checks it is total over
+#: :data:`~repro.net.kinds.ALL_KINDS` and names real attributes.
 KIND_SIZE_SOURCES = {
     KIND_DGC_MESSAGE: "dgc_message_bytes",
     KIND_DGC_RESPONSE: "dgc_response_bytes",

@@ -65,19 +65,14 @@ from repro.net.kinds import (
     AGGREGATE_KINDS,
     KIND_DGC_MESSAGE,
     KIND_DGC_RESPONSE,
-    bind_dispatch_shapes,
 )
 from repro.net.topology import Topology
 from repro.sim.kernel import SimKernel
 
-#: Internal aggregate markers (see :data:`repro.net.message.AGGREGATE_KINDS`);
+#: Internal aggregate markers (see :data:`repro.net.kinds.AGGREGATE_KINDS`);
 #: bound to module globals so the hot paths compare by identity.
 _AGG_DGC_MESSAGE = AGGREGATE_KINDS[KIND_DGC_MESSAGE]
 _AGG_DGC_RESPONSE = AGGREGATE_KINDS[KIND_DGC_RESPONSE]
-
-# The snapshot above means later aggregate registrations would be
-# invisible here; tell the registry so register_kind can reject them.
-bind_dispatch_shapes("repro.net.network")
 
 #: A node's receive lane: ``kind -> (item, payload) -> None``.
 KindTable = Dict[str, Callable[[Any, Any], None]]
@@ -133,7 +128,7 @@ class Network:
       is ``None``), cross-node ones only the destination node name in
       ``dest`` and re-resolve its table at delivery,
     * aggregate entries — ``kind`` is an
-      :data:`~repro.net.message.AGGREGATE_KINDS` marker and
+      :data:`~repro.net.kinds.AGGREGATE_KINDS` marker and
       ``item``/``payload`` are flat parallel ``(target_id, message)``
       column lists covering an adjacent same-channel run of DGC traffic.
     """

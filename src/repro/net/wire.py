@@ -100,8 +100,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.clock import ActivityClock
 from repro.core.wire import DgcMessage, DgcResponse
 from repro.errors import NetworkError
-from repro.net import kinds as _kinds
 from repro.net.kinds import (
+    ALL_KINDS,
     KIND_APP_REPLY,
     KIND_APP_REQUEST,
     KIND_DGC_MESSAGE,
@@ -178,62 +178,31 @@ _T_REG_RENEW = 0x1B
 _T_REG_RENEW_ACK = 0x1C
 _T_REG_INVALIDATE = 0x1D
 _T_REG_PUSH = 0x1E
-#: A ``Request`` as one struct of table indices (``_V2Encoder.value``).
+#: A ``Request`` as one struct of table indices (``_Encoder.value``).
 _T_REQUEST_ROW = 0x1F
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 
 
-def kind_table() -> Tuple[str, ...]:
-    """The shared kind-index table: every registered kind in canonical
-    order, followed by the site-pair aggregate markers.  Both sides of a
-    pipe derive the same table because workers fork from the coordinator
-    after all ``register_kind`` calls — the table is re-derived per call
-    (the registry rebinds its tuples on registration), memoized on the
-    identity of the registry's current ``ALL_KINDS`` tuple."""
-    global _KIND_CACHE
-    base = _kinds.ALL_KINDS
-    cached = _KIND_CACHE
-    if cached is not None and cached[0] is base:
-        return cached[1]
-    table = list(base)
-    for kind in base:
-        aggregate = _kinds.AGGREGATE_KINDS.get(kind)
-        if aggregate is not None:
-            table.append(aggregate)
-    result = tuple(table)
-    _KIND_CACHE = (base, result)
-    return result
+#: Kind -> wire index: the kind's position in
+#: :data:`~repro.net.kinds.ALL_KINDS`, which both sides of a pipe share.
+#: The site-pair aggregate markers have no index — a DGC run rides the
+#: wire under its base kind.
+KIND_INDEX: Dict[str, int] = {
+    kind: position for position, kind in enumerate(ALL_KINDS)
+}
 
 
-_KIND_CACHE: Optional[Tuple[Tuple[str, ...], Tuple[str, ...]]] = None
-
-
-def kind_index() -> Dict[str, int]:
-    """Kind -> table index, memoized alongside :func:`kind_table`."""
-    global _KIND_INDEX_CACHE
-    table = kind_table()
-    cached = _KIND_INDEX_CACHE
-    if cached is not None and cached[0] is table:
-        return cached[1]
-    index = {kind: position for position, kind in enumerate(table)}
-    _KIND_INDEX_CACHE = (table, index)
-    return index
-
-
-_KIND_INDEX_CACHE: Optional[Tuple[Tuple[str, ...], Dict[str, int]]] = None
-
-
-#: Which payload classes each registered kind puts on the cross-shard
+#: Which payload classes each traffic kind puts on the cross-shard
 #: wire — ``registry.reply`` and ``registry.renew`` each carry two
 #: (the reply doubles as the bind/unbind ack; the renew kind carries
-#: both the batch and its ack).  The ``KIND-codec`` rule in
-#: :mod:`repro.analysis` checks the manifest stays total over the
-#: registry and that every class named here has matching branches in
-#: both codec function sets (encode and decode), so adding a kind
-#: without teaching the wire to carry it fails the lint instead of
-#: raising :class:`WireFormatError` mid-run.
+#: both the batch and its ack).  ``tests/unit/test_net_kinds.py`` checks
+#: the manifest is total over :data:`~repro.net.kinds.ALL_KINDS`, and
+#: ``tests/property/test_wire_codec.py`` round-trips one sample of every
+#: class named here under its kind, so a class the codec cannot carry
+#: fails a tier-1 test instead of raising :class:`WireFormatError`
+#: mid-run.
 KIND_PAYLOAD_TYPES = {
     KIND_DGC_MESSAGE: (DgcMessage,),
     KIND_DGC_RESPONSE: (DgcResponse,),
@@ -274,7 +243,7 @@ _REQUEST_ROW = (struct.Struct("!3HqqH"), struct.Struct("!3IqqH"))
 _DEFINITION_RECORDS = ((1, "q", 8), (2, "", 0), (3, "?d", 9), (2, "???q", 11))
 
 
-class _V2Encoder:
+class _Encoder:
     """One frame's encode state: output buffer plus the intern table.
 
     Interned values get indices in *encode order*, which is exactly the
@@ -603,7 +572,7 @@ class _V2Encoder:
 # ----------------------------------------------------------------------
 
 
-class _V2Reader:
+class _Reader:
     """Bounds-checked zero-copy cursor over one frame.
 
     Fixed fields go through ``struct.unpack_from`` on the shared
@@ -682,7 +651,7 @@ class _V2Reader:
             raise WireFormatError(f"corrupt string field: {exc}") from None
 
 
-def _decode_value_v2(reader: _V2Reader):
+def _decode_value(reader: _Reader):
     # Tag dispatch is frequency-ordered to mirror the encoder: backrefs
     # and activity-id strings exit the chain first.
     pos = reader.pos
@@ -729,18 +698,18 @@ def _decode_value_v2(reader: _V2Reader):
             table[method], table[sender], table[target],
             payload_bytes=payload_bytes,
             refs=tuple(map(table.__getitem__, refs)),
-            reply_to=_decode_value_v2(reader), request_id=request_id,
+            reply_to=_decode_value(reader), request_id=request_id,
         )
     if tag == _T_STR:
         value = reader.text()
         reader.table.append(value)
         return value
     if tag == _T_CLOCK:
-        value = ActivityClock(reader.zigzag(), _decode_value_v2(reader))
+        value = ActivityClock(reader.zigzag(), _decode_value(reader))
         reader.table.append(value)
         return value
     if tag == _T_REMOTE_REF:
-        value = RemoteRef(_decode_value_v2(reader), _decode_value_v2(reader))
+        value = RemoteRef(_decode_value(reader), _decode_value(reader))
         reader.table.append(value)
         return value
     if tag == _T_FLOAT:
@@ -757,15 +726,15 @@ def _decode_value_v2(reader: _V2Reader):
         return False
     if tag == _T_TUPLE:
         count = reader.varint()
-        return tuple(_decode_value_v2(reader) for _ in range(count))
+        return tuple(_decode_value(reader) for _ in range(count))
     if tag == _T_LIST:
         count = reader.varint()
-        return [_decode_value_v2(reader) for _ in range(count)]
+        return [_decode_value(reader) for _ in range(count)]
     if tag == _T_DICT:
         count = reader.varint()
         try:
             return {
-                _decode_value_v2(reader): _decode_value_v2(reader)
+                _decode_value(reader): _decode_value(reader)
                 for _ in range(count)
             }
         except TypeError as exc:  # a corrupt key decoded to a list, dict...
@@ -782,11 +751,11 @@ def _decode_value_v2(reader: _V2Reader):
         return bytes(reader.buf[pos:pos + length])
     if tag == _T_REPLY_ADDRESS:
         return ReplyAddress(
-            _decode_value_v2(reader), _decode_value_v2(reader),
+            _decode_value(reader), _decode_value(reader),
             reader.zigzag(),
         )
     # Composites: arguments evaluate left to right, in the encoder's order.
-    decode = _decode_value_v2
+    decode = _decode_value
     if tag == _T_REQUEST:
         return Request(
             decode(reader), decode(reader), decode(reader),
@@ -813,19 +782,19 @@ def _decode_value_v2(reader: _V2Reader):
             reader.u8() != 0, decode(reader),
         )
     if tag == _T_REG_RENEW:
-        return RegistryRenew(_decode_value_v2(reader), _decode_value_v2(reader))
+        return RegistryRenew(_decode_value(reader), _decode_value(reader))
     if tag == _T_REG_RENEW_ACK:
-        return RegistryRenewAck(_decode_value_v2(reader), _decode_value_v2(reader))
+        return RegistryRenewAck(_decode_value(reader), _decode_value(reader))
     if tag == _T_REG_INVALIDATE:
-        return RegistryInvalidate(_decode_value_v2(reader))
+        return RegistryInvalidate(_decode_value(reader))
     if tag == _T_REG_PUSH:
-        return RegistryPush(_decode_value_v2(reader))
+        return RegistryPush(_decode_value(reader))
     raise WireFormatError(f"unknown value tag 0x{tag:02X}")
 
 
-def _decode_definitions(reader: _V2Reader) -> None:
+def _decode_definitions(reader: _Reader) -> None:
     """Append the definition block at the cursor to the intern table
-    (see :meth:`_V2Encoder._define_dgc`)."""
+    (see :meth:`_Encoder._define_dgc`)."""
     counts = [reader.varint() for _ in range(5)]
     table = reader.table
     view = reader.buf
@@ -902,7 +871,7 @@ class Frame:
         )
 
 
-class ChannelEncoder(_V2Encoder):
+class ChannelEncoder(_Encoder):
     """Persistent encode state for one ordered (src, dst) frame stream.
 
     Pass the same instance to every :func:`pack_frame` call on the
@@ -961,20 +930,20 @@ def pack_frame(
     what :meth:`repro.net.network.Network.drain_egress` hands over, and
     exactly the columns a staged pulse entry carries minus the channel
     (the receiving shard re-binds its own ingress channel).  ``kind`` is
-    a registered kind, never a site-pair aggregate marker.  ``channel``
-    persists the intern table across the frames of one ordered shard
-    channel.
+    one of :data:`~repro.net.kinds.ALL_KINDS`, never a site-pair
+    aggregate marker.  ``channel`` persists the intern table across the
+    frames of one ordered shard channel.
     """
     # The runs are transposed once, the run table and the index block
     # are one pack, and only the non-DGC runs are walked value by value.
     if channel is None:
-        encoder = _V2Encoder()
+        encoder = _Encoder()
     else:
         encoder = channel
         encoder.out = bytearray()  # fresh frame body, the table persists
     encoder.varint(encoder.count)
     kinds, deliveries, dests, items, payloads = zip(*runs) if runs else [()] * 5
-    index = kind_index()
+    index = KIND_INDEX
     counts = [*map(len, items)]
     if 0 in counts or counts != [*map(len, payloads)]:
         for count, run_payloads in zip(counts, payloads):
@@ -1006,13 +975,8 @@ def pack_frame(
             targets += run_items
             responses += run_payloads
             rows += 1
-        elif kind in _kinds.ALL_KINDS:
-            rows += count
         else:
-            raise WireFormatError(
-                f"kind {kind!r} is an in-memory aggregate marker: a "
-                f"DGC run rides the wire under its base kind"
-            )
+            rows += count
     try:
         try:
             block = encoder.dgc_indices(targets, messages, responses)
@@ -1063,8 +1027,7 @@ def unpack_frame(
     magic, src_shard, seq, count, _min_delivery = _HEADER.unpack_from(buf, 0)
     if magic != FRAME_MAGIC:
         raise WireFormatError(f"bad frame magic 0x{magic:04X}")
-    kinds = kind_table()
-    reader = _V2Reader(memoryview(buf), _HEADER.size, len(buf))
+    reader = _Reader(memoryview(buf), _HEADER.size, len(buf))
     if channel is not None:
         if seq <= channel.last_seq:
             raise WireFormatError(
@@ -1094,10 +1057,10 @@ def unpack_frame(
         )
         counts = head[2 * n:3 * n]
         if n:
-            if max(head[:n]) >= len(kinds):
+            if max(head[:n]) >= len(ALL_KINDS):
                 raise WireFormatError(
                     f"kind index {max(head[:n])} out of range "
-                    f"({len(kinds)} kinds)"
+                    f"({len(ALL_KINDS)} kinds)"
                 )
             if max(head[n:2 * n]) >= len(node_names):
                 raise WireFormatError(
@@ -1106,7 +1069,7 @@ def unpack_frame(
                 )
             if 0 in counts:
                 raise WireFormatError("empty run")
-        run_kinds = [*map(kinds.__getitem__, head[:n])]
+        run_kinds = [*map(ALL_KINDS.__getitem__, head[:n])]
         dgc_runs = messages = responses = generic = 0
         for kind, length in zip(run_kinds, counts):
             if kind is KIND_DGC_MESSAGE:
@@ -1115,12 +1078,8 @@ def unpack_frame(
             elif kind is KIND_DGC_RESPONSE:
                 dgc_runs += 1
                 responses += length
-            elif kind in _kinds.ALL_KINDS:
-                generic += length
             else:
-                raise WireFormatError(
-                    f"aggregate marker {kind!r} cannot ride a frame"
-                )
+                generic += length
         if dgc_runs + generic != count:
             raise WireFormatError(
                 f"runs overflow the header's row count {count} (decoded "
@@ -1133,7 +1092,7 @@ def unpack_frame(
             reader._need((8 if wide else 4) * dgc),
         )
         values = [*map(table.__getitem__, block)]
-        tagged = [_decode_value_v2(reader) for _ in range(2 * generic)]
+        tagged = [_decode_value(reader) for _ in range(2 * generic)]
         # Cursors into the index block's three sections (targets, then
         # message payloads, then response payloads) and the tagged values.
         target = cursor = 0

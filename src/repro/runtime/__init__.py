@@ -21,7 +21,6 @@ from repro.runtime.node import Node
 from repro.runtime.registry import (
     LeaseCache,
     NamingService,
-    Registry,
     RegistryShard,
 )
 from repro.runtime.localgc import LocalGarbageCollector
@@ -45,7 +44,6 @@ __all__ = [
     "FunctionBehavior",
     "SinkBehavior",
     "Node",
-    "Registry",
     "NamingService",
     "RegistryShard",
     "LeaseCache",

@@ -31,7 +31,6 @@ from repro.net.kinds import (
     KIND_REGISTRY_PUSH,
     KIND_REGISTRY_RENEW,
     KIND_REGISTRY_REPLY,
-    bind_dispatch_shapes,
 )
 from repro.runtime import request as request_module
 from repro.runtime.activeobject import Activity, ActivityState
@@ -42,11 +41,6 @@ from repro.runtime.proxy import Proxy, RemoteRef, StubTag
 from repro.runtime.request import RegistryAck, Reply, ReplyAddress, Request
 from repro.runtime.serialization import deserialize_refs, serialize_refs
 from repro.sim.beats import SlotController
-
-# The batch sinks below hard-code the aggregate unwrap of the DGC kinds;
-# an aggregate kind registered after this module imports would have
-# none, so the registry rejects such registrations from here on.
-bind_dispatch_shapes("repro.runtime.node")
 
 
 class _KindHandlers(dict):
@@ -116,9 +110,9 @@ class Node:
         #: channel's order is exactly the unbatched one.
         self._response_run: Optional[dict] = None
         #: The node's one receive lane: one ``(item, payload)`` handler
-        #: per traffic kind, total over the kind registry (the
-        #: analyzer's KIND-sink rule reads the keys), so adding a kind
-        #: means adding an entry, not a code path.  The fabric indexes
+        #: per traffic kind, total over ``ALL_KINDS`` (a tier-1 test
+        #: checks every node of a world), so adding a kind means adding
+        #: an entry, not a code path.  The fabric indexes
         #: the table directly on every core.  The DGC entries are the
         #: activity-lookup handlers — behind the target tables on the
         #: columnar pulse; the registry entries are the shard's own

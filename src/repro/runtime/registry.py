@@ -590,7 +590,7 @@ class NamingService:
         return self._pins.get(activity_id, 0)
 
     # ------------------------------------------------------------------
-    # World-level control plane (back-compatible Registry surface)
+    # World-level control plane
     # ------------------------------------------------------------------
 
     def bind(self, name: str, ref: RemoteRef) -> None:
@@ -923,8 +923,3 @@ class NamingService:
             )
             self.renew_messages_sent += 1
             self.renew_names_sent += len(names)
-
-
-#: Backward-compatible alias: the seed code base (and its tests) called
-#: the world's naming table ``Registry``.
-Registry = NamingService

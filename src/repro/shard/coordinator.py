@@ -329,6 +329,12 @@ class ShardedWorld:
             raise self._shard_failure(procs) from None
         except TimeoutError as hung:  # a worker stopped answering
             raise self._shard_failure(procs, hung.args[0]) from None
+        except SimulationError:
+            # A timed-out or deadlocked run: every fork holds both pipe
+            # ends, so closing ours never wakes a worker — stop them.
+            for proc in procs:
+                proc.kill()
+            raise
         finally:
             for conn in conns:
                 conn.close()
@@ -478,6 +484,12 @@ class ShardedWorld:
                     f"{phases[phase].name!r} at t={target}: no shard "
                     f"has pending events and no frames are in flight, "
                     f"but the phase predicate is unsatisfied"
+                )
+            if minimum > deadline and not (satisfied or until):
+                # Every instant up to the deadline has run everywhere.
+                raise SimulationError(
+                    f"sharded {self.workload!r} timed out in phase "
+                    f"{phases[phase].name!r} after {phases[phase].bound}s"
                 )
             if minimum != math.inf and minimum > self.max_sim_time:
                 raise SimulationError(

@@ -114,10 +114,6 @@ class World:
         #: the default is the uncached static-home baseline.
         self.registry = NamingService(self, registry)
         self.registry_config = self.registry.config
-        #: Back-compatible alias: the naming service's home node (the
-        #: static authority in ``home`` placement, the primary in
-        #: ``replicated``).
-        self.registry_node = self.registry.home_node
         #: A sharded world materializes only its own node group
         #: (``local_nodes``); the full topology stays shared so routing,
         #: latency and registry placement agree across shards.  Default:

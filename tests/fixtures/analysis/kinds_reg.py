@@ -1,29 +1,28 @@
-"""Fixture kind registry: declares the ``fab`` family.
+"""Fixture kind declaration: declares the ``fab`` family.
 
-The file plays the role of ``repro/net/kinds.py`` — it *defines*
-``register_kind`` and makes the top-level built-in registrations, so
-registrations here are in the defining file and (when top-level) legal
-for aggregate kinds.
+The file plays the role of ``repro/net/kinds.py`` — it assigns
+``ALL_KINDS`` and ``AGGREGATE_KINDS``, so the constants listed there are
+the declared kinds and the dict's values the aggregate markers.  A
+docstring may name anything, even "fab.bogus".
 """
 
 KIND_FAB_PING = "fab.ping"
 KIND_FAB_PONG = "fab.pong"
-KIND_FAB_LOST = "fab.lost"
-KIND_FAB_MUTE = "fab.mute"
-KIND_FAB_PAIR = "fab.pair"
-KIND_FAB_ALIEN = "fab.alien"
 KIND_FAB_RETIRED = "fab.retired"  # expect[KIND-literal]
 
+ALL_KINDS = (
+    KIND_FAB_PING,
+    KIND_FAB_PONG,
+)
 
-def register_kind(kind, *, aggregate=None, family=None):
-    return kind
+AGGREGATE_KINDS = {
+    KIND_FAB_PING: "fab.ping[]",
+}
 
 
-register_kind(KIND_FAB_PING)  # negative: priced, codec'd and sunk
-register_kind(KIND_FAB_PONG)  # expect[KIND-price]
-register_kind(KIND_FAB_LOST)  # expect[KIND-sink]
-register_kind(KIND_FAB_MUTE)  # expect[KIND-codec]
-
-
-def _register_after_import():
-    register_kind(KIND_FAB_PAIR, aggregate="fab.pair[]")  # expect[KIND-late-aggregate]
+def route(kind):
+    if kind == "fab.ping[]":  # negative: a declared aggregate marker
+        return "fab.pong"  # negative: a declared kind
+    if kind == "fab.pnog":  # expect[KIND-literal]
+        return "fab.pong[]"  # expect[KIND-literal]
+    return "other.family"  # negative: not a declared family

@@ -68,7 +68,7 @@ def test_fabric_unbind_releases_pin_and_unknown_name_is_nacked(make_world):
 
 def test_fabric_bind_from_authority_node_is_free_and_immediate(make_world):
     world = make_world(3, dgc=None)
-    driver = world.create_driver(node=world.registry_node)
+    driver = world.create_driver(node=world.registry.home_node)
     svc = driver.context.create(SinkBehavior(), node="site-2", name="svc")
     future = driver.context.bind("service", svc)
     assert future.resolved and future.value is True

@@ -569,6 +569,30 @@ def test_merged_trace_is_time_ordered():
 # ----------------------------------------------------------------------
 
 
+def test_overrunning_phase_times_out_by_its_bound_in_both_worlds():
+    """A phase that overruns its bound raises, naming the phase, whether
+    the coordinator or ``run_phases`` drives it — not only an
+    ``"until"`` phase, and not only at ``max_sim_time``."""
+    params = dict(TORTURE_PARAMS, collect_timeout=1)
+    with pytest.raises(
+        SimulationError,
+        match=r"sharded 'torture' timed out in phase 'collect' after 1\.0s",
+    ):
+        ShardedWorld(
+            two_site_topology(), 2, workload="torture", params=params,
+            dgc=small_dgc(), seed=3,
+        ).run()
+    from repro.workloads.torture import run_torture
+
+    with pytest.raises(
+        SimulationError, match=r"timed out in phase 'collect' after 1\.0s"
+    ):
+        run_torture(
+            dgc=small_dgc(), topology=two_site_topology(), seed=3,
+            collect_timeout=1, **TORTURE_PARAMS,
+        )
+
+
 def test_rejects_per_event_core():
     with pytest.raises(ConfigurationError, match="batched"):
         ShardedWorld(

@@ -108,7 +108,7 @@ def warm_resolve_frames(dgc, registry=None):
         uniform_topology(2), dgc=dgc, registry=registry or RegistryConfig(),
         trace=False,
     )
-    authority = world.registry_node
+    authority = world.registry.home_node
     remote = next(name for name in world.nodes if name != authority)
     service = external(world, authority, "svc")
     world.registry.bind("service", service.context.self_ref())
@@ -273,7 +273,7 @@ def test_resolve_lane_call_budget():
     world = World(
         uniform_topology(2), dgc=DgcConfig(ttb=1.0, tta=3.0), trace=False,
     )
-    authority = world.registry_node
+    authority = world.registry.home_node
     remote = next(name for name in world.nodes if name != authority)
     service = external(world, authority, "svc")
     world.registry.bind("service", service.context.self_ref())
@@ -334,7 +334,7 @@ def test_resolve_edge_reaches_a_collector():
     world = World(
         uniform_topology(2), dgc=DgcConfig(ttb=1.0, tta=3.0), trace=False,
     )
-    authority = world.registry_node
+    authority = world.registry.home_node
     remote = next(name for name in world.nodes if name != authority)
     service = external(world, authority, "svc")
     world.registry.bind("service", service.context.self_ref())
@@ -385,7 +385,7 @@ def test_replica_update_delivery_is_one_runtime_frame():
         registry=RegistryConfig(placement="replicated", coherence="eager"),
         trace=False,
     )
-    primary = world.registry_node
+    primary = world.registry.home_node
     replica = next(name for name in world.nodes if name != primary)
     service = external(world, primary, "svc")
     ref = service.context.self_ref()
@@ -415,13 +415,13 @@ def beat_write_world(nodes):
         registry=RegistryConfig(placement="replicated", lease_beat_s=1.0),
         trace=False,
     )
-    ref = external(world, world.registry_node, "svc").context.self_ref()
+    ref = external(world, world.registry.home_node, "svc").context.self_ref()
     world.registry.bind("warm", ref)
     world.run_for(1.5)
     for node in world.nodes:
-        if node != world.registry_node:
+        if node != world.registry.home_node:
             assert world.registry.shard(node).replica == {"warm": ref}
-    assert world.registry.shard(world.registry_node).egress_handle is not None
+    assert world.registry.shard(world.registry.home_node).egress_handle is not None
     return world, ref
 
 
@@ -437,7 +437,7 @@ def test_beat_staging_frames_do_not_grow_with_the_node_count():
         )
         assert fabric == {}
         assert runtime[("registry.py", "_update_replicas")] == 1
-        channel = world.registry.shard(world.registry_node).channel
+        channel = world.registry.shard(world.registry.home_node).channel
         assert channel.pending() == nodes - 1
         budgets.append(runtime)
     assert budgets[0] == budgets[1] == budgets[2], budgets
@@ -465,7 +465,7 @@ def test_beat_flush_sends_one_shared_message_per_replica_and_kind():
     assert runtime[("registry.py", "_flush_coherence")] == 1
     assert runtime[("registry.py", "on_push")] == nodes - 1
     assert runtime[("registry.py", "on_invalidate")] == nodes - 1
-    replicas = [node for node in world.nodes if node != world.registry_node]
+    replicas = [node for node in world.nodes if node != world.registry.home_node]
     assert [dest for dest, _, _ in sent] == [
         dest for dest in replicas for _ in range(2)
     ]
@@ -510,7 +510,7 @@ def drive_mixed_traffic(dgc: DgcConfig, rule: str):
         uniform_topology(3), dgc=dgc, registry=RegistryConfig(),
         fault_plan=plan, trace=False,
     )
-    authority = world.registry_node
+    authority = world.registry.home_node
     others = [name for name in world.nodes if name != authority]
     driver = world.create_driver(node=others[0])
     echo = driver.context.create(Echo(), node=others[1], name="echo")

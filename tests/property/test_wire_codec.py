@@ -24,6 +24,7 @@ suite checks that whatever it produces survives the wire unchanged.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import math
 import struct
@@ -39,9 +40,10 @@ from repro.net.wire import (
     ChannelDecoder,
     ChannelEncoder,
     Frame,
+    KIND_INDEX,
+    KIND_PAYLOAD_TYPES,
     WireFormatError,
     frame_stamp,
-    kind_index,
     pack_frame,
     unpack_frame,
 )
@@ -345,6 +347,80 @@ def test_every_kind_has_a_column_shape():
         assert kind in covered or kind.startswith("registry."), kind
 
 
+_REF = RemoteRef("ao-00000007:svc", NODES[2])
+_REPLY_TO = ReplyAddress(NODES[3], "ao-00000009:caller", 41)
+_CLOCK = ActivityClock(5, "ao-00000009:caller")
+
+#: One hand-built value of every payload class the codec carries, every
+#: optional field set, so a missing or lossy branch shows.
+PAYLOAD_SAMPLES = {
+    DgcMessage: DgcMessage("ao-00000009:caller", _CLOCK, True, _REF, 2.5),
+    DgcResponse: DgcResponse("ao-00000007:svc", _CLOCK, True, True, 3),
+    Request: Request(
+        "do_run", "ao-00000009:caller", "ao-00000007:svc", 512, (_REF,),
+        {"k": [1, -2.5, "v", b"x", None]}, _REPLY_TO, 17,
+    ),
+    Reply: Reply(41, "ao-00000009:caller", 64, (_REF,), ("done", 3)),
+    RegistryLookup: RegistryLookup("svc", _REPLY_TO),
+    RegistryReply: RegistryReply(41, "ao-00000009:caller", "svc", _REF, 30.0),
+    RegistryAck: RegistryAck(41, "ao-00000009:caller", "svc", False, "taken"),
+    RegistryBind: RegistryBind("svc", _REF, _REPLY_TO),
+    RegistryInvalidate: RegistryInvalidate(("svc", "db")),
+    RegistryRenew: RegistryRenew(NODES[1], ("svc", "db")),
+    RegistryRenewAck: RegistryRenewAck(("svc",), 45.0),
+    RegistryPush: RegistryPush((("svc", _REF), ("db", _REF))),
+}
+
+
+def _fields(value):
+    return [
+        (field.name, getattr(value, field.name))
+        for field in dataclasses.fields(value)
+    ]
+
+
+def _sample_runs():
+    """One single-item run per ``(kind, payload class)`` pair of
+    ``KIND_PAYLOAD_TYPES``: a DGC class rides the payload column beside
+    its target id, every other class the item column."""
+    runs = []
+    for kind, classes in KIND_PAYLOAD_TYPES.items():
+        for cls in classes:
+            sample = PAYLOAD_SAMPLES[cls]
+            if kind in DGC_KINDS:
+                item, payload = "ao-00000007:svc", sample
+            else:
+                item, payload = sample, None
+            runs.append((kind, 2.5, NODES[1], [item], [payload]))
+    return runs
+
+
+@pytest.mark.parametrize("persistent", [False, True], ids=["frame", "channel"])
+def test_every_payload_class_roundtrips_under_its_kind(persistent):
+    """The codec carries every class ``KIND_PAYLOAD_TYPES`` names for a
+    kind, each field equal after the trip — per frame, and on a
+    persistent channel twice over (the second frame reads the values
+    the first one interned)."""
+    runs = _sample_runs()
+    assert len(runs) == sum(map(len, KIND_PAYLOAD_TYPES.values()))
+    encoder, decoder = (
+        (ChannelEncoder(), ChannelDecoder()) if persistent else (None, None)
+    )
+    for seq in range(1 + persistent):
+        buf = pack_frame(0, seq, runs, NODE_INDEX, channel=encoder)
+        decoded = unpack_frame(buf, NODES, channel=decoder).runs
+        assert len(decoded) == len(runs)
+        for got, sent in zip(decoded, runs):
+            assert got[0] is sent[0]
+            pairs = zip(got[3] + got[4], sent[3] + sent[4])
+            for got_value, sent_value in pairs:
+                assert type(got_value) is type(sent_value), sent[0]
+                if dataclasses.is_dataclass(sent_value):
+                    assert _fields(got_value) == _fields(sent_value), sent[0]
+                else:
+                    assert got_value == sent_value, sent[0]
+
+
 def test_bad_magic_rejected():
     buf = pack_frame(1, 7, [], NODE_INDEX)
     assert buf[:2] == b"\x5d\x59"
@@ -367,11 +443,11 @@ def _request_run(target="ao-2:b", count=1):
 # Format-specific paths: varints, intern table, run heads
 # ----------------------------------------------------------------------
 
-_V2_BODY = 20  # the !HHIId header; the body opens with the table size
+_BODY = 20  # the !HHIId header; the body opens with the table size
 # Then the definition block's flag byte and the run count; one run's
 # row of the run table: u8 kind, u16 dest, u32 count, f64 delivery.
-_V2_RUN = _V2_BODY + 3
-_V2_VALUES = _V2_RUN + 15
+_RUN = _BODY + 3
+_VALUES = _RUN + 15
 
 
 def _v2_single_run_frame(count=1):
@@ -380,11 +456,11 @@ def _v2_single_run_frame(count=1):
     row of the run table and the first value tag sit at known offsets
     for surgical corruption."""
     buf = pack_frame(0, 0, [_request_run(count=count)], NODE_INDEX)
-    assert buf[_V2_BODY] == 0  # empty intern table
-    assert buf[_V2_BODY + 1] == 0  # nothing defined
-    assert buf[_V2_BODY + 2] == 1  # one run
-    assert buf[_V2_RUN] == kind_index()[kinds.KIND_APP_REQUEST]
-    assert struct.unpack_from("!I", buf, _V2_RUN + 3) == (count,)
+    assert buf[_BODY] == 0  # empty intern table
+    assert buf[_BODY + 1] == 0  # nothing defined
+    assert buf[_BODY + 2] == 1  # one run
+    assert buf[_RUN] == KIND_INDEX[kinds.KIND_APP_REQUEST]
+    assert struct.unpack_from("!I", buf, _RUN + 3) == (count,)
     return buf
 
 
@@ -393,14 +469,14 @@ def _patched(buf, offset, replacement):
 
 
 def test_v2_unknown_tag_rejected():
-    corrupt = _patched(_v2_single_run_frame(), _V2_VALUES, b"\xfe")
+    corrupt = _patched(_v2_single_run_frame(), _VALUES, b"\xfe")
     with pytest.raises(WireFormatError, match="tag"):
         unpack_frame(corrupt, NODES)
 
 
 def test_v2_backref_out_of_range_rejected():
     # A backref into the still-empty intern table where the request was.
-    corrupt = _patched(_v2_single_run_frame(), _V2_VALUES, b"\x0b\x05")
+    corrupt = _patched(_v2_single_run_frame(), _VALUES, b"\x0b\x05")
     with pytest.raises(WireFormatError, match="backref"):
         unpack_frame(corrupt, NODES)
 
@@ -419,7 +495,7 @@ def test_v2_unhashable_dict_key_rejected():
 
 
 def test_v2_empty_run_rejected():
-    corrupt = _patched(_v2_single_run_frame(), _V2_RUN + 3, b"\0\0\0\0")
+    corrupt = _patched(_v2_single_run_frame(), _RUN + 3, b"\0\0\0\0")
     with pytest.raises(WireFormatError, match="empty run"):
         unpack_frame(corrupt, NODES)
 
@@ -436,34 +512,35 @@ def test_v2_run_overflowing_row_count_rejected():
 def test_v2_overlong_varint_rejected():
     buf = _v2_single_run_frame()
     # An 11-byte all-continuation varint where the table size belongs.
-    corrupt = buf[:_V2_BODY] + b"\x80" * 10 + b"\x01" + buf[_V2_BODY + 1:]
+    corrupt = buf[:_BODY] + b"\x80" * 10 + b"\x01" + buf[_BODY + 1:]
     with pytest.raises(WireFormatError, match="varint"):
         unpack_frame(corrupt, NODES)
 
 
 def test_v2_bad_kind_index_rejected():
-    corrupt = _patched(_v2_single_run_frame(), _V2_RUN, b"\x7f")
+    corrupt = _patched(_v2_single_run_frame(), _RUN, b"\x7f")
     with pytest.raises(WireFormatError, match="kind index"):
         unpack_frame(corrupt, NODES)
 
 
 def test_v2_bad_destination_index_rejected():
-    corrupt = _patched(_v2_single_run_frame(), _V2_RUN + 1, b"\xff\xfe")
+    corrupt = _patched(_v2_single_run_frame(), _RUN + 1, b"\xff\xfe")
     with pytest.raises(WireFormatError, match="destination index"):
         unpack_frame(corrupt, NODES)
 
 
 def test_v2_aggregate_markers_never_ride_the_wire():
     """A DGC run is encoded under its base kind whatever its length:
-    the in-memory aggregate markers are rejected on both sides."""
+    the in-memory aggregate markers have no wire index, so they are
+    rejected on both sides."""
     run = (AGG_DGC_MESSAGE, 1.0, NODES[0], ["ao-1:a"], [_message(1)])
-    with pytest.raises(WireFormatError, match="aggregate marker"):
+    with pytest.raises(WireFormatError, match="not registered"):
         pack_frame(0, 0, [run], NODE_INDEX)
+    # The first index past the kinds.
     corrupt = _patched(
-        _v2_single_run_frame(), _V2_RUN,
-        bytes([kind_index()[AGG_DGC_MESSAGE]]),
+        _v2_single_run_frame(), _RUN, bytes([len(kinds.ALL_KINDS)]),
     )
-    with pytest.raises(WireFormatError, match="aggregate marker"):
+    with pytest.raises(WireFormatError, match="kind index"):
         unpack_frame(corrupt, NODES)
 
 
@@ -718,10 +795,10 @@ def test_request_row_once_its_fields_are_in_the_table():
     first = pack_frame(0, 0, [_request_run()], NODE_INDEX, channel=encoder)
     runs = [_request_run(count=2)]
     second = pack_frame(0, 1, runs, NODE_INDEX, channel=encoder)
-    assert first[_V2_VALUES] == 0x13 and second[_V2_VALUES] == 0x1F
+    assert first[_VALUES] == 0x13 and second[_VALUES] == 0x1F
     # tag, three two-byte indices, two i64, ref count, reply, payload
-    assert len(second) == _V2_VALUES + 2 * (1 + 3 * 2 + 2 * 8 + 1 + 2 + 1)
-    corrupt = _patched(second, _V2_VALUES + 1, struct.pack("!H", 999))
+    assert len(second) == _VALUES + 2 * (1 + 3 * 2 + 2 * 8 + 1 + 2 + 1)
+    corrupt = _patched(second, _VALUES + 1, struct.pack("!H", 999))
     for buf in (second, corrupt):
         decoder = ChannelDecoder()
         unpack_frame(first, NODES, channel=decoder)

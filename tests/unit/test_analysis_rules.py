@@ -107,19 +107,20 @@ class TestHeadOfTree:
         # are suppressions, not silence.
         assert result.suppressed_count >= 10
 
-    def test_kind_codec_rule_finds_the_real_codec(self):
-        """KIND-codec yields nothing when no file looks like the codec,
-        so "clean" alone cannot tell a covered tree from a blind rule:
-        pin that the real tree's codec is detected and non-trivial."""
+    def test_kind_literal_rule_reads_the_real_kind_set(self):
+        """KIND-literal yields nothing when no file assigns ALL_KINDS,
+        so "clean" alone cannot tell a closed vocabulary from a blind
+        rule: pin that the facts are exactly the real declarations."""
+        from repro.net import kinds
+
         files = []
         for path in sorted(SRC_REPRO.rglob("*.py")):
             text = path.read_text(encoding="utf-8")
             rel = path.relative_to(SRC_REPRO).as_posix()
             files.append(SourceFile(path, rel, text, ast.parse(text)))
-        codec = build_facts(files).codec
-        assert codec is not None and codec.path == "net/wire.py"
-        for names in codec.function_sets().values():
-            assert {"DgcMessage", "DgcResponse", "Request"} <= names
+        facts = build_facts(files)
+        assert facts.kinds == set(kinds.ALL_KINDS)
+        assert facts.aggregate_markers == set(kinds.AGGREGATE_KINDS.values())
 
 
 class TestCli:

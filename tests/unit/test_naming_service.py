@@ -89,7 +89,7 @@ def test_home_node_override_must_exist(make_world):
 def test_home_node_override_is_honoured(make_world):
     nodes = make_world(4).topology.nodes
     world = make_world(4, registry=RegistryConfig(home_node=nodes[2]))
-    assert world.registry_node == nodes[2]
+    assert world.registry.home_node == nodes[2]
     assert world.registry.authority_node("x") == nodes[2]
 
 

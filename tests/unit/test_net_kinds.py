@@ -1,8 +1,19 @@
-"""Unit tests for the central traffic-kind registry."""
+"""Unit tests for the closed traffic-kind set and its manifests.
+
+The kinds are declared once in :mod:`repro.net.kinds`; these tests
+check, on the real objects, that every module keyed by kind covers the
+whole set: the wire-size manifest prices every kind, the codec manifest
+names every kind's payload classes (the round trip of each class is in
+``tests/property/test_wire_codec.py``), and every node of a world
+dispatches every kind.
+"""
 
 import pytest
 
+from repro.core.config import RegistryConfig
 from repro.net import kinds, message
+from repro.net.topology import uniform_topology
+from repro.world import World
 
 
 def test_all_kinds_are_unique_and_orderd_dgc_first():
@@ -24,37 +35,16 @@ def test_registry_family_contains_all_naming_kinds():
     assert set(kinds.DGC_KINDS) == {"dgc.message", "dgc.response"}
 
 
+def test_family_rollups_partition_all_kinds():
+    families = kinds.DGC_KINDS + kinds.APP_KINDS + kinds.REGISTRY_KINDS
+    assert sorted(families) == sorted(kinds.ALL_KINDS)
+
+
 def test_aggregate_kinds_are_exactly_the_dgc_ones():
     assert set(kinds.AGGREGATE_KINDS) == {
         kinds.KIND_DGC_MESSAGE, kinds.KIND_DGC_RESPONSE
     }
-
-
-def test_message_module_reexports_the_registry():
-    # Back-compat: the historical import site still works and agrees.
-    assert message.ALL_KINDS == kinds.ALL_KINDS
-    assert message.KIND_REGISTRY_BIND == "registry.bind"
-    assert message.AGGREGATE_KINDS is kinds.AGGREGATE_KINDS
-
-
-def test_register_kind_rejects_duplicates():
-    with pytest.raises(ValueError):
-        kinds.register_kind(kinds.KIND_APP_REQUEST)
-
-
-def test_register_kind_extends_family_and_order():
-    before = kinds.ALL_KINDS
-    try:
-        kinds.register_kind("registry.gossip")
-        assert kinds.ALL_KINDS[-1] == "registry.gossip"
-        assert "registry.gossip" in kinds.REGISTRY_KINDS
-    finally:
-        # Undo: the registry rebinding is append-only by design; restore
-        # the module state so other tests see the built-ins only.
-        kinds.ALL_KINDS = before
-        kinds.REGISTRY_KINDS = tuple(
-            k for k in kinds.REGISTRY_KINDS if k != "registry.gossip"
-        )
+    assert not set(kinds.AGGREGATE_KINDS.values()) & set(kinds.ALL_KINDS)
 
 
 def test_describe_traffic_is_greppable_by_kind():
@@ -62,60 +52,8 @@ def test_describe_traffic_is_greppable_by_kind():
     assert line == "registry.renew site-1->site-0 56B"
 
 
-def test_dispatch_shapes_are_bound_by_network_and_node():
-    # Importing the fabric (done above through repro.net.message's
-    # consumers in other suites, and unconditionally here) records the
-    # binders that snapshot AGGREGATE_KINDS.
-    import repro.net.network  # noqa: F401
-    import repro.runtime.node  # noqa: F401
-
-    assert "repro.net.network" in kinds._DISPATCH_SHAPE_BINDERS
-    assert "repro.runtime.node" in kinds._DISPATCH_SHAPE_BINDERS
-
-
-def test_late_aggregate_registration_raises_without_mutating_registry():
-    import repro.net.network  # noqa: F401  (ensures a binder is recorded)
-
-    before_all = kinds.ALL_KINDS
-    before_agg = dict(kinds.AGGREGATE_KINDS)
-    with pytest.raises(RuntimeError, match="dispatch shape"):
-        kinds.register_kind("dgc.late", aggregate="dgc.late[]")
-    # The failed registration left no trace.
-    assert kinds.ALL_KINDS == before_all
-    assert kinds.AGGREGATE_KINDS == before_agg
-
-
-def test_late_plain_registration_stays_legal_after_binding():
-    import repro.runtime.node  # noqa: F401  (ensures a binder is recorded)
-
-    before = kinds.ALL_KINDS
-    try:
-        kinds.register_kind("registry.late_plain")
-        assert kinds.ALL_KINDS[-1] == "registry.late_plain"
-    finally:
-        kinds.ALL_KINDS = before
-        kinds.REGISTRY_KINDS = tuple(
-            k for k in kinds.REGISTRY_KINDS if k != "registry.late_plain"
-        )
-
-
-def test_aggregate_registration_allowed_before_any_binder(monkeypatch):
-    # Simulate the pre-import world: no binder recorded yet.
-    monkeypatch.setattr(kinds, "_DISPATCH_SHAPE_BINDERS", ())
-    before_all = kinds.ALL_KINDS
-    try:
-        kinds.register_kind("dgc.early", aggregate="dgc.early[]")
-        assert kinds.AGGREGATE_KINDS["dgc.early"] == "dgc.early[]"
-    finally:
-        kinds.ALL_KINDS = before_all
-        kinds.AGGREGATE_KINDS.pop("dgc.early", None)
-        kinds.DGC_KINDS = tuple(
-            k for k in kinds.DGC_KINDS if k != "dgc.early"
-        )
-
-
 def test_size_sources_manifest_is_total_and_priced():
-    # Every registered kind is priced, by a real WireSizeModel attribute.
+    # Every kind is priced, by a real WireSizeModel attribute.
     assert set(message.KIND_SIZE_SOURCES) == set(kinds.ALL_KINDS)
     model = message.WireSizeModel()
     for kind, attr in message.KIND_SIZE_SOURCES.items():
@@ -130,3 +68,19 @@ def test_payload_types_manifest_is_total():
         assert types, kind
         for payload_type in types:
             assert isinstance(payload_type, type), (kind, payload_type)
+
+
+@pytest.mark.parametrize("placement", ["home", "replicated", "hashed"])
+def test_every_node_dispatches_every_kind(placement):
+    """A kind missing from a node's table dead-letters at that node, so
+    every node of a world — registry home, replicas and plain nodes —
+    must hold a handler for exactly the declared kinds."""
+    world = World(
+        uniform_topology(3),
+        registry=RegistryConfig(placement=placement),
+        trace=False,
+    )
+    assert len(world.nodes) == 3
+    for name, node in world.nodes.items():
+        assert set(node._kind_handlers) == set(kinds.ALL_KINDS), name
+        assert world.network._kind_tables[name] is node._kind_handlers

@@ -200,7 +200,7 @@ def test_lookup_via_fabric_unbound_name_resolves_none(world):
 def test_ctx_lookup_from_registry_home_node_is_free(world):
     """A lookup from the registry's own node is intra-node traffic:
     resolved at the same instant, not accounted."""
-    driver = world.create_driver(node=world.registry_node)
+    driver = world.create_driver(node=world.registry.home_node)
     svc = driver.context.create(SinkBehavior(), node="site-1", name="svc")
     world.registry.bind("service", svc.ref)
     future = world.find_activity(driver.id).context.lookup("service")
