@@ -13,7 +13,7 @@ import pytest
 from repro.core.config import DgcConfig
 from repro.errors import ConfigurationError, ProtocolError
 from repro.net.faults import FaultPlan
-from repro.net.message import KIND_APP_REQUEST
+from repro.net.kinds import KIND_APP_REQUEST
 from repro.workloads.app import Peer, link, release_all
 
 

@@ -21,8 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.faults import FaultPlan
-from repro.net.kinds import ALL_KINDS
-from repro.net.message import KIND_DGC_MESSAGE, KIND_DGC_RESPONSE
+from repro.net.kinds import ALL_KINDS, KIND_DGC_MESSAGE, KIND_DGC_RESPONSE
 from repro.net.network import Network
 from repro.net.topology import uniform_topology
 from repro.sim.kernel import SimKernel

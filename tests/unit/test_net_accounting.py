@@ -1,7 +1,7 @@
 """Unit tests for the bandwidth accountant."""
 
 from repro.net.accounting import BandwidthAccountant
-from repro.net.message import (
+from repro.net.kinds import (
     KIND_APP_REPLY,
     KIND_APP_REQUEST,
     KIND_DGC_MESSAGE,

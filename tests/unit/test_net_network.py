@@ -4,8 +4,8 @@ import pytest
 
 from repro.errors import UnknownDestinationError
 from repro.net.faults import FaultPlan
-from repro.net.kinds import ALL_KINDS
-from repro.net.message import (
+from repro.net.kinds import (
+    ALL_KINDS,
     KIND_APP_REPLY,
     KIND_APP_REQUEST,
     KIND_DGC_MESSAGE,
