@@ -25,7 +25,7 @@ on:
   corrupted buffer raises :class:`WireFormatError` instead of returning
   garbage.
 
-A frame is a header (magic ``0x5D59``, the ``(src_shard, seq)`` stamp,
+A frame is a header (magic ``0x5D5A``, the ``(src_shard, seq)`` stamp,
 row count, earliest delivery) and a body of columns, not of records:
 the runs ``(kind, delivery, dest, items, payloads)`` the network's
 shard egress stages, laid out so that a frame costs a handful of
@@ -140,8 +140,9 @@ def _cannot_encode(value, where: str) -> WireFormatError:
 #: Frame magic: rejects frames from a foreign protocol (or a desynced
 #: stream) before any lengths are trusted.  It doubles as the format
 #: version: ``0x5D57`` was the retired entry-at-a-time format, ``0x5D58``
-#: the retired record-per-run format.
-FRAME_MAGIC = 0x5D59
+#: the retired record-per-run format, ``0x5D59`` the columnar format
+#: whose requests still carried a request id.
+FRAME_MAGIC = 0x5D5A
 
 _HEADER = struct.Struct("!HHIId")  # magic, src_shard, seq, count, min_delivery
 _F64 = struct.Struct("!d")
@@ -235,9 +236,11 @@ def _float_key(value: float):
 
 #: Table indices are two bytes wide while the table fits.
 _NARROW_TABLE = 0x10000
-#: ``_T_REQUEST_ROW`` after its tag: method, sender, target, payload bytes,
-#: request id, ref count — then the refs, then a tagged ``reply_to``.
-_REQUEST_ROW = (struct.Struct("!3HqqH"), struct.Struct("!3IqqH"))
+#: ``_T_REQUEST_ROW`` after its tag: method, sender and target indices
+#: (u16, u32 once the table is wide), payload bytes (i64), ref count (u16)
+#: — 17 bytes with the tag for a ref-less request on a narrow table —
+#: then one index per ref, then a tagged ``reply_to``.
+_REQUEST_ROW = (struct.Struct("!3HqH"), struct.Struct("!3IqH"))
 #: Definition records after the strings — clock, ref, message, response:
 #: leading table-index fields, then the scalars' struct codes and size.
 _DEFINITION_RECORDS = ((1, "q", 8), (2, "", 0), (3, "?d", 9), (2, "???q", 11))
@@ -500,10 +503,9 @@ class _Encoder:
                     n = len(refs)
                     w = "I" if self.count > _NARROW_TABLE else "H"
                     out += struct.pack(
-                        f"!B3{w}qqH{n}{w}", _T_REQUEST_ROW,
+                        f"!B3{w}qH{n}{w}", _T_REQUEST_ROW,
                         memo[value.method], memo[value.sender],
-                        memo[value.target], value.payload_bytes,
-                        value.request_id, n, *refs,
+                        memo[value.target], value.payload_bytes, n, *refs,
                     )
                 except (KeyError, AttributeError, TypeError, struct.error):
                     pass
@@ -515,7 +517,6 @@ class _Encoder:
             self.value(value.sender)
             self.value(value.target)
             self.zigzag(value.payload_bytes)
-            self.zigzag(value.request_id)
             self.value(tuple(value.refs))
             self.value(value.data)
             self.value(value.reply_to)
@@ -686,8 +687,8 @@ def _decode_value(reader: _Reader):
         table = reader.table
         wide = len(table) > _NARROW_TABLE
         head = _REQUEST_ROW[wide]
-        method, sender, target, payload_bytes, request_id, count = (
-            head.unpack_from(reader.buf, pos + 1)
+        method, sender, target, payload_bytes, count = head.unpack_from(
+            reader.buf, pos + 1
         )
         pos += 1 + head.size
         refs = struct.unpack_from(
@@ -698,7 +699,7 @@ def _decode_value(reader: _Reader):
             table[method], table[sender], table[target],
             payload_bytes=payload_bytes,
             refs=tuple(map(table.__getitem__, refs)),
-            reply_to=_decode_value(reader), request_id=request_id,
+            reply_to=_decode_value(reader),
         )
     if tag == _T_STR:
         value = reader.text()
@@ -759,7 +760,7 @@ def _decode_value(reader: _Reader):
     if tag == _T_REQUEST:
         return Request(
             decode(reader), decode(reader), decode(reader),
-            payload_bytes=reader.zigzag(), request_id=reader.zigzag(),
+            payload_bytes=reader.zigzag(),
             refs=decode(reader), data=decode(reader), reply_to=decode(reader),
         )
     if tag == _T_REPLY:

@@ -20,7 +20,7 @@ import enum
 from collections import deque
 from collections.abc import Generator
 from functools import cached_property
-from typing import Any, Callable, Deque, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import RuntimeModelError
 from repro.runtime.future import Future
@@ -233,6 +233,7 @@ class Activity:
         self._run: Optional[_HandlerRun] = None
         self._pumping = False
         self._kept: set = set()  # the kept stubs, not their ids (ids get reused)
+        self._sent: Dict[ActivityId, Request] = {}  # target -> last bare ping
         self._idle_listeners: List[Callable[["Activity"], None]] = []
 
     # ------------------------------------------------------------------
@@ -280,6 +281,7 @@ class Activity:
         self.state = ActivityState.TERMINATED
         self.terminated_reason = reason
         self._queue.clear()
+        self._sent = {}
         self._run = None
         dead_tags = self.proxies.release_all()
         for tag in dead_tags:

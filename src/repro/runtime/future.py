@@ -20,9 +20,9 @@ _future_ids = itertools.count(1)
 
 
 def reset_future_ids() -> None:
-    """Restart the process-global future-id stream (see
-    :func:`repro.runtime.request.reset_request_ids`; future ids ride
-    reply addresses across shard frames)."""
+    """Restart the process-global future-id stream (future ids ride
+    reply addresses across shard frames; see
+    :func:`repro.shard.worker.reset_process_counters`)."""
     global _future_ids
     _future_ids = itertools.count(1)
 

@@ -32,7 +32,6 @@ from repro.net.kinds import (
     KIND_REGISTRY_RENEW,
     KIND_REGISTRY_REPLY,
 )
-from repro.runtime import request as request_module
 from repro.runtime.activeobject import Activity, ActivityState
 from repro.runtime.future import Future
 from repro.runtime.ids import ActivityId
@@ -218,7 +217,9 @@ class Node:
     ) -> Optional[Future]:
         """The send half of the request lane in one frame: the sender's
         liveness check, the world's send counter and in-flight pins, and
-        the wire size (:meth:`WireSizeModel.request_size`, inlined)."""
+        the wire size (:meth:`WireSizeModel.request_size`, inlined).  A
+        request with no refs, data or reply is a value: the last one sent
+        to the target (``sender._sent``) goes again while it matches."""
         if sender.state is ActivityState.TERMINATED:
             raise ActivityTerminatedError(f"{sender.id} is terminated")
         if isinstance(target, Proxy):
@@ -237,16 +238,20 @@ class Node:
             self._pending_futures[future.future_id] = future
             reply_to = ReplyAddress(self.name, sender.id, future.future_id)
         target_id = target_ref.activity_id
-        request = Request(
-            method=method,
-            sender=sender.id,
-            target=target_id,
-            payload_bytes=payload_bytes,
-            refs=wire_refs,
-            data=data,
-            reply_to=reply_to,
-            request_id=next(request_module.request_ids),
-        )
+        if wire_refs or reply_to or data is not None:
+            request = Request(
+                method, sender.id, target_id, payload_bytes, wire_refs, data,
+                reply_to,
+            )
+        else:
+            sent = sender._sent
+            request = sent[target_id] if target_id in sent else None
+            if request is None or request.method != method or (
+                request.payload_bytes != payload_bytes
+            ):
+                request = sent[target_id] = Request(
+                    method, sender.id, target_id, payload_bytes
+                )
         size = self._request_header_bytes + payload_bytes
         world = self.world
         world.requests_sent += 1

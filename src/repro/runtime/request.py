@@ -14,34 +14,18 @@ to caller, and a reply to an already-collected caller is dropped.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
 from repro.runtime.ids import ActivityId
 from repro.runtime.proxy import RemoteRef
 
-#: The process-global request-id stream.  Senders draw from it through
-#: the module (``next(request.request_ids)``), so the rebinding in
-#: :func:`reset_request_ids` reaches them.
-request_ids = itertools.count(1)
-
-
-def reset_request_ids() -> None:
-    """Restart the process-global request-id stream.
-
-    Request ids cross process boundaries inside shard wire frames, so
-    the shard workers (and the single-process replay arm) reset the
-    stream at world construction to keep independent runs — and the
-    frames they emit — bit-identical.
-    """
-    global request_ids
-    request_ids = itertools.count(1)
-
 
 @dataclass(slots=True)
 class Request:
-    """An asynchronous method invocation on an activity."""
+    """An asynchronous method invocation on an activity: a value, never
+    mutated after construction, so one object may stand for many
+    in-flight messages (a repeated bare ping, :meth:`Node.send_request`)."""
 
     method: str
     sender: ActivityId
@@ -50,13 +34,9 @@ class Request:
     refs: Tuple[RemoteRef, ...] = ()
     data: Any = None
     reply_to: Optional["ReplyAddress"] = None
-    request_id: int = field(default_factory=lambda: next(request_ids))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Request(#{self.request_id} {self.method} "
-            f"{self.sender}->{self.target})"
-        )
+        return f"Request({self.method} {self.sender}->{self.target})"
 
 
 @dataclass(frozen=True, slots=True)

@@ -87,12 +87,16 @@ evaluates each phase's completion predicate over merged worker reports
 (``"collected"`` / ``"balance"`` / ``"replied"`` / ``"ready"``), or
 walks an ``"until"`` phase to its deadline, and broadcasts phase
 entries, whose actions run at the shared current horizon.
+
+A worker that exits unreported or stops beating is a named
+:class:`~repro.errors.ShardFailure` within seconds (``_recv``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -103,6 +107,8 @@ from repro.net.topology import Topology
 from repro.net.wire import frame_stamp
 from repro.shard.plan import ShardPlan, make_plan
 from repro.shard.worker import (
+    HEARTBEAT_MISSES,
+    HEARTBEAT_S,
     REGISTRY_COUNTERS,
     WorkerSpec,
     build_shard_world,
@@ -308,6 +314,7 @@ class ShardedWorld:
         start = time.monotonic()  # repro: allow[DET-wallclock] wall-clock is reported in the result, never scheduled on
         conns = []
         procs = []
+        self._heartbeats: List[int] = []  # read ends, one per shard
         try:
             # Freeze the caller's heap across the forks.  Whatever the
             # parent holds at fork time (a replay world, earlier
@@ -328,7 +335,7 @@ class ShardedWorld:
         except (EOFError, ConnectionError):  # a worker died unreported
             raise self._shard_failure(procs) from None
         except TimeoutError as hung:  # a worker stopped answering
-            raise self._shard_failure(procs, hung.args[0]) from None
+            raise self._shard_failure(procs, *hung.args) from None
         except SimulationError:
             # A timed-out or deadlocked run: every fork holds both pipe
             # ends, so closing ours never wakes a worker — stop them.
@@ -338,18 +345,20 @@ class ShardedWorld:
         finally:
             for conn in conns:
                 conn.close()
+            for fd in self._heartbeats:
+                os.close(fd)
             for proc in procs:
                 proc.join(timeout=10.0)
                 if proc.is_alive():  # pragma: no cover - hang backstop
                     proc.terminate()
 
     def _shard_failure(
-        self, procs, hung: Optional[int] = None
+        self, procs, hung: Optional[int] = None, why: str = ""
     ) -> ShardFailure:
         """Name the workers that exited (bounded wait: a pipe closes
         before its process is reaped) or, with ``hung``, the one that
-        stopped answering; kill every worker (a stopped one ignores
-        SIGTERM)."""
+        stopped answering and ``why``; kill every worker (a stopped one
+        ignores SIGTERM)."""
         from multiprocessing.connection import wait
 
         sentinels = [proc.sentinel for proc in procs]
@@ -363,7 +372,7 @@ class ShardedWorld:
                 for j, proc in enumerate(procs) if proc.sentinel in exited
             ) or "none exited")
         else:
-            what = f"shard {hung} unresponsive for {self.io_timeout_s}s"
+            what = f"shard {hung} {why}"
         last = self._last_frame
         return ShardFailure(
             f"sharded {self.workload!r} in barrier round {self._round}: "
@@ -374,6 +383,9 @@ class ShardedWorld:
     def _spawn(self, mp, conns, procs) -> None:
         for shard in range(self.plan.shard_count):
             parent_conn, child_conn = mp.Pipe()
+            beats, beat = os.pipe()
+            os.set_blocking(beats, False)
+            self._heartbeats.append(beats)
             spec = WorkerSpec(
                 shard=shard,
                 plan=self.plan,
@@ -384,12 +396,14 @@ class ShardedWorld:
                 registry=self.registry,
                 seed=self.seed,
                 trace=self.trace,
+                heartbeat=beat,
             )
             proc = mp.Process(
                 target=worker_main, args=(child_conn, spec), daemon=True
             )
             proc.start()
             child_conn.close()
+            os.close(beat)
             conns.append(parent_conn)
             procs.append(proc)
 
@@ -611,8 +625,22 @@ class ShardedWorld:
         return message[1]
 
     def _recv(self, conn):
-        if not conn.poll(self.io_timeout_s):
-            raise TimeoutError(self._conns.index(conn))
+        # Poll in heartbeat slices, draining the heartbeat pipe after each
+        # empty one (b"" at EOF); io_timeout_s counts whole slices.
+        waited = silent = 0
+        while not conn.poll(HEARTBEAT_S):
+            shard = self._conns.index(conn)
+            waited += HEARTBEAT_S
+            try:
+                silent = 0 if os.read(self._heartbeats[shard], 1 << 16) else silent + 1
+            except BlockingIOError:
+                silent += 1
+            if silent >= HEARTBEAT_MISSES:
+                raise TimeoutError(
+                    shard, f"stopped: no heartbeat for {silent * HEARTBEAT_S}s"
+                )
+            if waited >= self.io_timeout_s:
+                raise TimeoutError(shard, f"unresponsive for {self.io_timeout_s}s")
         message = conn.recv()
         if message[0] == "error":
             raise SimulationError(

@@ -25,6 +25,9 @@ through barrier rounds:
 ``("stop",)``
     reply with the shard's final result blob and exit.
 
+A daemon thread writes one byte per :data:`HEARTBEAT_S` on a one-way
+pipe (``WorkerSpec.heartbeat``): a stopped worker falls silent there.
+
 Every report carries the shard's next event time, live non-root count,
 the summable traffic counters, readiness flags, the round's egress
 packed as one wire frame per destination shard (stamped with this
@@ -44,6 +47,9 @@ pickled channel.
 from __future__ import annotations
 
 import itertools
+import os
+import threading
+import time
 import traceback
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -60,7 +66,6 @@ from repro.net.wire import (
 )
 from repro.runtime.future import reset_future_ids
 from repro.runtime.ids import reset_id_counter
-from repro.runtime.request import reset_request_ids
 from repro.shard.plan import ShardPlan
 from repro.shard.workloads import SHARD_WORKLOADS, ShardEnv
 from repro.sim.kernel import SimKernel
@@ -90,16 +95,33 @@ class WorkerSpec:
     registry: Optional[RegistryConfig] = None
     seed: int = 0
     trace: bool = False
+    #: Write end (a file descriptor) of the heartbeat pipe; ``None`` in
+    #: the single-process replay.
+    heartbeat: Optional[int] = None
+
+
+#: Seconds between two heartbeat bytes, and the silent slices after
+#: which the coordinator names a worker stopped.
+HEARTBEAT_S, HEARTBEAT_MISSES = 1.0, 10
+
+
+def _beat(fd: int) -> None:
+    """The heartbeat thread, until the coordinator closes its end."""
+    try:
+        while True:
+            os.write(fd, b"\0")
+            time.sleep(HEARTBEAT_S)
+    except OSError:
+        pass
 
 
 def reset_process_counters() -> None:
     """Fresh deterministic id streams: forked workers inherit the parent
     process's counter positions, which depend on everything the parent
-    ran before — resetting pins every run's ids (activity, request,
-    future) to the same sequence, which the frame-determinism contract
-    requires (request/future ids are encoded into wire frames)."""
+    ran before — resetting pins every run's ids (activity, future) to
+    the same sequence, which the frame-determinism contract requires
+    (future ids are encoded into wire frames)."""
     reset_id_counter()
-    reset_request_ids()
     reset_future_ids()
 
 
@@ -332,6 +354,8 @@ def _serve(conn, spec: WorkerSpec) -> None:
 
 def worker_main(conn, spec: WorkerSpec) -> None:
     """Child-process entry point."""
+    if spec.heartbeat is not None:
+        threading.Thread(target=_beat, args=(spec.heartbeat,), daemon=True).start()
     try:
         _serve(conn, spec)
     except BaseException:

@@ -15,6 +15,7 @@ there).
 from __future__ import annotations
 
 import copyreg
+import inspect
 import os
 import pickle
 import re
@@ -27,6 +28,8 @@ from repro.core.config import DgcConfig
 from repro.errors import ConfigurationError, ShardFailure, SimulationError
 from repro.net.topology import Site, Topology
 from repro.shard import ShardedWorld, make_plan, replay_single_process
+from repro.shard import coordinator as coordinator_module
+from repro.shard import worker as worker_module
 
 
 def two_site_topology() -> Topology:
@@ -670,12 +673,10 @@ def test_killed_worker_surfaces_as_named_shard_failure(monkeypatch):
     assert spawned[0].exitcode == -signal.SIGKILL
 
 
-def test_hung_worker_surfaces_as_named_shard_failure(monkeypatch):
-    """A worker that stops answering (SIGSTOP here) is a
-    :class:`ShardFailure` once ``io_timeout_s`` passes, naming the
-    shard, the round and the last routed frame, and every worker is
-    killed: a stopped one ignores SIGTERM, so terminating it would
-    hang the join."""
+def _stop_shard_one_mid_run(monkeypatch, **world_kwargs):
+    """SIGSTOP shard 1 of a 2-shard torture a round in; return the
+    :class:`ShardFailure` info, the seconds it took and the workers
+    (never leaving a stopped one behind)."""
     spawned = []
     real_spawn = ShardedWorld._spawn
     real_recv_report = ShardedWorld._recv_report
@@ -695,7 +696,7 @@ def test_hung_worker_surfaces_as_named_shard_failure(monkeypatch):
     monkeypatch.setattr(ShardedWorld, "_recv_report", recv_report)
     world = ShardedWorld(
         two_site_topology(), 2, workload="torture", params=TORTURE_PARAMS,
-        dgc=small_dgc(), seed=3, io_timeout_s=2.0,
+        dgc=small_dgc(), seed=3, **world_kwargs,
     )
     started = time.monotonic()
     try:
@@ -705,7 +706,19 @@ def test_hung_worker_surfaces_as_named_shard_failure(monkeypatch):
         for proc in spawned:
             if proc.is_alive():  # never leave a stopped process behind
                 proc.kill()
-    assert time.monotonic() - started < 15.0
+    return failure, time.monotonic() - started, spawned
+
+
+def test_hung_worker_surfaces_as_named_shard_failure(monkeypatch):
+    """A worker that stops answering (SIGSTOP here) is a
+    :class:`ShardFailure` once ``io_timeout_s`` passes, naming the
+    shard, the round and the last routed frame, and every worker is
+    killed: a stopped one ignores SIGTERM, so terminating it would
+    hang the join."""
+    failure, elapsed, spawned = _stop_shard_one_mid_run(
+        monkeypatch, io_timeout_s=2.0
+    )
+    assert elapsed < 15.0
     message = str(failure.value)
     assert "shard 1 unresponsive for 2.0s" in message
     assert re.search(r"barrier round [1-9]", message), message
@@ -714,6 +727,108 @@ def test_hung_worker_surfaces_as_named_shard_failure(monkeypatch):
     ), message
     assert not any(proc.is_alive() for proc in spawned)
     assert spawned[1].exitcode == -signal.SIGKILL
+
+
+def test_stopped_worker_surfaces_within_seconds_by_heartbeat(monkeypatch):
+    """At the default ``io_timeout_s`` (300 s) a stopped worker still
+    surfaces in seconds: its heartbeat pipe falls silent, and ten empty
+    one-second slices name it a :class:`ShardFailure`."""
+    default = inspect.signature(ShardedWorld).parameters["io_timeout_s"].default
+    assert default == 300.0
+    failure, elapsed, spawned = _stop_shard_one_mid_run(monkeypatch)
+    assert elapsed < 30.0
+    message = str(failure.value)
+    assert "shard 1 stopped: no heartbeat for 10.0s" in message
+    assert re.search(r"barrier round [1-9]", message), message
+    assert not any(proc.is_alive() for proc in spawned)
+    assert spawned[1].exitcode == -signal.SIGKILL
+
+
+def test_slow_worker_keeps_beating_and_finishes(monkeypatch):
+    """A worker that takes longer than the silent-slice limit to report
+    (here two slices; it sleeps 3.5 s once) is not named stopped: its
+    heartbeat thread keeps writing, and the run completes as the replay
+    does.  The patches are inherited by the forked workers."""
+    monkeypatch.setattr(coordinator_module, "HEARTBEAT_MISSES", 2)
+    real_send_report = worker_module._send_report
+    reports = []
+
+    def slow_send_report(conn, world, env, spec, *rest):
+        reports.append(spec.shard)  # per process: each worker's own list
+        if spec.shard == 1 and len(reports) == 2:
+            time.sleep(3.5)
+        return real_send_report(conn, world, env, spec, *rest)
+
+    monkeypatch.setattr(worker_module, "_send_report", slow_send_report)
+    started = time.monotonic()
+    result = ShardedWorld(
+        two_site_topology(), 2, workload="torture", params=TORTURE_PARAMS,
+        dgc=small_dgc(), seed=3,
+    ).run()
+    assert time.monotonic() - started >= 3.5
+    _, _, signature = replay_single_process(
+        two_site_topology(), workload="torture", params=TORTURE_PARAMS,
+        dgc=small_dgc(), seed=3,
+    )
+    assert result.outcome_signature() == signature
+
+
+class _SlowConn:
+    """A barrier pipe whose report arrives after ``slices`` empty polls;
+    with ``beat_fd``, the worker writes a heartbeat byte during each."""
+
+    def __init__(self, slices, beat_fd=None):
+        self.slices = slices
+        self.beat_fd = beat_fd
+        self.polls = []
+
+    def poll(self, timeout):
+        self.polls.append(timeout)
+        if len(self.polls) > self.slices:
+            return True
+        if self.beat_fd is not None:
+            os.write(self.beat_fd, b"\0")
+        return False
+
+    def recv(self):
+        return ("report",)
+
+
+@pytest.mark.parametrize(
+    "beating, io_timeout_s, why, polls",
+    [
+        (True, 300.0, None, 41),  # slow but alive: waits the report out
+        (False, 300.0, "stopped: no heartbeat for 10.0s", 10),
+        (True, 2.5, "unresponsive for 2.5s", 3),  # the backstop
+    ],
+    ids=["slow", "silent", "backstop"],
+)
+def test_recv_tells_a_slow_worker_from_a_stopped_one(
+    beating, io_timeout_s, why, polls
+):
+    """One-second slices: a worker that beats is waited for as long as
+    ``io_timeout_s`` allows, one that falls silent for ten slices is
+    named stopped, without any real waiting here."""
+    world = ShardedWorld(
+        two_site_topology(), 2, workload="torture", params=TORTURE_PARAMS,
+        dgc=small_dgc(), io_timeout_s=io_timeout_s,
+    )
+    beats, beat = os.pipe()
+    os.set_blocking(beats, False)
+    try:
+        conn = _SlowConn(40, beat if beating else None)
+        world._conns = [None, conn]
+        world._heartbeats = [None, beats]
+        if why is None:
+            assert world._recv(conn) == ("report",)
+        else:
+            with pytest.raises(TimeoutError) as hung:
+                world._recv(conn)
+            assert hung.value.args == (1, why)
+        assert conn.polls == [1.0] * polls
+    finally:
+        os.close(beats)
+        os.close(beat)
 
 
 def test_plan_partitions_nodes_contiguously():

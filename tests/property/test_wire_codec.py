@@ -110,7 +110,6 @@ requests = st.builds(
     refs=st.lists(remote_refs, max_size=5).map(tuple),
     data=plain_data,
     reply_to=st.one_of(st.none(), reply_addresses),
-    request_id=st.integers(min_value=1, max_value=1 << 40),
 )
 replies = st.builds(
     Reply,
@@ -358,7 +357,7 @@ PAYLOAD_SAMPLES = {
     DgcResponse: DgcResponse("ao-00000007:svc", _CLOCK, True, True, 3),
     Request: Request(
         "do_run", "ao-00000009:caller", "ao-00000007:svc", 512, (_REF,),
-        {"k": [1, -2.5, "v", b"x", None]}, _REPLY_TO, 17,
+        {"k": [1, -2.5, "v", b"x", None]}, _REPLY_TO,
     ),
     Reply: Reply(41, "ao-00000009:caller", 64, (_REF,), ("done", 3)),
     RegistryLookup: RegistryLookup("svc", _REPLY_TO),
@@ -423,10 +422,10 @@ def test_every_payload_class_roundtrips_under_its_kind(persistent):
 
 def test_bad_magic_rejected():
     buf = pack_frame(1, 7, [], NODE_INDEX)
-    assert buf[:2] == b"\x5d\x59"
-    # A foreign stream, and the retired entry-at-a-time and
-    # record-per-run formats' magics.
-    for magic in (b"\x00\x00", b"\x5d\x57", b"\x5d\x58"):
+    assert buf[:2] == b"\x5d\x5a"
+    # A foreign stream, and the retired entry-at-a-time, record-per-run
+    # and request-id-carrying formats' magics.
+    for magic in (b"\x00\x00", b"\x5d\x57", b"\x5d\x58", b"\x5d\x59"):
         with pytest.raises(WireFormatError, match="magic"):
             unpack_frame(magic + buf[2:], NODES)
 
@@ -787,6 +786,25 @@ def test_channel_roundtrip_across_frames(batches):
         assert_same_runs(frame.runs, runs)
 
 
+#: A ref-less request row on a narrow table: tag, three two-byte
+#: indices (method, sender, target), the i64 payload size, the u16 ref
+#: count.  No request id rides the wire.
+REF_LESS_ROW_BYTES = 1 + 3 * 2 + 8 + 2
+
+
+def test_ref_less_request_row_length_is_pinned():
+    """Once its strings are in the table, a ref-less request costs the
+    17-byte row plus the one-byte ``None`` reply address — the second
+    frame of a channel grows by exactly that per request."""
+    encoder = ChannelEncoder()
+    pack_frame(0, 0, [_request_run()], NODE_INDEX, channel=encoder)
+    one = pack_frame(0, 1, [_request_run(count=1)], NODE_INDEX, channel=encoder)
+    three = pack_frame(0, 2, [_request_run(count=3)], NODE_INDEX, channel=encoder)
+    assert one[_VALUES] == 0x1F
+    assert len(three) - len(one) == 2 * (REF_LESS_ROW_BYTES + 1 + 1)
+    assert len(one) == _VALUES + REF_LESS_ROW_BYTES + 1 + 1
+
+
 def test_request_row_once_its_fields_are_in_the_table():
     """A request's first sighting takes the tagged fields, which intern
     its strings; from then on it is one row of table indices — and a row
@@ -796,8 +814,8 @@ def test_request_row_once_its_fields_are_in_the_table():
     runs = [_request_run(count=2)]
     second = pack_frame(0, 1, runs, NODE_INDEX, channel=encoder)
     assert first[_VALUES] == 0x13 and second[_VALUES] == 0x1F
-    # tag, three two-byte indices, two i64, ref count, reply, payload
-    assert len(second) == _VALUES + 2 * (1 + 3 * 2 + 2 * 8 + 1 + 2 + 1)
+    # Per request: the 17-byte ref-less row, its reply, its payload.
+    assert len(second) == _VALUES + 2 * (REF_LESS_ROW_BYTES + 1 + 1)
     corrupt = _patched(second, _VALUES + 1, struct.pack("!H", 999))
     for buf in (second, corrupt):
         decoder = ChannelDecoder()
