@@ -27,10 +27,6 @@ class ReferenceGraphSnapshot:
     roots: Set[ActivityId] = field(default_factory=set)
     hosting: Dict[ActivityId, str] = field(default_factory=dict)
 
-    @property
-    def activity_ids(self) -> List[ActivityId]:
-        return list(self.idle.keys())
-
     def referenced_by(self, activity_id: ActivityId) -> Set[ActivityId]:
         """Outgoing edges: the activities ``activity_id`` references."""
         return set(self.edges.get(activity_id, ()))

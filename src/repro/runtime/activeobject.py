@@ -171,7 +171,9 @@ class ActivityContext:
 
         Returns a future resolving ``True`` when the authority applied
         the binding, ``False`` when it rejected it (name conflict or
-        dead target at apply time).
+        dead target at apply time).  At the authority's own node the
+        answer is a shared future already resolved (``registry.ACKED`` or
+        ``registry.REJECTED``): read it, never resolve it.
         """
         ref = target.ref if isinstance(target, Proxy) else target
         activity = self._activity
@@ -182,7 +184,7 @@ class ActivityContext:
         """Remove a binding over the fabric, releasing the root pin at
         the authoritative shard (the target stays pinned while other
         names still bind it).  Resolves ``True``/``False`` with the
-        authority's verdict."""
+        authority's verdict, answered at its own node as :meth:`bind`."""
         activity = self._activity
         node = activity.node
         return node.world.registry.bind_from(node, activity, name, None)
@@ -392,7 +394,12 @@ class Activity:
                 self._finish(run, stop.value)
                 self._pump()
                 return
-            if isinstance(yielded, Sleep):
+            # Exact types first, no ``isinstance`` call; a subclass takes
+            # the same arm through the ``isinstance`` fallback.
+            kind = type(yielded)
+            if kind is Sleep or (
+                kind is not Future and isinstance(yielded, Sleep)
+            ):
                 # Never cancelled (a stale resume is dropped by the
                 # ``_run is not run`` test above): no Event handle.
                 kernel = self.node.kernel
@@ -400,7 +407,7 @@ class Activity:
                     kernel.now + yielded.duration, self._step, (run, None)
                 )
                 return
-            elif isinstance(yielded, Future):
+            elif kind is Future or isinstance(yielded, Future):
                 if yielded.resolved:
                     send_value = yielded
                     continue

@@ -12,7 +12,7 @@ the future resolves.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Tuple
 
 from repro.errors import RuntimeModelError
 
@@ -27,17 +27,27 @@ def reset_future_ids() -> None:
     _future_ids = itertools.count(1)
 
 
+_PENDING: Any = object()  # "no value yet" (``None`` is a value)
+
+
 class Future:
-    """Placeholder for the result of an asynchronous call."""
+    """Placeholder for the result of an asynchronous call.
+
+    Only a future that waits on the fabric, ``Future()``, draws an id
+    (its reply address carries it back).  ``Future(value, refs)`` is an
+    answer served at the call site: born resolved, ``future_id`` 0.
+    """
 
     __slots__ = ("future_id", "resolved", "_value", "_refs", "_callbacks")
 
-    def __init__(self) -> None:
-        self.future_id = next(_future_ids)
-        self.resolved = False
-        self._value: Any = None
-        self._refs: Tuple[Any, ...] = ()
-        self._callbacks: List[Callable[["Future"], None]] = []
+    def __init__(self, value: Any = _PENDING, refs: Tuple[Any, ...] = ()) -> None:
+        pending = value is _PENDING
+        self.future_id = next(_future_ids) if pending else 0
+        self.resolved = not pending
+        self._value: Any = None if pending else value
+        self._refs = refs
+        # A resolved future's on_resolve runs at once and never appends.
+        self._callbacks: List[Callable[["Future"], None]] = [] if pending else ()
 
     @property
     def value(self) -> Any:

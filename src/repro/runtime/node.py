@@ -156,9 +156,6 @@ class Node:
                 f"{activity_id} is not hosted on {self.name}"
             ) from None
 
-    def find_activity(self, activity_id: ActivityId) -> Optional[Activity]:
-        return self.activities.get(activity_id)
-
     def register_collector(self, activity: Activity) -> None:
         """Expose ``activity``'s collector on the direct DGC dispatch
         tables (any collector duck-typing ``on_dgc_message`` /

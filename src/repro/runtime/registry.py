@@ -116,6 +116,12 @@ from repro.runtime.request import (
 )
 
 
+#: The answers of a bind or unbind applied at the caller's own node, shared:
+#: ``resolve`` refuses them and ``on_resolve`` runs at once, keeping nothing.
+ACKED = Future(True)
+REJECTED = Future(False)
+
+
 class LeaseCache:
     """One node's client-side binding cache.
 
@@ -170,7 +176,7 @@ class CoherenceChannel:
     ``replicated`` world grants no leases): the **fan-out log**, where
     a ``replicated`` primary's update is one entry for every node in
     :attr:`fanout` (staged inline by
-    :meth:`NamingService._update_replicas`), or a **per-holder queue**
+    :meth:`NamingService._apply_update`), or a **per-holder queue**
     (:meth:`stage`).  A re-staged name keeps its position but takes the
     newer value — **last writer wins**, so only the update that still
     matters at flush time crosses the wire.  A flush splits each store
@@ -351,10 +357,7 @@ class RegistryShard:
             self.replica[update.name] = update.ref
             return
         service = self.service
-        if update.ref is None:
-            ok, error = service._apply_unbind(self, update.name)
-        else:
-            ok, error = service._apply_bind(self, update.name, update.ref)
+        ok, error = service._apply_update(self, update.name, update.ref)
         service._network.send_typed(
             self.node_name, reply_to.node, KIND_REGISTRY_REPLY,
             service._ack_size,
@@ -564,34 +567,12 @@ class NamingService:
         return self.config.lease_ttb * self.lease_beat_s
 
     # ------------------------------------------------------------------
-    # Root pins
+    # World-level control plane
     # ------------------------------------------------------------------
-
-    def _pin(self, ref: RemoteRef) -> None:
-        pins = self._pins
-        pins[ref.activity_id] = pins.get(ref.activity_id, 0) + 1
-        activity = self._world.find_activity(ref.activity_id)
-        if activity is not None:
-            activity.is_root = True
-
-    def _unpin(self, ref: RemoteRef) -> None:
-        pins = self._pins
-        count = pins.get(ref.activity_id, 0) - 1
-        if count > 0:
-            pins[ref.activity_id] = count
-            return
-        pins.pop(ref.activity_id, None)
-        activity = self._world.find_activity(ref.activity_id)
-        if activity is not None:
-            activity.is_root = False
 
     def pin_count(self, activity_id) -> int:
         """How many live bindings pin ``activity_id`` (0 = collectable)."""
         return self._pins.get(activity_id, 0)
-
-    # ------------------------------------------------------------------
-    # World-level control plane
-    # ------------------------------------------------------------------
 
     def bind(self, name: str, ref: RemoteRef) -> None:
         """Publish ``ref`` under ``name``; pins the target as a DGC root.
@@ -601,7 +582,7 @@ class NamingService:
         the fabric in ``replicated`` placement.
         """
         authority = self.authority_node(name)
-        ok, error = self._apply_bind(self.shard(authority), name, ref)
+        ok, error = self._apply_update(self.shard(authority), name, ref)
         if not ok:
             raise RegistryError(error)
 
@@ -609,7 +590,7 @@ class NamingService:
         """Remove a binding and release the root pin (the activity stays
         pinned while other names — under any authority — still bind it)."""
         authority = self.authority_node(name)
-        ok, error = self._apply_unbind(self.shard(authority), name)
+        ok, error = self._apply_update(self.shard(authority), name, None)
         if not ok:
             raise RegistryError(error)
 
@@ -642,43 +623,44 @@ class NamingService:
     # Authority-side state transitions
     # ------------------------------------------------------------------
 
-    def _apply_bind(
-        self, shard: RegistryShard, name: str, ref: RemoteRef
-    ) -> Tuple[bool, str]:
-        if name in shard.authority:
-            return False, f"name {name!r} already bound"
-        if self._world.find_activity(ref.activity_id) is None:
-            return False, f"cannot bind dead activity {ref.activity_id}"
-        self._pin(ref)
-        shard.authority[name] = ref
-        self.binds_applied += 1
-        if self._replicated:
-            self._update_replicas(shard, name, ref)
-        return True, ""
-
-    def _apply_unbind(
-        self, shard: RegistryShard, name: str
-    ) -> Tuple[bool, str]:
-        ref = shard.authority.pop(name, None)
-        if ref is None:
-            return False, f"name {name!r} is not bound"
-        self._unpin(ref)
-        self.unbinds_applied += 1
-        if self._replicated:
-            self._update_replicas(shard, name, None)
-        elif self._caching:
-            self._invalidate_holders(shard, name)
-        return True, ""
-
-    def _update_replicas(
+    def _apply_update(
         self, shard: RegistryShard, name: str, ref: Optional[RemoteRef]
-    ) -> None:
-        """Fan an update of the primary out to every other node's
-        replica: under beat coherence, one store into the channel's
-        fan-out log for the next flush; under eager coherence, a new
-        binding as ``registry.bind`` traffic with no reply address and
-        an unbind (``ref`` ``None``) as an invalidation."""
-        if self._beat_coherence:
+    ) -> Tuple[bool, str]:
+        """Apply a bind (``ref`` set) or an unbind (``ref`` ``None``) at
+        the authoritative shard, ``(ok, error)``: the binding, the root-pin
+        count and ``is_root`` (one target lookup), then the coherence
+        update — under beat coherence one store into the fan-out log."""
+        authority = shard.authority
+        pins = self._pins
+        if ref is None:
+            bound = authority.pop(name, None)
+            if bound is None:
+                return False, f"name {name!r} is not bound"
+            target = bound.activity_id
+            count = pins.get(target, 0) - 1
+            if count > 0:
+                pins[target] = count
+            else:
+                pins.pop(target, None)
+                activity = self._world.find_activity(target)
+                if activity is not None:
+                    activity.is_root = False
+            self.unbinds_applied += 1
+        else:
+            if name in authority:
+                return False, f"name {name!r} already bound"
+            target = ref.activity_id
+            activity = self._world.find_activity(target)
+            if activity is None:
+                return False, f"cannot bind dead activity {target}"
+            pins[target] = pins.get(target, 0) + 1
+            activity.is_root = True
+            authority[name] = ref
+            self.binds_applied += 1
+        if not self._replicated:
+            if ref is None and self._caching:
+                self._invalidate_holders(shard, name)
+        elif self._beat_coherence:
             log = shard.channel.log
             if name in log:
                 self.coherence_coalesced += self._fanout_width
@@ -686,7 +668,17 @@ class NamingService:
             self.coherence_staged += self._fanout_width
             if shard.egress_handle is None:
                 self._ensure_egress(shard)
-            return
+        else:
+            self._send_replica_update(shard, name, ref)
+        return True, ""
+
+    def _send_replica_update(
+        self, shard: RegistryShard, name: str, ref: Optional[RemoteRef]
+    ) -> None:
+        """Eager coherence: fan an update of the primary out to every
+        other node's replica at once, a new binding as ``registry.bind``
+        traffic with no reply address and an unbind (``ref`` ``None``)
+        as an invalidation."""
         source = shard.node_name
         if ref is None:
             kind, size = KIND_REGISTRY_INVALIDATE, self._invalidate_size
@@ -784,13 +776,11 @@ class NamingService:
 
     @staticmethod
     def _resolve_local(node, sender, ref: Optional[RemoteRef]) -> Future:
-        future = Future()
+        """A call-site hit or miss: born resolved, stub acquired now."""
         if ref is None:
-            future.resolve(None)
-        else:
-            proxy = node.deserialize_ref(sender, ref)
-            future.resolve(proxy, (proxy,))
-        return future
+            return Future(None)
+        proxy = node.deserialize_ref(sender, ref)
+        return Future(proxy, (proxy,))
 
     def bind_from(
         self, node, sender, name: str, ref: Optional[RemoteRef]
@@ -800,21 +790,21 @@ class NamingService:
 
         Returns a future resolving ``True`` when the authoritative shard
         applied the update, ``False`` when it rejected it (conflict,
-        dead target, unknown name).
+        dead target, unknown name).  At the authority's own node the
+        update is applied at the call site and the answer is one of two
+        shared futures that are already resolved, :data:`ACKED` or
+        :data:`REJECTED`; elsewhere it is a fresh future that waits on
+        the ``registry.bind`` round trip.
         """
         authority = (
             self.authority_node(name) if self._hashed else self.home_node
         )
         shard = node.registry_shard
         source = shard.node_name
-        future = Future()
         if source == authority:
-            if ref is None:
-                ok, _error = self._apply_unbind(shard, name)
-            else:
-                ok, _error = self._apply_bind(shard, name, ref)
-            future.resolve(ok)
-            return future
+            ok, _error = self._apply_update(shard, name, ref)
+            return ACKED if ok else REJECTED
+        future = Future()
         future_id = future.future_id
         shard.pending[future_id] = future
         reply_to = ReplyAddress(source, sender.id, future_id)

@@ -14,6 +14,7 @@ from repro.net.kinds import (
     KIND_REGISTRY_RENEW,
 )
 from repro.runtime.behaviors import Behavior, SinkBehavior
+from repro.runtime.registry import ACKED, REJECTED
 from repro.workloads.app import release_all
 
 
@@ -73,6 +74,56 @@ def test_fabric_bind_from_authority_node_is_free_and_immediate(make_world):
     future = driver.context.bind("service", svc)
     assert future.resolved and future.value is True
     assert world.accountant.bytes_for(KIND_REGISTRY_BIND) == 0
+
+
+def test_bind_at_the_authority_answers_with_a_shared_resolved_future(
+    make_world,
+):
+    """A bind or unbind applied at the caller's own node answers with
+    :data:`ACKED` or :data:`REJECTED`, the same two objects every time."""
+    world = make_world(3, dgc=None)
+    driver = world.create_driver(node=world.registry.home_node)
+    svc = driver.context.create(SinkBehavior(), node="site-2", name="svc")
+    ctx = driver.context
+    assert ctx.bind("service", svc) is ACKED
+    assert ctx.bind("service", svc) is REJECTED        # already bound
+    assert ctx.bind("alias", svc.ref) is ACKED
+    assert ctx.unbind("service") is ACKED
+    assert ctx.unbind("service") is REJECTED           # no longer bound
+    assert world.registry.pin_count(svc.activity_id) == 1
+    assert ACKED.value is True and REJECTED.value is False
+
+
+@pytest.mark.parametrize("placement", ["home", "replicated"])
+def test_local_lookup_is_born_resolved_with_its_stub(make_world, placement):
+    """A lookup served at the call site — from the authority table at
+    the home node, or from the local replica — returns a future already
+    resolved: ``.value`` is the acquired stub and ``.refs`` holds just
+    it; a local miss is ``None`` with no refs.  No id is drawn."""
+    world = make_world(
+        3, dgc=None,
+        registry=RegistryConfig(placement=placement, lease_beat_s=1.0),
+    )
+    home = world.registry.home_node
+    node = home if placement == "home" else "site-2"
+    driver = world.create_driver(node=node)
+    svc = driver.context.create(SinkBehavior(), node="site-1", name="svc")
+    world.registry.bind("service", svc.ref)
+    world.run_for(2.0)                                 # replicas flushed
+    ctx = driver.context
+    hit = ctx.lookup("service")
+    assert hit.resolved and hit.future_id == 0
+    assert hit.value.activity_id == svc.activity_id
+    assert hit.refs == (hit.value,)
+    assert ctx.holds(svc.activity_id)
+    naming = world.registry
+    assert (naming.replica_hits, naming.authority_hits) == (
+        (1, 0) if placement == "replicated" else (0, 1)
+    )
+    miss = ctx.lookup("nothing-here")
+    assert miss.resolved and miss.future_id == 0
+    assert miss.value is None and miss.refs == ()
+    assert world.accountant.bytes_for(KIND_REGISTRY_LOOKUP) == 0
 
 
 # ----------------------------------------------------------------------

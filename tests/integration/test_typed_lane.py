@@ -436,7 +436,9 @@ def test_beat_staging_frames_do_not_grow_with_the_node_count():
             lambda: world.registry.bind("service", ref)
         )
         assert fabric == {}
-        assert runtime[("registry.py", "_update_replicas")] == 1
+        # The store is made in the apply's own frame: no staging helper.
+        assert runtime[("registry.py", "_apply_update")] == 1
+        assert ("registry.py", "_send_replica_update") not in runtime
         channel = world.registry.shard(world.registry.home_node).channel
         assert channel.pending() == nodes - 1
         budgets.append(runtime)

@@ -6,8 +6,9 @@ from collections.abc import Generator
 import pytest
 
 from repro.errors import RuntimeModelError
-from repro.runtime.activeobject import ActivityState
+from repro.runtime.activeobject import ActivityState, Sleep
 from repro.runtime.behaviors import Behavior, FunctionBehavior, SinkBehavior
+from repro.runtime.future import Future
 from repro.runtime.node import ReplyPayload
 from repro.sim.kernel import SimKernel
 
@@ -307,3 +308,52 @@ def test_handler_result_dispatch(world, make_result, stepped):
         assert future.value == "stepped"
     else:
         assert future.value is result
+
+
+class LateFuture(Future):
+    """A :class:`Future` subclass: ``_step`` must serve it through the
+    ``isinstance`` fallback, as it serves a plain future."""
+
+    __slots__ = ()
+
+
+class LongSleep(Sleep):
+    __slots__ = ()
+
+
+def test_step_serves_yielded_subclasses_of_future_and_sleep(world):
+    pending = LateFuture()
+    trace = []
+
+    def serve(ctx, request, proxies):
+        start = ctx.now
+        yield LongSleep(2.0)
+        trace.append(("slept", ctx.now - start))
+        ready = yield LateFuture("now")
+        trace.append(("ready", ready.value))
+        later = yield pending
+        trace.append(("later", later.value))
+        return "done"
+
+    driver = world.create_driver()
+    target = driver.context.create(FunctionBehavior(serve), name="t")
+    activity = world.find_activity(target.activity_id)
+    future = driver.context.call(target, "any", expect_reply=True)
+    world.run_for(5.0)
+    assert trace == [("slept", 2.0), ("ready", "now")]
+    assert activity.state is ActivityState.BUSY
+    pending.resolve("late")
+    world.run_for(1.0)
+    assert trace[-1] == ("later", "late")
+    assert future.value == "done" and activity.is_idle()
+
+
+def test_step_rejects_an_unsupported_yield(world):
+    def serve(ctx, request, proxies):
+        yield "neither a Sleep nor a Future"
+
+    driver = world.create_driver()
+    target = driver.context.create(FunctionBehavior(serve), name="t")
+    driver.context.call(target, "any")
+    with pytest.raises(RuntimeModelError, match="unsupported"):
+        world.run_for(1.0)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import RuntimeModelError
 from repro.runtime.future import Future
+from repro.runtime.registry import ACKED, REJECTED
 
 
 def test_unresolved_value_read_rejected():
@@ -48,3 +49,28 @@ def test_callbacks_run_in_registration_order():
 
 def test_future_ids_unique():
     assert Future().future_id != Future().future_id
+
+
+def test_a_future_born_resolved_draws_no_id():
+    before = Future().future_id
+    born = Future("x", refs=("proxy",))
+    assert born.resolved and born.future_id == 0
+    assert born.value == "x" and born.refs == ("proxy",)
+    assert Future(None).value is None
+    # Only a future that waits on the fabric takes the next id.
+    assert Future().future_id == before + 1
+
+
+@pytest.mark.parametrize("shared, value", [(ACKED, True), (REJECTED, False)])
+def test_shared_bind_answers_refuse_resolution(shared, value):
+    with pytest.raises(RuntimeModelError):
+        shared.resolve(not value)
+    assert shared.resolved and shared.value is value and shared.refs == ()
+
+
+@pytest.mark.parametrize("shared", [ACKED, REJECTED])
+def test_on_resolve_on_a_shared_answer_runs_at_once_and_keeps_nothing(shared):
+    seen = []
+    shared.on_resolve(seen.append)
+    assert seen == [shared]
+    assert not shared._callbacks
