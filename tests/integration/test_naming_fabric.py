@@ -68,30 +68,22 @@ def test_fabric_unbind_releases_pin_and_unknown_name_is_nacked(make_world):
 
 
 def test_fabric_bind_from_authority_node_is_free_and_immediate(make_world):
-    world = make_world(3, dgc=None)
-    driver = world.create_driver(node=world.registry.home_node)
-    svc = driver.context.create(SinkBehavior(), node="site-2", name="svc")
-    future = driver.context.bind("service", svc)
-    assert future.resolved and future.value is True
-    assert world.accountant.bytes_for(KIND_REGISTRY_BIND) == 0
-
-
-def test_bind_at_the_authority_answers_with_a_shared_resolved_future(
-    make_world,
-):
-    """A bind or unbind applied at the caller's own node answers with
-    :data:`ACKED` or :data:`REJECTED`, the same two objects every time."""
+    """Applied at the caller's own node, a bind or unbind answers with
+    :data:`ACKED` or :data:`REJECTED`, the same two resolved objects
+    every time, and sends nothing."""
     world = make_world(3, dgc=None)
     driver = world.create_driver(node=world.registry.home_node)
     svc = driver.context.create(SinkBehavior(), node="site-2", name="svc")
     ctx = driver.context
-    assert ctx.bind("service", svc) is ACKED
+    future = ctx.bind("service", svc)
+    assert future is ACKED and future.resolved and future.value is True
     assert ctx.bind("service", svc) is REJECTED        # already bound
+    assert REJECTED.value is False
     assert ctx.bind("alias", svc.ref) is ACKED
     assert ctx.unbind("service") is ACKED
     assert ctx.unbind("service") is REJECTED           # no longer bound
     assert world.registry.pin_count(svc.activity_id) == 1
-    assert ACKED.value is True and REJECTED.value is False
+    assert world.accountant.bytes_for(KIND_REGISTRY_BIND) == 0
 
 
 @pytest.mark.parametrize("placement", ["home", "replicated"])

@@ -62,15 +62,12 @@ def test_a_future_born_resolved_draws_no_id():
 
 
 @pytest.mark.parametrize("shared, value", [(ACKED, True), (REJECTED, False)])
-def test_shared_bind_answers_refuse_resolution(shared, value):
+def test_shared_bind_answers_cannot_change(shared, value):
+    """``resolve`` refuses a shared answer; ``on_resolve`` runs the
+    callback at once and keeps nothing."""
     with pytest.raises(RuntimeModelError):
         shared.resolve(not value)
-    assert shared.resolved and shared.value is value and shared.refs == ()
-
-
-@pytest.mark.parametrize("shared", [ACKED, REJECTED])
-def test_on_resolve_on_a_shared_answer_runs_at_once_and_keeps_nothing(shared):
     seen = []
     shared.on_resolve(seen.append)
-    assert seen == [shared]
-    assert not shared._callbacks
+    assert seen == [shared] and not shared._callbacks
+    assert shared.resolved and shared.value is value and shared.refs == ()
