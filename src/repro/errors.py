@@ -54,7 +54,3 @@ class RegistryError(RuntimeModelError):
 
 class ProtocolError(ReproError):
     """The DGC protocol state machine was driven into an invalid state."""
-
-
-class OracleError(ReproError):
-    """The ground-truth garbage oracle was queried inconsistently."""

@@ -1,39 +1,28 @@
 """Struct-packed cross-shard wire frames.
 
-The sharded world (:mod:`repro.shard`) reuses the columnar pulse from
-the batched delivery cores as the *literal* wire frame between shard
-processes: a staged pulse entry — delivery instant, destination node,
-traffic kind, item/payload columns — is exactly what a remote shard
-needs to stage the delivery into its own pulse, so the egress packs
-those fields and nothing else.
+The sharded world (:mod:`repro.shard`) reuses the columnar pulse as the
+*literal* wire frame between shard processes: a staged pulse entry —
+delivery instant, destination node, traffic kind, item/payload columns —
+is exactly what a remote shard needs to stage the delivery into its own
+pulse, so the egress packs those fields and nothing else.  Frames are
+pickle-free: a small tagged ``struct`` codec knows the closed set of
+fabric message types (:mod:`repro.runtime.request`, DGC messages and
+responses, refs, clocks) and the plain containers their fields use.
+The shard protocol relies on two properties:
 
-Frames are pickle-free: every value crossing the boundary is encoded by
-a small tagged ``struct`` codec that knows the closed set of fabric
-message types (:mod:`repro.runtime.request` dataclasses,
-:class:`repro.core.wire.DgcMessage`/:class:`~repro.core.wire.DgcResponse`,
-:class:`repro.runtime.proxy.RemoteRef`,
-:class:`repro.core.clock.ActivityClock`) plus the plain containers
-their fields are built from.  Two properties the shard protocol relies
-on:
+* **round-trip is bit-identical** — every field compares equal, and a
+  *kind* comes back as the canonical interned constant of
+  :mod:`repro.net.kinds` (the columnar fire loop dispatches on identity);
+* **frames are self-delimiting and validated** — a truncated, corrupted
+  or out-of-order frame raises :class:`WireFormatError`.
 
-* **round-trip is bit-identical** — ``unpack(pack(entries))`` yields
-  entries whose every field compares equal, and whose *kind* is the
-  canonical interned constant from :mod:`repro.net.kinds` (the columnar
-  fire loop dispatches on kind identity, so returning an equal-but-
-  distinct string would silently fall off the fast path);
-* **frames are self-delimiting and validated** — a truncated or
-  corrupted buffer raises :class:`WireFormatError` instead of returning
-  garbage.
+A frame is a header (magic ``0x5D5B``, the ``(src_shard, seq)`` stamp,
+row count, earliest delivery) and a body of columns, so it costs a
+handful of ``struct`` calls whatever its run count:
 
-A frame is a header (magic ``0x5D5A``, the ``(src_shard, seq)`` stamp,
-row count, earliest delivery) and a body of columns, not of records:
-the runs ``(kind, delivery, dest, items, payloads)`` the network's
-shard egress stages, laid out so that a frame costs a handful of
-``struct`` calls whatever its run count.  Layout after the header:
-
-* ``varint table_size`` — the encoder's intern-table size when it began
-  the frame; the decoder compares it with its own table before reading
-  anything else (see *Channel persistence*);
+* ``varint ordinal`` and ``varint table_size`` — the frame's position on
+  its channel and the encoder's intern-table size when it began the
+  frame, both checked before anything else is read;
 * the **definition block**: a zero byte if the DGC runs need nothing
   new; else a one byte, the counts of new strings, clocks, refs,
   messages and responses, and each new value *field-wise*, grouped in
@@ -41,52 +30,50 @@ shard egress stages, laid out so that a frame costs a handful of
   column of lengths plus one UTF-8 text, the rest as one struct;
 * the **run table**: ``varint n_runs``, then the kind, destination,
   count and delivery (IEEE bits) columns in one struct;
-* the **index block**: every DGC run's targets, then every
-  ``dgc.message`` payload, then every ``dgc.response`` payload, as
-  intern-table indices in one struct (two bytes each until the table
-  outgrows that).  The decoder maps the whole block through the table
-  at once and slices it per run; repeats restore *sharing* — a beat's
-  one ``DgcMessage`` fanned out across dozens of targets comes back as
-  one object;
-* the **values** of the other runs, in run order: ``count`` ``(item,
-  payload)`` pairs of tagged values — one tag byte, then the fields
-  recursively, or ``_T_BACKREF`` into the same table (strings, floats,
-  clocks and refs intern in encode order; a reply address, unique per
-  request, never does), integers as zigzag varints — but a ``Request``
-  with no data whose strings and refs are in the table is one
-  ``_T_REQUEST_ROW`` struct of indices;
-* decode is zero-copy: one ``memoryview`` over the frame,
-  ``struct.unpack_from`` for fixed fields, ``str(view, "utf-8")`` for
-  text.
+* the **index block**: every DGC run's targets, then every message, then
+  every response payload, as table indices in one struct (two bytes each
+  while the table fits); repeats restore *sharing* — a beat's one
+  message fanned out over dozens of targets comes back as one object;
+* the **values** of the other runs: ``(item, payload)`` pairs of tagged
+  values — a tag byte and the fields, or ``_T_BACKREF`` into the table
+  (strings, floats, clocks and refs intern in encode order; a reply
+  address, unique per request, never does) — but a data-less
+  ``Request`` whose strings and refs are in the table is one
+  ``_T_REQUEST_ROW`` struct of indices.
 
-The site-pair aggregate markers (``dgc.message[]``) are in-memory pulse
-shapes and never ride a frame: a DGC run travels under its base kind
-whatever its length.
+Decode is zero-copy (one ``memoryview``, ``struct.unpack_from``,
+``str(view, "utf-8")``).  The site-pair aggregate markers never ride a
+frame: a DGC run travels under its base kind.
 
-**Channel persistence.**  The intern table is per-frame by default,
-which makes every frame self-contained — but on a shard channel the
-same activity ids, clocks and messages recur frame after frame.  A
-:class:`ChannelEncoder` / :class:`ChannelDecoder` pair carries the
-table *across* frames: a value defined in frame ``n`` is an index in
-frame ``n+k``.  This is sound exactly because the shard fabric
-guarantees per-channel FIFO: frames carry a ``(src_shard, seq)`` stamp,
-the coordinator routes them in stamp order and the worker decodes each
-channel's frames in seq order, so the decode table replays the
-encoder's registrations move for move.  A channel pair is **one
-direction of one (src, dst) shard pair**; a frame dropped, duplicated
-or reordered on it raises (the table-size and ascending-``seq`` checks)
-instead of resolving indices against the wrong table, and any
-:class:`WireFormatError` leaves the channel desynced — discard it (the
-worker treats decode errors as fatal).  The encoder keys its table by
-*value* — a string itself, a composite by the tuple of its primitive
-fields — so probes hash in C, equal-but-distinct objects share one
-slot, and no object identity (which a collected object's reused address
-could alias) is ever trusted.
+**Channel persistence.**  A :class:`ChannelEncoder` /
+:class:`ChannelDecoder` pair — one direction of one (src, dst) shard
+pair — carries the table *across* frames: a value defined in frame
+``n`` is an index in frame ``n+k``.  That is sound because the
+coordinator routes each channel's frames in order and the worker
+decodes them in seq order, so the decode table replays the encoder's
+registrations move for move.
 
-Naming note (ROADMAP): the DGC *protocol* message types stay in
-:mod:`repro.core.wire` — they are protocol state, not transport.  This
-module owns only the transport encoding that moves staged pulse entries
-between shard processes.
+* *The ordinal.*  The decoder accepts a frame only if it carries the
+  last ordinal plus one, so every frame dropped, duplicated or
+  reordered raises — one that defined nothing too, which the table-size
+  check cannot see.  After any :class:`WireFormatError` the channel is
+  desynced; the worker treats decode errors as fatal.
+* *The bound.*  Every :data:`EPOCH_FRAMES`-th ordinal starts an empty
+  table on both ends, derived from the checked ordinal, so nothing else
+  rides the wire.  DGC messages are fixed-size and recur every TTB
+  (paper Sec. 4.3), so the bound costs re-definitions, not growth with
+  run length.  The decoder keeps the previous epoch's clocks and hands
+  the same objects back when they are re-defined: the protocol's
+  identity-first compares keep their sharing across a reset.
+* *Identity is trusted only within one frame.*  The table is keyed by
+  *value* (a string itself, a composite by the tuple of its primitive
+  fields: probes hash in C, equal-but-distinct objects share a slot);
+  an object's ``id``, which a collected object's address could alias
+  later, only dedupes the DGC section of the frame whose runs hold every
+  object alive.
+
+The DGC *protocol* message types stay in :mod:`repro.core.wire`; this
+module owns only their transport encoding.
 """
 # repro: hot-path — every class slotted, no closure allocation in loops (HOT rules)
 
@@ -94,6 +81,7 @@ from __future__ import annotations
 
 import math
 import struct
+from dataclasses import fields
 from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -141,8 +129,14 @@ def _cannot_encode(value, where: str) -> WireFormatError:
 #: stream) before any lengths are trusted.  It doubles as the format
 #: version: ``0x5D57`` was the retired entry-at-a-time format, ``0x5D58``
 #: the retired record-per-run format, ``0x5D59`` the columnar format
-#: whose requests still carried a request id.
-FRAME_MAGIC = 0x5D5A
+#: whose requests still carried a request id, ``0x5D5A`` the format
+#: whose channel tables grew without bound and carried no ordinal.
+FRAME_MAGIC = 0x5D5B
+
+#: Every ``EPOCH_FRAMES``-th frame of a channel (ordinal 0, 32, 64, ...)
+#: starts an empty intern table on both ends.  A power of two; 32 keeps
+#: a long channel's frame bytes within 15 % of an unbounded table's.
+EPOCH_FRAMES = 32
 
 _HEADER = struct.Struct("!HHIId")  # magic, src_shard, seq, count, min_delivery
 _F64 = struct.Struct("!d")
@@ -171,16 +165,22 @@ _T_REQUEST = 0x13
 _T_REPLY = 0x14
 _T_DGC_MESSAGE = 0x15
 _T_DGC_RESPONSE = 0x16
-_T_REG_LOOKUP = 0x17
-_T_REG_REPLY = 0x18
-_T_REG_BIND = 0x19
-_T_REG_ACK = 0x1A
-_T_REG_RENEW = 0x1B
-_T_REG_RENEW_ACK = 0x1C
-_T_REG_INVALIDATE = 0x1D
-_T_REG_PUSH = 0x1E
 #: A ``Request`` as one struct of table indices (``_Encoder.value``).
 _T_REQUEST_ROW = 0x1F
+
+#: Registry message class -> (tag 0x17-0x1E, field names): the fields,
+#: in dataclass order, ride as tagged values after the tag.
+_REGISTRY_MESSAGES = {
+    cls: (tag, tuple(field.name for field in fields(cls)))
+    for tag, cls in enumerate((
+        RegistryLookup, RegistryReply, RegistryBind, RegistryAck,
+        RegistryRenew, RegistryRenewAck, RegistryInvalidate, RegistryPush,
+    ), 0x17)
+}
+_REGISTRY_TAGS = {tag: (cls, names) for cls, (tag, names) in _REGISTRY_MESSAGES.items()}
+
+_NONE = bytes((_T_NONE,))
+_NONE_ROW = (None,)
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
@@ -195,15 +195,11 @@ KIND_INDEX: Dict[str, int] = {
 }
 
 
-#: Which payload classes each traffic kind puts on the cross-shard
-#: wire — ``registry.reply`` and ``registry.renew`` each carry two
-#: (the reply doubles as the bind/unbind ack; the renew kind carries
-#: both the batch and its ack).  ``tests/unit/test_net_kinds.py`` checks
-#: the manifest is total over :data:`~repro.net.kinds.ALL_KINDS`, and
-#: ``tests/property/test_wire_codec.py`` round-trips one sample of every
-#: class named here under its kind, so a class the codec cannot carry
-#: fails a tier-1 test instead of raising :class:`WireFormatError`
-#: mid-run.
+#: Which payload classes each traffic kind puts on the cross-shard wire
+#: (a registry reply doubles as the bind ack; the renew kind carries the
+#: batch and its ack).  The tier-1 tests check the manifest is total over
+#: :data:`~repro.net.kinds.ALL_KINDS` and round-trip a sample of every
+#: class under its kind, so a class the codec cannot carry fails there.
 KIND_PAYLOAD_TYPES = {
     KIND_DGC_MESSAGE: (DgcMessage,),
     KIND_DGC_RESPONSE: (DgcResponse,),
@@ -236,6 +232,11 @@ def _float_key(value: float):
 
 #: Table indices are two bytes wide while the table fits.
 _NARROW_TABLE = 0x10000
+#: Each one-byte varint, a backref to each of the first 128 entries, and
+#: the struct of one to the next 16 256 (a two-byte varint).
+_BYTES = [bytes((value,)) for value in range(0x80)]
+_SHORT_BACKREFS = [bytes((_T_BACKREF, index)) for index in range(0x80)]
+_BACKREF_2 = struct.Struct("!3B")
 #: ``_T_REQUEST_ROW`` after its tag: method, sender and target indices
 #: (u16, u32 once the table is wide), payload bytes (i64), ref count (u16)
 #: — 17 bytes with the tag for a ref-less request on a narrow table —
@@ -258,14 +259,19 @@ class _Encoder:
     responders constructing the same clock value, share one slot.
     """
 
-    __slots__ = ("out", "memo", "count")
+    __slots__ = ("out", "memo", "count", "ordinal")
 
     def __init__(self) -> None:
         self.out = bytearray()
         self.memo: Dict[object, int] = {}
         self.count = 0
+        #: The next frame's channel ordinal (a one-frame encoder's is 0).
+        self.ordinal = 0
 
     def varint(self, value: int) -> None:
+        if value < 0x80:
+            self.out += _BYTES[value]
+            return
         out = self.out
         while value >= 0x80:
             out.append((value & 0x7F) | 0x80)
@@ -273,23 +279,28 @@ class _Encoder:
         out.append(value)
 
     def zigzag(self, value: int) -> None:
-        self.varint((value << 1) ^ (value >> 63))
+        value = (value << 1) ^ (value >> 63)
+        if value < 0x80:
+            self.out += _BYTES[value]
+        else:
+            self.varint(value)
 
     def _intern(self, key) -> bool:
         """Emit a backref if ``key`` is already in the table (True);
         otherwise return False — the caller encodes the value and then
         calls :meth:`_register`."""
-        index = self.memo.get(key)
-        if index is None:
+        try:
+            index = self.memo[key]
+        except KeyError:
             return False
-        out = self.out
-        out.append(_T_BACKREF)
         if index < 0x80:
-            out.append(index)
+            self.out += _SHORT_BACKREFS[index]
         elif index < 0x4000:
-            out.append((index & 0x7F) | 0x80)
-            out.append(index >> 7)
+            self.out += _BACKREF_2.pack(
+                _T_BACKREF, (index & 0x7F) | 0x80, index >> 7
+            )
         else:
+            self.out.append(_T_BACKREF)
             self.varint(index)
         return True
 
@@ -297,113 +308,118 @@ class _Encoder:
         self.memo[key] = self.count
         self.count += 1
 
-    def dgc_indices(self, targets: list, messages: list, responses: list) -> list:
-        """The index block: ``targets``, ``messages``, then ``responses``
-        as table indices — two comprehensions of field-tuple probes
-        whatever the frame's length.  A miss raises ``KeyError`` (or
-        ``AttributeError``); the caller then runs :meth:`_define_dgc`."""
-        memo = self.memo
-        # ``-0.0 == 0.0`` and they hash alike: a zero declared TTB keys
-        # by its repr so the two never share a slot.
-        return [
-            *map(memo.__getitem__, targets),
-            *[
-                memo[(
-                    _T_DGC_MESSAGE, m.sender, m.clock.value, m.clock.owner,
-                    m.consensus, m.sender_ref.activity_id, m.sender_ref.node,
-                    m.sender_ttb or f"{m.sender_ttb!r}",
-                )]
-                for m in messages
-            ],
-            *[
-                memo[(
-                    _T_DGC_RESPONSE, r.responder, r.clock.value,
-                    r.clock.owner, r.has_parent, r.consensus_reached, r.depth,
-                )]
-                for r in responses
-            ],
-        ]
+    def dgc_block(self, targets: list, messages: list, responses: list) -> list:
+        """Write the DGC runs' definition block; return their index block
+        (``targets``, ``messages``, then ``responses`` as table indices).
 
-    def _define_dgc(self, targets: list, messages: list, responses: list) -> None:
-        """Register and write, grouped in this order, every string,
-        clock, ref, message and response the DGC runs need and the table
-        lacks: strings as lengths plus one text, the rest as one struct."""
+        One pass: each distinct message or response *object* is keyed
+        once, found by ``id`` — sound only inside this frame, whose runs
+        hold every object alive — and only what the table lacks is
+        defined (:meth:`_define`), in sight order."""
         memo = self.memo
+        strings = dict.fromkeys(targets)
+        if not strings.keys() <= memo.keys():
+            for target in strings:
+                if type(target) is not str and target not in memo:
+                    raise _cannot_encode(target, "as a DGC target")
         # Per group, key -> record: its table links (keys), then scalars.
-        wanted: List[dict] = [{}, {}, {}, {}, {}]
-        strings, clocks, refs, dgc_messages, dgc_responses = wanted
-        for target in targets:
-            if type(target) is not str:
-                raise _cannot_encode(target, "as a DGC target")
-            strings[target] = None
-        for value in messages:
+        clocks, refs, new_messages, new_responses = {}, {}, {}, {}
+        message_ids = [*map(id, messages)]
+        message_keys = dict(zip(message_ids, messages))
+        for oid, value in message_keys.items():
             if type(value) is not DgcMessage:
                 raise _cannot_encode(value, "in a dgc.message run")
             clock = value.clock
             ref = value.sender_ref
-            clock_key = (_T_CLOCK, clock.value, clock.owner)
-            ref_key = (_T_REMOTE_REF, ref.activity_id, ref.node)
-            strings[value.sender] = strings[clock.owner] = None
-            strings[ref.activity_id] = strings[ref.node] = None
-            clocks[clock_key] = (clock.owner, clock.value)
-            refs[ref_key] = (ref.activity_id, ref.node)
-            dgc_messages[(
+            # ``-0.0 == 0.0`` and they hash alike: a zero declared TTB
+            # keys by its repr so the two never share a slot.
+            key = message_keys[oid] = (
                 _T_DGC_MESSAGE, value.sender, clock.value, clock.owner,
                 value.consensus, ref.activity_id, ref.node,
                 value.sender_ttb or f"{value.sender_ttb!r}",
-            )] = (
-                value.sender, clock_key, ref_key, value.consensus,
-                value.sender_ttb,
             )
-        for value in responses:
+            if key not in memo and key not in new_messages:
+                clock_key = (_T_CLOCK, clock.value, clock.owner)
+                ref_key = (_T_REMOTE_REF, ref.activity_id, ref.node)
+                strings[value.sender] = strings[clock.owner] = None
+                strings[ref.activity_id] = strings[ref.node] = None
+                clocks[clock_key] = (clock.owner, clock.value)
+                refs[ref_key] = (ref.activity_id, ref.node)
+                new_messages[key] = (
+                    value.sender, clock_key, ref_key, value.consensus,
+                    value.sender_ttb,
+                )
+        response_ids = [*map(id, responses)]
+        response_keys = dict(zip(response_ids, responses))
+        for oid, value in response_keys.items():
             if type(value) is not DgcResponse:
                 raise _cannot_encode(value, "in a dgc.response run")
             clock = value.clock
-            clock_key = (_T_CLOCK, clock.value, clock.owner)
-            strings[value.responder] = strings[clock.owner] = None
-            clocks[clock_key] = (clock.owner, clock.value)
-            dgc_responses[(
+            key = response_keys[oid] = (
                 _T_DGC_RESPONSE, value.responder, clock.value, clock.owner,
                 value.has_parent, value.consensus_reached, value.depth,
-            )] = (
-                value.responder, clock_key, value.has_parent,
-                value.consensus_reached, value.depth is not None,
-                value.depth or 0,
             )
-        groups = [
-            {key: record for key, record in group.items() if key not in memo}
-            for group in wanted
-        ]
-        for text in groups[0]:
+            if key not in memo and key not in new_responses:
+                clock_key = (_T_CLOCK, clock.value, clock.owner)
+                strings[value.responder] = strings[clock.owner] = None
+                clocks[clock_key] = (clock.owner, clock.value)
+                new_responses[key] = (
+                    value.responder, clock_key, value.has_parent,
+                    value.consensus_reached, value.depth is not None,
+                    value.depth or 0,
+                )
+        if new_messages or new_responses or not strings.keys() <= memo.keys():
+            self._define(
+                [text for text in strings if text not in memo],
+                [{key: record for key, record in group.items() if key not in memo}
+                 for group in (clocks, refs)] + [new_messages, new_responses],
+            )
+        else:
+            self.out.append(0)  # nothing to define
+        for keys in (message_keys, response_keys):
+            for oid, key in keys.items():
+                keys[oid] = memo[key]
+        block = [*map(memo.__getitem__, targets)]
+        block += map(message_keys.__getitem__, message_ids)
+        block += map(response_keys.__getitem__, response_ids)
+        return block
+
+    def _define(self, texts: list, groups: list) -> None:
+        """Register and write a definition block: ``texts``, then the
+        clock, ref, message and response ``groups``."""
+        for text in texts:
             if type(text) is not str:
                 raise _cannot_encode(text, "in a DGC field")
+        memo = self.memo
         out = self.out
         out.append(1)
         count = self.count
-        for group in groups:
-            self.varint(len(group))
+        sizes = [*map(len, (texts, *groups))]
+        for group, size in zip((texts, *groups), sizes):
+            self.varint(size)
             for key in group:
                 memo[key] = count
                 count += 1
         self.count = count
-        if groups[0]:
-            raw = "".join(groups[0]).encode("utf-8")
-            out += struct.pack(
-                "!%dH" % len(groups[0]), *map(len, groups[0])
-            )
+        if texts:
+            raw = "".join(texts).encode("utf-8")
+            out += struct.pack("!%dH" % sizes[0], *map(len, texts))
             self.varint(len(raw))
             out += raw
         w = "H" if count <= _NARROW_TABLE else "I"
         layout = "!"
         fields: list = []
-        for group, (links, scalars, _) in zip(groups[1:], _DEFINITION_RECORDS):
+        for group, size, (links, scalars, _) in zip(
+            groups, sizes[1:], _DEFINITION_RECORDS
+        ):
             # Links, then a column per scalar: counted codes compile small.
-            layout += f"{links * len(group)}{w}"
-            for record in group.values():
+            layout += f"{links * size}{w}"
+            records = [*group.values()]
+            for record in records:
                 fields += map(memo.__getitem__, record[:links])
             for position, code in enumerate(scalars, links):
-                layout += f"{len(group)}{code}"
-                fields += [record[position] for record in group.values()]
+                layout += f"{size}{code}"
+                fields += [record[position] for record in records]
         out += struct.pack(layout, *fields)
 
     def value(self, value) -> None:
@@ -411,7 +427,7 @@ class _Encoder:
         # traffic mix — activity-id strings first, then the interned
         # composites — because every app/registry field funnels through
         # here.  DGC messages and responses never do: they are defined
-        # field-wise by :meth:`_define_dgc`.
+        # field-wise by :meth:`dgc_block`.
         out = self.out
         cls = value.__class__
         if cls is str:
@@ -499,7 +515,7 @@ class _Encoder:
                     refs = [
                         memo[(_T_REMOTE_REF, ref.activity_id, ref.node)]
                         for ref in value.refs
-                    ]
+                    ] if value.refs else ()
                     n = len(refs)
                     w = "I" if self.count > _NARROW_TABLE else "H"
                     out += struct.pack(
@@ -510,7 +526,10 @@ class _Encoder:
                 except (KeyError, AttributeError, TypeError, struct.error):
                     pass
                 else:
-                    self.value(value.reply_to)
+                    if value.reply_to is None:
+                        out += _NONE  # the ping's usual reply address
+                    else:
+                        self.value(value.reply_to)
                     return
             out.append(_T_REQUEST)
             self.value(value.method)
@@ -527,43 +546,11 @@ class _Encoder:
             self.zigzag(value.payload_bytes)
             self.value(tuple(value.refs))
             self.value(value.data)
-        elif type(value) is RegistryLookup:
-            out.append(_T_REG_LOOKUP)
-            self.value(value.name)
-            self.value(value.reply_to)
-        elif type(value) is RegistryReply:
-            out.append(_T_REG_REPLY)
-            self.zigzag(value.future_id)
-            self.value(value.target_activity)
-            self.value(value.name)
-            self.value(value.ref)
-            self.value(value.lease_s)
-        elif type(value) is RegistryBind:
-            out.append(_T_REG_BIND)
-            self.value(value.name)
-            self.value(value.ref)
-            self.value(value.reply_to)
-        elif type(value) is RegistryAck:
-            out.append(_T_REG_ACK)
-            self.zigzag(value.future_id)
-            self.value(value.target_activity)
-            self.value(value.name)
-            out.append(1 if value.ok else 0)
-            self.value(value.error)
-        elif type(value) is RegistryRenew:
-            out.append(_T_REG_RENEW)
-            self.value(value.node)
-            self.value(value.names)
-        elif type(value) is RegistryRenewAck:
-            out.append(_T_REG_RENEW_ACK)
-            self.value(value.names)
-            self.value(value.lease_s)
-        elif type(value) is RegistryInvalidate:
-            out.append(_T_REG_INVALIDATE)
-            self.value(value.names)
-        elif type(value) is RegistryPush:
-            out.append(_T_REG_PUSH)
-            self.value(value.bindings)
+        elif cls in _REGISTRY_MESSAGES:
+            tag, names = _REGISTRY_MESSAGES[cls]
+            out.append(tag)
+            for name in names:
+                self.value(getattr(value, name))
         else:
             raise _cannot_encode(value, "on the shard wire")
 
@@ -574,13 +561,8 @@ class _Encoder:
 
 
 class _Reader:
-    """Bounds-checked zero-copy cursor over one frame.
-
-    Fixed fields go through ``struct.unpack_from`` on the shared
-    memoryview, text through ``str(view, "utf-8")`` — nothing slices
-    into intermediate ``bytes``.  ``table`` is the decode-side intern
-    table; it grows in exactly the encoder's registration order.
-    """
+    """Bounds-checked zero-copy cursor over one frame; ``table`` is the
+    decode-side intern table, grown in the encoder's registration order."""
 
     __slots__ = ("buf", "pos", "end", "table")
 
@@ -600,9 +582,6 @@ class _Reader:
             )
         self.pos = stop
         return pos
-
-    def u8(self) -> int:
-        return self.buf[self._need(1)]
 
     def f64(self) -> float:
         return _F64.unpack_from(self.buf, self._need(8))[0]
@@ -693,13 +672,18 @@ def _decode_value(reader: _Reader):
         pos += 1 + head.size
         refs = struct.unpack_from(
             ("!%dI" if wide else "!%dH") % count, reader.buf, pos
-        )
-        reader.pos = pos + count * (4 if wide else 2)
+        ) if count else ()
+        pos += count * (4 if wide else 2)
+        if pos < reader.end and reader.buf[pos] == _T_NONE:
+            reader.pos = pos + 1
+            reply_to = None
+        else:
+            reader.pos = pos
+            reply_to = _decode_value(reader)
         return Request(
             table[method], table[sender], table[target],
             payload_bytes=payload_bytes,
-            refs=tuple(map(table.__getitem__, refs)),
-            reply_to=_decode_value(reader),
+            refs=tuple(map(table.__getitem__, refs)), reply_to=reply_to,
         )
     if tag == _T_STR:
         value = reader.text()
@@ -727,7 +711,7 @@ def _decode_value(reader: _Reader):
         return False
     if tag == _T_TUPLE:
         count = reader.varint()
-        return tuple(_decode_value(reader) for _ in range(count))
+        return tuple([_decode_value(reader) for _ in range(count)])
     if tag == _T_LIST:
         count = reader.varint()
         return [_decode_value(reader) for _ in range(count)]
@@ -768,34 +752,17 @@ def _decode_value(reader: _Reader):
             reader.zigzag(), decode(reader), payload_bytes=reader.zigzag(),
             refs=decode(reader), data=decode(reader),
         )
-    if tag == _T_REG_LOOKUP:
-        return RegistryLookup(decode(reader), decode(reader))
-    if tag == _T_REG_REPLY:
-        return RegistryReply(
-            reader.zigzag(), decode(reader), decode(reader), decode(reader),
-            decode(reader),
-        )
-    if tag == _T_REG_BIND:
-        return RegistryBind(decode(reader), decode(reader), decode(reader))
-    if tag == _T_REG_ACK:
-        return RegistryAck(
-            reader.zigzag(), decode(reader), decode(reader),
-            reader.u8() != 0, decode(reader),
-        )
-    if tag == _T_REG_RENEW:
-        return RegistryRenew(_decode_value(reader), _decode_value(reader))
-    if tag == _T_REG_RENEW_ACK:
-        return RegistryRenewAck(_decode_value(reader), _decode_value(reader))
-    if tag == _T_REG_INVALIDATE:
-        return RegistryInvalidate(_decode_value(reader))
-    if tag == _T_REG_PUSH:
-        return RegistryPush(_decode_value(reader))
+    if tag in _REGISTRY_TAGS:
+        cls, names = _REGISTRY_TAGS[tag]
+        return cls(*[decode(reader) for _ in names])
     raise WireFormatError(f"unknown value tag 0x{tag:02X}")
 
 
-def _decode_definitions(reader: _Reader) -> None:
+def _decode_definitions(reader: _Reader, kept: dict, made: dict) -> None:
     """Append the definition block at the cursor to the intern table
-    (see :meth:`_Encoder._define_dgc`)."""
+    (see :meth:`_Encoder._define`).  A clock the channel's previous epoch
+    defined (``kept``, by value; ``made`` collects this epoch's) comes
+    back as *that* object, so sharing survives a table reset."""
     counts = [reader.varint() for _ in range(5)]
     table = reader.table
     view = reader.buf
@@ -831,7 +798,10 @@ def _decode_definitions(reader: _Reader) -> None:
         rows.append(zip(*columns))
         start = stop
     clocks, refs, messages, responses = rows
-    table += [ActivityClock(value, table[owner]) for owner, value in clocks]
+    keys = [(value, table[owner]) for owner, value in clocks]
+    clocks = [kept[key] if key in kept else ActivityClock(*key) for key in keys]
+    made.update(zip(keys, clocks))
+    table += clocks
     table += [RemoteRef(table[activity_id], table[node]) for activity_id, node in refs]
     table += [
         DgcMessage(table[sender], table[clock], consensus, table[ref], ttb)
@@ -866,39 +836,35 @@ class Frame:
         self.runs = runs
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Frame(shard={self.src_shard}, seq={self.seq}, "
-            f"runs={len(self.runs)})"
-        )
+        return f"Frame(shard={self.src_shard}, seq={self.seq}, runs={len(self.runs)})"
 
 
 class ChannelEncoder(_Encoder):
-    """Persistent encode state for one ordered (src, dst) frame stream.
-
-    Pass the same instance to every :func:`pack_frame` call on the
-    channel and the intern table survives between frames:
-    the steady state re-sends recurring ids, clocks and messages as
-    table indices instead of definitions.  Sound only if the peer
-    decodes the channel's frames in pack order with a matching
-    :class:`ChannelDecoder` — the shard fabric's ``(src_shard, seq)``
-    stamps guarantee exactly that.
-    """
+    """Persistent encode state for one ordered (src, dst) frame stream:
+    pass it to every :func:`pack_frame` call on the channel and recurring
+    ids, clocks and messages ride as indices within an epoch.  The peer
+    decodes with a matching :class:`ChannelDecoder`, in pack order."""
 
     __slots__ = ()
 
 
 class ChannelDecoder:
-    """Decode half of a persistent channel: the cross-frame intern
-    table, grown in the paired :class:`ChannelEncoder`'s registration
-    order, and the last frame sequence number decoded (a channel's
-    frames must arrive in ascending ``seq``).  Discard after any decode
-    error — the table is desynced."""
+    """Decode half of a persistent channel: the intern table, grown in
+    the paired :class:`ChannelEncoder`'s registration order, the last
+    frame ordinal decoded (the next frame must carry it plus one) and the
+    last ``seq`` (ascending).  Discard after any decode error — the table
+    is desynced."""
 
-    __slots__ = ("table", "last_seq")
+    __slots__ = ("table", "last_seq", "ordinal", "kept", "made")
 
     def __init__(self) -> None:
         self.table: List[object] = []
         self.last_seq = -1
+        self.ordinal = -1
+        #: DGC clocks by value, defined in the previous epoch and in this
+        #: one (:func:`_decode_definitions`).
+        self.kept: Dict[tuple, ActivityClock] = {}
+        self.made: Dict[tuple, ActivityClock] = {}
 
 
 def frame_stamp(buf: bytes) -> Tuple[int, int]:
@@ -933,15 +899,19 @@ def pack_frame(
     (the receiving shard re-binds its own ingress channel).  ``kind`` is
     one of :data:`~repro.net.kinds.ALL_KINDS`, never a site-pair
     aggregate marker.  ``channel`` persists the intern table across the
-    frames of one ordered shard channel.
+    frames of one ordered shard channel.  The runs are transposed once,
+    the run table and the index block are one pack, and only the non-DGC
+    runs are walked value by value.
     """
-    # The runs are transposed once, the run table and the index block
-    # are one pack, and only the non-DGC runs are walked value by value.
     if channel is None:
         encoder = _Encoder()
     else:
         encoder = channel
         encoder.out = bytearray()  # fresh frame body, the table persists
+        if not encoder.ordinal % EPOCH_FRAMES:
+            encoder.memo = {}  # an epoch starts: the peer empties its table too
+            encoder.count = 0
+    encoder.varint(encoder.ordinal)
     encoder.varint(encoder.count)
     kinds, deliveries, dests, items, payloads = zip(*runs) if runs else [()] * 5
     index = KIND_INDEX
@@ -979,12 +949,7 @@ def pack_frame(
         else:
             rows += count
     try:
-        try:
-            block = encoder.dgc_indices(targets, messages, responses)
-            encoder.out += b"\0"  # nothing to define
-        except (KeyError, AttributeError):
-            encoder._define_dgc(targets, messages, responses)
-            block = encoder.dgc_indices(targets, messages, responses)
+        block = encoder.dgc_block(targets, messages, responses)
         n = len(counts)
         encoder.varint(n)
         encoder.out += struct.pack(
@@ -994,13 +959,18 @@ def pack_frame(
             *counts, *deliveries, *block,
         )
         value = encoder.value
+        out = encoder.out
         for kind, run_items, run_payloads in zip(kinds, items, payloads):
             if kind != KIND_DGC_MESSAGE and kind != KIND_DGC_RESPONSE:
                 for item, payload in zip(run_items, run_payloads):
                     value(item)
-                    value(payload)
+                    if payload is None:  # every generic kind's payload today
+                        out += _NONE
+                    else:
+                        value(payload)
     except struct.error as exc:
         raise WireFormatError(f"field out of range for the wire: {exc}") from None
+    encoder.ordinal += 1
     return _HEADER.pack(
         FRAME_MAGIC, src_shard, seq, rows, min(deliveries) if rows else 0.0,
     ) + bytes(encoder.out)
@@ -1029,15 +999,26 @@ def unpack_frame(
     if magic != FRAME_MAGIC:
         raise WireFormatError(f"bad frame magic 0x{magic:04X}")
     reader = _Reader(memoryview(buf), _HEADER.size, len(buf))
+    ordinal = reader.varint()
+    if channel is not None and seq <= channel.last_seq:
+        raise WireFormatError(
+            f"frame (shard {src_shard}, seq {seq}) arrived after seq "
+            f"{channel.last_seq} on the same channel: duplicated or reordered"
+        )
+    expected = 0 if channel is None else channel.ordinal + 1
+    if ordinal != expected:
+        raise WireFormatError(
+            f"channel ordinal out of step at frame (shard {src_shard}, seq "
+            f"{seq}): it carries ordinal {ordinal}, this decoder expects "
+            f"ordinal {expected} — a frame was dropped, duplicated or "
+            f"reordered on the channel"
+        )
+    kept = made = {}
     if channel is not None:
-        if seq <= channel.last_seq:
-            raise WireFormatError(
-                f"frame (shard {src_shard}, seq {seq}) arrived after seq "
-                f"{channel.last_seq} on the same channel: duplicated or "
-                f"reordered"
-            )
-        channel.last_seq = seq
-        reader.table = channel.table
+        channel.last_seq, channel.ordinal = seq, ordinal
+        if not ordinal % EPOCH_FRAMES:  # the encoder emptied its table too
+            channel.table, channel.kept, channel.made = [], channel.made, {}
+        reader.table, kept, made = channel.table, channel.kept, channel.made
     table = reader.table
     expected = reader.varint()
     if expected != len(table):
@@ -1051,7 +1032,7 @@ def unpack_frame(
     try:
         reader.pos += 1
         if view[reader.pos - 1]:  # the definition block's flag
-            _decode_definitions(reader)
+            _decode_definitions(reader, kept, made)
         n = reader.varint()
         head = struct.unpack_from(
             f"!{n}B{n}H{n}I{n}d", view, reader._need(15 * n)
@@ -1093,7 +1074,16 @@ def unpack_frame(
             reader._need((8 if wide else 4) * dgc),
         )
         values = [*map(table.__getitem__, block)]
-        tagged = [_decode_value(reader) for _ in range(2 * generic)]
+        # Item, payload, item, ...: a ``None`` payload is read inline.
+        tagged: list = []
+        end = reader.end
+        for _ in range(2 * generic):
+            pos = reader.pos
+            if pos < end and view[pos] == _T_NONE:
+                reader.pos = pos + 1
+                tagged += _NONE_ROW
+            else:
+                tagged += (_decode_value(reader),)
         # Cursors into the index block's three sections (targets, then
         # message payloads, then response payloads) and the tagged values.
         target = cursor = 0

@@ -435,10 +435,10 @@ def decode_channel(frames, topo=None):
 
 def test_recorded_channel_detects_dropped_duplicated_and_swapped_frames():
     """A persistent channel's frames only decode in the order they were
-    packed: every frame opens with the encoder's intern-table size, so a
-    frame lost, repeated or swapped on the way raises — naming the frame
-    and both table sizes — instead of resolving indices against the
-    wrong table."""
+    packed: every frame opens with its channel ordinal (then the
+    encoder's intern-table size), so a frame lost, repeated or swapped on
+    the way raises — naming the frame and both ordinals — instead of
+    resolving indices against the wrong table."""
     from repro.net.wire import WireFormatError, frame_stamp
 
     frames = recorded_channel(0, 1)
@@ -453,8 +453,8 @@ def test_recorded_channel_detects_dropped_duplicated_and_swapped_frames():
         decode_channel(frames[:victim] + frames[victim + 1:])
     message = str(dropped.value)
     assert f"(shard {shard}, seq {seq})" in message
-    assert f"the encoder had {sizes[victim]} entries" in message
-    assert f"this decoder has {sizes[victim - 1]}" in message
+    assert f"it carries ordinal {victim + 1}" in message
+    assert f"this decoder expects ordinal {victim}" in message
     with pytest.raises(WireFormatError, match="duplicated or reordered"):
         decode_channel(frames[:victim + 1] + frames[victim:])
     swapped = list(frames)

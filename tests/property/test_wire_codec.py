@@ -11,8 +11,9 @@ kind identity).  Truncated or corrupted buffers must raise
 :class:`WireFormatError`, never return garbage.
 
 The format's own paths — varints, the intern table and its backrefs,
-definitions, column blocks, the table-size and sequence checks of a
-persistent channel — have targeted coverage.
+definitions, column blocks, the frame-ordinal, table-size and sequence
+checks of a persistent channel and its bounded epochs — have targeted
+coverage.
 
 The frame keeps the runs it is given, in order.  The grouping itself
 happens where the sends are staged (``Network``'s shard egress): sends
@@ -37,6 +38,7 @@ from repro.core.clock import ActivityClock
 from repro.core.wire import DgcMessage, DgcResponse
 from repro.net import kinds
 from repro.net.wire import (
+    EPOCH_FRAMES,
     ChannelDecoder,
     ChannelEncoder,
     Frame,
@@ -422,10 +424,10 @@ def test_every_payload_class_roundtrips_under_its_kind(persistent):
 
 def test_bad_magic_rejected():
     buf = pack_frame(1, 7, [], NODE_INDEX)
-    assert buf[:2] == b"\x5d\x5a"
-    # A foreign stream, and the retired entry-at-a-time, record-per-run
-    # and request-id-carrying formats' magics.
-    for magic in (b"\x00\x00", b"\x5d\x57", b"\x5d\x58", b"\x5d\x59"):
+    assert buf[:2] == b"\x5d\x5b"
+    # A foreign stream, and the retired entry-at-a-time, record-per-run,
+    # request-id-carrying and unbounded-table formats' magics.
+    for magic in (b"\x00\x00", b"\x5d\x57", b"\x5d\x58", b"\x5d\x59", b"\x5d\x5a"):
         with pytest.raises(WireFormatError, match="magic"):
             unpack_frame(magic + buf[2:], NODES)
 
@@ -442,22 +444,24 @@ def _request_run(target="ao-2:b", count=1):
 # Format-specific paths: varints, intern table, run heads
 # ----------------------------------------------------------------------
 
-_BODY = 20  # the !HHIId header; the body opens with the table size
-# Then the definition block's flag byte and the run count; one run's
-# row of the run table: u8 kind, u16 dest, u32 count, f64 delivery.
-_RUN = _BODY + 3
+_BODY = 20  # the !HHIId header; the body opens with the frame ordinal
+# Then the table size, the definition block's flag byte and the run
+# count; one run's row of the run table: u8 kind, u16 dest, u32 count,
+# f64 delivery.
+_RUN = _BODY + 4
 _VALUES = _RUN + 15
 
 
 def _v2_single_run_frame(count=1):
-    """A one-run frame from a fresh encoder: the table-size varint, the
-    definition flag and the run count are one byte each, so the run's
-    row of the run table and the first value tag sit at known offsets
-    for surgical corruption."""
+    """A one-run frame from a fresh encoder: the ordinal and table-size
+    varints, the definition flag and the run count are one byte each, so
+    the run's row of the run table and the first value tag sit at known
+    offsets for surgical corruption."""
     buf = pack_frame(0, 0, [_request_run(count=count)], NODE_INDEX)
-    assert buf[_BODY] == 0  # empty intern table
-    assert buf[_BODY + 1] == 0  # nothing defined
-    assert buf[_BODY + 2] == 1  # one run
+    assert buf[_BODY] == 0  # a channel's first frame
+    assert buf[_BODY + 1] == 0  # empty intern table
+    assert buf[_BODY + 2] == 0  # nothing defined
+    assert buf[_BODY + 3] == 1  # one run
     assert buf[_RUN] == KIND_INDEX[kinds.KIND_APP_REQUEST]
     assert struct.unpack_from("!I", buf, _RUN + 3) == (count,)
     return buf
@@ -510,7 +514,7 @@ def test_v2_run_overflowing_row_count_rejected():
 
 def test_v2_overlong_varint_rejected():
     buf = _v2_single_run_frame()
-    # An 11-byte all-continuation varint where the table size belongs.
+    # An 11-byte all-continuation varint where the ordinal belongs.
     corrupt = buf[:_BODY] + b"\x80" * 10 + b"\x01" + buf[_BODY + 1:]
     with pytest.raises(WireFormatError, match="varint"):
         unpack_frame(corrupt, NODES)
@@ -669,9 +673,10 @@ def test_v2_runs_spanning_frames_define_each_value_once():
         frames.append((buf, runs))
     sizes = [len(buf) for buf, _ in frames]
     assert sizes[1] == sizes[2] == sizes[3]
-    # header + table size + definition flag + run count + 2 rows of the
-    # run table + a two-byte target and message index per constituent
-    assert sizes[1] == 20 + 1 + 1 + 1 + 2 * 15 + 2 * 2 * 12
+    # header + ordinal + table size + definition flag + run count + 2
+    # rows of the run table + a two-byte target and message index per
+    # constituent
+    assert sizes[1] == 20 + 1 + 1 + 1 + 1 + 2 * 15 + 2 * 2 * 12
     decoded = []
     for buf, runs in frames:
         frame = unpack_frame(buf, NODES, channel=decoder)
@@ -692,8 +697,9 @@ def test_v2_columns_widen_when_the_table_outgrows_two_bytes():
     small = _message_run(targets[-2:], [message] * 2, delivery=8.0)
     first = pack_frame(0, 0, [big], NODE_INDEX, channel=encoder)
     second = pack_frame(0, 1, [small], NODE_INDEX, channel=encoder)
-    # three-byte table size, flag, run count, one row, four-byte indices
-    assert len(second) == 20 + 3 + 1 + 1 + 15 + 4 * 4
+    # ordinal, three-byte table size, flag, run count, one row, four-byte
+    # indices
+    assert len(second) == 20 + 1 + 3 + 1 + 1 + 15 + 4 * 4
     assert_same_runs(unpack_frame(first, NODES, channel=decoder).runs, [big])
     assert_same_runs(
         unpack_frame(second, NODES, channel=decoder).runs, [small]
@@ -879,7 +885,7 @@ def test_channel_indices_carry_across_frames():
     assert one.runs[0][4][0] is two.runs[0][4][0]
     assert one.runs[0][3][0] is two.runs[0][3][0]
     # Stateless decode of frame two must fail, not fabricate values.
-    with pytest.raises(WireFormatError, match="intern table out of step"):
+    with pytest.raises(WireFormatError, match="ordinal out of step"):
         unpack_frame(second, NODES)
 
 
@@ -890,12 +896,79 @@ def test_channel_dropped_frame_detected_before_any_value_decodes():
     size = len(decoder.table)
     with pytest.raises(WireFormatError) as failure:
         unpack_frame(frames[2], NODES, channel=decoder)
-    # The error names the frame and both table sizes.
+    # The error names the frame and both ordinals.
     message = str(failure.value)
     assert "shard 5, seq 2" in message
-    assert f"this decoder has {size}" in message
-    assert "the encoder had" in message
+    assert "it carries ordinal 2" in message
+    assert "this decoder expects ordinal 1" in message
+    assert "dropped, duplicated or reordered" in message
     assert len(decoder.table) == size  # nothing was decoded into it
+    assert decoder.ordinal == 0 and decoder.last_seq == 0
+
+
+def _steady_frames(count=3):
+    """``count`` frames of one channel after a first that defines every
+    value: the later ones define nothing (one zero flag byte)."""
+    encoder = ChannelEncoder()
+    runs = [_message_run(["ao-1:a", "ao-2:b"], [_message(1)] * 2)]
+    first = pack_frame(5, 0, runs, NODE_INDEX, channel=encoder)
+    later = [
+        pack_frame(5, seq, runs, NODE_INDEX, channel=encoder)
+        for seq in range(1, count + 1)
+    ]
+    return first, later
+
+
+def test_dropped_steady_state_frame_raises():
+    """A frame that defined nothing, dropped: the next frame's ordinal
+    does not follow, whatever the table sizes say."""
+    first, (one, two, three) = _steady_frames()
+    assert one[_BODY + 2] == two[_BODY + 2] == 0  # definition-free
+    decoder = ChannelDecoder()
+    unpack_frame(first, NODES, channel=decoder)
+    unpack_frame(one, NODES, channel=decoder)
+    with pytest.raises(WireFormatError, match="expects ordinal 2"):
+        unpack_frame(three, NODES, channel=decoder)
+
+
+def test_channel_roundtrips_across_epoch_boundaries():
+    """A channel crossing three epoch boundaries: every frame decodes to
+    its own runs, bit-identical, and both tables restart empty at each
+    epoch's first frame (which then defines what it uses again)."""
+    encoder, decoder = ChannelEncoder(), ChannelDecoder()
+    sizes = []
+    for seq in range(3 * EPOCH_FRAMES + 2):
+        runs = [
+            _message_run([f"ao-{seq % 5}:t", "ao-9:z"], [_message(seq % 7)] * 2),
+            _request_run(target=f"ao-{seq % 3}:t"),
+        ]
+        buf = pack_frame(1, seq, runs, NODE_INDEX, channel=encoder)
+        assert_same_runs(unpack_frame(buf, NODES, channel=decoder).runs, runs)
+        assert len(decoder.table) == encoder.count
+        sizes.append(struct.unpack_from("!B", buf, _BODY + 1)[0])
+    for epoch_start in range(0, len(sizes), EPOCH_FRAMES):
+        assert sizes[epoch_start] == 0  # the table size the frame began at
+        assert sizes[epoch_start + 1] > 0
+
+
+def test_tables_stay_bounded_with_fresh_clocks_in_every_frame():
+    """A thousand frames, each with clocks and messages never seen
+    before: neither table holds more than one epoch's definitions."""
+    encoder, decoder = ChannelEncoder(), ChannelDecoder()
+    largest = 0
+    for seq in range(1000):
+        sender = f"ao-{seq % 4}:s"
+        message = DgcMessage(
+            sender, ActivityClock(seq, sender), True, RemoteRef(sender, NODES[1])
+        )
+        runs = [_message_run(["ao-1:a"], [message])]
+        buf = pack_frame(0, seq, runs, NODE_INDEX, channel=encoder)
+        assert_same_runs(unpack_frame(buf, NODES, channel=decoder).runs, runs)
+        largest = max(largest, len(decoder.table), len(encoder.memo))
+    # A fresh clock and message per frame, plus the five ids and the ref
+    # each epoch defines once.
+    assert largest <= 2 * EPOCH_FRAMES + 10
+    assert len(decoder.table) == encoder.count == len(encoder.memo)
 
 
 def test_channel_duplicated_frame_detected():
