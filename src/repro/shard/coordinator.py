@@ -94,7 +94,6 @@ A worker that exits unreported or stops beating is a named
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import time
@@ -115,6 +114,7 @@ from repro.shard.worker import (
     worker_main,
 )
 from repro.shard.workloads import Phase, ShardEnv, workload_phases
+from repro.sim.rng import sha256
 from repro.world import World
 
 
@@ -418,7 +418,7 @@ class ShardedWorld:
         shard_count = self.plan.shard_count
         lookahead_rows = self.plan.lookahead_matrix
         phases = self.phases
-        digest = hashlib.sha256()
+        digest = sha256()
         frame_log: Optional[List[Tuple[int, int, bytes]]] = (
             [] if self.record_frames else None
         )

@@ -15,10 +15,14 @@ sequences.
 
 from __future__ import annotations
 
-import hashlib
 import random  # repro: allow[DET-entropy] this module IS the sanctioned router: streams are seeded below, never from process entropy
 from bisect import bisect_left
 from typing import Dict, List
+
+try:  # CPython's builtin hash, as ``random`` takes ``_sha512``: no OpenSSL mapped
+    from _sha256 import sha256
+except ImportError:  # pragma: no cover - an interpreter that names it otherwise
+    from hashlib import sha256
 
 
 class RngRegistry:
@@ -44,7 +48,7 @@ class RngRegistry:
         """A fresh copy of ``name``'s stream, not kept: for a consumer
         that draws once (a start phase), so the registry does not hold a
         generator state per activity for the whole run."""
-        digest = hashlib.sha256(
+        digest = sha256(
             f"{self._root_seed}:{name}".encode("utf-8")
         ).digest()
         seed = int.from_bytes(digest[:8], "big")
@@ -52,7 +56,7 @@ class RngRegistry:
 
     def fork(self, name: str) -> "RngRegistry":
         """Derive a child registry, e.g. one per experiment repetition."""
-        digest = hashlib.sha256(
+        digest = sha256(
             f"{self._root_seed}:fork:{name}".encode("utf-8")
         ).digest()
         return RngRegistry(int.from_bytes(digest[:8], "big"))
