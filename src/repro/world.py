@@ -144,6 +144,8 @@ class World:
         #: :meth:`on_activity_terminated` so quiescence predicates are
         #: O(1) instead of rebuilding activity lists.
         self._live_non_root_count = 0
+        #: Ids of the live activities created as roots (the rest count).
+        self._created_roots: Dict[ActivityId, bool] = {}
         #: When true, the termination hook stops the kernel as soon as the
         #: counter hits zero (event-driven :meth:`run_until_collected`).
         self._stop_when_collected = False
@@ -225,7 +227,9 @@ class World:
         )
         host.add_activity(activity)
         self._activities[activity.id] = activity
-        if not root:
+        if root:
+            self._created_roots[activity.id] = True
+        else:
             self._live_non_root_count += 1
         self.stats.created += 1
         if not dgc_enabled:
@@ -311,10 +315,14 @@ class World:
 
     def on_activity_terminated(self, activity: Activity, reason: str) -> None:
         removed = self._activities.pop(activity.id, None)
-        if removed is not None and not activity.is_root:
-            self._live_non_root_count -= 1
-            if self._live_non_root_count == 0 and self._stop_when_collected:
-                self.kernel.request_stop()
+        # Counted by its status at creation, whatever bindings did since.
+        if removed is not None:
+            if activity.id in self._created_roots:
+                del self._created_roots[activity.id]
+            else:
+                self._live_non_root_count -= 1
+                if self._live_non_root_count == 0 and self._stop_when_collected:
+                    self.kernel.request_stop()
         self.stats.collected_by_id[activity.id] = self.kernel.now
         if reason == events.REASON_ACYCLIC:
             self.stats.collected_acyclic += 1

@@ -1,6 +1,8 @@
 """Roots (Sec. 4.1): registered activities and dummy referencers are
 never collected; unbinding releases them to the collector."""
 
+from repro.core import events
+from repro.runtime.behaviors import SinkBehavior
 from repro.workloads.app import Peer, link, release_all
 
 
@@ -106,3 +108,19 @@ def test_lookup_over_fabric_creates_live_dgc_edge(make_world, fast_dgc):
     release_all(driver, [looker])
     assert world.run_until_collected(60 * fast_dgc.tta)
     assert world.accountant.registry_bytes > 0
+
+
+def test_terminating_a_bound_activity_leaves_no_live_non_root(make_world):
+    """A non-root made a root by a binding, then terminated explicitly
+    while still bound, is subtracted from the live non-root count: it was
+    counted at creation, as a non-root."""
+    world = make_world()
+    driver = world.create_driver()
+    sink = driver.context.create(SinkBehavior(), name="sink")
+    world.registry.bind("sink", sink.ref)
+    activity = world.find_activity(sink.activity_id)
+    assert activity.is_root and world.live_non_root_count == 1
+    activity.terminate(events.REASON_EXPLICIT)
+    assert world.live_non_roots() == []
+    assert world.live_non_root_count == 0
+    assert world.all_collected()
