@@ -11,6 +11,7 @@ by hand::
     python3 benchmarks/compare_spine.py PARENT_DIR CHANGE_DIR \
         [--steady-state] [--flip WORKLOAD=DIR:LABEL] > section.md
     python3 benchmarks/compare_spine.py PARENT_DIR CHANGE_DIR --resident
+    python3 benchmarks/compare_spine.py PARENT_DIR CHANGE_DIR --paired
 
 Each directory holds ``<workload>_<seed>.json`` files (``seed`` is ``default``
 or a number), one per run; both sides must have been produced by the same,
@@ -21,7 +22,11 @@ scratch copy of the change, or of the parent when the change deleted the knob;
 the collector's steady-state lane, per workload.  ``--resident`` prints only
 the resident-state paragraph: ``peak_rss_mb`` per workload over every pair,
 and whether every change run reads below every parent run (the test a
-memory claim must pass).
+memory claim must pass).  ``--paired`` prints only the paired timing
+estimate: per workload the median of the per-pair ratios change / parent
+of ``ops_per_cpu_s`` with a 95 % bootstrap interval (a speed claim needs
+at least 11 pairs and an interval that excludes 1.0), and every pair's
+ratio beside both runs' ``harness.steal_share``.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import statistics
 import sys
 from typing import Any, Dict, List, Tuple
@@ -274,6 +280,60 @@ def resident_table(parent: Reports, change: Reports) -> List[str]:
     return lines
 
 
+#: Bootstrap resamples of the pair ratios; the stream is seeded, so the
+#: interval is a pure function of the reports.
+BOOTSTRAP = 2000
+
+
+def bootstrap_median(ratios: List[float]) -> Tuple[float, float]:
+    """95 % percentile-bootstrap interval of the median of ``ratios``."""
+    draw = random.Random(0)
+    medians = sorted(
+        statistics.median(draw.choices(ratios, k=len(ratios)))
+        for _ in range(BOOTSTRAP)
+    )
+    return medians[int(0.025 * BOOTSTRAP)], medians[int(0.975 * BOOTSTRAP) - 1]
+
+
+def steal(report: Dict[str, Any]) -> float:
+    return report["per_layer"]["harness.steal_share"]["value"]
+
+
+def paired_table(parent: Reports, change: Reports) -> List[str]:
+    """The paired estimate of ``ops_per_cpu_s``: one summary row per
+    workload, then one row per pair with both runs' steal shares."""
+    lines = [
+        "| workload | pairs | median ratio change/parent | 95 % bootstrap"
+        " interval | excludes 1.0 |",
+        "|---|---:|---:|---:|---|",
+    ]
+    rows = [
+        "| workload | seed | parent ops/cpu_s | change ops/cpu_s | ratio |"
+        " steal parent | steal change |",
+        "|---|---|---:|---:|---:|---:|---:|",
+    ]
+    for workload in WORKLOADS:
+        seeds = [s for s in seeds_of(parent, workload) if (workload, s) in change]
+        if not seeds:
+            continue
+        ratios = []
+        for seed in seeds:
+            a, b = parent[(workload, seed)], change[(workload, seed)]
+            ratio = e2e(b, "ops_per_cpu_s") / e2e(a, "ops_per_cpu_s")
+            ratios.append(ratio)
+            rows.append(
+                f"| `{workload}` | {seed} | {fmt(e2e(a, 'ops_per_cpu_s'))} | "
+                f"{fmt(e2e(b, 'ops_per_cpu_s'))} | {ratio:.3f} | "
+                f"{100.0 * steal(a):.1f} % | {100.0 * steal(b):.1f} % |"
+            )
+        low, high = bootstrap_median(ratios)
+        lines.append(
+            f"| `{workload}` | {len(seeds)} | {statistics.median(ratios):.3f} | "
+            f"{low:.3f}-{high:.3f} | {'yes' if low > 1.0 or high < 1.0 else 'no'} |"
+        )
+    return lines + [""] + rows
+
+
 def flip_table(change: Reports, flipped: Reports, workload: str, label: str) -> List[str]:
     lines = [
         f"| seed | calls/op default | calls/op {label} | messages default | "
@@ -305,6 +365,8 @@ def main(argv: List[str]) -> int:
                         help="add the DGC steady-state share per workload")
     parser.add_argument("--resident", action="store_true",
                         help="print only the peak_rss_mb comparison")
+    parser.add_argument("--paired", action="store_true",
+                        help="print only the paired ops_per_cpu_s estimate")
     args = parser.parse_args(argv)
     parent, change = load(args.parent_dir), load(args.change_dir)
     if args.resident:
@@ -312,6 +374,12 @@ def main(argv: List[str]) -> int:
             ["**Resident state** (`peak_rss_mb`, MB, interleaved parent/change"
              " pairs, one run at a time):", ""] + resident_table(parent, change)
         ))
+        return 0
+    paired = ["**Paired `ops_per_cpu_s`** (per pair, change / parent; the"
+              " median ratio with a 95 % bootstrap interval, and each pair's"
+              " steal share):", ""] + paired_table(parent, change)
+    if args.paired:
+        print("\n".join(paired))
         return 0
     out: List[str] = []
     out += ["**`calls_per_op`, seed by seed** (exact at a fixed seed; a count,"
@@ -338,6 +406,7 @@ def main(argv: List[str]) -> int:
     out += ["**Timings and memory** (interleaved parent/change pairs, one run"
             " at a time; reported, not claimed):", ""]
     out += timings_table(parent, change) + [""]
+    out += paired + [""]
     for spec in args.flip:
         workload, _, rest = spec.partition("=")
         directory, _, label = rest.partition(":")

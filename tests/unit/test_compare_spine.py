@@ -34,3 +34,30 @@ def test_resident_table_says_whether_every_change_run_is_below_every_parent_run(
     assert lines[2].endswith("| no |")
     # Workloads without reports on both sides get no row.
     assert len(table(parent, {})) == 2
+
+
+def timed(values, steal=0.01):
+    return {
+        ("sharded2", seed): {
+            "end_to_end": {"ops_per_cpu_s": {"value": value}},
+            "per_layer": {"harness.steal_share": {"value": steal}},
+        }
+        for seed, value in values.items()
+    }
+
+
+def test_paired_table_reports_the_median_ratio_its_interval_and_each_pair():
+    module = load_module()
+    parent = timed({str(seed): 100.0 for seed in range(1, 12)})
+    faster = timed({str(seed): 110.0 + seed for seed in range(1, 12)}, steal=0.02)
+    lines = module.paired_table(parent, faster)
+    # Eleven pairs, every ratio above 1: the interval excludes 1.0.
+    assert lines[2].startswith("| `sharded2` | 11 | 1.160 | ")
+    assert lines[2].endswith("| yes |")
+    pair = next(line for line in lines if line.startswith("| `sharded2` | 3 |"))
+    assert pair == "| `sharded2` | 3 | 100.00 | 113.00 | 1.130 | 1.0 % | 2.0 % |"
+    # Ratios on both sides of 1.0: the interval covers it.
+    mixed = timed({str(seed): 95.0 + seed for seed in range(1, 12)})
+    assert module.paired_table(parent, mixed)[2].endswith("| no |")
+    # The interval is a pure function of the reports.
+    assert module.paired_table(parent, mixed) == module.paired_table(parent, mixed)
