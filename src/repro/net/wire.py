@@ -62,9 +62,9 @@ registrations move for move.
   table on both ends, derived from the checked ordinal, so nothing else
   rides the wire.  DGC messages are fixed-size and recur every TTB
   (paper Sec. 4.3), so the bound costs re-definitions, not growth with
-  run length.  The decoder keeps the previous epoch's clocks and hands
-  the same objects back when they are re-defined: the protocol's
-  identity-first compares keep their sharing across a reset.
+  run length.  The decoder keeps the previous epoch's clocks and
+  responses and hands the same objects back when they are re-defined:
+  the protocol's identity-first compares keep their sharing.
 * *Identity is trusted only within one frame.*  The table is keyed by
   *value* (a string itself, a composite by the tuple of its primitive
   fields: probes hash in C, equal-but-distinct objects share a slot);
@@ -195,11 +195,9 @@ KIND_INDEX: Dict[str, int] = {
 }
 
 
-#: Which payload classes each traffic kind puts on the cross-shard wire
-#: (a registry reply doubles as the bind ack; the renew kind carries the
-#: batch and its ack).  The tier-1 tests check the manifest is total over
-#: :data:`~repro.net.kinds.ALL_KINDS` and round-trip a sample of every
-#: class under its kind, so a class the codec cannot carry fails there.
+#: Which payload classes each kind puts on the wire (a registry reply
+#: doubles as the bind ack; renew carries the batch and its ack); tier-1
+#: tests keep it total over the kinds and round-trip every class.
 KIND_PAYLOAD_TYPES = {
     KIND_DGC_MESSAGE: (DgcMessage,),
     KIND_DGC_RESPONSE: (DgcResponse,),
@@ -758,11 +756,21 @@ def _decode_value(reader: _Reader):
     raise WireFormatError(f"unknown value tag 0x{tag:02X}")
 
 
-def _decode_definitions(reader: _Reader, kept: dict, made: dict) -> None:
+def _by_value(table: list) -> dict:
+    """The clocks and DGC responses of a finished epoch's table, by value."""
+    return {
+        (o.value, o.owner) if type(o) is ActivityClock else (
+            o.responder, o.clock.value, o.clock.owner, o.has_parent,
+            o.consensus_reached, o.depth): o
+        for o in table if type(o) is ActivityClock or type(o) is DgcResponse
+    }
+
+
+def _decode_definitions(reader: _Reader, kept: dict) -> None:
     """Append the definition block at the cursor to the intern table
-    (see :meth:`_Encoder._define`).  A clock the channel's previous epoch
-    defined (``kept``, by value; ``made`` collects this epoch's) comes
-    back as *that* object, so sharing survives a table reset."""
+    (see :meth:`_Encoder._define`).  A clock or response the channel's
+    previous epoch defined (``kept``, by value) comes back as *that*
+    object, so sharing survives a table reset."""
     counts = [reader.varint() for _ in range(5)]
     table = reader.table
     view = reader.buf
@@ -799,21 +807,16 @@ def _decode_definitions(reader: _Reader, kept: dict, made: dict) -> None:
         start = stop
     clocks, refs, messages, responses = rows
     keys = [(value, table[owner]) for owner, value in clocks]
-    clocks = [kept[key] if key in kept else ActivityClock(*key) for key in keys]
-    made.update(zip(keys, clocks))
-    table += clocks
+    table += [kept[key] if key in kept else ActivityClock(*key) for key in keys]
     table += [RemoteRef(table[activity_id], table[node]) for activity_id, node in refs]
     table += [
         DgcMessage(table[sender], table[clock], consensus, table[ref], ttb)
         for sender, clock, ref, consensus, ttb in messages
     ]
-    table += [
-        DgcResponse(
-            table[responder], table[clock], has_parent, reached,
-            depth if has_depth else None,
-        )
-        for responder, clock, has_parent, reached, has_depth, depth in responses
-    ]
+    args = [(table[r], table[c], p, a, d if h else None)
+            for r, c, p, a, h, d in responses]
+    keys = [(r, c.value, c.owner, p, a, d) for r, c, p, a, d in args]
+    table += [kept[k] if k in kept else DgcResponse(*x) for k, x in zip(keys, args)]
 
 
 # ----------------------------------------------------------------------
@@ -855,16 +858,15 @@ class ChannelDecoder:
     last ``seq`` (ascending).  Discard after any decode error — the table
     is desynced."""
 
-    __slots__ = ("table", "last_seq", "ordinal", "kept", "made")
+    __slots__ = ("table", "last_seq", "ordinal", "kept")
 
     def __init__(self) -> None:
         self.table: List[object] = []
         self.last_seq = -1
         self.ordinal = -1
-        #: DGC clocks by value, defined in the previous epoch and in this
-        #: one (:func:`_decode_definitions`).
-        self.kept: Dict[tuple, ActivityClock] = {}
-        self.made: Dict[tuple, ActivityClock] = {}
+        #: The previous epoch's clocks and responses by value
+        #: (:func:`_decode_definitions`).
+        self.kept: Dict[tuple, object] = {}
 
 
 def frame_stamp(buf: bytes) -> Tuple[int, int]:
@@ -1013,12 +1015,12 @@ def unpack_frame(
             f"ordinal {expected} — a frame was dropped, duplicated or "
             f"reordered on the channel"
         )
-    kept = made = {}
+    kept: dict = {}
     if channel is not None:
         channel.last_seq, channel.ordinal = seq, ordinal
         if not ordinal % EPOCH_FRAMES:  # the encoder emptied its table too
-            channel.table, channel.kept, channel.made = [], channel.made, {}
-        reader.table, kept, made = channel.table, channel.kept, channel.made
+            channel.table, channel.kept = [], _by_value(channel.table)
+        reader.table, kept = channel.table, channel.kept
     table = reader.table
     expected = reader.varint()
     if expected != len(table):
@@ -1032,7 +1034,7 @@ def unpack_frame(
     try:
         reader.pos += 1
         if view[reader.pos - 1]:  # the definition block's flag
-            _decode_definitions(reader, kept, made)
+            _decode_definitions(reader, kept)
         n = reader.varint()
         head = struct.unpack_from(
             f"!{n}B{n}H{n}I{n}d", view, reader._need(15 * n)

@@ -934,21 +934,32 @@ def test_dropped_steady_state_frame_raises():
 def test_channel_roundtrips_across_epoch_boundaries():
     """A channel crossing three epoch boundaries: every frame decodes to
     its own runs, bit-identical, and both tables restart empty at each
-    epoch's first frame (which then defines what it uses again)."""
+    epoch's first frame (which then defines what it uses again) — yet a
+    re-defined clock or response comes back as the object the last epoch
+    decoded."""
     encoder, decoder = ChannelEncoder(), ChannelDecoder()
     sizes = []
+    clocks, responses = {}, {}
     for seq in range(3 * EPOCH_FRAMES + 2):
+        response = DgcResponse("ao-9:z", ActivityClock(2, "ao-9:z"), True, False, seq % 3)
         runs = [
             _message_run([f"ao-{seq % 5}:t", "ao-9:z"], [_message(seq % 7)] * 2),
             _request_run(target=f"ao-{seq % 3}:t"),
+            (kinds.KIND_DGC_RESPONSE, 2.0, NODES[1], ["ao-1:a"], [response]),
         ]
         buf = pack_frame(1, seq, runs, NODE_INDEX, channel=encoder)
-        assert_same_runs(unpack_frame(buf, NODES, channel=decoder).runs, runs)
+        decoded = unpack_frame(buf, NODES, channel=decoder).runs
+        assert_same_runs(decoded, runs)
         assert len(decoder.table) == encoder.count
         sizes.append(struct.unpack_from("!B", buf, _BODY + 1)[0])
+        clock = decoded[0][4][0].clock
+        assert clocks.setdefault(repr(clock), clock) is clock
+        response = decoded[2][4][0]
+        assert responses.setdefault(response.depth, response) is response
     for epoch_start in range(0, len(sizes), EPOCH_FRAMES):
         assert sizes[epoch_start] == 0  # the table size the frame began at
         assert sizes[epoch_start + 1] > 0
+    assert len(clocks) == 7 and len(responses) == 3
 
 
 def test_tables_stay_bounded_with_fresh_clocks_in_every_frame():
@@ -966,9 +977,10 @@ def test_tables_stay_bounded_with_fresh_clocks_in_every_frame():
         assert_same_runs(unpack_frame(buf, NODES, channel=decoder).runs, runs)
         largest = max(largest, len(decoder.table), len(encoder.memo))
     # A fresh clock and message per frame, plus the five ids and the ref
-    # each epoch defines once.
+    # each epoch defines once; the decoder keeps the last epoch's clocks.
     assert largest <= 2 * EPOCH_FRAMES + 10
     assert len(decoder.table) == encoder.count == len(encoder.memo)
+    assert len(decoder.kept) <= EPOCH_FRAMES
 
 
 def test_channel_duplicated_frame_detected():
