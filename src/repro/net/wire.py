@@ -179,8 +179,8 @@ _REGISTRY_MESSAGES = {
 }
 _REGISTRY_TAGS = {tag: (cls, names) for cls, (tag, names) in _REGISTRY_MESSAGES.items()}
 
+_STR_TYPE = {str}
 _NONE = bytes((_T_NONE,))
-_NONE_ROW = (None,)
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
@@ -231,7 +231,10 @@ def _float_key(value: float):
 #: Table indices are two bytes wide while the table fits.
 _NARROW_TABLE = 0x10000
 #: Each one-byte varint, a backref to each of the first 128 entries, and
-#: the struct of one to the next 16 256 (a two-byte varint).
+#: the struct of one to the next 16 256, so the encoder emits them with
+#: no ``append`` call: every epoch re-defines what it uses, and without
+#: these (and the ``None`` shortcuts) ``sharded2`` made more calls per op
+#: than the unbounded tables did.
 _BYTES = [bytes((value,)) for value in range(0x80)]
 _SHORT_BACKREFS = [bytes((_T_BACKREF, index)) for index in range(0x80)]
 _BACKREF_2 = struct.Struct("!3B")
@@ -315,11 +318,14 @@ class _Encoder:
         hold every object alive — and only what the table lacks is
         defined (:meth:`_define`), in sight order."""
         memo = self.memo
+        # Every target by exact type, before any is hashed: a table slot
+        # may hold an equal float (``17 == 17.0``), and a non-string
+        # must raise even when the table already "has" it.
+        if not {*map(type, targets)} <= _STR_TYPE:
+            raise _cannot_encode(
+                next(t for t in targets if type(t) is not str), "as a DGC target"
+            )
         strings = dict.fromkeys(targets)
-        if not strings.keys() <= memo.keys():
-            for target in strings:
-                if type(target) is not str and target not in memo:
-                    raise _cannot_encode(target, "as a DGC target")
         # Per group, key -> record: its table links (keys), then scalars.
         clocks, refs, new_messages, new_responses = {}, {}, {}, {}
         message_ids = [*map(id, messages)]
@@ -367,6 +373,11 @@ class _Encoder:
                     value.depth or 0,
                 )
         if new_messages or new_responses or not strings.keys() <= memo.keys():
+            # Every field too, also one an equal table slot would absorb.
+            if not {*map(type, strings)} <= _STR_TYPE:
+                raise _cannot_encode(
+                    next(t for t in strings if type(t) is not str), "in a DGC field"
+                )
             self._define(
                 [text for text in strings if text not in memo],
                 [{key: record for key, record in group.items() if key not in memo}
@@ -385,9 +396,6 @@ class _Encoder:
     def _define(self, texts: list, groups: list) -> None:
         """Register and write a definition block: ``texts``, then the
         clock, ref, message and response ``groups``."""
-        for text in texts:
-            if type(text) is not str:
-                raise _cannot_encode(text, "in a DGC field")
         memo = self.memo
         out = self.out
         out.append(1)
@@ -453,7 +461,7 @@ class _Encoder:
             self.value(value.node)
             self._register(key)
         elif value is None:
-            out.append(_T_NONE)
+            out += _NONE
         elif cls is bool:
             out.append(_T_TRUE if value else _T_FALSE)
         elif cls is int:
@@ -524,10 +532,7 @@ class _Encoder:
                 except (KeyError, AttributeError, TypeError, struct.error):
                     pass
                 else:
-                    if value.reply_to is None:
-                        out += _NONE  # the ping's usual reply address
-                    else:
-                        self.value(value.reply_to)
+                    self.value(value.reply_to)
                     return
             out.append(_T_REQUEST)
             self.value(value.method)
@@ -671,17 +676,12 @@ def _decode_value(reader: _Reader):
         refs = struct.unpack_from(
             ("!%dI" if wide else "!%dH") % count, reader.buf, pos
         ) if count else ()
-        pos += count * (4 if wide else 2)
-        if pos < reader.end and reader.buf[pos] == _T_NONE:
-            reader.pos = pos + 1
-            reply_to = None
-        else:
-            reader.pos = pos
-            reply_to = _decode_value(reader)
+        reader.pos = pos + count * (4 if wide else 2)
         return Request(
             table[method], table[sender], table[target],
             payload_bytes=payload_bytes,
-            refs=tuple(map(table.__getitem__, refs)), reply_to=reply_to,
+            refs=tuple(map(table.__getitem__, refs)),
+            reply_to=_decode_value(reader),
         )
     if tag == _T_STR:
         value = reader.text()
@@ -1076,16 +1076,7 @@ def unpack_frame(
             reader._need((8 if wide else 4) * dgc),
         )
         values = [*map(table.__getitem__, block)]
-        # Item, payload, item, ...: a ``None`` payload is read inline.
-        tagged: list = []
-        end = reader.end
-        for _ in range(2 * generic):
-            pos = reader.pos
-            if pos < end and view[pos] == _T_NONE:
-                reader.pos = pos + 1
-                tagged += _NONE_ROW
-            else:
-                tagged += (_decode_value(reader),)
+        tagged = [_decode_value(reader) for _ in range(2 * generic)]
         # Cursors into the index block's three sections (targets, then
         # message payloads, then response payloads) and the tagged values.
         target = cursor = 0

@@ -754,6 +754,23 @@ def test_v2_malformed_dgc_runs_rejected_at_pack():
     ]:
         with pytest.raises(WireFormatError, match=match):
             pack_frame(0, 0, [run], NODE_INDEX)
+    with pytest.raises(WireFormatError, match="DGC target"):
+        pack_frame(0, 0, [_message_run([["ao-1:a"]], [_message(1)])], NODE_INDEX)
+    # On a channel whose table holds the float 17.0 (and 1.0), an int 17
+    # or ``True`` compares equal to a slot but is still no string.
+    floats = (kinds.KIND_APP_REQUEST, 1.0, NODES[0], ["ao-1:a"], [
+        Request("do_run", "ao-1:a", "ao-2:b", data=[17.0, 1.0]),
+    ])
+    renamed = dataclasses.replace(_message(1), sender=17)
+    for run, match in [
+        (_message_run([17], [_message(1)]), "DGC target"),
+        (_message_run([True], [_message(1)]), "DGC target"),
+        (_message_run(["ao-1:a"], [renamed]), "DGC field"),
+    ]:
+        encoder = ChannelEncoder()
+        pack_frame(0, 0, [floats], NODE_INDEX, channel=encoder)
+        with pytest.raises(WireFormatError, match=match):
+            pack_frame(0, 1, [run], NODE_INDEX, channel=encoder)
 
 
 def test_v2_shrinks_fanout_traffic():
