@@ -144,8 +144,9 @@ class World:
         #: :meth:`on_activity_terminated` so quiescence predicates are
         #: O(1) instead of rebuilding activity lists.
         self._live_non_root_count = 0
-        #: Ids of the live activities created as roots (the rest count).
-        self._created_roots: Dict[ActivityId, bool] = {}
+        #: Ids of the live activities created as roots (the rest count);
+        #: updated by set operators, which no profiled call adds to.
+        self._created_roots: Set[ActivityId] = set()
         #: When true, the termination hook stops the kernel as soon as the
         #: counter hits zero (event-driven :meth:`run_until_collected`).
         self._stop_when_collected = False
@@ -228,7 +229,7 @@ class World:
         host.add_activity(activity)
         self._activities[activity.id] = activity
         if root:
-            self._created_roots[activity.id] = True
+            self._created_roots |= {activity.id}
         else:
             self._live_non_root_count += 1
         self.stats.created += 1
@@ -318,7 +319,7 @@ class World:
         # Counted by its status at creation, whatever bindings did since.
         if removed is not None:
             if activity.id in self._created_roots:
-                del self._created_roots[activity.id]
+                self._created_roots -= {activity.id}
             else:
                 self._live_non_root_count -= 1
                 if self._live_non_root_count == 0 and self._stop_when_collected:
