@@ -11,7 +11,6 @@ by hand::
     python3 benchmarks/compare_spine.py PARENT_DIR CHANGE_DIR \
         [--steady-state] [--flip WORKLOAD=DIR:LABEL] > section.md
     python3 benchmarks/compare_spine.py PARENT_DIR CHANGE_DIR --resident
-    python3 benchmarks/compare_spine.py PARENT_DIR CHANGE_DIR --paired
 
 Each directory holds ``<workload>_<seed>.json`` files (``seed`` is ``default``
 or a number), one per run; both sides must have been produced by the same,
@@ -22,7 +21,7 @@ scratch copy of the change, or of the parent when the change deleted the knob;
 the collector's steady-state lane, per workload.  ``--resident`` prints only
 the resident-state paragraph: ``peak_rss_mb`` per workload over every pair,
 and whether every change run reads below every parent run (the test a
-memory claim must pass).  ``--paired`` prints only the paired timing
+memory claim must pass).  The default report ends with the paired timing
 estimate: per workload the median of the per-pair ratios change / parent
 of ``ops_per_cpu_s`` with a 95 % bootstrap interval (a speed claim needs
 at least 11 pairs and an interval that excludes 1.0), and every pair's
@@ -365,8 +364,6 @@ def main(argv: List[str]) -> int:
                         help="add the DGC steady-state share per workload")
     parser.add_argument("--resident", action="store_true",
                         help="print only the peak_rss_mb comparison")
-    parser.add_argument("--paired", action="store_true",
-                        help="print only the paired ops_per_cpu_s estimate")
     args = parser.parse_args(argv)
     parent, change = load(args.parent_dir), load(args.change_dir)
     if args.resident:
@@ -374,12 +371,6 @@ def main(argv: List[str]) -> int:
             ["**Resident state** (`peak_rss_mb`, MB, interleaved parent/change"
              " pairs, one run at a time):", ""] + resident_table(parent, change)
         ))
-        return 0
-    paired = ["**Paired `ops_per_cpu_s`** (per pair, change / parent; the"
-              " median ratio with a 95 % bootstrap interval, and each pair's"
-              " steal share):", ""] + paired_table(parent, change)
-    if args.paired:
-        print("\n".join(paired))
         return 0
     out: List[str] = []
     out += ["**`calls_per_op`, seed by seed** (exact at a fixed seed; a count,"
@@ -406,7 +397,9 @@ def main(argv: List[str]) -> int:
     out += ["**Timings and memory** (interleaved parent/change pairs, one run"
             " at a time; reported, not claimed):", ""]
     out += timings_table(parent, change) + [""]
-    out += paired + [""]
+    out += ["**Paired `ops_per_cpu_s`** (per pair, change / parent; the"
+            " median ratio with a 95 % bootstrap interval, and each pair's"
+            " steal share):", ""] + paired_table(parent, change) + [""]
     for spec in args.flip:
         workload, _, rest = spec.partition("=")
         directory, _, label = rest.partition(":")
