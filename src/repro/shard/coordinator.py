@@ -89,7 +89,10 @@ walks an ``"until"`` phase to its deadline, and broadcasts phase
 entries, whose actions run at the shared current horizon.
 
 A worker that exits unreported or stops beating is a named
-:class:`~repro.errors.ShardFailure` within seconds (``_recv``).
+:class:`~repro.errors.ShardFailure` within seconds (``_recv``).  The
+other way round, a worker holds no coordinator-side pipe end
+(:func:`_worker_process`), so when the coordinator dies or closes its
+ends the worker reads EOF and exits.
 """
 
 from __future__ import annotations
@@ -336,12 +339,6 @@ class ShardedWorld:
             raise self._shard_failure(procs) from None
         except TimeoutError as hung:  # a worker stopped answering
             raise self._shard_failure(procs, *hung.args) from None
-        except SimulationError:
-            # A timed-out or deadlocked run: every fork holds both pipe
-            # ends, so closing ours never wakes a worker — stop them.
-            for proc in procs:
-                proc.kill()
-            raise
         finally:
             for conn in conns:
                 conn.close()
@@ -398,8 +395,13 @@ class ShardedWorld:
                 trace=self.trace,
                 heartbeat=beat,
             )
+            # The coordinator-side ends the fork copies: this shard's
+            # and every earlier shard's.
+            inherited = [conn.fileno() for conn in (*conns, parent_conn)]
             proc = mp.Process(
-                target=worker_main, args=(child_conn, spec), daemon=True
+                target=_worker_process,
+                args=(child_conn, spec, inherited + self._heartbeats),
+                daemon=True,
             )
             proc.start()
             child_conn.close()
@@ -719,6 +721,20 @@ class ShardedWorld:
 # ----------------------------------------------------------------------
 # The single-process replay arm
 # ----------------------------------------------------------------------
+
+
+def _worker_process(conn, spec: WorkerSpec, inherited: List[int]) -> None:
+    """A forked worker: close the coordinator-side pipe ends it
+    inherited, then serve.  With the coordinator their only holder, its
+    death is EOF on ``conn`` (and a broken heartbeat pipe), so the worker
+    exits instead of outliving it.  The fork's copies of the
+    coordinator's ``Connection`` objects are never finalized (a forked
+    child leaves by ``os._exit``), so the raw closes cannot double-close.
+    ``worker_main`` is looked up here at call time, after the closes, so
+    a caller may replace it (the spine profiles workers that way)."""
+    for fd in inherited:
+        os.close(fd)
+    worker_main(conn, spec)
 
 
 def replay_single_process(

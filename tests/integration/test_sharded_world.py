@@ -20,6 +20,8 @@ import os
 import pickle
 import re
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -42,6 +44,8 @@ def two_site_topology() -> Topology:
 def small_dgc() -> DgcConfig:
     return DgcConfig(ttb=1.0, tta=3.0)
 
+
+REPO = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
 
 TORTURE_PARAMS = dict(slave_count=8, active_duration=6.0, initial_pool=3)
 
@@ -771,6 +775,74 @@ def test_slow_worker_keeps_beating_and_finishes(monkeypatch):
         dgc=small_dgc(), seed=3,
     )
     assert result.outcome_signature() == signature
+
+
+#: A coordinator that spawns its two workers, prints their pids and then
+#: sleeps, so both workers sit in ``conn.recv()`` when it is killed.
+_SLEEPING_COORDINATOR = """
+import time
+from repro.core.config import DgcConfig
+from repro.net.topology import Site, Topology
+from repro.shard import ShardedWorld
+
+spawn = ShardedWorld._spawn
+
+def announce(self, mp, conns, procs):
+    spawn(self, mp, conns, procs)
+    print(*(proc.pid for proc in procs), flush=True)
+    time.sleep(120)
+
+ShardedWorld._spawn = announce
+ShardedWorld(
+    Topology([Site("a", 2, intra_rtt_s=0.002), Site("b", 2, intra_rtt_s=0.002)],
+             {("a", "b"): 0.1}),
+    2, workload="torture",
+    params=dict(slave_count=8, active_duration=6.0, initial_pool=3),
+    dgc=DgcConfig(ttb=1.0, tta=3.0),
+).run()
+"""
+
+
+def _running(pid: int) -> bool:
+    """The process exists and is not a zombie awaiting its reaper."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] not in "ZX"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_workers_exit_when_their_coordinator_is_killed():
+    """SIGKILL the coordinator (in a subprocess) while both workers wait
+    for its next round: each reads EOF, since neither holds a
+    coordinator-side pipe end, and exits within 5 s instead of living on
+    as an orphan."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(REPO, "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    coordinator = subprocess.Popen(
+        [sys.executable, "-c", _SLEEPING_COORDINATOR], env=env,
+        stdout=subprocess.PIPE, text=True,
+    )
+    pids = []
+    try:
+        pids = [int(pid) for pid in coordinator.stdout.readline().split()]
+        assert len(pids) == 2
+        coordinator.kill()
+        coordinator.wait()
+        deadline = time.monotonic() + 5.0
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in pids if _running(pid)]
+    finally:
+        coordinator.kill()
+        for pid in pids:  # an orphan holds stdout open: kill it first
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
+        coordinator.communicate()
 
 
 class _SlowConn:
