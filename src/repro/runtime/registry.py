@@ -628,7 +628,8 @@ class NamingService:
     ) -> Tuple[bool, str]:
         """Apply a bind (``ref`` set) or an unbind (``ref`` ``None``) at
         the authoritative shard, ``(ok, error)``: the binding, the root-pin
-        count and ``is_root`` (one target lookup), then the coherence
+        count and ``is_root`` (one target lookup; the last unbind restores
+        the status the activity was created with), then the coherence
         update — under beat coherence one store into the fan-out log."""
         authority = shard.authority
         pins = self._pins
@@ -643,8 +644,8 @@ class NamingService:
             else:
                 pins.pop(target, None)
                 activity = self._world.find_activity(target)
-                if activity is not None:
-                    activity.is_root = False
+                if activity is not None:  # back to its status at creation
+                    activity.is_root = target in self._world.created_roots
             self.unbinds_applied += 1
         else:
             if name in authority:

@@ -2,6 +2,7 @@
 never collected; unbinding releases them to the collector."""
 
 from repro.core import events
+from repro.core.config import DgcConfig
 from repro.runtime.behaviors import SinkBehavior
 from repro.workloads.app import Peer, link, release_all
 
@@ -124,3 +125,17 @@ def test_terminating_a_bound_activity_leaves_no_live_non_root(make_world):
     assert world.live_non_roots() == []
     assert world.live_non_root_count == 0
     assert world.all_collected()
+
+
+def test_root_created_activity_stays_a_root_after_unbind(make_world):
+    """Unbinding a name gives the activity back the status it was created
+    with: one created as a root stays a root, and is never collected."""
+    world = make_world(dgc=DgcConfig(ttb=1, tta=3))
+    sink = world.create_activity(SinkBehavior(), name="sink", root=True)
+    world.registry.bind("sink", sink.context.self_ref())
+    world.run_for(1.0)
+    world.registry.unbind("sink")
+    world.run_for(10.0)
+    assert world.find_activity(sink.id) is sink
+    assert world.stats.collected_acyclic == world.stats.collected_cyclic == 0
+    assert sink.is_root
