@@ -149,13 +149,13 @@ _T_NONE = 0x00
 _T_FALSE = 0x01
 _T_TRUE = 0x02
 _T_INT = 0x03
-_T_BIGINT = 0x04
 _T_FLOAT = 0x05
 _T_STR = 0x06
-_T_BYTES = 0x07
 _T_TUPLE = 0x08
 _T_LIST = 0x09
-_T_DICT = 0x0A
+# 0x04, 0x07 and 0x0A (ints wider than int64, bytes, dicts) are retired:
+# no fabric field carries one, so the encoder refuses them and the
+# decoder raises on their tags.
 #: A varint index into the frame's intern table.
 _T_BACKREF = 0x0B
 _T_CLOCK = 0x10
@@ -465,16 +465,13 @@ class _Encoder:
         elif cls is bool:
             out.append(_T_TRUE if value else _T_FALSE)
         elif cls is int:
-            if _INT64_MIN <= value <= _INT64_MAX:
-                out.append(_T_INT)
-                self.zigzag(value)
-            else:
-                raw = value.to_bytes(
-                    (value.bit_length() + 8) // 8, "big", signed=True
+            if not _INT64_MIN <= value <= _INT64_MAX:
+                raise WireFormatError(
+                    f"cannot encode int {value} on the shard wire: "
+                    f"outside int64"
                 )
-                out.append(_T_BIGINT)
-                self.varint(len(raw))
-                out += raw
+            out.append(_T_INT)
+            self.zigzag(value)
         elif cls is float:
             key = _float_key(value)
             if self._intern(key):
@@ -482,10 +479,6 @@ class _Encoder:
             out.append(_T_FLOAT)
             out += _F64.pack(value)
             self._register(key)
-        elif cls is bytes:
-            out.append(_T_BYTES)
-            self.varint(len(value))
-            out += value
         elif cls is tuple:
             out.append(_T_TUPLE)
             self.varint(len(value))
@@ -496,12 +489,6 @@ class _Encoder:
             self.varint(len(value))
             for element in value:
                 self.value(element)
-        elif cls is dict:
-            out.append(_T_DICT)
-            self.varint(len(value))
-            for key, entry in value.items():
-                self.value(key)
-                self.value(entry)
         elif cls is ReplyAddress:
             # Never interned: the future id is unique per request, so an
             # entry would only grow the channel's table.
@@ -713,25 +700,6 @@ def _decode_value(reader: _Reader):
     if tag == _T_LIST:
         count = reader.varint()
         return [_decode_value(reader) for _ in range(count)]
-    if tag == _T_DICT:
-        count = reader.varint()
-        try:
-            return {
-                _decode_value(reader): _decode_value(reader)
-                for _ in range(count)
-            }
-        except TypeError as exc:  # a corrupt key decoded to a list, dict...
-            raise WireFormatError(f"corrupt dict key: {exc}") from None
-    if tag == _T_BIGINT:
-        length = reader.varint()
-        pos = reader._need(length)
-        return int.from_bytes(
-            reader.buf[pos:pos + length], "big", signed=True
-        )
-    if tag == _T_BYTES:
-        length = reader.varint()
-        pos = reader._need(length)
-        return bytes(reader.buf[pos:pos + length])
     if tag == _T_REPLY_ADDRESS:
         return ReplyAddress(
             _decode_value(reader), _decode_value(reader),
