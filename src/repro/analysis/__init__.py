@@ -1,18 +1,21 @@
-"""repro.analysis — fabric-invariant static analyzer.
+"""repro.analysis — the static analyzer for what tier-1 cannot see.
 
-Pure-AST lint for the properties the test suite can only catch after
-the fact: determinism of the core (DET), no traffic-kind literal
-outside the declared kind set (KIND), the SPMD shard contract (SPMD),
-and hot-path allocation discipline (HOT).  It never imports the code it
-analyzes.  Run ``python -m repro.analysis src/repro`` or
-``harness analyze``; rules and suppression syntax are documented in
-ANALYSIS.md.
+A pure-AST lint for two disciplines the tier-1 suite does not check on
+every run: hot-path allocation (HOT: slotted classes, no closures
+allocated in loops, no ``typing``-alias class checks) on the paths no
+call or byte budget watches, and no ordering by object address in the
+deterministic core (``DET-id-order``), which repeats from run to run
+often enough to pass most runs; plus suppression hygiene
+(``META-suppression``).  Entropy, wall-clock reads, set order, the
+closed traffic-kind set and the SPMD shard contract are checked on the
+real objects by the golden outcomes and the equivalence and
+sharded-against-replay suites; ANALYSIS.md records the audit that moved
+each rule there.  Run ``python -m repro.analysis src/repro``.
 """
 
-from repro.analysis.model import AnalysisResult, Finding, Suppression
-from repro.analysis.report import render_human, render_json
 from repro.analysis.walker import (
-    Analyzer,
+    AnalysisResult,
+    Finding,
     all_rule_ids,
     rule_summaries,
     run_analysis,
@@ -20,12 +23,8 @@ from repro.analysis.walker import (
 
 __all__ = [
     "AnalysisResult",
-    "Analyzer",
     "Finding",
-    "Suppression",
     "all_rule_ids",
-    "render_human",
-    "render_json",
     "rule_summaries",
     "run_analysis",
 ]

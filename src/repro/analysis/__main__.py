@@ -1,42 +1,65 @@
-"""CLI for the fabric-invariant analyzer.
+"""CLI for the analyzer.
 
 Examples::
 
     python -m repro.analysis src/repro
-    python -m repro.analysis src/repro --rule DET-entropy --rule KIND-literal
+    python -m repro.analysis src/repro --rule HOT-slots
     python -m repro.analysis src/repro --format json --budget-seconds 10
     python -m repro.analysis --list-rules
 
-Exit codes: ``0`` clean, ``1`` findings, ``2`` usage error or
-wall-clock budget exceeded (the CI job uses ``--budget-seconds`` to
-assert the pass stays cheap).
+Exit codes: ``0`` clean, ``1`` findings, ``2`` usage error, a file that
+does not parse, or the wall-clock budget exceeded (the CI job uses
+``--budget-seconds`` to keep the pass cheap).  The JSON report is one
+object with a ``schema`` version, the run's counts and every finding.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from collections import Counter
 from typing import List, Optional
 
-from repro.analysis.report import render_human, render_json
-from repro.analysis.walker import (
-    META_PARSE,
-    META_SUPPRESSION,
-    Analyzer,
-    all_rule_ids,
-    rule_summaries,
-)
+from repro.analysis.walker import AnalysisResult, rule_summaries, run_analysis
+
+JSON_SCHEMA_VERSION = 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def render_human(result: AnalysisResult) -> str:
+    lines = [f"{f.location()}  {f.rule}  {f.message}" for f in result.findings]
+    tail = f"({result.suppressed_count} suppressed, {result.elapsed_s:.2f}s)"
+    if result.clean:
+        lines.append(
+            f"clean: {result.files_scanned} files, all invariants hold {tail}"
+        )
+    else:
+        noun = "finding" if len(result.findings) == 1 else "findings"
+        lines.append(
+            f"{len(result.findings)} {noun} in {result.files_scanned} files {tail}"
+        )
+    return "\n".join(lines)
+
+
+def render_json(result: AnalysisResult) -> str:
+    return json.dumps({
+        "schema": JSON_SCHEMA_VERSION,
+        "root": result.root,
+        "rules_run": list(result.rules_run),
+        "files_scanned": result.files_scanned,
+        "suppressed": result.suppressed_count,
+        "elapsed_s": round(result.elapsed_s, 3),
+        "counts": dict(sorted(Counter(f.rule for f in result.findings).items())),
+        "findings": [vars(f) for f in result.findings],
+    }, indent=2)
+
+
+def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description=(
-            "Static analyzer for the fabric's load-bearing invariants: "
-            "determinism (DET), the closed traffic-kind vocabulary (KIND), "
-            "the SPMD shard contract (SPMD), and hot-path allocation "
-            "discipline (HOT).  See ANALYSIS.md."
-        ),
+        description="Static analyzer for the hot-path allocation "
+        "discipline (HOT) and id()-ordering in the deterministic core "
+        "(DET-id-order).  See ANALYSIS.md.",
     )
     parser.add_argument(
         "paths", nargs="*", default=["src/repro"],
@@ -51,68 +74,43 @@ def build_parser() -> argparse.ArgumentParser:
         help="report format (default: human)",
     )
     parser.add_argument(
-        "--root", default=None,
-        help="directory findings paths are reported relative to "
-        "(default: the first scanned directory)",
-    )
-    parser.add_argument(
         "--budget-seconds", type=float, default=None,
-        help="fail (exit 2) if the pass takes longer than this "
-        "wall-clock budget — keeps the CI job honest about cost",
+        help="fail (exit 2) if the pass takes longer than this",
     )
     parser.add_argument(
         "--force-scope", action="store_true",
-        help="treat every file as in every rule scope (fixture corpora "
-        "and ad-hoc snippets; normally scoping follows the package "
-        "layout)",
+        help="treat every file as hot-tagged and in the core (fixture "
+        "corpora; normally scoping follows the package layout)",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
         help="list rule ids and what they enforce, then exit",
     )
-    return parser
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        summaries = dict(rule_summaries())
-        summaries[META_PARSE] = (
-            "engine pseudo-rule: a file that does not parse is a finding, "
-            "not a crash"
-        )
-        summaries[META_SUPPRESSION] = (
-            "engine pseudo-rule: suppressions must carry a reason and "
-            "name known rules"
-        )
-        width = max(len(rule_id) for rule_id in summaries)
-        for rule_id in sorted(summaries):
-            print(f"{rule_id.ljust(width)}  {summaries[rule_id]}")
+        summaries = rule_summaries()
+        width = max(map(len, summaries))
+        for rule_id, summary in summaries.items():
+            print(f"{rule_id.ljust(width)}  {summary}")
         return 0
 
     try:
-        analyzer = Analyzer(
-            args.paths,
-            root=args.root,
-            rules=args.rule,
-            force_scope=args.force_scope,
+        result = run_analysis(
+            args.paths, rules=args.rule, force_scope=args.force_scope
         )
-        result = analyzer.run()
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SyntaxError as exc:
+        print(
+            f"error: {exc.filename}:{exc.lineno}: does not parse: {exc.msg}",
+            file=sys.stderr,
+        )
+        return 2
 
-    if args.format == "json":
-        print(render_json(result))
-    else:
-        print(render_human(result))
-
-    if (
-        args.budget_seconds is not None
-        and result.elapsed_s > args.budget_seconds
-    ):
+    print(render_json(result) if args.format == "json" else render_human(result))
+    if args.budget_seconds is not None and result.elapsed_s > args.budget_seconds:
         print(
             f"error: analysis took {result.elapsed_s:.2f}s, over the "
             f"--budget-seconds {args.budget_seconds:.2f}s budget",

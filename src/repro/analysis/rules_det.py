@@ -1,241 +1,45 @@
-"""DET — determinism lint for the deterministic core.
+"""DET-id-order — no ordering by object address in the deterministic core.
 
-Byte-identical sharded replay and the bit-identical equivalence suites
-require that nothing in ``core/``, ``sim/``, ``net/``, ``shard/`` or
-``runtime/`` reads entropy or wall-clock time, iterates an unordered
-set into a send/schedule order, or orders anything by ``id()``.  All
-randomness is routed through the seeded streams of ``sim/rng.py``
-(which carries its own reasoned suppression — it is the sanctioned
-router), and all time comes from the kernel's virtual clock.
+``id()`` values are addresses, and address order often repeats from run
+to run, so a sort keyed on it passes most runs and fails some: the
+sharded frame merge keyed on ``id`` fails the suite's repeat-run digest
+check in about one run in three.  The other determinism rules went to
+the golden outcomes and the equivalence suites, which catch their bugs
+on every run (ANALYSIS.md).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Set
 
-from repro.analysis.model import Finding
-from repro.analysis.walker import Rule, SourceFile, register_rule
-
-_ENTROPY_MODULES = {"random", "secrets", "uuid"}
-#: module-qualified calls that read entropy.
-_ENTROPY_CALLS = {
-    "os": {"urandom", "getrandom"},
-    "uuid": {"uuid1", "uuid3", "uuid4", "uuid5"},
-    "secrets": None,  # every attribute of secrets is entropy
-    "random": None,  # module-level functions share one global stream
-}
-
-_WALLCLOCK_CALLS = {
-    "time": {
-        "time", "time_ns", "monotonic", "monotonic_ns",
-        "perf_counter", "perf_counter_ns",
-    },
-    "datetime": {"now", "utcnow", "today"},
-    "date": {"today"},
-}
-_WALLCLOCK_FROM_TIME = {
-    "time", "time_ns", "monotonic", "monotonic_ns",
-    "perf_counter", "perf_counter_ns",
-}
-
-_SET_CALLS = {"set", "frozenset"}
-_SET_METHODS = {
-    "union", "intersection", "difference", "symmetric_difference",
-}
+from repro.analysis.walker import Found, SourceFile, register_rule
 
 
-@register_rule
-class DetEntropy(Rule):
-    id = "DET-entropy"
-    summary = (
-        "no entropy sources in the deterministic core: route all "
-        "randomness through the seeded streams of sim/rng.py"
-    )
-    scope = "core"
-
-    def check(self, sf: SourceFile, facts) -> Iterator[Finding]:
-        for node in ast.walk(sf.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    head = alias.name.split(".", 1)[0]
-                    if head in _ENTROPY_MODULES or alias.name == "numpy.random":
-                        yield self.finding(
-                            sf, node,
-                            f"import of entropy module {alias.name!r}: use "
-                            f"a seeded RngRegistry stream instead",
-                        )
-            elif isinstance(node, ast.ImportFrom):
-                head = (node.module or "").split(".", 1)[0]
-                if head in _ENTROPY_MODULES:
-                    # ``random.Random`` instances are fine when seeded by
-                    # the registry — importing the *class* is the one
-                    # sanctioned use; the global-stream functions are not.
-                    names = {alias.name for alias in node.names}
-                    if head != "random" or names - {"Random"}:
-                        yield self.finding(
-                            sf, node,
-                            f"from-import of entropy module "
-                            f"{node.module!r}: use a seeded RngRegistry "
-                            f"stream instead",
-                        )
-            elif isinstance(node, ast.Call):
-                qualifier = _module_attr(node)
-                if qualifier is None:
-                    continue
-                module, attr = qualifier
-                allowed = _ENTROPY_CALLS.get(module, ())
-                if allowed is None or (allowed and attr in allowed):
-                    yield self.finding(
-                        sf, node,
-                        f"call to {module}.{attr}() reads process entropy: "
-                        f"draw from a seeded RngRegistry stream instead",
-                    )
-
-
-@register_rule
-class DetWallclock(Rule):
-    id = "DET-wallclock"
-    summary = (
-        "no wall-clock reads in the deterministic core: simulated time "
-        "comes from the kernel's virtual clock"
-    )
-    scope = "core"
-
-    def check(self, sf: SourceFile, facts) -> Iterator[Finding]:
-        for node in ast.walk(sf.tree):
-            if isinstance(node, ast.Call):
-                qualifier = _module_attr(node)
-                if qualifier is None:
-                    continue
-                module, attr = qualifier
-                flagged = _WALLCLOCK_CALLS.get(module)
-                if flagged and attr in flagged:
-                    yield self.finding(
-                        sf, node,
-                        f"call to {module}.{attr}() reads the wall clock: "
-                        f"use the kernel's virtual now (or suppress with a "
-                        f"reason if this is reporting-only)",
-                    )
-            elif isinstance(node, ast.ImportFrom) and node.module == "time":
-                bad = sorted(
-                    alias.name for alias in node.names
-                    if alias.name in _WALLCLOCK_FROM_TIME
-                )
-                if bad:
-                    yield self.finding(
-                        sf, node,
-                        f"from-import of wall-clock reader(s) "
-                        f"{', '.join(bad)} from time",
-                    )
-
-
-@register_rule
-class DetUnorderedIter(Rule):
-    id = "DET-unordered-iter"
-    summary = (
-        "no iteration over unordered sets in the deterministic core: "
-        "set iteration order varies with hash seeding and insertion "
-        "history — wrap in sorted(...) before it feeds sends or "
-        "scheduling"
-    )
-    scope = "core"
-
-    def check(self, sf: SourceFile, facts) -> Iterator[Finding]:
-        seen: Set[tuple] = set()
-        for node in ast.walk(sf.tree):
-            iters = []
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                iters.append(node.iter)
-            elif isinstance(
-                node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                       ast.GeneratorExp)
+@register_rule(
+    "DET-id-order",
+    "no id()-dependent ordering in the deterministic core: object "
+    "addresses vary run to run",
+    applies=lambda sf: sf.core,
+)
+def det_id_order(sf: SourceFile) -> Found:
+    for node in ast.walk(sf.tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name in ("sorted", "min", "max", "sort") and any(
+                kw.arg == "key" and _is_id_key(kw.value) for kw in node.keywords
             ):
-                iters.extend(gen.iter for gen in node.generators)
-            for candidate in iters:
-                if _is_set_expr(candidate):
-                    key = (candidate.lineno, candidate.col_offset)
-                    if key not in seen:
-                        seen.add(key)
-                        yield self.finding(
-                            sf, candidate,
-                            "iterating a set yields a hash-seed-dependent "
-                            "order: wrap in sorted(...) (or keep an "
-                            "ordered structure) before the order can feed "
-                            "sends or scheduling",
-                        )
-
-
-@register_rule
-class DetIdOrder(Rule):
-    id = "DET-id-order"
-    summary = (
-        "no id()-dependent ordering in the deterministic core: object "
-        "addresses vary run to run"
-    )
-    scope = "core"
-
-    def check(self, sf: SourceFile, facts) -> Iterator[Finding]:
-        for node in ast.walk(sf.tree):
-            if isinstance(node, ast.Call):
-                name = None
-                if isinstance(node.func, ast.Name):
-                    name = node.func.id
-                elif isinstance(node.func, ast.Attribute):
-                    name = node.func.attr
-                if name not in {"sorted", "min", "max", "sort"}:
-                    continue
-                for kw in node.keywords:
-                    if kw.arg == "key" and _is_id_key(kw.value):
-                        yield self.finding(
-                            sf, node,
-                            f"{name}(..., key=id) orders by object "
-                            f"address, which varies run to run: key on a "
-                            f"stable field instead",
-                        )
-            elif isinstance(node, ast.Compare):
-                if any(
-                    isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE))
-                    for op in node.ops
-                ) and any(
-                    _is_id_call(side)
-                    for side in [node.left, *node.comparators]
-                ):
-                    yield self.finding(
-                        sf, node,
-                        "comparing id() values orders by object address, "
-                        "which varies run to run",
-                    )
-
-
-# ----------------------------------------------------------------------
-# helpers
-# ----------------------------------------------------------------------
-
-
-def _module_attr(call: ast.Call):
-    """``("time", "monotonic")`` for ``time.monotonic(...)``; None for
-    anything that is not a plain module-attribute call."""
-    func = call.func
-    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-        return func.value.id, func.attr
-    return None
-
-
-def _is_set_expr(node: ast.AST) -> bool:
-    if isinstance(node, ast.Set):
-        return True
-    if isinstance(node, ast.SetComp):
-        return True
-    if isinstance(node, ast.Call):
-        if isinstance(node.func, ast.Name) and node.func.id in _SET_CALLS:
-            return True
-        if (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr in _SET_METHODS
-        ):
-            return True
-    return False
+                yield node, (
+                    f"{name}(..., key=id) orders by object address, which "
+                    f"varies run to run: key on a stable field instead"
+                )
+        elif isinstance(node, ast.Compare) and any(
+            isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops
+        ) and any(_is_id_call(side) for side in (node.left, *node.comparators)):
+            yield node, (
+                "comparing id() values orders by object address, which "
+                "varies run to run"
+            )
 
 
 def _is_id_call(node: ast.AST) -> bool:
@@ -249,6 +53,6 @@ def _is_id_call(node: ast.AST) -> bool:
 def _is_id_key(node: ast.AST) -> bool:
     if isinstance(node, ast.Name) and node.id == "id":
         return True
-    if isinstance(node, ast.Lambda):
-        return any(_is_id_call(inner) for inner in ast.walk(node.body))
-    return False
+    return isinstance(node, ast.Lambda) and any(
+        _is_id_call(inner) for inner in ast.walk(node.body)
+    )

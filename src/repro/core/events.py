@@ -11,12 +11,12 @@ ACTIVITY_IDLE = "activity.idle"
 #: An activity was removed (reason: "acyclic", "cyclic", "explicit").
 ACTIVITY_TERMINATED = "activity.terminated"
 #: A clock owner detected the consensus on its final activity clock.
-DGC_CONSENSUS = "dgc.consensus"  # repro: allow[KIND-literal] tracer event name, not a traffic kind — nothing routes it
+DGC_CONSENSUS = "dgc.consensus"
 #: An activity entered the doomed state (detected or propagated).
-DGC_DOOMED = "dgc.doomed"  # repro: allow[KIND-literal] tracer event name, not a traffic kind — nothing routes it
+DGC_DOOMED = "dgc.doomed"
 #: An activity's clock was incremented (reason: "idle",
 #: "referencer_loss", "referenced_loss").
-DGC_CLOCK_INCREMENT = "dgc.clock_increment"  # repro: allow[KIND-literal] tracer event name, not a traffic kind — nothing routes it
+DGC_CLOCK_INCREMENT = "dgc.clock_increment"
 #: An application message reached a terminated activity.
 MESSAGE_DEAD_LETTER = "message.dead_letter"
 

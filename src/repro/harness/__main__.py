@@ -227,37 +227,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="naming workload: names unbound+rebound per binder wake",
     )
 
-    analyze = subparsers.add_parser(
-        "analyze",
-        help="run the fabric-invariant static analyzer (repro.analysis) "
-        "over the source tree; exits non-zero on findings",
-    )
-    analyze.add_argument(
-        "paths", nargs="*", default=["src/repro"],
-        help="files or directories to analyze (default: src/repro)",
-    )
-    analyze.add_argument(
-        "--rule", action="append", default=None, metavar="RULE-id",
-        help="run only this rule (repeatable; default: all rules)",
-    )
-    analyze.add_argument(
-        "--format", choices=["human", "json"], default="human",
-        help="report format (default: human)",
-    )
-    analyze.add_argument(
-        "--budget-seconds", type=float, default=None,
-        help="fail (exit 2) if the pass exceeds this wall-clock budget",
-    )
-    analyze.add_argument(
-        "--force-scope", action="store_true",
-        help="treat every file as in every rule scope (fixture corpora "
-        "and ad-hoc snippets)",
-    )
-    analyze.add_argument(
-        "--list-rules", action="store_true",
-        help="list rule ids and what they enforce, then exit",
-    )
-
     everything = subparsers.add_parser("all", help="all artifacts, scaled")
     _add_nas_args(everything)
     everything.add_argument("--slaves", type=int, default=160)
@@ -265,9 +234,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     everything.add_argument("--seed", type=int, default=1)
 
     args = parser.parse_args(argv)
-
-    if args.command == "analyze":
-        return _run_analyze(args)
 
     if args.command == "run":
         try:
@@ -316,25 +282,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(fig10_report(results))
 
     return 0
-
-
-def _run_analyze(args: argparse.Namespace) -> int:
-    """The ``analyze`` subcommand: delegate to the analyzer CLI so the
-    two entry points (``harness analyze`` and ``python -m
-    repro.analysis``) can never drift apart."""
-    from repro.analysis.__main__ import main as analysis_main
-
-    argv: List[str] = list(args.paths)
-    for rule in args.rule or ():
-        argv.extend(["--rule", rule])
-    argv.extend(["--format", args.format])
-    if args.budget_seconds is not None:
-        argv.extend(["--budget-seconds", str(args.budget_seconds)])
-    if args.force_scope:
-        argv.append("--force-scope")
-    if args.list_rules:
-        argv.append("--list-rules")
-    return analysis_main(argv)
 
 
 def _dgc_overrides(args: argparse.Namespace) -> Dict[str, Any]:

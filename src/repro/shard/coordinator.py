@@ -314,7 +314,7 @@ class ShardedWorld:
         import multiprocessing
 
         mp = multiprocessing.get_context("fork")
-        start = time.monotonic()  # repro: allow[DET-wallclock] wall-clock is reported in the result, never scheduled on
+        start = time.monotonic()  # reported in the result, never scheduled on
         conns = []
         procs = []
         self._heartbeats: List[int] = []  # read ends, one per shard
@@ -563,7 +563,7 @@ class ShardedWorld:
         for conn in conns:
             conn.send(("stop",))
             results.append(self._recv_result(conn))
-        wall = time.monotonic() - start  # repro: allow[DET-wallclock] wall-clock is reported in the result, never scheduled on
+        wall = time.monotonic() - start
         return self._merge(
             results, self._round, sim_time, wall, phase_times, digest,
             state, frame_log,

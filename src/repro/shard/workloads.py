@@ -90,7 +90,8 @@ class SpmdContext:
         """The driver root; returns the Activity locally, ``None`` on
         shards where the driver is a ghost (its id is still minted)."""
         if self.is_local(node):
-            # repro: allow[SPMD-locality] both paths mint exactly one id for `name`: a real driver here, the ghost make_activity_id below
+            # Both paths mint exactly one id for `name`: a real driver
+            # here, the ghost make_activity_id below.
             self.driver = self.world.create_driver(node=node, name=name)
             return self.driver
         make_activity_id(name)
@@ -114,14 +115,14 @@ class SpmdContext:
         reference.  Without a local driver, returns the local Activity
         or ``None`` for a ghost.
         """
+        # Every arm mints exactly one id for `name` (a real create here,
+        # the ghost id below), keeping the id counters shard-aligned.
         if self.is_local(node):
             if self.driver is not None:
-                # repro: allow[SPMD-locality] every arm mints exactly one id for `name` (real create here, ghost id below), keeping counters shard-aligned
                 return self.world.create_activity(
                     behavior, node=node, name=name, root=root,
                     dgc_enabled=dgc_enabled, creator=self.driver,
                 )
-            # repro: allow[SPMD-locality] every arm mints exactly one id for `name` (real create here, ghost id below), keeping counters shard-aligned
             return self.world.create_activity(
                 behavior, node=node, name=name, root=root,
                 dgc_enabled=dgc_enabled,

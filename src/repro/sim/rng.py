@@ -15,7 +15,7 @@ sequences.
 
 from __future__ import annotations
 
-import random  # repro: allow[DET-entropy] this module IS the sanctioned router: streams are seeded below, never from process entropy
+import random
 from bisect import bisect_left
 from typing import Dict, List
 
@@ -52,7 +52,7 @@ class RngRegistry:
             f"{self._root_seed}:{name}".encode("utf-8")
         ).digest()
         seed = int.from_bytes(digest[:8], "big")
-        return random.Random(seed)  # repro: allow[DET-entropy] seeded from the root-seed digest above, not process entropy
+        return random.Random(seed)
 
     def fork(self, name: str) -> "RngRegistry":
         """Derive a child registry, e.g. one per experiment repetition."""

@@ -1,15 +1,22 @@
 """Suppression model fixture: reasons are mandatory, ids must be known,
 coverage is per-line."""
 
-import uuid  # repro: allow[DET-entropy] fixture: a reasoned suppression silences the finding
+
+class Allowed:  # repro: allow[HOT-slots] fixture: a reasoned suppression silences the finding
+    pass
 
 
-def entropy(namespace):
-    token = uuid.uuid4()  # expect[DET-entropy] # repro: allow[DET-wallclock] a different rule's suppression does not cover this
-    raw = uuid.uuid1()  # expect[DET-entropy,META-suppression] # repro: allow[DET-entropy]
-    # repro: allow[DET-entropy] fixture: an alone-on-line suppression covers the next line
-    nonce = uuid.uuid3(namespace, "x")
-    return token, raw, nonce
+class OtherRule:  # expect[HOT-slots] # repro: allow[HOT-closure] a different rule's suppression does not cover this
+    pass
+
+
+class Reasonless:  # expect[HOT-slots,META-suppression] # repro: allow[HOT-slots]
+    pass
+
+
+# repro: allow[HOT-slots] fixture: an alone-on-line suppression covers the next line
+class NextLine:
+    pass
 
 
 def unknown():

@@ -832,7 +832,7 @@ def test_workers_exit_when_their_coordinator_is_killed():
         pids = [int(pid) for pid in coordinator.stdout.readline().split()]
         assert len(pids) == 2
         coordinator.kill()
-        coordinator.wait()
+        coordinator.wait(timeout=10.0)
         deadline = time.monotonic() + 5.0
         while any(map(_running, pids)) and time.monotonic() < deadline:
             time.sleep(0.05)
@@ -842,7 +842,7 @@ def test_workers_exit_when_their_coordinator_is_killed():
         for pid in pids:  # an orphan holds stdout open: kill it first
             if _running(pid):
                 os.kill(pid, signal.SIGKILL)
-        coordinator.communicate()
+        coordinator.communicate(timeout=10.0)
 
 
 class _SlowConn:
