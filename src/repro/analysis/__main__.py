@@ -36,7 +36,8 @@ def render_human(result: AnalysisResult) -> str:
     else:
         noun = "finding" if len(result.findings) == 1 else "findings"
         lines.append(
-            f"{len(result.findings)} {noun} in {result.files_scanned} files {tail}"
+            f"{len(result.findings)} {noun} in {result.files_scanned} "
+            f"files {tail}"
         )
     return "\n".join(lines)
 

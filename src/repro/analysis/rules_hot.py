@@ -39,7 +39,8 @@ def hot_slots(sf: SourceFile) -> Found:
             continue
         slotted[node.name] = has_slots = _declares_slots(node)
         if has_slots or any(
-            name in _EXEMPT_BASES or name.endswith(("Error", "Exception", "Warning"))
+            name in _EXEMPT_BASES
+            or name.endswith(("Error", "Exception", "Warning"))
             for name in map(_base_name, node.bases) if name
         ):
             continue
@@ -81,7 +82,10 @@ def hot_closure(sf: SourceFile) -> Found:
                 ):
                     continue
                 reported.add(inner)
-                label = "lambda" if isinstance(inner, ast.Lambda) else f"def {inner.name}"
+                label = (
+                    "lambda" if isinstance(inner, ast.Lambda)
+                    else f"def {inner.name}"
+                )
                 yield inner, (
                     f"{label} allocated inside a loop of a hot-path module: "
                     f"one function object per iteration — hoist it out of "
@@ -103,7 +107,9 @@ def hot_typing_check(sf: SourceFile) -> Found:
         if isinstance(node, ast.ImportFrom) and node.module == "typing":
             names.update((a.asname or a.name, a.name) for a in node.names)
         elif isinstance(node, ast.Import):
-            modules.update(a.asname or "typing" for a in node.names if a.name == "typing")
+            modules.update(
+                a.asname or "typing" for a in node.names if a.name == "typing"
+            )
     if not names and not modules:
         return
     for node in ast.walk(sf.tree):

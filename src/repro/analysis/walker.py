@@ -9,16 +9,15 @@ The analyzer is a pure-AST pass over the files it is given.  One run is:
    module tag (only real comments count, so documentation of the
    markers never triggers anything);
 3. run every selected rule over the files in its scope;
-4. flag suppression hygiene (``META-suppression``), drop the findings a
-   reasoned suppression covers, and sort the rest.
+4. drop the findings a reasoned suppression covers, add the
+   suppression-hygiene findings (``META-suppression``), and sort.
 
-A file that does not parse raises :class:`SyntaxError`: a finding would
-add nothing, since the tier-1 suite imports every module of
-``src/repro``.  Rule scoping follows the package layout: a
-``hot`` file carries the tag, a ``core`` file lives in ``core/``,
-``sim/``, ``net/``, ``shard/`` or ``runtime/``.  ``force_scope=True``
-puts every file in both scopes; that is how the fixture corpus under
-``tests/fixtures/analysis/`` exercises the rules.
+A file that does not parse raises :class:`SyntaxError`, which the CLI
+turns into exit code 2 naming the file and line.  Rule scoping follows
+the package layout: a ``hot`` file carries the tag, a ``core`` file
+lives in ``core/``, ``sim/``, ``net/``, ``shard/`` or ``runtime/``.
+``force_scope=True`` puts every file in both scopes; that is how the
+fixture corpus under ``tests/fixtures/analysis/`` exercises the rules.
 """
 
 from __future__ import annotations
@@ -30,7 +29,9 @@ import time
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 #: Subpackages of the deterministic core, where a class inheriting a
 #: slotted base must slot too (HOT-slots).
@@ -100,8 +101,8 @@ class SourceFile:
         self.suppressions: List[Suppression] = []
         self.hot = force_scope
         parts = rel.split("/")
-        if "repro" in parts:  # the path inside the package
-            parts = parts[len(parts) - parts[::-1].index("repro"):]
+        while "repro" in parts:  # scope by the path inside the package
+            parts = parts[parts.index("repro") + 1:]
         self.core = force_scope or parts[0] in CORE_DIRS
         tokens = tokenize.generate_tokens(io.StringIO(text).readline)
         for tok in tokens:
@@ -212,7 +213,8 @@ def run_analysis(
             rel = path.resolve().relative_to(root.resolve()).as_posix()
         except ValueError:
             rel = path.as_posix()
-        files.append(SourceFile(rel, path.read_text(encoding="utf-8"), force_scope))
+        text = path.read_text(encoding="utf-8")
+        files.append(SourceFile(rel, text, force_scope))
 
     findings: List[Finding] = []
     for rule_id in selected:
@@ -222,7 +224,8 @@ def run_analysis(
         for sf in files:
             if rule.applies(sf):
                 findings.extend(
-                    Finding(rule_id, sf.rel, node.lineno, node.col_offset, message)
+                    Finding(rule_id, sf.rel, node.lineno, node.col_offset,
+                            message)
                     for node, message in rule.check(sf)
                 )
 

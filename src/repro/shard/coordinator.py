@@ -395,12 +395,12 @@ class ShardedWorld:
                 trace=self.trace,
                 heartbeat=beat,
             )
-            # The coordinator-side ends the fork copies: this shard's
-            # and every earlier shard's.
-            inherited = [conn.fileno() for conn in (*conns, parent_conn)]
+            # The fork copies the coordinator-side ends of this shard's
+            # pipes and of every earlier shard's.
             proc = mp.Process(
                 target=_worker_process,
-                args=(child_conn, spec, inherited + self._heartbeats),
+                args=(child_conn, spec, [*conns, parent_conn],
+                      [*self._heartbeats]),
                 daemon=True,
             )
             proc.start()
@@ -723,16 +723,19 @@ class ShardedWorld:
 # ----------------------------------------------------------------------
 
 
-def _worker_process(conn, spec: WorkerSpec, inherited: List[int]) -> None:
+def _worker_process(
+    conn, spec: WorkerSpec, coordinator_conns, heartbeats
+) -> None:
     """A forked worker: close the coordinator-side pipe ends it
-    inherited, then serve.  With the coordinator their only holder, its
-    death is EOF on ``conn`` (and a broken heartbeat pipe), so the worker
-    exits instead of outliving it.  The fork's copies of the
-    coordinator's ``Connection`` objects are never finalized (a forked
-    child leaves by ``os._exit``), so the raw closes cannot double-close.
-    ``worker_main`` is looked up here at call time, after the closes, so
-    a caller may replace it (the spine profiles workers that way)."""
-    for fd in inherited:
+    inherited (barrier connections and heartbeat read ends), then serve.
+    With the coordinator their only holder, its death is EOF on ``conn``
+    and a broken heartbeat pipe, so the worker exits instead of
+    outliving it.  ``worker_main`` is looked up here at call time, after
+    the closes, so a caller may replace it (the spine profiles workers
+    that way)."""
+    for end in coordinator_conns:
+        end.close()
+    for fd in heartbeats:
         os.close(fd)
     worker_main(conn, spec)
 
