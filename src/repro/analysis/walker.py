@@ -131,7 +131,6 @@ Found = Iterator[Tuple[ast.AST, str]]
 
 @dataclass(frozen=True)
 class Rule:
-    id: str
     summary: str
     #: Whether the rule runs on a file at all.
     applies: Callable[[SourceFile], bool]
@@ -146,9 +145,7 @@ def register_rule(rule_id: str, summary: str, applies=lambda sf: True):
     """Decorator: add ``check`` to :data:`RULES` under ``rule_id``."""
 
     def register(check):
-        if rule_id in RULES:
-            raise ValueError(f"rule {rule_id!r} registered twice")
-        RULES[rule_id] = Rule(rule_id, summary, applies, check)
+        RULES[rule_id] = Rule(summary, applies, check)
         return check
 
     return register
