@@ -19,44 +19,40 @@ See DESIGN.md for the system inventory and ``benchmarks/test_fig*.py``
 for the paper-vs-measured check of every table and figure.
 """
 
-from repro.core.clock import ActivityClock
-from repro.core.collector import DgcCollector
-from repro.core.config import (
-    DgcConfig,
-    NAS_CONFIG,
-    TORTURE_FAST_CONFIG,
-    TORTURE_SLOW_CONFIG,
-)
-from repro.core.wire import DgcMessage, DgcResponse
-from repro.errors import (
-    ConfigurationError,
-    ProtocolError,
-    ReproError,
-    RuntimeModelError,
-)
-from repro.net.topology import Site, Topology, grid5000_topology, uniform_topology
-from repro.world import World, WorldStats
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ActivityClock",
-    "DgcCollector",
-    "DgcConfig",
-    "NAS_CONFIG",
-    "TORTURE_FAST_CONFIG",
-    "TORTURE_SLOW_CONFIG",
-    "DgcMessage",
-    "DgcResponse",
-    "ConfigurationError",
-    "ProtocolError",
-    "ReproError",
-    "RuntimeModelError",
-    "Site",
-    "Topology",
-    "grid5000_topology",
-    "uniform_topology",
-    "World",
-    "WorldStats",
-    "__version__",
-]
+#: Public name -> defining module.  The names resolve on first access
+#: (PEP 562), so importing a subpackage — ``repro.analysis`` above all,
+#: which must report a module that does not parse instead of failing to
+#: import it — loads only what that subpackage itself needs.
+_EXPORTS = {
+    "ActivityClock": "repro.core.clock",
+    "DgcCollector": "repro.core.collector",
+    "DgcConfig": "repro.core.config",
+    "NAS_CONFIG": "repro.core.config",
+    "TORTURE_FAST_CONFIG": "repro.core.config",
+    "TORTURE_SLOW_CONFIG": "repro.core.config",
+    "DgcMessage": "repro.core.wire",
+    "DgcResponse": "repro.core.wire",
+    "ConfigurationError": "repro.errors",
+    "ProtocolError": "repro.errors",
+    "ReproError": "repro.errors",
+    "RuntimeModelError": "repro.errors",
+    "Site": "repro.net.topology",
+    "Topology": "repro.net.topology",
+    "grid5000_topology": "repro.net.topology",
+    "uniform_topology": "repro.net.topology",
+    "World": "repro.world",
+    "WorldStats": "repro.world",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(_EXPORTS[name]), name)
+    return value

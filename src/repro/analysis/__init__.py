@@ -1,16 +1,14 @@
 """repro.analysis — the static analyzer for what tier-1 cannot see.
 
-A pure-AST lint for two disciplines the tier-1 suite does not check on
-every run: hot-path allocation (HOT: slotted classes, no closures
-allocated in loops, no ``typing``-alias class checks) on the paths no
-call or byte budget watches, and no ordering by object address in the
-deterministic core (``DET-id-order``), which repeats from run to run
-often enough to pass most runs; plus suppression hygiene
-(``META-suppression``).  Entropy, wall-clock reads, set order, the
-closed traffic-kind set and the SPMD shard contract are checked on the
-real objects by the golden outcomes and the equivalence and
-sharded-against-replay suites; ANALYSIS.md records the audit that moved
-each rule there.  Run ``python -m repro.analysis src/repro``.
+A pure-AST lint for the hot-path allocation discipline (HOT: slotted
+classes, no closures allocated in loops, no ``typing``-alias class
+checks) on the paths no call or byte budget watches, plus suppression
+hygiene (``META-suppression``).  Entropy, wall-clock reads, set order,
+ordering by object address, the closed traffic-kind set and the SPMD
+shard contract are checked on the real objects by the golden outcomes
+and the equivalence and sharded-against-replay suites; ANALYSIS.md
+records the audit that moved each rule there.  Run ``python -m
+repro.analysis src/repro``.
 """
 
 from repro.analysis.walker import (

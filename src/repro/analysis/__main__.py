@@ -59,8 +59,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="Static analyzer for the hot-path allocation "
-        "discipline (HOT) and id()-ordering in the deterministic core "
-        "(DET-id-order).  See ANALYSIS.md.",
+        "discipline (HOT) and suppression hygiene.  See ANALYSIS.md.",
     )
     parser.add_argument(
         "paths", nargs="*", default=["src/repro"],

@@ -169,7 +169,7 @@ def all_rule_ids() -> Tuple[str, ...]:
 def _load_rule_modules() -> None:
     # Rule modules register on import; imported here, not at the top,
     # because they import this module.
-    from repro.analysis import rules_det, rules_hot  # noqa: F401
+    from repro.analysis import rules_hot  # noqa: F401
 
 
 def _collect(paths: Sequence[Path]) -> List[Path]:

@@ -8,29 +8,24 @@ This additional information provides a total ordering of the named clocks
 by letting the comparison function first compare the clock values and then
 the active object IDs if the clock values are identical."
 
-Clocks are immutable value objects; ``incremented(owner)`` returns a new
-clock ``owner:value+1`` and merging is simply ``max``.
+That order is tuple order on ``(value, owner)``, so a clock *is* that
+pair: an immutable tuple whose comparisons, equality and hash all run in
+C.  ``incremented(owner)`` returns a new clock ``owner:value+1`` and
+merging is simply ``max``.  A clock equals the plain tuple of its fields.
 """
 # repro: hot-path — every class slotted, no closure allocation in loops (HOT rules)
 
 from __future__ import annotations
 
-from typing import Any
+from collections import namedtuple
 
 from repro.runtime.ids import ActivityId
 
 
-class ActivityClock:
+class ActivityClock(namedtuple("_NamedClock", ("value", "owner"))):
     """An immutable named Lamport clock ``owner:value``."""
 
-    __slots__ = ("value", "owner")
-
-    def __init__(self, value: int, owner: ActivityId) -> None:
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "owner", owner)
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError("ActivityClock is immutable")
+    __slots__ = ()
 
     def incremented(self, new_owner: ActivityId) -> "ActivityClock":
         """``ID:Value`` incremented by ``new_owner`` becomes
@@ -40,45 +35,6 @@ class ActivityClock:
     def merge(self, other: "ActivityClock") -> "ActivityClock":
         """Lamport merge: the greater of the two clocks."""
         return other if other > self else self
-
-    # -- total order -----------------------------------------------------
-    #
-    # Comparisons run once per DGC message/response and per agreement
-    # check, so they compare fields directly instead of building key
-    # tuples on every call.
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ActivityClock):
-            return NotImplemented
-        return self.value == other.value and self.owner == other.owner
-
-    def __ne__(self, other: object) -> bool:
-        if not isinstance(other, ActivityClock):
-            return NotImplemented
-        return self.value != other.value or self.owner != other.owner
-
-    def __lt__(self, other: "ActivityClock") -> bool:
-        if self.value != other.value:
-            return self.value < other.value
-        return self.owner < other.owner
-
-    def __le__(self, other: "ActivityClock") -> bool:
-        if self.value != other.value:
-            return self.value < other.value
-        return self.owner <= other.owner
-
-    def __gt__(self, other: "ActivityClock") -> bool:
-        if self.value != other.value:
-            return self.value > other.value
-        return self.owner > other.owner
-
-    def __ge__(self, other: "ActivityClock") -> bool:
-        if self.value != other.value:
-            return self.value > other.value
-        return self.owner >= other.owner
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.owner))
 
     def __repr__(self) -> str:
         return f"{self.owner}:{self.value}"

@@ -863,20 +863,23 @@ class Network:
         fault_plan = self.fault_plan
         # Branches ordered by frequency at scale: single DGC entries
         # dominate, then aggregate runs, then app/registry traffic.  A
-        # DGC single goes straight to the target's bound collector
-        # handler through the node's lent table; a miss (target gone,
-        # collector attached outside the world's create path, no table
-        # lent) takes the kind table like every other entry.
+        # DGC single, intra-node or cross-node, goes straight to the
+        # target's bound collector handler through the node's lent
+        # table; a miss (target gone, collector attached outside the
+        # world's create path, no table lent) takes the kind table like
+        # every other entry.
         for channel, table, dest, kind, item, payload in entries:
-            if kind is KIND_DGC_MESSAGE and channel is not None:
-                channel.delivered_count += 1
+            if kind is KIND_DGC_MESSAGE:
+                if channel is not None:
+                    channel.delivered_count += 1
                 if dest in msg_tables:
                     targets = msg_tables[dest]
                     if item in targets:
                         targets[item](payload)
                         continue
-            elif kind is KIND_DGC_RESPONSE and channel is not None:
-                channel.delivered_count += 1
+            elif kind is KIND_DGC_RESPONSE:
+                if channel is not None:
+                    channel.delivered_count += 1
                 if dest in resp_tables:
                     targets = resp_tables[dest]
                     if item in targets:
@@ -898,13 +901,12 @@ class Network:
                 else:
                     handler(item, payload)
                 continue
-            elif channel is None:
+            elif channel is not None:
+                channel.delivered_count += 1
+            if channel is None:
                 # Intra-node: the entry carries the destination's table.
                 table[kind](item, payload)
-                continue
-            else:
-                channel.delivered_count += 1
-            if dest in kind_tables:
+            elif dest in kind_tables:
                 kind_tables[dest][kind](item, payload)
             else:
                 # Destination vanished mid-flight (node shut down): drop.

@@ -67,16 +67,28 @@ class TortureSlave(Peer):
         return None
 
     def do_run(self, ctx, request: Request, proxies):
+        rng = ctx.rng
+        getrandbits = rng.getrandbits
         while ctx.now < self.deadline:
-            yield ctx.sleep(self.think_time * (0.5 + ctx.rng.random()))
-            if ctx.rng.random() >= self.send_probability:
+            yield ctx.sleep(self.think_time * (0.5 + rng.random()))
+            if rng.random() >= self.send_probability:
                 continue
             pool = [p for p in self.held.values() if not p.released]
-            if len(pool) < 2:
+            count = len(pool)
+            if count < 2:
                 continue
-            target = ctx.rng.choice(pool)
-            ref = ctx.rng.choice(pool)
-            ctx.call(target, "exchange", refs=[ref], payload_bytes=64)
+            # Two ``rng.choice(pool)`` draws, unrolled: CPython's
+            # ``_randbelow`` draws ``count.bit_length()`` bits until the
+            # value falls below ``count``.
+            bits = count.bit_length()
+            pick = getrandbits(bits)
+            while pick >= count:
+                pick = getrandbits(bits)
+            target = pool[pick]
+            pick = getrandbits(bits)
+            while pick >= count:
+                pick = getrandbits(bits)
+            ctx.call(target, "exchange", refs=[pool[pick]], payload_bytes=64)
         # Last running iteration: release the self-reference so slaves
         # that end up unreferenced become *acyclic* garbage.
         self._discard(ctx, "self")

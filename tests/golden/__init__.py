@@ -1,15 +1,19 @@
-"""Golden outcomes: every exact counter of five scenario shapes, pinned.
+"""Golden outcomes: every exact counter of six scenario shapes, pinned.
 
-The five shapes are the spine benchmark's workloads at smoke size
+Five shapes are the spine benchmark's workloads at smoke size
 (``torture``, ``nas_ft``, ``naming_resolve``, ``naming_bind`` and the
-two-shard ``sharded2``), built here from ``repro`` directly.  For each
-shape and each seed in :data:`SEEDS` the record holds every exact
-counter of the finished run by name — traffic per kind, kernel and
-fabric event counts, collection and registry counters, the workload's
-own results — plus a digest of the outcome signature and, for the
-sharded shape, the frame digest.  Nothing timed or machine-dependent
-is recorded, so the values are the same on every machine and under
-every hash seed.
+two-shard ``sharded2``), built here from ``repro`` directly.  The sixth,
+``sharded3_sites``, is torture at smoke size over three shards of a
+three-site topology, one site per shard: its workers receive frames
+from two peers in a round, so the order in which a worker merges them
+shows in its ``frame_digest`` (``sharded2``'s workers each have one
+peer).  For each shape and each of its seeds (:data:`SEEDS` unless the
+shape names fewer) the record holds every exact counter of the finished
+run by name — traffic per kind, kernel and fabric event counts,
+collection and registry counters, the workload's own results — plus a
+digest of the outcome signature and, for the sharded shapes, the frame
+digest.  Nothing timed or machine-dependent is recorded, so the values
+are the same on every machine and under every hash seed.
 
 ``tests/golden/test_outcomes.py`` recomputes them and diffs them by
 name against ``outcomes.json``.  A change that moves a value on purpose
@@ -56,6 +60,7 @@ class Shape:
         dgc: Callable[[], DgcConfig],
         registry: Optional[Callable[[], RegistryConfig]] = None,
         shards: int = 0,
+        seeds: tuple = SEEDS,
     ) -> None:
         self.topology = topology
         self.workload = workload
@@ -63,6 +68,7 @@ class Shape:
         self.dgc = dgc
         self.registry = registry
         self.shards = shards
+        self.seeds = seeds
 
     def arguments(self, seed: int) -> Dict[str, Any]:
         return dict(
@@ -80,12 +86,18 @@ def _torture_topology():
     )
 
 
-def _torture(shards: int = 0) -> Shape:
+def _site_aligned_topology():
+    return metro_wan_topology(
+        24, site_count=3, intra_rtt_s=0.001, metro_rtt_s=0.5, wan_rtt_s=2.0
+    )
+
+
+def _torture(shards: int = 0, topology=_torture_topology, seeds=SEEDS) -> Shape:
     return Shape(
-        _torture_topology, "torture",
+        topology, "torture",
         {"slave_count": 96, "active_duration": 100},
         lambda: DgcConfig(ttb=5, tta=12, beat_slots=16),
-        shards=shards,
+        shards=shards, seeds=seeds,
     )
 
 
@@ -112,6 +124,9 @@ SHAPES: Dict[str, Shape] = {
         lambda: RegistryConfig(placement="replicated", lease_beat_s=2.0),
     ),
     "sharded2": _torture(shards=2),
+    "sharded3_sites": _torture(
+        shards=3, topology=_site_aligned_topology, seeds=(0,)
+    ),
 }
 
 
@@ -214,8 +229,8 @@ def compute(name: str, seed: int) -> Dict[str, Any]:
 def compute_all() -> Dict[str, Dict[str, Dict[str, Any]]]:
     """``{shape: {seed: {counter: value}}}`` for every shape and seed."""
     return {
-        name: {str(seed): compute(name, seed) for seed in SEEDS}
-        for name in SHAPES
+        name: {str(seed): compute(name, seed) for seed in shape.seeds}
+        for name, shape in SHAPES.items()
     }
 
 

@@ -1,4 +1,4 @@
-"""The golden outcomes hold: every exact counter of the five scenario
+"""The golden outcomes hold: every exact counter of the six scenario
 shapes equals ``outcomes.json`` by name, in this interpreter (whose hash
 seed pytest leaves random) and in a fresh one at a fixed other hash seed.
 
@@ -17,7 +17,7 @@ import sys
 
 import pytest
 
-from tests.golden import SEEDS, SHAPES, compute_all, diff, load
+from tests.golden import SHAPES, compute_all, diff, load
 
 #: The second pass's hash seed: fixed, so a set-order dependence that
 #: shows under it shows on every run.
@@ -52,7 +52,7 @@ def test_file_covers_every_shape_and_seed():
     golden = load()
     assert sorted(golden) == sorted(SHAPES)
     for name, seeds in golden.items():
-        assert sorted(seeds) == sorted(map(str, SEEDS)), name
+        assert sorted(seeds) == sorted(map(str, SHAPES[name].seeds)), name
         for counters in seeds.values():
             assert "outcome_signature" in counters
             assert ("frame_digest" in counters) == bool(SHAPES[name].shards)

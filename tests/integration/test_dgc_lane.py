@@ -138,6 +138,24 @@ def test_steady_state_heartbeat_exchange_frame_budget():
     assert dict_gets <= 3
 
 
+def test_intra_node_exchange_reaches_the_collector_without_an_activity_lookup():
+    """A heartbeat between two activities of one node, and its response,
+    go through the node's lent target tables like cross-node ones: the
+    kind table's ``_on_dgc_*_via_lookup`` entries run only on a miss."""
+    world = World(
+        uniform_topology(2), dgc=DgcConfig(ttb=TTB, tta=3.0), trace=False,
+    )
+    driver = world.create_driver(node="site-0")
+    driver.context.create(SinkBehavior(), node="site-0", name="local")
+    world.run_for(5 * TTB)
+    frames, from_handlers, _ = profile_one_beat(world)
+    collector = frames_of(frames, "collector.py")
+    assert collector["on_dgc_message"] == 1
+    assert collector["on_dgc_response"] == 1
+    assert from_handlers == 0
+    assert frames_of(frames, "node.py") == {}
+
+
 def test_exchange_with_news_takes_algorithms_3_and_4_in_one_frame_each():
     world, driver, (target,) = steady_world(1)
     # A clock increment is news: the next heartbeat carries a new clock

@@ -9,7 +9,11 @@ silent.
 """
 
 import json
+import os
 import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -170,6 +174,29 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 2
         assert "broken.py:1: does not parse" in captured.err
+
+    def test_package_module_that_does_not_parse_exits_two(self, tmp_path):
+        # The entry point imports the ``repro`` package it analyzes: a
+        # syntax error in a module that package used to import eagerly
+        # must still be a report (exit 2, file and line), not a
+        # traceback.  The run imports the broken copy, not this tree.
+        copy = tmp_path / "repro"
+        shutil.copytree(SRC_REPRO, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        collector = copy / "core" / "collector.py"
+        lines = collector.read_text(encoding="utf-8").splitlines(keepends=True)
+        lineno = next(
+            number for number, line in enumerate(lines, start=1)
+            if line.startswith("    def on_dgc_message(")
+        )
+        lines[lineno - 1] = lines[lineno - 1].replace(") -> None:", ") -> None")
+        collector.write_text("".join(lines), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(tmp_path)}
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.analysis", str(copy)],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+        )
+        assert completed.returncode == 2, completed.stderr
+        assert f"core/collector.py:{lineno}: does not parse" in completed.stderr
 
     def test_list_rules(self, capsys):
         code = main(["--list-rules"])

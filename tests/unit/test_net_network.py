@@ -658,3 +658,39 @@ def test_dgc_single_goes_straight_to_the_lent_target_handler():
     assert singles[-1] == ("site-1", "a", "m3")
     channel = network._channels[("site-0", "site-1")]
     assert channel.sent_count == channel.delivered_count == 4
+
+
+def test_intra_node_dgc_single_takes_the_lent_target_table_too():
+    kernel, network, typed, singles, batches = make_aggregated_network(2)
+    direct = []
+    tables = {
+        kind: {"a": lambda message, _kind=kind: direct.append((_kind, message))}
+        for kind in (KIND_DGC_MESSAGE, KIND_DGC_RESPONSE)
+    }
+
+    def record(kind, item, payload):
+        singles.append((kind, item, payload))
+
+    network.register_node(
+        "site-0", kind_table(record),
+        dgc_batch_sinks={
+            KIND_DGC_MESSAGE: lambda ts, ms: None,
+            KIND_DGC_RESPONSE: lambda ts, ms: None,
+        },
+        dgc_targets=tables,
+    )
+    for kind in (KIND_DGC_MESSAGE, KIND_DGC_RESPONSE):
+        network.send_dgc_single("site-0", "site-0", kind, 64, "a", f"{kind}-1")
+        # A table miss (the target is gone) falls to the entry's kind table.
+        network.send_dgc_single("site-0", "site-0", kind, 64, "z", f"{kind}-2")
+    kernel.run()
+    assert direct == [
+        (KIND_DGC_MESSAGE, f"{KIND_DGC_MESSAGE}-1"),
+        (KIND_DGC_RESPONSE, f"{KIND_DGC_RESPONSE}-1"),
+    ]
+    assert singles == [
+        (KIND_DGC_MESSAGE, "z", f"{KIND_DGC_MESSAGE}-2"),
+        (KIND_DGC_RESPONSE, "z", f"{KIND_DGC_RESPONSE}-2"),
+    ]
+    # Intra-node traffic has no channel to count on.
+    assert ("site-0", "site-0") not in network._channels
