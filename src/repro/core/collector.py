@@ -252,12 +252,18 @@ class DgcCollector:
             )
         elif dest in run:
             # An aggregate unwrap is in progress: join the destination's
-            # open box, or open it.
+            # open box — a ``(target, response)`` pair until a second
+            # response makes it parallel lists — or open it.
             box = run[dest]
-            box[0].append(sender_ref.activity_id)
-            box[1].append(response)
+            if type(box[0]) is list:
+                box[0].append(sender_ref.activity_id)
+                box[1].append(response)
+            else:
+                run[dest] = (
+                    [box[0], sender_ref.activity_id], [box[1], response]
+                )
         else:
-            run[dest] = ([sender_ref.activity_id], [response])
+            run[dest] = (sender_ref.activity_id, response)
 
     def on_dgc_response(self, response: DgcResponse) -> None:
         if self._stopped or self.doomed_since is not None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from collections.abc import Generator
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import RuntimeModelError
@@ -57,10 +57,58 @@ class ActivityContext:
     It is deliberately narrow: creating activities, calling methods,
     sleeping, and managing held references (the simulated equivalent of
     local variables / fields holding stubs).
+
+    The registry and stub verbs (``lookup``, ``bind``, ``unbind``,
+    ``drop``, ``acquire``) are their engines' own callables, bound to
+    this context's node and activity the first time the behavior uses
+    one and then kept in the instance dict, where every later read finds
+    it (a ``cached_property`` is a non-data descriptor).  A call enters
+    the engine in the caller's frame, and an activity holds only the
+    verbs it uses.
     """
+
+    #: ``yield ctx.sleep(duration)`` models compute time: the class
+    #: itself, so a sleep is one frame and the context keeps no state.
+    sleep = Sleep
 
     def __init__(self, activity: "Activity") -> None:
         self._activity = activity
+
+    @cached_property
+    def lookup(self) -> Callable[[str], Future]:
+        """``lookup(name)``: :meth:`NamingService.lookup_from
+        <repro.runtime.registry.NamingService.lookup_from>`."""
+        activity = self._activity
+        node = activity.node
+        return partial(node.world.registry.lookup_from, node, activity)
+
+    @cached_property
+    def bind(self) -> Callable[[str, Union[Proxy, RemoteRef]], Future]:
+        """``bind(name, target)``: :meth:`NamingService.bind_from
+        <repro.runtime.registry.NamingService.bind_from>`."""
+        activity = self._activity
+        node = activity.node
+        return partial(node.world.registry.bind_from, node, activity)
+
+    @cached_property
+    def unbind(self) -> Callable[[str], Future]:
+        """``unbind(name)``: :meth:`NamingService.bind_from
+        <repro.runtime.registry.NamingService.bind_from>` with no target."""
+        activity = self._activity
+        node = activity.node
+        return partial(node.world.registry.bind_from, node, activity, ref=None)
+
+    @cached_property
+    def drop(self) -> Callable[[Proxy], None]:
+        """``drop(proxy)``: :meth:`Activity.release_proxy`."""
+        return self._activity.release_proxy
+
+    @cached_property
+    def acquire(self) -> Callable[[RemoteRef], Proxy]:
+        """``acquire(ref)``: :meth:`Node.deserialize_ref
+        <repro.runtime.node.Node.deserialize_ref>`."""
+        activity = self._activity
+        return partial(activity.node.deserialize_ref, activity)
 
     @property
     def id(self) -> ActivityId:
@@ -77,16 +125,13 @@ class ActivityContext:
 
     @cached_property
     def rng(self):
-        """Deterministic per-activity random stream."""
-        return self._activity.node.rng_registry.stream(f"activity:{self.id}")
+        """Deterministic per-activity random stream, derived once and
+        kept here only: it dies with the activity."""
+        return self._activity.node.rng_registry.derive(f"activity:{self.id}")
 
     def self_ref(self) -> RemoteRef:
         """A serializable reference to this activity (for passing around)."""
         return RemoteRef(self._activity.id, self._activity.node.name)
-
-    def sleep(self, duration: float) -> Sleep:
-        """Yield this from a handler to model compute time."""
-        return Sleep(duration)
 
     def create(
         self,
@@ -129,65 +174,6 @@ class ActivityContext:
         """Prevent the automatic release of a request-delivered proxy."""
         self._activity.mark_kept(proxy)
         return proxy
-
-    def drop(self, proxy: Proxy) -> None:
-        """Explicitly release a held stub (local GC collects it)."""
-        self._activity.release_proxy(proxy)
-
-    def acquire(self, ref: RemoteRef) -> Proxy:
-        """Acquire a stub for a reference obtained out of band.
-
-        Also used by drivers (dummy root activities) that look up the
-        registry.  Goes through the regular deserialization hook so the
-        DGC sees the new edge.
-        """
-        return self._activity.node.deserialize_ref(self._activity, ref)
-
-    def lookup(self, name: str) -> Future:
-        """Resolve a registry name through the naming service.
-
-        Returns a future a generator handler can yield; it resolves to a
-        :class:`Proxy` for the bound activity (the stub is acquired at
-        reply/hit time, creating the DGC edge) or ``None`` when the name
-        is unbound at serve time.  Depending on the registry placement
-        the resolve is served by the local shard, a replica, a leased
-        cache entry, or a ``registry.lookup`` round trip to the
-        authority — local hits return an already-resolved future.
-
-        An unbound name is answered with a *negative reply* (``None``),
-        never held open: a name bound after the lookup was issued but
-        before the authority serves it resolves normally (the lookup is
-        served against shard state at serve time); one bound after
-        serving requires the caller to retry.
-        """
-        activity = self._activity
-        node = activity.node
-        return node.world.registry.lookup_from(node, activity, name)
-
-    def bind(self, name: str, target: Union[Proxy, RemoteRef]) -> Future:
-        """Publish ``target`` under ``name`` over the fabric
-        (``registry.bind`` to the authoritative shard; the target
-        becomes a DGC root there, paper Sec. 4.1).
-
-        Returns a future resolving ``True`` when the authority applied
-        the binding, ``False`` when it rejected it (name conflict or
-        dead target at apply time).  At the authority's own node the
-        answer is a shared future already resolved (``registry.ACKED`` or
-        ``registry.REJECTED``): read it, never resolve it.
-        """
-        ref = target.ref if isinstance(target, Proxy) else target
-        activity = self._activity
-        node = activity.node
-        return node.world.registry.bind_from(node, activity, name, ref)
-
-    def unbind(self, name: str) -> Future:
-        """Remove a binding over the fabric, releasing the root pin at
-        the authoritative shard (the target stays pinned while other
-        names still bind it).  Resolves ``True``/``False`` with the
-        authority's verdict, answered at its own node as :meth:`bind`."""
-        activity = self._activity
-        node = activity.node
-        return node.world.registry.bind_from(node, activity, name, None)
 
     def holds(self, target: ActivityId) -> bool:
         """Does this activity currently hold a stub to ``target``?"""
@@ -300,8 +286,10 @@ class Activity:
         self._kept.add(proxy)
 
     def release_proxy(self, proxy: Proxy) -> None:
-        """Drop one stub (the only release site of a :class:`ProxyTable`
-        entry); when the tag dies, tell the local GC."""
+        """Explicitly release a held stub: the engine behind ``ctx.drop``
+        and the only release site of a :class:`ProxyTable` entry.  When
+        the tag dies, tell the local GC; a stub released twice raises
+        :class:`RuntimeModelError`."""
         if self.state is ActivityState.TERMINATED:
             return
         if proxy.released:

@@ -99,12 +99,15 @@ class Node:
         self._dgc_message_targets: Dict[Any, Callable[[Any], None]] = {}
         self._dgc_response_targets: Dict[Any, Callable[[Any], None]] = {}
         #: Open response run, active only while an aggregate DGC batch is
-        #: being unwrapped: ``dest_node -> (targets, responses)``, one box
-        #: per destination in first-seen order.  The collector's
+        #: being unwrapped: ``dest_node -> box``, one box per destination
+        #: in first-seen order.  A box is a ``(target, response)`` pair
+        #: until a second response turns it into parallel
+        #: ``([targets], [responses])`` lists.  The collector's
         #: responses join their box (in send order) and leave as one run
-        #: per destination, instead of one full fabric traversal per
-        #: response — an aggregate merged from several source sites
-        #: (shard injection) still costs one send per site.  Within the loop only collector code runs, and any
+        #: per destination (a pair as one single), instead of one full
+        #: fabric traversal per response — an aggregate merged from
+        #: several source sites (shard injection) still costs one send
+        #: per site.  Within the loop only collector code runs, and any
         #: non-response DGC send flushes every box first, so each
         #: channel's order is exactly the unbatched one.
         self._response_run: Optional[dict] = None
@@ -180,7 +183,9 @@ class Node:
 
     def deserialize_ref(self, activity: Activity, ref: RemoteRef) -> Proxy:
         """One stub through the deserialization hook, in one frame: a
-        registry resolve, ``ctx.acquire`` or a creation."""
+        registry resolve, a creation, or ``ctx.acquire`` — a reference
+        obtained out of band (drivers, dummy root activities), which
+        goes through this hook so the DGC sees the new edge."""
         # Inlined ProxyTable.acquire (the canonical site).
         target = ref.activity_id
         entries = activity.proxies._entries
@@ -319,18 +324,24 @@ class Node:
         )
 
     def _flush_response_run(self) -> None:
-        """Send every open response box, one run per destination in
-        first-seen order, and leave the run open (empty) for further
-        collection."""
+        """Send every open response box, one run (or single) per
+        destination in first-seen order, and leave the run open (empty)
+        for further collection."""
         run = self._response_run
         if run:
-            send_run = self.network.send_dgc_run
+            network = self.network
             for dest in run:
                 targets, responses = run[dest]
-                send_run(
-                    self.name, dest, KIND_DGC_RESPONSE,
-                    self._dgc_response_bytes, targets, responses,
-                )
+                if type(targets) is list:
+                    network.send_dgc_run(
+                        self.name, dest, KIND_DGC_RESPONSE,
+                        self._dgc_response_bytes, targets, responses,
+                    )
+                else:  # a one-response box: ``(target, response)``
+                    network.send_dgc_single(
+                        self.name, dest, KIND_DGC_RESPONSE,
+                        self._dgc_response_bytes, targets, responses,
+                    )
             run.clear()
 
     # ------------------------------------------------------------------
@@ -449,12 +460,19 @@ class Node:
         finally:
             self._response_run = None
         # :meth:`_flush_response_run` inlined: one frame fewer per unwrap.
+        network = self.network
         for dest in run:
             targets, responses = run[dest]
-            self.network.send_dgc_run(
-                self.name, dest, KIND_DGC_RESPONSE,
-                self._dgc_response_bytes, targets, responses,
-            )
+            if type(targets) is list:
+                network.send_dgc_run(
+                    self.name, dest, KIND_DGC_RESPONSE,
+                    self._dgc_response_bytes, targets, responses,
+                )
+            else:  # a one-response box: ``(target, response)``
+                network.send_dgc_single(
+                    self.name, dest, KIND_DGC_RESPONSE,
+                    self._dgc_response_bytes, targets, responses,
+                )
 
     def _on_dgc_responses(self, targets: list, responses: list) -> None:
         handlers = self._dgc_response_targets

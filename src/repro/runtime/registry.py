@@ -83,7 +83,7 @@ of staleness; beat must match its outcomes bit for bit
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 from zlib import crc32
 
 from repro.core.config import (
@@ -102,7 +102,7 @@ from repro.net.kinds import (
     KIND_REGISTRY_REPLY,
 )
 from repro.runtime.future import Future
-from repro.runtime.proxy import RemoteRef
+from repro.runtime.proxy import Proxy, RemoteRef
 from repro.runtime.request import (
     RegistryAck,
     RegistryBind,
@@ -608,8 +608,7 @@ class NamingService:
 
         To *resolve* over the fabric — placement-routed traffic whose
         reply/hit creates the reference-graph edge — use
-        :meth:`ActivityContext.lookup
-        <repro.runtime.activeobject.ActivityContext.lookup>`.
+        ``ctx.lookup`` (:meth:`lookup_from`).
         """
         return self.shard(self.authority_node(name)).authority.get(name)
 
@@ -733,12 +732,21 @@ class NamingService:
         """Resolve ``name`` on behalf of ``sender`` (hosted on ``node``):
         the engine behind ``ctx.lookup``.
 
-        Serves from the closest live copy — the local authoritative
-        table, the local replica (``replicated``), or a live lease-cache
-        entry — resolving the future immediately and creating the DGC
-        edge at hit time; otherwise sends a ``registry.lookup`` to the
+        Returns a future a generator handler can yield; it resolves to a
+        :class:`Proxy` for the bound activity (the stub is acquired at
+        reply/hit time, creating the DGC edge) or ``None`` when the name
+        is unbound at serve time.  Serves from the closest live copy —
+        the local authoritative table, the local replica
+        (``replicated``), or a live lease-cache entry — with a future
+        born resolved; otherwise sends a ``registry.lookup`` to the
         authority, whose shard answers (:meth:`RegistryShard.on_lookup`),
         and resolves at reply delivery.
+
+        An unbound name is answered with a *negative reply* (``None``),
+        never held open: a name bound after the lookup was issued but
+        before the authority serves it resolves normally (the lookup is
+        served against shard state at serve time); one bound after
+        serving requires the caller to retry.
         """
         self.resolves += 1
         authority = (
@@ -784,19 +792,25 @@ class NamingService:
         return Future(proxy, (proxy,))
 
     def bind_from(
-        self, node, sender, name: str, ref: Optional[RemoteRef]
+        self, node, sender, name: str, ref: Union[Proxy, RemoteRef, None]
     ) -> Future:
-        """Bind (``ref`` set) or unbind (``ref`` ``None``) over the
-        fabric: the engine behind ``ctx.bind`` / ``ctx.unbind``.
+        """Bind (``ref`` a :class:`Proxy` or a :class:`RemoteRef`) or
+        unbind (``ref`` ``None``) over the fabric: the engine behind
+        ``ctx.bind`` / ``ctx.unbind``.  A bound target becomes a DGC
+        root at the authoritative shard (paper Sec. 4.1); an unbind
+        releases that pin (the target stays pinned while other names
+        still bind it).
 
         Returns a future resolving ``True`` when the authoritative shard
         applied the update, ``False`` when it rejected it (conflict,
         dead target, unknown name).  At the authority's own node the
         update is applied at the call site and the answer is one of two
         shared futures that are already resolved, :data:`ACKED` or
-        :data:`REJECTED`; elsewhere it is a fresh future that waits on
-        the ``registry.bind`` round trip.
+        :data:`REJECTED` (read it, never resolve it); elsewhere it is a
+        fresh future that waits on the ``registry.bind`` round trip.
         """
+        if ref is not None and isinstance(ref, Proxy):
+            ref = ref.ref
         authority = (
             self.authority_node(name) if self._hashed else self.home_node
         )

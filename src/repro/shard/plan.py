@@ -1,14 +1,15 @@
 """Node-to-shard assignment and the conservative lookahead bounds.
 
 The plan slices the topology's node list (which is grouped by site)
-into contiguous, balanced blocks — one per shard — so co-located nodes
-stay on the same shard whenever the shard count divides the site
-structure.  That matters because the protocol's *lookahead* is bounded
-by cross-boundary latency: events a worker executes in a granted
-window can only generate cross-shard deliveries later than the
-boundary's one-way latency, which is exactly what lets every shard
-advance through the window without waiting for the others (the classic
-conservative-synchronization argument; see
+into contiguous blocks, one per shard.  When the topology has at least
+as many (non-empty) sites as shards, every cut sits on a site boundary
+— the one nearest each balanced cut — so no site is split; otherwise
+the blocks are balanced.  That matters because the protocol's
+*lookahead* is bounded by cross-boundary latency: events a worker
+executes in a granted window can only generate cross-shard deliveries
+later than the boundary's one-way latency, which is exactly what lets
+every shard advance through the window without waiting for the others
+(the classic conservative-synchronization argument; see
 :mod:`repro.shard.coordinator`).  Splitting a low-latency site across
 shards is legal but collapses the lookahead to the intra-site latency
 and with it the useful window per barrier round.
@@ -147,8 +148,26 @@ def _closure(
     return tuple(tuple(row) for row in dist)
 
 
+def _align_to_sites(cuts: List[int], boundaries: List[int]) -> List[int]:
+    """Move each balanced cut, in order, to the nearest site boundary
+    (the lower one on a tie) that is past the previous cut and still
+    leaves a boundary for every later cut."""
+    aligned: List[int] = []
+    low = 0
+    for index, cut in enumerate(cuts):
+        high = len(boundaries) - (len(cuts) - index)
+        best = min(
+            range(low, high + 1),
+            key=lambda i: (abs(boundaries[i] - cut), i),
+        )
+        aligned.append(boundaries[best])
+        low = best + 1
+    return aligned
+
+
 def make_plan(topology: Topology, shard_count: int) -> ShardPlan:
-    """Partition ``topology`` into ``shard_count`` contiguous node blocks.
+    """Partition ``topology`` into ``shard_count`` contiguous node blocks,
+    cut at site boundaries when there are enough sites.
 
     Raises :class:`ConfigurationError` when the partition is impossible
     (more shards than nodes) or useless (a zero lookahead: two nodes
@@ -167,9 +186,24 @@ def make_plan(topology: Topology, shard_count: int) -> ShardPlan:
         )
     total = len(nodes)
     base, extra = divmod(total, shard_count)
+    cuts: List[int] = []  # where each block but the last ends
+    end = 0
+    for shard in range(shard_count - 1):
+        end += base + (1 if shard < extra else 0)
+        cuts.append(end)
+    boundaries: List[int] = []  # interior site boundaries, ascending
+    end = 0
+    for site in topology.sites:
+        end += site.node_count
+        if site.node_count and end < total:
+            boundaries.append(end)
+    if len(boundaries) >= len(cuts):
+        cuts = _align_to_sites(cuts, boundaries)
     assignment: List[int] = []
-    for shard in range(shard_count):
-        assignment.extend([shard] * (base + (1 if shard < extra else 0)))
+    start = 0
+    for shard, end in enumerate(cuts + [total]):
+        assignment.extend([shard] * (end - start))
+        start = end
 
     matrix = [
         [math.inf] * shard_count for _ in range(shard_count)

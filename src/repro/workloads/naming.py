@@ -33,6 +33,7 @@ naming service.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import List, Optional
 
 from repro.core.config import DgcConfig, RegistryConfig
@@ -183,7 +184,7 @@ class NamingClient(Behavior):
         while ctx.now < self.deadline:
             yield ctx.sleep(self.period * (0.5 + rng.random()))
             # A burst is one synchronous stretch: the clock cannot move.
-            consume = lambda f, t=ctx.now: self._consume(ctx, f, t)
+            consume = partial(self._consume, ctx, ctx.now)
             for _ in range(self.burst):
                 if sampler is not None:
                     name = names[sampler.sample(rng)]
@@ -197,7 +198,7 @@ class NamingClient(Behavior):
                 future.on_resolve(consume)
         return None
 
-    def _consume(self, ctx, future, issued_at: float) -> None:
+    def _consume(self, ctx, issued_at: float, future) -> None:
         self.completed += 1
         self.latency_sum += ctx.now - issued_at
         proxy = future.value

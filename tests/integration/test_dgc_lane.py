@@ -322,6 +322,30 @@ DELAY_RULES = {
 }
 
 
+def test_injected_run_from_two_sites_answers_with_two_singles():
+    """A response box that holds one response leaves as a single: an
+    aggregate whose two senders live on different nodes makes two
+    ``send_dgc_single`` calls and no ``send_dgc_run``."""
+    world, targets = egress_world()
+    targets = targets[:2]
+    messages = interleaved_heartbeats(targets)
+    delivery = world.kernel.now + INJECT_DELAY
+    world.network.inject_remote_runs(
+        [(KIND_DGC_MESSAGE, delivery, "site-0", list(targets), messages)]
+    )
+    frames, _, _ = profile_one_beat(world, 2 * INJECT_DELAY)
+    network = frames_of(frames, "network.py")
+    assert network["send_dgc_single"] == 2
+    assert "send_dgc_run" not in network
+    unwrapped = world.network.drain_egress()
+    assert [(run[0], run[2]) for run in unwrapped] == [
+        (KIND_DGC_RESPONSE, source) for source in SOURCES[:2]
+    ]
+    assert [run[3] for run in unwrapped] == [
+        [message.sender] for message in messages
+    ]
+
+
 def drive_dgc_traffic(dgc: DgcConfig, rule: str):
     """Single, run, dead-target, partition-dropped and delay-rule DGC
     traffic over three nodes."""

@@ -14,7 +14,10 @@ from repro.net.kinds import (
     KIND_REGISTRY_RENEW,
 )
 from repro.runtime.behaviors import Behavior, SinkBehavior
+from repro.runtime.future import reset_future_ids
+from repro.runtime.ids import reset_id_counter
 from repro.runtime.registry import ACKED, REJECTED
+from repro.shard.worker import REGISTRY_COUNTERS
 from repro.workloads.app import release_all
 
 
@@ -65,6 +68,52 @@ def test_fabric_unbind_releases_pin_and_unknown_name_is_nacked(make_world):
     assert unbind.value is True
     assert ghost.value is False
     assert not world.find_activity(svc.activity_id).is_root
+
+
+@pytest.mark.parametrize("placement", ["home", "replicated", "hashed"])
+def test_bind_takes_a_stub_or_its_remote_ref_alike(make_world, placement):
+    """``ctx.bind`` is :meth:`NamingService.bind_from`, which unwraps a
+    :class:`Proxy` itself: binding every service by its stub or by its
+    ``RemoteRef`` gives the same futures (the shared ``ACKED`` /
+    ``REJECTED`` at the authority, fresh ids elsewhere), counters,
+    traffic and tables, a conflicting name included."""
+
+    def run(by_ref):
+        reset_id_counter()
+        reset_future_ids()
+        world = make_world(
+            4, dgc=None, registry=RegistryConfig(placement=placement)
+        )
+        futures = []
+        for index, node in enumerate(list(world.nodes)):
+            driver = world.create_driver(node=node, name=f"driver{index}")
+            svc = driver.context.create(SinkBehavior(), name=f"svc{index}")
+            for name in (f"svc-{index}", "shared"):
+                futures.append(
+                    driver.context.bind(name, svc.ref if by_ref else svc)
+                )
+        issued = [
+            (future is ACKED, future is REJECTED, future.future_id)
+            for future in futures
+        ]
+        world.run_for(5.0)
+        registry = world.registry
+        return (
+            issued,
+            [future.value for future in futures],
+            {name: getattr(registry, name) for name in REGISTRY_COUNTERS},
+            world.accountant.summary(),
+            {
+                node: (dict(registry.shard(node).authority),
+                       dict(registry.shard(node).replica))
+                for node in world.nodes
+            },
+        )
+
+    by_stub = run(by_ref=False)
+    assert by_stub == run(by_ref=True)
+    values = by_stub[1]
+    assert values.count(True) == 5 and values.count(False) == 3
 
 
 def test_fabric_bind_from_authority_node_is_free_and_immediate(make_world):

@@ -115,6 +115,37 @@ def test_metro_wan_sharded_matches_replay():
     assert again.rounds == result.rounds
 
 
+def test_site_aligned_three_shards_match_replay_in_few_rounds():
+    """Torture at smoke size over four sites of eight nodes, paired into
+    metros.  Balanced three-shard blocks would split two sites, leaving
+    an intra-site lookahead; the site-aligned plan keeps every site
+    whole, so its narrowest channel is a metro link and its barrier
+    rounds grow at most as that channel narrows against the two-shard
+    plan's WAN boundary."""
+    from repro.net.topology import metro_wan_topology
+
+    topo = metro_wan_topology(
+        32, site_count=4, intra_rtt_s=0.001, metro_rtt_s=0.5, wan_rtt_s=2.0
+    )
+
+    def arguments():
+        return dict(
+            workload="torture",
+            params=dict(slave_count=96, active_duration=100),
+            dgc=DgcConfig(ttb=5, tta=12, beat_slots=16),
+            seed=0,
+        )
+
+    two = ShardedWorld(topo, 2, **arguments()).run()
+    three = ShardedWorld(topo, 3, **arguments()).run()
+    _, _, signature = replay_single_process(topo, **arguments())
+    assert three.outcome_signature() == signature
+    assert three.safety_violations == 0
+    narrowing = make_plan(topo, 2).lookahead / make_plan(topo, 3).lookahead
+    assert narrowing == pytest.approx(4.0)
+    assert three.rounds <= two.rounds * narrowing
+
+
 def test_naming_sharded_matches_replay():
     topo = two_site_topology()
     params = dict(

@@ -9,9 +9,10 @@ Two deterministic gates, no timing:
   ``net/accounting.py`` or ``net/message.py`` — the fire loop calls the
   kind handlers itself, and for the ``registry.*`` kinds those are the
   bound methods of the node's :class:`RegistryShard`.  Above the fabric the
-  whole resolve (``ctx.lookup`` to resolved future) is at most ten
-  frames over all of ``runtime/*.py``, and a delivered replica push or
-  invalidation is one.  An application request is pinned frame by
+  whole resolve (``ctx.lookup`` to resolved future) is at most seven
+  frames over all of ``runtime/*.py``, none of them the context's (its
+  verbs are their engines, bound once), and a delivered replica push
+  or invalidation is one.  An application request is pinned frame by
   frame the same way: the send is ``ctx.call`` and
   ``Node.send_request``, the delivery ``Node._on_request`` into the
   service loop, with no world bookkeeping frame, no size-model call
@@ -34,6 +35,7 @@ Two deterministic gates, no timing:
 
 import cProfile
 import os
+from functools import partial
 
 import pytest
 
@@ -49,6 +51,7 @@ from repro.net.kinds import (
     KIND_REGISTRY_REPLY,
 )
 from repro.net.topology import uniform_topology
+from repro.runtime.activeobject import ActivityContext
 from repro.runtime.behaviors import Behavior, SinkBehavior
 from repro.runtime.ids import reset_id_counter
 from repro.workloads.naming import NamingClient
@@ -69,22 +72,34 @@ def external(world, node, name):
     )
 
 
+def profile_code(run):
+    """``(result, stats)``: what ``run()`` returns, and cProfile's
+    ``{(filename, line, function): (cc, ncalls, tt, ct, callers)}`` of
+    every frame (stdlib and C calls included) entered while it runs."""
+    profiler = cProfile.Profile()
+    result = profiler.runcall(run)
+    profiler.create_stats()
+    return result, profiler.stats
+
+
 def profile_stats(run):
     """``(result, stats)``: what ``run()`` returns, and
     ``{(file, package, function): calls}`` of every frame (stdlib and C
     calls included) entered while it executes; same-named functions of
     one file (two classes' ``__init__``) are summed."""
-    profiler = cProfile.Profile()
-    result = profiler.runcall(run)
-    profiler.create_stats()
+    result, code_stats = profile_code(run)
+    return result, by_function(code_stats)
+
+
+def by_function(code_stats):
+    """cProfile's code-keyed stats as ``{(file, package, function):
+    calls}``."""
     stats = {}
-    for (filename, _, function), (_, ncalls, _, _, _) in (
-        profiler.stats.items()
-    ):
+    for (filename, _, function), (_, ncalls, _, _, _) in code_stats.items():
         key = (os.path.basename(filename),
                os.path.basename(os.path.dirname(filename)), function)
         stats[key] = stats.get(key, 0) + ncalls
-    return result, stats
+    return stats
 
 
 def profiled_frames(run):
@@ -141,14 +156,15 @@ def test_lookup_round_trip_call_budget():
         ("network.py", "send_typed"): 2,
         ("network.py", "_fire_pulse"): 2,
     }
-    # One frame per hop: the context, the service's request side, the
-    # authority's shard, the caller's node — then the stub and the future.
-    assert runtime[("activeobject.py", "lookup")] == 1
+    # One frame per hop: the service's request side (``ctx.lookup`` is
+    # its bound engine), the authority's shard, the caller's node — then
+    # the stub and the future.
     assert runtime[("registry.py", "lookup_from")] == 1
     assert runtime[("registry.py", "on_lookup")] == 1
     assert runtime[("node.py", "_on_registry_reply")] == 1
     assert ("node.py", "_on_typed") not in runtime
-    assert sum(runtime.values()) <= 10, runtime
+    assert not [key for key in runtime if key[0] == "activeobject.py"]
+    assert sum(runtime.values()) <= 7, runtime
 
 
 class Service(Behavior):
@@ -263,13 +279,10 @@ def test_request_lane_call_budget(expect_reply):
     assert abc_frames == ({"__instancecheck__": 1} if expect_reply else {})
 
 
-def test_resolve_lane_call_budget():
-    """One warm burst of a collector-less :class:`NamingClient` — wake,
-    uniform name pick, remote resolve, stub acquired at the reply,
-    consumed and dropped — pinned frame by frame in ``repro.runtime``
-    and the driver.  The stub lifecycle is one frame each way
-    (``Node.deserialize_ref``, ``Activity.release_proxy``) and the pick
-    enters no ``random.py`` frame."""
+def warm_burst_stats():
+    """cProfile's code-keyed stats (:func:`profile_code`) of one warm
+    burst of a collector-less :class:`NamingClient` (one lookup per
+    burst) on the node that is not the registry's authority."""
     world = World(
         uniform_topology(2), dgc=DgcConfig(ttb=1.0, tta=3.0), trace=False,
     )
@@ -288,8 +301,20 @@ def test_resolve_lane_call_budget():
     # The next event is the client's wake; the one after it is at least
     # half a period later, so this window holds exactly one burst.
     wake = world.kernel.next_event_time()
-    _, stats = profile_stats(lambda: world.kernel.run(until=wake + 0.25))
+    _, stats = profile_code(partial(world.kernel.run, until=wake + 0.25))
     assert client.issued == client.hits == issued + 1
+    return stats
+
+
+def test_resolve_lane_call_budget():
+    """One warm burst of a collector-less :class:`NamingClient` — wake,
+    uniform name pick, remote resolve, stub acquired at the reply,
+    consumed and dropped — pinned frame by frame in ``repro.runtime``
+    and the driver.  The stub lifecycle is one frame each way
+    (``Node.deserialize_ref``, ``Activity.release_proxy``), the context
+    verbs enter their engines directly, the resolved future calls the
+    consumer itself, and the pick enters no ``random.py`` frame."""
+    stats = by_function(warm_burst_stats())
     frames = {
         (base, function): calls
         for (base, package, function), calls in stats.items()
@@ -300,23 +325,20 @@ def test_resolve_lane_call_budget():
         ("activeobject.py", "_step"): 1,
         ("naming.py", "on_start"): 1,
         ("activeobject.py", "now"): 3,  # the deadline, the burst, the reply
-        ("activeobject.py", "lookup"): 1,
-        ("registry.py", "lookup_from"): 1,
+        ("registry.py", "lookup_from"): 1,  # ``ctx.lookup``
         ("future.py", "__init__"): 1,
         ("future.py", "on_resolve"): 1,
-        ("activeobject.py", "sleep"): 1,
-        ("activeobject.py", "__init__"): 1,  # the Sleep
+        ("activeobject.py", "__init__"): 1,  # ``ctx.sleep``: the Sleep
         # the authority's shard, then the reply at the client's node
         ("registry.py", "on_lookup"): 1,
         ("node.py", "_on_registry_reply"): 1,
         ("node.py", "deserialize_ref"): 1,
         ("proxy.py", "__init__"): 2,  # a fresh StubTag, its Proxy
         ("future.py", "resolve"): 1,
-        # the driver's consumer drops the stub: the tag dies at once
-        ("naming.py", "<lambda>"): 1,
+        # the driver's consumer drops the stub (``ctx.drop``): the tag
+        # dies at once
         ("naming.py", "_consume"): 1,
         ("future.py", "value"): 1,
-        ("activeobject.py", "drop"): 1,
         ("activeobject.py", "release_proxy"): 1,
     }
     for gone in (("proxy.py", "acquire"), ("proxy.py", "release"),
@@ -325,6 +347,31 @@ def test_resolve_lane_call_budget():
     assert not [key for key in stats
                 if key[2] == "randrange" or key[2].startswith("_randbelow")]
     assert not [key for key in stats if key[0] == "random.py"]
+
+
+def test_a_resolve_enters_no_context_frame_and_no_lambda():
+    """``ctx.lookup``, ``ctx.sleep`` and ``ctx.drop`` are their engines
+    (``NamingService.lookup_from``, ``Sleep``, ``Activity.release_proxy``):
+    a warm burst, cross-node resolve included, enters no
+    :class:`ActivityContext` frame but its ``now`` clock, and the
+    resolved future calls the client's consumer with no ``<lambda>``
+    in between."""
+    context = {}
+    for name, member in vars(ActivityContext).items():
+        for function in (member, getattr(member, "fget", None),
+                         getattr(member, "func", None)):
+            code = getattr(function, "__code__", None)
+            if code is not None:
+                context[
+                    (code.co_filename, code.co_firstlineno, code.co_name)
+                ] = name
+    stats = warm_burst_stats()
+    entered = {
+        context[key]: calls for key, (_, calls, _, _, _) in stats.items()
+        if key in context
+    }
+    assert entered == {"now": 3}
+    assert not [key for key in stats if key[2] == "<lambda>"]
 
 
 def test_resolve_edge_reaches_a_collector():

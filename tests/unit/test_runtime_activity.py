@@ -1,6 +1,8 @@
 """Unit tests for the activity service loop (through a real world)."""
 
+import gc
 import typing
+import weakref
 from collections.abc import Generator
 
 import pytest
@@ -357,3 +359,58 @@ def test_step_rejects_an_unsupported_yield(world):
     driver.context.call(target, "any")
     with pytest.raises(RuntimeModelError, match="unsupported"):
         world.run_for(1.0)
+
+
+# ----------------------------------------------------------------------
+# The context verbs: their engines, bound on first use
+# ----------------------------------------------------------------------
+
+
+def test_context_verbs_are_bound_on_first_use_and_kept(world):
+    driver = world.create_driver()
+    ctx = driver.context
+    assert not {"lookup", "bind", "unbind", "drop", "acquire"} & set(vars(ctx))
+    assert ctx.drop == driver.release_proxy
+    assert ctx.lookup is ctx.lookup
+    assert set(vars(ctx)) >= {"drop", "lookup"}
+    assert ctx.sleep is Sleep
+    assert "sleep" not in vars(ctx)
+
+
+def test_drop_of_a_released_stub_still_raises(world):
+    driver = world.create_driver()
+    target = driver.context.create(SinkBehavior(), name="t")
+    driver.context.drop(target)
+    assert not driver.context.holds(target.activity_id)
+    with pytest.raises(RuntimeModelError, match="released twice"):
+        driver.context.drop(target)
+
+
+def test_an_unknown_context_attribute_still_raises_attribute_error(world):
+    ctx = world.create_driver().context
+    with pytest.raises(AttributeError, match="no_such_verb"):
+        ctx.no_such_verb
+    assert not hasattr(ctx, "release_proxy")
+    assert "no_such_verb" not in vars(ctx)
+
+
+def test_a_collected_activity_takes_its_random_stream_with_it(make_world):
+    class Drawer(Behavior):
+        def on_start(self, ctx):
+            ctx.rng.random()
+            self.stream = weakref.ref(ctx.rng)
+
+    world = make_world(2)
+    driver = world.create_driver()
+    behavior = Drawer()
+    target = driver.context.create(behavior, name="drawer")
+    driver.context.drop(target)
+    assert world.run_until_collected(30.0)
+    assert world.find_activity(target.activity_id) is None
+    del target
+    gc.collect()
+    assert behavior.stream() is None
+    assert not [
+        name for name in world.rng_registry._streams
+        if name.startswith("activity:")
+    ]

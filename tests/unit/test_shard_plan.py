@@ -85,6 +85,42 @@ def test_boundary_inside_a_site_collapses_that_channel_only():
     assert plan.lookahead == pytest.approx(0.005)
 
 
+def test_cuts_move_to_the_nearest_site_boundary():
+    # Four sites of eight, paired into metros: the balanced 3-shard cuts
+    # (11, 22) would split two sites; they move to the boundaries 8 and
+    # 24, so the narrowest channel is a metro link, not an intra-site one.
+    topo = metro_wan_topology(
+        32, site_count=4, intra_rtt_s=0.001, metro_rtt_s=0.5, wan_rtt_s=2.0
+    )
+    plan = make_plan(topo, 3)
+    assert [len(plan.nodes_of(shard)) for shard in range(3)] == [8, 16, 8]
+    for site in topo.sites:
+        assert len({
+            plan.shard_of(f"{site.name}-{index}")
+            for index in range(site.node_count)
+        }) == 1
+    assert plan.lookahead == pytest.approx(0.25)
+
+
+def test_crowded_cuts_keep_one_boundary_each_and_ties_go_low():
+    # Both balanced cuts (8, 15) are nearest the boundary 2; the first
+    # takes the boundary 1 so that every shard keeps a site.
+    topo = Topology(
+        [Site("a", 1, intra_rtt_s=0.01), Site("b", 1, intra_rtt_s=0.01),
+         Site("c", 20, intra_rtt_s=0.01)],
+        {("a", "b"): 1.0, ("a", "c"): 1.0, ("b", "c"): 1.0},
+    )
+    plan = make_plan(topo, 3)
+    assert plan.nodes_of(0) == ["a-0"] and plan.nodes_of(1) == ["b-0"]
+    # The balanced cut 4 lies halfway between the boundaries 2 and 6.
+    topo = Topology(
+        [Site("a", 2, intra_rtt_s=0.01), Site("b", 4, intra_rtt_s=0.01),
+         Site("c", 2, intra_rtt_s=0.01)],
+        {("a", "b"): 1.0, ("a", "c"): 1.0, ("b", "c"): 1.0},
+    )
+    assert make_plan(topo, 2).nodes_of(0) == ["a-0", "a-1"]
+
+
 def test_single_shard_matrix_is_all_inf():
     plan = make_plan(metro_wan_topology(4), 1)
     assert plan.lookahead == INF
