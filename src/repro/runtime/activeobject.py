@@ -8,6 +8,10 @@ functions (complete immediately) or generators that yield:
   the activity stays **busy** (paper Sec. 4.1: waiting for a future can
   only happen during the service of a request).
 
+A request that finds no handler in flight is served in the frame that
+delivers it (:meth:`Activity.deliver`), whose loop then drains the queue;
+a suspended generator handler restarts that loop when it finishes.
+
 The *idle* predicate the DGC consumes (paper Sec. 4.1) is therefore exact:
 an activity is idle iff its queue is empty and no handler is in flight.
 Root activities (registered in the registry, or dummy referencers for
@@ -20,9 +24,10 @@ import enum
 from collections import deque
 from collections.abc import Generator
 from functools import cached_property, partial
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.errors import RuntimeModelError
+from repro.runtime.behaviors import handler_table
 from repro.runtime.future import Future
 from repro.runtime.ids import ActivityId
 from repro.runtime.proxy import Proxy, ProxyTable, RemoteRef
@@ -47,10 +52,6 @@ class ActivityState(enum.Enum):
     TERMINATED = "terminated"
 
 
-#: What a behavior handler may return: a value, or a generator coroutine.
-HandlerResult = Union[Any, Generator[Any, Any, Any]]
-
-
 class ActivityContext:
     """The API surface a behavior uses to interact with the world.
 
@@ -58,13 +59,13 @@ class ActivityContext:
     sleeping, and managing held references (the simulated equivalent of
     local variables / fields holding stubs).
 
-    The registry and stub verbs (``lookup``, ``bind``, ``unbind``,
-    ``drop``, ``acquire``) are their engines' own callables, bound to
-    this context's node and activity the first time the behavior uses
-    one and then kept in the instance dict, where every later read finds
-    it (a ``cached_property`` is a non-data descriptor).  A call enters
-    the engine in the caller's frame, and an activity holds only the
-    verbs it uses.
+    The send, registry and stub verbs (``call``, ``lookup``, ``bind``,
+    ``unbind``, ``drop``, ``acquire``) are their engines' own callables,
+    bound to this context's node and activity the first time the
+    behavior uses one and then kept in the instance dict, where every
+    later read finds it (a ``cached_property`` is a non-data
+    descriptor).  A call enters the engine in the caller's frame, and an
+    activity holds only the verbs it uses.
     """
 
     #: ``yield ctx.sleep(duration)`` models compute time: the class
@@ -150,49 +151,23 @@ class ActivityContext:
             creator=self._activity,
         )
 
-    def call(
-        self,
-        target: Union[Proxy, RemoteRef],
-        method: str,
-        *,
-        payload_bytes: int = 0,
-        refs: Sequence[Union[Proxy, RemoteRef]] = (),
-        data: Any = None,
-        expect_reply: bool = False,
-    ) -> Optional[Future]:
-        """Asynchronously invoke ``method`` on ``target``.
-
-        Returns a :class:`Future` when ``expect_reply`` is set, which a
-        generator handler can yield to wait for the result.
-        """
+    @cached_property
+    def call(self) -> Callable[..., Optional[Future]]:
+        """``call(target, method, payload_bytes=0, refs=(), data=None,
+        expect_reply=False)``: :meth:`Node.send_request
+        <repro.runtime.node.Node.send_request>`, which returns a
+        :class:`Future` when ``expect_reply`` is set."""
         activity = self._activity
-        return activity.node.send_request(
-            activity, target, method, payload_bytes, refs, data, expect_reply
-        )
+        return partial(activity.node.send_request, activity)
 
     def keep(self, proxy: Proxy) -> Proxy:
         """Prevent the automatic release of a request-delivered proxy."""
-        self._activity.mark_kept(proxy)
+        self._activity._kept.add(proxy)
         return proxy
 
     def holds(self, target: ActivityId) -> bool:
         """Does this activity currently hold a stub to ``target``?"""
         return self._activity.proxies.holds(target)
-
-
-class _HandlerRun:
-    """State of the in-flight handler (one per busy activity)."""
-
-    __slots__ = ("request", "proxies", "generator")
-
-    def __init__(
-        self,
-        request: Optional[Request],
-        proxies: Tuple[Proxy, ...],
-    ) -> None:
-        self.request = request
-        self.proxies = proxies
-        self.generator: Optional[Generator[Any, Any, Any]] = None
 
 
 class Activity:
@@ -209,6 +184,7 @@ class Activity:
         self.node = node
         self.id = activity_id
         self.behavior = behavior
+        self._handlers = handler_table(type(behavior))
         self.is_root = root
         self.state = ActivityState.IDLE
         self.proxies = ProxyTable(activity_id)
@@ -216,10 +192,9 @@ class Activity:
         self.collector: Optional[Any] = None  # attached by the world
         self.terminated_reason: Optional[str] = None
         self.requests_served = 0
-        self.created_at = node.kernel.now
         self._queue: Deque[Union[Request, Tuple[Request, Tuple[Proxy, ...]]]] = deque()
-        self._run: Optional[_HandlerRun] = None
-        self._pumping = False
+        self._run: Optional[Generator] = None  # the generator handler in flight
+        self._serving = False
         self._kept: set = set()  # the kept stubs, not their ids (ids get reused)
         self._sent: Dict[ActivityId, Request] = {}  # target -> last bare ping
         self._idle_listeners: List[Callable[["Activity"], None]] = []
@@ -255,12 +230,17 @@ class Activity:
         start routine, so its activity clock begins owned by itself.
         """
         self.state = ActivityState.BUSY
-        run = _HandlerRun(None, ())
-        self._run = run
+        self._serving = True  # a delivery during the start routine queues
         on_start = getattr(self.behavior, "on_start", None)
         result = on_start(self.context) if on_start is not None else None
-        self._begin_handler(run, result)
-        self._pump()
+        self._serving = False
+        if self.state is ActivityState.TERMINATED:  # by its own start routine
+            return
+        if result is not None and isinstance(result, Generator):
+            self._run = result
+            self._step(result, None, (), None)  # its last step restarts the loop
+        else:
+            self._pump()
 
     def terminate(self, reason: str) -> None:
         """Remove the activity (DGC collection or explicit termination)."""
@@ -281,9 +261,6 @@ class Activity:
     # ------------------------------------------------------------------
     # Reference management
     # ------------------------------------------------------------------
-
-    def mark_kept(self, proxy: Proxy) -> None:
-        self._kept.add(proxy)
 
     def release_proxy(self, proxy: Proxy) -> None:
         """Explicitly release a held stub: the engine behind ``ctx.drop``
@@ -316,55 +293,68 @@ class Activity:
     # ------------------------------------------------------------------
 
     def deliver(self, request: Request, proxies: Tuple[Proxy, ...]) -> None:
-        """Enqueue an incoming request and the tuple of stubs deserialized
-        from its references (``()`` for none: it then waits as the bare
-        request, no entry tuple); start serving if idle."""
+        """Serve a request and the stubs deserialized from its references
+        (``()`` for none) in this frame, then whatever queued up behind
+        it, until the queue drains (the busy->idle transition) or a
+        generator handler suspends.  While a handler is in flight or the
+        loop drains, the request waits in the queue instead (bare when
+        it has no stubs).  Iterative: a long queue must not recurse."""
         if self.state is ActivityState.TERMINATED:
             # A message reached a dead activity: visible symptom of either
             # an application bug or a wrongful collection; traced upstream.
             return
-        self._queue.append((request, proxies) if proxies else request)
-        self._pump()
+        if self._serving or self._run is not None:
+            self._queue.append((request, proxies) if proxies else request)
+            return
+        self._serving = True
+        try:
+            self.state = ActivityState.BUSY
+            behavior = self.behavior
+            context = self.context
+            handlers = self._handlers
+            queue = self._queue
+            while True:
+                self.requests_served += 1
+                result = handlers[request.method](behavior, context, request, proxies)
+                if self.state is ActivityState.TERMINATED:
+                    return  # the handler ended its own activity: no answer
+                # ``None`` (most handlers) skips the ABC check; the class is
+                # ``collections.abc.Generator``, which ``typing.Generator``
+                # only delegates to through a chain of frames
+                # (HOT-typing-check).
+                if result is not None and isinstance(result, Generator):
+                    self._run = result
+                    self._step(result, request, proxies, None)
+                    if self._run is not None:
+                        return  # suspended: its last step restarts the loop
+                elif proxies or request.reply_to is not None:
+                    self._finish(request, proxies, result)
+                if self.state is ActivityState.TERMINATED:
+                    return
+                if not queue:
+                    self._become_idle()
+                    return
+                entry = queue.popleft()
+                request, proxies = entry if type(entry) is tuple else (entry, ())
+        finally:
+            self._serving = False
 
     def _pump(self) -> None:
-        """Serve queued requests until the queue drains or a handler
-        suspends.  Iterative on purpose: long queues of instantly
-        completing requests must not recurse."""
-        if self._pumping:
+        """Restart :meth:`deliver`'s loop on the head of the queue, or go
+        idle, after a generator handler has finished or :meth:`start`
+        has returned (a no-op inside the loop)."""
+        if self._serving or self._run is not None:
             return
-        self._pumping = True
-        try:
-            while True:
-                if self.state is ActivityState.TERMINATED or self._run is not None:
-                    return
-                if not self._queue:
-                    if self.state is ActivityState.BUSY:
-                        self._become_idle()
-                    return
-                entry = self._queue.popleft()
-                request, proxies = entry if type(entry) is tuple else (entry, ())
-                self.state = ActivityState.BUSY
-                run = _HandlerRun(request, proxies)
-                self._run = run
-                self.requests_served += 1
-                result = self.behavior.handle(self.context, request, proxies)
-                self._begin_handler(run, result)
-        finally:
-            self._pumping = False
+        queue = self._queue
+        if queue:
+            entry = queue.popleft()
+            request, proxies = entry if type(entry) is tuple else (entry, ())
+            self.deliver(request, proxies)
+        elif self.state is ActivityState.BUSY:
+            self._become_idle()
 
-    def _begin_handler(self, run: _HandlerRun, result: HandlerResult) -> None:
-        if self._run is not run:  # terminated during the handler body
-            return
-        # ``None`` (most handlers) skips the ABC check; the class is
-        # ``collections.abc.Generator``, which ``typing.Generator`` only
-        # delegates to through a chain of frames (HOT-typing-check).
-        if result is not None and isinstance(result, Generator):
-            run.generator = result
-            self._step(run, None)
-        else:
-            self._finish(run, result)
-
-    def _step(self, run: _HandlerRun, send_value: Any) -> None:
+    def _step(self, generator: Generator, request: Optional[Request],
+              proxies: Tuple[Proxy, ...], send_value: Any) -> None:
         # Iterative, not recursive: a yielded future that is *already*
         # resolved (a local bind ack, a cache hit) resumes the generator
         # in this same frame.  Recursing through Future.on_resolve would
@@ -372,15 +362,15 @@ class Activity:
         # call stack — a handler awaiting 10^5 local registry acks in a
         # row (the bind-heavy naming workload) overflows it.
         while True:
-            if self._run is not run:  # stale resume after termination
+            if self._run is not generator:  # stale resume after termination
                 return
-            generator = run.generator
-            assert generator is not None
             try:
                 yielded = generator.send(send_value)
             except StopIteration as stop:
-                self._finish(run, stop.value)
-                self._pump()
+                if self._run is generator:  # not terminated by its last step
+                    self._finish(request, proxies, stop.value)
+                    self._run = None
+                    self._pump()
                 return
             # Exact types first, no ``isinstance`` call; a subclass takes
             # the same arm through the ``isinstance`` fallback.
@@ -389,33 +379,34 @@ class Activity:
                 kind is not Future and isinstance(yielded, Sleep)
             ):
                 # Never cancelled (a stale resume is dropped by the
-                # ``_run is not run`` test above): no Event handle.
+                # ``_run is not generator`` test above): no Event handle.
                 kernel = self.node.kernel
                 kernel.schedule_fire_at(
-                    kernel.now + yielded.duration, self._step, (run, None)
+                    kernel.now + yielded.duration, self._step,
+                    (generator, request, proxies, None),
                 )
                 return
             elif kind is Future or isinstance(yielded, Future):
                 if yielded.resolved:
                     send_value = yielded
                     continue
-                yielded.on_resolve(lambda future: self._step(run, future))
+                yielded.on_resolve(
+                    lambda future: self._step(generator, request, proxies, future)
+                )
                 return
             else:
                 raise RuntimeModelError(
                     f"handler of {self.id} yielded unsupported {yielded!r}"
                 )
 
-    def _finish(self, run: _HandlerRun, result: Any) -> None:
-        if self._run is not run:
-            return
-        request = run.request
+    def _finish(self, request: Optional[Request], proxies: Tuple[Proxy, ...],
+                result: Any) -> None:
+        """The one place a request is answered and its unkept stubs released."""
         if request is not None and request.reply_to is not None:
             self.node.send_reply(self, request, result)
-        for proxy in run.proxies:
+        for proxy in proxies:
             if proxy not in self._kept and not proxy.released:
                 self.release_proxy(proxy)
-        self._run = None
 
     def _become_idle(self) -> None:
         self.state = ActivityState.IDLE

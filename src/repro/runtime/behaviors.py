@@ -9,11 +9,20 @@ deserialized from the request's references, ``()`` when it carries none::
         def do_compute(self, ctx, request, proxies):
             yield ctx.sleep(1.5)
             return 42
+
+Dispatch contract: the service loop resolves a handler once per
+(behavior class, method) pair (:class:`HandlerTable`): the class's
+``do_<method>``, or its ``handle`` for every method when the class
+overrides :meth:`Behavior.handle` (:class:`FunctionBehavior`,
+:class:`SinkBehavior`, user subclasses).  Handlers are looked up on the
+class, never on the instance.  An unknown method raises
+:class:`RuntimeModelError` naming the class and the method.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Tuple
+from functools import cache
+from typing import Any, Callable, Tuple
 
 from repro.errors import RuntimeModelError
 from repro.runtime.proxy import Proxy
@@ -28,13 +37,37 @@ class Behavior:
         return None
 
     def handle(self, ctx, request: Request, proxies: Tuple[Proxy, ...]) -> Any:
-        handler = getattr(self, f"do_{request.method}", None)
-        if handler is None:
-            raise RuntimeModelError(
-                f"{type(self).__name__} has no handler for "
-                f"method {request.method!r}"
-            )
-        return handler(ctx, request, proxies)
+        return _do_method(type(self), request.method)(self, ctx, request, proxies)
+
+
+def _do_method(cls: type, method: str) -> Callable[..., Any]:
+    handler = getattr(cls, f"do_{method}", None)
+    if handler is None:
+        raise RuntimeModelError(
+            f"{cls.__name__} has no handler for method {method!r}"
+        )
+    return handler
+
+
+class HandlerTable(dict):
+    """``method -> handler(behavior, ctx, request, proxies)`` of one
+    behavior class, resolved on a method's first request."""
+
+    __slots__ = ("cls",)
+
+    def __init__(self, cls: type) -> None:
+        self.cls = cls
+
+    def __missing__(self, method: str) -> Callable[..., Any]:
+        handler = getattr(self.cls, "handle", Behavior.handle)
+        if handler is Behavior.handle:
+            handler = _do_method(self.cls, method)
+        self[method] = handler
+        return handler
+
+
+#: ``handler_table(cls)``: the one :class:`HandlerTable` of a class.
+handler_table = cache(HandlerTable)
 
 
 class FunctionBehavior(Behavior):

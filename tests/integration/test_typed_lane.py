@@ -13,17 +13,18 @@ Two deterministic gates, no timing:
   frames over all of ``runtime/*.py``, none of them the context's (its
   verbs are their engines, bound once), and a delivered replica push
   or invalidation is one.  An application request is pinned frame by
-  frame the same way: the send is ``ctx.call`` and
-  ``Node.send_request``, the delivery ``Node._on_request`` into the
-  service loop, with no world bookkeeping frame, no size-model call
-  and, for a handler that returns ``None``, no ``typing`` or ``abc``
-  frame.  A naming client's burst is pinned the same way: the stub is
-  acquired and released in one frame each, and the name pick enters no
-  ``random.py`` frame.  The per-event core enters the same handlers
-  through the fabric's per-message lane.  On the write side under beat coherence,
-  staging a ``replicated`` update costs the same frames at any node
-  count and nothing in the fabric, and one flush is one send per
-  (replica, kind) of one shared message object.
+  frame the same way: the send is ``Node.send_request`` (``ctx.call``
+  is its partial), the delivery ``Node._on_request`` into the service
+  loop, which serves the request in the delivering frame, with no world
+  bookkeeping frame, no size-model call and, for a handler that returns
+  ``None``, no ``typing`` or ``abc`` frame.  A naming client's burst is
+  pinned the same way: the stub is acquired and released in one frame
+  each, and the name pick enters no ``random.py`` frame.  The per-event
+  core enters the same handlers through the fabric's per-message lane.
+  On the write side under beat coherence, staging a ``replicated``
+  update costs the same frames at any node count and nothing in the
+  fabric, and one flush is one send per (replica, kind) of one shared
+  message object.
 * **Accounting parity** — the lane charges the accountant through
   memoized categories and lent pair boxes instead of
   ``observe_sized``; per-kind bytes and messages and every pair's bytes
@@ -218,14 +219,12 @@ def warm_request_stats(expect_reply):
 
 
 #: The service loop's frames for one request served on an idle
-#: activity: queue, serve, dispatch the result, finish, go idle.
+#: activity: served in the delivering frame (the ``do_<method>`` it
+#: calls is the test's own), then the busy->idle transition.  A request
+#: with a ``reply_to`` adds one ``_finish`` (see below); nothing is
+#: queued, no handler run is built and ``Behavior.handle`` is not entered.
 SERVE_FRAMES = {
     ("activeobject.py", "deliver"): 1,
-    ("activeobject.py", "_pump"): 1,
-    ("activeobject.py", "__init__"): 1,  # the _HandlerRun
-    ("behaviors.py", "handle"): 1,
-    ("activeobject.py", "_begin_handler"): 1,
-    ("activeobject.py", "_finish"): 1,
     ("activeobject.py", "_become_idle"): 1,
 }
 
@@ -250,14 +249,14 @@ def test_request_lane_call_budget(expect_reply):
     }
     expected = {
         ("world.py", "run_for"): 1,  # the drive itself
-        ("activeobject.py", "call"): 1,
-        ("node.py", "send_request"): 1,
+        ("node.py", "send_request"): 1,  # ``ctx.call`` is its partial
         ("node.py", "_on_request"): 1,
         **SERVE_FRAMES,
     }
     if expect_reply:
         expected.update({
             ("future.py", "__init__"): 1,
+            ("activeobject.py", "_finish"): 1,
             ("node.py", "send_reply"): 1,
             ("node.py", "_on_reply"): 1,
             ("future.py", "resolve"): 1,

@@ -12,6 +12,7 @@ from repro.runtime.activeobject import ActivityState, Sleep
 from repro.runtime.behaviors import Behavior, FunctionBehavior, SinkBehavior
 from repro.runtime.future import Future
 from repro.runtime.node import ReplyPayload
+from repro.runtime.request import Request
 from repro.sim.kernel import SimKernel
 
 
@@ -414,3 +415,125 @@ def test_a_collected_activity_takes_its_random_stream_with_it(make_world):
         name for name in world.rng_registry._streams
         if name.startswith("activity:")
     ]
+
+
+def test_call_is_the_send_engine_bound_on_first_use(world):
+    driver = world.create_driver()
+    ctx = driver.context
+    assert "call" not in vars(ctx)
+    call = ctx.call
+    assert ctx.call is call and vars(ctx)["call"] is call
+    assert call.func == driver.node.send_request
+    assert call.args == (driver,) and not call.keywords
+
+
+# ----------------------------------------------------------------------
+# The service loop: served in the delivering frame, drained in order
+# ----------------------------------------------------------------------
+
+
+def test_a_request_to_an_idle_activity_is_served_before_deliver_returns(world):
+    behavior = Recorder()
+    driver = world.create_driver()
+    target = driver.context.create(behavior, name="t")
+    activity = world.find_activity(target.activity_id)
+    transitions = []
+    activity.on_idle(transitions.append)
+    request = Request("note", driver.id, activity.id, data="now")
+    activity.deliver(request, ())
+    assert behavior.calls == [(0.0, "now")]
+    assert activity.requests_served == 1
+    assert activity.queue_length == 0
+    assert activity.is_idle()
+    assert transitions == [activity]
+
+
+def test_requests_behind_a_suspended_handler_are_served_in_order(world):
+    behavior = Recorder()
+    driver = world.create_driver()
+    target = driver.context.create(behavior, name="t")
+    activity = world.find_activity(target.activity_id)
+    transitions = []
+    activity.on_idle(lambda a: transitions.append(world.kernel.now))
+    driver.context.call(target, "slow")
+    world.run_for(1.0)
+    for index in range(5):
+        driver.context.call(target, "note", data=index)
+    world.run_for(1.0)
+    assert activity.queue_length == 5
+    assert behavior.calls == []
+    world.run_for(10.0)
+    done_at = behavior.calls[0][1]
+    assert behavior.calls == [("slow-done", done_at)] + [
+        (done_at, index) for index in range(5)
+    ]
+    assert activity.requests_served == 6
+    assert transitions == [done_at]
+
+
+def test_every_method_reaches_an_overridden_handle(world):
+    class Catchall(Behavior):
+        def __init__(self):
+            self.methods = []
+
+        def handle(self, ctx, request, proxies):
+            self.methods.append(request.method)
+
+        def do_named(self, ctx, request, proxies):  # shadowed by handle
+            raise AssertionError("do_named reached past handle")
+
+    behavior = Catchall()
+    driver = world.create_driver()
+    target = driver.context.create(behavior, name="t")
+    for method in ("named", "other", "named", "third"):
+        driver.context.call(target, method)
+    world.run_for(1.0)
+    assert behavior.methods == ["named", "other", "named", "third"]
+
+
+def test_an_unknown_method_names_the_class_and_the_method(world):
+    driver = world.create_driver()
+    for name in ("t1", "t2"):  # raised for each request, not only the first
+        target = driver.context.create(Recorder(), name=name)
+        driver.context.call(target, "missing_method")
+        with pytest.raises(
+            RuntimeModelError, match=r"Recorder .*'missing_method'"
+        ):
+            world.run_for(1.0)
+
+
+class Suicidal(Recorder):
+    def __init__(self, world):
+        super().__init__()
+        self.world = world
+
+    def do_die(self, ctx, request, proxies):
+        self.world.find_activity(ctx.id).terminate("explicit")
+        return "too late"
+
+    def do_die_later(self, ctx, request, proxies):
+        yield ctx.sleep(1.0)
+        self.world.find_activity(ctx.id).terminate("explicit")
+        return "too late"
+
+
+@pytest.mark.parametrize("method", ["die", "die_later"])
+def test_a_handler_that_ends_its_activity_answers_nothing(world, method):
+    behavior = Suicidal(world)
+    driver = world.create_driver()
+    target = driver.context.create(behavior, name="t")
+    activity = world.find_activity(target.activity_id)
+    driver.context.call(target, "slow")
+    world.run_for(1.0)
+    future = driver.context.call(target, method, expect_reply=True)
+    driver.context.call(target, "note", data=1, refs=[target])
+    driver.context.call(target, "note", data=2)
+    world.run_for(1.0)
+    assert activity.queue_length == 3
+    world.run_for(10.0)
+    assert activity.terminated
+    assert not future.resolved
+    assert world.replies_sent == 0
+    assert [call[0] for call in behavior.calls] == ["slow-done"]
+    assert activity.requests_served == 2
+    assert activity.queue_length == 0
