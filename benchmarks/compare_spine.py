@@ -24,8 +24,11 @@ and whether every change run reads below every parent run (the test a
 memory claim must pass).  The default report ends with the paired timing
 estimate: per workload the median of the per-pair ratios change / parent
 of ``ops_per_cpu_s`` with a 95 % bootstrap interval (a speed claim needs
-at least 11 pairs and an interval that excludes 1.0), and every pair's
-ratio beside both runs' ``harness.steal_share``.
+at least 11 pairs and an interval that excludes 1.0), the number of pairs
+the change won (ran faster in; a tie counts for neither side), and every
+pair's ratio beside both runs' ``harness.steal_share``.  The interval of
+one block of pairs can flip on a rerun; the pairs won are what the
+acceptance rule counts.
 """
 
 from __future__ import annotations
@@ -300,11 +303,12 @@ def steal(report: Dict[str, Any]) -> float:
 
 def paired_table(parent: Reports, change: Reports) -> List[str]:
     """The paired estimate of ``ops_per_cpu_s``: one summary row per
-    workload, then one row per pair with both runs' steal shares."""
+    workload (with the pairs the change won), then one row per pair with
+    both runs' steal shares."""
     lines = [
-        "| workload | pairs | median ratio change/parent | 95 % bootstrap"
+        "| workload | pairs | won | median ratio change/parent | 95 % bootstrap"
         " interval | excludes 1.0 |",
-        "|---|---:|---:|---:|---|",
+        "|---|---:|---:|---:|---:|---|",
     ]
     rows = [
         "| workload | seed | parent ops/cpu_s | change ops/cpu_s | ratio |"
@@ -326,8 +330,10 @@ def paired_table(parent: Reports, change: Reports) -> List[str]:
                 f"{100.0 * steal(a):.1f} % | {100.0 * steal(b):.1f} % |"
             )
         low, high = bootstrap_median(ratios)
+        won = sum(ratio > 1.0 for ratio in ratios)
         lines.append(
-            f"| `{workload}` | {len(seeds)} | {statistics.median(ratios):.3f} | "
+            f"| `{workload}` | {len(seeds)} | {won} | "
+            f"{statistics.median(ratios):.3f} | "
             f"{low:.3f}-{high:.3f} | {'yes' if low > 1.0 or high < 1.0 else 'no'} |"
         )
     return lines + [""] + rows

@@ -19,7 +19,7 @@ from typing import Optional
 
 from repro.core import events
 from repro.core.clock import ActivityClock
-from repro.core.config import AGGREGATION_PER_EVENT, AUTO_BEAT_SLOTS, DgcConfig
+from repro.core.config import AGGREGATION_PER_EVENT, DgcConfig
 from repro.core.protocol import (
     DgcState,
     acyclic_timeout_expired,
@@ -40,7 +40,7 @@ class DgcCollector:
     __slots__ = (
         "activity", "config", "self_ref", "state", "doomed_since",
         "current_ttb", "messages_sent", "messages_received",
-        "responses_received", "_kernel", "_fast_clock", "_tracer", "_node",
+        "responses_received", "_kernel", "_tracer", "_node",
         "_doomed_response", "_stopped", "_consensus_propagation",
         "_bfs_parent_election", "_receive_diet", "_net_send_single",
         "_net_send_run", "_node_name", "_message_bytes", "_response_bytes",
@@ -51,9 +51,6 @@ class DgcCollector:
         self.activity = activity
         self.config = config
         self._kernel = activity.node.kernel
-        #: Same handshake as the fabric's: a kernel that keeps its clock
-        #: in a plain ``_now`` attribute is read without the property.
-        self._fast_clock = hasattr(self._kernel, "_now")
         self._tracer = activity.node.tracer
         self._node = activity.node
         self.self_ref = RemoteRef(activity.id, activity.node.name)
@@ -95,15 +92,6 @@ class DgcCollector:
         #: dynamic-TTB extension (Sec. 7.1) accelerates the beat.
         self.current_ttb = config.ttb
         beat_slots = config.beat_slots
-        if beat_slots == AUTO_BEAT_SLOTS:
-            # Adaptive grid: sized from the node's live activity count at
-            # registration (this activity included — it was added before
-            # the collector attaches).  Purely a function of simulated
-            # state, so batched and per-event schedulers resolve the same
-            # grid and stay bit-comparable.
-            beat_slots = activity.node.beat_slot_controller.slots_for(
-                len(activity.node.activities)
-            )
         if config.start_jitter:
             rng = activity.node.rng_registry.derive(f"dgc:{activity.id}")
             initial_delay = rng.uniform(0.0, config.ttb)
@@ -183,8 +171,7 @@ class DgcCollector:
         if self._stopped:
             return
         self.messages_received += 1
-        kernel = self._kernel
-        now = kernel._now if self._fast_clock else kernel.now
+        now = self._kernel.now
         state = self.state
         response = None
         if self.doomed_since is not None:
@@ -307,8 +294,7 @@ class DgcCollector:
         if self._stopped or self.doomed_since is not None:
             # Doomed activities no longer beat; termination is scheduled.
             return
-        kernel = self._kernel
-        now = kernel._now if self._fast_clock else kernel.now
+        now = self._kernel.now
         lost = self.state.referencers.expire(
             now,
             self.config.tta,

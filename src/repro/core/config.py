@@ -19,14 +19,9 @@ all default to the paper's behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Optional
 
 from repro.errors import ConfigurationError
-
-#: Sentinel value for :attr:`DgcConfig.beat_slots`: let each node's
-#: :class:`repro.sim.beats.SlotController` scale the slot grid with its
-#: live activity count.
-AUTO_BEAT_SLOTS = "auto"
 
 #: :attr:`DgcConfig.aggregation` values — the two delivery cores, the
 #: only delivery selector in the library.  Why each exists:
@@ -76,11 +71,7 @@ class DgcConfig:
     #: activity.  The slot count trades desynchronisation granularity
     #: against scheduler batching; Fig. 10-scale runs use a few dozen
     #: slots so heartbeat heap traffic is O(slots), not O(activities).
-    #: The string ``"auto"`` (:data:`AUTO_BEAT_SLOTS`) delegates the
-    #: choice to the hosting node's adaptive
-    #: :class:`repro.sim.beats.SlotController`, which re-buckets the grid
-    #: as the node's live activity count changes.
-    beat_slots: Union[int, str] = 0
+    beat_slots: int = 0
     #: The delivery core, one of :data:`AGGREGATION_MODES`.
     aggregation: str = AGGREGATION_EXACT
     #: Sec. 7.1 extension: honour the ``sender_ttb`` declared in DGC
@@ -117,15 +108,9 @@ class DgcConfig:
                 "dynamic_min_ttb_factor must be in (0, 1], got "
                 f"{self.dynamic_min_ttb_factor}"
             )
-        if isinstance(self.beat_slots, str):
-            if self.beat_slots != AUTO_BEAT_SLOTS:
-                raise ConfigurationError(
-                    f"beat_slots must be an int >= 0 or "
-                    f"{AUTO_BEAT_SLOTS!r}, got {self.beat_slots!r}"
-                )
-        elif self.beat_slots < 0:
+        if not isinstance(self.beat_slots, int) or self.beat_slots < 0:
             raise ConfigurationError(
-                f"beat_slots must be >= 0, got {self.beat_slots}"
+                f"beat_slots must be an int >= 0, got {self.beat_slots!r}"
             )
         if self.aggregation not in AGGREGATION_MODES:
             raise ConfigurationError(

@@ -8,7 +8,7 @@ Examples::
     python -m repro.harness fig10 --slaves 160
     python -m repro.harness run --workload nas:ft --ao-count 32
     python -m repro.harness run --workload torture --slaves 160 \
-        --beat-slots auto
+        --beat-slots 16
     python -m repro.harness all
 """
 
@@ -23,19 +23,6 @@ from repro.core.config import TORTURE_FAST_CONFIG, TORTURE_SLOW_CONFIG
 from repro.errors import ConfigurationError
 from repro.harness.figures import fig10_report, run_fig10
 from repro.harness.tables import fig8_table, fig9_table, run_comparisons
-
-
-def _beat_slots(value: str):
-    """``--beat-slots`` accepts an integer grid or ``auto`` (the
-    adaptive per-node slot controller)."""
-    if value == "auto":
-        return value
-    try:
-        return int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer or 'auto', got {value!r}"
-        ) from None
 
 
 def _add_nas_args(parser: argparse.ArgumentParser) -> None:
@@ -79,11 +66,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         "(overrides --slaves/--nodes; see PERFORMANCE.md)",
     )
     fig10.add_argument(
-        "--beat-slots", type=_beat_slots, default=None,
+        "--beat-slots", type=int, default=None,
         help="quantize heartbeat jitter onto N phase slots per TTB so "
         "beats coalesce into wheel buckets (recommended at paper "
-        "scale: 16; 'auto' scales the grid with per-node activity "
-        "count)",
+        "scale: 16)",
     )
     fig10.add_argument(
         "--aggregation",
@@ -137,8 +123,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "128 nodes (torture) or 256 workers / 128 nodes (NAS)",
     )
     run_cmd.add_argument(
-        "--beat-slots", type=_beat_slots, default=None,
-        help="heartbeat phase slots per TTB (int or 'auto')",
+        "--beat-slots", type=int, default=None,
+        help="heartbeat phase slots per TTB",
     )
     run_cmd.add_argument(
         "--aggregation",

@@ -190,11 +190,6 @@ class Network:
         #: matching pulse fires.
         self._last_pulse_time = -1.0
         self._last_pulse: list = []
-        #: Clock fast path: the simulation kernel maintains ``_now`` as
-        #: a plain attribute (its ``now`` property just reads it); the
-        #: live kernel computes ``now`` dynamically and keeps the
-        #: property path.
-        self._fast_clock = hasattr(kernel, "_now")
         #: Kernel events created on behalf of pulses; with
         #: ``sent_count`` sums this is the fabric's batching ratio.
         self.pulse_event_count = 0
@@ -346,8 +341,7 @@ class Network:
         No accounting happens here: the sending shard already charged
         the traffic (the merged accountant is the sum over shards).
         """
-        kernel = self._kernel
-        now = kernel._now if self._fast_clock else kernel.now
+        now = self._kernel.now
         ingress = self._ingress
         stage = self._stage
         pulses = self._pulses
@@ -428,7 +422,7 @@ class Network:
             self._send_one(route, source, dest, kind, size_bytes, item, payload)
             return
         kernel = self._kernel
-        now = kernel._now if self._fast_clock else kernel.now
+        now = kernel.now
         if channel is not None:
             # Inlined FifoChannel._reserve_slot: clamp + counter without
             # a callee frame.
@@ -536,7 +530,7 @@ class Network:
         if latency < 0.0:
             latency = 0.0
         kernel = self._kernel
-        now = kernel._now if self._fast_clock else kernel.now
+        now = kernel.now
         delivery_time = now + latency
         if delivery_time < channel._last_delivery_time:
             delivery_time = channel._last_delivery_time
@@ -677,7 +671,7 @@ class Network:
         if latency < 0.0:
             latency = 0.0
         kernel = self._kernel
-        now = kernel._now if self._fast_clock else kernel.now
+        now = kernel.now
         delivery_time = now + latency
         if delivery_time < channel._last_delivery_time:
             delivery_time = channel._last_delivery_time

@@ -97,7 +97,7 @@ class ActivityContext:
         <repro.runtime.registry.NamingService.bind_from>` with no target."""
         activity = self._activity
         node = activity.node
-        return partial(node.world.registry.bind_from, node, activity, ref=None)
+        return partial(node.world.registry.bind_from, node, activity)
 
     @cached_property
     def drop(self) -> Callable[[Proxy], None]:
@@ -117,8 +117,7 @@ class ActivityContext:
 
     @property
     def now(self) -> float:
-        node = self._activity.node
-        return node.kernel._now if node.fast_clock else node.kernel.now
+        return self._activity.node.kernel.now
 
     @property
     def node_name(self) -> str:

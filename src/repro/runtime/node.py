@@ -39,7 +39,6 @@ from repro.runtime.localgc import LocalGarbageCollector
 from repro.runtime.proxy import Proxy, RemoteRef, StubTag
 from repro.runtime.request import RegistryAck, Reply, ReplyAddress, Request
 from repro.runtime.serialization import deserialize_refs, serialize_refs
-from repro.sim.beats import SlotController
 
 
 class _KindHandlers(dict):
@@ -59,10 +58,6 @@ class Node:
         self.world = world
         self.name = name
         self.kernel = world.kernel
-        #: Clock handshake shared with the fabric: a kernel that
-        #: maintains ``_now`` is read by attribute, any other (the
-        #: wall-clock live kernel) through its ``now`` property.
-        self.fast_clock = hasattr(self.kernel, "_now")
         self.network = world.network
         self.tracer = world.tracer
         self.rng_registry = world.rng_registry
@@ -76,9 +71,6 @@ class Node:
         self.registry_shard = shard = world.registry.shard(name)
         shard.pending = self._pending_futures
         self.dead_letter_count = 0
-        #: Adaptive beat-slot sizing for collectors configured with
-        #: ``beat_slots="auto"`` (see :class:`repro.sim.beats.SlotController`).
-        self.beat_slot_controller = SlotController()
         # Hot-path cache: the wire-size model is frozen, so the DGC sizes
         # and the app size terms are constants.  (The network's send
         # lanes are deliberately NOT cached as bound methods: benchmark

@@ -792,7 +792,8 @@ class NamingService:
         return Future(proxy, (proxy,))
 
     def bind_from(
-        self, node, sender, name: str, ref: Union[Proxy, RemoteRef, None]
+        self, node, sender, name: str,
+        ref: Union[Proxy, RemoteRef, None] = None,
     ) -> Future:
         """Bind (``ref`` a :class:`Proxy` or a :class:`RemoteRef`) or
         unbind (``ref`` ``None``) over the fabric: the engine behind

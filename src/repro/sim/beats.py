@@ -37,69 +37,9 @@ kernel only ever sees the outer level.
 from __future__ import annotations
 
 import itertools
-from contextlib import nullcontext
-from typing import Callable, ContextManager, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import SchedulingInPastError, SimulationError
-
-
-class SlotController:
-    """Adaptive beat-slot sizing for ``DgcConfig.beat_slots="auto"``.
-
-    The slot grid trades desynchronisation granularity against scheduler
-    batching: too few slots on a busy node and broadcasts clump; too many
-    on a quiet node and every bucket holds one member, wasting the wheel.
-    The controller picks the grid from the node's **live activity count**
-    at each registration, so the grid re-buckets as the population grows
-    and shrinks: early registrations on a filling node get a coarse grid,
-    later ones a finer grid, targeting ``activities_per_slot`` members
-    per bucket throughout.
-
-    Slot counts are powers of two, for two reasons: hysteresis (the grid
-    only changes when the population doubles/halves, so registration
-    order perturbations do not thrash it) and nesting — a coarse grid's
-    phase boundaries are a subset of every finer grid's, so beats
-    quantized under different epochs still share buckets whenever their
-    phases coincide.
-
-    Deterministic by construction (pure function of the count), so
-    batched and per-event schedulers resolve identical grids and
-    fixed-seed equivalence holds under ``"auto"`` exactly as under a
-    pinned integer.
-    """
-
-    __slots__ = ("min_slots", "max_slots", "activities_per_slot")
-
-    def __init__(
-        self,
-        *,
-        min_slots: int = 4,
-        max_slots: int = 64,
-        activities_per_slot: int = 8,
-    ) -> None:
-        if min_slots < 1 or max_slots < min_slots:
-            raise SimulationError(
-                f"invalid slot bounds [{min_slots}, {max_slots}]"
-            )
-        if activities_per_slot < 1:
-            raise SimulationError(
-                f"activities_per_slot must be >= 1, got {activities_per_slot}"
-            )
-        self.min_slots = min_slots
-        self.max_slots = max_slots
-        self.activities_per_slot = activities_per_slot
-
-    def slots_for(self, activity_count: int) -> int:
-        """The slot grid for a node currently hosting ``activity_count``
-        live activities: the smallest power of two putting at most
-        ``activities_per_slot`` members in a bucket, clamped."""
-        needed = max(1, -(-activity_count // self.activities_per_slot))
-        slots = 1 << (needed - 1).bit_length()
-        if slots < self.min_slots:
-            return self.min_slots
-        if slots > self.max_slots:
-            return self.max_slots
-        return slots
 
 
 class BeatHandle:
@@ -182,21 +122,15 @@ class BeatWheel:
     """Coalesces periodic callbacks into one kernel event per bucket.
 
     ``kernel`` needs ``now`` and ``schedule_fire_at(time, callback,
-    args)`` — both the simulation and the live kernel qualify.  Pass a
-    ``lock`` when registrations may race the firing thread (the live
-    kernel's scheduler thread); it must be *reentrant* (callbacks fired
-    under the lock may register/stop members).  The simulation kernel is
-    single-threaded and uses no lock.
+    args)``; it is single-threaded, so registrations never race a fire.
     """
 
     __slots__ = (
-        "_kernel", "_lock", "_seq", "_buckets", "_registered",
-        "_bucket_events",
+        "_kernel", "_seq", "_buckets", "_registered", "_bucket_events",
     )
 
-    def __init__(self, kernel, lock: Optional[ContextManager] = None) -> None:
+    def __init__(self, kernel) -> None:
         self._kernel = kernel
-        self._lock: ContextManager = lock if lock is not None else nullcontext()
         self._seq = itertools.count()
         self._buckets: Dict[Tuple[float, float], _Bucket] = {}
         self._registered = 0
@@ -249,13 +183,10 @@ class BeatWheel:
                 f"cannot register {label!r} with negative first delay "
                 f"{first_delay}"
             )
-        with self._lock:
-            handle = BeatHandle(
-                self, next(self._seq), callback, period, label
-            )
-            first = period if first_delay is None else first_delay
-            self._add(handle, period, self._kernel.now + first)
-            self._registered += 1
+        handle = BeatHandle(self, next(self._seq), callback, period, label)
+        first = period if first_delay is None else first_delay
+        self._add(handle, period, self._kernel.now + first)
+        self._registered += 1
         return handle
 
     def _add(self, handle: BeatHandle, period: float, fire_at: float) -> None:
@@ -270,75 +201,50 @@ class BeatWheel:
         handle._bucket = bucket
 
     def _deregister(self, handle: BeatHandle) -> None:
-        with self._lock:
-            if handle._stopped:
-                return
-            handle._stopped = True
-            bucket = handle._bucket
-            if bucket is not None:
-                bucket.members.pop(handle.seq, None)
-                handle._bucket = None
-            # An emptied bucket stays keyed until its event fires (the
-            # event is fire-and-forget); the fire finds it empty and
-            # lets it die without re-arming.
+        if handle._stopped:
+            return
+        handle._stopped = True
+        bucket = handle._bucket
+        if bucket is not None:
+            bucket.members.pop(handle.seq, None)
+            handle._bucket = None
+        # An emptied bucket stays keyed until its event fires (the
+        # event is fire-and-forget); the fire finds it empty and lets
+        # it die without re-arming.
 
     # ------------------------------------------------------------------
     # Firing
     # ------------------------------------------------------------------
 
-    def drain(self) -> int:
-        """Stop every member and drop every bucket; returns the number
-        of members stopped.
-
-        Teardown hook (the live kernel's ``shutdown`` calls this): a
-        bucket event still sitting in a kernel heap after a drain finds
-        its key gone and does nothing — no callback can fire into a
-        torn-down world.  New registrations remain possible afterwards;
-        draining empties the wheel, it does not poison it.
-        """
-        with self._lock:
-            stopped = 0
-            for bucket in self._buckets.values():
-                for handle in bucket.members.values():
-                    handle._stopped = True
-                    handle._bucket = None
-                    stopped += 1
-                bucket.members.clear()
-            self._buckets.clear()
-            return stopped
-
     def _fire(self, key: Tuple[float, float]) -> None:
-        with self._lock:
-            # ``pop`` with a default: the wheel may have been drained
-            # (kernel teardown) between this event's scheduling and its
-            # firing — a missing key means every member is stopped.
-            bucket = self._buckets.pop(key, None)
-            if bucket is None or not bucket.members:
-                return
-            fire_at = bucket.fire_at
-            # Snapshot: a member's callback may stop (or re-period) any
-            # other member of this same bucket mid-iteration.
-            members = list(bucket.members.values())
-            error: Optional[Exception] = None
-            for handle in members:
-                if handle._stopped:
-                    continue
-                # Re-arm before the callback (matching PeriodicTimer):
-                # a callback that stops its own timer must cancel the
-                # *next* tick, and the period change of dynamic TTB
-                # takes effect here, at the re-arm — re-bucketing the
-                # member in O(1).
-                period = handle._period
-                self._add(handle, period, fire_at + period)
-                handle.ticks += 1
-                try:
-                    handle.callback()
-                except Exception as exc:
-                    # One member's failure must not silence its bucket
-                    # mates (per-event timers were isolated): keep
-                    # re-arming and firing the rest, then surface the
-                    # first error to the kernel.
-                    if error is None:
-                        error = exc
-            if error is not None:
-                raise error
+        # Every key has exactly one pending bucket event: the one
+        # scheduled when the key was created, which pops it here.
+        bucket = self._buckets.pop(key)
+        if not bucket.members:
+            return
+        fire_at = bucket.fire_at
+        # Snapshot: a member's callback may stop (or re-period) any
+        # other member of this same bucket mid-iteration.
+        members = list(bucket.members.values())
+        error: Optional[Exception] = None
+        for handle in members:
+            if handle._stopped:
+                continue
+            # Re-arm before the callback (matching PeriodicTimer): a
+            # callback that stops its own timer must cancel the *next*
+            # tick, and the period change of dynamic TTB takes effect
+            # here, at the re-arm — re-bucketing the member in O(1).
+            period = handle._period
+            self._add(handle, period, fire_at + period)
+            handle.ticks += 1
+            try:
+                handle.callback()
+            except Exception as exc:
+                # One member's failure must not silence its bucket
+                # mates (per-event timers were isolated): keep
+                # re-arming and firing the rest, then surface the first
+                # error to the kernel.
+                if error is None:
+                    error = exc
+        if error is not None:
+            raise error

@@ -32,9 +32,8 @@ class Event:
 
     ``owner`` is the kernel that keeps a maintained pending-event count;
     cancellation notifies it so :attr:`SimKernel.pending_count` stays
-    exact without scanning the heap.  The wall-clock
-    :class:`repro.live.LiveKernel` mirrors the counter for stats parity;
-    fired (detached) events leave ``owner`` ``None``.
+    exact without scanning the heap; fired (detached) events leave
+    ``owner`` ``None``.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "label", "owner")
@@ -87,15 +86,19 @@ class SimKernel:
     path (:meth:`schedule_fire_at`), which skips the :class:`Event`
     allocation entirely for callbacks that are never cancelled — message
     deliveries, the bulk of all events on big runs.
+
+    ``now`` is the current simulated time, in seconds: a plain slotted
+    attribute, so every clock read on the hot paths is one attribute
+    load and no call.
     """
 
     __slots__ = (
-        "_now", "_heap", "_seq", "_fired", "_scheduled", "_pending",
+        "now", "_heap", "_seq", "_fired", "_scheduled", "_pending",
         "_peak_pending", "_running", "_stop_requested", "_beat_wheel",
     )
 
     def __init__(self) -> None:
-        self._now = 0.0
+        self.now = 0.0
         self._heap: List[Tuple[float, int, Optional[Event], Callable[..., None], Tuple[Any, ...]]] = []
         self._seq = itertools.count()
         self._fired = 0
@@ -105,11 +108,6 @@ class SimKernel:
         self._running = False
         self._stop_requested = False
         self._beat_wheel = None
-
-    @property
-    def now(self) -> float:
-        """Current simulated time, in seconds."""
-        return self._now
 
     @property
     def pending_count(self) -> int:
@@ -147,7 +145,7 @@ class SimKernel:
             raise SchedulingInPastError(
                 f"cannot schedule {label or callback!r} with negative delay {delay}"
             )
-        return self.schedule_at(self._now + delay, callback, *args, label=label)
+        return self.schedule_at(self.now + delay, callback, *args, label=label)
 
     def schedule_at(
         self,
@@ -157,9 +155,9 @@ class SimKernel:
         label: str = "",
     ) -> Event:
         """Schedule ``callback(*args)`` at absolute simulated ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SchedulingInPastError(
-                f"cannot schedule {label or callback!r} at {time} < now {self._now}"
+                f"cannot schedule {label or callback!r} at {time} < now {self.now}"
             )
         seq = next(self._seq)
         event = Event(time, seq, callback, args, label, owner=self)
@@ -182,9 +180,9 @@ class SimKernel:
         Used by the network fabric for message deliveries; the past-time
         check still applies, but no handle is returned.
         """
-        if time < self._now:
+        if time < self.now:
             raise SchedulingInPastError(
-                f"cannot schedule {callback!r} at {time} < now {self._now}"
+                f"cannot schedule {callback!r} at {time} < now {self.now}"
             )
         heappush(self._heap, (time, next(self._seq), None, callback, args))
         self._scheduled += 1
@@ -262,9 +260,9 @@ class SimKernel:
         inside the window fire in this same call.  Re-granting the
         current time is a no-op.
         """
-        if horizon < self._now:
+        if horizon < self.now:
             raise SchedulingInPastError(
-                f"cannot advance backwards to {horizon} (now={self._now})"
+                f"cannot advance backwards to {horizon} (now={self.now})"
             )
         heap = self._heap
         fired = 0
@@ -280,12 +278,12 @@ class SimKernel:
                 # Detach so a cancel() after firing is a no-op instead of
                 # double-decrementing the pending counter.
                 event.owner = None
-            self._now = head[0]
+            self.now = head[0]
             self._fired += 1
             self._pending -= 1
             head[3](*head[4])
             fired += 1
-        self._now = horizon
+        self.now = horizon
         return fired
 
     def run(
@@ -297,7 +295,10 @@ class SimKernel:
         ``max_events`` have fired.  Returns the number of events fired.
 
         When ``until`` is given, the clock is advanced to exactly ``until``
-        even if the last event fired earlier, mirroring "run for N seconds".
+        even if the last event fired earlier, mirroring "run for N seconds";
+        a run cut short by ``max_events`` leaves it at the last fired
+        event, so the events still due before ``until`` never see it run
+        backwards.
         """
         if self._running:
             raise SimulationError("kernel.run() is not reentrant")
@@ -310,6 +311,7 @@ class SimKernel:
                 if self._stop_requested:
                     break
                 if max_events is not None and fired >= max_events:
+                    until = None
                     break
                 head = heap[0]
                 event = head[2]
@@ -323,17 +325,17 @@ class SimKernel:
                     # Detach so a cancel() after firing is a no-op instead
                     # of double-decrementing the pending counter.
                     event.owner = None
-                self._now = head[0]
+                self.now = head[0]
                 self._fired += 1
                 self._pending -= 1
                 head[3](*head[4])
                 fired += 1
         finally:
             self._running = False
-        if until is not None and self._now < until and not self._stop_requested:
+        if until is not None and self.now < until and not self._stop_requested:
             # A stop request leaves the clock at the stopping event so the
             # caller can observe exactly when the condition was met.
-            self._now = until
+            self.now = until
         return fired
 
     def run_until_quiescent(
@@ -345,11 +347,11 @@ class SimKernel:
         """Run, polling ``predicate`` every ``check_interval`` simulated
         seconds; return ``True`` as soon as it holds, ``False`` at timeout.
         """
-        deadline = self._now + timeout
-        while self._now < deadline:
+        deadline = self.now + timeout
+        while self.now < deadline:
             if predicate():
                 return True
-            self.run(until=min(self._now + check_interval, deadline))
+            self.run(until=min(self.now + check_interval, deadline))
             if not self._heap and predicate():
                 return True
             if not self._heap:

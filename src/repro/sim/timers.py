@@ -10,9 +10,11 @@ Since the beat-wheel refactor, :class:`PeriodicTimer` is a thin adapter
 over a beat bucket (:mod:`repro.sim.beats`): the start jitter maps to the
 bucket phase, and timers sharing a period and phase share one kernel
 event per tick.  The pre-wheel behaviour — one cancellable kernel event
-per timer per tick — is kept as the explicit ``per_event=True`` mode; it
-is the baseline the Fig. 10 perf benchmark measures the wheel against,
-and the fallback for kernels without a ``schedule_periodic`` facade.
+per timer per tick — is kept as the explicit ``per_event=True`` mode: it
+serves the ``per-event`` reference core (see
+:data:`repro.core.config.AGGREGATION_MODES`), which schedules every
+heartbeat tick as its own kernel event so the equivalence suites compare
+the wheel against an independent scheduler.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ class PeriodicTimer:
         self._period = period
         self._stopped = False
         self._ticks = 0
-        if not per_event and hasattr(kernel, "schedule_periodic"):
+        if not per_event:
             self._handle = kernel.schedule_periodic(
                 period, callback, first_delay=initial_delay, label=label
             )

@@ -79,10 +79,8 @@ class World:
         local_nodes: Optional[List[str]] = None,
     ) -> None:
         self.topology = topology if topology is not None else uniform_topology(4)
-        #: The event kernel: a :class:`SimKernel` for every simulated
-        #: world (sharded workers included); pass a wall-clock
-        #: :class:`repro.live.LiveKernel` to run the identical stack in
-        #: real time.
+        #: The event kernel: a :class:`SimKernel` for every world,
+        #: sharded workers included.
         self.kernel = kernel if kernel is not None else SimKernel()
         self.tracer = Tracer(enabled=trace)
         self.rng_registry = RngRegistry(seed)
@@ -289,21 +287,13 @@ class World:
     def run_until_collected(self, timeout: float) -> bool:
         """Run until every non-root activity is gone; False on timeout.
 
-        Event-driven on every kernel: the termination hook calls
-        ``kernel.request_stop()`` the instant the live non-root counter
-        hits zero — the simulation kernel returns after the stopping
-        event, the live kernel wakes the blocked caller through its
-        condition variable.  There is no fixed-interval polling.
+        Event-driven: the termination hook calls ``kernel.request_stop()``
+        the instant the live non-root counter hits zero, and the kernel
+        returns after the stopping event.  There is no fixed-interval
+        polling.
         """
         self._stop_when_collected = True
         try:
-            # Check *after* arming: on the live kernel the last
-            # termination may land on the scheduler thread between a
-            # plain check and the arm, in which case nothing would ever
-            # call ``request_stop`` and ``run`` would sleep the whole
-            # timeout.  Armed first, that termination requests the stop
-            # itself (the live kernel latches a stop requested before
-            # ``run`` enters).
             if self.all_collected():
                 return True
             self.kernel.run(until=self.kernel.now + timeout)

@@ -134,24 +134,3 @@ def test_app_heavy_ft_at_paper_beat_is_identical_and_batched(seed):
     assert exact.app_bandwidth_mb > 3 * exact.dgc_bandwidth_mb
     assert exact.events_fired * 4 < per_event.events_fired
 
-
-def test_auto_beat_slots_collects_and_stays_equivalent():
-    """``beat_slots="auto"`` resolves the same adaptive grid under both
-    delivery modes, so equivalence holds exactly as for a pinned int."""
-    reset_id_counter()
-    auto = CONFIG.with_overrides(beat_slots="auto")
-    kwargs = dict(
-        topology=uniform_topology(NODES),
-        seed=9,
-        collect_timeout=4_000.0,
-        trace=True,
-        keep_world=True,
-    )
-    spec = kernel_spec("FT", ao_count=WORKERS, **SPECS["FT"])
-    batched = run_nas_kernel(spec, dgc=auto, **kwargs)
-    reset_id_counter()
-    per_event = run_nas_kernel(
-        spec, dgc=auto.with_overrides(aggregation="per-event"), **kwargs
-    )
-    assert batched.collected_cyclic + batched.collected_acyclic == WORKERS
-    assert world_fingerprint(batched) == world_fingerprint(per_event)

@@ -101,7 +101,7 @@ def test_cli_run_nas_payload_and_iteration_knobs(capsys):
             "--nodes", "3",
             "--ttb", "2",
             "--tta", "6",
-            "--beat-slots", "auto",
+            "--beat-slots", "4",
         ]
     )
     assert code == 0
@@ -226,10 +226,9 @@ def test_cli_run_naming_with_leases(capsys):
 
 
 def test_cli_run_rejects_bad_beat_slots():
-    with pytest.raises(SystemExit):
-        harness_main(
-            ["run", "--workload", "torture", "--beat-slots", "sometimes"]
-        )
+    for value in ("sometimes", "auto"):
+        with pytest.raises(SystemExit):
+            harness_main(["run", "--workload", "torture", "--beat-slots", value])
 
 
 def test_cli_requires_command():

@@ -1,4 +1,4 @@
-"""The resident-state view of benchmarks/compare_spine.py."""
+"""The resident-state and paired-timing views of benchmarks/compare_spine.py."""
 
 import importlib.util
 import os
@@ -51,13 +51,33 @@ def test_paired_table_reports_the_median_ratio_its_interval_and_each_pair():
     parent = timed({str(seed): 100.0 for seed in range(1, 12)})
     faster = timed({str(seed): 110.0 + seed for seed in range(1, 12)}, steal=0.02)
     lines = module.paired_table(parent, faster)
-    # Eleven pairs, every ratio above 1: the interval excludes 1.0.
-    assert lines[2].startswith("| `sharded2` | 11 | 1.160 | ")
+    # Eleven pairs, every one won: the interval excludes 1.0.
+    assert lines[2].startswith("| `sharded2` | 11 | 11 | 1.160 | ")
     assert lines[2].endswith("| yes |")
     pair = next(line for line in lines if line.startswith("| `sharded2` | 3 |"))
     assert pair == "| `sharded2` | 3 | 100.00 | 113.00 | 1.130 | 1.0 % | 2.0 % |"
-    # Ratios on both sides of 1.0: the interval covers it.
+    # Ratios on both sides of 1.0: the interval covers it.  Six pairs are
+    # won, four lost and one (seed 5) tied, which neither side wins.
     mixed = timed({str(seed): 95.0 + seed for seed in range(1, 12)})
+    assert module.paired_table(parent, mixed)[2].startswith("| `sharded2` | 11 | 6 | ")
     assert module.paired_table(parent, mixed)[2].endswith("| no |")
+    # The parent winning every pair leaves the change none.
+    slower = timed({str(seed): 90.0 for seed in range(1, 12)})
+    assert module.paired_table(parent, slower)[2].startswith("| `sharded2` | 11 | 0 | ")
     # The interval is a pure function of the reports.
     assert module.paired_table(parent, mixed) == module.paired_table(parent, mixed)
+
+
+def test_paired_table_pairs_only_the_seeds_run_on_both_sides():
+    module = load_module()
+    parent = timed({str(seed): 100.0 for seed in range(1, 6)})
+    # Seed 5 is missing on the change side and seed 9 on the parent's.
+    change = timed({"1": 120.0, "2": 80.0, "3": 100.0, "4": 130.0, "9": 500.0})
+    lines = module.paired_table(parent, change)
+    # Four pairs: two won, one lost, one tied.
+    assert lines[2].startswith("| `sharded2` | 4 | 2 | ")
+    assert not any(line.startswith("| `sharded2` | 5 |") for line in lines)
+    assert not any(line.startswith("| `sharded2` | 9 |") for line in lines)
+    # No shared seed: both tables keep only their headers.
+    empty = module.paired_table(parent, timed({"9": 500.0}))
+    assert empty == lines[:2] + [""] + lines[4:6]

@@ -218,3 +218,38 @@ def test_start_jitter_streams_are_derived_not_retained(make_world, fast_dgc):
     for activity in [driver] + [get(world, proxy) for proxy in proxies]:
         phase = reference.stream(f"dgc:{activity.id}").uniform(0.0, fast_dgc.ttb)
         assert activity.collector._timer.next_fire_time == phase
+
+
+@pytest.mark.parametrize("aggregation", ["per-event", "exact"])
+def test_beat_slots_snap_start_phases_onto_the_slot_grid(
+    make_world, fast_dgc, aggregation
+):
+    """With ``beat_slots`` the start phase is the same ``dgc:<id>`` draw,
+    rounded down onto a grid of ``ttb / beat_slots``, on both cores."""
+    from repro.sim.rng import RngRegistry
+
+    config = fast_dgc.with_overrides(beat_slots=4, aggregation=aggregation)
+    world = make_world(2, dgc=config)
+    driver = world.create_driver()
+    proxies = [driver.context.create(SinkBehavior(), name=f"a{i}") for i in range(6)]
+    reference = RngRegistry(world.rng_registry.root_seed)
+    slot = config.ttb / 4
+    for activity in [driver] + [get(world, proxy) for proxy in proxies]:
+        draw = reference.stream(f"dgc:{activity.id}").uniform(0.0, config.ttb)
+        assert activity.collector._timer.next_fire_time == int(draw / slot) * slot
+
+
+def test_beat_slots_bound_the_heartbeat_buckets(make_world, fast_dgc):
+    buckets = {}
+    for slots in (0, 4):
+        world = make_world(2, dgc=fast_dgc.with_overrides(beat_slots=slots))
+        driver = world.create_driver()
+        for index in range(24):
+            driver.context.create(Peer(), name=f"p{index}")
+        wheel = world.kernel.beat_wheel
+        assert wheel.member_count() == 25
+        buckets[slots] = wheel.live_bucket_count
+    # Continuous jitter gives every collector its own bucket; the grid
+    # folds all 25 heartbeats into at most one bucket per slot.
+    assert buckets[0] == 25
+    assert buckets[4] <= 4

@@ -121,15 +121,21 @@ def test_paper_options_default_on():
     assert config.increment_on_referenced_loss
 
 
-def test_beat_slots_accepts_auto():
-    from repro.core.config import AUTO_BEAT_SLOTS
-
-    config = DgcConfig(ttb=1.0, tta=3.0, beat_slots=AUTO_BEAT_SLOTS)
-    assert config.beat_slots == "auto"
-
-
 def test_beat_slots_rejects_other_strings_and_negatives():
+    with pytest.raises(ConfigurationError):
+        DgcConfig(ttb=1.0, tta=3.0, beat_slots="auto")
     with pytest.raises(ConfigurationError):
         DgcConfig(ttb=1.0, tta=3.0, beat_slots="adaptive")
     with pytest.raises(ConfigurationError):
         DgcConfig(ttb=1.0, tta=3.0, beat_slots=-1)
+
+
+def test_beat_slots_is_a_slot_count_defaulting_to_continuous_jitter():
+    assert DgcConfig(ttb=1.0, tta=3.0).beat_slots == 0
+    config = DgcConfig(ttb=1.0, tta=3.0, beat_slots=16)
+    assert config.beat_slots == 16
+    # A float count is refused, and overrides are validated too.
+    with pytest.raises(ConfigurationError):
+        DgcConfig(ttb=1.0, tta=3.0, beat_slots=4.0)
+    with pytest.raises(ConfigurationError):
+        config.with_overrides(beat_slots=-4)

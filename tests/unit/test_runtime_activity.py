@@ -376,6 +376,14 @@ def test_context_verbs_are_bound_on_first_use_and_kept(world):
     assert set(vars(ctx)) >= {"drop", "lookup"}
     assert ctx.sleep is Sleep
     assert "sleep" not in vars(ctx)
+    # The registry verbs are one engine bound positionally: a keyword
+    # partial would merge its keywords on every call.
+    assert ctx.bind.func == ctx.unbind.func == world.registry.bind_from
+    assert ctx.bind.args == ctx.unbind.args == (driver.node, driver)
+    assert not any(
+        getattr(ctx, verb).keywords
+        for verb in ("call", "lookup", "bind", "unbind", "acquire")
+    )
 
 
 def test_drop_of_a_released_stub_still_raises(world):

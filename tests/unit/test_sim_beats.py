@@ -210,48 +210,68 @@ def test_bucket_events_are_o_buckets_not_o_members():
     assert wheel_of(kernel).bucket_event_count == 11
 
 
-# ----------------------------------------------------------------------
-# SlotController (adaptive beat_slots="auto")
-# ----------------------------------------------------------------------
+
+def test_stopping_every_member_leaves_the_kernel_quiescent():
+    kernel = SimKernel()
+    ticks = []
+    fast = kernel.schedule_periodic(0.5, lambda: ticks.append("fast"),
+                                    first_delay=0.0)
+    slow = kernel.schedule_periodic(10.0, lambda: ticks.append("slow"))
+    kernel.run(until=1.2)
+    assert ticks == ["fast", "fast", "fast"]
+    fast.stop()
+    slow.stop()
+    # Each emptied bucket dies when its one pending event fires, so the
+    # heap drains and no callback reaches a torn-down caller.
+    kernel.run(until=20.0)
+    assert ticks == ["fast", "fast", "fast"]
+    assert wheel_of(kernel).member_count() == 0
+    assert wheel_of(kernel).live_bucket_count == 0
+    assert kernel.pending_count == 0
 
 
-def test_slot_controller_targets_occupancy_with_power_of_two_grids():
-    from repro.sim.beats import SlotController
+def test_an_emptied_key_refilled_before_its_fire_keeps_its_one_event():
+    kernel = SimKernel()
+    fired = []
+    kernel.schedule_periodic(1.0, lambda: fired.append("gone")).stop()
+    kernel.schedule_periodic(1.0, lambda: fired.append("new"))
+    # The emptied bucket is still keyed: the newcomer joins it instead of
+    # arming a second event for the same (period, fire time).
+    assert wheel_of(kernel).bucket_event_count == 1
+    assert kernel.pending_count == 1
+    kernel.run(until=2.0)
+    assert fired == ["new", "new"]
 
-    controller = SlotController(
-        min_slots=4, max_slots=64, activities_per_slot=8
+
+def test_a_key_refilled_after_its_bucket_died_arms_a_fresh_event():
+    kernel = SimKernel()
+    fired = []
+    kernel.schedule_periodic(1.0, lambda: fired.append("gone")).stop()
+    kernel.run(until=1.0)
+    assert wheel_of(kernel).live_bucket_count == 0
+    # Same key (period 1.0, fire time 1.0) as the bucket that just died.
+    handle = kernel.schedule_periodic(
+        1.0, lambda: fired.append(kernel.now), first_delay=0.0
     )
-    # Quiet node: clamped to the floor.
-    assert controller.slots_for(1) == 4
-    assert controller.slots_for(32) == 4
-    # Growing population: next power of two of count/8.
-    assert controller.slots_for(33) == 8
-    assert controller.slots_for(64) == 8
-    assert controller.slots_for(100) == 16
-    # Paper-scale node (6401/128 ≈ 50 activities) still lands low.
-    assert controller.slots_for(50) == 8
-    # Huge node: clamped to the ceiling.
-    assert controller.slots_for(100_000) == 64
+    assert wheel_of(kernel).bucket_event_count == 2
+    kernel.run(until=2.5)
+    assert fired == [1.0, 2.0]
+    assert handle.next_fire_time == 3.0
 
 
-def test_slot_controller_is_monotone_and_deterministic():
-    from repro.sim.beats import SlotController
-
-    controller = SlotController()
-    grids = [controller.slots_for(count) for count in range(1, 2_000)]
-    assert grids == sorted(grids)
-    assert grids == [controller.slots_for(count) for count in range(1, 2_000)]
-    # Powers of two only: coarse grids nest inside finer ones, so beats
-    # quantized under different population epochs can share buckets.
-    assert all(grid & (grid - 1) == 0 for grid in grids)
-
-
-def test_slot_controller_rejects_bad_bounds():
-    from repro.sim.beats import SlotController
-
-    with pytest.raises(SimulationError):
-        SlotController(min_slots=0)
-    with pytest.raises(SimulationError):
-        SlotController(min_slots=16, max_slots=8)
-    with pytest.raises(SimulationError):
-        SlotController(activities_per_slot=0)
+def test_aligned_members_beat_in_registration_order_until_stopped():
+    kernel = SimKernel()
+    fired = []
+    handles = [
+        kernel.schedule_periodic(
+            0.03, (lambda i: lambda: fired.append(i))(index), first_delay=0.03
+        )
+        for index in range(3)
+    ]
+    kernel.run(until=0.1)
+    assert fired == [0, 1, 2] * 3
+    for handle in handles:
+        handle.stop()
+    kernel.run(until=0.3)
+    assert fired == [0, 1, 2] * 3
+    assert wheel_of(kernel).bucket_event_count == 4

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event kernel."""
 
+import sys
+
 import pytest
 
 from repro.errors import SchedulingInPastError, SimulationError
@@ -8,6 +10,23 @@ from repro.sim.kernel import SimKernel
 
 def test_initial_time_is_zero():
     assert SimKernel().now == 0.0
+
+
+def test_the_clock_is_one_slotted_attribute():
+    # Every hot path reads ``kernel.now``; it must be a plain slot, not
+    # a property, so a read enters no Python frame.
+    assert "now" in SimKernel.__slots__
+    kernel = SimKernel()
+    kernel.schedule(2.5, lambda: None)
+    kernel.run()
+    frames = []
+    sys.setprofile(lambda frame, event, arg: frames.append(event))
+    try:
+        now = kernel.now
+    finally:
+        sys.setprofile(None)
+    assert now == 2.5
+    assert "call" not in frames
 
 
 def test_schedule_and_fire_in_time_order():
@@ -146,19 +165,6 @@ def test_advance_rejects_a_backwards_horizon():
     assert kernel.now == 5.0
 
 
-def test_drained_bucket_event_is_inert():
-    # The bucket's kernel event is still in the heap when the wheel
-    # drains; firing it must be a no-op instead of a KeyError or a
-    # zombie callback.
-    kernel = SimKernel()
-    ticks = []
-    handle = kernel.schedule_periodic(1.0, lambda: ticks.append(kernel.now))
-    assert kernel.beat_wheel.drain() == 1
-    assert handle.stopped
-    kernel.advance(5.0)
-    assert ticks == []
-
-
 def test_events_scheduled_during_run_are_executed():
     kernel = SimKernel()
     fired = []
@@ -210,3 +216,46 @@ def test_run_until_quiescent_returns_on_predicate():
 def test_run_until_quiescent_times_out():
     kernel = SimKernel()
     assert not kernel.run_until_quiescent(lambda: False, 1.0, 5.0)
+
+
+def test_max_events_never_moves_the_clock_past_pending_events():
+    kernel = SimKernel()
+    times = []
+    for index in range(5):
+        kernel.schedule(float(index + 1), lambda: times.append(kernel.now))
+    assert kernel.run(until=10.0, max_events=2) == 2
+    # Events at 3, 4 and 5 are still due: the clock stays at the last
+    # fired event instead of jumping to the deadline.
+    assert kernel.now == 2.0
+    kernel.run(until=10.0)
+    assert times == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert kernel.now == 10.0
+
+
+def test_advance_skips_cancelled_events_and_fires_event_less_ones():
+    kernel = SimKernel()
+    fired = []
+    kernel.schedule_at(1.0, fired.append, "kept")
+    kernel.schedule_at(1.5, fired.append, "cancelled").cancel()
+    kernel.schedule_fire_at(2.0, fired.append, ("fast",))
+    kernel.schedule_fire_at(3.0, fired.append, ("held",))
+    assert kernel.advance(3.0) == 2
+    assert fired == ["kept", "fast"]
+    assert (kernel.fired_count, kernel.pending_count) == (2, 1)
+    assert kernel.next_event_time() == 3.0
+
+
+def test_beats_fire_alike_under_advance_and_run():
+    times = {}
+    for drive in ("run", "advance"):
+        kernel = SimKernel()
+        fired = times[drive] = []
+        kernel.schedule_periodic(1.0, lambda: fired.append(kernel.now),
+                                 first_delay=0.5)
+        if drive == "run":
+            kernel.run(until=4.0)
+        else:
+            for horizon in (0.7, 2.5, 2.5, 4.0):
+                kernel.advance(horizon)
+        assert kernel.now == 4.0
+    assert times["advance"] == times["run"] == [0.5, 1.5, 2.5, 3.5]
